@@ -70,7 +70,7 @@ func BenchmarkColdDetect(b *testing.B) {
 		b.StopTimer()
 		dir := b.TempDir()
 		b.StartTimer()
-		res, err := DetectFilesCached(context.Background(), files, specs,
+		res, _, err := DetectFiles(context.Background(), files, specs,
 			DetectRunOptions{CacheDir: dir})
 		if err != nil {
 			b.Fatal(err)
@@ -90,13 +90,13 @@ func BenchmarkColdDetect(b *testing.B) {
 func BenchmarkWarmDetect(b *testing.B) {
 	files, specs := benchDetectCorpus(b)
 	dir := b.TempDir()
-	if _, err := DetectFilesCached(context.Background(), files, specs,
+	if _, _, err := DetectFiles(context.Background(), files, specs,
 		DetectRunOptions{CacheDir: dir}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := DetectFilesCached(context.Background(), files, specs,
+		res, _, err := DetectFiles(context.Background(), files, specs,
 			DetectRunOptions{CacheDir: dir})
 		if err != nil {
 			b.Fatal(err)
@@ -136,13 +136,13 @@ func TestWarmDetectSpeedup(t *testing.T) {
 	ctx := context.Background()
 
 	warmDir := t.TempDir()
-	if _, err := DetectFilesCached(ctx, files, specs, DetectRunOptions{CacheDir: warmDir}); err != nil {
+	if _, _, err := DetectFiles(ctx, files, specs, DetectRunOptions{CacheDir: warmDir}); err != nil {
 		t.Fatal(err)
 	}
 
 	const runs = 5
 	cold := medianRunNs(t, runs, func() {
-		res, err := DetectFilesCached(ctx, files, specs, DetectRunOptions{CacheDir: t.TempDir()})
+		res, _, err := DetectFiles(ctx, files, specs, DetectRunOptions{CacheDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestWarmDetectSpeedup(t *testing.T) {
 		}
 	})
 	warm := medianRunNs(t, runs, func() {
-		res, err := DetectFilesCached(ctx, files, specs, DetectRunOptions{CacheDir: warmDir})
+		res, _, err := DetectFiles(ctx, files, specs, DetectRunOptions{CacheDir: warmDir})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ func BenchmarkColdBatchDetect(b *testing.B) {
 	files, specs := benchDetectCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := DetectFilesCached(context.Background(), files, specs, DetectRunOptions{})
+		res, _, err := DetectFiles(context.Background(), files, specs, DetectRunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -29,19 +29,19 @@ func BenchmarkColdBatchDetect(b *testing.B) {
 
 // BenchmarkResidentDetect measures the daemon's steady state: repeated
 // detect requests against one resident substrate, answered from the
-// in-memory result memo.
+// group memo.
 func BenchmarkResidentDetect(b *testing.B) {
 	files, specs := benchDetectCorpus(b)
 	r, err := NewResidentFiles(files)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := r.Detect(context.Background(), specs, DetectRunOptions{}); err != nil {
+	if _, _, err := r.Detect(context.Background(), specs, DetectRunOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := r.Detect(context.Background(), specs, DetectRunOptions{})
+		res, _, err := r.Detect(context.Background(), specs, DetectRunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,13 +67,13 @@ func TestResidentDetectSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Detect(ctx, specs, DetectRunOptions{}); err != nil {
+	if _, _, err := r.Detect(ctx, specs, DetectRunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
 	const runs = 5
 	cold := medianRunNs(t, runs, func() {
-		res, err := DetectFilesCached(ctx, files, specs, DetectRunOptions{})
+		res, _, err := DetectFiles(ctx, files, specs, DetectRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestResidentDetectSpeedup(t *testing.T) {
 		}
 	})
 	resident := medianRunNs(t, runs, func() {
-		res, err := r.Detect(ctx, specs, DetectRunOptions{})
+		res, _, err := r.Detect(ctx, specs, DetectRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

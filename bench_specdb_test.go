@@ -42,7 +42,7 @@ func TestSpecEditRecomputeSpeedup(t *testing.T) {
 
 	const runs = 5
 	cold := medianRunNs(t, runs, func() {
-		res, gs, err := DetectFilesGrouped(ctx, files, stored, DetectRunOptions{CacheDir: t.TempDir()})
+		res, gs, err := DetectFiles(ctx, files, stored, DetectRunOptions{CacheDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestSpecEditRecomputeSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewResident(target)
-	if _, _, err := r.DetectGrouped(ctx, stored, DetectRunOptions{}); err != nil {
+	if _, _, err := r.Detect(ctx, stored, DetectRunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := specdb.Open(storePath)
@@ -89,7 +89,7 @@ func TestSpecEditRecomputeSpeedup(t *testing.T) {
 	}
 	warm := medianRunNs(t, runs, func() {
 		edit()
-		res, gs, err := r.DetectGrouped(ctx, cur, DetectRunOptions{})
+		res, gs, err := r.Detect(ctx, cur, DetectRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

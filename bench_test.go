@@ -11,6 +11,7 @@ package seal
 // log doubles as the experiment record (see EXPERIMENTS.md).
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -218,11 +219,12 @@ func BenchmarkDetectScaling(b *testing.B) {
 			var st detect.Stats
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				sh := detect.NewShared(r.Prog)
-				if bugs := sh.DetectParallel(r.Specs, w); len(bugs) == 0 {
-					b.Fatal("no reports")
+				rs := NewResident(&Target{Prog: r.Prog})
+				res, _, err := rs.Detect(context.Background(), r.Specs, DetectRunOptions{Workers: w})
+				if err != nil || len(res.Recs) == 0 {
+					b.Fatalf("no reports (%v)", err)
 				}
-				st = sh.Stats()
+				st = rs.Stats()
 			}
 			elapsed := float64(time.Since(start).Nanoseconds()) / float64(b.N)
 			switch w {

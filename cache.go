@@ -1,7 +1,6 @@
 package seal
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -96,61 +95,14 @@ func detectConfigPart(limits Limits) string {
 }
 
 // SpecSetHash fingerprints a spec list in order, conditions included — the
-// spec-side identity in detection cache keys and serve request envelopes.
+// spec-side identity in region-group cache keys and serve request envelopes.
 func SpecSetHash(specs []*Spec) (string, error) {
 	return (&SpecDB{Specs: specs}).Hash()
 }
 
 // TargetHash fingerprints an in-memory source set — the target-side
-// identity in detection cache keys and serve request envelopes.
+// identity in region-group cache keys and serve request envelopes.
 func TargetHash(files map[string]string) string { return cache.FileSetHash(files) }
-
-// detectKey is the TierDetect fingerprint chain: schema version (inside
-// cache.Key) → seal analysis version → config → target sources → spec set.
-func detectKey(targetHash, specHash string, limits Limits) string {
-	return cache.Key(
-		"tier:"+cache.TierDetect,
-		"seal:"+Version,
-		detectConfigPart(limits),
-		"target:"+targetHash,
-		"specs:"+specHash,
-	)
-}
-
-// detectKeyFor builds the detection key for a spec list, or "" when the
-// specs cannot be fingerprinted (such a run is simply not memoizable).
-func detectKeyFor(targetHash string, specs []*Spec, limits Limits) string {
-	specHash, err := SpecSetHash(specs)
-	if err != nil {
-		return ""
-	}
-	return detectKey(targetHash, specHash, limits)
-}
-
-// detectCacheEntry is the TierDetect payload: everything a warm run needs
-// to reproduce a cold run's observable output — rendered-report records,
-// per-unit manifest summaries, the deterministic substrate counters, and
-// the solver-check delta — with no live IR.
-type detectCacheEntry struct {
-	Recs      []detect.BugRec  `json:"recs"`
-	Units     []detect.UnitRec `json:"units"`
-	Stats     detect.Stats     `json:"stats"`
-	SatChecks int64            `json:"sat_checks"`
-	// Shard is the wire form of Recs (dedup key, producing-spec identity,
-	// spec ordinal per record) that a shard executor returns to its
-	// coordinator. Written by every clean run since the scale-out tier
-	// landed; entries predating it have Shard == nil and simply cannot be
-	// replayed for shard requests when Recs is non-empty (plain Detect
-	// replay is unaffected).
-	Shard []detect.ShardBug `json:"shard,omitempty"`
-}
-
-// shardReplayable reports whether a cached entry carries enough to answer
-// a shard request: either the wire records are present, or there were no
-// bugs at all (nothing to carry).
-func shardReplayable(ent *detectCacheEntry) bool {
-	return ent != nil && (ent.Shard != nil || len(ent.Recs) == 0)
-}
 
 // regionsKey is the TierRegions fingerprint: target content and closure
 // depth only, so the artifact survives spec-DB changes.
@@ -190,98 +142,7 @@ func ReadSourceDir(root string) (map[string]string, error) {
 		return nil, err
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("seal: no .c files under %s", root)
+		return nil, fmt.Errorf("no .c files under %s", root)
 	}
 	return files, nil
-}
-
-// DetectRunOptions configures a cached, budgeted detection run.
-type DetectRunOptions struct {
-	// Workers is the concurrent detection worker count over one shared
-	// substrate (output is identical at any count).
-	Workers int
-	// Limits is the per-unit resource budget.
-	Limits Limits
-	// Obs, when non-nil, records one unit span per region group — live or
-	// replayed from cache — so warm and cold manifests agree.
-	Obs *Recorder
-	// CacheDir enables the persistent analysis cache rooted there; empty
-	// disables it.
-	CacheDir string
-	// CacheReadOnly serves hits but never writes (shared or archived
-	// caches).
-	CacheReadOnly bool
-	// CacheMaxBytes bounds the persistent cache's total on-disk size;
-	// exceeding it evicts least-recently-used entries. 0 = unbounded.
-	CacheMaxBytes int64
-}
-
-// DetectDirCached runs detection over the tree at root with an optional
-// persistent cache. On a warm hit the sources are fingerprinted but never
-// parsed: the result (report records, unit summaries, substrate counters,
-// solver-check delta) is replayed from disk, byte-identical to the cold
-// run's observable output. Degraded or quarantined runs are never written
-// to the cache.
-func DetectDirCached(ctx context.Context, root string, specs []*Spec, opts DetectRunOptions) (*DetectResult, error) {
-	files, err := ReadSourceDir(root)
-	if err != nil {
-		return nil, err
-	}
-	return DetectFilesCached(ctx, files, specs, opts)
-}
-
-// DetectFilesCached is DetectDirCached over an in-memory source set. It is
-// the one-shot form of the resident flow: a warm hit replays from disk
-// before any parsing happens; a miss builds a throwaway Resident, primes
-// its region closures from the cache, and runs through the same compute
-// core a long-running service uses.
-func DetectFilesCached(ctx context.Context, files map[string]string, specs []*Spec, opts DetectRunOptions) (*DetectResult, error) {
-	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
-	if err != nil {
-		return nil, err
-	}
-	targetHash := cache.FileSetHash(files)
-	var key string
-	if pc.Enabled() {
-		key = detectKeyFor(targetHash, specs, opts.Limits)
-		if key != "" {
-			var ent detectCacheEntry
-			if pc.Get(cache.TierDetect, key, &ent) {
-				return replayDetect(&ent, opts.Obs, pc), nil
-			}
-		}
-	}
-	t, err := LoadFiles(files)
-	if err != nil {
-		return nil, err
-	}
-	r := NewResident(t)
-	r.primeRegions(pc)
-	res, _, runErr := r.runDetect(ctx, specs, opts, pc, key)
-	return res, runErr
-}
-
-// replayDetect reconstructs a DetectResult from a cache entry, re-recording
-// one OK unit span per region group (zero-duration slice/solve stages, the
-// original spec/bug counts) so the redacted manifest of a warm run is
-// byte-identical to the cold run's. Bugs stays nil — rendering goes through
-// Recs, the single render path.
-func replayDetect(ent *detectCacheEntry, rec *Recorder, pc *cache.Cache) *DetectResult {
-	rec.SetUnitsTotal(len(ent.Units))
-	for _, u := range ent.Units {
-		if span := rec.Unit("detect", u.ID); span != nil {
-			span.AddStage("slice", 0, 0)
-			span.AddStage("solve", 0, 0)
-			span.SetCounts(u.Specs, u.Bugs)
-			span.End()
-		}
-	}
-	res := &detect.Result{
-		Recs:      ent.Recs,
-		Units:     ent.Units,
-		Stats:     ent.Stats,
-		SatChecks: ent.SatChecks,
-	}
-	res.PCache = pc.Stats()
-	return res
 }

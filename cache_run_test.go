@@ -109,7 +109,7 @@ func TestDetectDegradedNeverCached(t *testing.T) {
 	specs := inferred.DB.Specs
 	cacheDir := t.TempDir()
 
-	deg, err := seal.DetectFilesCached(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
+	deg, _, err := seal.DetectFiles(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
 		CacheDir: cacheDir,
 		Limits:   seal.Limits{MaxSteps: 5},
 	})
@@ -127,7 +127,7 @@ func TestDetectDegradedNeverCached(t *testing.T) {
 	}
 
 	// Full-budget run: must miss (nothing was stored) and then write.
-	full, err := seal.DetectFilesCached(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
+	full, _, err := seal.DetectFiles(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
 		CacheDir: cacheDir,
 	})
 	if err != nil {
@@ -141,7 +141,7 @@ func TestDetectDegradedNeverCached(t *testing.T) {
 	}
 
 	// Warm replay must agree with the recomputed full-budget reports.
-	warm, err := seal.DetectFilesCached(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
+	warm, _, err := seal.DetectFiles(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
 		CacheDir: cacheDir,
 	})
 	if err != nil {
@@ -174,7 +174,7 @@ func TestDetectEvictionNeverBreaksCorrectness(t *testing.T) {
 	}
 	specs := inferred.DB.Specs
 
-	ref, err := seal.DetectFilesCached(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
+	ref, _, err := seal.DetectFiles(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
 		CacheDir: t.TempDir(),
 	})
 	if err != nil {
@@ -183,7 +183,7 @@ func TestDetectEvictionNeverBreaksCorrectness(t *testing.T) {
 
 	cacheDir := t.TempDir()
 	for round := 0; round < 2; round++ {
-		res, err := seal.DetectFilesCached(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
+		res, _, err := seal.DetectFiles(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
 			CacheDir:      cacheDir,
 			CacheMaxBytes: 1,
 		})

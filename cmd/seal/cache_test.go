@@ -149,6 +149,35 @@ func TestCLICacheWarmColdIdentity(t *testing.T) {
 	}
 }
 
+// TestCLICacheWorkersColdWarmIdentity pins per-unit work attribution: a
+// cache filled by concurrent region groups (-workers 4) replays at
+// -workers 1 with byte-identical reports, redacted manifests, and redacted
+// metrics — PDG build and ensure counters included — and both match a
+// cold -workers 1 run. Each group's cached counters are the work its own
+// detectors caused, so they sum to the same totals however the groups
+// overlapped.
+func TestCLICacheWorkersColdWarmIdentity(t *testing.T) {
+	dir := t.TempDir()
+	corpusDir := filepath.Join(dir, "corpus")
+	specFile := filepath.Join(dir, "specs.json")
+	cacheDir := filepath.Join(dir, "cache")
+	if err := cmdGen([]string{"-out", corpusDir}); err != nil {
+		t.Fatal(err)
+	}
+
+	ref := runCachedPipeline(t, dir, corpusDir, specFile, filepath.Join(dir, "ref-cache"), "ref", "-workers", "1")
+	cold := runCachedPipeline(t, dir, corpusDir, specFile, cacheDir, "cold", "-workers", "4")
+	warm := runCachedPipeline(t, dir, corpusDir, specFile, cacheDir, "warm", "-workers", "1")
+	diffRuns(t, "cold -workers 4 vs cold -workers 1", ref, cold)
+	diffRuns(t, "warm -workers 1 vs cold -workers 4", cold, warm)
+	if warm.detectRawCache == nil || warm.detectRawCache.PCacheHits == 0 || warm.detectRawCache.PCacheMisses != 0 {
+		t.Errorf("warm detect was not fully served from cache: %+v", warm.detectRawCache)
+	}
+	if cold.detectRawCache == nil || cold.detectRawCache.PDGBuilds == 0 || cold.detectRawCache.PDGEnsureCalls == 0 {
+		t.Errorf("cold detect recorded no PDG work: %+v", cold.detectRawCache)
+	}
+}
+
 // TestCLICacheCorruptFallback flips bytes in every cached entry and
 // requires the next run to detect the corruption via checksums, count
 // misses, recompute, and still produce byte-identical output — with

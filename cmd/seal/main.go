@@ -553,10 +553,10 @@ func cmdDetect(args []string) error {
 	fs := flag.NewFlagSet("detect", flag.ExitOnError)
 	target := fs.String("target", "", "source tree to analyze (required)")
 	specFile := fs.String("specs", "", "spec database from `seal infer` (required unless -spec-db)")
-	specDB := fs.String("spec-db", "", "load specs from a paged spec store instead of a flat file; detection runs at region-group granularity (a spec edit recomputes only the groups it touched)")
+	specDB := fs.String("spec-db", "", "load specs from a paged spec store instead of a flat file (output is identical to -specs over the same specs)")
 	full := fs.Bool("report", false, "print full bug reports (paths, specs, origins)")
-	workers := fs.Int("workers", 1, "concurrent detection workers over one shared substrate (output is identical to -workers 1)")
-	stats := fs.Bool("stats", false, "print shared-substrate counters (PDG builds, path-cache hit rate) to stderr")
+	workers := fs.Int("workers", 1, "region groups computed concurrently over one shared substrate (output is identical to -workers 1)")
+	stats := fs.Bool("stats", false, "print region-group and shared-substrate counters (warm vs computed groups, PDG builds, path-cache hit rate) to stderr")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	shards := fs.Int("shards", 0, "coordinate detection across this many spawned `seal work` processes, merged deterministically (0 = in-process)")
@@ -647,17 +647,13 @@ func cmdDetect(args []string) error {
 			CacheReadOnly: cf.readOnly,
 			CacheMaxBytes: cf.maxBytes,
 		}
-		if *specDB != "" {
-			var gs seal.GroupedStats
-			res, gs, runErr = seal.DetectDirGrouped(context.Background(), *target, db.Specs, runOpts)
-			if *stats {
-				fmt.Fprintf(os.Stderr, "grouped: %d region groups, %d warm, %d computed\n",
-					gs.Groups, gs.Warm, gs.Computed)
-			}
-		} else {
-			res, runErr = seal.DetectDirCached(context.Background(), *target, db.Specs, runOpts)
-		}
+		var gs seal.GroupedStats
+		res, gs, runErr = seal.DetectDir(context.Background(), *target, db.Specs, runOpts)
 		pg.Stop()
+		if *stats && res != nil {
+			fmt.Fprintf(os.Stderr, "grouped: %d region groups, %d warm, %d computed\n",
+				gs.Groups, gs.Warm, gs.Computed)
+		}
 	}
 	if res == nil {
 		return runErr

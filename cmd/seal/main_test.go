@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"seal/internal/spec"
@@ -84,6 +85,24 @@ func TestCLIArgErrors(t *testing.T) {
 	}
 	if err := cmdDetect([]string{}); err == nil {
 		t.Error("detect without flags should fail")
+	}
+}
+
+// TestCLIDetectEmptyTargetError pins the error text main prints after its
+// own "seal:" prefix: a target without sources is reported once, not as
+// "seal: seal: no .c files ...".
+func TestCLIDetectEmptyTargetError(t *testing.T) {
+	dir := t.TempDir()
+	specFile := filepath.Join(dir, "specs.json")
+	if err := os.WriteFile(specFile, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := cmdDetect([]string{"-target", t.TempDir(), "-specs", specFile})
+	if err == nil {
+		t.Fatal("detect over an empty target succeeded")
+	}
+	if msg := err.Error(); strings.HasPrefix(msg, "seal:") || !strings.Contains(msg, "no .c files") {
+		t.Fatalf("error %q: want the bare \"no .c files\" message, without a seal: prefix", msg)
 	}
 }
 

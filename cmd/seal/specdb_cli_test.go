@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -10,6 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"seal/internal/detect"
+	"seal/internal/faultinject"
+	"seal/internal/spec"
 	"seal/internal/specdb"
 )
 
@@ -50,6 +54,12 @@ func TestCLISpecDBDetectIdentity(t *testing.T) {
 	if stored != flat {
 		t.Errorf("-spec-db output differs from -specs output.\nstore:\n%s\nflat:\n%s", stored, flat)
 	}
+	parallel := captureStdout(t, func() error {
+		return cmdDetect([]string{"-target", tree, "-spec-db", storePath, "-report", "-workers", "2"})
+	})
+	if parallel != flat {
+		t.Errorf("-spec-db -workers 2 output differs from flat -workers 1 output.\nstore:\n%s\nflat:\n%s", parallel, flat)
+	}
 
 	// Cold then warm against the same cache directory: the warm grouped
 	// run replays from the group memo and must not change a byte.
@@ -72,6 +82,43 @@ func TestCLISpecDBDetectIdentity(t *testing.T) {
 	if sharded != flat {
 		t.Errorf("-spec-db -shards 2 output differs from flat output.\nsharded:\n%s\nflat:\n%s",
 			sharded, flat)
+	}
+}
+
+// TestCLISpecDBDetectWorkersOverlap is the regression test for a
+// store-backed detection that ignored -workers: the first two region
+// groups stall until their unit deadline, and with -workers 2 the pool
+// must hand them to two workers at once. The plan's in-flight stall count
+// witnesses the overlap, so the verdict does not depend on timing.
+func TestCLISpecDBDetectWorkersOverlap(t *testing.T) {
+	tree, specFile, storePath := buildSpecStore(t)
+	data, err := os.ReadFile(specFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var db spec.DB
+	if err := json.Unmarshal(data, &db); err != nil {
+		t.Fatal(err)
+	}
+	var scopes []string
+	for _, g := range detect.ScopeGroups(db.Specs) {
+		scopes = append(scopes, db.Specs[g[0]].Scope())
+	}
+	if len(scopes) < 3 {
+		t.Fatalf("corpus has %d region groups; the overlap check needs 3+", len(scopes))
+	}
+	plan := faultinject.NewPlan().
+		Add("detect", scopes[0], faultinject.KindStall).
+		Add("detect", scopes[1], faultinject.KindStall)
+	faultinject.Set(plan)
+	defer faultinject.Reset()
+	err = cmdDetect([]string{"-target", tree, "-spec-db", storePath, "-workers", "2", "-timeout", "300ms"})
+	var qe quarantineErr
+	if !errors.As(err, &qe) || qe.n != 2 {
+		t.Fatalf("two stalled groups: %v, want 2 quarantined units", err)
+	}
+	if got := plan.PeakStalls(); got != 2 {
+		t.Fatalf("peak in-flight stalls = %d, want 2: -workers 2 did not run region groups concurrently", got)
 	}
 }
 

@@ -46,9 +46,6 @@ const (
 	// TierInferRun holds run-level inference summaries (solver work
 	// counters for metric replay), keyed over the whole corpus.
 	TierInferRun = "infer-run"
-	// TierDetect holds per-target detection results (bug records, unit
-	// outcomes, substrate counters), keyed over target + spec DB.
-	TierDetect = "detect"
 	// TierRegions holds per-target region-closure artifacts (root →
 	// callee-closure function names), keyed over the target only, so they
 	// survive spec-DB changes.

@@ -45,7 +45,7 @@ func TestTiersAreIndependent(t *testing.T) {
 	key := Key("same")
 	c.Put(TierInfer, key, payload{Name: "a"})
 	var got payload
-	if c.Get(TierDetect, key, &got) {
+	if c.Get(TierDetectGroup, key, &got) {
 		t.Fatal("entry leaked across tiers")
 	}
 }
@@ -91,7 +91,7 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 			dir := t.TempDir()
 			c, _ := Open(dir, false)
 			key := Key("victim")
-			c.Put(TierDetect, key, payload{Name: "ok", Count: 1})
+			c.Put(TierDetectGroup, key, payload{Name: "ok", Count: 1})
 			file := entryFile(t, dir)
 			data, err := os.ReadFile(file)
 			if err != nil {
@@ -101,15 +101,15 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got payload
-			if c.Get(TierDetect, key, &got) {
+			if c.Get(TierDetectGroup, key, &got) {
 				t.Fatal("corrupted entry served as a hit")
 			}
 			if st := c.Stats(); st.Corrupt != 1 {
 				t.Fatalf("corruption not counted: %+v", st)
 			}
 			// Recovery: a rewrite restores the entry.
-			c.Put(TierDetect, key, payload{Name: "ok", Count: 1})
-			if !c.Get(TierDetect, key, &got) || got.Count != 1 {
+			c.Put(TierDetectGroup, key, payload{Name: "ok", Count: 1})
+			if !c.Get(TierDetectGroup, key, &got) || got.Count != 1 {
 				t.Fatal("rewrite after corruption did not recover")
 			}
 		})

@@ -140,7 +140,7 @@ func BenchmarkInProcessDetect(b *testing.B) {
 	files, specs := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := seal.DetectFilesCached(context.Background(), files, specs, seal.DetectRunOptions{})
+		res, _, err := seal.DetectFiles(context.Background(), files, specs, seal.DetectRunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestCoordinationOverhead(t *testing.T) {
 
 	// One warmup per side: first-touch costs (solver memo, page cache)
 	// land outside the measurement.
-	if _, err := seal.DetectFilesCached(ctx, files, specs, seal.DetectRunOptions{}); err != nil {
+	if _, _, err := seal.DetectFiles(ctx, files, specs, seal.DetectRunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	coordDetectOnce(t, 1)
@@ -210,7 +210,7 @@ func TestCoordinationOverhead(t *testing.T) {
 	sharded := make([]float64, runs)
 	for i := 0; i < runs; i++ {
 		start := time.Now()
-		res, err := seal.DetectFilesCached(ctx, files, specs, seal.DetectRunOptions{})
+		res, _, err := seal.DetectFiles(ctx, files, specs, seal.DetectRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

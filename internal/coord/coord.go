@@ -167,13 +167,9 @@ func subsetJob(shard, shards int, targetHash string, specs []*spec.Spec, specIdx
 	}
 	if store != nil {
 		if hash, err := (&spec.DB{Specs: subset}).Hash(); err == nil {
-			seen := make(map[string]bool)
 			var scopes []string // first-appearance order = global group order
-			for _, sp := range subset {
-				if sc := sp.Scope(); !seen[sc] {
-					seen[sc] = true
-					scopes = append(scopes, sc)
-				}
+			for _, g := range detect.ScopeGroups(subset) {
+				scopes = append(scopes, subset[g[0]].Scope())
 			}
 			job.Specs = nil
 			job.SpecStore = &SpecStoreRef{
@@ -445,57 +441,23 @@ func survivorSlots(ctx context.Context, client *http.Client, plan *Plan, opts Op
 }
 
 // merge folds every shard outcome — primary and recovery — into one
-// Result, deterministically: identical inputs and identical per-shard
-// outcomes produce byte-identical output regardless of dispatch
-// completion order.
+// Result through detect.Fold, deterministically: identical inputs and
+// identical per-shard outcomes produce byte-identical output regardless of
+// dispatch completion order.
 func merge(plan *Plan, specs []*spec.Spec, opts Options, outcomes []shardOutcome, recovs []recovExec) (*detect.Result, []obs.ShardManifest) {
 	opts.Obs.SetUnitsTotal(len(plan.Groups))
-
-	// Group-ordinal index: global determinism anchor for failure/degraded
-	// ordering (scopes are unique per group).
-	groupOrd := make(map[string]int, len(plan.Groups))
-	for gi, scope := range plan.Scopes {
-		groupOrd[scope] = gi
-	}
-
-	res := &detect.Result{}
-	var all []detect.ShardBug
-	type ordered struct {
-		ord     int
-		failure *budget.FailureRecord
-		degr    *budget.Degradation
-	}
-	var robust []ordered
+	f := detect.NewFold(plan.Scopes)
 	shards := make([]obs.ShardManifest, plan.Shards)
 	covered := make([]bool, len(plan.Groups))
 
 	// fold accumulates one successful ShardResult, translating job-local
-	// spec ordinals to global ones through the job's own index. Returns
-	// the bug count folded in.
+	// spec ordinals through the job's own index and replaying its unit
+	// spans. Returns the bug count folded in.
 	fold := func(specIdx []int, sr *ShardResult) int {
-		n := 0
-		for _, sb := range sr.Bugs {
-			if sb.Ord < 0 || sb.Ord >= len(specIdx) {
-				continue // malformed wire record; never panic on it
-			}
-			sb.Ord = specIdx[sb.Ord] // job-local → global spec ordinal
-			all = append(all, sb)
-			n++
-		}
-		res.Units = append(res.Units, sr.Units...)
-		for _, fr := range sr.Failures {
-			robust = append(robust, ordered{ord: groupOrd[fr.Unit], failure: fr})
-		}
-		for i := range sr.Degraded {
-			d := sr.Degraded[i]
-			robust = append(robust, ordered{ord: groupOrd[d.Unit], degr: &d})
-		}
-		res.Stats = res.Stats.Merge(sr.Stats)
-		res.SatChecks += sr.SatChecks
 		for _, u := range sr.ManifestUnits {
 			opts.Obs.ReplayUnit(u)
 		}
-		return n
+		return f.Add(specIdx, &sr.Outcome)
 	}
 
 	for si := range outcomes {
@@ -591,17 +553,15 @@ func merge(plan *Plan, specs []*spec.Spec, opts Options, outcomes []shardOutcome
 				attempts += e.oc.attempts
 				detail += fmt.Sprintf("; re-shard to %d (%s): %v", e.target, opts.Addrs[e.target], e.oc.err)
 			}
-			fr := &budget.FailureRecord{
-				Unit:     scope,
-				Stage:    "detect",
-				Reason:   budget.ReasonShardLost,
-				Detail:   detail,
-				Attempts: attempts,
-			}
-			robust = append(robust, ordered{ord: groupOrd[scope], failure: fr})
-			res.Units = append(res.Units, detect.UnitRec{
-				ID:    scope,
-				Specs: len(plan.Groups[gi]),
+			f.Add(nil, &detect.Outcome{
+				Units: []detect.UnitRec{{ID: scope, Specs: len(plan.Groups[gi])}},
+				Failures: []*budget.FailureRecord{{
+					Unit:     scope,
+					Stage:    "detect",
+					Reason:   budget.ReasonShardLost,
+					Detail:   detail,
+					Attempts: attempts,
+				}},
 			})
 			opts.Obs.ReplayUnit(obs.UnitManifest{
 				ID:       scope,
@@ -613,19 +573,5 @@ func merge(plan *Plan, specs []*spec.Spec, opts Options, outcomes []shardOutcome
 			})
 		}
 	}
-
-	res.Recs = detect.MergeShardRecs(all)
-	sort.Slice(res.Units, func(i, j int) bool { return res.Units[i].ID < res.Units[j].ID })
-	sort.SliceStable(robust, func(i, j int) bool { return robust[i].ord < robust[j].ord })
-	for _, r := range robust {
-		if r.failure != nil {
-			res.Failures = append(res.Failures, r.failure)
-		}
-		if r.degr != nil {
-			res.Degraded = append(res.Degraded, *r.degr)
-		}
-	}
-	res.Stats.QuarantinedUnits = int64(len(res.Failures))
-	res.Stats.DegradedUnits = int64(len(res.Degraded))
-	return res, shards
+	return f.Result(), shards
 }

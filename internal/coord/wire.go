@@ -77,27 +77,16 @@ type SpecStoreRef struct {
 
 // ShardResult is the wire form of one shard's outcome: everything the
 // coordinator needs to reassemble the single-process result, with no live
-// IR.
+// IR. The embedded Outcome is the worker's merged region-group outcome —
+// bug ordinals index this job's spec list (the coordinator translates them
+// to global ordinals), units sorted by ID, robustness records in the
+// shard's group order, and the substrate counters of this run.
 type ShardResult struct {
 	Shard      int    `json:"shard"`
 	TargetHash string `json:"target_hash"`
-	// Bugs are the shard's merged bug records in wire form; Ord is the
-	// ordinal within this job's spec list (the coordinator translates it
-	// to the global ordinal before the cross-shard merge).
-	Bugs []detect.ShardBug `json:"bugs,omitempty"`
-	// Units are the shard's per-region-group summaries (sorted by ID).
-	Units []detect.UnitRec `json:"units,omitempty"`
+	detect.Outcome
 	// ManifestUnits are the shard's unit spans in manifest form, replayed
 	// into the coordinator's recorder so the merged redacted manifest is
 	// indistinguishable from a single-process run's.
 	ManifestUnits []obs.UnitManifest `json:"manifest_units,omitempty"`
-	// Failures / Degraded are the shard's unit-level robustness records,
-	// in the shard's group order.
-	Failures []*budget.FailureRecord `json:"failures,omitempty"`
-	Degraded []budget.Degradation    `json:"degraded,omitempty"`
-	// Stats are the shard's substrate counters for this run (the delta, on
-	// a resident worker).
-	Stats detect.Stats `json:"stats"`
-	// SatChecks is the shard's solver satisfiability-check delta.
-	SatChecks int64 `json:"sat_checks"`
 }

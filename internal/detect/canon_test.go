@@ -42,7 +42,7 @@ func TestCanonReuseMatchesRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	memo := detect.NewShared(r.Prog)
-	withReuse := dumpFull(memo.DetectParallel(r.Specs, 1))
+	withReuse := dumpFull(memo.Detector().Detect(r.Specs))
 
 	raw := detect.New(r.Prog)
 	raw.DisableMemo = true
@@ -72,7 +72,7 @@ func TestPathCacheHitRateFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := detect.NewShared(r.Prog)
-	sh.DetectParallel(r.Specs, 1)
+	sh.Detector().Detect(r.Specs)
 	st := sh.Stats()
 	total := st.PathCacheHits + st.PathCacheMisses
 	if total == 0 {

@@ -16,6 +16,7 @@ import (
 	"seal/internal/infer"
 	"seal/internal/ir"
 	"seal/internal/pdg"
+	"seal/internal/progindex"
 	"seal/internal/solver"
 	"seal/internal/spec"
 	"seal/internal/vfp"
@@ -59,10 +60,11 @@ const DefaultMaxCalleeDepth = 3
 // not itself safe for concurrent use (it carries per-region scratch
 // state — the slicer and abstracter scopes).
 type Detector struct {
-	G  *pdg.Graph
-	sh *Shared
-	sl *vfp.Slicer
-	ab *infer.Abstracter
+	G   *pdg.Graph
+	sh  *Shared
+	sl  *vfp.Slicer
+	ab  *infer.Abstracter
+	idx *progindex.Index
 
 	// MaxCalleeDepth bounds the callee closure of a detection region.
 	MaxCalleeDepth int
@@ -91,6 +93,28 @@ type Detector struct {
 	// resident serving, in-process shard workers — never absorb each
 	// other's checks into their per-run figures.
 	satChecks int64
+	// pdgWork, lookups, pathHits, and pathMisses are this detector's own
+	// share of the substrate counters, charged where the work happens (the
+	// graph and index handles, pathsFor) for the same reason.
+	pdgWork              pdg.Stats
+	lookups              int64
+	pathHits, pathMisses int64
+}
+
+// work returns the substrate work this detector caused. The work of every
+// detector over a substrate sums to the substrate's own Stats, however the
+// detectors were scheduled.
+func (d *Detector) work() Stats {
+	return Stats{
+		EnsureCalls:      d.pdgWork.EnsureCalls,
+		EnsureBuilds:     d.pdgWork.EnsureBuilds,
+		PDGBuildNanos:    d.pdgWork.BuildNanos,
+		PathCacheHits:    d.pathHits,
+		PathCacheMisses:  d.pathMisses,
+		IndexLookups:     d.lookups,
+		PathEnumerations: d.sl.Enumerations,
+		Truncations:      d.sl.Truncations,
+	}
 }
 
 // stageClock accumulates the wall time of a unit's detection stages. Plain
@@ -157,8 +181,8 @@ func (d *Detector) Detect(specs []*spec.Spec) []*Bug {
 
 // mergeBugs flattens per-spec results in spec order, dedups by bug key
 // (first spec wins, as in sequential detection), and sorts the report
-// list. Both Detect and Shared.DetectParallel finish through this, which
-// is what makes their outputs byte-identical.
+// list. Detect and every region group of RunGroups finish through this,
+// which is what makes their merged outputs byte-identical.
 func mergeBugs(perSpec [][]*Bug) []*Bug {
 	seen := make(map[string]bool)
 	var out []*Bug
@@ -205,7 +229,7 @@ func (d *Detector) Regions(s *spec.Spec) []*ir.Func {
 		return d.G.Prog.ImplsOf(s.Iface[:dot], s.Iface[dot+1:])
 	}
 	if s.API != "" {
-		callers := d.sh.Idx.CallersOf(s.API)
+		callers := d.idx.CallersOf(s.API)
 		out := make([]*ir.Func, len(callers))
 		copy(out, callers)
 		return out
@@ -221,7 +245,7 @@ func (d *Detector) regionFuncs(fn *ir.Func) []*ir.Func {
 
 // region returns the cached closure context of a region root.
 func (d *Detector) region(fn *ir.Func) *regionCtx {
-	return d.sh.region(fn, d.MaxCalleeDepth)
+	return d.sh.region(fn, d.MaxCalleeDepth, d.idx)
 }
 
 // checkRegion evaluates the spec inside one region function.
@@ -272,7 +296,7 @@ func (d *Detector) paths(src *ir.Stmt, rc *regionCtx) []*vfp.Path {
 	if d.DisableMemo {
 		return d.sl.PathsFrom(src)
 	}
-	return d.sh.pathsFor(src, rc, d.MaxCalleeDepth, d.sl)
+	return d.sh.pathsFor(src, rc, d)
 }
 
 // sources instantiates the spec's V inside the region (the inverse of
@@ -282,14 +306,14 @@ func (d *Detector) sources(v spec.Value, rc *regionCtx) []*ir.Stmt {
 	var out []*ir.Stmt
 	switch v.Kind {
 	case spec.VIfaceArg:
-		for _, ps := range d.sh.Idx.Func(rc.root).ParamDefs {
+		for _, ps := range d.idx.Func(rc.root).ParamDefs {
 			if ps.ParamVar().ParamIndex == v.ArgIndex {
 				out = append(out, ps)
 			}
 		}
 	case spec.VAPIRet:
 		for _, f := range rc.funcs {
-			for _, st := range d.sh.Idx.Func(f).CallsByCallee[v.API] {
+			for _, st := range d.idx.Func(f).CallsByCallee[v.API] {
 				if st.LHS != nil {
 					out = append(out, st)
 				}
@@ -297,13 +321,13 @@ func (d *Detector) sources(v spec.Value, rc *regionCtx) []*ir.Stmt {
 		}
 	case spec.VLiteral:
 		for _, f := range rc.funcs {
-			out = append(out, d.sh.Idx.Func(f).IntLits[v.Lit]...)
+			out = append(out, d.idx.Func(f).IntLits[v.Lit]...)
 		}
 	case spec.VGlobal:
 		for _, f := range rc.funcs {
 			// Index prefilter: only run the flow scan over functions that
 			// syntactically read the global at all.
-			if !d.sh.Idx.Func(f).ReadsGlobals[v.Global] {
+			if !d.idx.Func(f).ReadsGlobals[v.Global] {
 				continue
 			}
 			flow := d.G.Flow(f)
@@ -354,7 +378,7 @@ func (d *Detector) regionHasAPI(rc *regionCtx, api string) bool {
 		return true
 	}
 	for _, f := range rc.funcs {
-		if len(d.sh.Idx.Func(f).CallsByCallee[api]) > 0 {
+		if len(d.idx.Func(f).CallsByCallee[api]) > 0 {
 			return true
 		}
 	}
@@ -416,7 +440,7 @@ func (d *Detector) checkRequiredReach(s *spec.Spec, rc *regionCtx) *Bug {
 // Surfacing the candidate in the report helps triage.
 func (d *Detector) similarAPICalled(rc *regionCtx, want string) string {
 	for _, f := range rc.funcs {
-		for _, callee := range d.sh.Idx.Func(f).CalleeNames {
+		for _, callee := range d.idx.Func(f).CalleeNames {
 			if callee == want || !d.G.Prog.IsAPI(callee) {
 				continue
 			}

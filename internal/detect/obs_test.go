@@ -40,18 +40,14 @@ func TestManifestSharedVsPrivateSubstrate(t *testing.T) {
 	specs, prog := corpusSpecsAndProg(t)
 
 	sharedRec := obs.New()
-	sh := NewShared(prog)
-	sh.SetObs(sharedRec)
-	if _, err := sh.DetectParallelCtx(context.Background(), specs, 4, budget.Limits{}); err != nil {
+	if _, err := runAll(context.Background(), NewShared(prog), specs, 4, budget.Limits{}, sharedRec); err != nil {
 		t.Fatal(err)
 	}
 	sharedM := sharedRec.BuildManifest("detect", 4, nil, 0)
 
 	privateRec := obs.New()
 	for _, group := range groupedByScope(specs) {
-		psh := NewShared(prog)
-		psh.SetObs(privateRec)
-		if _, err := psh.DetectParallelCtx(context.Background(), group, 1, budget.Limits{}); err != nil {
+		if _, err := runAll(context.Background(), NewShared(prog), group, 1, budget.Limits{}, privateRec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,8 +75,6 @@ func TestManifestSharedVsPrivateSubstrate(t *testing.T) {
 func TestRecorderConcurrentWorkers(t *testing.T) {
 	specs, prog := corpusSpecsAndProg(t)
 	rec := obs.New()
-	sh := NewShared(prog)
-	sh.SetObs(rec)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -98,7 +92,8 @@ func TestRecorderConcurrentWorkers(t *testing.T) {
 		}
 	}()
 
-	res, err := sh.DetectParallelCtx(context.Background(), specs, 8, budget.Limits{})
+	rec.SetUnitsTotal(len(ScopeGroups(specs)))
+	res, err := runAll(context.Background(), NewShared(prog), specs, 8, budget.Limits{}, rec)
 	close(stop)
 	wg.Wait()
 	if err != nil {

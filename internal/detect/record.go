@@ -56,8 +56,12 @@ func Record(b *Bug) BugRec {
 	return r
 }
 
-// Records flattens a report list, preserving order.
+// Records flattens a report list, preserving order. No bugs yield nil,
+// like MergeShardRecs over a bug-free run.
 func Records(bugs []*Bug) []BugRec {
+	if len(bugs) == 0 {
+		return nil
+	}
 	out := make([]BugRec, len(bugs))
 	for i, b := range bugs {
 		out[i] = Record(b)

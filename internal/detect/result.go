@@ -3,7 +3,6 @@ package detect
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,32 +14,47 @@ import (
 	"seal/internal/spec"
 )
 
-// Result is the outcome of a budgeted, fault-isolated detection run: the
-// merged bug reports of every healthy unit, plus the quarantine and
-// degradation records of the units that were not.
-type Result struct {
-	Bugs []*Bug
-	// Recs is the serializable form of Bugs, always populated. It is the
-	// report-rendering payload: a warm (cache-replayed) run carries only
-	// Recs — no live IR — and renders byte-identically to a cold one
-	// because both go through report.RenderRec.
-	Recs []BugRec
-	// Failures are the quarantined units (panic, deadline, error). Their
-	// results are dropped entirely; everything else is unaffected.
-	Failures []*budget.FailureRecord
-	// Degraded are the units that completed but with budget-truncated
-	// results (step/memory caps): their reports are kept, marked.
-	Degraded []budget.Degradation
-	// Stats are the substrate counters plus this run's unit outcomes.
-	Stats Stats
+// Outcome is the mergeable outcome of one or more region groups, in the
+// form every detection path exchanges: what RunGroups computes per group,
+// what the persistent cache and the resident memo store per group, and
+// what a shard worker returns for its slice of the corpus. It carries no
+// live IR.
+type Outcome struct {
+	// Bugs are the merged bug records in wire form. Each Ord is the
+	// producing spec's ordinal within the spec list the outcome was computed
+	// over (one group's subset, or one shard job's list); Fold translates
+	// it to a global ordinal.
+	Bugs []ShardBug `json:"bugs,omitempty"`
 	// Units summarizes each region group for manifest replay: a warm run
 	// re-records one OK unit span per entry so the redacted manifest is
-	// byte-identical to the cold run's. Sorted by ID.
-	Units []UnitRec
-	// SatChecks is the number of solver satisfiability checks this run's
-	// units asked for, summed from per-unit counts (replayed from the
-	// cache on a warm hit, so exported metrics match the cold run's).
-	SatChecks int64
+	// byte-identical to the cold run's.
+	Units []UnitRec `json:"units,omitempty"`
+	// Failures are the quarantined units (panic, deadline, error). Their
+	// results are dropped entirely; everything else is unaffected.
+	Failures []*budget.FailureRecord `json:"failures,omitempty"`
+	// Degraded are the units that completed but with budget-truncated
+	// results (step/memory caps): their reports are kept, marked.
+	Degraded []budget.Degradation `json:"degraded,omitempty"`
+	// Stats are the substrate counters the groups' own detectors caused,
+	// plus their unit verdicts.
+	Stats Stats `json:"stats"`
+	// SatChecks is the number of solver satisfiability checks the groups'
+	// units asked for. Intrinsic to each unit's work, so the sum is
+	// identical however the units are partitioned across workers, shards,
+	// or concurrent runs — a delta of the process-global counter is not.
+	SatChecks int64 `json:"sat_checks"`
+}
+
+// Result is the outcome of a whole detection run: the merged outcome of
+// every region group (Bugs with ordinals over the run's spec list, Units
+// sorted by ID, robustness records in group order) plus the rendered-report
+// records and the persistent cache's counters.
+type Result struct {
+	Outcome
+	// Recs is the report-rendering payload: the deduplicated, sorted
+	// records every renderer consumes (report.RenderRec), identical whether
+	// a group was computed or replayed.
+	Recs []BugRec
 	// PCache is the persistent analysis cache's counter snapshot; zero
 	// unless the run was configured with a cache directory.
 	PCache cache.Stats
@@ -53,82 +67,65 @@ type UnitRec struct {
 	Bugs  int    `json:"bugs"`
 }
 
-// Quarantined reports whether any unit was quarantined.
-func (r *Result) Quarantined() bool { return len(r.Failures) > 0 }
-
-// groupOutcome is the verdict of one region group (one unit of work).
-type groupOutcome struct {
+// attempt is the verdict of one try at one region group.
+type attempt struct {
 	failure  *budget.FailureRecord
 	degraded *budget.Degradation
-	retried  bool
-	// Observability payload of the attempt: bug count, budget spend, the
-	// slice/solve stage clocks, slicer truncations, and solver checks.
-	bugs      int
+	// bugs is the group's merged report list (nil when quarantined); nBugs
+	// is the per-spec count before the merge, the unit's manifest figure.
+	bugs  []*Bug
+	nBugs int
+	// Observability payload: budget spend, the slice/solve stage clocks,
+	// slicer truncations, solver checks, and the substrate work.
 	spend     budget.Spend
 	sliceNs   int64
 	solveNs   int64
-	truncs    int64
 	satChecks int64
+	work      Stats
 }
 
-// DetectParallelCtx is DetectParallel with fault isolation: every region
-// group (all specs sharing one detection scope) runs as one unit of work
-// under its own budget and panic containment. A unit that panics, outlives
-// its deadline, or errors is quarantined — its FailureRecord captures the
+// RunGroups runs region groups as isolated units of work on up to workers
+// goroutines over the shared substrate — the paper's parallel path search
+// (§8.4). groups[i] holds one region group's specs (all sharing one
+// detection scope) in global relative order. A unit that panics, outlives
+// its deadline, or errors is quarantined: its FailureRecord captures the
 // stage, budget spent, and stack, its results are dropped, and no worker or
 // single-flight waiter is left deadlocked. A unit that merely exhausts a
 // quantitative budget finishes Degraded with its partial results kept.
-// Remaining units produce output byte-identical to an unfaulted run.
+// With limits.Retry a quarantined unit is re-attempted once with a halved
+// budget. A non-nil rec receives one unit span per group.
 //
-// The returned error is non-nil only for run-level aborts (the parent
-// context canceled, or more than limits.MaxFailures units quarantined); the
-// partial Result is valid either way.
-func (sh *Shared) DetectParallelCtx(ctx context.Context, specs []*spec.Spec, workers int, limits budget.Limits) (*Result, error) {
-	return sh.DetectParallelCtxObs(ctx, specs, workers, limits, sh.rec)
-}
-
-// DetectParallelCtxObs is DetectParallelCtx with an explicit per-run
-// recorder. Unlike SetObs — which binds one recorder to the substrate —
-// the recorder here is scoped to this call, so any number of concurrent
-// runs over one resident substrate can each carry their own observability
-// (the serving case: one snapshot, many requests, one manifest per
-// request) without racing on shared state.
-func (sh *Shared) DetectParallelCtxObs(ctx context.Context, specs []*spec.Spec, workers int, limits budget.Limits, rec *obs.Recorder) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	groups := groupByScope(specs)
+// The outcomes are index-aligned with groups; a group never started because
+// the run aborted has a nil outcome. Each outcome's bug ordinals index its
+// own group, and its Stats are the substrate work its own detectors caused,
+// so the outcomes of a cold run sum to the substrate's totals at any worker
+// count. The error is non-nil only for run-level aborts (ctx canceled, or
+// more than limits.MaxFailures units quarantined).
+func (sh *Shared) RunGroups(ctx context.Context, groups [][]*spec.Spec, workers int, limits budget.Limits, rec *obs.Recorder) ([]*Outcome, error) {
 	if workers < 1 {
 		workers = 1
 	}
 	if workers > len(groups) {
 		workers = len(groups)
 	}
-	rec.SetUnitsTotal(len(groups))
-	perSpec := make([][]*Bug, len(specs))
-	outcomes := make([]groupOutcome, len(groups))
+	out := make([]*Outcome, len(groups))
 	var quarantined atomic.Int64
 	var aborted atomic.Bool
-
-	type job struct {
-		gi   int
-		idxs []int
-	}
-	ch := make(chan job)
+	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// runGroup contains every panic, so a worker never dies and
-			// the unbuffered queue below never loses its consumers.
-			for j := range ch {
+			// runGroup contains every panic, so a worker never dies and the
+			// unbuffered queue below never loses its consumers.
+			for gi := range next {
 				if aborted.Load() || ctx.Err() != nil {
 					continue
 				}
-				oc := sh.runGroup(ctx, specs, j.idxs, perSpec, limits, rec)
-				outcomes[j.gi] = oc
-				if oc.failure != nil {
+				o := sh.runGroup(ctx, groups[gi], limits, rec)
+				out[gi] = o
+				if len(o.Failures) > 0 {
 					if n := quarantined.Add(1); limits.MaxFailures > 0 && n > int64(limits.MaxFailures) {
 						aborted.Store(true)
 					}
@@ -136,103 +133,81 @@ func (sh *Shared) DetectParallelCtxObs(ctx context.Context, specs []*spec.Spec, 
 			}
 		}()
 	}
-	for gi, g := range groups {
-		ch <- job{gi: gi, idxs: g}
+	for gi := range groups {
+		next <- gi
 	}
-	close(ch)
+	close(next)
 	wg.Wait()
-
-	res := &Result{Bugs: mergeBugs(perSpec)}
-	res.Recs = Records(res.Bugs)
-	for gi, oc := range outcomes {
-		// Per-unit solver-check counts sum to the run figure. Intrinsic to
-		// each unit's work, so the sum is identical however the units are
-		// partitioned across workers, shards, or concurrent runs — a delta
-		// of the process-global counter is not.
-		res.SatChecks += oc.satChecks
-		if oc.failure != nil {
-			res.Failures = append(res.Failures, oc.failure)
-		}
-		if oc.degraded != nil {
-			res.Degraded = append(res.Degraded, *oc.degraded)
-		}
-		res.Units = append(res.Units, UnitRec{
-			ID:    specs[groups[gi][0]].Scope(),
-			Specs: len(groups[gi]),
-			Bugs:  oc.bugs,
-		})
-	}
-	sort.Slice(res.Units, func(i, j int) bool { return res.Units[i].ID < res.Units[j].ID })
-	res.Stats = sh.Stats()
-	res.Stats.QuarantinedUnits = int64(len(res.Failures))
-	res.Stats.DegradedUnits = int64(len(res.Degraded))
-	for _, oc := range outcomes {
-		if oc.retried {
-			res.Stats.RetriedUnits++
-		}
-	}
 	if aborted.Load() {
-		return res, fmt.Errorf("detect: aborted after %d quarantined units (max %d)",
-			len(res.Failures), limits.MaxFailures)
+		return out, fmt.Errorf("detect: aborted after %d quarantined units (max %d)",
+			quarantined.Load(), limits.MaxFailures)
 	}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return out, ctx.Err()
 }
 
 // runGroup executes one unit of work, retrying once with a halved budget
-// when configured. The unit id is the group's detection scope. When the
-// substrate has a recorder, the whole group — both attempts — is one unit
-// span carrying the verdict, stage clocks, and budget spend.
-func (sh *Shared) runGroup(ctx context.Context, specs []*spec.Spec, idxs []int, perSpec [][]*Bug, limits budget.Limits, rec *obs.Recorder) groupOutcome {
-	unit := specs[idxs[0]].Scope()
+// when configured. The unit id is the group's detection scope; the whole
+// group — both attempts — is one unit span carrying the verdict, stage
+// clocks, and budget spend.
+func (sh *Shared) runGroup(ctx context.Context, specs []*spec.Spec, limits budget.Limits, rec *obs.Recorder) *Outcome {
+	unit := specs[0].Scope()
 	span := rec.Unit("detect", unit)
-	attempts := 1
-	oc := sh.runUnit(ctx, specs, idxs, perSpec, limits, unit, 1, rec)
-	if oc.failure != nil && limits.Retry {
-		attempts = 2
-		firstChecks := oc.satChecks
-		oc = sh.runUnit(ctx, specs, idxs, perSpec, limits.Halved(), unit, 2, rec)
-		oc.satChecks += firstChecks // "checks asked for" spans both attempts
-		oc.retried = true
+	a := sh.runUnit(ctx, specs, limits, unit, 1, span != nil)
+	retried := a.failure != nil && limits.Retry
+	if retried {
+		first := a
+		a = sh.runUnit(ctx, specs, limits.Halved(), unit, 2, span != nil)
+		a.satChecks += first.satChecks // "checks asked for" spans both attempts
+		a.work = a.work.Merge(first.work)
+		a.work.RetriedUnits = 1
+	}
+	o := &Outcome{
+		Bugs:      ShardBugsOf(a.bugs, specs),
+		Units:     []UnitRec{{ID: unit, Specs: len(specs), Bugs: a.nBugs}},
+		Stats:     a.work,
+		SatChecks: a.satChecks,
+	}
+	if a.failure != nil {
+		o.Failures = []*budget.FailureRecord{a.failure}
+	}
+	if a.degraded != nil {
+		o.Degraded = []budget.Degradation{*a.degraded}
 	}
 	if span != nil {
-		if attempts > 1 {
-			span.SetAttempts(attempts)
+		if retried {
+			span.SetAttempts(2)
 		}
-		span.SetCounts(len(idxs), oc.bugs)
-		span.AddStage("slice", time.Duration(oc.sliceNs), 0)
-		span.AddStage("solve", time.Duration(oc.solveNs), 0)
-		if oc.truncs > 0 {
-			span.Annotate("truncated", fmt.Sprintf("%d path enumerations cut short", oc.truncs))
+		span.SetCounts(len(specs), a.nBugs)
+		span.AddStage("slice", time.Duration(a.sliceNs), 0)
+		span.AddStage("solve", time.Duration(a.solveNs), 0)
+		if a.work.Truncations > 0 {
+			span.Annotate("truncated", fmt.Sprintf("%d path enumerations cut short", a.work.Truncations))
 		}
 		switch {
-		case oc.failure != nil:
-			span.SetOutcome(obs.OutcomeQuarantined, string(oc.failure.Reason))
-		case oc.degraded != nil:
-			span.SetOutcome(obs.OutcomeDegraded, string(oc.degraded.Reason))
-			span.Annotate("degraded", oc.degraded.Detail)
+		case a.failure != nil:
+			span.SetOutcome(obs.OutcomeQuarantined, string(a.failure.Reason))
+		case a.degraded != nil:
+			span.SetOutcome(obs.OutcomeDegraded, string(a.degraded.Reason))
+			span.Annotate("degraded", a.degraded.Detail)
 		}
-		span.EndWithSpend(oc.spend.Steps, oc.spend.MemBytes)
+		span.EndWithSpend(a.spend.Steps, a.spend.MemBytes)
 	}
-	return oc
+	return o
 }
 
 // runUnit is one attempt at one unit: a fresh budget, a fresh detector, and
-// panic containment around the whole group. Results reach the shared
-// perSpec slots only after the attempt succeeds, so a quarantined attempt
-// leaves no partial output behind.
-func (sh *Shared) runUnit(ctx context.Context, specs []*spec.Spec, idxs []int, perSpec [][]*Bug, limits budget.Limits, unit string, attempt int, rec *obs.Recorder) groupOutcome {
-	var oc groupOutcome
+// panic containment around the whole group. A quarantined attempt leaves
+// no partial output behind. clock turns on the slice/solve stage clocks.
+func (sh *Shared) runUnit(ctx context.Context, specs []*spec.Spec, limits budget.Limits, unit string, attemptNo int, clock bool) attempt {
+	var a attempt
 	b := budget.New(ctx, limits)
 	defer b.Close()
 	d := sh.Detector()
 	d.SetBudget(b)
-	if rec.Enabled() {
+	if clock {
 		d.clk = &stageClock{}
 	}
-	scratch := make([][]*Bug, len(idxs))
+	perSpec := make([][]*Bug, len(specs))
 	var fr *budget.FailureRecord
 	// pprof goroutine labels attribute CPU samples to the unit (one
 	// label-set swap per unit, not per operation).
@@ -241,34 +216,34 @@ func (sh *Shared) runUnit(ctx context.Context, specs []*spec.Spec, idxs []int, p
 			if err := faultinject.Fire(b.Context(), "detect", unit, b); err != nil {
 				return err
 			}
-			for k, si := range idxs {
+			for k, s := range specs {
 				// A unit whose deadline passed (or whose run was canceled) is
 				// quarantined; quantitative caps merely degrade it below.
 				if err := b.Context().Err(); err != nil {
 					return err
 				}
-				scratch[k] = d.DetectSpec(specs[si])
+				perSpec[k] = d.DetectSpec(s)
 			}
 			return nil
 		})
 	})
-	oc.spend = b.Spend()
-	oc.truncs = d.sl.Truncations
-	oc.satChecks = d.satChecks
+	a.spend = b.Spend()
+	a.work = d.work()
+	a.satChecks = d.satChecks
 	if d.clk != nil {
-		oc.sliceNs, oc.solveNs = d.clk.sliceNs, d.clk.solveNs
+		a.sliceNs, a.solveNs = d.clk.sliceNs, d.clk.solveNs
 	}
 	if fr != nil {
-		fr.Attempts = attempt
-		oc.failure = fr
-		return oc
+		fr.Attempts = attemptNo
+		a.failure = fr
+		return a
 	}
-	for k, si := range idxs {
-		perSpec[si] = scratch[k]
-		oc.bugs += len(scratch[k])
+	for _, bugs := range perSpec {
+		a.nBugs += len(bugs)
 	}
+	a.bugs = mergeBugs(perSpec)
 	if ex := b.Exhausted(); ex != nil {
-		oc.degraded = &budget.Degradation{Unit: unit, Stage: "detect", Reason: ex.Reason, Detail: ex.Error()}
+		a.degraded = &budget.Degradation{Unit: unit, Stage: "detect", Reason: ex.Reason, Detail: ex.Error()}
 	}
-	return oc
+	return a
 }

@@ -3,16 +3,50 @@ package detect
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"seal/internal/budget"
 	"seal/internal/faultinject"
+	"seal/internal/obs"
 	"seal/internal/spec"
 )
 
+// runAll drives every region group of specs through RunGroups on sh and
+// folds the outcomes into one Result — the group scheduler without its
+// cache tiers.
+func runAll(ctx context.Context, sh *Shared, specs []*spec.Spec, workers int, limits budget.Limits, rec *obs.Recorder) (*Result, error) {
+	groups := ScopeGroups(specs)
+	subsets := make([][]*spec.Spec, len(groups))
+	for gi, g := range groups {
+		for _, si := range g {
+			subsets[gi] = append(subsets[gi], specs[si])
+		}
+	}
+	outs, err := sh.RunGroups(ctx, subsets, workers, limits, rec)
+	f := NewFold(scopesOf(specs))
+	for gi, o := range outs {
+		if o != nil {
+			f.Add(groups[gi], o)
+		}
+	}
+	return f.Result(), err
+}
+
+// dumpRecs renders records in dumpBugs' format (BugRec.String mirrors
+// Bug.String), so a run's records compare directly against live bugs.
+func dumpRecs(recs []BugRec) string {
+	var sb strings.Builder
+	sb.WriteByte('\n')
+	for _, r := range recs {
+		sb.WriteString("  " + r.String() + "\n")
+	}
+	return sb.String()
+}
+
 // scopesOf returns the unique detection scopes of the spec list, in
-// first-appearance order — the unit universe of a DetectParallelCtx run.
+// first-appearance order — the unit universe of a RunGroups run.
 func scopesOf(specs []*spec.Spec) []string {
 	seen := make(map[string]bool)
 	var out []string
@@ -27,16 +61,16 @@ func scopesOf(specs []*spec.Spec) []string {
 
 func TestDetectParallelCtxCleanRun(t *testing.T) {
 	specs, prog := corpusSpecsAndProg(t)
-	ref := dumpBugs(NewShared(prog).DetectParallel(specs, 4))
-	res, err := NewShared(prog).DetectParallelCtx(context.Background(), specs, 4, budget.Limits{})
+	ref := dumpBugs(New(prog).Detect(specs))
+	res, err := runAll(context.Background(), NewShared(prog), specs, 4, budget.Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Failures) != 0 || len(res.Degraded) != 0 {
 		t.Fatalf("clean run produced %d failures, %d degradations", len(res.Failures), len(res.Degraded))
 	}
-	if got := dumpBugs(res.Bugs); got != ref {
-		t.Errorf("ctx run diverges from DetectParallel:\n%s\nvs\n%s", got, ref)
+	if got := dumpRecs(res.Recs); got != ref {
+		t.Errorf("grouped run diverges from sequential Detect:\n%s\nvs\n%s", got, ref)
 	}
 }
 
@@ -47,12 +81,12 @@ func TestDetectParallelCtxPanicContainment(t *testing.T) {
 		t.Fatalf("corpus yielded %d units; containment needs several", len(units))
 	}
 	victim := units[0]
-	refBugs := NewShared(prog).DetectParallel(specs, 4)
+	refBugs := New(prog).Detect(specs)
 
 	faultinject.Set(faultinject.NewPlan().Add("detect", victim, faultinject.KindPanic))
 	defer faultinject.Reset()
 	sh := NewShared(prog)
-	res, err := sh.DetectParallelCtx(context.Background(), specs, 4, budget.Limits{})
+	res, err := runAll(context.Background(), sh, specs, 4, budget.Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,21 +103,21 @@ func TestDetectParallelCtxPanicContainment(t *testing.T) {
 			want = append(want, b)
 		}
 	}
-	if got := dumpBugs(res.Bugs); got != dumpBugs(want) {
+	if got := dumpRecs(res.Recs); got != dumpBugs(want) {
 		t.Errorf("survivor output diverges:\n%s\nvs\n%s", got, dumpBugs(want))
 	}
 
 	// The panic must not have poisoned the shared substrate: a fault-free
 	// pass over the SAME substrate recovers the victim's results too.
 	faultinject.Reset()
-	res2, err := sh.DetectParallelCtx(context.Background(), specs, 4, budget.Limits{})
+	res2, err := runAll(context.Background(), sh, specs, 4, budget.Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res2.Failures) != 0 {
 		t.Fatalf("substrate reuse after panic: %v", res2.Failures)
 	}
-	if got := dumpBugs(res2.Bugs); got != dumpBugs(refBugs) {
+	if got := dumpRecs(res2.Recs); got != dumpBugs(refBugs) {
 		t.Errorf("substrate poisoned by earlier panic:\n%s\nvs\n%s", got, dumpBugs(refBugs))
 	}
 }
@@ -91,11 +125,11 @@ func TestDetectParallelCtxPanicContainment(t *testing.T) {
 func TestDetectParallelCtxRetryRecoversTransientFault(t *testing.T) {
 	specs, prog := corpusSpecsAndProg(t)
 	victim := scopesOf(specs)[0]
-	ref := dumpBugs(NewShared(prog).DetectParallel(specs, 4))
+	ref := dumpBugs(New(prog).Detect(specs))
 
 	faultinject.Set(faultinject.NewPlan().AddOnce("detect", victim, faultinject.KindPanic))
 	defer faultinject.Reset()
-	res, err := NewShared(prog).DetectParallelCtx(context.Background(), specs, 4, budget.Limits{Retry: true})
+	res, err := runAll(context.Background(), NewShared(prog), specs, 4, budget.Limits{Retry: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +139,7 @@ func TestDetectParallelCtxRetryRecoversTransientFault(t *testing.T) {
 	if res.Stats.RetriedUnits != 1 {
 		t.Fatalf("RetriedUnits = %d, want 1", res.Stats.RetriedUnits)
 	}
-	if got := dumpBugs(res.Bugs); got != ref {
+	if got := dumpRecs(res.Recs); got != ref {
 		t.Errorf("retried run lost output:\n%s\nvs\n%s", got, ref)
 	}
 }
@@ -115,7 +149,7 @@ func TestDetectParallelCtxRetryPersistentFault(t *testing.T) {
 	victim := scopesOf(specs)[0]
 	faultinject.Set(faultinject.NewPlan().Add("detect", victim, faultinject.KindPanic))
 	defer faultinject.Reset()
-	res, err := NewShared(prog).DetectParallelCtx(context.Background(), specs, 4, budget.Limits{Retry: true})
+	res, err := runAll(context.Background(), NewShared(prog), specs, 4, budget.Limits{Retry: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +173,7 @@ func TestDetectParallelCtxMaxFailuresAborts(t *testing.T) {
 	}
 	faultinject.Set(plan)
 	defer faultinject.Reset()
-	res, err := NewShared(prog).DetectParallelCtx(context.Background(), specs, 1, budget.Limits{MaxFailures: 1})
+	res, err := runAll(context.Background(), NewShared(prog), specs, 1, budget.Limits{MaxFailures: 1}, nil)
 	if err == nil {
 		t.Fatal("run with every unit panicking and MaxFailures=1 did not abort")
 	}
@@ -154,7 +188,7 @@ func TestDetectParallelCtxCanceledParent(t *testing.T) {
 	specs, prog := corpusSpecsAndProg(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := NewShared(prog).DetectParallelCtx(ctx, specs, 4, budget.Limits{})
+	res, err := runAll(ctx, NewShared(prog), specs, 4, budget.Limits{}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled run returned %v", err)
 	}
@@ -165,7 +199,7 @@ func TestDetectParallelCtxCanceledParent(t *testing.T) {
 
 func TestDetectParallelCtxStepBudgetDegrades(t *testing.T) {
 	specs, prog := corpusSpecsAndProg(t)
-	res, err := NewShared(prog).DetectParallelCtx(context.Background(), specs, 4, budget.Limits{MaxSteps: 25})
+	res, err := runAll(context.Background(), NewShared(prog), specs, 4, budget.Limits{MaxSteps: 25}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +225,8 @@ func TestDetectParallelCtxStallCutByDeadline(t *testing.T) {
 	faultinject.Set(faultinject.NewPlan().Add("detect", victim, faultinject.KindStall))
 	defer faultinject.Reset()
 	start := time.Now()
-	res, err := NewShared(prog).DetectParallelCtx(context.Background(), specs, 4,
-		budget.Limits{UnitTimeout: 100 * time.Millisecond})
+	res, err := runAll(context.Background(), NewShared(prog), specs, 4,
+		budget.Limits{UnitTimeout: 100 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

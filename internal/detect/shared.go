@@ -6,7 +6,6 @@ import (
 
 	"seal/internal/infer"
 	"seal/internal/ir"
-	"seal/internal/obs"
 	"seal/internal/pdg"
 	"seal/internal/progindex"
 	"seal/internal/spec"
@@ -49,11 +48,6 @@ type Shared struct {
 	// enumerations counts slicer path enumerations started across every
 	// detector bound to this substrate.
 	enumerations atomic.Int64
-
-	// rec, when set via SetObs, receives one unit span per region group of
-	// a budgeted run (DetectParallelCtx). Nil — the default — is the
-	// disabled recorder: every obs call degenerates to a pointer check.
-	rec *obs.Recorder
 }
 
 const numPathShards = 64
@@ -148,7 +142,7 @@ type Stats struct {
 	// the affected paths).
 	Truncations int64
 	// QuarantinedUnits / DegradedUnits / RetriedUnits describe a budgeted
-	// run (DetectParallelCtx): units isolated after a panic/deadline/error,
+	// run (RunGroups): units isolated after a panic/deadline/error,
 	// units that completed with budget-truncated results, and units that
 	// were re-attempted with a halved budget.
 	QuarantinedUnits int64
@@ -168,8 +162,8 @@ func (s Stats) PathHitRate() float64 {
 	return float64(s.PathCacheHits) / float64(total)
 }
 
-// Merge returns the field-wise sum of two stats snapshots, for aggregating
-// across substrates (e.g. per-group private graphs) or across runs.
+// Merge returns the field-wise sum of two stats snapshots, for folding
+// per-group outcomes into a run's figures or aggregating across runs.
 func (s Stats) Merge(o Stats) Stats {
 	return Stats{
 		EnsureCalls:      s.EnsureCalls + o.EnsureCalls,
@@ -183,27 +177,6 @@ func (s Stats) Merge(o Stats) Stats {
 		QuarantinedUnits: s.QuarantinedUnits + o.QuarantinedUnits,
 		DegradedUnits:    s.DegradedUnits + o.DegradedUnits,
 		RetriedUnits:     s.RetriedUnits + o.RetriedUnits,
-	}
-}
-
-// Sub returns the substrate-counter difference s−o, attributing to one run
-// the work done on a resident substrate between two Stats snapshots. Only
-// the monotonically accumulating substrate counters are subtracted; the
-// per-run robustness verdicts (QuarantinedUnits, DegradedUnits,
-// RetriedUnits) are already run-scoped and pass through from s unchanged.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		EnsureCalls:      s.EnsureCalls - o.EnsureCalls,
-		EnsureBuilds:     s.EnsureBuilds - o.EnsureBuilds,
-		PathCacheHits:    s.PathCacheHits - o.PathCacheHits,
-		PathCacheMisses:  s.PathCacheMisses - o.PathCacheMisses,
-		IndexLookups:     s.IndexLookups - o.IndexLookups,
-		PathEnumerations: s.PathEnumerations - o.PathEnumerations,
-		PDGBuildNanos:    s.PDGBuildNanos - o.PDGBuildNanos,
-		Truncations:      s.Truncations - o.Truncations,
-		QuarantinedUnits: s.QuarantinedUnits,
-		DegradedUnits:    s.DegradedUnits,
-		RetriedUnits:     s.RetriedUnits,
 	}
 }
 
@@ -229,12 +202,6 @@ func NewSharedOnGraph(g *pdg.Graph) *Shared {
 	}
 	return sh
 }
-
-// SetObs binds an observability recorder to the substrate: budgeted runs
-// (DetectParallelCtx) record one unit span per region group, with stage
-// clocks and budget-spend deltas. A nil recorder (the default) disables
-// everything at the cost of a pointer check per unit.
-func (sh *Shared) SetObs(rec *obs.Recorder) { sh.rec = rec }
 
 // Stats returns the substrate counters accumulated so far.
 func (sh *Shared) Stats() Stats {
@@ -297,23 +264,24 @@ func (sh *Shared) Resident() ResidentStats {
 
 // Detector returns a new detector bound to the substrate. Each concurrent
 // worker needs its own (a Detector carries per-region scratch state); any
-// number of them may run at once over one Shared.
+// number of them may run at once over one Shared. The detector reaches the
+// graph and the index through counting handles, so its work() is exactly
+// the substrate work it caused, whoever else runs alongside.
 func (sh *Shared) Detector() *Detector {
-	sl := vfp.NewSlicer(sh.G)
-	sl.OnTruncate = func(vfp.TruncateEvent) { sh.truncations.Add(1) }
-	sl.OnEnum = func() { sh.enumerations.Add(1) }
-	return &Detector{
-		G:              sh.G,
-		sh:             sh,
-		sl:             sl,
-		ab:             infer.NewAbstracter(sh.G),
-		MaxCalleeDepth: DefaultMaxCalleeDepth,
-	}
+	d := &Detector{sh: sh, MaxCalleeDepth: DefaultMaxCalleeDepth}
+	d.G = sh.G.Counting(&d.pdgWork)
+	d.idx = sh.Idx.Counting(&d.lookups)
+	d.sl = vfp.NewSlicer(d.G)
+	d.sl.OnTruncate = func(vfp.TruncateEvent) { sh.truncations.Add(1) }
+	d.sl.OnEnum = func() { sh.enumerations.Add(1) }
+	d.ab = infer.NewAbstracter(d.G)
+	return d
 }
 
 // region returns the cached closure of root at the given callee depth,
-// computing it on first use via the program index.
-func (sh *Shared) region(root *ir.Func, depth int) *regionCtx {
+// computing it on first use via the program index (queried through ix, the
+// caller's counting handle).
+func (sh *Shared) region(root *ir.Func, depth int, ix *progindex.Index) *regionCtx {
 	key := regionKey{root: root, depth: depth}
 	sh.regionMu.Lock()
 	defer sh.regionMu.Unlock()
@@ -326,7 +294,7 @@ func (sh *Shared) region(root *ir.Func, depth int) *regionCtx {
 	for i := 0; i < depth && len(frontier) > 0; i++ {
 		var next []*ir.Func
 		for _, f := range frontier {
-			for _, callee := range sh.Idx.Func(f).DefinedCallees {
+			for _, callee := range ix.Func(f).DefinedCallees {
 				if !seen[callee] {
 					seen[callee] = true
 					next = append(next, callee)
@@ -409,8 +377,9 @@ func (sh *Shared) PrimeRegions(snap map[string][]string, depth int) {
 }
 
 // pathsFor returns the value-flow paths from src confined to rc, computing
-// them at most once per (source, region) across all workers. sl must
-// already be scoped to rc.
+// them at most once per (source, region) across all workers, with d's
+// slicer (already scoped to rc) and d's callee depth. Hits and misses are
+// charged to d as well as to the substrate.
 //
 // Fault isolation: a panic during the computation is recorded on the entry
 // before its done channel closes, and every waiter re-panics with it — each
@@ -419,7 +388,8 @@ func (sh *Shared) PrimeRegions(snap map[string][]string, depth int) {
 // truncated by the computing unit's dynamic budget is never published (the
 // entry is removed; waiters loop and recompute with their own budget), so a
 // starved unit cannot silently degrade its neighbors.
-func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, depth int, sl *vfp.Slicer) []*vfp.Path {
+func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, d *Detector) []*vfp.Path {
+	depth, sl := d.MaxCalleeDepth, d.sl
 	key := pathKey{src: src, root: rc.root, depth: depth}
 	skey := srcKey{src: src, depth: depth}
 	shard := &sh.pathShards[uint(src.ID)%numPathShards]
@@ -436,6 +406,7 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, depth int, sl *vfp.Slice
 				continue // computed under an exhausted budget; recompute
 			}
 			sh.pathHits.Add(1)
+			d.pathHits++
 			return e.paths
 		}
 		// Exact miss: a sibling region may already hold this source's
@@ -446,6 +417,7 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, depth int, sl *vfp.Slice
 			shard.m[key] = e
 			shard.mu.Unlock()
 			sh.pathHits.Add(1)
+			d.pathHits++
 			return e.paths
 		}
 		// Still a miss: an isomorphic sibling region (same canonical
@@ -458,6 +430,7 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, depth int, sl *vfp.Slice
 			shard.m[key] = e
 			shard.mu.Unlock()
 			sh.pathHits.Add(1)
+			d.pathHits++
 			return ps
 		}
 		e := &pathEntry{done: make(chan struct{})}
@@ -466,6 +439,7 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, depth int, sl *vfp.Slice
 		shard.mu.Unlock()
 
 		sh.pathMisses.Add(1)
+		d.pathMisses++
 		trunc0 := sl.BudgetTruncations
 		fp := make(map[*ir.Func]bool)
 		prevTrace := sl.ScopeTrace
@@ -539,47 +513,10 @@ func (shard *pathShard) dropBySrc(skey srcKey, e *pathEntry) {
 	}
 }
 
-// DetectParallel checks the specifications concurrently over the shared
-// substrate. Specs are grouped by detection scope (interface or API) so
-// each region's closure, PDG subgraphs, and value-flow paths are computed
-// once however many specs target it; a region-group work queue feeds the
-// workers. Results are byte-identical to the sequential Detect: per-spec
-// results are slotted by original position and merged in spec order before
-// the final dedup and sort.
-func (sh *Shared) DetectParallel(specs []*spec.Spec, workers int) []*Bug {
-	if workers <= 1 || len(specs) < 2 {
-		return sh.Detector().Detect(specs)
-	}
-	groups := groupByScope(specs)
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	perSpec := make([][]*Bug, len(specs))
-	ch := make(chan []int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d := sh.Detector()
-			for idxs := range ch {
-				for _, si := range idxs {
-					perSpec[si] = d.DetectSpec(specs[si])
-				}
-			}
-		}()
-	}
-	for _, g := range groups {
-		ch <- g
-	}
-	close(ch)
-	wg.Wait()
-	return mergeBugs(perSpec)
-}
-
-// groupByScope partitions spec indices by Spec.Scope in first-appearance
-// order, so all specs sharing a detection region land on one worker.
-func groupByScope(specs []*spec.Spec) [][]int {
+// ScopeGroups partitions spec indices by detection scope in
+// first-appearance order, preserving input order inside each group: the
+// region groups every detection schedules, caches, shards, and merges by.
+func ScopeGroups(specs []*spec.Spec) [][]int {
 	byScope := make(map[string]int)
 	var groups [][]int
 	for i, s := range specs {

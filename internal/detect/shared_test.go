@@ -1,8 +1,10 @@
 package detect
 
 import (
+	"context"
 	"testing"
 
+	"seal/internal/budget"
 	"seal/internal/cir"
 	"seal/internal/infer"
 	"seal/internal/ir"
@@ -52,13 +54,23 @@ func TestDetectParallelBuildsOnce(t *testing.T) {
 
 	seq := New(prog).Detect(specs)
 	sh := NewShared(prog)
-	par := sh.DetectParallel(specs, 4)
-	if dumpBugs(par) != dumpBugs(seq) {
+	par, err := runAll(context.Background(), sh, specs, 4, budget.Limits{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dumpRecs(par.Recs) != dumpBugs(seq) {
 		t.Errorf("parallel reports differ from sequential.\nparallel:%s\nsequential:%s",
-			dumpBugs(par), dumpBugs(seq))
+			dumpRecs(par.Recs), dumpBugs(seq))
 	}
 
 	st := sh.Stats()
+	// Every unit charges exactly the substrate work its own detectors
+	// caused, so a cold run's per-group figures sum to the substrate's.
+	if par.Stats.EnsureCalls != st.EnsureCalls || par.Stats.EnsureBuilds != st.EnsureBuilds ||
+		par.Stats.PathCacheHits != st.PathCacheHits || par.Stats.PathCacheMisses != st.PathCacheMisses ||
+		par.Stats.IndexLookups != st.IndexLookups || par.Stats.PathEnumerations != st.PathEnumerations {
+		t.Errorf("per-group work %+v does not sum to the substrate's %+v", par.Stats, st)
+	}
 	if st.EnsureBuilds == 0 {
 		t.Fatal("no PDG builds recorded")
 	}
@@ -71,7 +83,9 @@ func TestDetectParallelBuildsOnce(t *testing.T) {
 	}
 
 	before := st.EnsureBuilds
-	sh.DetectParallel(specs, 4)
+	if _, err := runAll(context.Background(), sh, specs, 4, budget.Limits{}, nil); err != nil {
+		t.Fatal(err)
+	}
 	st = sh.Stats()
 	if st.EnsureBuilds != before {
 		t.Errorf("second run on the same substrate rebuilt PDGs: %d -> %d builds", before, st.EnsureBuilds)
@@ -90,7 +104,7 @@ func TestGroupByScope(t *testing.T) {
 	specs := []*spec.Spec{
 		mk("a.f", ""), mk("", "x"), mk("a.f", ""), mk("", "y"), mk("", "x"),
 	}
-	groups := groupByScope(specs)
+	groups := ScopeGroups(specs)
 	want := [][]int{{0, 2}, {1, 4}, {3}}
 	if len(groups) != len(want) {
 		t.Fatalf("got %d groups, want %d", len(groups), len(want))

@@ -1,10 +1,13 @@
 package detect
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"seal/internal/budget"
 )
 
 func TestStatsMerge(t *testing.T) {
@@ -98,9 +101,13 @@ func TestStatsMerge(t *testing.T) {
 func TestStatsMergeMatchesTwoRuns(t *testing.T) {
 	specs, prog := corpusSpecsAndProg(t)
 	sh := NewShared(prog)
-	sh.DetectParallel(specs, 2)
+	if _, err := runAll(context.Background(), sh, specs, 2, budget.Limits{}, nil); err != nil {
+		t.Fatal(err)
+	}
 	first := sh.Stats()
-	sh.DetectParallel(specs, 2)
+	if _, err := runAll(context.Background(), sh, specs, 2, budget.Limits{}, nil); err != nil {
+		t.Fatal(err)
+	}
 	second := sh.Stats()
 
 	// The substrate's counters are cumulative, so second already includes

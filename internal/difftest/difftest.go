@@ -121,10 +121,10 @@ func (r *CaseResult) Report() string {
 // RunCase executes the full differential protocol for one case:
 //
 //	reference: InferSpecs{Workers:1} then Detect
-//	optimized: InferSpecs{Workers:N} and DetectParallel for each N in
-//	           WorkerCounts, a sequential re-run (determinism), and a
-//	           reused shared substrate (parallel then sequential on one
-//	           graph).
+//	optimized: InferSpecs{Workers:N} and DetectFiles{Workers:N} for each
+//	           N in WorkerCounts, a sequential re-run (determinism), and a
+//	           reused resident substrate (parallel, then sequential on the
+//	           same graph).
 func RunCase(c *randprog.PatchCase) (*CaseResult, error) {
 	r := &CaseResult{Case: c}
 
@@ -161,26 +161,36 @@ func RunCase(c *randprog.PatchCase) (*CaseResult, error) {
 			Stage: "detect", Conf: "rerun", Ref: refBugs, Got: got,
 		})
 	}
-	// Parallel detection equivalence (the region-grouped scheduler over a
-	// fresh shared substrate per run).
+	// Parallel detection equivalence (the region-group scheduler over a
+	// fresh shared substrate per run), compared on the full records.
+	ctx := context.Background()
+	refRecs := NormalizeRecs(detect.Records(r.Bugs))
 	for _, n := range WorkerCounts {
-		got := NormalizeBugs(seal.DetectParallel(target, refInfer.DB.Specs, n))
-		if got != refBugs {
+		res, _, err := seal.DetectFiles(ctx, c.Target, refInfer.DB.Specs, seal.DetectRunOptions{Workers: n})
+		if err != nil {
+			return nil, fmt.Errorf("seed %d: detection workers=%d: %w", c.Seed, n, err)
+		}
+		if got := NormalizeRecs(res.Recs); got != refRecs {
 			r.Divergences = append(r.Divergences, Divergence{
-				Stage: "detect", Conf: fmt.Sprintf("workers=%d", n), Ref: refBugs, Got: got,
+				Stage: "detect", Conf: fmt.Sprintf("workers=%d", n), Ref: refRecs, Got: got,
 			})
 		}
 	}
-	// Substrate-reuse equivalence: one shared substrate serving a parallel
-	// run and then a sequential run on the already-materialized graph must
-	// produce the reference output both times (build-set independence).
-	sh := detect.NewShared(target.Prog)
-	if got := NormalizeBugs(sh.DetectParallel(refInfer.DB.Specs, 4)); got != refBugs {
+	// Substrate-reuse equivalence: one resident substrate serving a
+	// parallel run and then a sequential run on the already-materialized
+	// graph must produce the reference output both times (build-set
+	// independence).
+	res := seal.NewResident(target)
+	par, _, err := res.Detect(ctx, refInfer.DB.Specs, seal.DetectRunOptions{Workers: 4})
+	if err != nil {
+		return nil, fmt.Errorf("seed %d: resident detection: %w", c.Seed, err)
+	}
+	if got := NormalizeRecs(par.Recs); got != refRecs {
 		r.Divergences = append(r.Divergences, Divergence{
-			Stage: "detect", Conf: "shared-substrate workers=4", Ref: refBugs, Got: got,
+			Stage: "detect", Conf: "shared-substrate workers=4", Ref: refRecs, Got: got,
 		})
 	}
-	if got := NormalizeBugs(sh.Detector().Detect(refInfer.DB.Specs)); got != refBugs {
+	if got := NormalizeBugs(res.Detector().Detect(refInfer.DB.Specs)); got != refBugs {
 		r.Divergences = append(r.Divergences, Divergence{
 			Stage: "detect", Conf: "shared-substrate sequential reuse", Ref: refBugs, Got: got,
 		})
@@ -237,13 +247,13 @@ func RunCacheCase(c *randprog.PatchCase, cacheDir string) ([]Divergence, error) 
 		}
 	}
 
-	refDet, err := seal.DetectFilesCached(ctx, c.Target, ref.DB.Specs, seal.DetectRunOptions{})
+	refDet, _, err := seal.DetectFiles(ctx, c.Target, ref.DB.Specs, seal.DetectRunOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("seed %d: reference detection: %w", c.Seed, err)
 	}
 	refBugs := NormalizeRecs(refDet.Recs)
 	for _, conf := range []string{"cache-cold", "cache-warm"} {
-		got, err := seal.DetectFilesCached(ctx, c.Target, ref.DB.Specs, seal.DetectRunOptions{
+		got, _, err := seal.DetectFiles(ctx, c.Target, ref.DB.Specs, seal.DetectRunOptions{
 			CacheDir: cacheDir,
 		})
 		if err != nil {

@@ -56,16 +56,12 @@ func faultCorpus() ([]*spec.Spec, *seal.Target, error) {
 }
 
 // UnitScopes lists the unique detection scopes of a spec list in
-// first-appearance order — exactly the unit ids DetectParallelCtx assigns
-// its region groups.
+// first-appearance order — exactly the unit ids detection assigns its
+// region groups.
 func UnitScopes(specs []*spec.Spec) []string {
-	seen := make(map[string]bool)
 	var out []string
-	for _, s := range specs {
-		if sc := s.Scope(); !seen[sc] {
-			seen[sc] = true
-			out = append(out, sc)
-		}
+	for _, g := range detect.ScopeGroups(specs) {
+		out = append(out, specs[g[0]].Scope())
 	}
 	return out
 }
@@ -115,8 +111,8 @@ func (o *FaultOutcome) Report() string {
 
 // RunFaultCase executes the fault-injection differential protocol:
 //
-//  1. fault-free: DetectParallelCtx over a fresh substrate must quarantine
-//     and degrade nothing, and match the plain DetectParallel output.
+//  1. fault-free: DetectFiles over a fresh substrate must quarantine and
+//     degrade nothing, and match the sequential Detect output.
 //  2. faulted: with NPanic+NStall units injected, the run must complete
 //     (no deadlock), quarantine exactly the fired units with well-formed
 //     FailureRecords (right stage, right reason, stack on panics), and
@@ -142,16 +138,18 @@ func RunFaultCase(cfg FaultConfig) (*FaultOutcome, error) {
 	}
 
 	// Fault-free reference on a fresh substrate.
-	refRes, err := detect.NewShared(target.Prog).DetectParallelCtx(context.Background(), specs, cfg.Workers, limits)
+	ctx := context.Background()
+	opts := seal.DetectRunOptions{Workers: cfg.Workers, Limits: limits}
+	refRes, _, err := seal.DetectFiles(ctx, target.Files, specs, opts)
 	if err != nil {
 		return nil, fmt.Errorf("fault-free run: %w", err)
 	}
 	if n := len(refRes.Failures) + len(refRes.Degraded); n != 0 {
 		o.Problems = append(o.Problems, fmt.Sprintf("fault-free run not clean: %d failures/degradations", n))
 	}
-	if got, want := NormalizeBugs(refRes.Bugs), NormalizeBugs(seal.DetectParallel(target, specs, cfg.Workers)); got != want {
+	if got, want := NormalizeRecs(refRes.Recs), NormalizeRecs(detect.Records(seal.Detect(target, specs))); got != want {
 		o.Problems = append(o.Problems,
-			fmt.Sprintf("fault-free ctx run diverges from DetectParallel:\n-- ctx --\n%s-- plain --\n%s", got, want))
+			fmt.Sprintf("fault-free run diverges from sequential Detect:\n-- run --\n%s\n-- sequential --\n%s", got, want))
 	}
 
 	// Faulted run: fresh substrate again, so a panicked unit from this run
@@ -160,9 +158,8 @@ func RunFaultCase(cfg FaultConfig) (*FaultOutcome, error) {
 	faultinject.Set(plan)
 	defer faultinject.Reset()
 	rec := obs.New()
-	sh := detect.NewShared(target.Prog)
-	sh.SetObs(rec)
-	gotRes, err := sh.DetectParallelCtx(context.Background(), specs, cfg.Workers, limits)
+	opts.Obs = rec
+	gotRes, _, err := seal.DetectFiles(ctx, target.Files, specs, opts)
 	if err != nil {
 		return nil, fmt.Errorf("faulted run: %w", err)
 	}
@@ -254,15 +251,15 @@ func RunFaultCase(cfg FaultConfig) (*FaultOutcome, error) {
 
 	// Byte-identity on the survivors: the faulted run's reports must equal
 	// the fault-free reports minus the quarantined units' specs.
-	var refSurvivors []*detect.Bug
-	for _, b := range refRes.Bugs {
-		if _, gone := firedKind[b.Spec.Scope()]; !gone {
-			refSurvivors = append(refSurvivors, b)
+	var refSurvivors []detect.BugRec
+	for _, r := range refRes.Recs {
+		if _, gone := firedKind[r.SpecScope]; !gone {
+			refSurvivors = append(refSurvivors, r)
 		}
 	}
-	if got, want := NormalizeBugs(gotRes.Bugs), NormalizeBugs(refSurvivors); got != want {
+	if got, want := NormalizeRecs(gotRes.Recs), NormalizeRecs(refSurvivors); got != want {
 		o.Problems = append(o.Problems,
-			fmt.Sprintf("surviving output diverges from filtered fault-free reference:\n-- faulted --\n%s-- reference(filtered) --\n%s", got, want))
+			fmt.Sprintf("surviving output diverges from filtered fault-free reference:\n-- faulted --\n%s\n-- reference(filtered) --\n%s", got, want))
 	}
 	sort.Strings(o.Problems)
 	return o, nil

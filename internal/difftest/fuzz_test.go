@@ -111,7 +111,8 @@ func FuzzDetectDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("building fuzz spec set: %v", err)
 		}
-		target, err := seal.LoadFiles(map[string]string{"fuzz.c": src})
+		files := map[string]string{"fuzz.c": src}
+		target, err := seal.LoadFiles(files)
 		if err != nil {
 			return
 		}
@@ -119,9 +120,14 @@ func FuzzDetectDifferential(f *testing.F) {
 		if got := NormalizeBugs(seal.Detect(target, specs)); got != ref {
 			t.Fatalf("sequential detection nondeterministic:\n%s\nvs\n%s", got, ref)
 		}
+		refRecs := NormalizeRecs(detect.Records(seal.Detect(target, specs)))
 		for _, n := range []int{2, 4} {
-			if got := NormalizeBugs(seal.DetectParallel(target, specs, n)); got != ref {
-				t.Fatalf("workers=%d diverged:\n%s\nvs\n%s", n, got, ref)
+			res, _, err := seal.DetectFiles(context.Background(), files, specs, seal.DetectRunOptions{Workers: n})
+			if err != nil {
+				t.Fatalf("workers=%d: %v", n, err)
+			}
+			if got := NormalizeRecs(res.Recs); got != refRecs {
+				t.Fatalf("workers=%d diverged:\n%s\nvs\n%s", n, got, refRecs)
 			}
 		}
 	})
@@ -159,13 +165,13 @@ func FuzzDetectBudget(f *testing.F) {
 		if err != nil {
 			t.Fatalf("building fuzz spec set: %v", err)
 		}
-		target, err := seal.LoadFiles(map[string]string{"fuzz.c": src})
-		if err != nil {
+		files := map[string]string{"fuzz.c": src}
+		if _, err := seal.LoadFiles(files); err != nil {
 			return
 		}
 		lim := budget.Limits{MaxSteps: maxSteps, MaxMemBytes: maxMem, MaxPaths: maxPaths, MaxDepth: maxDepth}
 		run := func(workers int) *detect.Result {
-			res, err := detect.NewShared(target.Prog).DetectParallelCtx(context.Background(), specs, workers, lim)
+			res, _, err := seal.DetectFiles(context.Background(), files, specs, seal.DetectRunOptions{Workers: workers, Limits: lim})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -175,7 +181,7 @@ func FuzzDetectBudget(f *testing.F) {
 		for _, fr := range ref.Failures {
 			t.Fatalf("quantitative budget must degrade, not quarantine: %s", fr)
 		}
-		if got, want := NormalizeBugs(run(1).Bugs), NormalizeBugs(ref.Bugs); got != want {
+		if got, want := NormalizeRecs(run(1).Recs), NormalizeRecs(ref.Recs); got != want {
 			t.Fatalf("budgeted detection nondeterministic at workers=1:\n%s\nvs\n%s", got, want)
 		}
 		for _, fr := range run(4).Failures {

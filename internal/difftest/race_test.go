@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 )
 
 // TestSharedProgramConcurrency hammers the shared read-only ir.Program
-// from every concurrent entry point at once: several DetectParallel runs
-// (each spawning 8 workers with private PDGs over the same program),
+// from every concurrent entry point at once: several resident detections
+// (each spawning 8 workers over its own substrate on the same program),
 // several sequential detectors, and parallel spec inference. The point is
 // the -race build in CI: any unsynchronized lazy initialization reachable
 // from the demand-driven PDG or the ir.Program accessors shows up here as
@@ -31,6 +32,7 @@ func TestSharedProgramConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := NormalizeBugs(seal.Detect(target, res.DB.Specs))
+	wantRecs := NormalizeRecs(detect.Records(seal.Detect(target, res.DB.Specs)))
 	wantDB := NormalizeDB(res.DB)
 
 	var wg sync.WaitGroup
@@ -39,8 +41,9 @@ func TestSharedProgramConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := NormalizeBugs(seal.DetectParallel(target, res.DB.Specs, 8)); got != want {
-				errs <- "concurrent DetectParallel diverged from reference"
+			got, _, err := seal.NewResident(target).Detect(context.Background(), res.DB.Specs, seal.DetectRunOptions{Workers: 8})
+			if err != nil || NormalizeRecs(got.Recs) != wantRecs {
+				errs <- "concurrent resident detection diverged from reference"
 			}
 		}()
 	}
@@ -149,10 +152,11 @@ func TestSharedGraphConcurrency(t *testing.T) {
 	}
 }
 
-// TestSharedSubstrateConcurrency runs many DetectParallel rounds over ONE
-// detect.Shared (instead of a fresh substrate per run) and checks every
-// round reproduces the reference output — the path cache, region cache,
-// and index must be both race-free and result-stable under reuse.
+// TestSharedSubstrateConcurrency runs many concurrent detections over ONE
+// resident substrate (instead of a fresh substrate per run) and checks
+// every round reproduces the reference output — the path cache, region
+// cache, index, and group memo must be both race-free and result-stable
+// under reuse.
 func TestSharedSubstrateConcurrency(t *testing.T) {
 	corpus := kernelgen.Generate(kernelgen.DefaultConfig())
 	res, err := seal.InferSpecs(corpus.Patches, seal.DefaultOptions())
@@ -163,17 +167,18 @@ func TestSharedSubstrateConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := NormalizeBugs(seal.Detect(target, res.DB.Specs))
+	want := NormalizeRecs(detect.Records(seal.Detect(target, res.DB.Specs)))
 
-	sh := detect.NewShared(target.Prog)
+	r := seal.NewResident(target)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := NormalizeBugs(sh.DetectParallel(res.DB.Specs, 8)); got != want {
-				errs <- "DetectParallel over reused substrate diverged from reference"
+			got, _, err := r.Detect(context.Background(), res.DB.Specs, seal.DetectRunOptions{Workers: 8})
+			if err != nil || NormalizeRecs(got.Recs) != want {
+				errs <- "detection over reused substrate diverged from reference"
 			}
 		}()
 	}
@@ -182,7 +187,7 @@ func TestSharedSubstrateConcurrency(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if hr := sh.Stats().PathHitRate(); hr == 0 {
+	if hr := r.Stats().PathHitRate(); hr == 0 {
 		t.Error("path cache never hit across repeated runs on one substrate")
 	}
 }

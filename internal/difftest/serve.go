@@ -41,7 +41,7 @@ func batchDetectRef(ctx context.Context, files map[string]string, specs []*seal.
 	base := seal.NewObsBaseline()
 	rec := seal.NewRecorder()
 	rec.StartRun("detect")
-	res, runErr := seal.DetectFilesCached(ctx, files, specs, seal.DetectRunOptions{
+	res, _, runErr := seal.DetectFiles(ctx, files, specs, seal.DetectRunOptions{
 		Workers: 1, Obs: rec,
 	})
 	if runErr != nil {

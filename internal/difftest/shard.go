@@ -93,22 +93,9 @@ func ShardCorpus(seed int64) (map[string]string, []*spec.Spec, error) {
 }
 
 // singleProcessRef runs the corpus through the ordinary in-process
-// pipeline and snapshots the comparison surface.
+// pipeline, uncached, and snapshots the comparison surface.
 func singleProcessRef(ctx context.Context, files map[string]string, specs []*spec.Spec) (*shardSurface, *detect.Result, error) {
-	specsHash, err := seal.SpecSetHash(specs)
-	if err != nil {
-		return nil, nil, err
-	}
-	base := seal.NewObsBaseline()
-	rec := seal.NewRecorder()
-	rec.StartRun("detect")
-	res, runErr := seal.DetectFilesCached(ctx, files, specs, seal.DetectRunOptions{
-		Workers: 1, Obs: rec,
-	})
-	if runErr != nil {
-		return nil, nil, runErr
-	}
-	surf, err := surfaceOf(rec, res, len(specs), seal.TargetHash(files), specsHash, base)
+	surf, res, _, err := groupedRun(ctx, files, specs, "")
 	return surf, res, err
 }
 

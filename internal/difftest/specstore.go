@@ -21,8 +21,8 @@ import (
 	"seal/internal/specdb"
 )
 
-// groupedRun drives one store-backed grouped detection and builds its
-// comparison surface.
+// groupedRun drives one in-process detection (cached when cacheDir is set)
+// and builds its comparison surface.
 func groupedRun(ctx context.Context, files map[string]string, specs []*spec.Spec, cacheDir string) (*shardSurface, *detect.Result, seal.GroupedStats, error) {
 	specsHash, err := seal.SpecSetHash(specs)
 	if err != nil {
@@ -31,7 +31,7 @@ func groupedRun(ctx context.Context, files map[string]string, specs []*spec.Spec
 	base := seal.NewObsBaseline()
 	rec := seal.NewRecorder()
 	rec.StartRun("detect")
-	res, gs, runErr := seal.DetectFilesGrouped(ctx, files, specs, seal.DetectRunOptions{
+	res, gs, runErr := seal.DetectFiles(ctx, files, specs, seal.DetectRunOptions{
 		Workers: 1, Obs: rec, CacheDir: cacheDir,
 	})
 	if runErr != nil {

@@ -72,6 +72,10 @@ type Plan struct {
 	once     map[string]bool   // faults removed after their first firing
 	fired    map[string]Record // keyed like faults: each unit recorded once
 	StallCap time.Duration     // cap for KindStall without a deadline
+
+	// stalls / peakStalls count the stalls in flight now and at most —
+	// the witness that stalled units ran concurrently.
+	stalls, peakStalls int
 }
 
 // NewPlan returns an empty plan.
@@ -121,6 +125,23 @@ func (p *Plan) Fired() []Record {
 		return out[i].Unit < out[j].Unit
 	})
 	return out
+}
+
+// PeakStalls returns the most stalls that were ever in flight at once:
+// above 1 only if stalled units ran concurrently.
+func (p *Plan) PeakStalls() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.peakStalls
+}
+
+// stalling moves the in-flight stall count by delta (+1 entering a stall,
+// -1 leaving it).
+func (p *Plan) stalling(delta int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.stalls += delta
+	p.peakStalls = max(p.peakStalls, p.stalls)
 }
 
 // FiredUnits returns the fired units of one stage as a set.
@@ -214,6 +235,8 @@ func Fire(ctx context.Context, stage, unit string, b Grower) error {
 		if cap <= 0 {
 			cap = defaultStallCap
 		}
+		p.stalling(1)
+		defer p.stalling(-1)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

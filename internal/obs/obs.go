@@ -86,17 +86,18 @@ func (r *Recorder) StartRun(command string) *Span {
 
 // Run returns the current root span, opening an unnamed one on first use
 // so library-level instrumentation works without a CLI in front of it.
+// The check and the open happen under one lock: concurrent first units
+// must all land under the same root.
 func (r *Recorder) Run() *Span {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	s := r.run
-	r.mu.Unlock()
-	if s == nil {
-		return r.StartRun("run")
+	defer r.mu.Unlock()
+	if r.run == nil {
+		r.run = &Span{rec: r, Kind: KindRun, Name: "run", start: r.clock()}
 	}
-	return s
+	return r.run
 }
 
 // Unit opens a unit span (one patch, one detection region group) under the

@@ -179,3 +179,28 @@ func TestWithUnitLabels(t *testing.T) {
 		t.Fatalf("labels = %q/%q", stage, unit)
 	}
 }
+
+// TestConcurrentFirstUnitsShareOneRun opens the first unit spans of a
+// recorder with no run yet from many goroutines at once: every span must
+// land under one implicit root, so the manifest counts all of them.
+func TestConcurrentFirstUnitsShareOneRun(t *testing.T) {
+	const n = 32
+	for round := 0; round < 20; round++ {
+		rec := New()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				rec.Unit("detect", string(rune('a'+i))).End()
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		if m := rec.BuildManifest("detect", 1, nil, 0); len(m.Units) != n {
+			t.Fatalf("round %d: manifest holds %d of %d concurrently opened units", round, len(m.Units), n)
+		}
+	}
+}

@@ -96,6 +96,14 @@ type Graph struct {
 	PTS  *dataflow.PointsTo
 	CG   *callgraph.Graph
 
+	*state
+	// tally, when set, additionally charges every Ensure call and build made
+	// through this handle to one caller (see Counting).
+	tally *Stats
+}
+
+// state is the synchronized core every handle on one graph shares.
+type state struct {
 	ensureCalls  atomic.Int64
 	ensureBuilds atomic.Int64
 	buildNanos   atomic.Int64
@@ -122,17 +130,28 @@ type Graph struct {
 // demand via Ensure.
 func New(prog *ir.Program) *Graph {
 	return &Graph{
-		Prog:         prog,
-		PTS:          dataflow.Analyze(prog),
-		CG:           callgraph.Build(prog),
-		flows:        make(map[*ir.Func]*dataflow.FuncFlow),
-		cfgs:         make(map[*ir.Func]*cfg.Info),
-		succs:        make(map[*ir.Stmt][]Edge),
-		preds:        make(map[*ir.Stmt][]Edge),
-		building:     make(map[*ir.Func]*buildState),
-		globalStores: make(map[string][]*ir.Stmt),
-		globalLoads:  make(map[string][]*ir.Stmt),
+		Prog: prog,
+		PTS:  dataflow.Analyze(prog),
+		CG:   callgraph.Build(prog),
+		state: &state{
+			flows:        make(map[*ir.Func]*dataflow.FuncFlow),
+			cfgs:         make(map[*ir.Func]*cfg.Info),
+			succs:        make(map[*ir.Stmt][]Edge),
+			preds:        make(map[*ir.Stmt][]Edge),
+			building:     make(map[*ir.Func]*buildState),
+			globalStores: make(map[string][]*ir.Stmt),
+			globalLoads:  make(map[string][]*ir.Stmt),
+		},
 	}
+}
+
+// Counting returns a handle on the same graph that also charges every
+// Ensure call and build made through it — directly or by any accessor — to
+// t, so concurrent callers each know exactly the work they caused. The
+// graph's own Stats still count everything. t is updated without
+// synchronization: use the handle from one goroutine at a time.
+func (g *Graph) Counting(t *Stats) *Graph {
+	return &Graph{Prog: g.Prog, PTS: g.PTS, CG: g.CG, state: g.state, tally: t}
 }
 
 // BuildAll materializes the PDG for every function (used by whole-corpus
@@ -196,6 +215,9 @@ func (g *Graph) Ensure(fn *ir.Func) {
 		return
 	}
 	g.ensureCalls.Add(1)
+	if g.tally != nil {
+		g.tally.EnsureCalls++
+	}
 
 	g.mu.RLock()
 	st, ok := g.building[fn]
@@ -219,7 +241,12 @@ func (g *Graph) Ensure(fn *ir.Func) {
 	func() {
 		t0 := time.Now()
 		defer func() {
-			g.buildNanos.Add(time.Since(t0).Nanoseconds())
+			ns := time.Since(t0).Nanoseconds()
+			g.buildNanos.Add(ns)
+			if g.tally != nil {
+				g.tally.EnsureBuilds++
+				g.tally.BuildNanos += ns
+			}
 			st.panicVal = recover()
 			close(st.done)
 		}()

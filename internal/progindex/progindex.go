@@ -43,7 +43,27 @@ type Index struct {
 	fns     map[*ir.Func]*FuncIndex
 	callers map[string][]*ir.Func // callee name -> distinct calling funcs, sorted by name
 
-	lookups atomic.Int64
+	lookups *atomic.Int64
+	// tally, when set, additionally counts the lookups served through this
+	// handle (see Counting).
+	tally *int64
+}
+
+// Counting returns a handle on the same index that also counts every
+// lookup served through it into n, so concurrent callers each know their
+// own share. Lookups still counts everything. n is updated without
+// synchronization: use the handle from one goroutine at a time.
+func (ix *Index) Counting(n *int64) *Index {
+	h := *ix
+	h.tally = n
+	return &h
+}
+
+func (ix *Index) count() {
+	ix.lookups.Add(1)
+	if ix.tally != nil {
+		*ix.tally++
+	}
 }
 
 // Build constructs the index for prog. It makes a single pass over every
@@ -54,6 +74,7 @@ func Build(prog *ir.Program) *Index {
 		prog:    prog,
 		fns:     make(map[*ir.Func]*FuncIndex, len(prog.FuncList)),
 		callers: make(map[string][]*ir.Func),
+		lookups: new(atomic.Int64),
 	}
 	callerSeen := make(map[string]map[*ir.Func]bool)
 	for _, fn := range prog.FuncList {
@@ -117,7 +138,7 @@ func Build(prog *ir.Program) *Index {
 // Func returns the per-function index (nil for functions not in the
 // program).
 func (ix *Index) Func(fn *ir.Func) *FuncIndex {
-	ix.lookups.Add(1)
+	ix.count()
 	return ix.fns[fn]
 }
 
@@ -125,7 +146,7 @@ func (ix *Index) Func(fn *ir.Func) *FuncIndex {
 // name, sorted by function name. The returned slice is shared — callers
 // must not mutate it.
 func (ix *Index) CallersOf(name string) []*ir.Func {
-	ix.lookups.Add(1)
+	ix.count()
 	return ix.callers[name]
 }
 

@@ -27,8 +27,8 @@ type Config struct {
 	// Limits is the default per-unit budget applied to every request.
 	Limits seal.Limits
 	// CacheDir composes the daemon with the persistent analysis cache: a
-	// restart warms region closures and detection results from disk, and
-	// clean results are written back for the next process.
+	// restart warms region closures and region-group results from disk,
+	// and clean results are written back for the next process.
 	CacheDir      string
 	CacheReadOnly bool
 	// CacheMaxBytes bounds the persistent cache's total on-disk size;
@@ -42,9 +42,9 @@ type Config struct {
 	// SpecDB is the path of a paged spec store (internal/specdb) backing
 	// the active spec database. When set, the daemon loads its specs from
 	// the store's current snapshot at startup, /specs edits commit through
-	// the store's copy-on-write path, and /detect runs at region-group
-	// granularity so a one-spec edit recomputes only the group that owns
-	// it. The specs argument to New must be nil in this mode.
+	// the store's copy-on-write path, and /detect responses report how
+	// incremental each run was. The specs argument to New must be nil in
+	// this mode.
 	SpecDB string
 	// CompactThreshold arms the spec store's ratio-triggered background
 	// compaction: when a group-commit fold leaves the dead-page ratio at
@@ -326,22 +326,22 @@ type DetectRequest struct {
 // artifacts (manifest + Prometheus metrics, byte-identical to the batch
 // CLI's after redaction).
 type DetectResponse struct {
-	Epoch      int64                 `json:"epoch"`
-	TargetHash string                `json:"target_hash"`
-	SpecsHash  string                `json:"specs_hash"`
-	Specs      int                   `json:"specs"`
+	Epoch      int64  `json:"epoch"`
+	TargetHash string `json:"target_hash"`
+	SpecsHash  string `json:"specs_hash"`
+	Specs      int    `json:"specs"`
 	// StoreSeq / Grouped are set on a spec-store-backed daemon: the store
 	// snapshot the specs came from, and how incremental the grouped
 	// detection was (output bytes are identical either way).
-	StoreSeq uint64             `json:"store_seq,omitempty"`
-	Grouped  *seal.GroupedStats `json:"grouped,omitempty"`
-	Report     string                `json:"report"`
-	Bugs       []detect.BugRec       `json:"bugs"`
-	Degraded   []seal.Degradation    `json:"degraded,omitempty"`
-	Failures   []*seal.FailureRecord `json:"failures,omitempty"`
-	Stats      seal.DetectStats      `json:"stats"`
-	Manifest   *seal.Manifest        `json:"manifest,omitempty"`
-	Metrics    string                `json:"metrics,omitempty"`
+	StoreSeq uint64                `json:"store_seq,omitempty"`
+	Grouped  *seal.GroupedStats    `json:"grouped,omitempty"`
+	Report   string                `json:"report"`
+	Bugs     []detect.BugRec       `json:"bugs"`
+	Degraded []seal.Degradation    `json:"degraded,omitempty"`
+	Failures []*seal.FailureRecord `json:"failures,omitempty"`
+	Stats    seal.DetectStats      `json:"stats"`
+	Manifest *seal.Manifest        `json:"manifest,omitempty"`
+	Metrics  string                `json:"metrics,omitempty"`
 }
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
@@ -370,17 +370,10 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		CacheReadOnly: s.cfg.CacheReadOnly,
 		CacheMaxBytes: s.cfg.CacheMaxBytes,
 	}
-	var res *seal.DetectResult
-	var runErr error
+	res, gs, runErr := snap.Resident.Detect(r.Context(), snap.Specs, runOpts)
 	var grouped *seal.GroupedStats
 	if s.specStore != nil {
-		// Store-backed: region-group granularity, so a spec edit since the
-		// last request recomputes only the groups it touched.
-		var gs seal.GroupedStats
-		res, gs, runErr = snap.Resident.DetectGrouped(r.Context(), snap.Specs, runOpts)
 		grouped = &gs
-	} else {
-		res, runErr = snap.Resident.Detect(r.Context(), snap.Specs, runOpts)
 	}
 	if runErr != nil {
 		var failures []*seal.FailureRecord
@@ -635,7 +628,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("seal_serve_resident_pdg_funcs", "functions with a materialized PDG subgraph").Set(float64(rs.PDGFuncs))
 	s.reg.Gauge("seal_serve_resident_regions", "cached region closures").Set(float64(rs.Regions))
 	s.reg.Gauge("seal_serve_resident_path_entries", "cached path-set entries").Set(float64(rs.PathEntries))
-	s.reg.Gauge("seal_serve_memo_entries", "memoized detection results").Set(float64(snap.Resident.MemoEntries()))
+	s.reg.Gauge("seal_serve_memo_entries", "region-group outcomes in the group memo").Set(float64(snap.Resident.MemoEntries()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.reg.WritePrometheus(w)
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"seal"
+	"seal/internal/detect"
 	"seal/internal/faultinject"
 	"seal/internal/patch"
 	"seal/internal/randprog"
@@ -48,6 +49,13 @@ func corpus(t *testing.T) (map[string]string, []*seal.Spec) {
 		t.Fatal(corpusErr)
 	}
 	return corpusFiles, corpusSpecs
+}
+
+// corpusGroups is the test corpus's region-group count: the number of
+// outcomes the group memo holds once every group has been computed.
+func corpusGroups(t *testing.T) int {
+	_, specs := corpus(t)
+	return len(detect.ScopeGroups(specs))
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -289,14 +297,14 @@ func TestServeWarmRestart(t *testing.T) {
 		t.Fatalf("warm restart bugs diverged:\n%s\nvs\n%s", jw, jc)
 	}
 	// The warm request replayed: the new process's substrate never ran a
-	// path enumeration, and the result is now memoized in memory.
+	// path enumeration, and every region group is now memoized in memory.
 	var st StatsResponse
 	do(t, ts2, "GET", "/stats", "", &st)
 	if st.Substrate.PathEnumerations != 0 {
 		t.Fatalf("warm restart recomputed %d path enumerations, want 0", st.Substrate.PathEnumerations)
 	}
-	if st.MemoEntries != 1 {
-		t.Fatalf("warm restart memo entries = %d, want 1", st.MemoEntries)
+	if want := corpusGroups(t); st.MemoEntries != want {
+		t.Fatalf("warm restart memo entries = %d, want %d", st.MemoEntries, want)
 	}
 }
 
@@ -320,7 +328,7 @@ func TestServeMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"seal_serve_requests_total", "seal_serve_detects_total",
-		"seal_serve_epoch 1", "seal_serve_memo_entries 1",
+		"seal_serve_epoch 1", fmt.Sprintf("seal_serve_memo_entries %d", corpusGroups(t)),
 		"seal_serve_resident_pdg_funcs",
 	} {
 		if !strings.Contains(text, want) {
@@ -329,9 +337,9 @@ func TestServeMetrics(t *testing.T) {
 	}
 }
 
-// TestServeMemoReplayIdentity checks the resident memo tier directly: the
-// second identical request replays byte-identically (report and records)
-// and adds no memo entries, at a different worker count.
+// TestServeMemoReplayIdentity checks the group memo directly: the second
+// identical request replays byte-identically (report and records) and adds
+// no memo entries, at a different worker count.
 func TestServeMemoReplayIdentity(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	var first, second DetectResponse
@@ -346,7 +354,7 @@ func TestServeMemoReplayIdentity(t *testing.T) {
 	}
 	var st StatsResponse
 	do(t, ts, "GET", "/stats", "", &st)
-	if st.MemoEntries != 1 {
-		t.Fatalf("memo entries = %d, want 1 (replay must not re-store)", st.MemoEntries)
+	if want := corpusGroups(t); st.MemoEntries != want {
+		t.Fatalf("memo entries = %d, want %d (replay must not re-store)", st.MemoEntries, want)
 	}
 }

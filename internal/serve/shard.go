@@ -48,10 +48,10 @@ func resolveSpecStore(ref *coord.SpecStoreRef) ([]*spec.Spec, string, string) {
 // coordinator-assigned shard of a detection corpus over the resident
 // snapshot and answers with the wire-form result (bug records with dedup
 // keys, unit summaries, manifest spans, robustness records, substrate
-// counters). The same budgeted, cached pipeline as /detect runs
-// underneath — a shard request warms and reads the persistent cache
-// exactly like a whole-corpus run, which is what lets a restarted worker
-// replay instead of recompute.
+// counters). The same region-group flow as /detect runs underneath — a
+// shard's groups warm and read the group memo and the persistent cache
+// exactly like a full /detect run's, which is what lets a restarted worker
+// replay instead of recompute, and the job's worker count takes effect.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
@@ -87,7 +87,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := obs.New()
 	rec.StartRun("shard")
-	res, bugs, runErr := snap.Resident.DetectShard(r.Context(), jobSpecs.Specs, seal.DetectRunOptions{
+	res, _, runErr := snap.Resident.Detect(r.Context(), jobSpecs.Specs, seal.DetectRunOptions{
 		Workers:       workers,
 		Limits:        job.Limits,
 		Obs:           rec,
@@ -107,12 +107,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, coord.ShardResult{
 		Shard:         job.Shard,
 		TargetHash:    snap.TargetHash(),
-		Bugs:          bugs,
-		Units:         res.Units,
+		Outcome:       res.Outcome,
 		ManifestUnits: m.Units,
-		Failures:      res.Failures,
-		Degraded:      res.Degraded,
-		Stats:         res.Stats,
-		SatChecks:     res.SatChecks,
 	})
 }

@@ -42,7 +42,7 @@ type Snapshot struct {
 	// lowering, so a successor snapshot reuses them for every file whose
 	// hash is unchanged and re-parses only the edited ones.
 	Parsed map[string]*cir.File
-	// Resident is the pinned substrate + result memo for this epoch.
+	// Resident is the pinned substrate + group memo for this epoch.
 	Resident *seal.Resident
 	// Specs is the active spec database; SpecsHash its fingerprint.
 	Specs     []*seal.Spec

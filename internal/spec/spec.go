@@ -284,9 +284,10 @@ func (db *DB) MarshalJSON() ([]byte, error) {
 // its JSON serialization (conditions in tree form). Every layer that
 // identifies a spec set by content — detection cache keys, serve request
 // envelopes, spec-store shard references — goes through this one
-// function, so the fingerprints agree across processes.
+// function, so the fingerprints agree across processes. It calls
+// MarshalJSON directly: json.Marshal would only re-compact the same bytes.
 func (db *DB) Hash() (string, error) {
-	data, err := json.Marshal(db)
+	data, err := db.MarshalJSON()
 	if err != nil {
 		return "", err
 	}

@@ -1,7 +1,6 @@
 package seal
 
 import (
-	"context"
 	"sync"
 
 	"seal/internal/cache"
@@ -15,9 +14,8 @@ import (
 // disk cache, below the raw pipeline — and the unit a long-running service
 // ("seal serve") keeps per published snapshot.
 //
-// A Resident is immutable after construction and safe for any number of
-// concurrent Detect calls; per-run observability is carried by the options,
-// never stored on the substrate.
+// A Resident is safe for any number of concurrent Detect calls; per-run
+// observability is carried by the options, never stored on the substrate.
 type Resident struct {
 	// Target is the parsed, linked program this handle is pinned to.
 	Target *Target
@@ -27,16 +25,12 @@ type Resident struct {
 
 	sh *detect.Shared
 
-	// memo is the resident result tier: completed, full-fidelity detection
-	// results keyed exactly like the disk cache's TierDetect entries, so a
-	// repeated request replays without touching disk or the substrate.
-	// Degraded or quarantined results are never stored.
-	memo sync.Map // string -> *detectCacheEntry
-
-	// gmemo is the per-region-group result tier used by DetectGrouped:
-	// entries keyed like the disk cache's TierDetectGroup entries, so a
-	// spec edit replays every group it did not touch from memory.
-	gmemo sync.Map // string -> *groupCacheEntry
+	// memo is the group memo: full-fidelity region-group outcomes keyed
+	// exactly like the disk cache's TierDetectGroup entries, so a repeated
+	// request replays without touching disk or the substrate, and a spec
+	// edit replays every group it did not touch. Degraded or quarantined
+	// outcomes are never stored.
+	memo sync.Map // group key -> *detect.Outcome
 }
 
 // NewResident pins a loaded target to a fresh shared substrate.
@@ -67,7 +61,7 @@ func (r *Resident) Resident() ResidentStats { return r.sh.Resident() }
 // Stats returns the substrate's cumulative instrumentation counters.
 func (r *Resident) Stats() DetectStats { return r.sh.Stats() }
 
-// MemoEntries reports how many detection results the resident memo holds.
+// MemoEntries reports how many region-group outcomes the group memo holds.
 func (r *Resident) MemoEntries() int {
 	n := 0
 	r.memo.Range(func(any, any) bool { n++; return true })
@@ -84,18 +78,20 @@ func (r *Resident) PrimeFromCache(dir string, readOnly bool, maxBytes int64) err
 	if err != nil {
 		return err
 	}
-	r.primeRegions(pc)
+	primeRegions(r.sh, pc, r.TargetHash)
 	return nil
 }
 
-// primeRegions seeds the substrate's region closures from an open cache.
-func (r *Resident) primeRegions(pc *cache.Cache) {
-	if !pc.Enabled() {
-		return
-	}
+// Detector returns the sequential reference detector bound to this
+// resident substrate (see detect.Detector.Detect).
+func (r *Resident) Detector() *detect.Detector { return r.sh.Detector() }
+
+// primeRegions seeds a substrate's region closures from an open cache
+// populated by an earlier run over the same target.
+func primeRegions(sh *detect.Shared, pc *cache.Cache, targetHash string) {
 	var snap map[string][]string
-	if pc.Get(cache.TierRegions, regionsKey(r.TargetHash), &snap) {
-		r.sh.PrimeRegions(snap, detect.DefaultMaxCalleeDepth)
+	if pc.Get(cache.TierRegions, regionsKey(targetHash), &snap) {
+		sh.PrimeRegions(snap, detect.DefaultMaxCalleeDepth)
 	}
 }
 
@@ -141,105 +137,4 @@ func sameFuncNames(a, b *Target) bool {
 		}
 	}
 	return true
-}
-
-// Detect runs a budgeted, cached detection pinned to this resident
-// substrate. The lookup order is memo → disk cache → compute; a clean
-// (undegraded, unquarantined) computation is written back to both tiers,
-// so a restarted process warms from disk and a live one replays from
-// memory. Replayed results re-record unit spans on opts.Obs exactly as the
-// computing run did, keeping redacted manifests byte-identical across
-// memo, disk, and cold paths. Substrate counters in the result are the
-// per-run delta, not the resident substrate's lifetime totals.
-func (r *Resident) Detect(ctx context.Context, specs []*Spec, opts DetectRunOptions) (*DetectResult, error) {
-	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
-	if err != nil {
-		return nil, err
-	}
-	key := detectKeyFor(r.TargetHash, specs, opts.Limits)
-	if key != "" {
-		if v, ok := r.memo.Load(key); ok {
-			return replayDetect(v.(*detectCacheEntry), opts.Obs, pc), nil
-		}
-		if pc.Enabled() {
-			var ent detectCacheEntry
-			if pc.Get(cache.TierDetect, key, &ent) {
-				r.memo.Store(key, &ent)
-				return replayDetect(&ent, opts.Obs, pc), nil
-			}
-		}
-	}
-	res, _, runErr := r.runDetect(ctx, specs, opts, pc, key)
-	return res, runErr
-}
-
-// DetectShard is Detect for a shard executor: the same memo → disk →
-// compute flow, additionally returning the wire-form bug records
-// (detect.ShardBug, with dedup keys and job-local spec ordinals) a
-// coordinator needs for the cross-process merge. A cached entry written
-// before the scale-out tier existed lacks the wire records; such entries
-// are skipped (recomputed) rather than answered incompletely.
-func (r *Resident) DetectShard(ctx context.Context, specs []*Spec, opts DetectRunOptions) (*DetectResult, []detect.ShardBug, error) {
-	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
-	if err != nil {
-		return nil, nil, err
-	}
-	key := detectKeyFor(r.TargetHash, specs, opts.Limits)
-	if key != "" {
-		if v, ok := r.memo.Load(key); ok {
-			if ent := v.(*detectCacheEntry); shardReplayable(ent) {
-				return replayDetect(ent, opts.Obs, pc), ent.Shard, nil
-			}
-		}
-		if pc.Enabled() {
-			var ent detectCacheEntry
-			if pc.Get(cache.TierDetect, key, &ent) && shardReplayable(&ent) {
-				r.memo.Store(key, &ent)
-				return replayDetect(&ent, opts.Obs, pc), ent.Shard, nil
-			}
-		}
-	}
-	return r.runDetect(ctx, specs, opts, pc, key)
-}
-
-// runDetect is the compute path shared with DetectFilesCached: run on the
-// pinned substrate, reduce counters to this run's delta, and publish a
-// clean result to the memo and (when configured) the persistent cache.
-// The wire-form bug records are computed off the live IR here — the only
-// place both the *Bug values and their producing specs are in hand — and
-// returned alongside the result (shard executors need them even on
-// degraded runs), with clean runs persisting them in the cache entry.
-func (r *Resident) runDetect(ctx context.Context, specs []*Spec, opts DetectRunOptions, pc *cache.Cache, key string) (*DetectResult, []detect.ShardBug, error) {
-	stats0 := r.sh.Stats()
-	res, runErr := r.sh.DetectParallelCtxObs(ctx, specs, opts.Workers, opts.Limits, opts.Obs)
-	res.Stats = res.Stats.Sub(stats0)
-	sbs := detect.ShardBugsOf(res.Bugs, res.Recs, specs)
-	clean := runErr == nil && len(res.Failures) == 0 && len(res.Degraded) == 0
-	if clean && key != "" {
-		ent := &detectCacheEntry{
-			Recs:      res.Recs,
-			Units:     res.Units,
-			Stats:     res.Stats,
-			SatChecks: res.SatChecks,
-			Shard:     sbs,
-		}
-		r.memo.Store(key, ent)
-	}
-	if pc.Enabled() {
-		if clean && key != "" {
-			pc.Put(cache.TierDetect, key, &detectCacheEntry{
-				Recs:      res.Recs,
-				Units:     res.Units,
-				Stats:     res.Stats,
-				SatChecks: res.SatChecks,
-				Shard:     sbs,
-			})
-			pc.Put(cache.TierRegions, regionsKey(r.TargetHash),
-				r.sh.RegionsSnapshot(detect.DefaultMaxCalleeDepth))
-		} else {
-			pc.NoteUncacheable()
-		}
-		res.PCache = pc.Stats()
-	}
-	return res, sbs, runErr
 }

@@ -5,6 +5,8 @@
 #   1. infer + detect against an empty cache (cold),
 #   2. the identical run again (warm — must be served from disk),
 #   3. byte-diff the bug reports and the deterministic metric series,
+#      and replay the warm detect once more at -workers 2 against the
+#      same -workers 1 reference,
 #   4. corrupt every cached entry in place and run once more: the run must
 #      still exit 0, count the corruption as misses, and reproduce the
 #      cold report byte-for-byte.
@@ -53,6 +55,14 @@ diff "$work/cold-report.txt" "$work/warm-report.txt"
 echo "== diff: stable metric series"
 diff <(stable_metrics "$work/cold-detect-metrics.prom") \
      <(stable_metrics "$work/warm-detect-metrics.prom")
+
+echo "== warm detect at -workers 2"
+go run ./cmd/seal detect -target "$work/corpus/tree" -specs "$work/specs.json" \
+    -cache-dir "$cache" -workers 2 \
+    -metrics-out "$work/warm2-detect-metrics.prom" >"$work/warm2-report.txt"
+diff "$work/cold-report.txt" "$work/warm2-report.txt"
+diff <(stable_metrics "$work/cold-detect-metrics.prom") \
+     <(stable_metrics "$work/warm2-detect-metrics.prom")
 
 warm_hits=$(metric "$work/warm-detect-metrics.prom" seal_pcache_hits_total)
 warm_misses=$(metric "$work/warm-detect-metrics.prom" seal_pcache_misses_total)

@@ -4,7 +4,8 @@
 #
 #   1. infer a flat spec database and import it into a store,
 #   2. detect from the store and byte-diff against the flat-file run —
-#      in process and sharded across two spawned workers,
+#      in process at -workers 1 and 2, and sharded across two spawned
+#      workers,
 #   3. verify the store, compact it, verify again, and byte-diff the
 #      post-compaction detection against the same flat reference,
 #   4. re-import the flat file: first-wins dedup must add nothing,
@@ -38,10 +39,15 @@ echo "== detect: flat reference"
 "$seal" detect -target "$work/corpus/tree" -specs "$work/specs.json" \
     -report >"$work/flat-report.txt"
 
-echo "== detect: store-backed (grouped)"
+echo "== detect: store-backed"
 "$seal" detect -target "$work/corpus/tree" -spec-db "$store" \
     -report >"$work/store-report.txt"
 diff "$work/flat-report.txt" "$work/store-report.txt"
+
+echo "== detect: store-backed, region groups on 2 workers"
+"$seal" detect -target "$work/corpus/tree" -spec-db "$store" \
+    -report -workers 2 >"$work/store-workers2-report.txt"
+diff "$work/flat-report.txt" "$work/store-workers2-report.txt"
 
 echo "== detect: store-backed across 2 spawned workers"
 "$seal" detect -target "$work/corpus/tree" -spec-db "$store" \
@@ -111,4 +117,4 @@ ref="$work/bulk-ref.specdb"
 "$seal" specdb -db "$ref" -query "" >"$work/ref-dump.txt"
 diff "$work/bulk-dump.txt" "$work/ref-dump.txt"
 
-echo "PASS: store-backed detection byte-identical to flat (in-process, sharded, post-compaction); kill-mid-ingest recovered and converged"
+echo "PASS: store-backed detection byte-identical to flat (in-process at 1 and 2 workers, sharded, post-compaction); kill-mid-ingest recovered and converged"

@@ -71,7 +71,7 @@ type (
 )
 
 // NewRecorder creates a live observability recorder. Thread it through
-// Options.Obs (inference) or DetectContextObs (detection), then export
+// Options.Obs (inference) or DetectRunOptions.Obs (detection), then export
 // with Recorder.BuildManifest and Registry().WritePrometheus.
 func NewRecorder() *Recorder { return obs.New() }
 
@@ -502,54 +502,16 @@ func InferSpecsContext(ctx context.Context, patches []*Patch, opts Options) (*In
 }
 
 // Detect runs stage ④: check every specification against the target and
-// return the deduplicated bug reports.
+// return the deduplicated bug reports. It is the sequential reference;
+// DetectFiles, DetectDir, and Resident.Detect add caching, budgets, and
+// parallel region groups with byte-identical output.
 func Detect(t *Target, specs []*Spec) []*Bug {
 	d := detect.New(t.Prog)
 	return d.Detect(specs)
 }
 
-// DetectParallel is Detect with the specs grouped by detection region and
-// spread across workers over one shared analysis substrate (a single PDG,
-// program index, and path cache serve all workers; the result is
-// byte-identical to Detect). Implements the paper's parallel
-// path-searching extension (§8.4).
-func DetectParallel(t *Target, specs []*Spec, workers int) []*Bug {
-	return detect.DetectParallel(t.Prog, specs, workers)
-}
-
 // DetectStats are the shared-substrate instrumentation counters.
 type DetectStats = detect.Stats
-
-// DetectParallelStats is DetectParallel returning the substrate counters
-// alongside the reports (PDG builds, path-cache hit rate, index lookups).
-func DetectParallelStats(t *Target, specs []*Spec, workers int) ([]*Bug, DetectStats) {
-	sh := detect.NewShared(t.Prog)
-	bugs := sh.DetectParallel(specs, workers)
-	return bugs, sh.Stats()
-}
-
-// DetectContext is the fault-isolated detection entry point: every region
-// group (all specs sharing one detection scope) runs as one unit of work
-// under ctx, limits, and panic containment. Quarantined units are reported
-// as FailureRecords with their results dropped; budget-exhausted units
-// finish Degraded with partial results kept; all remaining output is
-// byte-identical to an unfaulted run. The error is non-nil only for
-// run-level aborts (context canceled, or more than limits.MaxFailures units
-// quarantined) — the partial DetectResult is valid either way.
-func DetectContext(ctx context.Context, t *Target, specs []*Spec, workers int, limits Limits) (*DetectResult, error) {
-	return DetectContextObs(ctx, t, specs, workers, limits, nil)
-}
-
-// DetectContextObs is DetectContext with observability: a non-nil recorder
-// receives one unit span per region group (verdict, slice/solve stage
-// clocks, budget-spend deltas) plus the run's progress counters. A nil
-// recorder is the disabled instrument — identical behavior to
-// DetectContext.
-func DetectContextObs(ctx context.Context, t *Target, specs []*Spec, workers int, limits Limits, rec *Recorder) (*DetectResult, error) {
-	sh := detect.NewShared(t.Prog)
-	sh.SetObs(rec)
-	return sh.DetectParallelCtx(ctx, specs, workers, limits)
-}
 
 // MergeSpecDBs unions specification databases, deduplicating by constraint
 // identity while keeping first-seen provenance. This supports the paper's

@@ -1,8 +1,10 @@
 package seal
 
 import (
+	"context"
 	"testing"
 
+	"seal/internal/detect"
 	"seal/internal/kernelgen"
 )
 
@@ -87,13 +89,16 @@ func TestDetectParallelMatchesSequential(t *testing.T) {
 	}
 	seq := Detect(target, res.DB.Specs)
 	for _, workers := range []int{2, 4, 8} {
-		par := DetectParallel(target, res.DB.Specs, workers)
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d reports vs %d sequential", workers, len(par), len(seq))
+		par, _, err := DetectFiles(context.Background(), corpus.Files, res.DB.Specs, DetectRunOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(par.Recs) != len(seq) {
+			t.Fatalf("workers=%d: %d reports vs %d sequential", workers, len(par.Recs), len(seq))
 		}
 		for i := range seq {
-			if seq[i].Key() != par[i].Key() {
-				t.Fatalf("workers=%d: report %d differs: %s vs %s", workers, i, seq[i].Key(), par[i].Key())
+			if want := detect.Record(seq[i]); par.Recs[i] != want {
+				t.Fatalf("workers=%d: report %d differs: %+v vs %+v", workers, i, par.Recs[i], want)
 			}
 		}
 	}

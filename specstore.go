@@ -1,26 +1,17 @@
 package seal
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"os"
-	"sort"
-	"sync"
 
-	"seal/internal/cache"
-	"seal/internal/detect"
 	"seal/internal/specdb"
 )
 
-// This file threads the paged spec store (internal/specdb) through the
-// detection pipeline. A store-backed run detects at region-group
-// granularity: every group (all specs sharing one detection scope) is
-// cached under its own key, fingerprinted by the group's own spec subset
-// rather than the whole corpus, so editing one spec invalidates exactly
-// the group that owns it and every other group replays from cache. The
-// merged output is byte-identical to a whole-corpus run over the same
-// specs — same report, same redacted manifest, same redacted metrics.
+// This file loads and imports the paged spec store (internal/specdb). A
+// store-backed run detects through the same region-group flow as a flat
+// spec file (detect.go), so its output is byte-identical to a flat run
+// over the same specs — same report, same redacted manifest, same
+// redacted metrics.
 
 // ImportSpecStore imports a flat spec database into the store at path,
 // creating the store when missing. Import is first-wins by spec key,
@@ -63,253 +54,4 @@ func LoadSpecStoreSpecs(path string) ([]*Spec, uint64, error) {
 		return nil, 0, err
 	}
 	return specs, snap.Seq(), nil
-}
-
-// detectGroupKey is the TierDetectGroup fingerprint chain: schema version
-// (inside cache.Key) → seal analysis version → config → target sources →
-// the group's scope → the group's own spec subset. Only the last part
-// changes when a spec inside the group is edited.
-func detectGroupKey(targetHash, scope, groupHash string, limits Limits) string {
-	return cache.Key(
-		"tier:"+cache.TierDetectGroup,
-		"seal:"+Version,
-		detectConfigPart(limits),
-		"target:"+targetHash,
-		"scope:"+scope,
-		"specs:"+groupHash,
-	)
-}
-
-// groupCacheEntry is the TierDetectGroup payload: one region group's
-// complete detection outcome with group-local spec ordinals, enough to
-// replay the group without live IR and translate its bug records into any
-// corpus that contains the same group.
-type groupCacheEntry struct {
-	Scope     string            `json:"scope"`
-	Bugs      []detect.ShardBug `json:"bugs,omitempty"`
-	Units     []detect.UnitRec  `json:"units,omitempty"`
-	Stats     detect.Stats      `json:"stats"`
-	SatChecks int64             `json:"sat_checks"`
-}
-
-// GroupedStats reports how incremental a grouped detection was.
-type GroupedStats struct {
-	// Groups is the region-group count of the corpus.
-	Groups int
-	// Warm counts groups replayed from the memo or the persistent cache.
-	Warm int
-	// Computed counts groups that ran on the substrate.
-	Computed int
-}
-
-// DetectGrouped runs a region-group-cached detection pinned to this
-// resident substrate: each group replays from the group memo or the
-// persistent cache when its own spec subset is unchanged, and only the
-// remaining groups compute. The merged result is byte-identical to
-// Detect over the same specs.
-func (r *Resident) DetectGrouped(ctx context.Context, specs []*Spec, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
-	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
-	if err != nil {
-		return nil, GroupedStats{}, err
-	}
-	return detectGroupedCore(ctx, r.TargetHash, func() (*Resident, error) { return r, nil },
-		specs, opts, pc, &r.gmemo)
-}
-
-// DetectFilesGrouped is the one-shot form of DetectGrouped: when every
-// region group hits the persistent cache the sources are fingerprinted
-// but never parsed; otherwise a throwaway Resident is built, primed from
-// the cache, and only the missed groups compute.
-func DetectFilesGrouped(ctx context.Context, files map[string]string, specs []*Spec, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
-	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
-	if err != nil {
-		return nil, GroupedStats{}, err
-	}
-	targetHash := cache.FileSetHash(files)
-	acquire := func() (*Resident, error) {
-		t, err := LoadFiles(files)
-		if err != nil {
-			return nil, err
-		}
-		r := NewResident(t)
-		r.primeRegions(pc)
-		return r, nil
-	}
-	return detectGroupedCore(ctx, targetHash, acquire, specs, opts, pc, nil)
-}
-
-// DetectDirGrouped is DetectFilesGrouped over the tree at root.
-func DetectDirGrouped(ctx context.Context, root string, specs []*Spec, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
-	files, err := ReadSourceDir(root)
-	if err != nil {
-		return nil, GroupedStats{}, err
-	}
-	return DetectFilesGrouped(ctx, files, specs, opts)
-}
-
-// detectGroupedCore is the shared grouped flow: probe every group's key
-// against the memo and the persistent cache, acquire the substrate only
-// when at least one group missed, run the missed groups sequentially in
-// global group order, and fold all groups — replayed and computed alike —
-// into one result exactly the way the shard coordinator merges shards
-// (group-local ordinals translated through the group's spec indices,
-// records interleaved by MergeShardRecs, robustness lists in group
-// order). acquire is called at most once; memo may be nil (no resident
-// memo tier, persistent cache only).
-func detectGroupedCore(ctx context.Context, targetHash string, acquire func() (*Resident, error), specs []*Spec, opts DetectRunOptions, pc *cache.Cache, memo *sync.Map) (*DetectResult, GroupedStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	groups := detect.ScopeGroups(specs)
-	gs := GroupedStats{Groups: len(groups)}
-
-	type groupState struct {
-		scope  string
-		subset []*Spec
-		key    string // "" = unfingerprintable, never cached
-		ent    *groupCacheEntry
-	}
-	states := make([]groupState, len(groups))
-	for gi, g := range groups {
-		st := groupState{scope: specs[g[0]].Scope(), subset: make([]*Spec, len(g))}
-		for k, si := range g {
-			st.subset[k] = specs[si]
-		}
-		if ghash, err := SpecSetHash(st.subset); err == nil {
-			st.key = detectGroupKey(targetHash, st.scope, ghash, opts.Limits)
-		}
-		states[gi] = st
-	}
-
-	// Probe phase: every group key against memo then disk, before any
-	// parsing — a fully warm corpus never touches the substrate.
-	for gi := range states {
-		st := &states[gi]
-		if st.key == "" {
-			continue
-		}
-		if memo != nil {
-			if v, ok := memo.Load(st.key); ok {
-				st.ent = v.(*groupCacheEntry)
-				continue
-			}
-		}
-		if pc.Enabled() {
-			var ent groupCacheEntry
-			if pc.Get(cache.TierDetectGroup, st.key, &ent) {
-				st.ent = &ent
-				if memo != nil {
-					memo.Store(st.key, &ent)
-				}
-			}
-		}
-	}
-
-	var r *Resident
-	for gi := range states {
-		if states[gi].ent == nil {
-			var err error
-			if r, err = acquire(); err != nil {
-				return nil, gs, err
-			}
-			break
-		}
-	}
-
-	groupLimits := opts.Limits
-	groupLimits.MaxFailures = 0 // global threshold, enforced after the merge
-
-	res := &detect.Result{}
-	var all []detect.ShardBug
-	var runErr error
-	cleanComputed := false
-	for gi := range states {
-		st := &states[gi]
-		if runErr != nil {
-			break // run-level abort (context): stop scheduling groups
-		}
-		if st.ent != nil {
-			gs.Warm++
-			// Replay the group's unit spans exactly like a whole-corpus
-			// cache replay, so warm and cold manifests agree.
-			for _, u := range st.ent.Units {
-				if span := opts.Obs.Unit("detect", u.ID); span != nil {
-					span.AddStage("slice", 0, 0)
-					span.AddStage("solve", 0, 0)
-					span.SetCounts(u.Specs, u.Bugs)
-					span.End()
-				}
-			}
-			foldGroup(res, &all, groups[gi], st.ent.Bugs, st.ent.Units, nil, nil, st.ent.Stats, st.ent.SatChecks)
-			continue
-		}
-		gs.Computed++
-		stats0 := r.sh.Stats()
-		gres, gerr := r.sh.DetectParallelCtxObs(ctx, st.subset, opts.Workers, groupLimits, opts.Obs)
-		gres.Stats = gres.Stats.Sub(stats0)
-		sbs := detect.ShardBugsOf(gres.Bugs, gres.Recs, st.subset)
-		clean := gerr == nil && len(gres.Failures) == 0 && len(gres.Degraded) == 0
-		if clean && st.key != "" {
-			ent := &groupCacheEntry{
-				Scope:     st.scope,
-				Bugs:      sbs,
-				Units:     gres.Units,
-				Stats:     gres.Stats,
-				SatChecks: gres.SatChecks,
-			}
-			cleanComputed = true
-			if memo != nil {
-				memo.Store(st.key, ent)
-			}
-			if pc.Enabled() {
-				pc.Put(cache.TierDetectGroup, st.key, ent)
-			}
-		} else if pc.Enabled() {
-			pc.NoteUncacheable()
-		}
-		foldGroup(res, &all, groups[gi], sbs, gres.Units, gres.Failures, gres.Degraded, gres.Stats, gres.SatChecks)
-		runErr = gerr
-	}
-
-	res.Recs = detect.MergeShardRecs(all)
-	sort.Slice(res.Units, func(i, j int) bool { return res.Units[i].ID < res.Units[j].ID })
-	res.Stats.QuarantinedUnits = int64(len(res.Failures))
-	res.Stats.DegradedUnits = int64(len(res.Degraded))
-	opts.Obs.SetUnitsTotal(len(groups))
-	if pc.Enabled() {
-		if cleanComputed && r != nil {
-			pc.Put(cache.TierRegions, regionsKey(targetHash),
-				r.sh.RegionsSnapshot(detect.DefaultMaxCalleeDepth))
-		}
-		res.PCache = pc.Stats()
-	}
-	if runErr != nil {
-		return res, gs, runErr
-	}
-	if opts.Limits.MaxFailures > 0 && len(res.Failures) > opts.Limits.MaxFailures {
-		return res, gs, fmt.Errorf("detect: aborted after %d quarantined units (max %d)",
-			len(res.Failures), opts.Limits.MaxFailures)
-	}
-	if err := ctx.Err(); err != nil {
-		return res, gs, err
-	}
-	return res, gs, nil
-}
-
-// foldGroup accumulates one group's outcome into the merged result,
-// translating group-local spec ordinals to global ones through the
-// group's spec-index slice (mirroring the shard coordinator's fold).
-func foldGroup(res *detect.Result, all *[]detect.ShardBug, specIdx []int, bugs []detect.ShardBug, units []detect.UnitRec, failures []*FailureRecord, degraded []Degradation, stats detect.Stats, satChecks int64) {
-	for _, sb := range bugs {
-		if sb.Ord < 0 || sb.Ord >= len(specIdx) {
-			continue // malformed cached record; never panic on it
-		}
-		sb.Ord = specIdx[sb.Ord]
-		*all = append(*all, sb)
-	}
-	res.Units = append(res.Units, units...)
-	res.Failures = append(res.Failures, failures...)
-	res.Degraded = append(res.Degraded, degraded...)
-	res.Stats = res.Stats.Merge(stats)
-	res.SatChecks += satChecks
 }
