@@ -6,6 +6,7 @@ package seal
 // in CI instead of waiting for the next manual `go test -bench=.`.
 
 import (
+	"context"
 	"testing"
 
 	"seal/internal/cir"
@@ -147,7 +148,7 @@ func TestBenchSmoke(t *testing.T) {
 	})
 	t.Run("Substrate_InferParallel", func(t *testing.T) {
 		corpus := kernelgen.Generate(kernelgen.DefaultConfig())
-		res, err := InferSpecs(corpus.Patches, Options{Validate: true, Workers: 4})
+		res, err := InferSpecsContext(context.Background(), corpus.Patches, Options{Validate: true, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

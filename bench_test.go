@@ -404,7 +404,7 @@ func BenchmarkSubstrate_InferParallel(b *testing.B) {
 	corpus := kernelgen.Generate(kernelgen.DefaultConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := InferSpecs(corpus.Patches, Options{Validate: true, Workers: 4}); err != nil {
+		if _, err := InferSpecsContext(context.Background(), corpus.Patches, Options{Validate: true, Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}

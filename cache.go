@@ -9,6 +9,7 @@ import (
 	"seal/internal/cache"
 	"seal/internal/detect"
 	"seal/internal/infer"
+	"seal/internal/solver"
 )
 
 // Version identifies the analysis semantics baked into every persistent
@@ -64,27 +65,14 @@ func inferPatchKey(p *Patch, opts Options) string {
 	)
 }
 
-// inferRunKey fingerprints a whole inference run (corpus in input order +
-// config) for the run-summary tier.
-func inferRunKey(patchKeys []string) string {
-	parts := make([]string, 0, len(patchKeys)+1)
-	parts = append(parts, "tier:"+cache.TierInferRun)
-	parts = append(parts, patchKeys...)
-	return cache.Key(parts...)
-}
-
 // inferCacheEntry is the TierInfer payload: one patch's validated specs
-// (conditions in tree form via SpecDB's JSON round trip) and its relation
-// statistics.
+// (conditions in tree form via SpecDB's JSON round trip), its relation
+// statistics, and the solver work computing it took, which a replaying run
+// adds to its own figures.
 type inferCacheEntry struct {
-	DB    *SpecDB     `json:"db"`
-	Stats infer.Stats `json:"stats"`
-}
-
-// inferRunEntry is the TierInferRun payload: run-level counters a fully
-// warm run replays so its exported metrics match the cold run's.
-type inferRunEntry struct {
-	SatChecks int64 `json:"sat_checks"`
+	DB     SpecDB       `json:"db"`
+	Stats  infer.Stats  `json:"stats"`
+	Solver solver.Tally `json:"solver"`
 }
 
 // detectConfigPart renders the detection knobs that change results for

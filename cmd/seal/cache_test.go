@@ -275,3 +275,75 @@ func TestCLICacheReadOnly(t *testing.T) {
 		t.Errorf("read-only cache left %d entry files: %v", len(files), files)
 	}
 }
+
+// TestCLICachePartialWarmInfer pins the solver figures of a warm inference
+// run: each patch's cache entry carries the solver work computing it took,
+// so a run over a cache filled from only some of the patches, and a fully
+// warm run after it, export the cold run's seal_solver_sat_checks_total
+// (which redaction keeps) and byte-identical redacted manifests and
+// metrics.
+func TestCLICachePartialWarmInfer(t *testing.T) {
+	dir := t.TempDir()
+	corpusDir := filepath.Join(dir, "corpus")
+	specFile := filepath.Join(dir, "specs.json")
+	cacheDir := filepath.Join(dir, "cache")
+	if err := cmdGen([]string{"-out", corpusDir}); err != nil {
+		t.Fatal(err)
+	}
+	// Fill the cache from every patch but the first.
+	entries, err := os.ReadDir(filepath.Join(corpusDir, "patches"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) < 2 {
+		t.Fatalf("corpus has %d patches; a partial fill needs 2+", len(entries))
+	}
+	subset := filepath.Join(dir, "subset")
+	for _, e := range entries[1:] {
+		copyTree(t, filepath.Join(corpusDir, "patches", e.Name()), filepath.Join(subset, e.Name()))
+	}
+	captureStdout(t, func() error {
+		return cmdInfer([]string{"-patches", subset, "-out", filepath.Join(dir, "subset.json"), "-cache-dir", cacheDir})
+	})
+
+	cold := runCachedPipeline(t, dir, corpusDir, specFile, filepath.Join(dir, "cold-cache"), "cold")
+	partial := runCachedPipeline(t, dir, corpusDir, specFile, cacheDir, "partial")
+	warm := runCachedPipeline(t, dir, corpusDir, specFile, cacheDir, "warm")
+	diffRuns(t, "partly warm vs cold", cold, partial)
+	diffRuns(t, "fully warm vs cold", cold, warm)
+	if c := partial.inferRawCache; c == nil || c.PCacheHits != int64(len(entries)-1) || c.PCacheMisses != 1 {
+		t.Errorf("partly warm infer cache = %+v, want %d hits and 1 miss", c, len(entries)-1)
+	}
+	if c := warm.inferRawCache; c == nil || c.PCacheHits != int64(len(entries)) || c.PCacheMisses != 0 {
+		t.Errorf("fully warm infer cache = %+v, want %d hits and no miss", c, len(entries))
+	}
+	if !strings.Contains(cold.inferMetrics, "\nseal_solver_sat_checks_total ") {
+		t.Error("redacted infer metrics lost seal_solver_sat_checks_total; the identity check is vacuous")
+	}
+}
+
+// copyTree copies the regular files under src to dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		out := filepath.Join(dst, rel)
+		if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(out, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -237,7 +237,7 @@ func addLimitFlags(fs *flag.FlagSet) *limitFlags {
 	fs.Int64Var(&lf.budgetSteps, "budget", 0, "per-unit analysis-step budget (slicer expansions, PDG builds, solver checks); 0 = unlimited")
 	fs.IntVar(&lf.maxFailures, "max-failures", 0, "abort the run once more than this many units are quarantined (must be > 0 when set; omit to keep going)")
 	fs.StringVar(&lf.failuresOut, "failures-out", "", "write quarantine FailureRecords to this JSON file")
-	fs.BoolVar(&lf.retry, "retry", false, "retry a quarantined unit once with a halved budget")
+	fs.BoolVar(&lf.retry, "retry", false, "retry a quarantined unit once with a halved budget (units only; -retry-max re-dispatches shards)")
 	return lf
 }
 
@@ -283,10 +283,6 @@ type obsFlags struct {
 	manifestOut string
 	metricsOut  string
 	progress    bool
-	// base snapshots process-wide counters at recorder creation, so the
-	// exported figures are this run's deltas even when several commands
-	// run in one process (tests).
-	base seal.ObsBaseline
 }
 
 func addObsFlags(fs *flag.FlagSet) *obsFlags {
@@ -303,7 +299,6 @@ func (of *obsFlags) recorder(command string) *obs.Recorder {
 	if of.manifestOut == "" && of.metricsOut == "" && !of.progress {
 		return nil
 	}
-	of.base = seal.NewObsBaseline()
 	rec := obs.New()
 	rec.StartRun(command)
 	return rec
@@ -489,7 +484,7 @@ func cmdInfer(args []string) error {
 		if *noValidate {
 			inputs["validate"] = "false"
 		}
-		art, err := seal.FinishInferRun(rec, res, len(patches), *workers, inputs, of.base)
+		art, err := seal.FinishInferRun(rec, res, len(patches), *workers, inputs)
 		if err != nil {
 			return err
 		}
@@ -562,7 +557,7 @@ func cmdDetect(args []string) error {
 	shards := fs.Int("shards", 0, "coordinate detection across this many spawned `seal work` processes, merged deterministically (0 = in-process)")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated worker base URLs (http://host:port) to shard across instead of spawning; overrides -shards")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard dispatch deadline; a shard exceeding it is quarantined; 0 = none")
-	retryMax := fs.Int("retry-max", 0, "re-dispatch a failing shard up to this many extra times with capped exponential backoff (0 = inherit -retry's single re-dispatch)")
+	retryMax := fs.Int("retry-max", 0, "re-dispatch a failing shard up to this many extra times with capped exponential backoff (0 = no re-dispatch)")
 	retryBackoff := fs.Duration("retry-backoff", 0, "base backoff before a shard re-dispatch, doubling per attempt with deterministic jitter (0 = immediate)")
 	probeInterval := fs.Duration("probe-interval", 0, "probe worker health at this interval: /readyz gates every dispatch, /healthz watches in-flight shards (0 = disabled)")
 	reshardOnLoss := fs.Bool("reshard-on-loss", false, "re-partition a lost shard's region groups across surviving workers instead of quarantining them")
@@ -684,7 +679,7 @@ func cmdDetect(args []string) error {
 			specsInput = *specDB
 		}
 		inputs := map[string]string{"target": *target, "specs": specsInput}
-		art, err := seal.FinishDetectRun(rec, res, len(db.Specs), *workers, inputs, renderSecs, of.base)
+		art, err := seal.FinishDetectRun(rec, res, len(db.Specs), *workers, inputs, renderSecs)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,6 +18,7 @@ import (
 	"seal"
 	"seal/internal/faultinject"
 	"seal/internal/kernelgen"
+	"seal/internal/obs"
 	"seal/internal/spec"
 )
 
@@ -231,5 +233,67 @@ func TestCLIDetectTimeoutStall(t *testing.T) {
 	var ec exitCoder
 	if !errors.As(runErr, &ec) || ec.ExitCode() != exitQuarantine {
 		t.Fatalf("stalled detect returned %v, want exit code 3", runErr)
+	}
+}
+
+// TestCLIDetectAbortSkipsUnits covers a detection run aborted past
+// -max-failures: every region group it never started is still accounted
+// for, in the manifest's outcomes.skipped and in seal_units_skipped_total,
+// as an aborted inference run accounts for its skipped patches.
+func TestCLIDetectAbortSkipsUnits(t *testing.T) {
+	corpusDir, specFile := buildCorpus(t)
+	data, err := os.ReadFile(specFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var db spec.DB
+	if err := json.Unmarshal(data, &db); err != nil {
+		t.Fatal(err)
+	}
+	// Region groups in scheduling order: first appearance of each scope.
+	var scopes []string
+	seen := make(map[string]bool)
+	for _, s := range db.Specs {
+		if sc := s.Scope(); !seen[sc] {
+			seen[sc] = true
+			scopes = append(scopes, sc)
+		}
+	}
+	if len(scopes) < 3 {
+		t.Fatalf("corpus has %d region groups; the abort needs 3+", len(scopes))
+	}
+	faultinject.Set(faultinject.NewPlan().
+		Add("detect", scopes[0], faultinject.KindPanic).
+		Add("detect", scopes[1], faultinject.KindPanic))
+	defer faultinject.Reset()
+
+	out := t.TempDir()
+	manifest, metrics := filepath.Join(out, "m.json"), filepath.Join(out, "m.prom")
+	var runErr error
+	_ = captureStdout(t, func() error {
+		runErr = cmdDetect([]string{
+			"-target", filepath.Join(corpusDir, "tree"), "-specs", specFile,
+			"-workers", "1", "-max-failures", "1",
+			"-manifest-out", manifest, "-metrics-out", metrics,
+		})
+		return nil
+	})
+	if runErr == nil || !strings.Contains(runErr.Error(), "aborted after 2 quarantined units (max 1)") {
+		t.Fatalf("detect past -max-failures returned %v", runErr)
+	}
+	m, err := obs.ReadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(scopes) - 2
+	if m.Outcomes.Quarantined != 2 || m.Outcomes.Skipped != want {
+		t.Fatalf("manifest outcomes = %+v, want 2 quarantined and %d skipped", m.Outcomes, want)
+	}
+	prom, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line := fmt.Sprintf("\nseal_units_skipped_total %d\n", want); !strings.Contains(string(prom), line) {
+		t.Errorf("metrics lack %q", strings.TrimSpace(line))
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"seal/internal/cache"
 	"seal/internal/detect"
+	"seal/internal/obs"
 )
 
 // This file is the one detection flow. Every detection — the CLI over a
@@ -153,15 +154,10 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 		}
 		gs.Warm++
 		// Replay the group's unit spans with the computing run's stage
-		// structure (zero durations — redaction zeroes them anyway), so
-		// warm and cold manifests agree.
+		// structure, so warm and cold manifests agree.
 		for _, u := range outs[gi].Units {
-			if span := opts.Obs.Unit("detect", u.ID); span != nil {
-				span.AddStage("slice", 0, 0)
-				span.AddStage("solve", 0, 0)
-				span.SetCounts(u.Specs, u.Bugs)
-				span.End()
-			}
+			opts.Obs.ReplayUnit(obs.UnitManifest{Stage: "detect", ID: u.ID, Specs: u.Specs, Bugs: u.Bugs,
+				Stages: []obs.StageManifest{{Name: "slice"}, {Name: "solve"}}})
 		}
 	}
 

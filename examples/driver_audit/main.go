@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -26,7 +27,7 @@ func main() {
 		len(corpus.Files), len(corpus.Patches), len(corpus.Bugs))
 
 	// Learn from the patch history.
-	res, err := seal.InferSpecs(corpus.Patches, seal.Options{Validate: true, Workers: 4})
+	res, err := seal.InferSpecsContext(context.Background(), corpus.Patches, seal.Options{Validate: true, Workers: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,7 @@ import (
 // it whenever a cached product's shape or the analysis that produces it
 // changes incompatibly: old entries become unreachable (different keys)
 // and unreadable (version check), both of which degrade to misses.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // subdir is the directory the cache owns under the user-supplied root.
 // Keeping our objects one level down makes Clear safe: it removes only
@@ -41,11 +41,9 @@ const subdir = "seal-analysis-cache"
 // Product tiers. Each tier invalidates independently: its keys hash
 // different inputs.
 const (
-	// TierInfer holds per-patch inference results (specs + stats).
+	// TierInfer holds per-patch inference results (specs, stats, and the
+	// patch's solver work, so a replaying run's figures match a cold one).
 	TierInfer = "infer"
-	// TierInferRun holds run-level inference summaries (solver work
-	// counters for metric replay), keyed over the whole corpus.
-	TierInferRun = "infer-run"
 	// TierRegions holds per-target region-closure artifacts (root →
 	// callee-closure function names), keyed over the target only, so they
 	// survive spec-DB changes.

@@ -33,11 +33,11 @@ type Options struct {
 	Workers int
 	// Limits is the per-unit budget. MaxFailures is enforced globally by
 	// the coordinator over the merged failure list (shards receive it
-	// zeroed); Retry maps to the legacy 2-attempt policy when no explicit
-	// RetryPolicy is set.
+	// zeroed); Retry retries a unit inside its worker and never
+	// re-dispatches a shard.
 	Limits budget.Limits
-	// Retry is the dispatch retry policy (zero = derived from
-	// Limits.Retry: 2 attempts with no backoff, or a single attempt).
+	// Retry is the dispatch retry policy (zero = a single attempt with no
+	// backoff).
 	Retry RetryPolicy
 	// Probe enables worker health probing: a readiness gate before every
 	// dispatch attempt and liveness probing of in-flight shards (zero =
@@ -103,7 +103,7 @@ func Detect(ctx context.Context, targetHash string, specs []*spec.Spec, opts Opt
 	if client == nil {
 		client = http.DefaultClient
 	}
-	policy := opts.Retry.withDefaults(opts.Limits.Retry)
+	policy := opts.Retry.withDefaults()
 
 	shardLimits := opts.Limits
 	shardLimits.MaxFailures = 0 // global threshold, enforced below

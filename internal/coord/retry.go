@@ -15,8 +15,8 @@ import (
 // recovery path be replayed and asserted in tests.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of dispatch tries per shard
-	// (1 = no retry). Zero falls back to the legacy budget policy:
-	// 2 attempts when Limits.Retry is set, otherwise 1.
+	// (0 or 1 = no retry). Limits.Retry never re-dispatches a shard: it
+	// retries a unit inside its worker.
 	MaxAttempts int
 	// Backoff is the base delay before the second attempt; each further
 	// attempt doubles it, up to Cap. Zero means immediate re-dispatch.
@@ -27,15 +27,11 @@ type RetryPolicy struct {
 	Seed int64
 }
 
-// withDefaults resolves the zero policy against the legacy Limits.Retry
-// single-re-dispatch contract.
-func (p RetryPolicy) withDefaults(legacyRetry bool) RetryPolicy {
+// withDefaults resolves the zero fields: one attempt, no backoff, and a
+// cap of 8×Backoff.
+func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
-		if legacyRetry {
-			p.MaxAttempts = 2
-		} else {
-			p.MaxAttempts = 1
-		}
+		p.MaxAttempts = 1
 	}
 	if p.Backoff < 0 {
 		p.Backoff = 0

@@ -46,17 +46,14 @@ func TestRetryDelayDeterministic(t *testing.T) {
 	}
 }
 
-// TestRetryWithDefaults pins the legacy mapping: a zero policy resolves
-// to the budget layer's historical contract — one blind re-dispatch when
-// Limits.Retry is set, a single attempt otherwise.
+// TestRetryWithDefaults pins the one retry contract: a zero policy is a
+// single dispatch attempt (Limits.Retry plays no part in shard
+// re-dispatch), and explicit fields survive.
 func TestRetryWithDefaults(t *testing.T) {
-	if got := (RetryPolicy{}).withDefaults(true).MaxAttempts; got != 2 {
-		t.Fatalf("legacy retry: MaxAttempts = %d, want 2", got)
+	if got := (RetryPolicy{}).withDefaults().MaxAttempts; got != 1 {
+		t.Fatalf("zero policy: MaxAttempts = %d, want 1", got)
 	}
-	if got := (RetryPolicy{}).withDefaults(false).MaxAttempts; got != 1 {
-		t.Fatalf("no retry: MaxAttempts = %d, want 1", got)
-	}
-	p := RetryPolicy{MaxAttempts: 4, Backoff: time.Second}.withDefaults(false)
+	p := RetryPolicy{MaxAttempts: 4, Backoff: time.Second}.withDefaults()
 	if p.MaxAttempts != 4 || p.Cap != 8*time.Second {
 		t.Fatalf("explicit policy mangled: %+v", p)
 	}

@@ -87,12 +87,12 @@ type Detector struct {
 	// this detector's unit span. Nil — the default — means no clock reads
 	// on the hot path.
 	clk *stageClock
-	// satChecks counts this detector's solver satisfiability checks. Kept
-	// per-detector (one detector per unit attempt) rather than read off the
-	// process-global solver counter so concurrent runs in one process —
-	// resident serving, in-process shard workers — never absorb each
-	// other's checks into their per-run figures.
-	satChecks int64
+	// sat, when set, is the tally of the unit this detector works for:
+	// every solver check it makes is charged there, so concurrent runs in
+	// one process — resident serving, in-process shard workers — never
+	// absorb each other's checks into their per-run figures. Nil counts
+	// nothing.
+	sat *solver.Tally
 	// pdgWork, lookups, pathHits, and pathMisses are this detector's own
 	// share of the substrate counters, charged where the work happens (the
 	// graph and index handles, pathsFor) for the same reason.
@@ -152,15 +152,17 @@ func NewOnGraph(g *pdg.Graph) *Detector {
 // (quantifier ∃, not ∄); a Required relation the patched code violates is
 // not actually required. Such specs are dropped.
 func ValidateSpecs(postProg *ir.Program, specs []*spec.Spec) []*spec.Spec {
-	return ValidateSpecsBudget(postProg, specs, nil)
+	return ValidateSpecsBudget(postProg, specs, nil, nil)
 }
 
-// ValidateSpecsBudget is ValidateSpecs metered against a unit budget (the
-// inferring patch's), so validation of a candidate-heavy patch cannot
-// outlive its unit either.
-func ValidateSpecsBudget(postProg *ir.Program, specs []*spec.Spec, b *budget.Budget) []*spec.Spec {
+// ValidateSpecsBudget is ValidateSpecs run inside the inferring patch's
+// unit: metered against its budget, so validation of a candidate-heavy
+// patch cannot outlive its unit either, with every solver check charged to
+// its tally sat (nil counts nothing).
+func ValidateSpecsBudget(postProg *ir.Program, specs []*spec.Spec, b *budget.Budget, sat *solver.Tally) []*spec.Spec {
 	d := New(postProg)
 	d.SetBudget(b)
+	d.sat = sat
 	var out []*spec.Spec
 	for _, s := range specs {
 		if len(d.DetectSpec(s)) == 0 {
@@ -235,12 +237,6 @@ func (d *Detector) Regions(s *spec.Spec) []*ir.Func {
 		return out
 	}
 	return nil
-}
-
-// regionFuncs returns fn plus its defined callees up to MaxCalleeDepth
-// ("bottom-up" closure, §6.4.1), from the shared region cache.
-func (d *Detector) regionFuncs(fn *ir.Func) []*ir.Func {
-	return d.region(fn).funcs
 }
 
 // region returns the cached closure context of a region root.
@@ -535,11 +531,10 @@ func (d *Detector) condConsistent(p *vfp.Path, cond solver.Formula) bool {
 		defer func() { d.clk.solveNs += time.Since(t0).Nanoseconds() }()
 	}
 	psi := d.ab.AbstractPsi(p)
-	d.satChecks++
 	if d.bud != nil {
-		return solver.SatBudget(solver.MkAnd(psi, cond), d.bud.Step)
+		return d.sat.SatBudget(solver.MkAnd(psi, cond), d.bud.Step)
 	}
-	return solver.Sat(solver.MkAnd(psi, cond))
+	return d.sat.Sat(solver.MkAnd(psi, cond))
 }
 
 // condAPIsPresent checks that every API mentioned in the condition's

@@ -173,7 +173,9 @@ func TestDetectParallelCtxMaxFailuresAborts(t *testing.T) {
 	}
 	faultinject.Set(plan)
 	defer faultinject.Reset()
-	res, err := runAll(context.Background(), NewShared(prog), specs, 1, budget.Limits{MaxFailures: 1}, nil)
+	rec := obs.New()
+	rec.StartRun("detect")
+	res, err := runAll(context.Background(), NewShared(prog), specs, 1, budget.Limits{MaxFailures: 1}, rec)
 	if err == nil {
 		t.Fatal("run with every unit panicking and MaxFailures=1 did not abort")
 	}
@@ -181,6 +183,17 @@ func TestDetectParallelCtxMaxFailuresAborts(t *testing.T) {
 	// remaining units are skipped, not quarantined.
 	if len(res.Failures) != 2 {
 		t.Fatalf("aborted run has %d failures, want 2 (threshold crossing)", len(res.Failures))
+	}
+	// Every skipped unit still gets a span, so the manifest accounts for
+	// all groups; seal_units_skipped_total is exported from this same
+	// outcome count.
+	m := rec.BuildManifest("detect", 1, nil, 0)
+	if got, want := m.Outcomes.Skipped, len(units)-2; got != want {
+		t.Fatalf("manifest outcomes.skipped = %d, want %d (groups - 2)", got, want)
+	}
+	if m.Outcomes.Quarantined != 2 || len(m.Units) != len(units) {
+		t.Fatalf("manifest has %d quarantined of %d units, want 2 of %d",
+			m.Outcomes.Quarantined, len(m.Units), len(units))
 	}
 }
 

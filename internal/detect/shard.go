@@ -122,7 +122,7 @@ func (f *Fold) Add(specIdx []int, o *Outcome) int {
 	f.res.Failures = append(f.res.Failures, o.Failures...)
 	f.res.Degraded = append(f.res.Degraded, o.Degraded...)
 	f.res.Stats = f.res.Stats.Merge(o.Stats)
-	f.res.SatChecks += o.SatChecks
+	f.res.Solver.Add(o.Solver)
 	return n
 }
 

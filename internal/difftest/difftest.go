@@ -120,8 +120,8 @@ func (r *CaseResult) Report() string {
 
 // RunCase executes the full differential protocol for one case:
 //
-//	reference: InferSpecs{Workers:1} then Detect
-//	optimized: InferSpecs{Workers:N} and DetectFiles{Workers:N} for each
+//	reference: InferSpecs (sequential) then Detect
+//	optimized: InferSpecsContext{Workers:N} and DetectFiles{Workers:N} for each
 //	           N in WorkerCounts, a sequential re-run (determinism), and a
 //	           reused resident substrate (parallel, then sequential on the
 //	           same graph).
@@ -137,7 +137,10 @@ func RunCase(c *randprog.PatchCase) (*CaseResult, error) {
 
 	// Inference determinism + worker independence.
 	for _, n := range append([]int{1}, WorkerCounts...) {
-		again, err := seal.InferSpecs([]*patch.Patch{c.Patch}, seal.Options{Validate: true, Workers: n})
+		again, err := seal.InferSpecsContext(context.Background(), []*patch.Patch{c.Patch}, seal.Options{Validate: true, Workers: n})
+		if err == nil && len(again.Failures) > 0 {
+			err = fmt.Errorf("%s", again.Failures[0])
+		}
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: inference workers=%d: %w", c.Seed, n, err)
 		}

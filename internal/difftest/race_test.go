@@ -60,13 +60,13 @@ func TestSharedProgramConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := seal.InferSpecs(corpus.Patches, seal.Options{Validate: true, Workers: 8})
+			r, err := seal.InferSpecsContext(context.Background(), corpus.Patches, seal.Options{Validate: true, Workers: 8})
 			if err != nil {
 				errs <- err.Error()
 				return
 			}
 			if got := NormalizeDB(r.DB); got != wantDB {
-				errs <- "concurrent InferSpecs{Workers:8} diverged from reference"
+				errs <- "concurrent InferSpecsContext{Workers:8} diverged from reference"
 			}
 		}()
 	}

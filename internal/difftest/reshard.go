@@ -51,7 +51,6 @@ func coordRunOpts(ctx context.Context, files map[string]string, specs []*spec.Sp
 		return nil, nil, nil, err
 	}
 	targetHash := seal.TargetHash(files)
-	base := seal.NewObsBaseline()
 	rec := seal.NewRecorder()
 	rec.StartRun("detect")
 	opts.Obs = rec
@@ -59,7 +58,7 @@ func coordRunOpts(ctx context.Context, files map[string]string, specs []*spec.Sp
 	if runErr != nil {
 		return nil, res, shards, runErr
 	}
-	surf, err := surfaceOf(rec, res, len(specs), targetHash, specsHash, base)
+	surf, err := surfaceOf(rec, res, len(specs), targetHash, specsHash)
 	return surf, res, shards, err
 }
 

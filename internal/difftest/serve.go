@@ -38,7 +38,6 @@ func batchDetectRef(ctx context.Context, files map[string]string, specs []*seal.
 		return nil, err
 	}
 	targetHash := seal.TargetHash(files)
-	base := seal.NewObsBaseline()
 	rec := seal.NewRecorder()
 	rec.StartRun("detect")
 	res, _, runErr := seal.DetectFiles(ctx, files, specs, seal.DetectRunOptions{
@@ -49,7 +48,7 @@ func batchDetectRef(ctx context.Context, files map[string]string, specs []*seal.
 	}
 	rendered := report.RenderDetectStdout(res.Recs, res.Degraded, res.Failures, len(specs), true)
 	art, err := seal.FinishDetectRun(rec, res, len(specs), 1,
-		serve.DetectInputs(targetHash, specsHash), 0, base)
+		serve.DetectInputs(targetHash, specsHash), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +140,6 @@ func RunServeCase(c *randprog.PatchCase) ([]Divergence, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := seal.NewObsBaseline()
 	rec := seal.NewRecorder()
 	rec.StartRun("infer")
 	refInfer, runErr := seal.InferSpecsContext(ctx, patches, seal.Options{
@@ -150,7 +148,7 @@ func RunServeCase(c *randprog.PatchCase) ([]Divergence, error) {
 	if runErr != nil {
 		return nil, fmt.Errorf("seed %d: reference inference: %w", c.Seed, runErr)
 	}
-	refArt, err := seal.FinishInferRun(rec, refInfer, 1, 1, serve.InferInputs(patchesHash, true), base)
+	refArt, err := seal.FinishInferRun(rec, refInfer, 1, 1, serve.InferInputs(patchesHash, true))
 	if err != nil {
 		return nil, err
 	}

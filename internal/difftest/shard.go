@@ -40,10 +40,10 @@ type shardSurface struct {
 
 // surfaceOf builds the comparison surface from a finished run exactly as
 // the CLI does (same render path, same artifact builders).
-func surfaceOf(rec *seal.Recorder, res *detect.Result, nSpecs int, targetHash, specsHash string, base seal.ObsBaseline) (*shardSurface, error) {
+func surfaceOf(rec *seal.Recorder, res *detect.Result, nSpecs int, targetHash, specsHash string) (*shardSurface, error) {
 	rendered := report.RenderDetectStdout(res.Recs, res.Degraded, res.Failures, nSpecs, true)
 	art, err := seal.FinishDetectRun(rec, res, nSpecs, 1,
-		serve.DetectInputs(targetHash, specsHash), 0, base)
+		serve.DetectInputs(targetHash, specsHash), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -130,28 +130,28 @@ func StartWorkers(n int, files map[string]string) ([]string, []*httptest.Server,
 	return addrs, servers, stop, nil
 }
 
-// coordRun drives one coordinated detection against the given workers and
-// builds its comparison surface.
-func coordRun(ctx context.Context, files map[string]string, specs []*spec.Spec, addrs []string, limits budget.Limits) (*shardSurface, *detect.Result, []obs.ShardManifest, error) {
+// coordRun drives one coordinated detection against the given workers,
+// re-dispatching failing shards per retry, and builds its comparison
+// surface.
+func coordRun(ctx context.Context, files map[string]string, specs []*spec.Spec, addrs []string, retry coord.RetryPolicy) (*shardSurface, *detect.Result, []obs.ShardManifest, error) {
 	specsHash, err := seal.SpecSetHash(specs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	targetHash := seal.TargetHash(files)
-	base := seal.NewObsBaseline()
 	rec := seal.NewRecorder()
 	rec.StartRun("detect")
 	res, shards, runErr := coord.Detect(ctx, targetHash, specs, coord.Options{
 		Addrs:   addrs,
 		Timeout: 30 * time.Second,
 		Workers: 1,
-		Limits:  limits,
+		Retry:   retry,
 		Obs:     rec,
 	})
 	if runErr != nil {
 		return nil, res, shards, runErr
 	}
-	surf, err := surfaceOf(rec, res, len(specs), targetHash, specsHash, base)
+	surf, err := surfaceOf(rec, res, len(specs), targetHash, specsHash)
 	return surf, res, shards, err
 }
 
@@ -175,7 +175,7 @@ func RunShardCase(seed int64, shardCounts []int) ([]Divergence, error) {
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: workers: %w", seed, err)
 		}
-		surf, _, shards, err := coordRun(ctx, files, specs, addrs, budget.Limits{})
+		surf, _, shards, err := coordRun(ctx, files, specs, addrs, coord.RetryPolicy{})
 		stop()
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: shards=%d: %w", seed, n, err)
@@ -228,7 +228,7 @@ func RunShardFaultCase(seed int64, n, kill int) ([]Divergence, error) {
 	defer stop()
 	servers[kill].Close() // the crash: connection refused on every dispatch
 
-	_, res, shards, err := coordRun(ctx, files, specs, addrs, budget.Limits{Retry: true})
+	_, res, shards, err := coordRun(ctx, files, specs, addrs, coord.RetryPolicy{MaxAttempts: 2})
 	if err != nil {
 		return nil, fmt.Errorf("seed %d: coordinated run: %w", seed, err)
 	}

@@ -28,7 +28,6 @@ func groupedRun(ctx context.Context, files map[string]string, specs []*spec.Spec
 	if err != nil {
 		return nil, nil, seal.GroupedStats{}, err
 	}
-	base := seal.NewObsBaseline()
 	rec := seal.NewRecorder()
 	rec.StartRun("detect")
 	res, gs, runErr := seal.DetectFiles(ctx, files, specs, seal.DetectRunOptions{
@@ -37,7 +36,7 @@ func groupedRun(ctx context.Context, files map[string]string, specs []*spec.Spec
 	if runErr != nil {
 		return nil, res, gs, runErr
 	}
-	surf, err := surfaceOf(rec, res, len(specs), seal.TargetHash(files), specsHash, base)
+	surf, err := surfaceOf(rec, res, len(specs), seal.TargetHash(files), specsHash)
 	return surf, res, gs, err
 }
 
@@ -185,7 +184,6 @@ func RunSpecStoreShardCase(seed int64, dir string, shardCounts []int) ([]Diverge
 			return nil, err
 		}
 		targetHash := seal.TargetHash(files)
-		base := seal.NewObsBaseline()
 		rec := seal.NewRecorder()
 		rec.StartRun("detect")
 		res, _, runErr := coord.Detect(ctx, targetHash, stored, coord.Options{
@@ -200,7 +198,7 @@ func RunSpecStoreShardCase(seed int64, dir string, shardCounts []int) ([]Diverge
 			stop()
 			return nil, fmt.Errorf("seed %d: shards=%d: %w", seed, n, runErr)
 		}
-		surf, err := surfaceOf(rec, res, len(stored), targetHash, specsHash, base)
+		surf, err := surfaceOf(rec, res, len(stored), targetHash, specsHash)
 		stop()
 		if err != nil {
 			return nil, err

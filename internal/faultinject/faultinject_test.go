@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"seal/internal/budget"
 )
 
 func TestFireDisabledIsCheap(t *testing.T) {
@@ -70,24 +68,6 @@ func TestFireStallCapBoundsRunawayWait(t *testing.T) {
 	}
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("stall cap did not unblock for %v", el)
-	}
-}
-
-func TestFireAllocSpikeChargesBudget(t *testing.T) {
-	Set(NewPlan().Add("detect", "u1", KindAllocSpike))
-	defer Reset()
-	b := budget.New(context.Background(), budget.Limits{MaxMemBytes: 1 << 20})
-	defer b.Close()
-	err := Fire(context.Background(), "detect", "u1", b)
-	var ex *budget.ErrExhausted
-	if !errors.As(err, &ex) || ex.Reason != budget.ReasonMemory {
-		t.Fatalf("alloc spike returned %v, want memory exhaustion", err)
-	}
-	// Without a budget the spike has nothing to charge: Fire reports the
-	// misconfiguration instead of silently doing nothing.
-	Set(NewPlan().Add("detect", "u2", KindAllocSpike))
-	if err := Fire(context.Background(), "detect", "u2", nil); err == nil {
-		t.Fatal("unbudgeted alloc spike fired silently")
 	}
 }
 

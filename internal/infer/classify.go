@@ -24,8 +24,8 @@ type Classified struct {
 // Classify implements Alg. 1: segregate P_pre and P_post into P−, P+, PΨ,
 // PΩ. Path identity is the version-independent signature; condition
 // equality is decided by the solver over the qualified symbols, which are
-// stable across versions.
-func Classify(gPre, gPost *pdg.Graph, pre, post []*vfp.Path) *Classified {
+// stable across versions. Solver checks are charged to sat.
+func Classify(gPre, gPost *pdg.Graph, pre, post []*vfp.Path, sat *solver.Tally) *Classified {
 	out := &Classified{}
 	preBySig := make(map[string]*vfp.Path, len(pre))
 	for _, p := range pre {
@@ -51,7 +51,7 @@ func Classify(gPre, gPost *pdg.Graph, pre, post []*vfp.Path) *Classified {
 			continue
 		}
 		pair := PathPair{Pre: p, Post: q}
-		if !solver.Equiv(p.Psi(gPre), q.Psi(gPost)) {
+		if !sat.Equiv(p.Psi(gPre), q.Psi(gPost)) {
 			out.PPsi = append(out.PPsi, pair)
 		} else {
 			out.POmega = append(out.POmega, pair)

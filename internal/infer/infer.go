@@ -44,24 +44,20 @@ type Result struct {
 // demand-driven PDG construction, criteria selection, path collection,
 // classification (Alg. 1), and deduction (Alg. 2).
 func InferPatch(a *patch.Analyzed) *Result {
-	return InferPatchBudget(a, nil)
+	return InferPatchObs(a, nil, nil, nil)
 }
 
-// InferPatchBudget is InferPatch metered against one unit's budget: path
-// collection on both patch sides charges slicing steps and path memory, so
-// a pathological patch exhausts its own budget (and is marked Degraded by
-// the caller) instead of monopolizing the run. A nil budget is unmetered.
-func InferPatchBudget(a *patch.Analyzed, b *budget.Budget) *Result {
-	return InferPatchObs(a, b, nil)
-}
-
-// InferPatchObs is InferPatchBudget with staged observability: when span is
+// InferPatchObs is InferPatch run as one unit of work. Path collection on
+// both patch sides charges slicing steps and path memory to b, so a
+// pathological patch exhausts its own budget (and is marked Degraded by
+// the caller) instead of monopolizing the run; a nil budget is unmetered.
+// Every solver check is charged to sat (nil counts nothing). When span is
 // a live unit span, the pdg (graph construction and criteria selection),
 // diff (path collection on both patch sides), and infer (classification and
 // deduction) stages are recorded as child stage spans with monotonic-clock
 // durations and budget-spend deltas. A nil span compiles to near-no-ops —
 // no clock reads on the unobserved path.
-func InferPatchObs(a *patch.Analyzed, b *budget.Budget, span *obs.Span) *Result {
+func InferPatchObs(a *patch.Analyzed, b *budget.Budget, span *obs.Span, sat *solver.Tally) *Result {
 	steps0 := b.StepsSpent()
 	st := span.StartStage("pdg")
 	gPre := pdg.New(a.PreProg)
@@ -85,7 +81,7 @@ func InferPatchObs(a *patch.Analyzed, b *budget.Budget, span *obs.Span) *Result 
 
 	steps0 = b.StepsSpent()
 	st = span.StartStage("infer")
-	cls := Classify(gPre, gPost, prePaths, postPaths)
+	cls := Classify(gPre, gPost, prePaths, postPaths, sat)
 	res := &Result{
 		PatchID: a.Patch.ID,
 		Stats: Stats{
@@ -96,7 +92,7 @@ func InferPatchObs(a *patch.Analyzed, b *budget.Budget, span *obs.Span) *Result 
 			BudgetTruncations: trunc.Budget,
 		},
 	}
-	res.Specs = Deduce(a.Patch.ID, gPre, gPost, cls, &res.Stats)
+	res.Specs = Deduce(a.Patch.ID, gPre, gPost, cls, &res.Stats, sat)
 	res.Stats.Relations = len(res.Specs)
 	st.EndWithSpend(b.StepsSpent()-steps0, 0)
 	if trunc.Total > 0 {
@@ -106,8 +102,9 @@ func InferPatchObs(a *patch.Analyzed, b *budget.Budget, span *obs.Span) *Result 
 }
 
 // Deduce implements Alg. 2: turn classified path changes into quantified
-// relations, abstracted into the specification domain.
-func Deduce(patchID string, gPre, gPost *pdg.Graph, cls *Classified, st *Stats) []*spec.Spec {
+// relations, abstracted into the specification domain. Solver checks are
+// charged to sat.
+func Deduce(patchID string, gPre, gPost *pdg.Graph, cls *Classified, st *Stats, sat *solver.Tally) []*spec.Spec {
 	db := &spec.DB{}
 	n := 0
 	nextID := func() string {
@@ -117,7 +114,7 @@ func Deduce(patchID string, gPre, gPost *pdg.Graph, cls *Classified, st *Stats) 
 
 	// Lines 3-4: removed paths are not expected (∄ after negation).
 	for _, p := range cls.PMinus {
-		if s, ok := reachSpec(gPre, p, true, spec.OriginRemoved); ok {
+		if s, ok := reachSpec(gPre, p, true, spec.OriginRemoved, sat); ok {
 			s.ID = nextID()
 			s.OriginPatch = patchID
 			db.Specs = append(db.Specs, s)
@@ -126,7 +123,7 @@ func Deduce(patchID string, gPre, gPost *pdg.Graph, cls *Classified, st *Stats) 
 	}
 	// Lines 5-6: added paths are required (∀/∃).
 	for _, p := range cls.PPlus {
-		if s, ok := reachSpec(gPost, p, false, spec.OriginAdded); ok {
+		if s, ok := reachSpec(gPost, p, false, spec.OriginAdded, sat); ok {
 			s.ID = nextID()
 			s.OriginPatch = patchID
 			db.Specs = append(db.Specs, s)
@@ -140,10 +137,10 @@ func Deduce(patchID string, gPre, gPost *pdg.Graph, cls *Classified, st *Stats) 
 		psiPre := abPre.AbstractPsi(pair.Pre)
 		psiPost := abPost.AbstractPsi(pair.Post)
 		delta := solver.Simplify(solver.Delta(psiPre, psiPost))
-		if solver.Unsat(delta) || solver.Equiv(delta, solver.TrueF{}) {
+		if sat.Unsat(delta) || sat.Equiv(delta, solver.TrueF{}) {
 			continue
 		}
-		if s, ok := reachSpecWithCond(gPre, pair.Pre, delta, abPre, true, spec.OriginCondition); ok {
+		if s, ok := reachSpecWithCond(gPre, pair.Pre, delta, abPre, true, spec.OriginCondition, sat); ok {
 			s.ID = nextID()
 			s.OriginPatch = patchID
 			db.Specs = append(db.Specs, s)
@@ -161,13 +158,13 @@ func Deduce(patchID string, gPre, gPost *pdg.Graph, cls *Classified, st *Stats) 
 }
 
 // reachSpec abstracts one path into a reachability relation.
-func reachSpec(g *pdg.Graph, p *vfp.Path, forbidden bool, origin spec.Origin) (*spec.Spec, bool) {
+func reachSpec(g *pdg.Graph, p *vfp.Path, forbidden bool, origin spec.Origin, sat *solver.Tally) (*spec.Spec, bool) {
 	ab := NewAbstracter(g)
 	cond := ab.AbstractPsi(p)
-	return reachSpecWithCond(g, p, cond, ab, forbidden, origin)
+	return reachSpecWithCond(g, p, cond, ab, forbidden, origin, sat)
 }
 
-func reachSpecWithCond(g *pdg.Graph, p *vfp.Path, cond solver.Formula, ab *Abstracter, forbidden bool, origin spec.Origin) (*spec.Spec, bool) {
+func reachSpecWithCond(g *pdg.Graph, p *vfp.Path, cond solver.Formula, ab *Abstracter, forbidden bool, origin spec.Origin, sat *solver.Tally) (*spec.Spec, bool) {
 	v, ok := ab.ValueOf(p)
 	if !ok {
 		return nil, false
@@ -183,7 +180,7 @@ func reachSpecWithCond(g *pdg.Graph, p *vfp.Path, cond solver.Formula, ab *Abstr
 	// An unconditioned argument-to-return flow carries no error-handling
 	// evidence: requiring it of every implementation would flag any
 	// constant-returning sibling (a classic incorrect-spec shape).
-	if !forbidden && v.Kind == spec.VIfaceArg && u.Kind == spec.UIfaceRet && isTrivialCond(cond) {
+	if !forbidden && v.Kind == spec.VIfaceArg && u.Kind == spec.UIfaceRet && sat.Equiv(cond, solver.TrueF{}) {
 		return nil, false
 	}
 	// Literal sources only matter for outgoing interaction data (error
@@ -204,10 +201,6 @@ func reachSpecWithCond(g *pdg.Graph, p *vfp.Path, cond solver.Formula, ab *Abstr
 			Rel:       spec.Relation{Kind: spec.RelReach, V: v, U: u, Cond: cond},
 		},
 	}, true
-}
-
-func isTrivialCond(f solver.Formula) bool {
-	return solver.Equiv(f, solver.TrueF{})
 }
 
 // scopeOf picks the detection region key: the interface when function-

@@ -237,7 +237,8 @@ func (r *Recorder) BuildManifest(command string, workers int, inputs map[string]
 
 // ReplayUnit re-records one unit span from its manifest form — the
 // coordinator's path for folding a shard worker's unit outcomes into the
-// merged run manifest. Durations and budget spend are not replayed (they
+// merged run manifest, and a warm run's for units replayed from the
+// persistent cache. Durations and budget spend are not replayed (they
 // are another process's wall clock; redaction zeroes them anyway), while
 // identity, verdict, counts, attempts, stage structure, and annotations
 // are — exactly the redaction-stable surface, so a merged manifest's units

@@ -359,7 +359,6 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if workers < 1 {
 		workers = s.cfg.Workers
 	}
-	base := seal.NewObsBaseline()
 	rec := obs.New()
 	rec.StartRun("detect")
 	runOpts := seal.DetectRunOptions{
@@ -387,7 +386,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	rendered := report.RenderDetectStdout(res.Recs, res.Degraded, res.Failures, len(snap.Specs), req.Report)
 	renderSecs := time.Since(renderStart).Seconds()
 	art, err := seal.FinishDetectRun(rec, res, len(snap.Specs), workers,
-		DetectInputs(snap.TargetHash(), snap.SpecsHash), renderSecs, base)
+		DetectInputs(snap.TargetHash(), snap.SpecsHash), renderSecs)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
 		return
@@ -460,7 +459,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad-request", err.Error(), nil)
 		return
 	}
-	base := seal.NewObsBaseline()
 	rec := obs.New()
 	rec.StartRun("infer")
 	res, runErr := seal.InferSpecsContext(r.Context(), req.Patches, seal.Options{
@@ -482,7 +480,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	art, err := seal.FinishInferRun(rec, res, len(req.Patches), workers,
-		InferInputs(patchesHash, validate), base)
+		InferInputs(patchesHash, validate))
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
 		return

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Satisfiability memo: path conditions repeat heavily across specs and
@@ -34,18 +33,6 @@ const satMemoCap = 8192
 var memo = &satMemo{
 	cur: make(map[string]bool, 256),
 	cap: satMemoCap,
-}
-
-var (
-	satMemoHits   atomic.Int64
-	satMemoMisses atomic.Int64
-)
-
-// SatMemoStats returns the process-wide memo hit/miss counters (the
-// SatChecks counter family's cache view). Callers wanting a per-run
-// figure snapshot before and after, like SatChecks.
-func SatMemoStats() (hits, misses int64) {
-	return satMemoHits.Load(), satMemoMisses.Load()
 }
 
 func (m *satMemo) get(key string) (bool, bool) {

@@ -5,26 +5,23 @@ import (
 	"testing"
 )
 
-func x(n string) Term  { return Sym{Name: n} }
-func c(v int64) Term   { return Const{Val: v} }
+func x(n string) Term      { return Sym{Name: n} }
+func c(v int64) Term       { return Const{Val: v} }
 func lt(a, b Term) Formula { return Atom{Op: OpLt, A: a, B: b} }
 func gt(a, b Term) Formula { return Atom{Op: OpGt, A: a, B: b} }
 
 func TestSatMemoHitsOnRepeat(t *testing.T) {
 	f := MkAnd(lt(x("memo_a"), c(3)), gt(x("memo_a"), c(10)))
-	h0, m0 := SatMemoStats()
-	if Sat(f) {
+	var tl Tally
+	if tl.Sat(f) {
 		t.Fatal("a<3 && a>10 should be unsat")
 	}
-	if Sat(f) {
+	if tl.Sat(f) {
 		t.Fatal("verdict changed on repeat")
 	}
-	h1, m1 := SatMemoStats()
-	if m1-m0 < 1 {
-		t.Fatalf("expected at least one miss, got %d", m1-m0)
-	}
-	if h1-h0 < 1 {
-		t.Fatalf("expected a memo hit on the repeated formula, got %d", h1-h0)
+	// memo_a is unique to this test: the first check misses, the repeat hits.
+	if tl != (Tally{Checks: 2, MemoHits: 1, MemoMisses: 1}) {
+		t.Fatalf("tally %+v, want 2 checks: one miss, then one hit", tl)
 	}
 }
 
@@ -44,12 +41,14 @@ func TestSatMemoCanonicalKeyOrderInsensitive(t *testing.T) {
 	// reordered check hits.
 	f1 := And{Fs: []Formula{lt(x("memo_r"), c(1)), gt(x("memo_s"), c(2))}}
 	f2 := And{Fs: []Formula{gt(x("memo_s"), c(2)), lt(x("memo_r"), c(1))}}
-	Sat(f1)
-	h0, _ := SatMemoStats()
-	Sat(f2)
-	h1, _ := SatMemoStats()
-	if h1-h0 != 1 {
-		t.Fatalf("reordered conjunction should hit the memo (hits delta %d)", h1-h0)
+	var first, tl Tally
+	first.Sat(f1)
+	if first != (Tally{Checks: 1, MemoMisses: 1}) {
+		t.Fatalf("first ordering should miss the memo (tally %+v)", first)
+	}
+	tl.Sat(f2)
+	if tl != (Tally{Checks: 1, MemoHits: 1}) {
+		t.Fatalf("reordered conjunction should hit the memo (tally %+v)", tl)
 	}
 }
 
@@ -78,18 +77,44 @@ func TestSatMemoAgreesWithRaw(t *testing.T) {
 func TestSatBudgetBypassesMemo(t *testing.T) {
 	f := MkAnd(lt(x("memo_budget"), c(0)), gt(x("memo_budget"), c(9)))
 	Sat(f) // warm the memo
-	h0, m0 := SatMemoStats()
+	var tl Tally
 	steps := 0
-	got := SatBudget(f, func(int64) error { steps++; return nil })
+	got := tl.SatBudget(f, func(int64) error { steps++; return nil })
 	if got {
 		t.Fatal("budgeted check verdict wrong")
 	}
-	h1, m1 := SatMemoStats()
-	if h1 != h0 || m1 != m0 {
-		t.Fatalf("budgeted check touched the memo (hits %d->%d, misses %d->%d)", h0, h1, m0, m1)
+	if tl != (Tally{Checks: 1}) {
+		t.Fatalf("budgeted check tally %+v, want one check and no memo traffic", tl)
 	}
 	if steps == 0 {
 		t.Fatal("budgeted check did not charge steps — it must do the real work")
+	}
+}
+
+// TestTallyCountsEveryCheck pins the accounting the run figures rely on:
+// Unsat and Implies make one check, Equiv one or two (it short-circuits),
+// and a nil tally counts nothing.
+func TestTallyCountsEveryCheck(t *testing.T) {
+	a, b := lt(x("tally_a"), c(3)), lt(x("tally_a"), c(5))
+	var tl Tally
+	tl.Unsat(a)
+	tl.Implies(a, b)
+	if tl.Checks != 2 {
+		t.Fatalf("Unsat+Implies = %d checks, want 2", tl.Checks)
+	}
+	tl = Tally{}
+	tl.Equiv(b, a) // b does not imply a: short-circuits after one check
+	if tl.Checks != 1 {
+		t.Fatalf("short-circuited Equiv = %d checks, want 1", tl.Checks)
+	}
+	tl = Tally{}
+	tl.Equiv(a, a)
+	if tl.Checks != 2 || tl.MemoHits+tl.MemoMisses != 2 {
+		t.Fatalf("full Equiv tally %+v, want 2 checks", tl)
+	}
+	var nilTally *Tally
+	if nilTally.Sat(a) != Sat(a) {
+		t.Fatal("nil tally changed the verdict")
 	}
 }
 

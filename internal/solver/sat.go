@@ -3,18 +3,35 @@ package solver
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
-// satChecks counts satisfiability checks process-wide; observability
-// exports the per-run delta. One atomic add per check is noise next to the
-// DNF expansion each check performs.
-var satChecks atomic.Int64
+// Tally counts the solver work one unit of work asked for: every
+// satisfiability check (Sat and SatBudget, including those made through
+// Unsat, Implies and Equiv) and how the memo served them. The caller owns
+// it — one per unit, charged on the unit's goroutine — so a run's figures
+// are the sum over its units and never absorb a concurrent run's checks.
+// A nil *Tally counts nothing.
+type Tally struct {
+	Checks     int64 `json:"checks"`
+	MemoHits   int64 `json:"memo_hits,omitempty"`
+	MemoMisses int64 `json:"memo_misses,omitempty"`
+}
 
-// SatChecks returns the number of satisfiability checks performed since
-// process start (Sat and SatBudget, including via Unsat/Implies/Equiv).
-// Callers wanting a per-run figure snapshot it before and after.
-func SatChecks() int64 { return satChecks.Load() }
+// Add folds another tally into t.
+func (t *Tally) Add(o Tally) {
+	t.Checks += o.Checks
+	t.MemoHits += o.MemoHits
+	t.MemoMisses += o.MemoMisses
+}
+
+// note charges one check and its memo outcome.
+func (t *Tally) note(hits, misses int64) {
+	if t != nil {
+		t.Checks++
+		t.MemoHits += hits
+		t.MemoMisses += misses
+	}
+}
 
 // maxDNFConjuncts bounds DNF expansion; beyond it the solver answers
 // conservatively ("satisfiable").
@@ -24,16 +41,19 @@ const maxDNFConjuncts = 512
 // exact for boolean combinations of unit-coefficient difference constraints
 // (x op c, x op y, x - y op c) — the fragment path conditions live in —
 // and conservatively answers true otherwise. Verdicts are memoized under a
-// canonical formula signature (see memo.go); SatChecks counts every call,
-// memo hit or not, so the counter keeps meaning "checks asked for".
-func Sat(f Formula) bool {
-	satChecks.Add(1)
+// canonical formula signature (see memo.go). The check is not counted; see
+// Tally.Sat.
+func Sat(f Formula) bool { return (*Tally)(nil).Sat(f) }
+
+// Sat is the package-level Sat charged to t: every call counts, memo hit
+// or not, so Checks keeps meaning "checks asked for".
+func (t *Tally) Sat(f Formula) bool {
 	key := canonKey(f)
 	if v, ok := memo.get(key); ok {
-		satMemoHits.Add(1)
+		t.note(1, 0)
 		return v
 	}
-	satMemoMisses.Add(1)
+	t.note(0, 1)
 	v := satRaw(f)
 	memo.put(key, v)
 	return v
@@ -63,11 +83,13 @@ func satRaw(f Formula) bool {
 // exhausts its budget must depend on its own work, not on which other
 // unit happened to warm a process-global cache first — otherwise
 // degradation outcomes would vary with scheduling.
-func SatBudget(f Formula, step func(int64) error) bool {
+//
+// The check is charged to t.
+func (t *Tally) SatBudget(f Formula, step func(int64) error) bool {
 	if step == nil {
-		return Sat(f)
+		return t.Sat(f)
 	}
-	satChecks.Add(1)
+	t.note(0, 0)
 	conjs, ok := toDNF(nnf(f))
 	if !ok {
 		return true // too large: conservative
@@ -84,14 +106,24 @@ func SatBudget(f Formula, step func(int64) error) bool {
 }
 
 // Unsat reports whether f is definitely unsatisfiable.
-func Unsat(f Formula) bool { return !Sat(f) }
+func Unsat(f Formula) bool { return (*Tally)(nil).Unsat(f) }
+
+// Unsat is Unsat charged to t (one check).
+func (t *Tally) Unsat(f Formula) bool { return !t.Sat(f) }
 
 // Implies reports whether f entails g (definitely; false may mean unknown).
-func Implies(f, g Formula) bool { return Unsat(MkAnd(f, MkNot(g))) }
+func Implies(f, g Formula) bool { return (*Tally)(nil).Implies(f, g) }
+
+// Implies is Implies charged to t (one check).
+func (t *Tally) Implies(f, g Formula) bool { return t.Unsat(MkAnd(f, MkNot(g))) }
 
 // Equiv reports whether f and g have the same satisfying sets
 // ("evaluating the equivalences of path conditions", paper Alg. 1 line 5).
-func Equiv(f, g Formula) bool { return Implies(f, g) && Implies(g, f) }
+func Equiv(f, g Formula) bool { return (*Tally)(nil).Equiv(f, g) }
+
+// Equiv is Equiv charged to t: one check, or two when the first
+// implication holds.
+func (t *Tally) Equiv(f, g Formula) bool { return t.Implies(f, g) && t.Implies(g, f) }
 
 // Delta computes the delta constraint Ψδ = f ∧ ¬g (paper Alg. 2 line 8):
 // the conditions under which the pre-patch path ran but the post-patch one

@@ -7,21 +7,6 @@ import (
 	"seal/internal/solver"
 )
 
-// ObsBaseline snapshots the process-wide solver memo counters at recorder
-// creation, so a run's exported metrics are its own deltas even when many
-// runs share one process — several CLI commands in one test binary, or
-// every request of a resident service. Create one per recorder, at the
-// same moment the recorder is created.
-type ObsBaseline struct {
-	memoHits0, memoMisses0 int64
-}
-
-// NewObsBaseline captures the current solver memo counters.
-func NewObsBaseline() ObsBaseline {
-	h, m := solver.SatMemoStats()
-	return ObsBaseline{memoHits0: h, memoMisses0: m}
-}
-
 // RunArtifacts is the observability output of one finished run: the
 // deterministic manifest and the Prometheus text metrics. It is what the
 // CLI writes to -manifest-out/-metrics-out and what the serve daemon
@@ -34,7 +19,7 @@ type RunArtifacts struct {
 
 // FinishInferRun derives an inference run's outcome metrics and builds its
 // artifacts. Returns nil when rec is nil (observability disabled).
-func FinishInferRun(rec *Recorder, res *InferenceResult, nPatches, workers int, inputs map[string]string, base ObsBaseline) (*RunArtifacts, error) {
+func FinishInferRun(rec *Recorder, res *InferenceResult, nPatches, workers int, inputs map[string]string) (*RunArtifacts, error) {
 	if rec == nil {
 		return nil, nil
 	}
@@ -47,13 +32,13 @@ func FinishInferRun(rec *Recorder, res *InferenceResult, nPatches, workers int, 
 	reg.Counter("seal_infer_relations_pplus_total", "P+ (added-path) relations").Add(int64(t.PPlus))
 	reg.Counter("seal_infer_relations_ppsi_total", "PΨ (order) relations").Add(int64(t.PPsi))
 	reg.Counter("seal_infer_relations_pomega_total", "PΩ (condition) relations").Add(int64(t.POmega))
-	return finishRun(rec, "infer", workers, inputs, nil, res.SatChecks, res.PCache, base)
+	return finishRun(rec, "infer", workers, inputs, nil, res.Solver, res.PCache)
 }
 
 // FinishDetectRun derives a detection run's outcome metrics and builds its
 // artifacts. renderSecs is the report-rendering wall time (zero when no
 // report was rendered). Returns nil when rec is nil.
-func FinishDetectRun(rec *Recorder, res *DetectResult, nSpecs, workers int, inputs map[string]string, renderSecs float64, base ObsBaseline) (*RunArtifacts, error) {
+func FinishDetectRun(rec *Recorder, res *DetectResult, nSpecs, workers int, inputs map[string]string, renderSecs float64) (*RunArtifacts, error) {
 	if rec == nil {
 		return nil, nil
 	}
@@ -81,13 +66,15 @@ func FinishDetectRun(rec *Recorder, res *DetectResult, nSpecs, workers int, inpu
 		PathEnumerations: st.PathEnumerations,
 		Truncations:      st.Truncations,
 	}
-	return finishRun(rec, "detect", workers, inputs, cache, res.SatChecks, res.PCache, base)
+	return finishRun(rec, "detect", workers, inputs, cache, res.Solver, res.PCache)
 }
 
 // finishRun is the command-independent tail: build the manifest, attach
 // cache counters, derive the run-outcome and duration metrics, re-snapshot
-// the registry into the manifest, and render the metrics text.
-func finishRun(rec *Recorder, command string, workers int, inputs map[string]string, cache *obs.CacheStats, satDelta int64, pstats CacheStats, base ObsBaseline) (*RunArtifacts, error) {
+// the registry into the manifest, and render the metrics text. sat is the
+// run's solver work, summed over its units, so concurrent runs in one
+// process never see each other's checks.
+func finishRun(rec *Recorder, command string, workers int, inputs map[string]string, cache *obs.CacheStats, sat solver.Tally, pstats CacheStats) (*RunArtifacts, error) {
 	m := rec.BuildManifest(command, workers, inputs, 10)
 	if cache == nil && pstats != (CacheStats{}) {
 		// Inference has no substrate counters, but a cached run still
@@ -105,10 +92,9 @@ func finishRun(rec *Recorder, command string, workers int, inputs map[string]str
 		m.SetCache(*cache)
 	}
 	reg := rec.Registry()
-	reg.Counter("seal_solver_sat_checks_total", "satisfiability checks performed").Add(satDelta)
-	mh, mm := solver.SatMemoStats()
-	reg.Counter("seal_solver_sat_memo_hits_total", "solver memo hits").Add(mh - base.memoHits0)
-	reg.Counter("seal_solver_sat_memo_misses_total", "solver memo misses").Add(mm - base.memoMisses0)
+	reg.Counter("seal_solver_sat_checks_total", "satisfiability checks performed").Add(sat.Checks)
+	reg.Counter("seal_solver_sat_memo_hits_total", "solver memo hits").Add(sat.MemoHits)
+	reg.Counter("seal_solver_sat_memo_misses_total", "solver memo misses").Add(sat.MemoMisses)
 	reg.Counter("seal_pcache_hits_total", "persistent analysis cache hits").Add(pstats.Hits)
 	reg.Counter("seal_pcache_misses_total", "persistent analysis cache misses").Add(pstats.Misses)
 	reg.Counter("seal_pcache_writes_total", "persistent analysis cache writes").Add(pstats.Writes)

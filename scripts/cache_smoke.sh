@@ -4,10 +4,13 @@
 #
 #   1. infer + detect against an empty cache (cold),
 #   2. the identical run again (warm — must be served from disk),
-#   3. byte-diff the bug reports and the deterministic metric series,
-#      and replay the warm detect once more at -workers 2 against the
-#      same -workers 1 reference,
-#   4. corrupt every cached entry in place and run once more: the run must
+#   3. byte-diff the bug reports and the deterministic infer and detect
+#      metric series, and replay the warm detect once more at -workers 2
+#      against the same -workers 1 reference,
+#   4. infer against a cache filled from all patches but the first (partly
+#      warm): its deterministic metric series — solver checks included —
+#      must match the cold run's,
+#   5. corrupt every cached entry in place and run once more: the run must
 #      still exit 0, count the corruption as misses, and reproduce the
 #      cold report byte-for-byte.
 #
@@ -53,8 +56,10 @@ run_pipeline warm
 echo "== diff: reports"
 diff "$work/cold-report.txt" "$work/warm-report.txt"
 echo "== diff: stable metric series"
-diff <(stable_metrics "$work/cold-detect-metrics.prom") \
-     <(stable_metrics "$work/warm-detect-metrics.prom")
+for stage in infer detect; do
+    diff <(stable_metrics "$work/cold-$stage-metrics.prom") \
+         <(stable_metrics "$work/warm-$stage-metrics.prom")
+done
 
 echo "== warm detect at -workers 2"
 go run ./cmd/seal detect -target "$work/corpus/tree" -specs "$work/specs.json" \
@@ -68,6 +73,25 @@ warm_hits=$(metric "$work/warm-detect-metrics.prom" seal_pcache_hits_total)
 warm_misses=$(metric "$work/warm-detect-metrics.prom" seal_pcache_misses_total)
 if [ "$warm_hits" -eq 0 ] || [ "$warm_misses" -ne 0 ]; then
     echo "FAIL: warm detect was not fully served from cache (hits=$warm_hits misses=$warm_misses)" >&2
+    exit 1
+fi
+
+echo "== partly warm infer (cache filled from all patches but the first)"
+mkdir -p "$work/subset"
+for p in $(ls "$work/corpus/patches" | sed 1d); do
+    cp -r "$work/corpus/patches/$p" "$work/subset/"
+done
+go run ./cmd/seal infer -patches "$work/subset" -out "$work/subset-specs.json" \
+    -cache-dir "$work/partial-cache" >/dev/null
+go run ./cmd/seal infer -patches "$work/corpus/patches" -out "$work/partial-specs.json" \
+    -cache-dir "$work/partial-cache" \
+    -metrics-out "$work/partial-infer-metrics.prom" >/dev/null
+diff "$work/specs.json" "$work/partial-specs.json"
+diff <(stable_metrics "$work/cold-infer-metrics.prom") \
+     <(stable_metrics "$work/partial-infer-metrics.prom")
+partial_misses=$(metric "$work/partial-infer-metrics.prom" seal_pcache_misses_total)
+if [ "$partial_misses" -ne 1 ]; then
+    echo "FAIL: partly warm infer missed $partial_misses patches, want 1" >&2
     exit 1
 fi
 
@@ -86,8 +110,10 @@ echo "   corrupted $entries entries"
 echo "== corrupted-cache run (must degrade to a recompute, exit 0)"
 run_pipeline damaged
 diff "$work/cold-report.txt" "$work/damaged-report.txt"
-diff <(stable_metrics "$work/cold-detect-metrics.prom") \
-     <(stable_metrics "$work/damaged-detect-metrics.prom")
+for stage in infer detect; do
+    diff <(stable_metrics "$work/cold-$stage-metrics.prom") \
+         <(stable_metrics "$work/damaged-$stage-metrics.prom")
+done
 
 corrupt=$(metric "$work/damaged-detect-metrics.prom" seal_pcache_corrupt_total)
 hits=$(metric "$work/damaged-detect-metrics.prom" seal_pcache_hits_total)
@@ -96,4 +122,4 @@ if [ "$corrupt" -eq 0 ] || [ "$hits" -ne 0 ]; then
     exit 1
 fi
 
-echo "PASS: warm run byte-identical and fully cached; corruption degraded to a clean recompute"
+echo "PASS: warm and partly warm runs byte-identical, warm fully cached; corruption degraded to a clean recompute"

@@ -25,14 +25,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"seal/internal/budget"
 	"seal/internal/cache"
 	"seal/internal/cir"
 	"seal/internal/detect"
-	"seal/internal/faultinject"
 	"seal/internal/infer"
 	"seal/internal/ir"
 	"seal/internal/obs"
@@ -118,11 +115,12 @@ type Options struct {
 	// specs must hold inside the patched code itself. Strongly
 	// recommended; defaults to true via DefaultOptions.
 	Validate bool
-	// Workers is the number of patches processed concurrently
-	// (0 = sequential).
+	// Workers is the number of patches processed concurrently under
+	// InferSpecsContext (0 or 1 = one at a time); InferSpecs is the
+	// sequential reference and always runs them in order.
 	Workers int
-	// Limits is the per-unit resource budget applied by the context-aware
-	// entry points (InferSpecsContext). The zero value is unlimited.
+	// Limits is the per-unit resource budget applied by InferSpecsContext.
+	// The zero value is unlimited.
 	Limits Limits
 	// FailFast aborts the run at the first quarantined patch instead of
 	// continuing with the remainder.
@@ -178,10 +176,11 @@ type InferenceResult struct {
 	Failures []*FailureRecord
 	// Degraded lists the budget-degraded patches in input order.
 	Degraded []Degradation
-	// SatChecks is the solver satisfiability-check delta attributable to
-	// this run. On a fully warm cached run it is replayed from the cache's
-	// run summary so exported metrics match the cold run's.
-	SatChecks int64
+	// Solver is the solver work of an InferSpecsContext run: the sum over
+	// its patches, each computed by its unit of work (both attempts,
+	// quarantined and degraded patches included) or replayed from the
+	// patch's cache entry.
+	Solver solver.Tally
 	// PCache is the persistent analysis cache's counter snapshot; zero
 	// unless Options.CacheDir was set.
 	PCache CacheStats
@@ -203,23 +202,26 @@ func (r *InferenceResult) Totals() infer.Stats {
 	return t
 }
 
-// InferSpecs runs stages ①–③ on every patch and returns the merged,
-// deduplicated specification database.
+// InferSpecs runs stages ①–③ on every patch, in input order, and returns
+// the merged, deduplicated specification database. It is the sequential
+// reference; InferSpecsContext adds budgets, fault isolation, caching,
+// observability, and parallel patches with byte-identical output.
 func InferSpecs(patches []*Patch, opts Options) (*InferenceResult, error) {
 	res := &InferenceResult{
 		DB:       &SpecDB{},
 		Outcomes: make([]PatchOutcome, len(patches)),
 	}
-	specLists := make([][]*Spec, len(patches))
-
-	run := func(i int) {
-		p := patches[i]
-		out := PatchOutcome{PatchID: p.ID}
+	var firstErr error
+	for i, p := range patches {
+		out := &res.Outcomes[i]
+		out.PatchID = p.ID
 		a, err := p.Analyze()
 		if err != nil {
 			out.Err = err
-			res.Outcomes[i] = out
-			return
+			if firstErr == nil {
+				firstErr = fmt.Errorf("patch %s: %w", p.ID, err)
+			}
+			continue
 		}
 		ir := infer.InferPatch(a)
 		specs := ir.Specs
@@ -228,51 +230,24 @@ func InferSpecs(patches []*Patch, opts Options) (*InferenceResult, error) {
 		}
 		out.Stats = ir.Stats
 		out.Specs = len(specs)
-		res.Outcomes[i] = out
-		specLists[i] = specs
-	}
-
-	if opts.Workers > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, opts.Workers)
-		for i := range patches {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				run(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range patches {
-			run(i)
-		}
-	}
-
-	var firstErr error
-	for i := range res.Outcomes {
-		if res.Outcomes[i].Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("patch %s: %w", res.Outcomes[i].PatchID, res.Outcomes[i].Err)
-		}
-		if res.Outcomes[i].Err == nil && len(specLists[i]) == 0 {
+		if len(specs) == 0 {
 			res.ZeroRelationPatches++
 		}
-		res.DB.Specs = append(res.DB.Specs, specLists[i]...)
+		res.DB.Specs = append(res.DB.Specs, specs...)
 	}
 	res.DB.Dedup()
 	return res, firstErr
 }
 
 // InferSpecsContext is InferSpecs with fault isolation: every patch runs as
-// one unit of work under ctx, opts.Limits, and panic containment. A patch
-// that panics, outlives its per-unit deadline, stalls, or errors is
-// quarantined — recorded as a FailureRecord on its outcome and in
-// res.Failures — without disturbing any other patch; a patch that merely
+// one unit of work (budget.Runner) under ctx, opts.Limits, and panic
+// containment. A patch that panics, outlives its per-unit deadline, stalls,
+// or errors is quarantined — recorded as a FailureRecord on its outcome and
+// in res.Failures — without disturbing any other patch; a patch that merely
 // exhausts a quantitative budget completes Degraded with its partial specs
 // kept. With opts.Limits.Retry, a quarantined patch is re-attempted once
-// with a halved budget.
+// with a halved budget. With opts.CacheDir, cached patches are replayed up
+// front, only the missed ones run, and the clean ones are written back.
 //
 // The returned error is non-nil only for run-level aborts: the context was
 // canceled, opts.FailFast hit its first failure, or more than
@@ -287,211 +262,110 @@ func InferSpecsContext(ctx context.Context, patches []*Patch, opts Options) (*In
 		DB:       &SpecDB{},
 		Outcomes: make([]PatchOutcome, len(patches)),
 	}
-	specLists := make([][]*Spec, len(patches))
-
-	pc, cerr := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
-	if cerr != nil {
-		return res, cerr
+	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
+	if err != nil {
+		return res, err
 	}
-	sat0 := solver.SatChecks()
-	var patchKeys []string
-	if pc.Enabled() {
-		patchKeys = make([]string, len(patches))
-		for i, p := range patches {
-			patchKeys[i] = inferPatchKey(p, opts)
-		}
-	}
-	var cacheHits atomic.Int64
-
-	var failures atomic.Int64
-	var aborted atomic.Bool
 	rec := opts.Obs
 	rec.SetUnitsTotal(len(patches))
-
-	attempt := func(p *Patch, lim Limits, attemptNo int, span *obs.Span) (out []*Spec, st infer.Stats, fr *FailureRecord, deg *Degradation, spend budget.Spend) {
-		b := budget.New(ctx, lim)
-		defer b.Close()
-		// pprof goroutine labels attribute CPU samples to the patch (one
-		// label-set swap per unit, not per operation).
-		obs.WithUnitLabels(ctx, "infer", p.ID, func(context.Context) {
-			fr = budget.Protect("infer", p.ID, b, func() error {
-				if err := faultinject.Fire(b.Context(), "infer", p.ID, b); err != nil {
-					return err
-				}
-				ps := span.StartStage("parse")
-				a, err := p.Analyze()
-				ps.End()
-				if err != nil {
-					return err
-				}
-				ir := infer.InferPatchObs(a, b, span)
-				sp := ir.Specs
-				if opts.Validate {
-					steps0 := b.StepsSpent()
-					vs := span.StartStage("validate")
-					sp = detect.ValidateSpecsBudget(a.PostProg, sp, b)
-					vs.EndWithSpend(b.StepsSpent()-steps0, 0)
-				}
-				out, st = sp, ir.Stats
-				return nil
-			})
+	// Each patch's payload, replayed or computed, in its cache-entry form.
+	units := make([]inferCacheEntry, len(patches))
+	keys := make([]string, len(patches)) // "" = cache disabled
+	hit := make([]bool, len(patches))
+	if pc.Enabled() {
+		// Probe on the run's workers: decoding entries is most of a warm
+		// run.
+		budget.Each(opts.Workers, len(patches), func(i int) {
+			keys[i] = inferPatchKey(patches[i], opts)
+			if hit[i] = pc.Get(cache.TierInfer, keys[i], &units[i]); !hit[i] {
+				units[i] = inferCacheEntry{} // a failed decode may leave fields set
+			}
 		})
-		spend = b.Spend()
-		if fr != nil {
-			fr.Attempts = attemptNo
-			return nil, st, fr, nil, spend
-		}
-		if ex := b.Exhausted(); ex != nil {
-			deg = &Degradation{Unit: p.ID, Stage: "infer", Reason: ex.Reason, Detail: ex.Error()}
-		}
-		return out, st, nil, deg, spend
 	}
-
-	run := func(i int) {
-		p := patches[i]
-		out := PatchOutcome{PatchID: p.ID}
-		if aborted.Load() || ctx.Err() != nil {
-			out.Skipped = true
-			if span := rec.Unit("infer", p.ID); span != nil {
-				span.SetOutcome(obs.OutcomeSkipped, "aborted")
-				span.End()
-			}
-			res.Outcomes[i] = out
-			return
-		}
-		span := rec.Unit("infer", p.ID)
-		if pc.Enabled() {
-			var ent inferCacheEntry
-			if pc.Get(cache.TierInfer, patchKeys[i], &ent) && ent.DB != nil {
-				// Warm hit: replay the result and re-record the unit span
-				// with the cold run's stage structure (zero durations —
-				// redaction zeroes them anyway) so manifests agree.
-				cacheHits.Add(1)
-				out.Stats = ent.Stats
-				out.Specs = len(ent.DB.Specs)
-				specLists[i] = ent.DB.Specs
-				if span != nil {
-					span.AddStage("parse", 0, 0)
-					span.AddStage("pdg", 0, 0)
-					span.AddStage("diff", 0, 0)
-					span.AddStage("infer", 0, 0)
-					if opts.Validate {
-						span.AddStage("validate", 0, 0)
-					}
-					span.SetCounts(out.Specs, 0)
-					span.End()
-				}
-				res.Outcomes[i] = out
-				return
-			}
-		}
-		attempts := 1
-		specs, st, fr, deg, spend := attempt(p, opts.Limits, 1, span)
-		if fr != nil && opts.Limits.Retry {
-			attempts = 2
-			specs, st, fr, deg, spend = attempt(p, opts.Limits.Halved(), 2, span)
-		}
-		out.Stats = st
-		out.Failure = fr
-		out.Degraded = deg
-		if fr != nil {
-			out.Err = fmt.Errorf("%s: %s", fr.Reason, fr.Detail)
-			if n := failures.Add(1); opts.FailFast || (opts.Limits.MaxFailures > 0 && n > int64(opts.Limits.MaxFailures)) {
-				aborted.Store(true)
-			}
+	// A replayed patch's unit span has the computing run's stage structure,
+	// so warm and cold manifests agree.
+	stages := []obs.StageManifest{{Name: "parse"}, {Name: "pdg"}, {Name: "diff"}, {Name: "infer"}}
+	if opts.Validate {
+		stages = append(stages, obs.StageManifest{Name: "validate"})
+	}
+	var missed []int
+	var ids []string
+	for i, p := range patches {
+		if hit[i] {
+			rec.ReplayUnit(obs.UnitManifest{Stage: "infer", ID: p.ID, Specs: len(units[i].DB.Specs), Stages: stages})
 		} else {
-			out.Specs = len(specs)
-			specLists[i] = specs
-		}
-		if pc.Enabled() {
-			// Only full-fidelity results are persisted: a degraded
-			// (budget-truncated) or quarantined result must never poison a
-			// later full-budget run.
-			if fr == nil && deg == nil {
-				pc.Put(cache.TierInfer, patchKeys[i], &inferCacheEntry{
-					DB:    &SpecDB{Specs: specs},
-					Stats: st,
-				})
-			} else {
-				pc.NoteUncacheable()
-			}
-		}
-		if span != nil {
-			if attempts > 1 {
-				span.SetAttempts(attempts)
-			}
-			span.SetCounts(len(specs), 0)
-			switch {
-			case fr != nil:
-				span.SetOutcome(obs.OutcomeQuarantined, string(fr.Reason))
-			case deg != nil:
-				span.SetOutcome(obs.OutcomeDegraded, string(deg.Reason))
-				span.Annotate("degraded", deg.Detail)
-			}
-			span.EndWithSpend(spend.Steps, spend.MemBytes)
-		}
-		res.Outcomes[i] = out
-	}
-
-	if opts.Workers > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, opts.Workers)
-		for i := range patches {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				run(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range patches {
-			run(i)
+			missed, ids = append(missed, i), append(ids, p.ID)
 		}
 	}
 
-	for i := range res.Outcomes {
-		o := &res.Outcomes[i]
-		if o.Failure != nil {
-			res.Failures = append(res.Failures, o.Failure)
+	verdicts, aborted := budget.Runner{
+		Stage:    "infer",
+		Workers:  opts.Workers,
+		Limits:   opts.Limits,
+		FailFast: opts.FailFast,
+		Obs:      rec,
+		Body: func(k int, b *budget.Budget, span *obs.Span) error {
+			u := &units[missed[k]]
+			ps := span.StartStage("parse")
+			a, err := patches[missed[k]].Analyze()
+			ps.End()
+			if err != nil {
+				return err
+			}
+			ir := infer.InferPatchObs(a, b, span, &u.Solver)
+			specs := ir.Specs
+			if opts.Validate {
+				steps0 := b.StepsSpent()
+				vs := span.StartStage("validate")
+				specs = detect.ValidateSpecsBudget(a.PostProg, specs, b, &u.Solver)
+				vs.EndWithSpend(b.StepsSpent()-steps0, 0)
+			}
+			u.DB.Specs, u.Stats = specs, ir.Stats
+			return nil
+		},
+		Finish: func(k int, span *obs.Span) {
+			span.SetCounts(len(units[missed[k]].DB.Specs), 0)
+		},
+	}.Run(ctx, ids)
+	byPatch := make([]budget.Verdict, len(patches)) // a replayed patch's stays zero
+	for k, v := range verdicts {
+		byPatch[missed[k]] = v
+	}
+	for i, p := range patches {
+		v, out, u := byPatch[i], &res.Outcomes[i], &units[i]
+		out.PatchID, out.Stats = p.ID, u.Stats
+		out.Skipped, out.Failure, out.Degraded = v.Skipped, v.Failure, v.Degraded
+		res.Solver.Add(u.Solver)
+		// Only full-fidelity results are persisted: a degraded
+		// (budget-truncated) or quarantined result must never poison a
+		// later full-budget run.
+		switch {
+		case v.Skipped:
+			continue
+		case v.Failure != nil:
+			out.Err = fmt.Errorf("%s: %s", v.Failure.Reason, v.Failure.Detail)
+			res.Failures = append(res.Failures, v.Failure)
+			pc.NoteUncacheable()
+			continue
+		case v.Degraded != nil:
+			res.Degraded = append(res.Degraded, *v.Degraded)
+			pc.NoteUncacheable()
+		case !hit[i]:
+			pc.Put(cache.TierInfer, keys[i], u)
 		}
-		if o.Degraded != nil {
-			res.Degraded = append(res.Degraded, *o.Degraded)
-		}
-		if o.Failure == nil && !o.Skipped && len(specLists[i]) == 0 {
+		out.Specs = len(u.DB.Specs)
+		if out.Specs == 0 {
 			res.ZeroRelationPatches++
 		}
-		res.DB.Specs = append(res.DB.Specs, specLists[i]...)
+		res.DB.Specs = append(res.DB.Specs, u.DB.Specs...)
 	}
 	res.DB.Dedup()
-
-	res.SatChecks = solver.SatChecks() - sat0
-	if pc.Enabled() && len(patches) > 0 {
-		rkey := inferRunKey(patchKeys)
-		switch {
-		case cacheHits.Load() == int64(len(patches)):
-			// Fully warm: replay the cold run's solver-check figure so the
-			// exported seal_solver_sat_checks_total (preserved by manifest
-			// redaction) matches byte for byte.
-			var ent inferRunEntry
-			if pc.Get(cache.TierInferRun, rkey, &ent) {
-				res.SatChecks = ent.SatChecks
-			}
-		case cacheHits.Load() == 0 && len(res.Failures) == 0 && len(res.Degraded) == 0 &&
-			!aborted.Load() && ctx.Err() == nil:
-			// Fully cold and fully clean: this run's figure IS the
-			// canonical one for the corpus.
-			pc.Put(cache.TierInferRun, rkey, &inferRunEntry{SatChecks: res.SatChecks})
-		}
-		res.PCache = pc.Stats()
-	}
+	res.PCache = pc.Stats()
 
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	if aborted.Load() {
+	if aborted {
 		if opts.FailFast {
 			return res, fmt.Errorf("infer: aborted on first quarantined patch (fail-fast)")
 		}

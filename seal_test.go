@@ -172,9 +172,12 @@ func TestInferSpecsParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := InferSpecs(corpus.Patches, Options{Validate: true, Workers: 4})
+	par, err := InferSpecsContext(context.Background(), corpus.Patches, Options{Validate: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(par.Failures) != 0 {
+		t.Fatalf("parallel inference quarantined patches: %v", par.Failures)
 	}
 	if len(seq.DB.Specs) != len(par.DB.Specs) {
 		t.Fatalf("parallel inference diverges: %d vs %d specs", len(seq.DB.Specs), len(par.DB.Specs))
