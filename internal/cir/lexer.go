@@ -38,7 +38,8 @@ func NewLexer(src string) *Lexer {
 // so far along with the error.
 func Lex(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var toks []Token
+	// Kernel C averages about 4.4 source bytes per token.
+	toks := make([]Token, 0, len(src)/4+1)
 	for {
 		t, err := l.Next()
 		if err != nil {

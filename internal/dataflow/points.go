@@ -56,25 +56,21 @@ func (c Cell) String() string {
 	return fmt.Sprintf("%s+%d", c.Obj.Name, c.Off)
 }
 
-func (c Cell) key() string {
-	return fmt.Sprintf("%d:%d", c.Obj.ID, c.Off)
-}
-
-// CellSet is a set of cells.
-type CellSet map[string]Cell
+// CellSet is a set of cells. Cell is a comparable value (object identity
+// is ID identity), so the cell itself is the key.
+type CellSet map[Cell]struct{}
 
 func (s CellSet) add(c Cell) bool {
-	k := c.key()
-	if _, ok := s[k]; ok {
+	if _, ok := s[c]; ok {
 		return false
 	}
-	s[k] = c
+	s[c] = struct{}{}
 	return true
 }
 
 func (s CellSet) addAll(o CellSet) bool {
 	changed := false
-	for _, c := range o {
+	for c := range o {
 		if s.add(c) {
 			changed = true
 		}
@@ -85,7 +81,7 @@ func (s CellSet) addAll(o CellSet) bool {
 // Slice returns the cells in deterministic order.
 func (s CellSet) Slice() []Cell {
 	out := make([]Cell, 0, len(s))
-	for _, c := range s {
+	for c := range s {
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -107,7 +103,7 @@ type PointsTo struct {
 	nextID int
 
 	// pts maps pointer cells to their pointees.
-	pts map[string]CellSet
+	pts map[Cell]CellSet
 	// cellIndex remembers every cell seen per object for AnyOff expansion.
 	cellIndex map[int]map[int]bool
 
@@ -136,7 +132,7 @@ func Analyze(prog *ir.Program) *PointsTo {
 		varObj:    make(map[*ir.Var]*Object),
 		symObj:    make(map[*ir.Var]*Object),
 		heap:      make(map[*ir.Stmt]*Object),
-		pts:       make(map[string]CellSet),
+		pts:       make(map[Cell]CellSet),
 		cellIndex: make(map[int]map[int]bool),
 	}
 	pt.seed()
@@ -229,8 +225,7 @@ func (pt *PointsTo) heapOf(s *ir.Stmt) *Object {
 }
 
 func (pt *PointsTo) get(c Cell) CellSet {
-	k := c.key()
-	if s, ok := pt.pts[k]; ok {
+	if s, ok := pt.pts[c]; ok {
 		return s
 	}
 	if pt.frozen {
@@ -240,7 +235,7 @@ func (pt *PointsTo) get(c Cell) CellSet {
 		return nil
 	}
 	s := make(CellSet)
-	pt.pts[k] = s
+	pt.pts[c] = s
 	pt.noteCell(c)
 	return s
 }
@@ -272,7 +267,6 @@ func (pt *PointsTo) seed() {
 			pt.get(Cell{Obj: pt.objOfVar(g)}).add(Cell{Obj: pt.symOfVar(g)})
 		}
 	}
-	_ = cir.Word
 }
 
 // solve iterates transfer functions over all statements to a fixpoint.
@@ -372,7 +366,7 @@ func retTypeIsPtr(prog *ir.Program, s *ir.Stmt) bool {
 func (pt *PointsTo) storeTo(fn *ir.Func, lv ir.Loc, src CellSet) bool {
 	cells := pt.cellsOfLoc(fn, lv)
 	changed := false
-	for _, c := range cells.Slice() {
+	for c := range cells {
 		if pt.get(c).addAll(src) {
 			changed = true
 		}
@@ -388,7 +382,7 @@ func (pt *PointsTo) cellsOfLoc(fn *ir.Func, l ir.Loc) CellSet {
 		next := make(CellSet)
 		switch st.Kind {
 		case ir.StepOff:
-			for _, c := range cur {
+			for c := range cur {
 				off := c.Off
 				if off == ir.AnyOff || st.Off == ir.AnyOff {
 					off = ir.AnyOff
@@ -398,13 +392,13 @@ func (pt *PointsTo) cellsOfLoc(fn *ir.Func, l ir.Loc) CellSet {
 				next.add(Cell{Obj: c.Obj, Off: off})
 			}
 		case ir.StepDeref:
-			for _, c := range cur {
+			for c := range cur {
 				next.addAll(pt.lookup(c))
 			}
 		}
 		cur = next
 	}
-	for _, c := range cur {
+	for c := range cur {
 		pt.noteCell(c)
 	}
 	return cur
@@ -478,7 +472,7 @@ func (pt *PointsTo) evalPtr(fn *ir.Func, e cir.Expr) CellSet {
 func (pt *PointsTo) readLoc(fn *ir.Func, l ir.Loc) CellSet {
 	cells := pt.cellsOfLoc(fn, l)
 	out := make(CellSet)
-	for _, c := range cells {
+	for c := range cells {
 		out.addAll(pt.lookup(c))
 	}
 	return out
@@ -489,12 +483,10 @@ func (pt *PointsTo) CellsOf(fn *ir.Func, l ir.Loc) []Cell {
 	return pt.cellsOfLoc(fn, l).Slice()
 }
 
-// MayAlias reports whether two access paths may denote overlapping memory.
-// Two cells overlap when they share the object and have equal offsets or
-// either side is the AnyOff summary.
-func (pt *PointsTo) MayAlias(fn1 *ir.Func, l1 ir.Loc, fn2 *ir.Func, l2 ir.Loc) bool {
-	c1 := pt.cellsOfLoc(fn1, l1)
-	c2 := pt.cellsOfLoc(fn2, l2)
+// overlaps reports whether two resolved access paths (CellsOf) may denote
+// overlapping memory: some pair of cells shares the object and has equal
+// offsets, or either side is the AnyOff summary.
+func overlaps(c1, c2 []Cell) bool {
 	for _, a := range c1 {
 		for _, b := range c2 {
 			if a.Obj != b.Obj {
@@ -506,6 +498,13 @@ func (pt *PointsTo) MayAlias(fn1 *ir.Func, l1 ir.Loc, fn2 *ir.Func, l2 ir.Loc) b
 		}
 	}
 	return false
+}
+
+// MayAlias reports whether two access paths may denote overlapping memory.
+// It is the one-off query; FlowAnalyze resolves each path of a function
+// once and applies the same overlap rule to the memoized cells.
+func (pt *PointsTo) MayAlias(fn1 *ir.Func, l1 ir.Loc, fn2 *ir.Func, l2 ir.Loc) bool {
+	return overlaps(pt.CellsOf(fn1, l1), pt.CellsOf(fn2, l2))
 }
 
 // PointeeString renders the points-to set of a variable for debugging.

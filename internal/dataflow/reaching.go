@@ -174,19 +174,7 @@ func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 	}
 	n := len(defs)
 
-	alias := func(a, b ir.Loc) bool {
-		if a.Base == b.Base && a.SameShape(b) {
-			return true
-		}
-		// Distinct address-untaken direct locals cannot alias.
-		if isStrong(a) && isStrong(b) && a.Base != b.Base {
-			return false
-		}
-		if pts == nil {
-			return a.Base == b.Base
-		}
-		return pts.MayAlias(fn, a, fn, b)
-	}
+	fa := newFlowAliases(fn, pts, len(defs))
 
 	// Per-block GEN/KILL over def bitsets.
 	type bits []bool
@@ -248,11 +236,12 @@ func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 	}
 
 	// Def-use chains: replay each block.
-	seenDep := make(map[[3]interface{}]bool)
+	seenDep := make(map[depKey]bool)
 	for _, b := range fn.Blocks {
 		cur := append(bits{}, in[b]...)
 		for _, s := range b.Stmts {
-			for _, u := range EffectiveUses(fn, s) {
+			uses := EffectiveUses(fn, s)
+			for i, u := range uses {
 				// Gather reaching defs, preferring regular definitions;
 				// call-effect writes are weak fallbacks only.
 				var regular, effects []int
@@ -260,7 +249,7 @@ func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 					if !cur[j] || defs[j].stmt == s {
 						continue
 					}
-					if alias(defs[j].loc, u) {
+					if fa.alias(j, defs[j], u) {
 						if defs[j].effect {
 							effects = append(effects, j)
 						} else {
@@ -272,8 +261,9 @@ func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 				if len(chosen) == 0 {
 					chosen = effects
 				}
+				k := keyClass(uses, i)
 				for _, j := range chosen {
-					key := [3]interface{}{defs[j].stmt, s, u.Key()}
+					key := depKey{def: defs[j].stmt, use: s, loc: k}
 					if !seenDep[key] {
 						seenDep[key] = true
 						dep := DataDep{Def: defs[j].stmt, Use: s, Loc: u}
@@ -290,4 +280,95 @@ func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 		}
 	}
 	return ff
+}
+
+// depKey identifies one def-use edge for deduplication: the defining and
+// using statements plus the key class of the read location (keyClass).
+type depKey struct {
+	def, use *ir.Stmt
+	loc      int
+}
+
+// keyClass returns the index of the first of uses whose Loc.Key equals
+// that of uses[i]. Edges are deduplicated per use statement, so this index
+// stands in for the formatted key.
+func keyClass(uses []ir.Loc, i int) int {
+	for k := 0; k < i; k++ {
+		if sameKey(uses[k], uses[i]) {
+			return k
+		}
+	}
+	return i
+}
+
+// sameKey reports whether a.Key() == b.Key() without formatting: the same
+// base variable ID and steps that print alike (a deref prints as "*"
+// whatever its Off, an offset step by its Off).
+func sameKey(a, b ir.Loc) bool {
+	if a.Base.ID != b.Base.ID || len(a.Path) != len(b.Path) {
+		return false
+	}
+	for i, x := range a.Path {
+		y := b.Path[i]
+		xd, yd := x.Kind == ir.StepDeref, y.Kind == ir.StepDeref
+		if xd != yd || (!xd && x.Off != y.Off) {
+			return false
+		}
+	}
+	return true
+}
+
+// flowAliases answers FlowAnalyze's may-alias queries for one function.
+// The points-to solution is frozen at query time, so each distinct access
+// path is resolved to its cells at most once per call: paths are found by
+// Loc.Equal within the same base variable, and defs also by index. It
+// lives on FlowAnalyze's stack and is never shared.
+type flowAliases struct {
+	fn    *ir.Func
+	pts   *PointsTo
+	defs  [][]Cell // by def index; nil until resolved (CellsOf never returns nil)
+	paths map[*ir.Var][]resolvedLoc
+}
+
+type resolvedLoc struct {
+	loc   ir.Loc
+	cells []Cell
+}
+
+func newFlowAliases(fn *ir.Func, pts *PointsTo, nDefs int) *flowAliases {
+	return &flowAliases{fn: fn, pts: pts, defs: make([][]Cell, nDefs), paths: make(map[*ir.Var][]resolvedLoc)}
+}
+
+func (fa *flowAliases) defCells(j int, l ir.Loc) []Cell {
+	if fa.defs[j] == nil {
+		fa.defs[j] = fa.cells(l)
+	}
+	return fa.defs[j]
+}
+
+func (fa *flowAliases) cells(l ir.Loc) []Cell {
+	for _, r := range fa.paths[l.Base] {
+		if r.loc.Equal(l) {
+			return r.cells
+		}
+	}
+	cells := fa.pts.CellsOf(fa.fn, l)
+	fa.paths[l.Base] = append(fa.paths[l.Base], resolvedLoc{loc: l, cells: cells})
+	return cells
+}
+
+// alias reports whether def j (d) may write the memory use u reads.
+func (fa *flowAliases) alias(j int, d flowDef, u ir.Loc) bool {
+	a := d.loc
+	if a.Base == u.Base && a.SameShape(u) {
+		return true
+	}
+	// Distinct address-untaken direct locals cannot alias.
+	if d.strong && isStrong(u) && a.Base != u.Base {
+		return false
+	}
+	if fa.pts == nil {
+		return a.Base == u.Base
+	}
+	return overlaps(fa.defCells(j, a), fa.cells(u))
 }
