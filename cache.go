@@ -92,17 +92,6 @@ func SpecSetHash(specs []*Spec) (string, error) {
 // identity in region-group cache keys and serve request envelopes.
 func TargetHash(files map[string]string) string { return cache.FileSetHash(files) }
 
-// regionsKey is the TierRegions fingerprint: target content and closure
-// depth only, so the artifact survives spec-DB changes.
-func regionsKey(targetHash string) string {
-	return cache.Key(
-		"tier:"+cache.TierRegions,
-		"seal:"+Version,
-		fmt.Sprintf("calleedepth=%d", detect.DefaultMaxCalleeDepth),
-		"target:"+targetHash,
-	)
-}
-
 // ReadSourceDir reads every .c file under root (recursively) into a
 // name → source map, the raw-bytes form a cached detection run fingerprints
 // before any parsing happens.

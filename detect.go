@@ -82,10 +82,9 @@ func DetectDir(ctx context.Context, root string, specs []*Spec, opts DetectRunOp
 // partial results kept, and all remaining output is byte-identical to an
 // unfaulted run. When every group hits the cache the sources are
 // fingerprinted but never parsed; otherwise a throwaway substrate is
-// built, primed with the cached region closures, and only the missed
-// groups compute. The error is non-nil only for run-level aborts (context
-// canceled, or more than opts.Limits.MaxFailures units quarantined) — the
-// partial result is valid either way.
+// built and only the missed groups compute. The error is non-nil only for
+// run-level aborts (context canceled, or more than opts.Limits.MaxFailures
+// units quarantined) — the partial result is valid either way.
 func DetectFiles(ctx context.Context, files map[string]string, specs []*Spec, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
 	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
 	if err != nil {
@@ -100,9 +99,7 @@ func DetectFiles(ctx context.Context, files map[string]string, specs []*Spec, op
 		if err != nil {
 			return nil, err
 		}
-		sh := detect.NewShared(t.Prog)
-		primeRegions(sh, pc, targetHash)
-		return sh, nil
+		return detect.NewShared(t.Prog), nil
 	}
 	return detectGroups(ctx, targetHash, acquire, specs, opts, pc, nil)
 }
@@ -169,7 +166,6 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 		}
 		var computed []*detect.Outcome
 		computed, runErr = sh.RunGroups(ctx, missed, opts.Workers, opts.Limits, opts.Obs)
-		cleanComputed := false
 		for k, o := range computed {
 			if o == nil {
 				continue // never started: the run aborted first
@@ -183,14 +179,10 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 				pc.NoteUncacheable()
 				continue
 			}
-			cleanComputed = true
 			if memo != nil {
 				memo.Store(keys[gi], o)
 			}
 			pc.Put(cache.TierDetectGroup, keys[gi], o)
-		}
-		if cleanComputed && pc.Enabled() {
-			pc.Put(cache.TierRegions, regionsKey(targetHash), sh.RegionsSnapshot(detect.DefaultMaxCalleeDepth))
 		}
 	}
 

@@ -44,10 +44,6 @@ const (
 	// TierInfer holds per-patch inference results (specs, stats, and the
 	// patch's solver work, so a replaying run's figures match a cold one).
 	TierInfer = "infer"
-	// TierRegions holds per-target region-closure artifacts (root →
-	// callee-closure function names), keyed over the target only, so they
-	// survive spec-DB changes.
-	TierRegions = "regions"
 	// TierDetectGroup holds per-region-group detection results, keyed over
 	// target + the group's own spec subset — editing one spec invalidates
 	// exactly the group that owns it, every other group replays.

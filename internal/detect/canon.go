@@ -40,12 +40,11 @@ type shapeInfo struct {
 }
 
 // canonPathKey identifies one path computation up to region isomorphism:
-// the shape, the source's position inside it, and the callee depth.
+// the shape and the source's position inside it.
 type canonPathKey struct {
 	shape *shapeInfo
 	fn    int // index of the source's function in the region closure
 	stmt  int // index of the source statement within its function
-	depth int
 }
 
 // canonEntry is a completed, non-volatile path set remembered under its
@@ -74,7 +73,7 @@ func (sh *Shared) shapeOf(rc *regionCtx) *shapeInfo {
 // canonKeyFor locates src inside rc's shape; ok=false when src is not a
 // statement of the closure (defensive — sources are instantiated from
 // region functions).
-func (sh *Shared) canonKeyFor(src *ir.Stmt, rc *regionCtx, depth int) (canonPathKey, bool) {
+func (sh *Shared) canonKeyFor(src *ir.Stmt, rc *regionCtx) (canonPathKey, bool) {
 	fnI, ok := rc.idx[src.Fn]
 	if !ok {
 		return canonPathKey{}, false
@@ -83,15 +82,15 @@ func (sh *Shared) canonKeyFor(src *ir.Stmt, rc *regionCtx, depth int) (canonPath
 	if !ok {
 		return canonPathKey{}, false
 	}
-	return canonPathKey{shape: rc.shape, fn: fnI, stmt: stmtI, depth: depth}, true
+	return canonPathKey{shape: rc.shape, fn: fnI, stmt: stmtI}, true
 }
 
 // canonTranslate serves a path set for (src, rc) from an isomorphic
 // sibling region, translating statement-by-statement. Returns ok=false on
 // a canonical miss (or when the entry's origin is rc itself, which the
 // exact key already covers).
-func (sh *Shared) canonTranslate(src *ir.Stmt, rc *regionCtx, depth int) ([]*vfp.Path, bool) {
-	key, ok := sh.canonKeyFor(src, rc, depth)
+func (sh *Shared) canonTranslate(src *ir.Stmt, rc *regionCtx) ([]*vfp.Path, bool) {
+	key, ok := sh.canonKeyFor(src, rc)
 	if !ok {
 		return nil, false
 	}
@@ -107,8 +106,8 @@ func (sh *Shared) canonTranslate(src *ir.Stmt, rc *regionCtx, depth int) ([]*vfp
 // canonPublish remembers a completed, non-volatile path set under its
 // canonical key (first computation wins; later publishes are no-ops so
 // the translation origin stays stable).
-func (sh *Shared) canonPublish(src *ir.Stmt, rc *regionCtx, depth int, paths []*vfp.Path) {
-	key, ok := sh.canonKeyFor(src, rc, depth)
+func (sh *Shared) canonPublish(src *ir.Stmt, rc *regionCtx, paths []*vfp.Path) {
+	key, ok := sh.canonKeyFor(src, rc)
 	if !ok {
 		return
 	}

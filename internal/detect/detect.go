@@ -66,8 +66,6 @@ type Detector struct {
 	ab  *infer.Abstracter
 	idx *progindex.Index
 
-	// MaxCalleeDepth bounds the callee closure of a detection region.
-	MaxCalleeDepth int
 	// DisableMemo turns off the shared path cache (ablation benchmark).
 	DisableMemo bool
 	// GlobalRegions widens detection to every function rather than the
@@ -139,11 +137,6 @@ func (d *Detector) SetBudget(b *budget.Budget) {
 // use Shared.Detector to share one across workers).
 func New(prog *ir.Program) *Detector {
 	return NewShared(prog).Detector()
-}
-
-// NewOnGraph creates a detector reusing an existing PDG.
-func NewOnGraph(g *pdg.Graph) *Detector {
-	return NewSharedOnGraph(g).Detector()
 }
 
 // ValidateSpecs implements the quantifier validation of paper §6.3.3: a
@@ -241,7 +234,7 @@ func (d *Detector) Regions(s *spec.Spec) []*ir.Func {
 
 // region returns the cached closure context of a region root.
 func (d *Detector) region(fn *ir.Func) *regionCtx {
-	return d.sh.region(fn, d.MaxCalleeDepth, d.idx)
+	return d.sh.region(fn, d.idx)
 }
 
 // checkRegion evaluates the spec inside one region function.

@@ -8,7 +8,6 @@ import (
 	"seal/internal/infer"
 	"seal/internal/ir"
 	"seal/internal/patch"
-	"seal/internal/pdg"
 	"seal/internal/spec"
 )
 
@@ -347,17 +346,5 @@ struct hdrv conf_hdrv = { .probe = conf_probe, };
 	}
 	if !hinted {
 		t.Errorf("missing equivalent-API hint; bugs: %s", dumpBugs(bugs))
-	}
-}
-
-func TestNewOnGraphSharesPDG(t *testing.T) {
-	specs := inferFrom(t, "fig3", "cx.c", cir.Fig3PreSource, cir.Fig3Source)
-	prog := targetProg(t, targetFig3)
-	g := pdg.BuildAll(prog)
-	d := NewOnGraph(g)
-	bugs := d.Detect(specs)
-	fresh := New(prog).Detect(specs)
-	if len(bugs) != len(fresh) {
-		t.Fatalf("graph-sharing detector diverges: %d vs %d", len(bugs), len(fresh))
 	}
 }

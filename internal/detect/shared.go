@@ -22,7 +22,7 @@ type Shared struct {
 	Idx *progindex.Index
 
 	regionMu sync.Mutex
-	regions  map[regionKey]*regionCtx
+	regions  map[*ir.Func]*regionCtx
 
 	pathShards [numPathShards]pathShard
 
@@ -55,26 +55,14 @@ const numPathShards = 64
 type pathShard struct {
 	mu sync.Mutex
 	m  map[pathKey]*pathEntry
-	// bySrc indexes completed entries by (source, depth) across regions,
-	// for footprint-compatible reuse: two regions whose closures agree on
-	// every function the traversal actually consulted get one path set.
-	bySrc map[srcKey][]*pathEntry
 }
 
 // pathKey identifies one memoized PathsFrom computation: the source
 // statement inside one region closure. Keying by region keeps results
 // independent of which other regions a shared graph has materialized.
 type pathKey struct {
-	src   *ir.Stmt
-	root  *ir.Func
-	depth int
-}
-
-// srcKey is the region-independent part of a pathKey — the canonical key
-// of the cross-region reuse index.
-type srcKey struct {
-	src   *ir.Stmt
-	depth int
+	src  *ir.Stmt
+	root *ir.Func
 }
 
 // pathEntry is a single-flight slot: the first claimant computes, everyone
@@ -91,21 +79,10 @@ type pathEntry struct {
 	// must not be served to other units: the computing worker removes the
 	// entry and keeps the partial result private; waiters recompute.
 	volatile bool
-	// footprint is the set of scope-membership answers the traversal
-	// consulted (vfp.Slicer.ScopeTrace), written before done closes on a
-	// successful computation. A region whose closure answers every
-	// recorded query identically would traverse identically, so the entry
-	// is sound to serve to it.
-	footprint map[*ir.Func]bool
-}
-
-type regionKey struct {
-	root  *ir.Func
-	depth int
 }
 
 // regionCtx is the materialized closure of one detection region: the root
-// function plus its defined callees to the configured depth, as both an
+// function plus its defined callees to DefaultMaxCalleeDepth, as both an
 // ordered list and a membership set.
 type regionCtx struct {
 	root  *ir.Func
@@ -182,15 +159,10 @@ func (s Stats) Merge(o Stats) Stats {
 
 // NewShared builds the substrate for a target program.
 func NewShared(prog *ir.Program) *Shared {
-	return NewSharedOnGraph(pdg.New(prog))
-}
-
-// NewSharedOnGraph builds the substrate over an existing PDG.
-func NewSharedOnGraph(g *pdg.Graph) *Shared {
 	sh := &Shared{
-		G:           g,
-		Idx:         progindex.Build(g.Prog),
-		regions:     make(map[regionKey]*regionCtx),
+		G:           pdg.New(prog),
+		Idx:         progindex.Build(prog),
+		regions:     make(map[*ir.Func]*regionCtx),
 		shapes:      make(map[string]*shapeInfo),
 		canonPaths:  make(map[canonPathKey]*canonEntry),
 		stmtPos:     make(map[*ir.Stmt]int),
@@ -198,7 +170,6 @@ func NewSharedOnGraph(g *pdg.Graph) *Shared {
 	}
 	for i := range sh.pathShards {
 		sh.pathShards[i].m = make(map[pathKey]*pathEntry)
-		sh.pathShards[i].bySrc = make(map[srcKey][]*pathEntry)
 	}
 	return sh
 }
@@ -268,7 +239,7 @@ func (sh *Shared) Resident() ResidentStats {
 // graph and the index through counting handles, so its work() is exactly
 // the substrate work it caused, whoever else runs alongside.
 func (sh *Shared) Detector() *Detector {
-	d := &Detector{sh: sh, MaxCalleeDepth: DefaultMaxCalleeDepth}
+	d := &Detector{sh: sh}
 	d.G = sh.G.Counting(&d.pdgWork)
 	d.idx = sh.Idx.Counting(&d.lookups)
 	d.sl = vfp.NewSlicer(d.G)
@@ -278,20 +249,18 @@ func (sh *Shared) Detector() *Detector {
 	return d
 }
 
-// region returns the cached closure of root at the given callee depth,
-// computing it on first use via the program index (queried through ix, the
-// caller's counting handle).
-func (sh *Shared) region(root *ir.Func, depth int, ix *progindex.Index) *regionCtx {
-	key := regionKey{root: root, depth: depth}
+// region returns the cached closure of root, computing it on first use via
+// the program index (queried through ix, the caller's counting handle).
+func (sh *Shared) region(root *ir.Func, ix *progindex.Index) *regionCtx {
 	sh.regionMu.Lock()
 	defer sh.regionMu.Unlock()
-	if rc, ok := sh.regions[key]; ok {
+	if rc, ok := sh.regions[root]; ok {
 		return rc
 	}
 	seen := map[*ir.Func]bool{root: true}
 	frontier := []*ir.Func{root}
 	out := []*ir.Func{root}
-	for i := 0; i < depth && len(frontier) > 0; i++ {
+	for i := 0; i < DefaultMaxCalleeDepth && len(frontier) > 0; i++ {
 		var next []*ir.Func
 		for _, f := range frontier {
 			for _, callee := range ix.Func(f).DefinedCallees {
@@ -310,76 +279,14 @@ func (sh *Shared) region(root *ir.Func, depth int, ix *progindex.Index) *regionC
 	}
 	rc := &regionCtx{root: root, funcs: out, set: seen, idx: idx}
 	rc.shape = sh.shapeOf(rc)
-	sh.regions[key] = rc
+	sh.regions[root] = rc
 	return rc
-}
-
-// RegionsSnapshot returns every materialized region closure at the given
-// callee depth as root → ordered closure function names. The ordering is
-// the canonical one region() produced (BFS over DefinedCallees), so a
-// snapshot primed into a fresh substrate over the same program reproduces
-// identical regionCtx structures. This is the TierRegions cache artifact:
-// keyed by target content only, it survives spec-DB changes.
-func (sh *Shared) RegionsSnapshot(depth int) map[string][]string {
-	sh.regionMu.Lock()
-	defer sh.regionMu.Unlock()
-	out := make(map[string][]string)
-	for key, rc := range sh.regions {
-		if key.depth != depth {
-			continue
-		}
-		names := make([]string, len(rc.funcs))
-		for i, f := range rc.funcs {
-			names[i] = f.Name
-		}
-		out[rc.root.Name] = names
-	}
-	return out
-}
-
-// PrimeRegions installs region closures from a prior run's snapshot over
-// the same target, skipping the call-graph walk region() would do. Strictly
-// a warm-start: a root whose functions no longer all resolve is ignored
-// (region() computes it from scratch on demand), so a stale snapshot can
-// cost time but never correctness. Callers guarantee same-target semantics
-// by keying the snapshot on the target's content hash.
-func (sh *Shared) PrimeRegions(snap map[string][]string, depth int) {
-	sh.regionMu.Lock()
-	defer sh.regionMu.Unlock()
-	for rootName, names := range snap {
-		funcs := make([]*ir.Func, 0, len(names))
-		ok := true
-		for _, n := range names {
-			f := sh.G.Prog.Funcs[n]
-			if f == nil {
-				ok = false
-				break
-			}
-			funcs = append(funcs, f)
-		}
-		if !ok || len(funcs) == 0 || funcs[0].Name != rootName {
-			continue
-		}
-		key := regionKey{root: funcs[0], depth: depth}
-		if _, exists := sh.regions[key]; exists {
-			continue
-		}
-		set := make(map[*ir.Func]bool, len(funcs))
-		idx := make(map[*ir.Func]int, len(funcs))
-		for i, f := range funcs {
-			set[f] = true
-			idx[f] = i
-		}
-		rc := &regionCtx{root: funcs[0], funcs: funcs, set: set, idx: idx}
-		rc.shape = sh.shapeOf(rc)
-		sh.regions[key] = rc
-	}
 }
 
 // pathsFor returns the value-flow paths from src confined to rc, computing
 // them at most once per (source, region) across all workers, with d's
-// slicer (already scoped to rc) and d's callee depth. Hits and misses are
-// charged to d as well as to the substrate.
+// slicer (already scoped to rc). Hits and misses are charged to d as well
+// as to the substrate.
 //
 // Fault isolation: a panic during the computation is recorded on the entry
 // before its done channel closes, and every waiter re-panics with it — each
@@ -389,9 +296,8 @@ func (sh *Shared) PrimeRegions(snap map[string][]string, depth int) {
 // entry is removed; waiters loop and recompute with their own budget), so a
 // starved unit cannot silently degrade its neighbors.
 func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, d *Detector) []*vfp.Path {
-	depth, sl := d.MaxCalleeDepth, d.sl
-	key := pathKey{src: src, root: rc.root, depth: depth}
-	skey := srcKey{src: src, depth: depth}
+	sl := d.sl
+	key := pathKey{src: src, root: rc.root}
 	shard := &sh.pathShards[uint(src.ID)%numPathShards]
 
 	for {
@@ -409,22 +315,11 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, d *Detector) []*vfp.Path
 			d.pathHits++
 			return e.paths
 		}
-		// Exact miss: a sibling region may already hold this source's
-		// paths. If a completed entry's footprint — the scope answers its
-		// traversal consulted — matches our region, its paths are ours
-		// too; alias it under our exact key so later lookups are direct.
-		if e := shard.reusable(skey, rc.set); e != nil {
-			shard.m[key] = e
-			shard.mu.Unlock()
-			sh.pathHits.Add(1)
-			d.pathHits++
-			return e.paths
-		}
-		// Still a miss: an isomorphic sibling region (same canonical
-		// shape, canon.go) may have computed this source's paths one
-		// renaming away. Translate them in and pin the result under our
-		// exact key so later lookups are direct.
-		if ps, ok := sh.canonTranslate(src, rc, depth); ok {
+		// Exact miss: an isomorphic sibling region (same canonical shape,
+		// canon.go) may have computed this source's paths one renaming
+		// away. Translate them in and pin the result under our exact key
+		// so later lookups are direct.
+		if ps, ok := sh.canonTranslate(src, rc); ok {
 			e := &pathEntry{done: make(chan struct{}), paths: ps}
 			close(e.done)
 			shard.m[key] = e
@@ -435,28 +330,21 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, d *Detector) []*vfp.Path
 		}
 		e := &pathEntry{done: make(chan struct{})}
 		shard.m[key] = e
-		shard.bySrc[skey] = append(shard.bySrc[skey], e)
 		shard.mu.Unlock()
 
 		sh.pathMisses.Add(1)
 		d.pathMisses++
 		trunc0 := sl.BudgetTruncations
-		fp := make(map[*ir.Func]bool)
-		prevTrace := sl.ScopeTrace
-		sl.ScopeTrace = fp
 		func() {
 			defer func() {
-				sl.ScopeTrace = prevTrace
 				e.panicVal = recover()
 				if e.panicVal != nil || sl.BudgetTruncations > trunc0 {
 					e.volatile = true
 					shard.mu.Lock()
 					delete(shard.m, key)
-					shard.dropBySrc(skey, e)
 					shard.mu.Unlock()
 				} else {
-					e.footprint = fp
-					sh.canonPublish(src, rc, depth, e.paths)
+					sh.canonPublish(src, rc, e.paths)
 				}
 				close(e.done)
 			}()
@@ -466,50 +354,6 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, d *Detector) []*vfp.Path
 			panic(e.panicVal)
 		}
 		return e.paths
-	}
-}
-
-// reusable scans the completed entries for (src, depth) and returns the
-// first whose footprint the scope set satisfies. Caller holds shard.mu;
-// entry fields are read only after a non-blocking done check (the channel
-// close orders the computing goroutine's writes before our reads).
-func (shard *pathShard) reusable(skey srcKey, set map[*ir.Func]bool) *pathEntry {
-	for _, e := range shard.bySrc[skey] {
-		select {
-		case <-e.done:
-		default:
-			continue // still computing; never block under the shard lock
-		}
-		if e.panicVal != nil || e.volatile || e.footprint == nil {
-			continue
-		}
-		if footprintCompatible(e.footprint, set) {
-			return e
-		}
-	}
-	return nil
-}
-
-// footprintCompatible reports whether the scope set answers every recorded
-// membership query the same way the computing region did.
-func footprintCompatible(fp map[*ir.Func]bool, set map[*ir.Func]bool) bool {
-	for fn, in := range fp {
-		if set[fn] != in {
-			return false
-		}
-	}
-	return true
-}
-
-// dropBySrc removes a retired (volatile) entry from the reuse index.
-// Caller holds shard.mu.
-func (shard *pathShard) dropBySrc(skey srcKey, e *pathEntry) {
-	list := shard.bySrc[skey]
-	for i, x := range list {
-		if x == e {
-			shard.bySrc[skey] = append(list[:i], list[i+1:]...)
-			return
-		}
 	}
 }
 

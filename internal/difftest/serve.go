@@ -121,9 +121,9 @@ func compareDetect(divs []Divergence, conf string, ref *serveRef, resp *serve.De
 //	edit A: touch one file (same function set)    vs batch over edited tree
 //	edit B: add a function (changed function set) vs batch over edited tree
 //
-// Edit A exercises the region-carry path (closures away from the edited
-// file survive), edit B the drop-all path (a changed definition set
-// invalidates every closure). Returns the divergences.
+// Edit A re-parses one file over an unchanged function set, edit B
+// changes the definition set; after each, the successor snapshot's
+// substrate is rebuilt lazily. Returns the divergences.
 func RunServeCase(c *randprog.PatchCase) ([]Divergence, error) {
 	ctx := context.Background()
 	srv, err := serve.New(serve.Config{Workers: 1}, c.Target, nil)
@@ -199,9 +199,9 @@ func RunServeCase(c *randprog.PatchCase) ([]Divergence, error) {
 	}
 	divs = compareDetect(divs, "detect-resident", ref, &warm)
 
-	// Edit A: touch one file without changing the function set — the
-	// carry path. The daemon's incremental rebuild must be byte-identical
-	// to a full batch rerun over the edited tree.
+	// Edit A: touch one file without changing the function set. The
+	// daemon's incremental rebuild (one file re-parsed) must be
+	// byte-identical to a full batch rerun over the edited tree.
 	names := make([]string, 0, len(c.Target))
 	for n := range c.Target {
 		names = append(names, n)
@@ -222,11 +222,6 @@ func RunServeCase(c *randprog.PatchCase) ([]Divergence, error) {
 			Ref: fmt.Sprintf("reused=%d parsed=1", len(c.Target)-1),
 			Got: fmt.Sprintf("reused=%d parsed=%d", editResp.ReusedFiles, editResp.ParsedFiles)})
 	}
-	if editResp.RegionsCarried == 0 {
-		divs = append(divs, Divergence{Stage: "serve", Conf: "edit-A carry",
-			Ref: "regions carried > 0 (edit away from most closures)",
-			Got: fmt.Sprintf("carried=%d dropped=%d", editResp.RegionsCarried, editResp.RegionsDropped)})
-	}
 	refA, err := batchDetectRef(ctx, edited, specs)
 	if err != nil {
 		return nil, fmt.Errorf("seed %d: edited reference: %w", c.Seed, err)
@@ -238,9 +233,8 @@ func RunServeCase(c *randprog.PatchCase) ([]Divergence, error) {
 	}
 	divs = compareDetect(divs, "detect-after-edit-A", refA, &detA)
 
-	// Edit B: add a function — the definition set changes, so every
-	// carried closure must be dropped, and the daemon must still match a
-	// full batch rerun.
+	// Edit B: add a function — the definition set changes, and the daemon
+	// must still match a full batch rerun.
 	edited2 := make(map[string]string, len(edited))
 	for n, src := range edited {
 		edited2[n] = src
@@ -251,11 +245,6 @@ func RunServeCase(c *randprog.PatchCase) ([]Divergence, error) {
 	if err := postJSON(ts.Client(), ts.URL+"/edit",
 		serve.EditRequest{Files: map[string]string{names[0]: edited2[names[0]]}}, &editResp2, http.StatusOK); err != nil {
 		return nil, fmt.Errorf("seed %d: edit B: %w", c.Seed, err)
-	}
-	if editResp2.RegionsCarried != 0 {
-		divs = append(divs, Divergence{Stage: "serve", Conf: "edit-B drop-all",
-			Ref: "carried=0 (function set changed)",
-			Got: fmt.Sprintf("carried=%d", editResp2.RegionsCarried)})
 	}
 	refB, err := batchDetectRef(ctx, edited2, specs)
 	if err != nil {

@@ -14,8 +14,8 @@ const serveBatchSize = 12
 
 // TestServeDifferentialBatch is the serve-mode oracle: for each generated
 // case, every daemon response over the full lifecycle — infer+publish,
-// cold detect, resident re-detect, detect after a carry-path edit, detect
-// after a drop-all edit — must be byte-identical to a batch run of the
+// cold detect, resident re-detect, detect after a one-file edit, detect
+// after an edit that adds a function — must be byte-identical to a batch run of the
 // same request (reports, normalized records, redacted manifests, redacted
 // metrics).
 func TestServeDifferentialBatch(t *testing.T) {

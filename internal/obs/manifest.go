@@ -278,14 +278,16 @@ func (m *Manifest) SetCache(c CacheStats) {
 // "truncated" annotations are removed. Spend and truncation attribution
 // are normalized because under the shared single-flight caches they follow
 // whichever worker computed a shared artifact first — scheduling, not
-// semantics; likewise the in-run path-cache and persistent-cache counters,
-// which depend on scheduling (cross-region footprint reuse) and cache
-// temperature (cold vs warm) respectively, and the index-lookup counter,
-// which cache-primed or snapshot-carried region closures skip. Everything
-// else — unit identities, outcomes, reasons, spec/bug counts, stage
-// structure, PDG build counters — is preserved, which is exactly the set
-// that must be deterministic across worker counts AND across cold/warm
-// runs of the same inputs.
+// semantics; likewise the in-run path-cache counters, which depend on
+// scheduling (canonical-shape reuse is not single-flight, so with more
+// than one worker two isomorphic regions can both miss) and on a resident
+// substrate keeping its regions and paths across requests, the
+// persistent-cache counters, which depend on cache temperature (cold vs
+// warm), and the index-lookup counter, which a resident substrate's kept
+// regions skip. Everything else — unit identities, outcomes, reasons,
+// spec/bug counts, stage structure, PDG build counters — is preserved,
+// which is exactly the set that must be deterministic across worker
+// counts AND across cold/warm runs of the same inputs.
 func (m *Manifest) Redact() *Manifest {
 	if m == nil {
 		return nil
@@ -369,10 +371,11 @@ func (m *Manifest) RedactSubstrate() *Manifest {
 // cache-temperature-dependent and therefore zeroed by the determinism
 // normalizers (Redact, RedactTimings): wall-clock series ("_seconds"),
 // persistent-cache counters (cold vs warm), solver-memo counters
-// (cross-worker racing), the in-run path-cache family (cross-region
-// footprint reuse follows entry completion order), and index lookups
-// (skipped entirely when region closures arrive pre-primed from the
-// persistent cache or a carried snapshot).
+// (cross-worker racing), the in-run path-cache family (canonical-shape
+// reuse is not single-flight, so with more than one worker two isomorphic
+// regions can both miss, and a resident substrate keeps its paths across
+// requests), and index lookups (a resident substrate keeps its region
+// closures across requests, so later runs skip their index queries).
 func VolatileMetric(name string) bool {
 	if containsSeconds(name) {
 		return true

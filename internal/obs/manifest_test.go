@@ -137,8 +137,9 @@ func TestRedactNormalizesTimingAndSpend(t *testing.T) {
 		t.Fatal("Redact mutated its receiver")
 	}
 	// The Cache section survives, its deterministic counters intact, but
-	// the path-cache family (cross-region footprint reuse makes it follow
-	// scheduling) and the persistent-cache counters (cold vs warm) zeroed.
+	// the path-cache family (canonical-shape reuse is not single-flight,
+	// and a resident substrate keeps its paths across requests) and the
+	// persistent-cache counters (cold vs warm) zeroed.
 	rc := a.Redact().Cache
 	if rc == nil || rc.PDGBuilds != 3 || rc.PDGEnsureCalls != 9 {
 		t.Fatalf("redact dropped deterministic cache stats: %+v", rc)

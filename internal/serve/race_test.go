@@ -38,7 +38,7 @@ func TestServeConcurrentSnapshotPublish(t *testing.T) {
 
 	// Precompute every variant the writer will publish and its content
 	// hash. Edit k appends k newlines to the first file: the function set
-	// never changes, so each publish exercises the region-carry path.
+	// never changes, and each publish re-parses only that file.
 	names := make([]string, 0, len(files))
 	for n := range files {
 		names = append(names, n)

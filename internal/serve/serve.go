@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"seal"
+	"seal/internal/cache"
 	"seal/internal/detect"
 	"seal/internal/obs"
 	"seal/internal/report"
@@ -27,8 +28,8 @@ type Config struct {
 	// Limits is the default per-unit budget applied to every request.
 	Limits seal.Limits
 	// CacheDir composes the daemon with the persistent analysis cache: a
-	// restart warms region closures and region-group results from disk,
-	// and clean results are written back for the next process.
+	// restart warms region-group results from disk, and clean results are
+	// written back for the next process.
 	CacheDir      string
 	CacheReadOnly bool
 	// CacheMaxBytes bounds the persistent cache's total on-disk size;
@@ -74,7 +75,7 @@ type Server struct {
 }
 
 // New builds a server over an initial source tree and spec database
-// (specs may be nil), priming the substrate from cfg.CacheDir when set.
+// (specs may be nil). A set cfg.CacheDir must be usable at start-up.
 // With cfg.SpecDB set the spec database comes from the store instead and
 // specs must be nil.
 func New(cfg Config, files map[string]string, specs []*seal.Spec) (*Server, error) {
@@ -104,7 +105,9 @@ func New(cfg Config, files map[string]string, specs []*seal.Spec) (*Server, erro
 	}
 	snap.StoreSeq = storeSeq
 	if cfg.CacheDir != "" {
-		if err := snap.Resident.PrimeFromCache(cfg.CacheDir, cfg.CacheReadOnly, cfg.CacheMaxBytes); err != nil {
+		// Reject an unusable cache directory at start-up rather than on
+		// the first request.
+		if _, err := cache.OpenLimited(cfg.CacheDir, cfg.CacheReadOnly, cfg.CacheMaxBytes); err != nil {
 			if specStore != nil {
 				specStore.Close()
 			}
@@ -530,17 +533,13 @@ type EditRequest struct {
 }
 
 // EditResponse reports the published epoch and how incremental the
-// rebuild was: parse trees reused vs re-parsed, the functions the edit
-// invalidated, and the region closures carried vs dropped.
+// rebuild was: parse trees reused vs re-parsed.
 type EditResponse struct {
-	Epoch            int64  `json:"epoch"`
-	TargetHash       string `json:"target_hash"`
-	Files            int    `json:"files"`
-	ReusedFiles      int    `json:"reused_files"`
-	ParsedFiles      int    `json:"parsed_files"`
-	InvalidatedFuncs int    `json:"invalidated_funcs"`
-	RegionsCarried   int    `json:"regions_carried"`
-	RegionsDropped   int    `json:"regions_dropped"`
+	Epoch       int64  `json:"epoch"`
+	TargetHash  string `json:"target_hash"`
+	Files       int    `json:"files"`
+	ReusedFiles int    `json:"reused_files"`
+	ParsedFiles int    `json:"parsed_files"`
 }
 
 func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
@@ -565,14 +564,11 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reg.Counter("seal_serve_publishes_total", "snapshot publications").Add(1)
 	writeJSON(w, http.StatusOK, EditResponse{
-		Epoch:            snap.Epoch,
-		TargetHash:       snap.TargetHash(),
-		Files:            len(snap.Files),
-		ReusedFiles:      snap.ReusedFiles,
-		ParsedFiles:      snap.ParsedFiles,
-		InvalidatedFuncs: snap.InvalidatedFuncs,
-		RegionsCarried:   snap.RegionsCarried,
-		RegionsDropped:   snap.RegionsDropped,
+		Epoch:       snap.Epoch,
+		TargetHash:  snap.TargetHash(),
+		Files:       len(snap.Files),
+		ReusedFiles: snap.ReusedFiles,
+		ParsedFiles: snap.ParsedFiles,
 	})
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -17,6 +19,7 @@ import (
 	"seal/internal/faultinject"
 	"seal/internal/patch"
 	"seal/internal/randprog"
+	"seal/internal/spec"
 )
 
 // Shared test corpus: the seed-0 generated target, with specs inferred
@@ -305,6 +308,32 @@ func TestServeWarmRestart(t *testing.T) {
 	}
 	if want := corpusGroups(t); st.MemoEntries != want {
 		t.Fatalf("warm restart memo entries = %d, want %d", st.MemoEntries, want)
+	}
+}
+
+// TestServeRejectsUnusableCacheDir checks that a cache directory that
+// cannot be created fails New at start-up rather than the first request,
+// for a flat and a store-backed daemon alike.
+func TestServeRejectsUnusableCacheDir(t *testing.T) {
+	files, specs := corpus(t)
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "file")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: 1, CacheDir: filepath.Join(blocker, "cache")}
+	if srv, err := New(cfg, files, specs); err == nil {
+		srv.Close()
+		t.Fatal("New accepted a cache directory under a regular file")
+	}
+	storePath := filepath.Join(dir, "specs.specdb")
+	if _, _, err := seal.ImportSpecStore(storePath, &spec.DB{Specs: specs}); err != nil {
+		t.Fatal(err)
+	}
+	cfg.SpecDB = storePath
+	if srv, err := New(cfg, files, nil); err == nil {
+		srv.Close()
+		t.Fatal("store-backed New accepted a cache directory under a regular file")
 	}
 }
 

@@ -34,9 +34,8 @@ type Snapshot struct {
 	Epoch int64
 	// Files is the source tree (name -> source).
 	Files map[string]string
-	// FileHash fingerprints each file individually — the invalidation key:
-	// an edit invalidates exactly the region closures touching functions
-	// defined in files whose hash changed.
+	// FileHash fingerprints each file individually: a successor snapshot
+	// re-parses exactly the files whose hash changed.
 	FileHash map[string]string
 	// Parsed holds each file's parse tree. Trees are immutable after
 	// lowering, so a successor snapshot reuses them for every file whose
@@ -52,11 +51,8 @@ type Snapshot struct {
 	StoreSeq uint64
 
 	// Build accounting (how incremental the build was), surfaced by /edit.
-	ReusedFiles      int
-	ParsedFiles      int
-	InvalidatedFuncs int
-	RegionsCarried   int
-	RegionsDropped   int
+	ReusedFiles int
+	ParsedFiles int
 }
 
 // TargetHash is the content fingerprint of this snapshot's source tree.
@@ -75,7 +71,8 @@ func BuildSnapshot(files map[string]string, specs []*seal.Spec) (*Snapshot, erro
 }
 
 // buildSnapshot builds a snapshot, reusing prev's parse trees for
-// unchanged files and carrying over prev's still-valid region closures.
+// unchanged files. The successor's substrate starts cold and is rebuilt
+// lazily by the requests that need it.
 func buildSnapshot(files map[string]string, specs []*seal.Spec, prev *Snapshot) (*Snapshot, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("serve: snapshot needs at least one source file")
@@ -117,44 +114,11 @@ func buildSnapshot(files map[string]string, specs []*seal.Spec, prev *Snapshot) 
 	if prev != nil {
 		s.Epoch = prev.Epoch + 1
 		s.StoreSeq = prev.StoreSeq // source edit, specs unchanged
-		changed := changedFuncs(prev, s, prog)
-		s.InvalidatedFuncs = len(changed)
-		s.RegionsCarried, s.RegionsDropped = s.Resident.CarryRegionsFrom(prev.Resident, changed)
 	}
 	if s.SpecsHash, err = seal.SpecSetHash(specs); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// changedFuncs is the invalidation frontier of an edit: every function
-// defined in a file that was edited, added, or removed — in either the
-// old or the new program, so a function moving between files invalidates
-// under both its homes.
-func changedFuncs(prev, next *Snapshot, prog *ir.Program) map[string]bool {
-	changedFiles := make(map[string]bool)
-	for n, h := range next.FileHash {
-		if prev.FileHash[n] != h {
-			changedFiles[n] = true
-		}
-	}
-	for n := range prev.FileHash {
-		if _, ok := next.FileHash[n]; !ok {
-			changedFiles[n] = true
-		}
-	}
-	out := make(map[string]bool)
-	for _, fn := range prog.Funcs {
-		if changedFiles[fn.File] {
-			out[fn.Name] = true
-		}
-	}
-	for _, fn := range prev.Resident.Target.Prog.Funcs {
-		if changedFiles[fn.File] {
-			out[fn.Name] = true
-		}
-	}
-	return out
 }
 
 // withSpecs derives a successor snapshot that shares this one's target,
@@ -170,7 +134,6 @@ func (s *Snapshot) withSpecs(specs []*seal.Spec) (*Snapshot, error) {
 	next.Specs = specs
 	next.SpecsHash = hash
 	next.ReusedFiles, next.ParsedFiles = len(s.Files), 0
-	next.InvalidatedFuncs, next.RegionsCarried, next.RegionsDropped = 0, 0, 0
 	return &next, nil
 }
 

@@ -45,13 +45,6 @@ type Slicer struct {
 	// enumeration (Collect or PathsFrom); detection aggregates it across
 	// workers into its substrate stats.
 	OnEnum func()
-	// ScopeTrace, when non-nil, records every scope-membership answer the
-	// traversal consults (fn → in/out). The scope set is the ONLY region
-	// input the traversal reads, so the recorded answers are a sufficient
-	// footprint: any scope that would answer them identically yields
-	// identical paths. Detection uses this to reuse cached path sets
-	// across regions whose closures agree on the consulted functions.
-	ScopeTrace map[*ir.Func]bool
 
 	// Enumerations counts path enumerations started since the slicer was
 	// created.
@@ -440,13 +433,9 @@ func (sl *Slicer) criterionSinks(s *ir.Stmt) []Endpoint {
 }
 
 // inScope reports whether traversal may enter fn (always true without a
-// configured Scope), recording the answer when a ScopeTrace is attached.
+// configured Scope).
 func (sl *Slicer) inScope(fn *ir.Func) bool {
-	in := sl.Scope == nil || sl.Scope[fn]
-	if sl.ScopeTrace != nil {
-		sl.ScopeTrace[fn] = in
-	}
-	return in
+	return sl.Scope == nil || sl.Scope[fn]
 }
 
 func (sl *Slicer) maxDepth() int {

@@ -68,73 +68,6 @@ func (r *Resident) MemoEntries() int {
 	return n
 }
 
-// PrimeFromCache warm-starts the substrate's region closures from a
-// persistent cache populated by an earlier run over the same target — the
-// restart path of a resident service. A missing or foreign cache is a
-// no-op (closures are recomputed on demand). maxBytes > 0 bounds the
-// cache's on-disk size by LRU eviction.
-func (r *Resident) PrimeFromCache(dir string, readOnly bool, maxBytes int64) error {
-	pc, err := openCache(dir, readOnly, maxBytes)
-	if err != nil {
-		return err
-	}
-	primeRegions(r.sh, pc, r.TargetHash)
-	return nil
-}
-
 // Detector returns the sequential reference detector bound to this
 // resident substrate (see detect.Detector.Detect).
 func (r *Resident) Detector() *detect.Detector { return r.sh.Detector() }
-
-// primeRegions seeds a substrate's region closures from an open cache
-// populated by an earlier run over the same target.
-func primeRegions(sh *detect.Shared, pc *cache.Cache, targetHash string) {
-	var snap map[string][]string
-	if pc.Get(cache.TierRegions, regionsKey(targetHash), &snap) {
-		sh.PrimeRegions(snap, detect.DefaultMaxCalleeDepth)
-	}
-}
-
-// CarryRegionsFrom transfers still-valid region closures from a
-// predecessor Resident over an edited version of the same tree — the
-// incremental-recompute path. A closure survives only when it provably
-// could not have changed: the global set of defined function names is
-// unchanged (a definition appearing or vanishing can re-route
-// DefinedCallees anywhere), and no function in the closure is in
-// changedFuncs (the functions defined in any edited file). Everything else
-// is dropped and recomputed on demand, so a conservative changed set costs
-// time, never correctness. Returns (carried, dropped).
-func (r *Resident) CarryRegionsFrom(prev *Resident, changedFuncs map[string]bool) (carried, dropped int) {
-	if prev == nil {
-		return 0, 0
-	}
-	snap := prev.sh.RegionsSnapshot(detect.DefaultMaxCalleeDepth)
-	if !sameFuncNames(prev.Target, r.Target) {
-		return 0, len(snap)
-	}
-	for root, names := range snap {
-		for _, n := range names {
-			if changedFuncs[n] {
-				delete(snap, root)
-				dropped++
-				break
-			}
-		}
-	}
-	r.sh.PrimeRegions(snap, detect.DefaultMaxCalleeDepth)
-	return len(snap), dropped
-}
-
-// sameFuncNames reports whether two targets define exactly the same set of
-// function names.
-func sameFuncNames(a, b *Target) bool {
-	if len(a.Prog.Funcs) != len(b.Prog.Funcs) {
-		return false
-	}
-	for name := range a.Prog.Funcs {
-		if _, ok := b.Prog.Funcs[name]; !ok {
-			return false
-		}
-	}
-	return true
-}

@@ -125,8 +125,8 @@ if "error" in resp:
 if resp.get("epoch") != 3 or resp.get("parsed_files") != 1:
     raise SystemExit("FAIL: edit not incremental: %s" %
                      {k: resp.get(k) for k in ("epoch", "parsed_files", "reused_files")})
-print("   epoch 3: reparsed 1 file, reused %d, carried %d regions"
-      % (resp.get("reused_files", 0), resp.get("regions_carried", 0)))
+print("   epoch 3: reparsed %d file, reused %d"
+      % (resp.get("parsed_files", 0), resp.get("reused_files", 0)))
 EOF
 go run ./cmd/seal detect -target "$work/corpus/tree" -specs "$work/specs.json" -report \
     >"$work/batch-report-2.txt"

@@ -401,9 +401,3 @@ func MergeSpecDBs(dbs ...*SpecDB) *SpecDB {
 	out.Dedup()
 	return out
 }
-
-// NewDetector exposes the underlying detector for fine-grained use
-// (regions, per-spec checks, ablation switches).
-func NewDetector(t *Target) *detect.Detector {
-	return detect.New(t.Prog)
-}
