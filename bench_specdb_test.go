@@ -1,6 +1,6 @@
 package seal
 
-// Benchmark and standing speed assertion for the paged spec store's
+// Benchmark and standing speed assertion for the spec store's
 // incremental-recompute path. The store's value proposition is that a
 // one-spec edit re-detects only the region group owning the edited spec
 // while every sibling group replays from the persistent cache — so the
@@ -127,8 +127,7 @@ func benchIngestSpecs(tb testing.TB, n int) []*Spec {
 }
 
 // ingestUnbatched is the pre-group-commit write path: one durable store
-// transaction (WAL append + immediate fold into a B-tree commit) per
-// spec.
+// commit (record append + fsync) per spec.
 func ingestUnbatched(tb testing.TB, path string, specs []*Spec) {
 	tb.Helper()
 	st, err := specdb.Create(path)
@@ -143,8 +142,8 @@ func ingestUnbatched(tb testing.TB, path string, specs []*Spec) {
 	}
 }
 
-// ingestBatched is the group-commit path: every spec rides the WAL and
-// the default commit policy folds the batch into amortized commits.
+// ingestBatched is the group-commit path: every spec appends a record and
+// the default commit policy makes each batch durable with one fsync.
 func ingestBatched(tb testing.TB, path string, specs []*Spec) {
 	tb.Helper()
 	if _, _, err := ImportSpecStoreOptions(path, &SpecDB{Specs: specs}, specdb.Options{}); err != nil {
@@ -152,7 +151,7 @@ func ingestBatched(tb testing.TB, path string, specs []*Spec) {
 	}
 }
 
-// BenchmarkSpecIngest pins the bulk-ingestion claim behind the WAL
+// BenchmarkSpecIngest pins the bulk-ingestion claim behind the
 // group-commit path: "cold" commits every spec as its own transaction,
 // "batched" is the same corpus through ImportSpecs with the default
 // commit policy. Record results in BENCH_detect.json.

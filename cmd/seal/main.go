@@ -3,7 +3,7 @@
 //	seal gen    -out DIR [-eval] [-seed N]     generate a mini-Linux corpus
 //	seal infer  -patches DIR -out FILE [...]   infer specs from patches
 //	seal detect -target DIR -specs FILE [...]  detect bugs in a tree
-//	seal specdb -db FILE <mode>                administer a paged spec store
+//	seal specdb -db FILE <mode>                administer a spec store
 //	seal serve  -target DIR [-specs FILE]      resident analysis daemon
 //	seal work   -target DIR                    shard worker for `detect -shards`
 //	seal eval   [-seed N] [-out FILE]          reproduce all experiments
@@ -353,7 +353,7 @@ commands:
   infer   infer interface specifications from a patch directory
   detect  detect specification violations in a source tree
   specs   browse a specification database grouped by interface
-  specdb  administer a paged spec store (import/compact/verify/query/stats)
+  specdb  administer a spec store (import/compact/verify/query/stats)
   serve   run the resident analysis daemon (HTTP/JSON; infer/detect/edit)
   work    run a shard worker for coordinated detection (detect -shards / -shard-addrs)
   eval    reproduce every table and figure of the paper's evaluation
@@ -437,7 +437,7 @@ func cmdInfer(args []string) error {
 	workers := fs.Int("workers", 1, "concurrent patch workers")
 	noValidate := fs.Bool("no-validate", false, "skip quantifier validation (paper §6.3.3)")
 	appendTo := fs.String("append", "", "merge into an existing spec database (incremental dataset growth, paper §9)")
-	specDB := fs.String("spec-db", "", "also import the inferred specs into this paged spec store (first-wins by key, created when missing)")
+	specDB := fs.String("spec-db", "", "also import the inferred specs into this spec store (first-wins by key, created when missing)")
 	verbose := fs.Bool("v", false, "per-patch statistics")
 	failFast := fs.Bool("fail-fast", false, "abort at the first quarantined patch (exit 1) instead of continuing")
 	lf := addLimitFlags(fs)
@@ -548,7 +548,7 @@ func cmdDetect(args []string) error {
 	fs := flag.NewFlagSet("detect", flag.ExitOnError)
 	target := fs.String("target", "", "source tree to analyze (required)")
 	specFile := fs.String("specs", "", "spec database from `seal infer` (required unless -spec-db)")
-	specDB := fs.String("spec-db", "", "load specs from a paged spec store instead of a flat file (output is identical to -specs over the same specs)")
+	specDB := fs.String("spec-db", "", "load specs from a spec store instead of a flat file (output is identical to -specs over the same specs)")
 	full := fs.Bool("report", false, "print full bug reports (paths, specs, origins)")
 	workers := fs.Int("workers", 1, "region groups computed concurrently over one shared substrate (output is identical to -workers 1)")
 	stats := fs.Bool("stats", false, "print region-group and shared-substrate counters (warm vs computed groups, PDG builds, path-cache hit rate) to stderr")

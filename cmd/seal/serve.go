@@ -50,8 +50,8 @@ func setupServe(name string, args []string) (*serve.Server, net.Listener, error)
 	addr := fs.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port, printed on startup)")
 	target := fs.String("target", "", "source tree to keep resident (required)")
 	specFile := fs.String("specs", "", "spec database to serve detections from (optional; /infer can publish one)")
-	specDB := fs.String("spec-db", "", "paged spec store backing the spec database (mutually exclusive with -specs; enables /specs edits, each recomputing only the region group it touched)")
-	compactThreshold := fs.Float64("compact-threshold", 0, "background-compact the spec store when its dead-page ratio reaches this fraction in (0, 1] (0 = never)")
+	specDB := fs.String("spec-db", "", "spec store backing the spec database (mutually exclusive with -specs; enables /specs edits, each recomputing only the region group it touched)")
+	compactThreshold := fs.Float64("compact-threshold", 0, "background-compact the spec store when its dead-record ratio reaches this fraction in (0, 1] (0 = never)")
 	workers := fs.Int("workers", 1, "region groups computed concurrently per request (requests may override; output is identical at any count)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request wall-clock deadline (structured 503 when exceeded); 0 = none")
 	maxBody := fs.Int64("max-body", 0, "request body cap in bytes; 0 = default (16 MiB)")

@@ -12,22 +12,22 @@ import (
 	"seal/internal/specdb"
 )
 
-// cmdSpecDB administers a paged spec store (internal/specdb): import a
-// flat spec database, compact away superseded copy-on-write pages, verify
-// checksums and tree invariants, query, or print the header. Exactly one
-// mode per invocation.
+// cmdSpecDB administers a spec store (internal/specdb): import a flat spec
+// database, compact away superseded records, verify the file against the
+// snapshot it replays to, query, or print the store's position and size.
+// Exactly one mode per invocation.
 func cmdSpecDB(args []string) error {
 	fs := flag.NewFlagSet("specdb", flag.ExitOnError)
 	db := fs.String("db", "", "spec store file (required; created by -import when missing)")
 	importFile := fs.String("import", "", "import a flat spec database (JSON from `seal infer`) into the store")
-	compact := fs.Bool("compact", false, "rewrite the store in key order, dropping superseded copy-on-write pages")
-	verify := fs.Bool("verify", false, "walk every reachable page, checking checksums, key order, and the meta key count")
+	compact := fs.Bool("compact", false, "rewrite the store as its live records only, dropping superseded ones")
+	verify := fs.Bool("verify", false, "re-read the store, checking the header and every record checksum, record order, and that the replay matches the served snapshot")
 	query := fs.String("query", "", "print specs matching comma-separated field=value terms (fields: scope, iface, api, origin, patch, forbidden)")
-	stats := fs.Bool("stats", false, "print the store header (seq, keys, pages), file size, and WAL/compaction liveness")
-	commitEvery := fs.Int("commit-every", 0, "group-commit after this many WAL records (0 = default 256)")
-	commitBytes := fs.Int64("commit-bytes", 0, "group-commit after this many pending WAL payload bytes (0 = default 1 MiB)")
-	commitInterval := fs.Duration("commit-interval", 0, "group-commit this long after the first pending WAL record (0 = no time trigger)")
-	compactThreshold := fs.Float64("compact-threshold", 0, "background-compact when the dead-page ratio reaches this fraction in (0, 1] (0 = never)")
+	stats := fs.Bool("stats", false, "print the store position (seq, keys), file size, and dead-record ratio")
+	commitEvery := fs.Int("commit-every", 0, "group-commit after this many records (0 = default 256)")
+	commitBytes := fs.Int64("commit-bytes", 0, "group-commit after this many pending record bytes (0 = default 1 MiB)")
+	commitInterval := fs.Duration("commit-interval", 0, "group-commit this long after the first pending record (0 = no time trigger)")
+	compactThreshold := fs.Float64("compact-threshold", 0, "background-compact when the dead-record ratio (superseded record bytes over committed record bytes) reaches this fraction in (0, 1] (0 = never)")
 	fs.Parse(args)
 	if err := validatePositiveFlags(fs, "specdb", "commit-every", "commit-bytes"); err != nil {
 		return err
@@ -86,8 +86,8 @@ func cmdSpecDB(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("compacted %s: %d keys, %d -> %d pages (seq %d)\n",
-			*db, cs.Keys, cs.PagesBefore, cs.PagesAfter, cs.Seq)
+		fmt.Printf("compacted %s: %d keys, %d -> %d bytes (seq %d)\n",
+			*db, cs.Keys, cs.BytesBefore, cs.BytesAfter, cs.Seq)
 		return nil
 	case *verify:
 		st, err := specdb.OpenReadOnly(*db)
@@ -99,8 +99,8 @@ func cmdSpecDB(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("ok: %d keys in %d tree + %d overflow pages (%d allocated, seq %d)\n",
-			vs.Keys, vs.TreePages, vs.OverflowPages, vs.FilePages, vs.Seq)
+		fmt.Printf("ok: %d keys from %d records, %d bytes (seq %d)\n",
+			vs.Keys, vs.Records, vs.Bytes, vs.Seq)
 		return nil
 	case *stats:
 		st, err := specdb.OpenReadOnly(*db)
@@ -109,11 +109,8 @@ func cmdSpecDB(args []string) error {
 		}
 		defer st.Close()
 		ss := st.Stats()
-		fmt.Printf("%s: seq %d, %d keys, %d pages, %d bytes\n",
-			ss.Path, ss.Seq, ss.Keys, ss.Pages, ss.FileBytes)
-		fmt.Printf("wal: seq %d, %d records pending, %d bytes\n",
-			ss.WALSeq, ss.WALRecordsPending, ss.WALBytes)
-		fmt.Printf("dead pages: %.2f ratio\n", ss.DeadPageRatio)
+		fmt.Printf("%s: seq %d, %d keys, %d bytes\n", ss.Path, ss.Seq, ss.Keys, ss.FileBytes)
+		fmt.Printf("dead records: %.2f ratio\n", ss.DeadPageRatio)
 		return nil
 	default:
 		q, err := specdb.ParseQuery(*query)

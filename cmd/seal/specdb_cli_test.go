@@ -18,7 +18,7 @@ import (
 )
 
 // buildSpecStore generates a corpus, infers its specs, and imports them
-// into a fresh paged store via the specdb subcommand. Returns the source
+// into a fresh spec store via the specdb subcommand. Returns the source
 // tree, the flat spec file, and the store path.
 func buildSpecStore(t *testing.T) (tree, specFile, storePath string) {
 	t.Helper()
@@ -82,6 +82,47 @@ func TestCLISpecDBDetectIdentity(t *testing.T) {
 	if sharded != flat {
 		t.Errorf("-spec-db -shards 2 output differs from flat output.\nsharded:\n%s\nflat:\n%s",
 			sharded, flat)
+	}
+}
+
+// TestCLISpecDBShardedWithWriterTail is the regression test for one seq
+// pinning two spec sets: while a writer holds an appended but uncommitted
+// edit, as `seal serve` can, a sharded `detect -spec-db` must print exactly
+// what the in-process run prints, because every worker's OpenAt(seq)
+// replays the same records the coordinator's read-only open saw.
+func TestCLISpecDBShardedWithWriterTail(t *testing.T) {
+	tree, _, storePath := buildSpecStore(t)
+	st, err := specdb.OpenOptions(storePath, specdb.Options{
+		Commit: specdb.CommitPolicy{Records: 1 << 20, Bytes: 1 << 40},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := st.Batch()
+	defer func() {
+		b.Discard()
+		st.Close()
+	}()
+	specs, err := st.Current().Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := *specs[0]
+	edited.OriginPatch += "-edited"
+	if created, err := b.UpsertSpec(&edited); err != nil || created {
+		t.Fatalf("edit: created=%v err=%v", created, err)
+	}
+
+	inProcess := captureStdout(t, func() error {
+		return cmdDetect([]string{"-target", tree, "-spec-db", storePath, "-report"})
+	})
+	sharded := captureStdout(t, func() error {
+		return cmdDetect([]string{"-target", tree, "-spec-db", storePath, "-report",
+			"-shards", "2", "-cache-dir", t.TempDir()})
+	})
+	if sharded != inProcess {
+		t.Errorf("-shards 2 output differs from the in-process run while a writer holds an uncommitted edit.\nsharded:\n%s\nin-process:\n%s",
+			sharded, inProcess)
 	}
 }
 
@@ -198,23 +239,17 @@ func TestCLISpecDBModes(t *testing.T) {
 func TestCLISpecDBVersionSkew(t *testing.T) {
 	_, _, storePath := buildSpecStore(t)
 
-	// Bump the format version in both meta slots and re-seal the page
-	// checksums (FNV-64a over everything before the trailing 8 bytes), so
-	// the file is a structurally valid store from the future.
+	// Bump the format version in the header and re-seal its checksum
+	// (FNV-64a over the 28 bytes before it), so the file is a structurally
+	// valid store from the future.
 	data, err := os.ReadFile(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for slot := 0; slot < 2; slot++ {
-		pg := data[slot*specdb.PageSize : (slot+1)*specdb.PageSize]
-		if pg[0] != 1 { // only stamp written meta slots (pageMeta)
-			continue
-		}
-		binary.LittleEndian.PutUint32(pg[9:13], specdb.FormatVersion+41)
-		h := fnv.New64a()
-		h.Write(pg[:specdb.PageSize-8])
-		binary.LittleEndian.PutUint64(pg[specdb.PageSize-8:], h.Sum64())
-	}
+	binary.LittleEndian.PutUint32(data[8:12], specdb.FormatVersion+41)
+	h := fnv.New64a()
+	h.Write(data[:28])
+	binary.LittleEndian.PutUint64(data[28:36], h.Sum64())
 	if err := os.WriteFile(storePath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ type Options struct {
 	// — executed, recovered, or lost — so the merged manifest matches a
 	// single-process run's after redaction.
 	Obs *obs.Recorder
-	// SpecStore, when non-nil, names the shared paged spec store (path +
+	// SpecStore, when non-nil, names the shared spec store (path +
 	// committed snapshot sequence) the corpus was loaded from. Jobs then
 	// reference their subset by scope list against that snapshot instead of
 	// shipping the specs inline; Scopes and SpecsHash are filled per job.

@@ -56,7 +56,7 @@ type ShardJob struct {
 	Limits budget.Limits `json:"limits"`
 }
 
-// SpecStoreRef references a spec subset resident in a shared paged spec
+// SpecStoreRef references a spec subset resident in a shared spec
 // store (internal/specdb) instead of shipping the specs inline: the
 // worker opens the store at exactly the referenced snapshot sequence and
 // reads the named scopes' specs in global ordinal order — the same order

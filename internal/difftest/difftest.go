@@ -272,18 +272,3 @@ func RunCacheCase(c *randprog.PatchCase, cacheDir string) ([]Divergence, error) 
 	}
 	return divs, nil
 }
-
-// RunSeedRange runs [first, first+n) and returns the failing results.
-func RunSeedRange(first int64, n int) ([]*CaseResult, error) {
-	var failures []*CaseResult
-	for seed := first; seed < first+int64(n); seed++ {
-		res, err := RunCase(randprog.GenPatchCase(seed))
-		if err != nil {
-			return failures, err
-		}
-		if !res.Ok() {
-			failures = append(failures, res)
-		}
-	}
-	return failures, nil
-}

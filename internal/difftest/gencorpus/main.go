@@ -181,11 +181,10 @@ func main() {
 		}
 	}
 
-	// Spec-store page seeds: every page of a real (tiny) store file —
-	// meta, leaf, and an overflow chain from an oversized origin-patch
-	// field — plus checksum-violating and truncated variants, feeding
-	// FuzzSpecPage's decoder contract.
-	if err := writeSpecPageSeeds(filepath.Join("internal", "specdb", "testdata", "fuzz", "FuzzSpecPage")); err != nil {
+	// Spec-store image seeds: a real (tiny) store file plus a flipped
+	// header, a torn tail and a format-1 paged-store meta page, feeding
+	// FuzzStoreImage's open contract.
+	if err := writeStoreImageSeeds(filepath.Join("internal", "specdb", "testdata", "fuzz", "FuzzStoreImage")); err != nil {
 		fail(err)
 	}
 
@@ -242,7 +241,7 @@ func writeBytesEntry(dir, name string, data []byte) error {
 	return writeRaw(dir, name, "[]byte("+strconv.Quote(string(data))+")")
 }
 
-func writeSpecPageSeeds(dir string) error {
+func writeStoreImageSeeds(dir string) error {
 	tmp, err := os.MkdirTemp("", "specdb-seeds")
 	if err != nil {
 		return err
@@ -253,17 +252,16 @@ func writeSpecPageSeeds(dir string) error {
 	if err != nil {
 		return err
 	}
-	long := ""
-	for len(long) < 5000 {
-		long += "patch-chain-"
-	}
 	seeds := []*spec.Spec{
 		{ID: "S1", Iface: "ops.prepare", API: "kmalloc",
 			Constraint: spec.Constraint{Forbidden: true}, Origin: spec.OriginRemoved, OriginPatch: "p1"},
 		{ID: "S2", API: "kfree",
-			Constraint: spec.Constraint{Forbidden: false}, Origin: spec.OriginAdded, OriginPatch: long},
+			Constraint: spec.Constraint{Forbidden: false}, Origin: spec.OriginAdded, OriginPatch: "p2"},
 	}
 	if _, _, err := st.ImportSpecs(seeds); err != nil {
+		return err
+	}
+	if _, err := st.DeleteSpec(seeds[0].Key()); err != nil {
 		return err
 	}
 	if err := st.Close(); err != nil {
@@ -273,20 +271,37 @@ func writeSpecPageSeeds(dir string) error {
 	if err != nil {
 		return err
 	}
-	for i := 0; i*specdb.PageSize < len(img); i++ {
-		pg := img[i*specdb.PageSize : (i+1)*specdb.PageSize]
-		if err := writeBytesEntry(dir, fmt.Sprintf("page_%d", i), pg); err != nil {
+	// The header's baseSeq field with one bit flipped: its checksum
+	// must catch it.
+	flipped := append([]byte(nil), img...)
+	flipped[14] ^= 0x10
+	// A format-1 meta page (type 1, magic, version 1, page size 4096,
+	// seq 2, npages 2, nextord 1) with a valid page checksum.
+	page := make([]byte, 4096)
+	page[0] = 1
+	copy(page[1:9], "SEALSPDB")
+	binary.LittleEndian.PutUint32(page[9:13], 1)
+	binary.LittleEndian.PutUint32(page[13:17], 4096)
+	binary.LittleEndian.PutUint64(page[17:25], 2)
+	binary.LittleEndian.PutUint64(page[33:41], 2)
+	binary.LittleEndian.PutUint64(page[41:49], 1)
+	h := fnv.New64a()
+	h.Write(page[:4088])
+	binary.LittleEndian.PutUint64(page[4088:], h.Sum64())
+	for _, s := range []struct {
+		name string
+		data []byte
+	}{
+		{"image", img},
+		{"flipped_header", flipped},
+		{"torn_tail", img[:len(img)-5]},
+		{"format1_page", page},
+	} {
+		if err := writeBytesEntry(dir, s.name, s.data); err != nil {
 			return err
 		}
 	}
-	// Hostile variants: one flipped payload byte (checksum must catch
-	// it) and a truncated image (length check must catch it).
-	flipped := append([]byte(nil), img[:specdb.PageSize]...)
-	flipped[30] ^= 0x10
-	if err := writeBytesEntry(dir, "flipped_meta", flipped); err != nil {
-		return err
-	}
-	return writeBytesEntry(dir, "truncated", img[:100])
+	return nil
 }
 
 func sorted(m map[string]string) []string {

@@ -1,6 +1,6 @@
 package difftest
 
-// Spec-store differential configuration: the paged spec store must be an
+// Spec-store differential configuration: the spec store must be an
 // invisible substrate swap. A store-backed grouped detection (cold or
 // warm) must reproduce the flat-file single-process reference
 // byte-for-byte on the whole comparison surface, and a one-spec edit must
@@ -43,7 +43,7 @@ func groupedRun(ctx context.Context, files map[string]string, specs []*spec.Spec
 // RunSpecEditCase is the incremental-recompute differential protocol for
 // one corpus, run inside dir (a test temp directory):
 //
-//  1. Import the flat corpus into a paged store; the store must hand the
+//  1. Import the flat corpus into a spec store; the store must hand the
 //     specs back in flat-file order (equal content hash).
 //  2. A cold store-backed grouped run must be byte-identical to the flat
 //     single-process reference and compute every group.

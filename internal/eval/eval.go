@@ -108,12 +108,6 @@ func (r *Run) IsTP(b *detect.Bug) bool {
 	return ok
 }
 
-// GroundTruthOf returns the seeded bug a report hits, if any.
-func (r *Run) GroundTruthOf(b *detect.Bug) (kernelgen.SeededBug, bool) {
-	g, ok := r.gt[b.Fn.Name]
-	return g, ok
-}
-
 // TPFP splits the reports.
 func (r *Run) TPFP() (tp, fp []*detect.Bug) {
 	for _, b := range r.Bugs {

@@ -135,12 +135,6 @@ func isUseSite(s *ir.Stmt) bool {
 	return false
 }
 
-// CollectPaths slices every criterion and returns the deduplicated union
-// of value-flow paths.
-func CollectPaths(g *pdg.Graph, criteria []*ir.Stmt) []*vfp.Path {
-	return CollectPathsBudget(g, criteria, nil, nil)
-}
-
 // CollectPathsBudget is CollectPaths metered against a unit budget, with
 // truncation counters accumulated into trunc (both optional). Slicing stops
 // charging once the budget is exhausted; the paths gathered so far are

@@ -360,15 +360,6 @@ func NewProgram(files ...*cir.File) (*Program, error) {
 	return p, nil
 }
 
-// MustProgram is NewProgram that panics on error (for generated corpora).
-func MustProgram(files ...*cir.File) *Program {
-	p, err := NewProgram(files...)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // AddFile links one translation unit into the program.
 func (p *Program) AddFile(f *cir.File) error {
 	p.Files = append(p.Files, f)
@@ -444,14 +435,6 @@ func (p *Program) IsAPI(name string) bool {
 	}
 	_, declared := p.Protos[name]
 	return declared
-}
-
-// APIProto returns the prototype of an external API.
-func (p *Program) APIProto(name string) *cir.FuncDecl {
-	if p.IsAPI(name) {
-		return p.Protos[name]
-	}
-	return nil
 }
 
 // AllStmts returns every statement in the program, in deterministic order.

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"seal/internal/patch"
-	"seal/internal/spec"
 )
 
 // Config controls corpus generation. All randomness is seeded, so a config
@@ -292,50 +291,4 @@ func (c *Corpus) SortedFileNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// SpecIsIntended reports whether an inferred specification matches the
-// genuine latent rule of the family that produced its origin patch. It is
-// the automatic stand-in for the paper's manual spec-correctness sampling
-// (RQ2, §8.2): specs from family patches that state the intended rule are
-// correct; every other relation (extra relations from family patches,
-// anything from ambiguous or noise patches) counts as incorrect.
-func SpecIsIntended(fam *Family, s *spec.Spec) bool {
-	r := s.Constraint.Rel
-	switch fam.Name {
-	case "npd":
-		return s.Constraint.Forbidden && r.Kind == spec.RelReach &&
-			r.V.Kind == spec.VAPIRet && hasSuffix(r.V.API, "_alloc_mem") &&
-			(r.U.Kind == spec.UDeref || r.U.Kind == spec.UIndex)
-	case "wrongec":
-		return !s.Constraint.Forbidden && r.Kind == spec.RelReach &&
-			r.V.Kind == spec.VLiteral && r.V.Lit == -12 &&
-			r.U.Kind == spec.UIfaceRet
-	case "oob":
-		return s.Constraint.Forbidden && r.Kind == spec.RelReach &&
-			r.V.Kind == spec.VIfaceArg &&
-			(r.U.Kind == spec.UIndex || r.U.Kind == spec.UDeref)
-	case "uaf":
-		return s.Constraint.Forbidden && r.Kind == spec.RelOrder &&
-			r.U2.Kind == spec.UAPIArg && hasSuffix(r.U2.API, "_put_device")
-	case "memleak":
-		return !s.Constraint.Forbidden && r.Kind == spec.RelReach &&
-			r.V.Kind == spec.VAPIRet && hasSuffix(r.V.API, "_kmalloc") &&
-			r.U.Kind == spec.UAPIArg && hasSuffix(r.U.API, "_kfree")
-	case "dbz":
-		return s.Constraint.Forbidden && r.Kind == spec.RelReach &&
-			r.U.Kind == spec.UDiv
-	case "uninit":
-		return s.Constraint.Forbidden && r.Kind == spec.RelReach &&
-			r.V.Kind == spec.VUninit
-	case "refput":
-		return !s.Constraint.Forbidden && r.Kind == spec.RelReach &&
-			r.V.Kind == spec.VAPIRet && hasSuffix(r.V.API, "_get_child") &&
-			r.U.Kind == spec.UAPIArg && hasSuffix(r.U.API, "_node_put")
-	}
-	return false
-}
-
-func hasSuffix(s, suffix string) bool {
-	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
 }

@@ -537,27 +537,3 @@ func QualifiedLeaf(fn *ir.Func) solver.LeafFn {
 		return solver.Sym{Name: fn.Name + "::" + cir.ExprString(e)}
 	}
 }
-
-// EdgeConditionExprs returns, for diagnostics, the guarding (expr, negated)
-// pairs of a statement.
-func (g *Graph) EdgeConditionExprs(s *ir.Stmt) []GuardExpr {
-	deps := g.CtrlDeps(s)
-	var out []GuardExpr
-	for _, d := range deps {
-		blk := d.Branch.Blk
-		if d.EdgeIdx >= len(blk.EdgeConds) || blk.EdgeConds[d.EdgeIdx] == nil {
-			continue
-		}
-		out = append(out, GuardExpr{Cond: blk.EdgeConds[d.EdgeIdx], Negated: blk.Negated[d.EdgeIdx]})
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return cir.ExprString(out[i].Cond) < cir.ExprString(out[j].Cond)
-	})
-	return out
-}
-
-// GuardExpr is a branch condition guarding a statement.
-type GuardExpr struct {
-	Cond    cir.Expr
-	Negated bool
-}

@@ -40,17 +40,18 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies (0 = DefaultMaxBodyBytes).
 	MaxBodyBytes int64
-	// SpecDB is the path of a paged spec store (internal/specdb) backing
-	// the active spec database. When set, the daemon loads its specs from
-	// the store's current snapshot at startup, /specs edits commit through
-	// the store's copy-on-write path, and /detect responses report how
+	// SpecDB is the path of a spec store (internal/specdb) backing the
+	// active spec database. When set, the daemon loads its specs from the
+	// store's current snapshot at startup, /specs edits append to the
+	// store and commit with one fsync, and /detect responses report how
 	// incremental each run was. The specs argument to New must be nil in
 	// this mode.
 	SpecDB string
 	// CompactThreshold arms the spec store's ratio-triggered background
-	// compaction: when a group-commit fold leaves the dead-page ratio at
-	// or above this fraction in (0, 1], the store compacts in the
-	// background without blocking snapshot readers. 0 disables it.
+	// compaction: when a commit leaves the dead-record ratio (superseded
+	// record bytes over committed record bytes) at or above this fraction
+	// in (0, 1], the store compacts in the background without blocking
+	// snapshot readers. 0 disables it.
 	CompactThreshold float64
 }
 
@@ -65,7 +66,7 @@ type Server struct {
 	store *Store
 	reg   *obs.Registry
 	mux   *http.ServeMux
-	// specStore is the open paged spec store when cfg.SpecDB is set; the
+	// specStore is the open spec store when cfg.SpecDB is set; the
 	// source of truth for the active spec database (snapshots re-read it
 	// on every publish) and the target of /specs edits.
 	specStore *specdb.Store
@@ -583,8 +584,8 @@ type StatsResponse struct {
 	Resident    seal.ResidentStats `json:"resident"`
 	MemoEntries int                `json:"memo_entries"`
 	Substrate   seal.DetectStats   `json:"substrate"`
-	// SpecStore surfaces the backing paged store's write-path liveness
-	// (WAL depth, dead-page ratio, compaction count) in SpecDB mode.
+	// SpecStore surfaces the backing store's write-path liveness (pending
+	// records, dead-record ratio, compaction count) in SpecDB mode.
 	SpecStore *specdb.StoreStats `json:"spec_store,omitempty"`
 }
 

@@ -180,18 +180,6 @@ func (st *Store) Edit(updates map[string]string, deletes []string) (*Snapshot, e
 	return next, nil
 }
 
-// PublishSpecs activates a new spec database over the unchanged target.
-func (st *Store) PublishSpecs(specs []*seal.Spec) (*Snapshot, error) {
-	st.writer.Lock()
-	defer st.writer.Unlock()
-	next, err := st.cur.Load().withSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	st.cur.Store(next)
-	return next, nil
-}
-
 // EditSpecs publishes a spec-database successor produced by apply —
 // typically a spec-store mutation followed by a snapshot re-read — while
 // holding the writer lock, so the store commit and the epoch publication

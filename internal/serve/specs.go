@@ -10,8 +10,7 @@ import (
 // This file is the daemon's spec-database surface on a store-backed
 // server (Config.SpecDB): GET /specs queries the active store snapshot
 // with the specdb query language, POST /specs edits the database through
-// the store's copy-on-write commit and publishes the result as a new
-// epoch. Both answer 409 (no-spec-store) on a daemon serving a flat spec
+// one store commit and publishes the result as a new epoch. Both answer 409 (no-spec-store) on a daemon serving a flat spec
 // file, where the database is immutable for the process lifetime.
 
 // SpecsResponse answers GET /specs: the matching specs (as a *seal.SpecDB
@@ -28,8 +27,8 @@ type SpecsResponse struct {
 
 // SpecsEditRequest edits the spec database: Upsert inserts or replaces
 // specs by key, Delete removes specs by key. Upserts apply before
-// deletes; the whole edit group-commits as one WAL batch folded into a
-// single store transaction, and publishes once.
+// deletes; the whole edit group-commits as one batch of records made
+// durable by a single fsync, and publishes once.
 type SpecsEditRequest struct {
 	Upsert *seal.SpecDB `json:"upsert,omitempty"`
 	Delete []string     `json:"delete,omitempty"`
@@ -144,8 +143,8 @@ func (s *Server) handleSpecsEdit(w http.ResponseWriter, r *http.Request) {
 		return specs, ssnap.Seq(), err
 	})
 	if err != nil {
-		// A discarded batch leaves the store exactly as the last fold
-		// committed it — the edit is all-or-nothing up to any group-commit
+		// A discarded batch leaves the store exactly as the last commit
+		// left it — the edit is all-or-nothing up to any group-commit
 		// the policy tripped mid-batch. The published epoch is unchanged,
 		// and the next successful edit republishes everything.
 		s.writeError(w, http.StatusUnprocessableEntity, "edit-failed", err.Error(), nil)

@@ -1,9 +1,6 @@
 package solver
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Tally counts the solver work one unit of work asked for: every
 // satisfiability check (Sat and SatBudget, including those made through
@@ -544,8 +541,3 @@ func Simplify(f Formula) Formula {
 	}
 	return f
 }
-
-// AtomString is a helper to build diagnostics.
-func AtomString(a Atom) string { return a.fString() }
-
-var _ = fmt.Sprintf

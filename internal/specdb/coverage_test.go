@@ -1,13 +1,11 @@
 package specdb
 
-// Edge-path suite: multi-level trees (branch splits and cascading
-// deletes down to an empty root), decoder rejection of structurally
-// hostile pages, commit-time I/O failures, and the remaining spec-layer
-// error branches. These paths are exactly where storage engines rot,
-// so the package holds a 90% coverage floor in CI.
+// Edge-path suite: large stores drained to empty and refilled, rejection
+// of hostile headers, write-time I/O failures, and the remaining
+// spec-layer error branches. These paths are exactly where storage
+// engines rot, so the package holds a 90% coverage floor in CI.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -18,57 +16,37 @@ import (
 	"seal/internal/spec"
 )
 
-// TestDeepTreeSplitAndDrain forces branch splits with page-filling keys,
-// then deletes every key in scrambled order: empty leaves unlink, single
-// child branches collapse, and the tree drains to an empty root.
+// TestDeepTreeSplitAndDrain (named for the paged format's multi-level
+// tree) writes 400 page-filling keys in scrambled order, then deletes
+// every key in scrambled batches, verifying after each: the store drains
+// to empty and accepts new keys again.
 func TestDeepTreeSplitAndDrain(t *testing.T) {
 	st := tmpStore(t)
 	const n = 400
 	pad := strings.Repeat("k", 700)
 	keyAt := func(i int) string { return fmt.Sprintf("%s-%05d", pad, i) }
 
-	err := st.Update(func(tx *Tx) error {
-		for i := 0; i < n; i++ {
-			if err := tx.Put([]byte(keyAt((i*311)%n)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	var kv []string
+	for i := 0; i < n; i++ {
+		kv = append(kv, keyAt((i*311)%n), fmt.Sprintf("v%d", i))
 	}
+	mustPut(t, st, kv...)
 	vs, err := st.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs.Keys != n {
-		t.Fatalf("verify saw %d keys, want %d", vs.Keys, n)
-	}
-	// 700-byte keys fit ~5 per page, so 400 keys need a 3-level tree:
-	// well past one root split, deep enough to split branches too.
-	if vs.TreePages < 80 {
-		t.Fatalf("tree suspiciously shallow: %d pages for %d page-filling keys", vs.TreePages, n)
+	if vs.Keys != n || vs.Records != n {
+		t.Fatalf("verify saw %d keys in %d records, want %d", vs.Keys, vs.Records, n)
 	}
 
 	rng := rand.New(rand.NewSource(5))
 	order := rng.Perm(n)
 	for batch := 0; batch < n; batch += 37 {
-		err := st.Update(func(tx *Tx) error {
-			for _, i := range order[batch:min(batch+37, n)] {
-				ok, err := tx.Delete([]byte(keyAt(i)))
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("key %d vanished before delete", i)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+		var keys []string
+		for _, i := range order[batch:min(batch+37, n)] {
+			keys = append(keys, keyAt(i))
 		}
+		mustDelete(t, st, keys...)
 		if _, err := st.Verify(); err != nil {
 			t.Fatalf("verify after batch %d: %v", batch, err)
 		}
@@ -76,172 +54,80 @@ func TestDeepTreeSplitAndDrain(t *testing.T) {
 	if got := st.Current().Len(); got != 0 {
 		t.Fatalf("drained store still holds %d keys", got)
 	}
-	if v, ok, err := st.Current().Get([]byte(keyAt(3))); ok || err != nil {
-		t.Fatalf("Get on drained store = %q %v %v", v, ok, err)
+	if v, ok := st.Current().Get([]byte(keyAt(3))); ok {
+		t.Fatalf("Get on drained store = %q", v)
 	}
-	// And the drained (root=0) tree accepts new keys again.
+	if r := st.Stats().DeadPageRatio; r != 1 {
+		t.Fatalf("dead ratio of a drained store = %.2f, want 1", r)
+	}
+	// And the drained store accepts new keys again.
 	mustPut(t, st, "fresh", "start")
 	if got := st.Current().Len(); got != 1 {
 		t.Fatalf("refill Len = %d", got)
 	}
 }
 
-// TestDeleteMissInDeepTree exercises the not-found return through branch
-// nodes: the tree must not be rewritten at all.
+// TestDeleteMissInDeepTree: deleting a spec key that sorts between
+// stored keys but is absent reports a miss and writes nothing.
 func TestDeleteMissInDeepTree(t *testing.T) {
 	st := tmpStore(t)
-	pad := strings.Repeat("p", 700)
-	err := st.Update(func(tx *Tx) error {
-		for i := 0; i < 40; i++ {
-			if err := tx.Put([]byte(fmt.Sprintf("%s-%03d", pad, i*2)), []byte("v")); err != nil {
-				return err
-			}
+	var specs []*spec.Spec
+	for i := 0; i < 40; i++ {
+		specs = append(specs, mkSpec(fmt.Sprintf("ops.deep%03d", i*2), "kmalloc", true, int64(i), "p"))
+	}
+	if _, _, err := st.ImportSpecs(specs); err != nil {
+		t.Fatal(err)
+	}
+	seq, size := st.Current().Seq(), fileSize(t, st)
+	miss := mkSpec("ops.deep007", "kmalloc", true, 7, "p")
+	if ok, err := st.DeleteSpec(miss.Key()); ok || err != nil {
+		t.Fatalf("phantom delete: %v %v", ok, err)
+	}
+	if st.Current().Seq() != seq || fileSize(t, st) != size {
+		t.Fatal("a missed delete wrote a record")
+	}
+}
+
+// TestOpenRejectsHostileHeaders covers each header rejection with its
+// error class.
+func TestOpenRejectsHostileHeaders(t *testing.T) {
+	good := encodeHeader(header{baseSeq: 3, nextOrd: 9})
+	flip := func(i int) []byte {
+		b := append([]byte(nil), good...)
+		b[i] ^= 0x01
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		img  []byte
+		want error
+	}{
+		{"empty", nil, ErrNotStore},
+		{"short header", good[:headerLen-1], ErrNotStore},
+		{"bad magic", flip(0), ErrNotStore},
+		{"flipped seq", flip(14), ErrCorrupt},
+		{"flipped checksum", flip(headerLen - 1), ErrCorrupt},
+	} {
+		if _, err := openFile(&memFile{buf: tc.img}, tc.name, true, Options{}); !errors.Is(err, tc.want) {
+			t.Errorf("%s: open = %v, want %v", tc.name, err, tc.want)
 		}
-		return nil
-	})
+	}
+	st, err := openFile(&memFile{buf: good}, "good", true, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := st.Current().Seq()
-	err = st.Update(func(tx *Tx) error {
-		ok, err := tx.Delete([]byte(pad + "-007")) // between existing keys
-		if ok || err != nil {
-			return fmt.Errorf("phantom delete: %v %v", ok, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Current().Seq() != seq {
-		t.Fatal("a missed delete committed")
+	if st.Current().Seq() != 3 || st.Stats().NextOrd != 9 {
+		t.Fatalf("header fields not restored: %+v", st.Stats())
 	}
 }
 
-// TestTxReadYourWrites pins the transaction-local view: Get/Iterate/
-// IterateFrom inside Update see staged mutations before commit.
-func TestTxReadYourWrites(t *testing.T) {
-	st := tmpStore(t)
-	mustPut(t, st, "a", "1", "b", "2", "c", "3")
-	err := st.Update(func(tx *Tx) error {
-		if err := tx.Put([]byte("b"), []byte("staged")); err != nil {
-			return err
-		}
-		if _, err := tx.Delete([]byte("c")); err != nil {
-			return err
-		}
-		v, ok, err := tx.Get([]byte("b"))
-		if err != nil || !ok || string(v) != "staged" {
-			return fmt.Errorf("tx.Get(b) = %q %v %v", v, ok, err)
-		}
-		var all []string
-		if err := tx.Iterate(func(k, v []byte) (bool, error) {
-			all = append(all, string(k)+"="+string(v))
-			return true, nil
-		}); err != nil {
-			return err
-		}
-		if strings.Join(all, ",") != "a=1,b=staged" {
-			return fmt.Errorf("tx.Iterate = %v", all)
-		}
-		var tail []string
-		if err := tx.IterateFrom([]byte("b"), func(k, _ []byte) (bool, error) {
-			tail = append(tail, string(k))
-			return true, nil
-		}); err != nil {
-			return err
-		}
-		if strings.Join(tail, ",") != "b" {
-			return fmt.Errorf("tx.IterateFrom = %v", tail)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The staged view committed.
-	if v, _, _ := st.Current().Get([]byte("b")); string(v) != "staged" {
-		t.Fatalf("commit lost staged write: %q", v)
-	}
-}
-
-// TestDecodePageRejectsHostileStructures covers each structural decode
-// rejection with a correctly checksummed but malformed page.
-func TestDecodePageRejectsHostileStructures(t *testing.T) {
-	mk := func(mut func(buf []byte)) []byte {
-		buf := make([]byte, PageSize)
-		mut(buf)
-		sealPage(buf)
-		return buf
-	}
-	cases := map[string][]byte{
-		"unknown type": mk(func(b []byte) { b[0] = 77 }),
-		"meta bad magic": mk(func(b []byte) {
-			b[0] = pageMeta
-			copy(b[1:9], "NOTMAGIC")
-		}),
-		"leaf header overrun": mk(func(b []byte) {
-			b[0] = pageLeaf
-			binary.LittleEndian.PutUint16(b[1:3], 65535)
-		}),
-		"leaf key overrun": mk(func(b []byte) {
-			b[0] = pageLeaf
-			binary.LittleEndian.PutUint16(b[1:3], 1)
-			binary.LittleEndian.PutUint16(b[3:5], MaxKeyLen+1) // klen
-		}),
-		"leaf unsorted keys": mk(func(b []byte) {
-			b[0] = pageLeaf
-			binary.LittleEndian.PutUint16(b[1:3], 2)
-			off := leafHdr
-			for _, k := range []string{"b", "a"} {
-				binary.LittleEndian.PutUint16(b[off:off+2], 1)
-				off += leafCell
-				off += copy(b[off:], k)
-			}
-		}),
-		"branch zero keys": mk(func(b []byte) { b[0] = pageBranch }),
-		"branch cell overrun": mk(func(b []byte) {
-			b[0] = pageBranch
-			binary.LittleEndian.PutUint16(b[1:3], 400)
-		}),
-		"branch key overrun": mk(func(b []byte) {
-			b[0] = pageBranch
-			binary.LittleEndian.PutUint16(b[1:3], 1)
-			binary.LittleEndian.PutUint16(b[branchHdr:branchHdr+2], 60000)
-		}),
-		"overflow oversize": mk(func(b []byte) {
-			b[0] = pageOverflow
-			binary.LittleEndian.PutUint32(b[9:13], uint32(ovfChunk+1))
-		}),
-	}
-	for name, buf := range cases {
-		if _, err := DecodePage(buf); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: DecodePage = %v, want ErrCorrupt", name, err)
-		}
-	}
-	if _, err := DecodePage(make([]byte, 17)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("short image: %v", err)
-	}
-}
-
-// TestSnapshotPageBounds rejects page ids outside the snapshot's
-// committed page range before touching the file.
-func TestSnapshotPageBounds(t *testing.T) {
-	st := tmpStore(t)
-	mustPut(t, st, "k", "v")
-	for _, id := range []uint64{0, 1, 1 << 40} {
-		if _, err := st.Current().page(id); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("page(%d) = %v, want ErrCorrupt", id, err)
-		}
-	}
-}
-
-// failFile injects a WriteAt or Sync failure after a countdown, to
-// drive the commit error paths.
+// failFile injects a WriteAt, Sync or Truncate failure after a countdown,
+// to drive the append, commit and discard error paths.
 type failFile struct {
 	*memFile
 	writesLeft int
 	failSync   bool
+	failTrunc  bool
 }
 
 var errInjected = errors.New("injected I/O failure")
@@ -255,43 +141,76 @@ func (f *failFile) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (f *failFile) Sync() error {
-	if f.failSync && f.writesLeft <= 0 {
+	if f.failSync {
 		return errInjected
 	}
 	return f.memFile.Sync()
 }
 
+func (f *failFile) Truncate(n int64) error {
+	if f.failTrunc {
+		return errInjected
+	}
+	return f.memFile.Truncate(n)
+}
+
 func TestCommitSurfacesWriteErrors(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		budget int
-		sync   bool
-	}{
-		{"first data page write fails", 0, false},
-		{"meta write fails", 1, false},
-		{"sync fails", 1, true},
-	} {
-		mem := &memFile{}
-		if err := initEmpty(mem); err != nil {
-			t.Fatal(err)
-		}
-		ff := &failFile{memFile: mem, writesLeft: 1 << 30}
-		st, err := openWith(ff, "fail.mem", false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ff.writesLeft = tc.budget
-		ff.failSync = tc.sync
-		err = st.Update(func(tx *Tx) error { return tx.Put([]byte("k"), []byte("v")) })
-		if !errors.Is(err, errInjected) {
-			t.Errorf("%s: Update = %v, want injected failure", tc.name, err)
-		}
-		// The in-memory state must not have advanced past the failure.
-		ff.writesLeft = 1 << 30
-		ff.failSync = false
-		if st.Current().Seq() != 1 {
-			t.Errorf("%s: failed commit advanced seq to %d", tc.name, st.Current().Seq())
-		}
+	ff := &failFile{memFile: &memFile{}, writesLeft: 1 << 30}
+	st, err := initFile(ff, "fail.mem", Options{Commit: CommitPolicy{Records: 1 << 20, Bytes: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := st.Batch()
+
+	// A failed append leaves nothing pending and the seq where it was.
+	ff.writesLeft = 0
+	if err := b.put([]byte("k"), []byte("v")); !errors.Is(err, errInjected) {
+		t.Fatalf("append = %v, want injected failure", err)
+	}
+	ff.writesLeft = 1 << 30
+	if b.Pending() != 0 {
+		t.Fatal("failed append left a pending record")
+	}
+
+	// A failed sync keeps the batch pending and the snapshot unpublished;
+	// the retry commits it.
+	if err := b.put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	ff.failSync = true
+	if err := b.Flush(); !errors.Is(err, errInjected) {
+		t.Fatalf("Flush = %v, want injected failure", err)
+	}
+	if st.Current().Seq() != 0 || b.Pending() != 1 {
+		t.Fatalf("failed commit published seq %d with %d pending", st.Current().Seq(), b.Pending())
+	}
+	ff.failSync = false
+	if err := b.Flush(); err != nil || st.Current().Seq() != 1 {
+		t.Fatalf("retried commit: %v, seq %d", err, st.Current().Seq())
+	}
+
+	// A failed truncate still drops the batch; the next append overwrites
+	// the discarded bytes, so a reopen sees only committed records.
+	if err := b.put([]byte("gone"), []byte("long discarded value")); err != nil {
+		t.Fatal(err)
+	}
+	ff.failTrunc = true
+	if err := b.Discard(); !errors.Is(err, errInjected) {
+		t.Fatalf("Discard = %v, want injected failure", err)
+	}
+	ff.failTrunc = false
+	if err := b.put([]byte("x"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := openFile(&memFile{buf: ff.buf}, "reopen", true, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dump(t, re.Current()); len(got) != 2 || got["k"] != "v" || got["x"] != "" {
+		t.Fatalf("reopened after failed truncate: %v", got)
 	}
 }
 
@@ -373,103 +292,13 @@ func TestStorePathAccessor(t *testing.T) {
 	if err := st.Close(); err != nil { // double close is a no-op
 		t.Fatal(err)
 	}
-	if err := st.Update(func(tx *Tx) error { return nil }); err == nil {
-		t.Fatal("Update on closed store succeeded")
+	if err := st.Batch().put([]byte("k"), nil); err == nil {
+		t.Fatal("put on closed store succeeded")
+	}
+	if err := st.Batch().Discard(); err == nil {
+		t.Fatal("Discard on closed store succeeded")
 	}
 	if _, err := st.Compact(); err == nil {
 		t.Fatal("Compact on closed store succeeded")
-	}
-}
-
-// TestBranchPageMemoization drives the two checksum-memoization paths
-// added with group commit: the store's lookup cache (batched-import
-// dedup walking the committed tree once per snapshot) and a
-// transaction's verified-branch set (several operations in one Update
-// descending the same committed branch pages). Both only engage on
-// branch pages, so the tree must be deep enough to have them.
-func TestBranchPageMemoization(t *testing.T) {
-	st := tmpStore(t)
-	big := strings.Repeat("v", maxInline+50)
-	keyAt := func(i int) string { return fmt.Sprintf("memo-%05d", i) }
-	err := st.Update(func(tx *Tx) error {
-		for i := 0; i < 400; i++ {
-			val := fmt.Sprintf("val%05d", i)
-			if i%37 == 0 {
-				val = big // overflow chains mixed into the leaves
-			}
-			if err := tx.Put([]byte(keyAt(i)), []byte(val)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn := st.Current()
-	root, err := readPage(sn, sn.meta.root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.Type != pageBranch {
-		t.Fatalf("root is type %d, want a branch — memoization paths vacuous", root.Type)
-	}
-
-	// Store-level lookups: the first walk verifies and memoizes the root
-	// branch; repeat walks must be served from the cache, and the cache
-	// must survive only as long as its snapshot.
-	st.mu.Lock()
-	for _, i := range []int{3, 250, 399, 3} {
-		v, ok, err := st.lookupLocked([]byte(keyAt(i)))
-		if err != nil || !ok {
-			t.Fatalf("lookupLocked(%d) = %v, %v", i, ok, err)
-		}
-		want := fmt.Sprintf("val%05d", i)
-		if i%37 == 0 {
-			want = big
-		}
-		if string(v) != want {
-			t.Fatalf("lookupLocked(%d) returned %d bytes, want %d", i, len(v), len(want))
-		}
-	}
-	if st.look == nil || len(st.look.verified) == 0 {
-		t.Fatal("lookup cache memoized no branch pages")
-	}
-	if _, ok := st.look.verified[sn.meta.root]; !ok {
-		t.Fatal("root branch page missing from lookup cache")
-	}
-	prev := st.look
-	st.mu.Unlock()
-
-	// A commit publishes a new snapshot; the stale cache must be
-	// discarded, not consulted.
-	mustPut(t, st, keyAt(1), "rewritten")
-	st.mu.Lock()
-	src, snap := st.lookupSourceLocked()
-	if src == prev || snap == sn {
-		t.Fatal("lookup cache not rebuilt after commit")
-	}
-	st.mu.Unlock()
-
-	// Transaction-level: two operations in one Update descend the same
-	// committed branch pages; the second must reuse the first's
-	// verification.
-	err = st.Update(func(tx *Tx) error {
-		if err := tx.Put([]byte(keyAt(40)), []byte("x")); err != nil {
-			return err
-		}
-		if len(tx.verified) == 0 {
-			return fmt.Errorf("transaction verified no committed branch pages")
-		}
-		if _, ok := tx.trustedPage(snap.meta.root); !ok {
-			return fmt.Errorf("root branch not trusted after first descent")
-		}
-		return tx.Put([]byte(keyAt(360)), []byte("y"))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,13 +1,18 @@
 package specdb
 
-// Crash-consistency harness. A recording file wrapper logs every write
-// the store issues across a multi-commit run; the harness then rebuilds
-// the file image at every write-log prefix (a crash between any two
-// writes), plus torn variants of the next write (a crash mid-write) and
-// truncations, and asserts the store recovers to exactly the last fully
-// committed snapshot — never a panic, never partial state. A separate
-// pass flips individual bits in the final image and asserts checksums
-// turn silent corruption into clean errors.
+// Crash-consistency harness. A recording file logs every physical
+// operation the store issues on its one file — record appends, the
+// truncations Discard makes, and the syncs that commit — across a
+// multi-commit run. Beside the log it keeps an independent oracle: the
+// records the file holds after each operation, each with the state a plain
+// map reaches by applying the records up to it. The harness then rebuilds
+// the file image at every operation prefix (a crash between any two
+// operations), plus torn and scribbled variants of the next write, every
+// byte prefix of the final image, and single-bit flips, and asserts what
+// recovery yields: exactly the replay of a prefix of the records — all of
+// them when every write in the prefix completed, so at least the last
+// synced commit — or, for damage ahead of the final record, a clean
+// ErrCorrupt; never a panic, never data that was not written.
 
 import (
 	"errors"
@@ -15,6 +20,8 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+
+	"seal/internal/spec"
 )
 
 // memFile is an in-memory file for simulated crash images.
@@ -52,270 +59,403 @@ func (m *memFile) Truncate(n int64) error {
 func (m *memFile) Close() error         { return nil }
 func (m *memFile) Size() (int64, error) { return int64(len(m.buf)), nil }
 
-// writeOp is one logged WriteAt.
-type writeOp struct {
-	off  int64
-	data []byte
+// fileOp is one logged physical operation.
+type fileOp struct {
+	trunc bool // Truncate(size) rather than WriteAt(data, off)
+	sync  bool
+	off   int64
+	data  []byte
+	size  int64
 }
 
-// recordingFile mirrors writes into a memFile while logging them for
-// prefix replay.
+// filed is one record the file holds, with the oracle state after it.
+type filed struct {
+	end     int64 // file offset just past the record
+	seq     uint64
+	nextOrd uint64
+	model   map[string]string
+}
+
+// recordingFile mirrors operations into a memFile, logs them, and after
+// each one notes which records the file holds and how many of them the
+// last sync made durable.
 type recordingFile struct {
-	mem *memFile
-	log []writeOp
+	mem    memFile
+	log    []fileOp
+	held   []filed   // current records; held[0] stands for the header alone
+	file   [][]filed // file[p]: held after the first p ops
+	synced []int     // synced[p]: records durable after the first p ops
 }
 
 func (r *recordingFile) ReadAt(p []byte, off int64) (int, error) { return r.mem.ReadAt(p, off) }
+func (r *recordingFile) Size() (int64, error)                    { return r.mem.Size() }
+func (r *recordingFile) Close() error                            { return nil }
+
 func (r *recordingFile) WriteAt(p []byte, off int64) (int, error) {
-	r.log = append(r.log, writeOp{off: off, data: append([]byte(nil), p...)})
+	if off == 0 {
+		r.held = []filed{{end: int64(len(p)), nextOrd: 1, model: map[string]string{}}}
+	} else {
+		rec, n, err := DecodeWALRecord(p)
+		if err != nil || n != len(p) {
+			panic(fmt.Sprintf("store wrote a non-record at %d: %v", off, err))
+		}
+		last := r.held[len(r.held)-1]
+		next := filed{end: off + int64(n), seq: rec.Seq, nextOrd: rec.NextOrd, model: copyModel(last.model)}
+		if rec.Op == WALOpPut {
+			next.model[string(rec.Key)] = string(rec.Val)
+		} else {
+			delete(next.model, string(rec.Key))
+		}
+		r.held = append(r.held, next)
+	}
+	r.note(fileOp{off: off, data: append([]byte(nil), p...)})
 	return r.mem.WriteAt(p, off)
 }
-func (r *recordingFile) Sync() error            { return nil }
-func (r *recordingFile) Truncate(n int64) error { return r.mem.Truncate(n) }
-func (r *recordingFile) Close() error           { return nil }
-func (r *recordingFile) Size() (int64, error)   { return r.mem.Size() }
 
-// committedState is the model at one commit, tagged with how many
-// writes the log held once the commit was durable.
-type committedState struct {
-	seq    uint64
-	model  map[string]string
-	writes int
+func (r *recordingFile) Truncate(n int64) error {
+	for r.held[len(r.held)-1].end > n {
+		r.held = r.held[:len(r.held)-1]
+	}
+	r.note(fileOp{trunc: true, size: n})
+	return r.mem.Truncate(n)
 }
 
-// buildCrashRun drives a deterministic multi-commit workload through a
-// recording file and returns the write log plus the per-commit models.
-func buildCrashRun(t *testing.T) ([]writeOp, []committedState) {
-	t.Helper()
-	rec := &recordingFile{mem: &memFile{}}
-	if err := initEmpty(rec); err != nil {
-		t.Fatal(err)
-	}
-	st, err := openWith(rec, "crash.mem", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := map[string]string{}
-	commits := []committedState{{seq: st.Current().Seq(), model: copyModel(model), writes: len(rec.log)}}
-
-	rng := rand.New(rand.NewSource(99))
-	for c := 0; c < 10; c++ {
-		err := st.Update(func(tx *Tx) error {
-			for i := 0; i < 1+rng.Intn(5); i++ {
-				k := fmt.Sprintf("iface:%02d", rng.Intn(30))
-				if rng.Intn(5) == 0 {
-					if _, err := tx.Delete([]byte(k)); err != nil {
-						return err
-					}
-					delete(model, k)
-				} else {
-					v := fmt.Sprintf("val-%d-%s", c, string(make([]byte, rng.Intn(2*maxInline))))
-					if err := tx.Put([]byte(k), []byte(v)); err != nil {
-						return err
-					}
-					model[k] = v
-				}
-			}
-			// Guarantee every commit is dirty.
-			sentinel := fmt.Sprintf("commit:%d", c)
-			if err := tx.Put([]byte(sentinel), []byte("x")); err != nil {
-				return err
-			}
-			model[sentinel] = "x"
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		commits = append(commits, committedState{seq: st.Current().Seq(), model: copyModel(model), writes: len(rec.log)})
-	}
-	return rec.log, commits
+func (r *recordingFile) Sync() error {
+	r.note(fileOp{sync: true})
+	return nil
 }
 
-// replayPrefix rebuilds the file image after the first n logged writes.
-func replayPrefix(log []writeOp, n int) *memFile {
+func (r *recordingFile) note(op fileOp) {
+	durable := 0
+	if len(r.synced) > 0 {
+		durable = min(r.synced[len(r.synced)-1], len(r.held)-1)
+	}
+	if op.sync {
+		durable = len(r.held) - 1
+	}
+	r.log = append(r.log, op)
+	r.file = append(r.file, append([]filed(nil), r.held...))
+	r.synced = append(r.synced, durable)
+}
+
+// heldAt returns the records the file holds after the first p ops (nil
+// before the header was written) and how many of them are durable.
+func (r *recordingFile) heldAt(p int) ([]filed, int) {
+	if p == 0 {
+		return nil, 0
+	}
+	return r.file[p-1], r.synced[p-1]
+}
+
+// replayOps rebuilds the file image after the first n logged ops.
+func replayOps(log []fileOp, n int) *memFile {
 	f := &memFile{}
-	for _, w := range log[:n] {
-		f.WriteAt(w.data, w.off)
+	for _, op := range log[:n] {
+		switch {
+		case op.trunc:
+			f.Truncate(op.size)
+		case !op.sync:
+			f.WriteAt(op.data, op.off)
+		}
 	}
 	return f
 }
 
-// expectAt returns the committed state a crash after `writes` complete
-// writes must recover to.
-func expectAt(commits []committedState, writes int) (committedState, bool) {
-	var best committedState
-	found := false
-	for _, c := range commits {
-		if c.writes <= writes {
-			best = c
-			found = true
+// buildCrashRun drives a deterministic raw workload — puts, deletes,
+// policy-tripped commits, flushes and discards — through a recording file.
+func buildCrashRun(t *testing.T) *recordingFile {
+	t.Helper()
+	rec := &recordingFile{}
+	st, err := initFile(rec, "crash.mem", Options{Commit: CommitPolicy{Records: 5, Bytes: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := st.Batch()
+	rng := rand.New(rand.NewSource(99))
+	for op := 0; op < 160; op++ {
+		k := []byte(fmt.Sprintf("iface:%02d", rng.Intn(20)))
+		switch n := rng.Intn(20); {
+		case n < 4:
+			err = b.delete(k)
+		case n < 6:
+			err = b.Flush()
+		case n < 7:
+			err = b.Discard()
+		default:
+			err = b.put(k, []byte(fmt.Sprintf("val-%d-%s", op, make([]byte, rng.Intn(24)))))
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	return best, found
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	final := rec.held[len(rec.held)-1]
+	checkAgainstModel(t, st.Current(), final.model, "recorded run")
+	return rec
 }
 
-// checkRecovery opens a crash image and asserts it recovers to exactly
-// the expected committed state. When no commit (not even the genesis
-// init) is fully on disk, a clean open error is the correct outcome.
-func checkRecovery(t *testing.T, img *memFile, want committedState, haveCommit bool, label string) {
+// checkRecovery opens a crash image read-write and asserts it recovers to
+// exactly the state after the first k of the records held, and stays
+// consistent: it verifies, reports the last record's seq and ordinal
+// counter, and a read-only open of the same image sees the same state
+// without writing it. With no header (held == nil) a clean open error is
+// the only correct outcome.
+func checkRecovery(t *testing.T, img *memFile, held []filed, k int, label string) {
 	t.Helper()
-	st, err := openWith(img, label, false)
-	if err != nil {
-		if haveCommit {
-			t.Fatalf("%s: lost committed seq %d: %v", label, want.seq, err)
+	pristine := append([]byte(nil), img.buf...)
+	ro, roErr := openFile(&memFile{buf: append([]byte(nil), img.buf...)}, label, true, Options{})
+	st, err := openFile(img, label, false, Options{})
+	if held == nil {
+		if err == nil || roErr == nil {
+			t.Fatalf("%s: opened with no header on disk", label)
 		}
-		if !errors.Is(err, ErrNotStore) && !errors.Is(err, ErrVersion) {
-			t.Fatalf("%s: pre-genesis crash produced unexpected error class: %v", label, err)
+		if !errors.Is(err, ErrNotStore) && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: headerless image produced an unexpected error class: %v", label, err)
 		}
 		return
 	}
-	if !haveCommit {
-		t.Fatalf("%s: opened with no durable commit (seq %d)", label, st.Current().Seq())
+	if err != nil || roErr != nil {
+		t.Fatalf("%s: lost the store: %v / read-only %v", label, err, roErr)
 	}
-	if got := st.Current().Seq(); got != want.seq {
-		t.Fatalf("%s: recovered seq %d, want %d", label, got, want.seq)
+	if string(pristine) != string(ro.f.(*memFile).buf) {
+		t.Fatalf("%s: read-only open wrote the image", label)
+	}
+	want := held[k]
+	for _, s := range []*Store{st, ro} {
+		sn := s.Current()
+		if sn.Seq() != want.seq || sn.nextOrd != want.nextOrd {
+			t.Fatalf("%s: recovered seq %d nextOrd %d, want %d and %d", label, sn.Seq(), sn.nextOrd, want.seq, want.nextOrd)
+		}
+		checkAgainstModel(t, sn, want.model, label)
 	}
 	if _, err := st.Verify(); err != nil {
 		t.Fatalf("%s: verify after recovery: %v", label, err)
 	}
-	checkAgainstModel(t, st.Current(), want.model, label)
 }
 
-// TestCrashConsistencyEveryCommitOffset replays the run's write log cut
-// at every offset, and additionally tears the in-flight write at each
-// cut (half written, and half written then zero-filled).
-func TestCrashConsistencyEveryCommitOffset(t *testing.T) {
-	log, commits := buildCrashRun(t)
-	genesisWrites := commits[0].writes
-
-	for p := 0; p <= len(log); p++ {
-		want, _ := expectAt(commits, p)
-		have := p >= genesisWrites
-		checkRecovery(t, replayPrefix(log, p), want, have, fmt.Sprintf("prefix %d/%d", p, len(log)))
-
-		if p == len(log) {
+// checkEveryPrefix replays a run cut after every op, plus a torn and a
+// scribbled variant of each in-flight write: every complete record must
+// survive, so recovery is the replay of all records held — at least the
+// last synced commit.
+func checkEveryPrefix(t *testing.T, rec *recordingFile) {
+	for p := 0; p <= len(rec.log); p++ {
+		held, durable := rec.heldAt(p)
+		if held != nil && len(held)-1 < durable {
+			t.Fatalf("prefix %d: oracle holds %d records, %d durable", p, len(held)-1, durable)
+		}
+		checkRecovery(t, replayOps(rec.log, p), held, len(held)-1, fmt.Sprintf("prefix %d/%d", p, len(rec.log)))
+		if p == len(rec.log) {
 			continue
 		}
-		// Torn in-flight write: only the first half of write p lands.
-		next := log[p]
-		img := replayPrefix(log, p)
+		next := rec.log[p]
+		if next.trunc || next.sync {
+			continue
+		}
+		// Torn in-flight write: only the first half lands.
+		img := replayOps(rec.log, p)
 		img.WriteAt(next.data[:len(next.data)/2], next.off)
-		checkRecovery(t, img, want, have, fmt.Sprintf("torn %d/%d", p, len(log)))
-
-		// Torn with trailing garbage: first half lands, the rest of the
-		// page is scribbled rather than left at its old content.
-		img = replayPrefix(log, p)
-		scribble := append(append([]byte(nil), next.data[:len(next.data)/2]...),
-			make([]byte, len(next.data)-len(next.data)/2)...)
-		for i := len(next.data) / 2; i < len(scribble); i++ {
+		checkRecovery(t, img, held, len(held)-1, fmt.Sprintf("torn %d/%d", p, len(rec.log)))
+		// Scribbled: the first half lands and the rest is garbage.
+		img = replayOps(rec.log, p)
+		scribble := append([]byte(nil), next.data...)
+		for i := len(scribble) / 2; i < len(scribble); i++ {
 			scribble[i] = 0xAA
 		}
 		img.WriteAt(scribble, next.off)
-		checkRecovery(t, img, want, have, fmt.Sprintf("scribbled %d/%d", p, len(log)))
+		checkRecovery(t, img, held, len(held)-1, fmt.Sprintf("scribbled %d/%d", p, len(rec.log)))
 	}
 }
 
-// TestCrashTruncation cuts the final image at every page boundary and
-// at unaligned offsets. Recovery must land on a committed snapshot
-// whose reachable pages all survived, or fail cleanly — and reads
-// through a truncated store must error, never fabricate data.
+// recordsBefore counts the records wholly inside the first off bytes.
+func recordsBefore(held []filed, off int64) int {
+	k := 0
+	for k+1 < len(held) && held[k+1].end <= off {
+		k++
+	}
+	return k
+}
+
+// TestCrashConsistencyEveryCommitOffset replays the raw workload's op log
+// cut at every offset, tearing each in-flight write.
+func TestCrashConsistencyEveryCommitOffset(t *testing.T) {
+	checkEveryPrefix(t, buildCrashRun(t))
+}
+
+// TestCrashTruncation cuts the final image at every byte: recovery is the
+// replay of the records wholly inside the cut, or a clean error inside the
+// header, and every recovered store accepts and commits a new write.
 func TestCrashTruncation(t *testing.T) {
-	log, commits := buildCrashRun(t)
-	full := replayPrefix(log, len(log))
-	final := commits[len(commits)-1]
-	size := int64(len(full.buf))
-
-	var cuts []int64
-	for off := int64(0); off <= size; off += PageSize {
-		cuts = append(cuts, off, off+1, off+PageSize/2)
-	}
-	for _, cut := range cuts {
-		if cut > size {
-			continue
-		}
+	rec := buildCrashRun(t)
+	held := rec.held
+	full := replayOps(rec.log, len(rec.log))
+	for cut := 0; cut <= len(full.buf); cut++ {
 		img := &memFile{buf: append([]byte(nil), full.buf[:cut]...)}
-		st, err := openWith(img, "trunc", false)
-		if err != nil {
-			// Both meta slots cut off — fine as long as it's clean.
-			if cut >= 2*PageSize {
-				t.Fatalf("truncate@%d: open failed with both meta slots present: %v", cut, err)
-			}
+		label := fmt.Sprintf("truncate@%d", cut)
+		if cut < headerLen {
+			checkRecovery(t, img, nil, 0, label)
 			continue
 		}
-		seq := st.Current().Seq()
-		var want *committedState
-		for i := range commits {
-			if commits[i].seq == seq {
-				want = &commits[i]
-			}
+		k := recordsBefore(held, int64(cut))
+		checkRecovery(t, img, held, k, label)
+		st, err := openFile(img, label, false, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want == nil {
-			t.Fatalf("truncate@%d: recovered unknown seq %d", cut, seq)
+		b := st.Batch()
+		if err := b.put([]byte("after-crash"), []byte("x")); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-		// Every key either reads back its committed value or errors
-		// cleanly; silent wrong data is the one forbidden outcome.
-		for k, v := range want.model {
-			got, ok, err := st.Current().Get([]byte(k))
-			if err != nil {
-				continue // truncated page: clean error
-			}
-			if !ok || string(got) != v {
-				t.Fatalf("truncate@%d seq %d: key %q silently wrong (ok=%v)", cut, seq, k, ok)
-			}
+		if err := b.Flush(); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-		if _, err := st.Verify(); err == nil {
-			// A fully verifiable store must be exactly the committed state.
-			checkAgainstModel(t, st.Current(), want.model, fmt.Sprintf("truncate@%d", cut))
-			_ = final
+		want := copyModel(held[k].model)
+		want["after-crash"] = "x"
+		re, err := openFile(&memFile{buf: img.buf}, label, true, Options{})
+		if err != nil {
+			t.Fatalf("%s: reopen after write: %v", label, err)
 		}
+		checkAgainstModel(t, re.Current(), want, label+" rewritten")
 	}
 }
 
-// TestCrashBitFlips flips single bits across the final image: recovery
-// must either keep serving the committed state (flip hit a dead page),
-// recover to the previous commit (flip hit the newest meta), or
-// surface a checksum error — silent wrong data and panics are the
-// failure modes being excluded.
+// TestCrashBitFlips flips one bit at every byte of the final image. A flip
+// in the header fails the open cleanly. A flip in the last record looks
+// like a torn final append: recovery is the replay of every record before
+// it, so every commit before the final one survives. A flip anywhere else
+// damages a record that later records follow: both opens fail with
+// ErrCorrupt and the file is left as it is — committed records are never
+// silently cut off.
 func TestCrashBitFlips(t *testing.T) {
-	log, commits := buildCrashRun(t)
-	full := replayPrefix(log, len(log))
-	final := commits[len(commits)-1]
+	rec := buildCrashRun(t)
+	held := rec.held
+	full := replayOps(rec.log, len(rec.log))
+	lastStart := held[len(held)-2].end
 	rng := rand.New(rand.NewSource(7))
-
-	offsets := make([]int64, 0, 300)
-	for i := 0; i < 260; i++ {
-		offsets = append(offsets, rng.Int63n(int64(len(full.buf))))
-	}
-	// Target both meta slots explicitly.
-	for slot := int64(0); slot < 2; slot++ {
-		offsets = append(offsets, slot*PageSize+20, slot*PageSize+checksumOff+3)
-	}
-
-	for _, off := range offsets {
+	for off := 0; off < len(full.buf); off++ {
 		img := &memFile{buf: append([]byte(nil), full.buf...)}
 		img.buf[off] ^= 1 << uint(rng.Intn(8))
+		label := fmt.Sprintf("flip@%d", off)
+		switch {
+		case off < headerLen:
+			if _, err := openFile(img, label, true, Options{}); !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNotStore) {
+				t.Fatalf("%s: open = %v, want a clean header rejection", label, err)
+			}
+		case int64(off) >= lastStart:
+			checkRecovery(t, img, held, len(held)-2, label)
+		default:
+			flipped := append([]byte(nil), img.buf...)
+			if _, err := openFile(img, label, true, Options{}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: read-only open = %v, want ErrCorrupt", label, err)
+			}
+			if _, err := openFile(img, label, false, Options{}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: read-write open = %v, want ErrCorrupt", label, err)
+			}
+			if string(img.buf) != string(flipped) {
+				t.Fatalf("%s: a failed open rewrote the file", label)
+			}
+		}
+	}
+}
 
-		st, err := openWith(img, "flip", false)
+// buildSpecCrashRun drives a spec-level workload — upserts that allocate
+// or keep ordinals, deletes, and flushes — through a recording file,
+// checking the batch's own answers against an independent model.
+func buildSpecCrashRun(t *testing.T) *recordingFile {
+	t.Helper()
+	rec := &recordingFile{}
+	st, err := initFile(rec, "walcrash.mem", Options{Commit: CommitPolicy{Records: 4, Bytes: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := st.Batch()
+	model := map[string]string{}
+	ordOf := map[string]uint64{}
+	nextOrd := uint64(1)
+	rng := rand.New(rand.NewSource(41))
+	pool := make([]*spec.Spec, 12)
+	for i := range pool {
+		pool[i] = mkSpec(fmt.Sprintf("crash.ops%02d", i), "kmalloc", i%2 == 0, int64(i), "p0")
+	}
+	for c := 0; c < 36; c++ {
+		edited := *pool[rng.Intn(len(pool))]
+		key := edited.Key()
+		_, live := model[key]
+		if rng.Intn(4) == 0 {
+			ok, err := b.DeleteSpec(key)
+			if err != nil || ok != live {
+				t.Fatalf("op %d: delete(%q) = %v %v, model live %v", c, key, ok, err, live)
+			}
+			delete(model, key)
+		} else {
+			edited.OriginPatch = fmt.Sprintf("p%d", c)
+			created, err := b.UpsertSpec(&edited)
+			if err != nil || created == live {
+				t.Fatalf("op %d: upsert(%q) created=%v %v, model live %v", c, key, created, err, live)
+			}
+			if created { // a fresh or re-inserted key takes the next ordinal
+				ordOf[key] = nextOrd
+				nextOrd++
+			}
+			val, err := encodeSpec(ordOf[key], &edited)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model[key] = string(val)
+		}
+		if rng.Intn(9) == 0 {
+			if err := b.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	final := rec.held[len(rec.held)-1]
+	checkAgainstModel(t, st.Current(), model, "spec run")
+	checkAgainstModel(t, st.Current(), final.model, "spec run records")
+	if final.nextOrd != nextOrd {
+		t.Fatalf("records end at NextOrd %d, model %d", final.nextOrd, nextOrd)
+	}
+	return rec
+}
+
+// TestWALCrashConsistencyEveryPrefix replays the spec-level workload cut
+// at every op: an operation is durable once its record is wholly on disk,
+// whether or not the commit that covers it ran, and ordinals survive.
+func TestWALCrashConsistencyEveryPrefix(t *testing.T) {
+	checkEveryPrefix(t, buildSpecCrashRun(t))
+}
+
+// TestWALCrashRecoveredStoreStaysWritable: recovery is not read-repair
+// only — after recovering from an arbitrary mid-run crash point, the store
+// accepts further batched spec writes and commits them.
+func TestWALCrashRecoveredStoreStaysWritable(t *testing.T) {
+	rec := buildSpecCrashRun(t)
+	for _, frac := range []int{3, 2, 1} {
+		p := len(rec.log) / frac
+		held, _ := rec.heldAt(p)
+		st, err := openFile(replayOps(rec.log, p), "rewrite", false, Options{Commit: CommitPolicy{Records: 2, Bytes: 1 << 30}})
 		if err != nil {
-			t.Fatalf("flip@%d: open failed with one flipped bit (the other meta slot must survive): %v", off, err)
+			t.Fatalf("cut %d: %v", p, err)
 		}
-		seq := st.Current().Seq()
-		if seq != final.seq && seq != final.seq-1 {
-			t.Fatalf("flip@%d: recovered seq %d, want %d or %d", off, seq, final.seq, final.seq-1)
+		b := st.Batch()
+		sp := mkSpec("crash.after", "krealloc", true, int64(frac), "post")
+		created, err := b.UpsertSpec(sp)
+		if err != nil || !created {
+			t.Fatalf("cut %d: post-recovery upsert: %v %v", p, created, err)
 		}
-		var want committedState
-		for _, c := range commits {
-			if c.seq == seq {
-				want = c
-			}
+		if err := b.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := st.Verify(); err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
-				t.Fatalf("flip@%d: verify error is not a clean corruption report: %v", off, err)
-			}
-			continue
+		got, found, err := st.Current().SpecByKey(sp.Key())
+		if err != nil || !found || got.OriginPatch != "post" {
+			t.Fatalf("cut %d: post-recovery spec unreadable: %v %v %v", p, found, err, got)
 		}
-		checkAgainstModel(t, st.Current(), want.model, fmt.Sprintf("flip@%d", off))
+		if n := st.Current().Len(); n != len(held[len(held)-1].model)+1 {
+			t.Fatalf("cut %d: len %d, want %d", p, n, len(held[len(held)-1].model)+1)
+		}
 	}
 }

@@ -1,114 +1,74 @@
 package specdb
 
-// FuzzSpecPage hammers the page decoder with arbitrary images. The
-// contract under fuzzing: DecodePage never panics, never accepts an
-// image whose checksum does not match, and every accepted page
-// satisfies the structural invariants the B-tree relies on (parallel
-// slices, sorted keys, in-bounds lengths).
+// FuzzStoreImage opens arbitrary byte images as store files. The contract
+// under fuzzing: opening never panics; every image either opens or fails
+// with ErrNotStore, ErrCorrupt or ErrVersion; and an image that opens
+// read-write reopens to the same Seq and keys, then stays writable — a
+// committed put survives another reopen.
 
 import (
-	"bytes"
-	"encoding/binary"
-	"strings"
+	"errors"
+	"fmt"
 	"testing"
 )
 
-// buildSeedPages produces one valid page of each type via the real
-// encoders, plus hostile variants.
-func buildSeedPages(tb testing.TB) [][]byte {
+// buildStoreImages produces a real store image plus hostile variants,
+// mirroring the gencorpus seed set.
+func buildStoreImages(tb testing.TB) [][]byte {
 	tb.Helper()
-	var seeds [][]byte
-
-	seeds = append(seeds, encodeMeta(meta{seq: 7, root: 3, npages: 9, nextOrd: 4, count: 2}))
-
-	tx := &Tx{pages: make(map[uint64][]byte), baseN: 2, npages: 2}
-	if _, err := tx.writeNode(&node{leaf: true,
-		keys:  [][]byte{[]byte("api:kfree | k1"), []byte("iface:ops | k2")},
-		vals:  [][]byte{[]byte("small"), []byte(strings.Repeat("v", maxInline+9))},
-		ovfs:  []uint64{0, 0},
-		vlens: []uint32{5, uint32(maxInline + 9)},
-	}, 0); err != nil {
+	f := &memFile{}
+	st, err := initFile(f, "seed.mem", Options{})
+	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := tx.writeNode(&node{
-		keys: [][]byte{[]byte("m")},
-		kids: []uint64{2, 3},
-	}, 0); err != nil {
+	if _, _, err := st.ImportSpecs(testCorpus()); err != nil {
 		tb.Fatal(err)
 	}
-	for id := uint64(2); id < tx.npages; id++ {
-		seeds = append(seeds, tx.pages[id])
+	if _, err := st.DeleteSpec(testCorpus()[1].Key()); err != nil {
+		tb.Fatal(err)
 	}
-
-	// Corrupt variants: flipped payload byte, flipped checksum, wrong
-	// type with a valid checksum, short and empty images.
-	flip := append([]byte(nil), seeds[0]...)
-	flip[40] ^= 0xFF
-	reseal := append([]byte(nil), seeds[1]...)
-	reseal[0] = 0x7F
-	sealPage(reseal)
-	badsum := append([]byte(nil), seeds[1]...)
-	binary.LittleEndian.PutUint64(badsum[checksumOff:], 0xDEADBEEF)
-	empty := make([]byte, PageSize)
-	seeds = append(seeds, flip, reseal, badsum, empty, []byte("short"), nil)
-	return seeds
+	img := f.buf
+	flipped := append([]byte(nil), img...)
+	flipped[headerLen+20] ^= 0x04
+	format1 := make([]byte, 64)
+	format1[0] = 1
+	copy(format1[1:], magic)
+	return [][]byte{img, flipped, img[:len(img)-3], img[:headerLen], format1, nil}
 }
 
-func FuzzSpecPage(f *testing.F) {
-	for _, seed := range buildSeedPages(f) {
+func FuzzStoreImage(f *testing.F) {
+	for _, seed := range buildStoreImages(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodePage(data)
+		img := &memFile{buf: append([]byte(nil), data...)}
+		st, err := openFile(img, "fuzz", false, Options{})
 		if err != nil {
-			if p != nil {
-				t.Fatal("DecodePage returned both a page and an error")
+			if !errors.Is(err, ErrNotStore) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("rejection outside the error contract: %v", err)
 			}
 			return
 		}
-		if len(data) != PageSize {
-			t.Fatalf("accepted a %d-byte page image", len(data))
+		reopen := func(label string) *Snapshot {
+			re, err := openFile(&memFile{buf: append([]byte(nil), img.buf...)}, label, false, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			return re.Current()
 		}
-		if got := binary.LittleEndian.Uint64(data[checksumOff:]); got != checksum(data[:checksumOff]) {
-			t.Fatal("accepted a page with a bad checksum")
+		sn, again := st.Current(), reopen("reopen")
+		if again.Seq() != sn.Seq() || fmt.Sprint(again.keys) != fmt.Sprint(sn.keys) {
+			t.Fatalf("reopen moved seq %d -> %d or keys %q -> %q", sn.Seq(), again.Seq(), sn.keys, again.keys)
 		}
-		switch p.Type {
-		case pageMeta:
-			// Nothing further: all meta fields are plain integers.
-		case pageLeaf:
-			if len(p.Vals) != len(p.Keys) || len(p.Ovf) != len(p.Keys) || len(p.VLen) != len(p.Keys) {
-				t.Fatalf("leaf slices out of parallel: %d keys, %d vals, %d ovf, %d vlen",
-					len(p.Keys), len(p.Vals), len(p.Ovf), len(p.VLen))
-			}
-			for i := range p.Keys {
-				if p.Ovf[i] == 0 && int(p.VLen[i]) != len(p.Vals[i]) {
-					t.Fatalf("leaf cell %d: inline length %d but vlen %d", i, len(p.Vals[i]), p.VLen[i])
-				}
-				if p.Ovf[i] != 0 && len(p.Vals[i]) != 0 {
-					t.Fatalf("leaf cell %d carries both inline bytes and an overflow chain", i)
-				}
-			}
-			assertSorted(t, p.Keys)
-		case pageBranch:
-			if len(p.Kids) != len(p.Keys)+1 {
-				t.Fatalf("branch has %d kids for %d keys", len(p.Kids), len(p.Keys))
-			}
-			assertSorted(t, p.Keys)
-		case pageOverflow:
-			if len(p.Data) > ovfChunk {
-				t.Fatalf("overflow data %d exceeds chunk capacity", len(p.Data))
-			}
-		default:
-			t.Fatalf("accepted unknown page type %d", p.Type)
+		b := st.Batch()
+		if err := b.put([]byte("fuzz-key"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := reopen("after write").Get([]byte("fuzz-key")); !ok || string(v) != "v" {
+			t.Fatalf("committed put lost on reopen: %q %v", v, ok)
 		}
 	})
-}
-
-func assertSorted(t *testing.T, keys [][]byte) {
-	t.Helper()
-	for i := 1; i < len(keys); i++ {
-		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
-			t.Fatalf("accepted unsorted keys at %d", i)
-		}
-	}
 }

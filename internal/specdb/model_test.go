@@ -1,15 +1,18 @@
 package specdb
 
-// Model-based property test: seeded random operation sequences
-// (insert/delete/update/iterate/snapshot/compact/reopen) run against an
-// in-memory map model. After every commit the store must agree with the
-// model on content, count, and iteration order; held snapshots must
-// keep showing the state they were taken at no matter what later
-// commits and compactions do; and a close/reopen cycle must reload a
-// byte-identical state without rewriting the file.
+// Model-based property test: seeded random operation sequences (put,
+// delete, flush, discard, snapshot, compact, reopen) run against an
+// in-memory map model. After every operation the store's published
+// snapshot must agree with the committed model on content, count, and
+// iteration order; held snapshots must keep showing the state they were
+// taken at no matter what later commits, compactions and closes do;
+// OpenAt must reproduce every commit since the last compaction; and a
+// close/reopen cycle must reload the same state without rewriting the
+// file.
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -77,7 +80,13 @@ func fileHash(t *testing.T, path string) [32]byte {
 }
 
 func TestModelRandomOps(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42, 1234} {
+	seeds := []int64{1, 7, 42, 1234}
+	if !testing.Short() {
+		for seed := int64(2); seed < 38; seed++ {
+			seeds = append(seeds, seed)
+		}
+	}
+	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			runModelSeed(t, seed)
@@ -85,93 +94,128 @@ func TestModelRandomOps(t *testing.T) {
 	}
 }
 
+// commitPoint is the committed model at one published seq.
+type commitPoint struct {
+	seq   uint64
+	model map[string]string
+}
+
 func runModelSeed(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	path := filepath.Join(t.TempDir(), "model.db")
-	st, err := Create(path)
+	opts := Options{Commit: CommitPolicy{Records: 2 + rng.Intn(10), Bytes: 1 << 30}}
+	st, err := CreateOptions(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { st.Close() }()
 
-	model := map[string]string{}
+	committed, pending := map[string]string{}, map[string]string{}
 	var held []heldSnap
+	points := []commitPoint{{seq: 0, model: map[string]string{}}} // reachable by OpenAt
+	var gone []uint64                                             // seqs a compaction dropped
 
-	key := func() string { return fmt.Sprintf("spec/%03d", rng.Intn(120)) }
+	key := func() string { return fmt.Sprintf("spec/%03d", rng.Intn(60)) }
 	value := func() string {
-		// Mix of inline, boundary, and multi-page-overflow sizes.
-		sizes := []int{0, 1, 17, maxInline - 1, maxInline, maxInline + 1, 2000, ovfChunk + 50}
-		n := sizes[rng.Intn(len(sizes))]
-		return strings.Repeat(string(rune('a'+rng.Intn(26))), n)
+		sizes := []int{0, 1, 17, 511, 512, 513, 2000, 4200}
+		return strings.Repeat(string(rune('a'+rng.Intn(26))), sizes[rng.Intn(len(sizes))])
+	}
+	// committedNow records a commit if the batch just went durable.
+	committedNow := func(b *Batch) {
+		if b.Pending() == 0 && st.Current().Seq() != points[len(points)-1].seq {
+			committed = copyModel(pending)
+			points = append(points, commitPoint{seq: st.Current().Seq(), model: committed})
+		}
+	}
+	checkOpenAt := func(label string) {
+		for _, p := range points {
+			pin, err := OpenAt(path, p.seq)
+			if err != nil {
+				t.Fatalf("%s: OpenAt(%d): %v", label, p.seq, err)
+			}
+			checkAgainstModel(t, pin.Current(), p.model, fmt.Sprintf("%s OpenAt(%d)", label, p.seq))
+			pin.Close()
+		}
+		for _, seq := range gone {
+			if _, err := OpenAt(path, seq); !errors.Is(err, ErrSnapshotGone) {
+				t.Fatalf("%s: OpenAt(%d) before the last compaction = %v, want ErrSnapshotGone", label, seq, err)
+			}
+		}
 	}
 
-	steps := 60
-	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(10); {
-		case op < 6: // commit a batch of random puts/deletes
-			nops := 1 + rng.Intn(6)
-			staged := copyModel(model)
-			err := st.Update(func(tx *Tx) error {
-				for i := 0; i < nops; i++ {
-					k := key()
-					if rng.Intn(4) == 0 {
-						ok, err := tx.Delete([]byte(k))
-						if err != nil {
-							return err
-						}
-						if _, inModel := staged[k]; inModel != ok {
-							return fmt.Errorf("Delete(%q) = %v, model says %v", k, ok, inModel)
-						}
-						delete(staged, k)
-					} else {
-						v := value()
-						if err := tx.Put([]byte(k), []byte(v)); err != nil {
-							return err
-						}
-						staged[k] = v
-					}
-					if tx.Len() != len(staged) {
-						return fmt.Errorf("tx.Len = %d, staged model %d", tx.Len(), len(staged))
-					}
-				}
-				return nil
-			})
-			if err != nil {
+	b := st.Batch()
+	for step := 0; step < 300; step++ {
+		switch op := rng.Intn(20); {
+		case op < 10:
+			k, v := key(), value()
+			if err := b.put([]byte(k), []byte(v)); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			model = staged
-		case op < 7: // take and hold a snapshot
-			if len(held) < 4 {
-				held = append(held, heldSnap{snap: st.Current(), model: copyModel(model)})
+			pending[k] = v
+			committedNow(b)
+		case op < 13:
+			k := key()
+			if err := b.delete([]byte(k)); err != nil {
+				t.Fatalf("step %d: %v", step, err)
 			}
-		case op < 8: // compact; held snapshots must survive
+			delete(pending, k)
+			committedNow(b)
+		case op < 15:
+			if err := b.Flush(); err != nil {
+				t.Fatalf("step %d flush: %v", step, err)
+			}
+			committedNow(b)
+		case op < 16:
+			if err := b.Discard(); err != nil {
+				t.Fatalf("step %d discard: %v", step, err)
+			}
+			pending = copyModel(committed)
+		case op < 17: // take and hold a snapshot
+			if len(held) < 4 {
+				held = append(held, heldSnap{snap: st.Current(), model: copyModel(committed)})
+			}
+		case op < 18: // compact; held snapshots survive, older seqs go
 			if _, err := st.Compact(); err != nil {
 				t.Fatalf("step %d compact: %v", step, err)
 			}
-		default: // close and reopen; file bytes must be untouched
+			committedNow(b)
+			last := points[len(points)-1]
+			for _, p := range points[:len(points)-1] {
+				if p.seq != last.seq {
+					gone = append(gone, p.seq)
+				}
+			}
+			points = []commitPoint{last}
+		default: // close and reopen; the file bytes must be untouched
 			preHash := fileHash(t, path)
-			preSeq := st.Current().Seq()
 			if err := st.Close(); err != nil {
 				t.Fatalf("step %d close: %v", step, err)
 			}
-			st, err = Open(path)
-			if err != nil {
+			committedNow(b)
+			preSeq := st.Current().Seq()
+			if st, err = OpenOptions(path, opts); err != nil {
 				t.Fatalf("step %d reopen: %v", step, err)
 			}
+			b = st.Batch()
 			if got := fileHash(t, path); got != preHash {
-				t.Fatalf("step %d: reopen rewrote the file", step)
+				t.Fatalf("step %d: close and reopen rewrote the file", step)
 			}
 			if st.Current().Seq() != preSeq {
 				t.Fatalf("step %d: reopen changed seq %d -> %d", step, preSeq, st.Current().Seq())
 			}
-			held = nil // old snapshots die with the closed store
+			checkOpenAt(fmt.Sprintf("step %d", step))
 		}
 
-		checkAgainstModel(t, st.Current(), model, fmt.Sprintf("step %d current", step))
+		checkAgainstModel(t, st.Current(), committed, fmt.Sprintf("step %d current", step))
 		for i, h := range held {
 			checkAgainstModel(t, h.snap, h.model, fmt.Sprintf("step %d held[%d]@seq%d", step, i, h.snap.Seq()))
 		}
 	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	committedNow(b)
+	checkOpenAt("end")
 	if _, err := st.Verify(); err != nil {
 		t.Fatal(err)
 	}

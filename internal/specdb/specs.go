@@ -1,4 +1,4 @@
-// Spec-level layer over the raw key/value B-tree. Keys are spec.Key()
+// Spec-level layer over the raw key/value records. Keys are spec.Key()
 // — "<scope> | <constraint>" with scope "iface:NAME" or "api:NAME" —
 // so one interface's specs occupy one contiguous key range and a
 // region-group's spec subset is a prefix scan. Values are JSON records
@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"seal/internal/spec"
@@ -25,8 +26,15 @@ type specRecord struct {
 	DB  *spec.DB `json:"db"`
 }
 
+// encodeSpec writes what json.Marshal(specRecord{...}) would: the DB's
+// JSON is already compact, so it is spliced in rather than re-compacted.
 func encodeSpec(ord uint64, sp *spec.Spec) ([]byte, error) {
-	return json.Marshal(specRecord{Ord: ord, DB: &spec.DB{Specs: []*spec.Spec{sp}}})
+	db, err := (&spec.DB{Specs: []*spec.Spec{sp}}).MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	val := append(strconv.AppendUint([]byte(`{"ord":`), ord, 10), `,"db":`...)
+	return append(append(val, db...), '}'), nil
 }
 
 func decodeSpec(val []byte) (uint64, *spec.Spec, error) {
@@ -47,44 +55,29 @@ func recLen(db *spec.DB) int {
 	return len(db.Specs)
 }
 
-// lookupLocked resolves key through the pending WAL batch first, then
-// the committed snapshot — the writer's read-your-writes view. Caller
-// holds s.mu.
-func (s *Store) lookupLocked(key []byte) ([]byte, bool, error) {
+// lookupLocked resolves key through the pending batch first, then the
+// committed snapshot — the writer's read-your-writes view. Caller holds
+// s.mu.
+func (s *Store) lookupLocked(key []byte) ([]byte, bool) {
 	if val, present, hit := s.pendingGet(key); hit {
-		return val, present, nil
+		return val, present
 	}
-	src, sn := s.lookupSourceLocked()
-	return treeGet(src, sn.meta.root, key)
-}
-
-// checkSpecKey validates a spec key before any ordinal is allocated or
-// record appended.
-func checkSpecKey(key []byte) error {
-	if len(key) == 0 {
-		return fmt.Errorf("specdb: empty key")
-	}
-	if len(key) > MaxKeyLen {
-		return fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLong, len(key), MaxKeyLen)
-	}
-	return nil
+	return s.cur.Load().Get(key)
 }
 
 // ImportSpecs appends specs in order through the batch, first-wins on
 // duplicate keys (matching spec.DB.Dedup semantics for both in-input
 // duplicates and keys already present in the store or pending batch).
-// Records fold whenever the commit policy trips mid-import.
+// Records commit whenever the commit policy trips mid-import.
 func (b *Batch) ImportSpecs(specs []*spec.Spec) (added, skipped int, err error) {
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
 	for _, sp := range specs {
 		key := []byte(sp.Key())
-		if err := checkSpecKey(key); err != nil {
+		if err := checkKey(key); err != nil {
 			return added, skipped, err
 		}
-		if _, ok, err := b.s.lookupLocked(key); err != nil {
-			return added, skipped, err
-		} else if ok {
+		if _, ok := b.s.lookupLocked(key); ok {
 			skipped++
 			continue
 		}
@@ -108,13 +101,10 @@ func (b *Batch) UpsertSpec(sp *spec.Spec) (created bool, err error) {
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
 	key := []byte(sp.Key())
-	if err := checkSpecKey(key); err != nil {
+	if err := checkKey(key); err != nil {
 		return false, err
 	}
-	old, ok, err := b.s.lookupLocked(key)
-	if err != nil {
-		return false, err
-	}
+	old, ok := b.s.lookupLocked(key)
 	var ord uint64
 	if ok {
 		if ord, _, err = decodeSpec(old); err != nil {
@@ -142,9 +132,8 @@ func (b *Batch) UpsertSpec(sp *spec.Spec) (created bool, err error) {
 func (b *Batch) DeleteSpec(key string) (bool, error) {
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	_, ok, err := b.s.lookupLocked([]byte(key))
-	if err != nil || !ok {
-		return false, err
+	if _, ok := b.s.lookupLocked([]byte(key)); !ok {
+		return false, nil
 	}
 	if err := b.s.appendRecordLocked(WALOpDelete, []byte(key), nil); err != nil {
 		return false, err
@@ -153,10 +142,9 @@ func (b *Batch) DeleteSpec(key string) (bool, error) {
 }
 
 // ImportSpecs inserts specs in order, first-wins on duplicate keys.
-// The whole import runs through the group-commit WAL and flushes at the
-// end, so a small corpus lands as one B-tree commit and a large one
-// folds every CommitPolicy trip; a failure discards only the unfolded
-// tail.
+// The whole import runs through one batch and flushes at the end, so a
+// small corpus lands as one commit and a large one commits at every
+// CommitPolicy trip; a failure discards only the uncommitted tail.
 func (s *Store) ImportSpecs(specs []*spec.Spec) (added, skipped int, err error) {
 	b := s.Batch()
 	added, skipped, err = b.ImportSpecs(specs)
@@ -231,9 +219,9 @@ func (sn *Snapshot) Specs() ([]*spec.Spec, error) {
 
 // SpecByKey returns the spec stored under a spec.Key() string.
 func (sn *Snapshot) SpecByKey(key string) (*spec.Spec, bool, error) {
-	val, ok, err := sn.Get([]byte(key))
-	if err != nil || !ok {
-		return nil, false, err
+	val, ok := sn.Get([]byte(key))
+	if !ok {
+		return nil, false, nil
 	}
 	_, sp, err := decodeSpec(val)
 	if err != nil {

@@ -1,11 +1,14 @@
-// Store lifecycle: create/open, transactional copy-on-write updates
-// with the dual-slot atomic meta commit, pinned historical snapshots
-// (OpenAt), offline compaction, and structural verification.
+// Store lifecycle: create/open by replaying the file, snapshots and their
+// publication, pinned historical snapshots (OpenAt), compaction, strict
+// verification, and stats.
 package specdb
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,32 +16,27 @@ import (
 )
 
 // Store is an open spec store. One writer at a time (serialized by an
-// internal mutex); any number of concurrent readers via Current(),
-// each holding an immutable Snapshot.
+// internal mutex); any number of concurrent readers via Current(), each
+// holding an immutable Snapshot.
 type Store struct {
 	path     string
 	readOnly bool
 
-	mu      sync.Mutex // serializes Update/Compact/Close and the WAL batch
+	mu      sync.Mutex // serializes appends, commits, Compact, Verify and Close
 	f       file
-	wal     file   // sidecar write-ahead log; nil when opened without one
-	walLen  int64  // trusted byte length of the log (the append offset)
-	walSeq  uint64 // last WAL sequence number assigned
-	retired []file // pre-compaction files kept open for live snapshots
+	size    int64  // append offset: end of the last record written
+	durable int64  // file length at the last commit; Discard truncates here
+	seq     uint64 // last sequence number assigned, pending batch included
+	nextOrd uint64 // next ordinal to allocate, pending batch included
 	closed  bool
 
-	// Group-commit state (guarded by mu). nextOrd tracks ordinal
-	// allocation through the pending batch, ahead of the committed
-	// meta.nextOrd until the next fold.
-	nextOrd    uint64
+	// Group-commit state (guarded by mu).
 	pend       []*WALRecord
 	pendKey    map[string]*WALRecord
 	pendBytes  int64
 	pendGen    uint64
 	pol        CommitPolicy
 	flushTimer *time.Timer
-	roPending  int        // read-only opens: overlaid WAL tail records
-	look       *snapCache // branch-page cache for batch dedup lookups
 
 	// Background compaction (opened with Options.CompactThreshold).
 	threshold   float64
@@ -49,56 +47,33 @@ type Store struct {
 	cur atomic.Pointer[Snapshot]
 }
 
-// Snapshot is an immutable view of one committed store state. It stays
-// readable until the Store is closed, even across later commits and
-// compactions. A read-only open of a store with an unfolded WAL tail
-// carries the tail as an in-memory overlay, so readers see every durable
-// record even though they cannot fold.
+// Snapshot is an immutable view of one store state. It holds every live
+// record in memory and never reads the file, so it stays readable across
+// later commits, compactions and Close.
 type Snapshot struct {
-	f    file
-	meta meta
-	ov   *overlay
+	seq     uint64
+	nextOrd uint64
+	recs    map[string]*WALRecord // latest put per live key
+	keys    []string              // live keys, sorted
 
-	// Dead-page accounting, computed lazily once per snapshot.
-	liveOnce  sync.Once
-	livePages uint64
-	liveErr   error
+	// Dead-ratio accounting: record bytes in the file prefix this snapshot
+	// replays, and the bytes of the records in recs.
+	bytes, live int64
 }
 
-// Seq is the commit sequence number this snapshot was published at.
-func (sn *Snapshot) Seq() uint64 { return sn.meta.seq }
+// Seq is the sequence number of the last record this snapshot includes.
+func (sn *Snapshot) Seq() uint64 { return sn.seq }
 
-// Len is the number of keys in the snapshot, including any overlaid
-// WAL tail.
-func (sn *Snapshot) Len() int {
-	if sn.ov != nil {
-		return int(sn.ov.count)
-	}
-	return int(sn.meta.count)
-}
-
-func (sn *Snapshot) page(id uint64) ([]byte, error) {
-	if id < 2 || id >= sn.meta.npages {
-		return nil, fmt.Errorf("%w: page id %d out of range [2,%d)", ErrCorrupt, id, sn.meta.npages)
-	}
-	buf := make([]byte, PageSize)
-	if _, err := sn.f.ReadAt(buf, int64(id)*PageSize); err != nil {
-		return nil, fmt.Errorf("specdb: read page %d: %w", id, err)
-	}
-	return buf, nil
-}
+// Len is the number of keys in the snapshot.
+func (sn *Snapshot) Len() int { return len(sn.keys) }
 
 // Get returns the value stored under key.
-func (sn *Snapshot) Get(key []byte) ([]byte, bool, error) {
-	if sn.ov != nil {
-		if rec, ok := sn.ov.recs[string(key)]; ok {
-			if rec.Op == WALOpDelete {
-				return nil, false, nil
-			}
-			return rec.Val, true, nil
-		}
+func (sn *Snapshot) Get(key []byte) ([]byte, bool) {
+	r, ok := sn.recs[string(key)]
+	if !ok {
+		return nil, false
 	}
-	return treeGet(sn, sn.meta.root, key)
+	return r.Val, true
 }
 
 // Iterate walks all keys in order. fn returns false to stop early.
@@ -108,10 +83,58 @@ func (sn *Snapshot) Iterate(fn func(key, val []byte) (bool, error)) error {
 
 // IterateFrom walks keys >= lo in order. fn returns false to stop early.
 func (sn *Snapshot) IterateFrom(lo []byte, fn func(key, val []byte) (bool, error)) error {
-	if sn.ov != nil {
-		return sn.ov.iterMerged(sn, lo, fn)
+	for _, k := range sn.keys[sort.SearchStrings(sn.keys, string(lo)):] {
+		r := sn.recs[k]
+		if cont, err := fn(r.Key, r.Val); err != nil || !cont {
+			return err
+		}
 	}
-	return treeIterFrom(sn, sn.meta.root, lo, fn)
+	return nil
+}
+
+// deadRatio is the share of the snapshot's record bytes superseded by a
+// later record for the same key — what Compact reclaims.
+func (sn *Snapshot) deadRatio() float64 {
+	if sn.bytes == 0 {
+		return 0
+	}
+	return float64(sn.bytes-sn.live) / float64(sn.bytes)
+}
+
+// apply returns the snapshot after recs, sharing nothing mutable with sn.
+func (sn *Snapshot) apply(recs []*WALRecord) *Snapshot {
+	next := &Snapshot{seq: sn.seq, nextOrd: sn.nextOrd, recs: maps.Clone(sn.recs), bytes: sn.bytes, live: sn.live}
+	if next.recs == nil {
+		next.recs = make(map[string]*WALRecord, len(recs))
+	}
+	for _, r := range recs {
+		k := string(r.Key)
+		if old, ok := next.recs[k]; ok {
+			next.live -= old.size()
+			delete(next.recs, k)
+		}
+		if r.Op == WALOpPut {
+			next.recs[k] = r
+			next.live += r.size()
+		}
+		next.bytes += r.size()
+		next.seq = max(next.seq, r.Seq)
+		next.nextOrd = max(next.nextOrd, r.NextOrd)
+	}
+	// A batch of in-place edits keeps the key set, and so the sorted list.
+	next.keys = sn.keys
+	for _, r := range recs {
+		_, was := sn.recs[string(r.Key)]
+		if _, is := next.recs[string(r.Key)]; was != is {
+			next.keys = make([]string, 0, len(next.recs))
+			for k := range next.recs {
+				next.keys = append(next.keys, k)
+			}
+			sort.Strings(next.keys)
+			break
+		}
+	}
+	return next
 }
 
 // Create makes a new empty store at path, failing if the file exists.
@@ -126,70 +149,29 @@ func CreateOptions(path string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	f := osFile{f: osf}
-	if err := initEmpty(f); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	wal, err := openWAL(path, false)
+	st, err := initFile(f, path, opts)
 	if err != nil {
 		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	st, err := openStore(f, wal, path, false, opts)
-	if err != nil {
-		f.Close()
-		if wal != nil {
-			wal.Close()
-		}
 		os.Remove(path)
 		return nil, err
 	}
 	return st, nil
 }
 
-// walPath is the sidecar write-ahead log next to a store file.
-func walPath(path string) string { return path + ".wal" }
-
-// openWAL opens the sidecar log: created on demand for read-write
-// stores, optional for read-only ones (nil when absent).
-func openWAL(path string, readOnly bool) (file, error) {
-	if readOnly {
-		osf, err := os.OpenFile(walPath(path), os.O_RDONLY, 0o644)
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		return osFile{f: osf}, nil
-	}
-	osf, err := os.OpenFile(walPath(path), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
+// initFile writes the header of an empty store and opens it.
+func initFile(f file, path string, opts Options) (*Store, error) {
+	if _, err := f.WriteAt(encodeHeader(header{nextOrd: 1}), 0); err != nil {
 		return nil, err
 	}
-	return osFile{f: osf}, nil
+	if err := f.Sync(); err != nil {
+		return nil, err
+	}
+	return openFile(f, path, false, opts)
 }
 
-// initEmpty writes the genesis state: an invalid slot 0 and a committed
-// empty meta at slot 1 (seq 1, so the first Update commits seq 2 into
-// slot 0).
-func initEmpty(f file) error {
-	if _, err := f.WriteAt(make([]byte, PageSize), 0); err != nil {
-		return err
-	}
-	m := meta{seq: 1, root: 0, npages: 2, nextOrd: 1, count: 0}
-	if _, err := f.WriteAt(encodeMeta(m), PageSize); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// Open opens an existing store read-write, recovering to the newest
-// fully committed snapshot and replaying any unfolded WAL tail into one
-// recovery commit. A store written by a different format version is
-// rejected with an error wrapping ErrVersion.
+// Open opens an existing store read-write, replaying every complete
+// record and truncating a torn tail. A store written by a different format
+// version is rejected with an error wrapping ErrVersion.
 func Open(path string) (*Store, error) {
 	return OpenOptions(path, Options{})
 }
@@ -199,9 +181,9 @@ func OpenOptions(path string, opts Options) (*Store, error) {
 	return openPath(path, false, opts)
 }
 
-// OpenReadOnly opens an existing store for reading only. An unfolded
-// WAL tail is layered over the committed snapshot as an in-memory
-// overlay; the store file and log are never written.
+// OpenReadOnly opens an existing store for reading only. It sees every
+// complete record in the file, including records a live writer appended
+// but has not committed yet; the file is never written.
 func OpenReadOnly(path string) (*Store, error) {
 	return openPath(path, true, Options{})
 }
@@ -215,175 +197,119 @@ func openPath(path string, readOnly bool, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	wal, err := openWAL(path, readOnly)
+	st, err := openFile(osFile{f: osf}, path, readOnly, opts)
 	if err != nil {
 		osf.Close()
-		return nil, err
-	}
-	st, err := openStore(osFile{f: osf}, wal, path, readOnly, opts)
-	if err != nil {
-		osf.Close()
-		if wal != nil {
-			wal.Close()
-		}
 		return nil, err
 	}
 	return st, nil
 }
 
-// openWith recovers a store over an injected file with no sidecar log —
-// the crash harness's entry point for simulated post-crash page images.
-func openWith(f file, path string, readOnly bool) (*Store, error) {
-	return openStore(f, nil, path, readOnly, Options{})
-}
-
-// openStore recovers the newest valid meta slot, scans the WAL for
-// records past meta.walSeq (the unfolded tail), and builds the Store: a
-// read-write open replays the tail into one recovery commit and resets
-// the log; a read-only open overlays the tail in memory. Factored over
-// the file interface so the crash harness can open simulated post-crash
-// images of both files.
-func openStore(f file, wal file, path string, readOnly bool, opts Options) (*Store, error) {
-	best, ok, skew := recoverMeta(f)
-	if !ok {
-		if skew != 0 {
-			return nil, fmt.Errorf("%w: %s was written by store format %d, this build reads format %d; re-import the flat corpus with `seal specdb -import`",
-				ErrVersion, path, skew, FormatVersion)
-		}
-		return nil, fmt.Errorf("%w: %s has no valid meta page", ErrNotStore, path)
+// openFile replays a store file into its first snapshot. Factored over the
+// file interface so the crash harness can open simulated post-crash images.
+func openFile(f file, path string, readOnly bool, opts Options) (*Store, error) {
+	h, recs, end, err := load(f, path)
+	if err != nil {
+		return nil, err
 	}
+	if !readOnly {
+		size, err := f.Size()
+		if err != nil {
+			return nil, err
+		}
+		if size > end {
+			if err := f.Truncate(end); err != nil {
+				return nil, fmt.Errorf("specdb: truncate torn tail: %w", err)
+			}
+		}
+	}
+	sn := replay(h, recs)
 	st := &Store{
 		path:      path,
 		readOnly:  readOnly,
 		f:         f,
-		wal:       wal,
-		walSeq:    best.walSeq,
-		nextOrd:   best.nextOrd,
+		size:      end,
+		durable:   end,
+		seq:       sn.seq,
+		nextOrd:   sn.nextOrd,
 		pol:       opts.Commit.withDefaults(),
 		threshold: opts.CompactThreshold,
 	}
-	st.cur.Store(&Snapshot{f: f, meta: best})
-	if wal == nil {
-		return st, nil
-	}
-	recs, validLen, err := scanWAL(wal)
-	if err != nil {
-		return nil, err
-	}
-	st.walLen = validLen
-	// Records at or below meta.walSeq were folded by the commit that
-	// stamped the meta; only the tail past it is outstanding.
-	tail := recs[:0:0]
-	for _, rec := range recs {
-		if rec.Seq > best.walSeq {
-			tail = append(tail, rec)
-		}
-	}
-	if readOnly {
-		if len(tail) > 0 {
-			sn := st.cur.Load()
-			ov, err := buildOverlay(sn, tail)
-			if err != nil {
-				return nil, err
-			}
-			last := tail[len(tail)-1]
-			st.walSeq, st.nextOrd = last.Seq, last.NextOrd
-			st.roPending = len(tail)
-			st.cur.Store(&Snapshot{f: f, meta: best, ov: ov})
-		}
-		return st, nil
-	}
-	if len(tail) > 0 {
-		if err := st.replayTail(tail); err != nil {
-			return nil, fmt.Errorf("specdb: replay wal tail: %w", err)
-		}
-	}
-	// Whether the tail was just folded or the log held only stale
-	// records, everything on disk is now absorbed by the meta: reset.
-	if err := st.resetWALLocked(); err != nil {
-		return nil, err
-	}
+	st.cur.Store(sn)
 	return st, nil
 }
 
-// replayTail folds an unfolded WAL tail into one recovery commit,
-// restoring ordinal allocation from the last record's NextOrd.
-func (s *Store) replayTail(tail []*WALRecord) error {
-	snap := s.cur.Load()
-	tx := &Tx{
-		base:    snap,
-		root:    snap.meta.root,
-		baseN:   snap.meta.npages,
-		npages:  snap.meta.npages,
-		pages:   make(map[uint64][]byte),
-		nextOrd: snap.meta.nextOrd,
-		count:   snap.meta.count,
+// load reads a whole store file and decodes its header and records; end is
+// the offset just past the last complete record.
+func load(f file, path string) (header, []*WALRecord, int64, error) {
+	size, err := f.Size()
+	if err != nil {
+		return header{}, nil, 0, err
 	}
-	for _, rec := range tail {
-		switch rec.Op {
-		case WALOpPut:
-			if err := tx.Put(rec.Key, rec.Val); err != nil {
-				return err
-			}
-		case WALOpDelete:
-			if _, err := tx.Delete(rec.Key); err != nil {
-				return err
-			}
+	img := make([]byte, size)
+	if size > 0 {
+		if _, err := f.ReadAt(img, 0); err != nil {
+			return header{}, nil, 0, fmt.Errorf("specdb: read %s: %w", path, err)
 		}
 	}
-	last := tail[len(tail)-1]
-	s.walSeq, s.nextOrd = last.Seq, last.NextOrd
-	tx.nextOrd = last.NextOrd
-	return s.commit(snap, tx)
+	h, err := decodeHeader(img, path)
+	if err != nil {
+		return header{}, nil, 0, err
+	}
+	recs, end, err := scan(img)
+	if err != nil {
+		return header{}, nil, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	return h, recs, end, nil
 }
 
-// recoverMeta picks the valid meta slot with the highest sequence
-// number. skew reports a foreign format version if that is the only
-// reason no slot validated.
-func recoverMeta(f file) (best meta, ok bool, skew uint32) {
-	for slot := uint64(0); slot < 2; slot++ {
-		m, sk, valid := decodeMetaSlot(f, slot)
-		if valid {
-			if !ok || m.seq > best.seq {
-				best = m
-			}
-			ok = true
-		} else if sk != 0 {
-			skew = sk
-		}
+// replay builds the snapshot a header and its records describe. Decoded
+// records alias the file image, so the live ones are copied out: the
+// snapshot must not keep the whole image, dead records included, alive.
+func replay(h header, recs []*WALRecord) *Snapshot {
+	sn := (&Snapshot{seq: h.baseSeq, nextOrd: h.nextOrd}).apply(recs)
+	for k, r := range sn.recs {
+		kv := append(append(make([]byte, 0, len(r.Key)+len(r.Val)), r.Key...), r.Val...)
+		cp := *r
+		cp.Key, cp.Val = kv[:len(r.Key):len(r.Key)], kv[len(r.Key):]
+		sn.recs[k] = &cp
 	}
-	if ok {
-		skew = 0
-	}
-	return best, ok, skew
+	return sn
 }
 
-// OpenAt opens the store read-only pinned at an exact commit sequence
-// number. Only the two resident meta slots are reachable: the requested
-// seq must be the current commit or the immediately preceding one, or
-// OpenAt fails with an error wrapping ErrSnapshotGone. This is the
-// coordinator/worker contract — a shard job references (path, seq) and
+// upTo returns the prefix of recs with sequence numbers at or below seq.
+func upTo(recs []*WALRecord, seq uint64) []*WALRecord {
+	return recs[:sort.Search(len(recs), func(i int) bool { return recs[i].Seq > seq })]
+}
+
+// OpenAt opens the store read-only pinned at an exact sequence number: the
+// seq of the last compaction (the header's baseSeq) or of any record after
+// it. Any other seq fails with an error wrapping ErrSnapshotGone. This is
+// the coordinator/worker contract — a shard job references (path, seq) and
 // the worker refuses to run against a view the coordinator didn't pin.
 func OpenAt(path string, seq uint64) (*Store, error) {
-	osf, err := os.OpenFile(path, os.O_RDONLY, 0o644)
+	osf, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	f := osFile{f: osf}
-	for slot := uint64(0); slot < 2; slot++ {
-		m, _, valid := decodeMetaSlot(f, slot)
-		if valid && m.seq == seq {
-			st := &Store{path: path, readOnly: true, f: f}
-			st.cur.Store(&Snapshot{f: f, meta: m})
-			return st, nil
+	h, recs, _, err := load(f, path)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	pre := upTo(recs, seq)
+	if seq != h.baseSeq && (seq < h.baseSeq || len(pre) == 0 || pre[len(pre)-1].Seq != seq) {
+		f.Close()
+		last := h.baseSeq
+		if len(recs) > 0 {
+			last = max(last, recs[len(recs)-1].Seq)
 		}
+		return nil, fmt.Errorf("%w: %s holds seqs %d through %d, requested seq %d", ErrSnapshotGone, path, h.baseSeq, last, seq)
 	}
-	best, ok, _ := recoverMeta(f)
-	osf.Close()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s has no valid meta page", ErrNotStore, path)
-	}
-	return nil, fmt.Errorf("%w: %s holds seq %d, requested seq %d", ErrSnapshotGone, path, best.seq, seq)
+	st := &Store{path: path, readOnly: true, f: f}
+	st.cur.Store(replay(h, pre))
+	return st, nil
 }
 
 // Path returns the file path the store was opened at.
@@ -392,9 +318,8 @@ func (s *Store) Path() string { return s.path }
 // Current returns the latest committed snapshot.
 func (s *Store) Current() *Snapshot { return s.cur.Load() }
 
-// Close folds any pending WAL batch, waits for an in-flight background
-// compaction, and releases the store file, the log, and any handles
-// retired by Compact. Snapshots become invalid after Close.
+// Close commits any pending batch, waits for an in-flight background
+// compaction, and releases the file. Snapshots stay readable.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -403,471 +328,162 @@ func (s *Store) Close() error {
 	}
 	var err error
 	if !s.readOnly {
-		err = s.foldLocked()
+		err = s.commitLocked()
 	}
-	if s.flushTimer != nil {
-		s.flushTimer.Stop()
-		s.flushTimer = nil
-	}
+	s.stopTimerLocked()
 	s.closed = true
 	s.mu.Unlock()
-	// A background compaction observes closed under mu and bails; wait
-	// for it before invalidating file handles.
+	// A background compaction observes closed under mu and bails; wait for
+	// it before closing the file it may have swapped in.
 	s.wg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
-	if s.wal != nil {
-		if cerr := s.wal.Close(); err == nil {
-			err = cerr
-		}
-	}
-	for _, rf := range s.retired {
-		if cerr := rf.Close(); err == nil {
-			err = cerr
-		}
-	}
 	return err
-}
-
-// Tx is a copy-on-write write transaction. Mutations build new pages in
-// memory; nothing touches the file until the enclosing Update commits.
-// Pages at or above baseN were allocated by this transaction and may be
-// rewritten in place — copy-on-write only protects pages the base
-// snapshot can reach.
-type Tx struct {
-	base     *Snapshot
-	root     uint64
-	baseN    uint64
-	npages   uint64
-	pages    map[uint64][]byte
-	verified map[uint64][]byte // base branch pages already checksum-verified
-
-	nextOrd uint64
-	count   uint64
-	dirty   bool
-}
-
-func (tx *Tx) page(id uint64) ([]byte, error) {
-	if buf, ok := tx.pages[id]; ok {
-		return buf, nil
-	}
-	return tx.base.page(id)
-}
-
-// trustedPage serves the transaction's own dirty pages without checksum
-// verification — they were sealed by writeNode in this process and have
-// never round-tripped through the file — plus base-snapshot branch
-// pages this transaction already verified once.
-func (tx *Tx) trustedPage(id uint64) ([]byte, bool) {
-	if buf, ok := tx.pages[id]; ok {
-		return buf, true
-	}
-	buf, ok := tx.verified[id]
-	return buf, ok
-}
-
-func (tx *Tx) noteVerified(id uint64, buf []byte) {
-	if tx.verified == nil {
-		tx.verified = make(map[uint64][]byte)
-	}
-	tx.verified[id] = buf
-}
-
-// snapCache wraps a snapshot for a read path that walks the same tree
-// repeatedly (batched import dedup lookups), memoizing checksum-verified
-// branch pages. Not safe for concurrent use; callers hold the store
-// lock. The cache dies with the snapshot it wraps — a fold publishes a
-// new snapshot and the store builds a fresh cache for it.
-type snapCache struct {
-	sn       *Snapshot
-	verified map[uint64][]byte
-}
-
-func (c *snapCache) page(id uint64) ([]byte, error) { return c.sn.page(id) }
-func (c *snapCache) trustedPage(id uint64) ([]byte, bool) {
-	buf, ok := c.verified[id]
-	return buf, ok
-}
-func (c *snapCache) noteVerified(id uint64, buf []byte) { c.verified[id] = buf }
-
-// lookupSourceLocked returns a branch-page-caching view of the current
-// snapshot, rebuilt whenever a fold publishes a new one. Caller holds
-// s.mu.
-func (s *Store) lookupSourceLocked() (pageSource, *Snapshot) {
-	snap := s.cur.Load()
-	if s.look == nil || s.look.sn != snap {
-		s.look = &snapCache{sn: snap, verified: make(map[uint64][]byte)}
-	}
-	return s.look, snap
-}
-
-func (tx *Tx) alloc(buf []byte) uint64 {
-	id := tx.npages
-	tx.npages++
-	tx.pages[id] = buf
-	return id
-}
-
-// Get reads through the transaction's uncommitted state.
-func (tx *Tx) Get(key []byte) ([]byte, bool, error) {
-	return treeGet(tx, tx.root, key)
-}
-
-// Iterate walks the transaction's uncommitted state in key order.
-func (tx *Tx) Iterate(fn func(key, val []byte) (bool, error)) error {
-	return treeIterFrom(tx, tx.root, nil, fn)
-}
-
-// IterateFrom walks uncommitted keys >= lo in order.
-func (tx *Tx) IterateFrom(lo []byte, fn func(key, val []byte) (bool, error)) error {
-	return treeIterFrom(tx, tx.root, lo, fn)
-}
-
-// Len is the number of keys, including uncommitted changes.
-func (tx *Tx) Len() int { return int(tx.count) }
-
-// TakeOrd hands out the next record ordinal and advances the counter.
-func (tx *Tx) TakeOrd() uint64 {
-	ord := tx.nextOrd
-	tx.nextOrd++
-	tx.dirty = true
-	return ord
-}
-
-// Put inserts or replaces key.
-func (tx *Tx) Put(key, val []byte) error {
-	if len(key) == 0 {
-		return fmt.Errorf("specdb: empty key")
-	}
-	if len(key) > MaxKeyLen {
-		return fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLong, len(key), MaxKeyLen)
-	}
-	tx.dirty = true
-	if tx.root == 0 {
-		id, err := tx.writeNode(&node{leaf: true, keys: [][]byte{key}, vals: [][]byte{val},
-			ovfs: []uint64{0}, vlens: []uint32{uint32(len(val))}}, 0)
-		if err != nil {
-			return err
-		}
-		tx.root = id
-		tx.count++
-		return nil
-	}
-	sr, err := tx.insertRec(tx.root, key, val)
-	if err != nil {
-		return err
-	}
-	if sr.split {
-		rid, err := tx.writeNode(&node{keys: [][]byte{sr.sep}, kids: []uint64{sr.left, sr.right}}, 0)
-		if err != nil {
-			return err
-		}
-		tx.root = rid
-	} else {
-		tx.root = sr.left
-	}
-	if !sr.replaced {
-		tx.count++
-	}
-	return nil
-}
-
-// Delete removes key, reporting whether it was present.
-func (tx *Tx) Delete(key []byte) (bool, error) {
-	if tx.root == 0 {
-		return false, nil
-	}
-	dr, err := tx.deleteRec(tx.root, key)
-	if err != nil {
-		return false, err
-	}
-	if !dr.found {
-		return false, nil
-	}
-	tx.dirty = true
-	if dr.empty {
-		tx.root = 0
-	} else {
-		tx.root = dr.id
-	}
-	tx.count--
-	return true, nil
-}
-
-// Update runs fn in a write transaction and atomically commits its
-// changes: new pages are written and synced, then the meta page is
-// written to the alternating slot and synced. A crash at any point
-// leaves the previous commit intact. If fn returns an error or makes
-// no changes, the file is untouched.
-func (s *Store) Update(fn func(tx *Tx) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.readOnly {
-		return ErrReadOnly
-	}
-	if s.closed {
-		return fmt.Errorf("specdb: store is closed")
-	}
-	// Fold any pending WAL batch first so the transaction builds on
-	// every operation that already went through the log.
-	if err := s.foldLocked(); err != nil {
-		return err
-	}
-	snap := s.cur.Load()
-	tx := &Tx{
-		base:    snap,
-		root:    snap.meta.root,
-		baseN:   snap.meta.npages,
-		npages:  snap.meta.npages,
-		pages:   make(map[uint64][]byte),
-		nextOrd: snap.meta.nextOrd,
-		count:   snap.meta.count,
-	}
-	if err := fn(tx); err != nil {
-		return err
-	}
-	if !tx.dirty {
-		return nil
-	}
-	if err := s.commit(snap, tx); err != nil {
-		return err
-	}
-	s.nextOrd = tx.nextOrd
-	return nil
-}
-
-func (s *Store) commit(snap *Snapshot, tx *Tx) error {
-	ids := make([]uint64, 0, len(tx.pages))
-	for id := range tx.pages {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if _, err := s.f.WriteAt(tx.pages[id], int64(id)*PageSize); err != nil {
-			return fmt.Errorf("specdb: write page %d: %w", id, err)
-		}
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("specdb: sync pages: %w", err)
-	}
-	m := meta{seq: snap.meta.seq + 1, root: tx.root, npages: tx.npages, nextOrd: tx.nextOrd, count: tx.count, walSeq: s.walSeq}
-	if _, err := s.f.WriteAt(encodeMeta(m), int64(m.seq%2)*PageSize); err != nil {
-		return fmt.Errorf("specdb: write meta: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("specdb: sync meta: %w", err)
-	}
-	s.cur.Store(&Snapshot{f: s.f, meta: m})
-	return nil
 }
 
 // CompactStats reports what Compact reclaimed.
 type CompactStats struct {
-	Seq         uint64 // sequence number of the compacted commit
+	Seq         uint64 // sequence number of the compacted state
 	Keys        uint64
-	PagesBefore uint64
-	PagesAfter  uint64
+	BytesBefore int64
+	BytesAfter  int64
 }
 
-// Compact rewrites the store into a fresh file in key order, dropping
-// every unreachable (superseded copy-on-write) page, and atomically
-// renames it over the store path. The sequence number advances by one.
-// Snapshots taken before Compact stay readable — the old file handle is
-// retired, not closed, until the Store itself closes.
+// Compact commits any pending batch, then rewrites the store as a fresh
+// header plus the live records in sequence order and atomically renames
+// it over the store path. The state and its Seq are unchanged; seqs
+// before it stop being reachable by OpenAt.
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.readOnly {
-		return CompactStats{}, ErrReadOnly
-	}
-	if s.closed {
-		return CompactStats{}, fmt.Errorf("specdb: store is closed")
-	}
-	// Fold any pending WAL batch so the rewrite captures it and the log
-	// is empty when the new file (stamped with the folded walSeq) lands.
-	if err := s.foldLocked(); err != nil {
+	if err := s.writableLocked(); err != nil {
 		return CompactStats{}, err
 	}
-	snap := s.cur.Load()
+	if err := s.commitLocked(); err != nil {
+		return CompactStats{}, err
+	}
+	sn := s.cur.Load()
+	live := make([]*WALRecord, 0, len(sn.recs))
+	for _, r := range sn.recs {
+		live = append(live, r)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].Seq < live[j].Seq })
+	img := encodeHeader(header{baseSeq: sn.seq, nextOrd: sn.nextOrd})
+	for _, r := range live {
+		img = append(img, EncodeWALRecord(r)...)
+	}
 	tmp := s.path + ".compact"
 	os.Remove(tmp)
 	osf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return CompactStats{}, err
 	}
-	nf := osFile{f: osf}
-	fail := func(err error) (CompactStats, error) {
-		nf.Close()
+	_, err = osf.WriteAt(img, 0)
+	if err == nil {
+		err = osf.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, s.path)
+	}
+	if err != nil {
+		osf.Close()
 		os.Remove(tmp)
 		return CompactStats{}, err
 	}
-	tx := &Tx{
-		base:    &Snapshot{f: nf, meta: meta{npages: 2}},
-		baseN:   2,
-		npages:  2,
-		pages:   make(map[uint64][]byte),
-		nextOrd: snap.meta.nextOrd,
-	}
-	err = snap.Iterate(func(key, val []byte) (bool, error) {
-		return true, tx.Put(append([]byte(nil), key...), append([]byte(nil), val...))
-	})
-	if err != nil {
-		return fail(err)
-	}
-	if tx.count != snap.meta.count {
-		return fail(fmt.Errorf("%w: compaction saw %d keys, meta declares %d", ErrCorrupt, tx.count, snap.meta.count))
-	}
-	if _, err := nf.WriteAt(make([]byte, 2*PageSize), 0); err != nil {
-		return fail(err)
-	}
-	ids := make([]uint64, 0, len(tx.pages))
-	for id := range tx.pages {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if _, err := nf.WriteAt(tx.pages[id], int64(id)*PageSize); err != nil {
-			return fail(err)
-		}
-	}
-	m := meta{seq: snap.meta.seq + 1, root: tx.root, npages: tx.npages, nextOrd: tx.nextOrd, count: tx.count, walSeq: s.walSeq}
-	if _, err := nf.WriteAt(encodeMeta(m), int64(m.seq%2)*PageSize); err != nil {
-		return fail(err)
-	}
-	if err := nf.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		return fail(err)
-	}
-	s.retired = append(s.retired, s.f)
-	s.f = nf
-	s.cur.Store(&Snapshot{f: nf, meta: m})
-	return CompactStats{Seq: m.seq, Keys: m.count, PagesBefore: snap.meta.npages, PagesAfter: m.npages}, nil
+	s.f.Close()
+	s.f = osFile{f: osf}
+	cs := CompactStats{Seq: sn.seq, Keys: uint64(len(sn.keys)), BytesBefore: s.size, BytesAfter: int64(len(img))}
+	s.size, s.durable = cs.BytesAfter, cs.BytesAfter
+	s.cur.Store(&Snapshot{seq: sn.seq, nextOrd: sn.nextOrd, recs: sn.recs, keys: sn.keys, bytes: sn.live, live: sn.live})
+	return cs, nil
 }
 
-// VerifyStats summarizes a successful structural walk.
+// VerifyStats summarizes a successful verification.
 type VerifyStats struct {
-	Seq           uint64
-	Keys          uint64
-	TreePages     uint64
-	OverflowPages uint64
-	FilePages     uint64 // allocated pages per the meta, live or not
+	Seq     uint64
+	Keys    uint64
+	Records int   // records in the file
+	Bytes   int64 // file length
 }
 
-// Verify walks every page reachable from the current root, checking
-// checksums, structure, key order, and the meta key count.
+// Verify re-reads the file and checks it strictly: the header checksum,
+// every record checksum, strictly increasing seqs, no bytes past the last
+// record, and that replaying the file up to the served snapshot's seq
+// reproduces that snapshot exactly.
 func (s *Store) Verify() (VerifyStats, error) {
-	snap := s.Current()
-	vs := VerifyStats{Seq: snap.meta.seq, FilePages: snap.meta.npages}
-	if snap.meta.root != 0 {
-		if err := verifyNode(snap, snap.meta.root, &vs); err != nil {
-			return vs, err
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sn := s.cur.Load()
+	h, recs, end, err := load(s.f, s.path)
+	if err != nil {
+		return VerifyStats{}, err
 	}
-	if vs.Keys != snap.meta.count {
-		return vs, fmt.Errorf("%w: tree holds %d keys, meta declares %d", ErrCorrupt, vs.Keys, snap.meta.count)
+	size, err := s.f.Size()
+	if err != nil {
+		return VerifyStats{}, err
 	}
-	var prev []byte
-	first := true
-	err := snap.Iterate(func(key, _ []byte) (bool, error) {
-		if !first && string(prev) >= string(key) {
-			return false, fmt.Errorf("%w: global key order violated at %q", ErrCorrupt, key)
-		}
-		prev = append(prev[:0], key...)
-		first = false
-		return true, nil
-	})
-	return vs, err
+	vs := VerifyStats{Seq: sn.seq, Keys: uint64(sn.Len()), Records: len(recs), Bytes: size}
+	if end != size {
+		return vs, fmt.Errorf("%w: %s has %d bytes past the last valid record at offset %d", ErrCorrupt, s.path, size-end, end)
+	}
+	if !sameState(replay(h, upTo(recs, sn.seq)), sn) {
+		return vs, fmt.Errorf("%w: replaying %s does not reproduce the served snapshot at seq %d", ErrCorrupt, s.path, sn.seq)
+	}
+	return vs, nil
 }
 
-func verifyNode(sn *Snapshot, id uint64, vs *VerifyStats) error {
-	p, err := readPage(sn, id)
-	if err != nil {
-		return err
+// sameState reports whether two snapshots hold the same seq, ordinal
+// counter, keys and values.
+func sameState(a, b *Snapshot) bool {
+	if a.seq != b.seq || a.nextOrd != b.nextOrd || !slices.Equal(a.keys, b.keys) {
+		return false
 	}
-	switch p.Type {
-	case pageLeaf:
-		vs.TreePages++
-		vs.Keys += uint64(len(p.Keys))
-		for i, ovf := range p.Ovf {
-			if ovf == 0 {
-				continue
-			}
-			chunks := uint64(int(p.VLen[i])+ovfChunk-1) / uint64(ovfChunk)
-			if _, err := readOverflow(sn, ovf, p.VLen[i]); err != nil {
-				return err
-			}
-			vs.OverflowPages += chunks
+	for k, r := range a.recs {
+		if !bytes.Equal(r.Val, b.recs[k].Val) {
+			return false
 		}
-		return nil
-	case pageBranch:
-		vs.TreePages++
-		for _, kid := range p.Kids {
-			if err := verifyNode(sn, kid, vs); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("page %d: %w: expected a tree node, found page type %d", id, ErrCorrupt, p.Type)
 	}
+	return true
 }
 
 // StoreStats is a cheap summary of the open store, plus the write-path
-// liveness signals: how deep the unfolded WAL batch is and how much of
-// the file is copy-on-write garbage a compaction would reclaim.
+// liveness signals: how deep the pending batch is and how much of the file
+// a compaction would reclaim.
 type StoreStats struct {
 	Path      string `json:"path"`
 	Seq       uint64 `json:"seq"`
 	Keys      uint64 `json:"keys"`
 	NextOrd   uint64 `json:"next_ord"`
-	Pages     uint64 `json:"pages"`
 	FileBytes int64  `json:"file_bytes"`
-
-	// WALSeq is the last WAL sequence number assigned;
-	// WALRecordsPending counts records appended (or, read-only,
-	// overlaid) but not yet folded into a B-tree commit.
-	WALSeq            uint64 `json:"wal_seq"`
-	WALRecordsPending int    `json:"wal_records_pending"`
-	WALBytes          int64  `json:"wal_bytes"`
-
-	// DeadPageRatio is the fraction of allocated data pages superseded
-	// by copy-on-write commits; Compactions counts background
-	// compactions this handle has completed.
-	DeadPageRatio float64 `json:"dead_page_ratio"`
+	// Pending counts records appended but not yet committed.
+	Pending int `json:"pending"`
+	// DeadPageRatio is the share of committed record bytes superseded by a
+	// later record for the same key — what Compact reclaims. The Go name
+	// stays because the benchmark harness reads it. Compactions counts
+	// background compactions this handle has completed.
+	DeadPageRatio float64 `json:"dead_ratio"`
 	Compactions   int64   `json:"compactions"`
 }
 
-// Stats reports the current snapshot's header fields, the file size,
-// and the WAL / dead-page liveness signals.
+// Stats reports the current snapshot's position, the file size, and the
+// pending-batch and dead-ratio liveness signals.
 func (s *Store) Stats() StoreStats {
-	snap := s.Current()
-	sz, _ := s.f.Size()
 	s.mu.Lock()
+	sz, _ := s.f.Size()
 	pending := len(s.pend)
-	if s.readOnly {
-		pending = s.roPending
-	}
-	walSeq, walBytes := s.walSeq, s.walLen
 	s.mu.Unlock()
-	// A structurally broken snapshot surfaces through Verify; here the
-	// ratio simply reads 0.
-	ratio, _ := snap.DeadPageRatio()
+	sn := s.Current()
 	return StoreStats{
-		Path:              s.path,
-		Seq:               snap.meta.seq,
-		Keys:              snap.meta.count,
-		NextOrd:           snap.meta.nextOrd,
-		Pages:             snap.meta.npages,
-		FileBytes:         sz,
-		WALSeq:            walSeq,
-		WALRecordsPending: pending,
-		WALBytes:          walBytes,
-		DeadPageRatio:     ratio,
-		Compactions:       s.compactions.Load(),
+		Path:          s.path,
+		Seq:           sn.seq,
+		Keys:          uint64(sn.Len()),
+		NextOrd:       sn.nextOrd,
+		FileBytes:     sz,
+		Pending:       pending,
+		DeadPageRatio: sn.deadRatio(),
+		Compactions:   s.compactions.Load(),
 	}
 }

@@ -1,13 +1,14 @@
 package specdb
 
 // Unit suite for the store proper: raw key/value operations across
-// commits and reopens, overflow values, compaction, verification, the
-// OpenAt snapshot-pinning contract, version-skew rejection, and the
-// spec/query layer's ordinal-order guarantees.
+// commits and reopens, large values, compaction, verification, the OpenAt
+// snapshot-pinning contract, version-skew rejection, and the spec/query
+// layer's ordinal-order guarantees.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -34,15 +35,27 @@ func mustPut(t *testing.T, st *Store, kv ...string) {
 	if len(kv)%2 != 0 {
 		t.Fatal("odd kv list")
 	}
-	err := st.Update(func(tx *Tx) error {
-		for i := 0; i < len(kv); i += 2 {
-			if err := tx.Put([]byte(kv[i]), []byte(kv[i+1])); err != nil {
-				return err
-			}
+	b := st.Batch()
+	for i := 0; i < len(kv); i += 2 {
+		if err := b.put([]byte(kv[i]), []byte(kv[i+1])); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustDelete commits one raw delete per key.
+func mustDelete(t *testing.T, st *Store, keys ...string) {
+	t.Helper()
+	b := st.Batch()
+	for _, k := range keys {
+		if err := b.delete([]byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -67,11 +80,11 @@ func TestBasicPutGetDelete(t *testing.T) {
 	if sn.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", sn.Len())
 	}
-	v, ok, err := sn.Get([]byte("b"))
-	if err != nil || !ok || string(v) != "2" {
-		t.Fatalf("Get(b) = %q, %v, %v", v, ok, err)
+	v, ok := sn.Get([]byte("b"))
+	if !ok || string(v) != "2" {
+		t.Fatalf("Get(b) = %q, %v", v, ok)
 	}
-	if _, ok, _ := sn.Get([]byte("zz")); ok {
+	if _, ok := sn.Get([]byte("zz")); ok {
 		t.Fatal("Get(zz) found a phantom key")
 	}
 
@@ -81,20 +94,7 @@ func TestBasicPutGetDelete(t *testing.T) {
 		t.Fatalf("Len after replace = %d, want 3", got)
 	}
 
-	err = st.Update(func(tx *Tx) error {
-		ok, err := tx.Delete([]byte("a"))
-		if err != nil || !ok {
-			return fmt.Errorf("Delete(a) = %v, %v", ok, err)
-		}
-		ok, err = tx.Delete([]byte("missing"))
-		if err != nil || ok {
-			return fmt.Errorf("Delete(missing) = %v, %v", ok, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustDelete(t, st, "a", "missing")
 	got := dump(t, st.Current())
 	if len(got) != 2 || got["b"] != "two" || got["c"] != "3" {
 		t.Fatalf("final state %v", got)
@@ -103,19 +103,11 @@ func TestBasicPutGetDelete(t *testing.T) {
 
 func TestIterationOrderAndRange(t *testing.T) {
 	st := tmpStore(t)
-	// Enough keys to force a multi-level tree.
-	err := st.Update(func(tx *Tx) error {
-		for i := 0; i < 500; i++ {
-			k := fmt.Sprintf("key-%04d", (i*193)%500) // scrambled insert order
-			if err := tx.Put([]byte(k), []byte(strings.Repeat("v", i%40))); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	var kv []string
+	for i := 0; i < 500; i++ {
+		kv = append(kv, fmt.Sprintf("key-%04d", (i*193)%500), strings.Repeat("v", i%40)) // scrambled insert order
 	}
+	mustPut(t, st, kv...)
 	var keys []string
 	if err := st.Current().Iterate(func(k, _ []byte) (bool, error) {
 		keys = append(keys, string(k))
@@ -133,7 +125,7 @@ func TestIterationOrderAndRange(t *testing.T) {
 	}
 	// Range scan from the middle.
 	var from []string
-	err = st.Current().IterateFrom([]byte("key-0250"), func(k, _ []byte) (bool, error) {
+	err := st.Current().IterateFrom([]byte("key-0250"), func(k, _ []byte) (bool, error) {
 		from = append(from, string(k))
 		return len(from) < 5, nil
 	})
@@ -146,16 +138,30 @@ func TestIterationOrderAndRange(t *testing.T) {
 	}
 }
 
+// TestOverflowValues round-trips values far larger than a record's
+// framing — sizes that overflowed a page in the paged format — through a
+// commit, a reopen and Verify.
 func TestOverflowValues(t *testing.T) {
-	st := tmpStore(t)
-	big := strings.Repeat("x", 3*ovfChunk+17) // spans four overflow pages
-	mid := strings.Repeat("y", maxInline+1)   // smallest overflow value
-	edge := strings.Repeat("z", maxInline)    // largest inline value
+	path := filepath.Join(t.TempDir(), "specs.db")
+	st, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := strings.Repeat("x", 3*4096+17)
+	mid := strings.Repeat("y", 513)
+	edge := strings.Repeat("z", 512)
 	mustPut(t, st, "big", big, "mid", mid, "edge", edge)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	for k, want := range map[string]string{"big": big, "mid": mid, "edge": edge} {
-		v, ok, err := st.Current().Get([]byte(k))
-		if err != nil || !ok {
-			t.Fatalf("Get(%s): %v %v", k, ok, err)
+		v, ok := st.Current().Get([]byte(k))
+		if !ok {
+			t.Fatalf("Get(%s) missed", k)
 		}
 		if string(v) != want {
 			t.Fatalf("Get(%s) = %d bytes, want %d", k, len(v), len(want))
@@ -166,12 +172,18 @@ func TestOverflowValues(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsolationAcrossCommit: a held snapshot keeps its state
+// across later commits, a compaction and Close.
 func TestSnapshotIsolationAcrossCommit(t *testing.T) {
 	st := tmpStore(t)
 	mustPut(t, st, "k1", "old", "k2", "keep")
 	old := st.Current()
 	mustPut(t, st, "k1", "new", "k3", "added")
-	if err := st.Update(func(tx *Tx) error { _, err := tx.Delete([]byte("k2")); return err }); err != nil {
+	mustDelete(t, st, "k2")
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -185,6 +197,73 @@ func TestSnapshotIsolationAcrossCommit(t *testing.T) {
 	}
 	if old.Seq() >= st.Current().Seq() {
 		t.Fatalf("seq did not advance: %d -> %d", old.Seq(), st.Current().Seq())
+	}
+}
+
+// TestOpenAtMatchesReadOnly pins one seq to one spec set: the seq a
+// read-only open reports must reopen through OpenAt to exactly the same
+// keys and values, both for a cleanly committed store and while a writer
+// holds appended but uncommitted records; a seq pinned from a tail the
+// writer later discards is gone rather than reused.
+func TestOpenAtMatchesReadOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "specs.db")
+	st, err := CreateOptions(path, Options{Commit: CommitPolicy{Records: 1 << 20, Bytes: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mustPut(t, st, "a", "1", "b", "2")
+	check := func(label string, want map[string]string) {
+		t.Helper()
+		ro, err := OpenReadOnly(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ro.Close()
+		pin, err := OpenAt(path, ro.Current().Seq())
+		if err != nil {
+			t.Fatalf("%s: OpenAt(%d): %v", label, ro.Current().Seq(), err)
+		}
+		defer pin.Close()
+		got, pinned := dump(t, ro.Current()), dump(t, pin.Current())
+		if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(pinned) != fmt.Sprint(want) {
+			t.Fatalf("%s: read-only %v, OpenAt %v, want %v", label, got, pinned, want)
+		}
+	}
+	check("committed", map[string]string{"a": "1", "b": "2"})
+	b := st.Batch()
+	if err := b.put([]byte("b"), []byte("edited")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.delete([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	check("uncommitted tail", map[string]string{"b": "edited"})
+	// A coordinator pins the tail's seq; the writer then discards it and
+	// appends something else. The pinned seq must be gone, never bound to
+	// the new records.
+	ro, err := OpenReadOnly(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := ro.Current().Seq()
+	ro.Close()
+	if err := b.Discard(); err != nil {
+		t.Fatal(err)
+	}
+	check("discarded tail", map[string]string{"a": "1", "b": "2"})
+	if err := b.put([]byte("c"), []byte("3")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.put([]byte("d"), []byte("4")); err != nil {
+		t.Fatal(err)
+	}
+	check("new tail after discard", map[string]string{"a": "1", "b": "2", "c": "3", "d": "4"})
+	if pin, err := OpenAt(path, pinned); !errors.Is(err, ErrSnapshotGone) {
+		if err == nil {
+			t.Fatalf("OpenAt(%d) pinned before the discard now serves %v", pinned, dump(t, pin.Current()))
+		}
+		t.Fatalf("OpenAt(%d) pinned before the discard = %v, want ErrSnapshotGone", pinned, err)
 	}
 }
 
@@ -221,48 +300,27 @@ func TestReopenByteIdentity(t *testing.T) {
 	}
 }
 
-func TestUpdateRollbackOnError(t *testing.T) {
-	st := tmpStore(t)
-	mustPut(t, st, "k", "v")
-	seq := st.Current().Seq()
-	boom := errors.New("boom")
-	err := st.Update(func(tx *Tx) error {
-		if err := tx.Put([]byte("junk"), []byte("junk")); err != nil {
-			return err
-		}
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Update error = %v", err)
-	}
-	if st.Current().Seq() != seq {
-		t.Fatal("failed Update advanced the commit sequence")
-	}
-	if _, ok, _ := st.Current().Get([]byte("junk")); ok {
-		t.Fatal("failed Update leaked a key")
-	}
-	// A no-op Update must not commit either.
-	if err := st.Update(func(tx *Tx) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if st.Current().Seq() != seq {
-		t.Fatal("empty Update advanced the commit sequence")
-	}
-}
-
 func TestPutKeyValidation(t *testing.T) {
 	st := tmpStore(t)
-	err := st.Update(func(tx *Tx) error { return tx.Put(nil, []byte("v")) })
-	if err == nil || !strings.Contains(err.Error(), "empty key") {
+	b := st.Batch()
+	if err := b.put(nil, []byte("v")); err == nil || !strings.Contains(err.Error(), "empty key") {
 		t.Fatalf("empty key error = %v", err)
 	}
-	err = st.Update(func(tx *Tx) error { return tx.Put(bytes.Repeat([]byte("k"), MaxKeyLen+1), nil) })
-	if !errors.Is(err, ErrKeyTooLong) {
+	if err := b.put(bytes.Repeat([]byte("k"), MaxKeyLen+1), nil); !errors.Is(err, ErrKeyTooLong) {
 		t.Fatalf("long key error = %v", err)
 	}
+	if err := b.delete(nil); err == nil {
+		t.Fatal("empty-key delete accepted")
+	}
 	// Exactly MaxKeyLen is fine.
-	if err := st.Update(func(tx *Tx) error { return tx.Put(bytes.Repeat([]byte("k"), MaxKeyLen), nil) }); err != nil {
+	if err := b.put(bytes.Repeat([]byte("k"), MaxKeyLen), nil); err != nil {
 		t.Fatal(err)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Current().Len() != 1 {
+		t.Fatalf("Len = %d, want only the valid key", st.Current().Len())
 	}
 }
 
@@ -280,17 +338,23 @@ func TestReadOnlyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	if err := ro.Update(func(tx *Tx) error { return nil }); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Update on read-only store = %v", err)
+	if err := ro.Batch().put([]byte("k"), []byte("w")); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("put on read-only store = %v", err)
+	}
+	if err := ro.Batch().Flush(); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Flush on read-only store = %v", err)
 	}
 	if _, err := ro.Compact(); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Compact on read-only store = %v", err)
 	}
-	if v, ok, err := ro.Current().Get([]byte("k")); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("read-only Get = %q %v %v", v, ok, err)
+	if v, ok := ro.Current().Get([]byte("k")); !ok || string(v) != "v" {
+		t.Fatalf("read-only Get = %q %v", v, ok)
 	}
 }
 
+// TestOpenAtPinsResidentSeqs: every seq from the last compaction through
+// the last record reopens to the state it named; a seq older than the last
+// compaction, or past the end of the file, is gone.
 func TestOpenAtPinsResidentSeqs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "specs.db")
 	st, err := Create(path)
@@ -298,31 +362,51 @@ func TestOpenAtPinsResidentSeqs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	mustPut(t, st, "k", "v1") // seq 2
-	mustPut(t, st, "k", "v2") // seq 3
+	mustPut(t, st, "k", "v0")
+	gone := st.Current().Seq()
+	mustPut(t, st, "k", "v1")
+	if pin, err := OpenAt(path, gone); err != nil {
+		t.Fatalf("OpenAt(%d) before compaction: %v", gone, err)
+	} else {
+		pin.Close()
+	}
+	old := st.Current().Seq()
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	base := st.Current().Seq()
+	if old != base {
+		t.Fatalf("compaction moved the seq %d -> %d", old, base)
+	}
+	want := map[uint64]string{base: "v1"}
+	for _, v := range []string{"v2", "v3", "v4"} {
+		mustPut(t, st, "k", v)
+		want[st.Current().Seq()] = v
+	}
+	mustDelete(t, st, "k")
+	want[st.Current().Seq()] = ""
 	cur := st.Current().Seq()
 
-	for want, val := range map[uint64]string{cur: "v2", cur - 1: "v1"} {
-		pin, err := OpenAt(path, want)
+	for seq, val := range want {
+		pin, err := OpenAt(path, seq)
 		if err != nil {
-			t.Fatalf("OpenAt(%d): %v", want, err)
+			t.Fatalf("OpenAt(%d): %v", seq, err)
 		}
-		if v, ok, _ := pin.Current().Get([]byte("k")); !ok || string(v) != val {
-			t.Fatalf("OpenAt(%d) sees k=%q, want %q", want, v, val)
+		if v, _ := pin.Current().Get([]byte("k")); string(v) != val || pin.Current().Seq() != seq {
+			t.Fatalf("OpenAt(%d) sees k=%q at seq %d, want %q", seq, v, pin.Current().Seq(), val)
 		}
 		pin.Close()
 	}
-
-	_, err = OpenAt(path, cur+7)
-	if !errors.Is(err, ErrSnapshotGone) {
-		t.Fatalf("OpenAt(future) = %v, want ErrSnapshotGone", err)
-	}
-	_, err = OpenAt(path, cur-2)
-	if !errors.Is(err, ErrSnapshotGone) {
-		t.Fatalf("OpenAt(evicted) = %v, want ErrSnapshotGone", err)
+	for _, seq := range []uint64{gone, cur + 7} {
+		if _, err := OpenAt(path, seq); !errors.Is(err, ErrSnapshotGone) {
+			t.Fatalf("OpenAt(%d) = %v, want ErrSnapshotGone", seq, err)
+		}
 	}
 }
 
+// TestVersionSkewRejectedCleanly: a header from another format version,
+// and a format-1 paged store (meta page in either slot), fail with
+// ErrVersion and the re-import hint.
 func TestVersionSkewRejectedCleanly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "specs.db")
 	st, err := Create(path)
@@ -331,31 +415,44 @@ func TestVersionSkewRejectedCleanly(t *testing.T) {
 	}
 	mustPut(t, st, "k", "v")
 	st.Close()
-
-	// Bump the version field in both meta slots and re-seal the pages.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for slot := 0; slot < 2; slot++ {
-		pg := data[slot*PageSize : (slot+1)*PageSize]
-		if pg[0] != pageMeta {
-			continue
+	skewed := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(skewed[8:12], FormatVersion+41)
+	binary.LittleEndian.PutUint64(skewed[28:36], checksum(skewed[:28]))
+	format1 := func(slot int) []byte {
+		img := make([]byte, 2*4096)
+		img[slot*4096] = 1
+		copy(img[slot*4096+1:], magic)
+		return img
+	}
+	for _, tc := range []struct {
+		name    string
+		img     []byte
+		version int
+	}{
+		{"future header", skewed, FormatVersion + 41},
+		{"format-1 slot 0", format1(0), 1},
+		{"format-1 slot 1", format1(1), 1},
+	} {
+		if err := os.WriteFile(path, tc.img, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		binary.LittleEndian.PutUint32(pg[9:13], FormatVersion+41)
-		sealPage(pg)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = Open(path)
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("Open(skewed) = %v, want ErrVersion", err)
-	}
-	for _, frag := range []string{"format", fmt.Sprint(FormatVersion + 41), "specdb -import"} {
-		if !strings.Contains(err.Error(), frag) {
-			t.Fatalf("skew error %q does not mention %q", err, frag)
+		for _, open := range []func(string) (*Store, error){Open, OpenReadOnly} {
+			_, err = open(path)
+			if !errors.Is(err, ErrVersion) {
+				t.Fatalf("%s: open = %v, want ErrVersion", tc.name, err)
+			}
+			for _, frag := range []string{"format", fmt.Sprint(tc.version), "specdb -import"} {
+				if !strings.Contains(err.Error(), frag) {
+					t.Fatalf("%s: skew error %q does not mention %q", tc.name, err, frag)
+				}
+			}
+		}
+		if _, err := OpenAt(path, 1); !errors.Is(err, ErrVersion) {
+			t.Fatalf("%s: OpenAt = %v, want ErrVersion", tc.name, err)
 		}
 	}
 }
@@ -374,6 +471,9 @@ func TestOpenGarbageFile(t *testing.T) {
 	if _, err := Open(filepath.Join(t.TempDir(), "missing.db")); err == nil {
 		t.Fatal("Open(missing) succeeded")
 	}
+	if _, err := OpenAt(filepath.Join(t.TempDir(), "missing.db"), 1); err == nil {
+		t.Fatal("OpenAt(missing) succeeded")
+	}
 }
 
 func TestCompactReclaimsAndPreservesState(t *testing.T) {
@@ -383,11 +483,13 @@ func TestCompactReclaimsAndPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	// Lots of superseded page versions: repeated single-key commits.
+	// Lots of superseded records: repeated single-key commits.
 	for i := 0; i < 50; i++ {
 		mustPut(t, st, fmt.Sprintf("k%02d", i), strings.Repeat("v", 600+i))
 		mustPut(t, st, fmt.Sprintf("k%02d", i), strings.Repeat("w", 600+i))
 	}
+	mustPut(t, st, "doomed", "x")
+	mustDelete(t, st, "doomed")
 	before := dump(t, st.Current())
 	preSeq := st.Current().Seq()
 	pre := st.Stats()
@@ -397,14 +499,17 @@ func TestCompactReclaimsAndPreservesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Seq != preSeq+1 {
-		t.Fatalf("compact seq %d, want %d", cs.Seq, preSeq+1)
+	if cs.Seq != preSeq || st.Current().Seq() != preSeq {
+		t.Fatalf("compact seq %d / current %d, want the unchanged %d", cs.Seq, st.Current().Seq(), preSeq)
 	}
-	if cs.PagesAfter >= cs.PagesBefore {
-		t.Fatalf("compaction did not shrink: %d -> %d pages", cs.PagesBefore, cs.PagesAfter)
+	if cs.BytesAfter >= cs.BytesBefore*6/10 {
+		t.Fatalf("compaction did not drop the superseded half: %d -> %d bytes", cs.BytesBefore, cs.BytesAfter)
 	}
-	if pre.Pages != cs.PagesBefore {
-		t.Fatalf("stats/compact disagree on page count: %d vs %d", pre.Pages, cs.PagesBefore)
+	if pre.FileBytes != cs.BytesBefore || st.Stats().FileBytes != cs.BytesAfter {
+		t.Fatalf("stats/compact disagree on file size: %d/%d vs %d/%d", pre.FileBytes, st.Stats().FileBytes, cs.BytesBefore, cs.BytesAfter)
+	}
+	if r := st.Stats().DeadPageRatio; r != 0 {
+		t.Fatalf("dead ratio %.2f after compaction, want 0", r)
 	}
 	after := dump(t, st.Current())
 	if len(after) != len(before) {
@@ -421,58 +526,118 @@ func TestCompactReclaimsAndPreservesState(t *testing.T) {
 	if _, err := st.Verify(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(path + ".compact"); !os.IsNotExist(err) {
+		t.Fatalf("compaction left its temporary file behind: %v", err)
+	}
 
-	// Writes continue against the compacted file, and a reopen sees them.
+	// Writes continue against the compacted file, and a reopen sees them
+	// together with the ordinal counter.
 	mustPut(t, st, "post-compact", "yes")
+	nextOrd := st.Stats().NextOrd
 	st.Close()
 	st2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if v, ok, _ := st2.Current().Get([]byte("post-compact")); !ok || string(v) != "yes" {
+	if v, ok := st2.Current().Get([]byte("post-compact")); !ok || string(v) != "yes" {
 		t.Fatalf("post-compact write lost: %q %v", v, ok)
+	}
+	if got := st2.Stats().NextOrd; got != nextOrd {
+		t.Fatalf("reopened NextOrd %d, want %d", got, nextOrd)
 	}
 }
 
+// TestVerifyCatchesCorruptPage flips a bit inside a committed record that
+// a later committed record follows (the unit of corruption that was a page
+// in the paged format). Under an open read-write store, Verify reports the
+// damage; a new read-write or read-only open fails with ErrCorrupt and
+// leaves the file as it is, rather than truncating the commits after the
+// flip. A flipped header fails the open outright.
 func TestVerifyCatchesCorruptPage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "specs.db")
 	st, err := Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustPut(t, st, "a", "1", "b", "2")
+	mustPut(t, st, "a", "1")
+	mustPut(t, st, "b", "2")
 	st.Close()
 
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a bit in the tree root page (found via the newest meta slot).
-	var root uint64
-	var bestSeq uint64
-	for slot := 0; slot < 2; slot++ {
-		if p, err := DecodePage(data[slot*PageSize : (slot+1)*PageSize]); err == nil && p.Type == pageMeta && p.Seq > bestSeq {
-			bestSeq, root = p.Seq, p.Root
-		}
-	}
-	if root == 0 {
-		t.Fatal("no root page found")
-	}
-	data[root*PageSize+100] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(path) // meta pages are intact, open succeeds
+	st2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if _, err := st2.Verify(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Verify on flipped page = %v, want ErrCorrupt", err)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := st2.Current().Get([]byte("a")); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get through flipped page = %v, want ErrCorrupt", err)
+	data[headerLen+4+walBodyHdr] ^= 0x40 // the first record's key byte
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st2.Verify(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Verify on flipped record = %v, want ErrCorrupt", err)
+	}
+	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("read-write open past a flipped committed record = %v, want ErrCorrupt", err)
+	}
+	if _, err := OpenReadOnly(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("read-only open past a flipped committed record = %v, want ErrCorrupt", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Fatal("a failed open rewrote the corrupt file")
+	}
+	// A header flip fails the open outright.
+	data[20] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenReadOnly(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open with flipped header = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestVerifyCatchesDivergedSnapshot: Verify compares the replayed file
+// with the snapshot being served, so a file rewritten under an open store
+// is reported even when every record is intact.
+func TestVerifyCatchesDivergedSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "specs.db")
+	st, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, st, "a", "1")
+	st.Close()
+	ro, err := OpenReadOnly(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if _, err := ro.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	other := filepath.Join(t.TempDir(), "other.db")
+	w, err := Create(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, w, "a", "2")
+	w.Close()
+	img, err := os.ReadFile(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, img, 0o644); err != nil { // same inode, new bytes
+		t.Fatal(err)
+	}
+	if _, err := ro.Verify(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Verify of a rewritten file = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -480,11 +645,15 @@ func TestStats(t *testing.T) {
 	st := tmpStore(t)
 	mustPut(t, st, "a", "1", "b", "2")
 	got := st.Stats()
-	if got.Keys != 2 || got.Seq != 2 || got.Pages < 3 || got.FileBytes < int64(got.Pages-1)*PageSize {
+	if got.Keys != 2 || got.Seq != 2 || got.FileBytes <= headerLen || got.DeadPageRatio != 0 || got.Pending != 0 {
 		t.Fatalf("stats = %+v", got)
 	}
 	if got.Path == "" || got.NextOrd != 1 {
 		t.Fatalf("stats = %+v", got)
+	}
+	mustPut(t, st, "a", "one")
+	if r := st.Stats().DeadPageRatio; r <= 0.2 || r >= 0.5 {
+		t.Fatalf("dead ratio after one of three records was superseded = %.2f", r)
 	}
 }
 
@@ -692,6 +861,17 @@ func TestSpecRoundTripPreservesBytes(t *testing.T) {
 	have := mustJSON(t, &spec.DB{Specs: got})
 	if !bytes.Equal(want, have) {
 		t.Fatalf("store round trip changed spec DB bytes:\n%s\nvs\n%s", want, have)
+	}
+	// The record encoder splices the DB's JSON in place of json.Marshal.
+	for i, sp := range corpus {
+		enc, err := encodeSpec(uint64(i)+7, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := json.Marshal(specRecord{Ord: uint64(i) + 7, DB: &spec.DB{Specs: []*spec.Spec{sp}}})
+		if err != nil || !bytes.Equal(enc, ref) {
+			t.Fatalf("encodeSpec differs from json.Marshal (%v):\n%s\nvs\n%s", err, enc, ref)
+		}
 	}
 }
 

@@ -1,31 +1,15 @@
-// Group-commit write-ahead log. Every mutation first lands as an
-// appended, checksummed record in a sidecar WAL file (<store>.wal);
-// a commit policy — N records, B bytes, or T interval, whichever
-// trips first — folds the accumulated batch into ONE copy-on-write
-// B-tree commit, so bulk ingestion pays O(batch) page writes and
-// fsyncs instead of O(records). The fold stamps the meta page with
-// the WAL sequence number it absorbed (meta.walSeq) and truncates
-// the log; records past meta.walSeq are the unfolded tail, which a
-// read-write open replays into one recovery commit and a read-only
-// open layers over the committed snapshot as an in-memory overlay.
-//
-// WAL record layout (little-endian):
-//
-//	blen(4) | body | fnv64a(body)(8)
-//	body: ver(1) | op(1) | seq(8) | nextord(8) | klen(4) | key | val
-//
-// A record that fails length or checksum validation marks the end of
-// the log (a torn append), exactly like a torn page write: everything
-// before it is trusted, everything after is discarded. A record whose
-// checksum validates but whose version byte is foreign is a hard
-// ErrVersion — never skipped, never decoded on a best-effort basis.
+// Record codec, group commit and the Batch handle. Every mutation appends
+// one checksummed record to the store file at once; a commit policy — N
+// records, B bytes, or T interval, whichever trips first — decides when
+// the pending batch becomes durable with one fsync and visible as the next
+// snapshot, so bulk ingestion pays one fsync per batch instead of one per
+// record.
 package specdb
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -48,19 +32,18 @@ const (
 	walMaxBody = 1 << 28
 
 	// DefaultCommitRecords and DefaultCommitBytes are the commit policy
-	// defaults: fold after 256 pending records or 1 MiB of pending
+	// defaults: commit after 256 pending records or 1 MiB of pending
 	// payload, whichever comes first.
 	DefaultCommitRecords = 256
 	DefaultCommitBytes   = 1 << 20
 )
 
-// CommitPolicy controls when the pending WAL batch folds into one
-// B-tree commit. Zero-valued fields take the defaults; Interval 0
-// means no time-based folding.
+// CommitPolicy controls when the pending batch commits. Zero-valued
+// fields take the defaults; Interval 0 means no time-based commit.
 type CommitPolicy struct {
-	Records  int           // fold after this many pending records
-	Bytes    int64         // fold after this many pending payload bytes
-	Interval time.Duration // fold this long after the first pending record
+	Records  int           // commit after this many pending records
+	Bytes    int64         // commit after this many pending payload bytes
+	Interval time.Duration // commit this long after the first pending record
 }
 
 func (p CommitPolicy) withDefaults() CommitPolicy {
@@ -75,19 +58,18 @@ func (p CommitPolicy) withDefaults() CommitPolicy {
 
 // Options tunes a store opened with OpenOptions or CreateOptions.
 type Options struct {
-	// Commit is the group-commit fold policy.
+	// Commit is the group-commit policy.
 	Commit CommitPolicy
 	// CompactThreshold, when in (0, 1], triggers a background compaction
-	// whenever a fold leaves the dead-page ratio (superseded
-	// copy-on-write pages over allocated data pages) at or above it.
-	// 0 disables automatic compaction.
+	// whenever a commit leaves the dead ratio (superseded record bytes
+	// over committed record bytes) at or above it. 0 disables automatic
+	// compaction.
 	CompactThreshold float64
 }
 
-// WALRecord is one decoded write-ahead-log record. Seq is the
-// monotonically increasing WAL sequence number; NextOrd is the store's
-// next-ordinal counter after this operation, so replay restores ordinal
-// allocation exactly.
+// WALRecord is one decoded store record. Seq is the strictly increasing
+// record sequence number; NextOrd is the store's next-ordinal counter
+// after this operation, so replay restores ordinal allocation exactly.
 type WALRecord struct {
 	Op      byte
 	Seq     uint64
@@ -160,218 +142,169 @@ func DecodeWALRecord(buf []byte) (*WALRecord, int, error) {
 	return r, 4 + blen + 8, nil
 }
 
-// scanWAL reads every valid record from the log. The scan stops at the
-// first torn, corrupt, or sequence-regressing record — that is the end
-// of the trustworthy log, exactly like recovering past a torn page —
-// and validLen is the byte length of the trusted prefix. A record with
-// foreign WAL version is a hard error.
-func scanWAL(f file) (recs []*WALRecord, validLen int64, err error) {
-	size, err := f.Size()
-	if err != nil {
-		return nil, 0, fmt.Errorf("specdb: wal size: %w", err)
-	}
-	if size == 0 {
-		return nil, 0, nil
-	}
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return nil, 0, fmt.Errorf("specdb: read wal: %w", err)
-	}
-	off := 0
-	var lastSeq uint64
-	for off < len(buf) {
-		r, n, derr := DecodeWALRecord(buf[off:])
+// size is the record's encoded length in the file.
+func (r *WALRecord) size() int64 { return int64(walFrame + walBodyHdr + len(r.Key) + len(r.Val)) }
+
+// scan decodes the records after the header; end is the offset just past
+// the last one. The first record that fails to decode ends the log: a
+// crash can only tear the final append, so those bytes are dropped (a
+// read-write open truncates them). If a checksum-valid record starts
+// anywhere after them, the damage is inside the log rather than at its
+// end, and the file is corrupt — never silently cut short. A valid record
+// whose seq does not increase is corrupt too, and a record from a foreign
+// format version is a version error.
+func scan(img []byte) (recs []*WALRecord, end int64, err error) {
+	off := headerLen
+	for off < len(img) {
+		r, n, derr := DecodeWALRecord(img[off:])
+		if errors.Is(derr, ErrVersion) {
+			return nil, 0, derr
+		}
 		if derr != nil {
-			if errors.Is(derr, ErrVersion) {
-				return nil, 0, derr
-			}
-			break // torn tail: trust everything before it
+			break
 		}
-		if r.Seq <= lastSeq && lastSeq != 0 {
-			break // sequence regressed: stale bytes past a torn truncate
+		if r.Seq >= maxSeq || (len(recs) > 0 && r.Seq <= recs[len(recs)-1].Seq) {
+			return nil, 0, fmt.Errorf("%w: record at offset %d has seq %d, not above its predecessor", ErrCorrupt, off, r.Seq)
 		}
-		lastSeq = r.Seq
 		recs = append(recs, r)
 		off += n
+	}
+	for at := off + 1; at < len(img); at++ {
+		if _, _, derr := DecodeWALRecord(img[at:]); derr == nil || errors.Is(derr, ErrVersion) {
+			return nil, 0, fmt.Errorf("%w: damaged record at offset %d is followed by a valid record at offset %d", ErrCorrupt, off, at)
+		}
 	}
 	return recs, int64(off), nil
 }
 
-// appendRecordLocked assigns the next WAL sequence number to one
-// operation, appends it to the log, stages it in the pending batch, and
-// folds if the commit policy trips. Caller holds s.mu and has already
-// advanced s.nextOrd for any ordinal the operation allocated.
-func (s *Store) appendRecordLocked(op byte, key, val []byte) error {
+// writableLocked reports why the store refuses writes, if it does.
+func (s *Store) writableLocked() error {
 	if s.readOnly {
 		return ErrReadOnly
 	}
 	if s.closed {
 		return fmt.Errorf("specdb: store is closed")
 	}
+	return nil
+}
+
+// appendRecordLocked assigns the next sequence number to one operation,
+// appends its record to the file, stages it in the pending batch, and
+// commits if the policy trips. Caller holds s.mu and has already advanced
+// s.nextOrd for any ordinal the operation allocated.
+func (s *Store) appendRecordLocked(op byte, key, val []byte) error {
+	if err := s.writableLocked(); err != nil {
+		return err
+	}
 	rec := &WALRecord{
 		Op:      op,
-		Seq:     s.walSeq + 1,
+		Seq:     s.seq + 1,
 		NextOrd: s.nextOrd,
 		Key:     append([]byte(nil), key...),
 		Val:     append([]byte(nil), val...),
 	}
-	if s.wal != nil {
-		buf := EncodeWALRecord(rec)
-		if _, err := s.wal.WriteAt(buf, s.walLen); err != nil {
-			return fmt.Errorf("specdb: append wal record: %w", err)
-		}
-		s.walLen += int64(len(buf))
+	buf := EncodeWALRecord(rec)
+	if _, err := s.f.WriteAt(buf, s.size); err != nil {
+		return fmt.Errorf("specdb: append record: %w", err)
 	}
-	s.walSeq = rec.Seq
-	s.stagePendingLocked(rec)
-	if len(s.pend) >= s.pol.Records || s.pendBytes >= s.pol.Bytes {
-		return s.foldLocked()
-	}
-	if s.pol.Interval > 0 && len(s.pend) == 1 {
-		gen := s.pendGen
-		s.flushTimer = time.AfterFunc(s.pol.Interval, func() { s.intervalFold(gen) })
-	}
-	return nil
-}
-
-// stagePendingLocked adds one record to the in-memory pending batch.
-func (s *Store) stagePendingLocked(rec *WALRecord) {
+	s.size += int64(len(buf))
+	s.seq = rec.Seq
 	s.pend = append(s.pend, rec)
 	if s.pendKey == nil {
 		s.pendKey = make(map[string]*WALRecord)
 	}
 	s.pendKey[string(rec.Key)] = rec
-	s.pendBytes += int64(walFrame + walBodyHdr + len(rec.Key) + len(rec.Val))
+	s.pendBytes += rec.size()
+	if len(s.pend) >= s.pol.Records || s.pendBytes >= s.pol.Bytes {
+		return s.commitLocked()
+	}
+	if s.pol.Interval > 0 && len(s.pend) == 1 {
+		gen := s.pendGen
+		s.flushTimer = time.AfterFunc(s.pol.Interval, func() { s.intervalCommit(gen) })
+	}
+	return nil
 }
 
 // pendingGet resolves key through the pending batch: the last staged
-// record for a key shadows the committed tree. hit reports whether the
-// batch says anything about the key at all.
+// record for a key shadows the committed snapshot. hit reports whether
+// the batch says anything about the key at all.
 func (s *Store) pendingGet(key []byte) (val []byte, present, hit bool) {
 	rec, ok := s.pendKey[string(key)]
 	if !ok {
 		return nil, false, false
 	}
-	if rec.Op == WALOpDelete {
-		return nil, false, true
-	}
-	return rec.Val, true, true
+	return rec.Val, rec.Op == WALOpPut, true
 }
 
-// intervalFold is the commit-interval timer body: fold whatever is
-// still pending, unless a policy- or flush-triggered fold already beat
-// it to the batch (the generation moved).
-func (s *Store) intervalFold(gen uint64) {
+// intervalCommit is the commit-interval timer body: commit whatever is
+// still pending, unless a policy- or flush-triggered commit already took
+// the batch (the generation moved).
+func (s *Store) intervalCommit(gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.pendGen != gen || len(s.pend) == 0 {
+	if s.closed || s.pendGen != gen {
 		return
 	}
-	// A failed fold leaves the batch staged and the WAL intact; the
-	// next append or explicit Flush retries and surfaces the error.
-	_ = s.foldLocked()
+	// A failed commit leaves the batch staged; the next append or explicit
+	// Flush retries and surfaces the error.
+	_ = s.commitLocked()
 }
 
-// foldLocked folds the pending batch into one copy-on-write B-tree
-// commit and resets the log: sync the WAL tail, replay the batch into a
-// transaction, commit it (stamping meta.walSeq), truncate the WAL. On
-// failure the batch stays staged and the WAL keeps its records, so the
-// store state is exactly "crashed before the fold" and a retry or
-// reopen recovers. Caller holds s.mu.
-func (s *Store) foldLocked() error {
-	if s.flushTimer != nil {
-		s.flushTimer.Stop()
-		s.flushTimer = nil
-	}
+// commitLocked makes the pending batch durable with one fsync and
+// publishes the snapshot that includes it. On failure the batch stays
+// pending and the published snapshot is unchanged. Caller holds s.mu.
+func (s *Store) commitLocked() error {
+	s.stopTimerLocked()
 	if len(s.pend) == 0 {
-		return s.resetWALLocked()
+		return nil
 	}
-	if s.wal != nil {
-		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("specdb: sync wal: %w", err)
-		}
+	if err := s.f.Sync(); err != nil {
+		return fmt.Errorf("specdb: sync: %w", err)
 	}
-	snap := s.cur.Load()
-	tx := &Tx{
-		base:    snap,
-		root:    snap.meta.root,
-		baseN:   snap.meta.npages,
-		npages:  snap.meta.npages,
-		pages:   make(map[uint64][]byte),
-		nextOrd: snap.meta.nextOrd,
-		count:   snap.meta.count,
-	}
-	for _, rec := range s.pend {
-		switch rec.Op {
-		case WALOpPut:
-			if err := tx.Put(rec.Key, rec.Val); err != nil {
-				return err
-			}
-		case WALOpDelete:
-			if _, err := tx.Delete(rec.Key); err != nil {
-				return err
-			}
-		}
-	}
-	tx.nextOrd = s.nextOrd
-	if err := s.commit(snap, tx); err != nil {
-		return err
-	}
-	s.pend = nil
-	s.pendKey = make(map[string]*WALRecord)
-	s.pendBytes = 0
-	s.pendGen++
-	if err := s.resetWALLocked(); err != nil {
-		return err
-	}
+	s.cur.Store(s.cur.Load().apply(s.pend))
+	s.durable = s.size
+	s.dropPendingLocked()
 	s.maybeCompactLocked()
 	return nil
 }
 
-// resetWALLocked truncates the log once every record in it is folded
-// (meta.walSeq has passed them). Leaving stale records behind on error
-// is harmless — recovery ignores sequences at or below meta.walSeq —
-// but the error still surfaces as the I/O problem it is.
-func (s *Store) resetWALLocked() error {
-	if s.wal == nil || s.walLen == 0 {
-		return nil
+// discardLocked drops the pending batch: the file is truncated back to the
+// last commit and ordinal allocation resumes from it. Commits that already
+// landed stay. Sequence numbers are not reused: a reader may have pinned a
+// discarded record's seq, and it must find that seq gone rather than bound
+// to different records.
+func (s *Store) discardLocked() error {
+	s.stopTimerLocked()
+	var err error
+	if s.size > s.durable {
+		if err = s.f.Truncate(s.durable); err != nil {
+			err = fmt.Errorf("specdb: truncate pending records: %w", err)
+		}
+		s.size = s.durable
 	}
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("specdb: truncate wal: %w", err)
-	}
-	s.walLen = 0
-	return nil
+	s.dropPendingLocked()
+	s.nextOrd = s.cur.Load().nextOrd
+	return err
 }
 
-// discardLocked drops the unfolded pending batch: truncate the WAL tail
-// and forget the staged records. Folds that already landed stay landed.
-func (s *Store) discardLocked() error {
+func (s *Store) dropPendingLocked() {
+	s.pend, s.pendKey, s.pendBytes = nil, nil, 0
+	s.pendGen++
+}
+
+func (s *Store) stopTimerLocked() {
 	if s.flushTimer != nil {
 		s.flushTimer.Stop()
 		s.flushTimer = nil
 	}
-	s.pend = nil
-	s.pendKey = make(map[string]*WALRecord)
-	s.pendBytes = 0
-	s.pendGen++
-	return s.resetWALLocked()
 }
 
-// maybeCompactLocked kicks off a background compaction when the current
-// snapshot's dead-page ratio reaches the configured threshold. The
-// goroutine takes the writer lock itself; snapshot readers (Current,
-// OpenAt) are unaffected because compaction retires the old file handle
-// without closing it.
+// maybeCompactLocked starts a background compaction when the published
+// snapshot's dead ratio reaches the configured threshold. The goroutine
+// takes the writer lock itself; snapshot readers are unaffected because
+// snapshots never read the file.
 func (s *Store) maybeCompactLocked() {
-	if s.threshold <= 0 || s.readOnly || s.closed {
-		return
-	}
-	snap := s.cur.Load()
-	if snap.meta.npages <= 2 {
-		return
-	}
-	ratio, err := snap.DeadPageRatio()
-	if err != nil || ratio < s.threshold {
+	if s.threshold <= 0 || s.closed || s.cur.Load().deadRatio() < s.threshold {
 		return
 	}
 	if !s.compacting.CompareAndSwap(false, true) {
@@ -380,202 +313,90 @@ func (s *Store) maybeCompactLocked() {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		// A concurrent Close wins the race cleanly: Compact then
-		// reports the store closed and the goroutine exits.
+		// A concurrent Close wins the race cleanly: Compact then reports
+		// the store closed and the goroutine exits.
 		if _, err := s.Compact(); err == nil {
 			s.compactions.Add(1)
 		}
 		s.compacting.Store(false)
-		// Folds that tripped the threshold while this compaction ran
-		// were dropped by the CAS above; re-check so the trigger is
+		// Commits that tripped the threshold while this compaction ran were
+		// dropped by the CAS above; re-check so the trigger is
 		// self-sustaining until the ratio falls below the threshold.
 		s.mu.Lock()
-		if !s.closed {
-			s.maybeCompactLocked()
-		}
+		s.maybeCompactLocked()
 		s.mu.Unlock()
 	}()
 }
 
-// DeadPageRatio is the fraction of allocated data pages unreachable
-// from this snapshot's root — garbage left behind by copy-on-write
-// commits, reclaimable by Compact. Computed once per snapshot by a
-// structural walk and cached (snapshots are immutable).
-func (sn *Snapshot) DeadPageRatio() (float64, error) {
-	sn.liveOnce.Do(func() {
-		var vs VerifyStats
-		if sn.meta.root != 0 {
-			sn.liveErr = verifyNode(sn, sn.meta.root, &vs)
-		}
-		sn.livePages = vs.TreePages + vs.OverflowPages
-	})
-	if sn.liveErr != nil {
-		return 0, sn.liveErr
-	}
-	alloc := sn.meta.npages - 2
-	if alloc == 0 {
-		return 0, nil
-	}
-	return float64(alloc-sn.livePages) / float64(alloc), nil
-}
-
-// overlay layers an unfolded WAL tail over a committed snapshot for
-// read-only opens, which see every durable record but cannot fold.
-type overlay struct {
-	recs  map[string]*WALRecord // latest record per key; delete = tombstone
-	keys  []string              // sorted keys of recs
-	count uint64                // key count of the overlaid view
-}
-
-// buildOverlay reduces a WAL tail to its per-key latest records and
-// computes the resulting key count against the base snapshot.
-func buildOverlay(sn *Snapshot, tail []*WALRecord) (*overlay, error) {
-	ov := &overlay{recs: make(map[string]*WALRecord)}
-	count := sn.meta.count
-	for _, rec := range tail {
-		k := string(rec.Key)
-		var present bool
-		if prev, ok := ov.recs[k]; ok {
-			present = prev.Op == WALOpPut
-		} else {
-			_, found, err := treeGet(sn, sn.meta.root, rec.Key)
-			if err != nil {
-				return nil, err
-			}
-			present = found
-		}
-		if rec.Op == WALOpPut && !present {
-			count++
-		}
-		if rec.Op == WALOpDelete && present {
-			count--
-		}
-		ov.recs[k] = rec
-	}
-	ov.keys = make([]string, 0, len(ov.recs))
-	for k := range ov.recs {
-		ov.keys = append(ov.keys, k)
-	}
-	sort.Strings(ov.keys)
-	ov.count = count
-	return ov, nil
-}
-
-// iterMerged walks the overlaid view in key order: tree keys and
-// overlay keys interleave, an overlay record shadows its tree key
-// (tombstones hide it), and overlay keys past the end of the tree drain
-// afterwards.
-func (ov *overlay) iterMerged(sn *Snapshot, lo []byte, fn func(key, val []byte) (bool, error)) error {
-	idx := 0
-	if lo != nil {
-		idx = sort.SearchStrings(ov.keys, string(lo))
-	}
-	// emit yields overlay puts with keys below upto (nil = all).
-	emit := func(upto []byte) (bool, error) {
-		for idx < len(ov.keys) && (upto == nil || ov.keys[idx] < string(upto)) {
-			k := ov.keys[idx]
-			rec := ov.recs[k]
-			idx++
-			if rec.Op == WALOpDelete {
-				continue
-			}
-			if cont, err := fn([]byte(k), rec.Val); err != nil || !cont {
-				return false, err
-			}
-		}
-		return true, nil
-	}
-	stopped := false
-	err := treeIterFrom(sn, sn.meta.root, lo, func(key, val []byte) (bool, error) {
-		cont, err := emit(key)
-		if err != nil || !cont {
-			stopped = true
-			return false, err
-		}
-		if idx < len(ov.keys) && ov.keys[idx] == string(key) {
-			rec := ov.recs[ov.keys[idx]]
-			idx++
-			if rec.Op == WALOpDelete {
-				return true, nil
-			}
-			val = rec.Val
-		}
-		cont, err = fn(key, val)
-		if err != nil || !cont {
-			stopped = true
-		}
-		return cont, err
-	})
-	if err != nil || stopped {
-		return err
-	}
-	_, err = emit(nil)
-	return err
-}
-
-// Batch is a group-commit handle: operations append to the WAL
-// immediately and stage in memory; the B-tree commit happens when the
-// commit policy trips or Flush is called. All methods serialize on the
-// store's writer lock, so concurrent batches interleave safely — they
-// share one pending batch and one fold.
+// Batch is a group-commit handle: operations append to the store file
+// immediately and stage in memory; the commit happens when the commit
+// policy trips or Flush is called. All methods serialize on the store's
+// writer lock, so concurrent batches interleave safely — they share one
+// pending batch and one commit.
 type Batch struct{ s *Store }
 
 // Batch returns a group-commit handle on the store.
 func (s *Store) Batch() *Batch { return &Batch{s: s} }
 
-// Flush folds everything pending into one durable B-tree commit. A
-// no-op when nothing is pending.
+// Flush commits everything pending as one durable snapshot. A no-op when
+// nothing is pending.
 func (b *Batch) Flush() error {
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	if b.s.readOnly {
-		return ErrReadOnly
+	if err := b.s.writableLocked(); err != nil {
+		return err
 	}
-	if b.s.closed {
-		return fmt.Errorf("specdb: store is closed")
-	}
-	return b.s.foldLocked()
+	return b.s.commitLocked()
 }
 
-// Discard drops every operation still pending (not yet folded).
-// Operations a policy-triggered fold already committed stay committed —
-// the same durability a sequence of individual upserts would have had.
+// Discard drops every operation still pending (not yet committed).
+// Operations a policy-triggered commit already made durable stay — the
+// same durability a sequence of individual upserts would have had.
 func (b *Batch) Discard() error {
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	if b.s.readOnly {
-		return ErrReadOnly
-	}
-	if b.s.closed {
-		return fmt.Errorf("specdb: store is closed")
+	if err := b.s.writableLocked(); err != nil {
+		return err
 	}
 	return b.s.discardLocked()
 }
 
-// Pending reports how many records await the next fold.
+// Pending reports how many records await the next commit.
 func (b *Batch) Pending() int {
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
 	return len(b.s.pend)
 }
 
-// put appends one raw put through the WAL (spec-level wrappers add
-// ordinal bookkeeping on top).
+// put appends one raw put (spec-level wrappers add ordinal bookkeeping on
+// top).
 func (b *Batch) put(key, val []byte) error {
-	if len(key) == 0 {
-		return fmt.Errorf("specdb: empty key")
-	}
-	if len(key) > MaxKeyLen {
-		return fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLong, len(key), MaxKeyLen)
+	if err := checkKey(key); err != nil {
+		return err
 	}
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
 	return b.s.appendRecordLocked(WALOpPut, key, val)
 }
 
-// delete appends one raw delete through the WAL.
+// delete appends one raw delete.
 func (b *Batch) delete(key []byte) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
 	return b.s.appendRecordLocked(WALOpDelete, key, nil)
+}
+
+// checkKey validates a key before any ordinal is allocated or record
+// appended.
+func checkKey(key []byte) error {
+	if len(key) == 0 {
+		return fmt.Errorf("specdb: empty key")
+	}
+	if len(key) > MaxKeyLen {
+		return fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLong, len(key), MaxKeyLen)
+	}
+	return nil
 }

@@ -14,14 +14,14 @@ import (
 )
 
 // buildWALSeeds mirrors the gencorpus seed set: valid put/delete
-// records (small and overflow-sized values), truncations, a flipped
+// records (small and multi-kilobyte values), truncations, a flipped
 // checksum, a resealed version skew, and raw garbage.
 func buildWALSeeds() [][]byte {
 	put := EncodeWALRecord(&WALRecord{Op: WALOpPut, Seq: 3, NextOrd: 7,
 		Key: []byte("iface:ops.prepare | some-constraint"), Val: []byte(`{"ord":6,"db":{}}`)})
 	del := EncodeWALRecord(&WALRecord{Op: WALOpDelete, Seq: 4, NextOrd: 7, Key: []byte("api:kfree | k")})
 	big := EncodeWALRecord(&WALRecord{Op: WALOpPut, Seq: 5, NextOrd: 8,
-		Key: []byte("k"), Val: bytes.Repeat([]byte("v"), 3*PageSize)})
+		Key: []byte("k"), Val: bytes.Repeat([]byte("v"), 3*4096)})
 	flipped := append([]byte(nil), put...)
 	flipped[len(flipped)-2] ^= 0x08
 	skew := append([]byte(nil), del...)

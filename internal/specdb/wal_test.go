@@ -1,9 +1,9 @@
 package specdb
 
-// Unit suite for the group-commit WAL: record codec hostility, commit
-// policy triggers (records / bytes / interval), batch read-your-writes
-// and discard, crash-tail recovery on reopen (read-write replay and
-// read-only overlay), and ratio-triggered background compaction.
+// Unit suite for the record log and group commit: record codec hostility,
+// commit policy triggers (records / bytes / interval), batch
+// read-your-writes and discard, tail recovery on reopen (read-write and
+// read-only), and ratio-triggered background compaction.
 
 import (
 	"bytes"
@@ -18,10 +18,10 @@ import (
 	"seal/internal/spec"
 )
 
-// walFileSize reads the sidecar log's on-disk size.
-func walFileSize(t *testing.T, st *Store) int64 {
+// fileSize reads the store file's on-disk size.
+func fileSize(t *testing.T, st *Store) int64 {
 	t.Helper()
-	fi, err := os.Stat(walPath(st.Path()))
+	fi, err := os.Stat(st.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +105,9 @@ func TestWALRecordDecodeRejections(t *testing.T) {
 	}
 }
 
-// TestBatchFoldOnRecordCount pins the N-records policy: the batch stays
-// pending (invisible to Current) until the count trips, then folds into
-// exactly one commit and truncates the log.
+// TestBatchFoldOnRecordCount pins the N-records policy: the batch is
+// appended to the file at once but stays pending (invisible to Current)
+// until the count trips, then commits as one snapshot.
 func TestBatchFoldOnRecordCount(t *testing.T) {
 	st, err := CreateOptions(filepath.Join(t.TempDir(), "s.db"), Options{
 		Commit: CommitPolicy{Records: 3, Bytes: 1 << 30},
@@ -117,6 +117,7 @@ func TestBatchFoldOnRecordCount(t *testing.T) {
 	}
 	defer st.Close()
 	seq0 := st.Current().Seq()
+	size0 := fileSize(t, st)
 
 	b := st.Batch()
 	for i := 0; i < 2; i++ {
@@ -130,11 +131,11 @@ func TestBatchFoldOnRecordCount(t *testing.T) {
 	if st.Current().Seq() != seq0 || st.Current().Len() != 0 {
 		t.Fatal("pending records leaked into the committed snapshot")
 	}
-	if sz := walFileSize(t, st); sz == 0 {
-		t.Fatal("pending records not in the log")
+	if sz := fileSize(t, st); sz <= size0 {
+		t.Fatal("pending records not in the file")
 	}
 
-	// The third record trips the policy: one fold, one commit.
+	// The third record trips the policy: one commit.
 	if err := b.put([]byte("k2"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -142,15 +143,11 @@ func TestBatchFoldOnRecordCount(t *testing.T) {
 		t.Fatalf("pending after fold = %d, want 0", got)
 	}
 	sn := st.Current()
-	if sn.Seq() != seq0+1 || sn.Len() != 3 {
-		t.Fatalf("after fold: seq %d len %d, want seq %d len 3", sn.Seq(), sn.Len(), seq0+1)
+	if sn.Seq() != seq0+3 || sn.Len() != 3 {
+		t.Fatalf("after commit: seq %d len %d, want seq %d len 3", sn.Seq(), sn.Len(), seq0+3)
 	}
-	if sz := walFileSize(t, st); sz != 0 {
-		t.Fatalf("log holds %d bytes after fold, want 0", sz)
-	}
-
 	ss := st.Stats()
-	if ss.WALSeq != 3 || ss.WALRecordsPending != 0 {
+	if ss.Seq != 3 || ss.Pending != 0 || ss.FileBytes != fileSize(t, st) {
 		t.Fatalf("stats = %+v", ss)
 	}
 }
@@ -204,7 +201,8 @@ func TestBatchFoldOnInterval(t *testing.T) {
 	}
 }
 
-// TestBatchDiscard drops the unfolded tail but keeps folded commits.
+// TestBatchDiscard drops the uncommitted tail — truncating the file back
+// to the last commit — but keeps committed records.
 func TestBatchDiscard(t *testing.T) {
 	st, err := CreateOptions(filepath.Join(t.TempDir(), "s.db"), Options{
 		Commit: CommitPolicy{Records: 2, Bytes: 1 << 30},
@@ -214,9 +212,13 @@ func TestBatchDiscard(t *testing.T) {
 	}
 	defer st.Close()
 	b := st.Batch()
-	for i := 0; i < 3; i++ { // first two fold, third stays pending
+	var committed int64
+	for i := 0; i < 3; i++ { // first two commit, third stays pending
 		if err := b.put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
+		}
+		if i == 1 {
+			committed = fileSize(t, st)
 		}
 	}
 	if b.Pending() != 1 {
@@ -231,8 +233,8 @@ func TestBatchDiscard(t *testing.T) {
 	if got := st.Current().Len(); got != 2 {
 		t.Fatalf("len = %d after discard, want the 2 folded keys", got)
 	}
-	if sz := walFileSize(t, st); sz != 0 {
-		t.Fatalf("log holds %d bytes after discard", sz)
+	if sz := fileSize(t, st); sz != committed {
+		t.Fatalf("file holds %d bytes after discard, want the %d committed", sz, committed)
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -240,40 +242,28 @@ func TestBatchDiscard(t *testing.T) {
 	if got := st.Current().Len(); got != 2 {
 		t.Fatalf("flush after discard committed phantoms: len %d", got)
 	}
-}
-
-// TestUpdateFoldsPendingFirst: a direct Update on a store with a
-// pending batch must land after the batch, not before it.
-func TestUpdateFoldsPendingFirst(t *testing.T) {
-	st, err := CreateOptions(filepath.Join(t.TempDir(), "s.db"), Options{
-		Commit: CommitPolicy{Records: 1 << 20, Bytes: 1 << 30},
-	})
-	if err != nil {
+	// Appends resume right after the last commit in the file, but the
+	// discarded record's seq is never handed out again.
+	seq := st.Current().Seq()
+	if err := b.put([]byte("k9"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	b := st.Batch()
-	if err := b.put([]byte("k"), []byte("from-batch")); err != nil {
+	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	err = st.Update(func(tx *Tx) error { return tx.Put([]byte("k"), []byte("from-update")) })
-	if err != nil {
+	if got := st.Current().Seq(); got != seq+2 {
+		t.Fatalf("seq after discard and append = %d, want %d (seq %d was discarded)", got, seq+2, seq+1)
+	}
+	if _, err := st.Verify(); err != nil {
 		t.Fatal(err)
-	}
-	v, ok, err := st.Current().Get([]byte("k"))
-	if err != nil || !ok || string(v) != "from-update" {
-		t.Fatalf("Get(k) = %q, %v, %v; want the Update to supersede the batch", v, ok, err)
-	}
-	if b.Pending() != 0 {
-		t.Fatal("Update left the batch pending")
 	}
 }
 
-// appendRawWAL appends pre-encoded bytes to a store's sidecar log out
-// of band — simulating records a crashed writer left behind.
+// appendRawWAL appends pre-encoded bytes to a store file out of band —
+// simulating records a crashed writer left behind.
 func appendRawWAL(t *testing.T, path string, chunks ...[]byte) {
 	t.Helper()
-	f, err := os.OpenFile(walPath(path), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +275,9 @@ func appendRawWAL(t *testing.T, path string, chunks ...[]byte) {
 	}
 }
 
-// crashTail builds a store holding {a:1}, closes it, and appends an
-// unfolded two-record tail (put b, delete a) plus any extra bytes.
-// Returns the store path and the tail's final NextOrd.
+// crashTail builds a store holding {a:1}, closes it, and appends a
+// two-record tail (put b, delete a, ending at NextOrd 5) plus any extra
+// bytes. Returns the store path.
 func crashTail(t *testing.T, extra ...[]byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "s.db")
@@ -296,7 +286,7 @@ func crashTail(t *testing.T, extra ...[]byte) string {
 		t.Fatal(err)
 	}
 	mustPut(t, st, "a", "1")
-	walSeq := st.Stats().WALSeq
+	walSeq := st.Current().Seq()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +298,9 @@ func crashTail(t *testing.T, extra ...[]byte) string {
 	return path
 }
 
-// TestWALTailReplayOnOpen: a read-write reopen folds the tail into one
-// recovery commit, restores ordinal allocation, and resets the log.
+// TestWALTailReplayOnOpen: a read-write reopen replays the tail records
+// like any other, restores ordinal allocation from them, and leaves a
+// file that verifies.
 func TestWALTailReplayOnOpen(t *testing.T) {
 	path := crashTail(t)
 	st, err := Open(path)
@@ -325,11 +316,8 @@ func TestWALTailReplayOnOpen(t *testing.T) {
 	if ss.NextOrd != 5 {
 		t.Fatalf("recovered NextOrd = %d, want 5 (from the tail)", ss.NextOrd)
 	}
-	if ss.WALRecordsPending != 0 {
-		t.Fatalf("pending after recovery = %d", ss.WALRecordsPending)
-	}
-	if sz := walFileSize(t, st); sz != 0 {
-		t.Fatalf("log holds %d bytes after recovery", sz)
+	if ss.Pending != 0 || ss.Seq != 3 {
+		t.Fatalf("stats after recovery = %+v", ss)
 	}
 	if _, err := st.Verify(); err != nil {
 		t.Fatal(err)
@@ -337,7 +325,8 @@ func TestWALTailReplayOnOpen(t *testing.T) {
 }
 
 // TestWALTornTailIgnored: garbage past the last valid record is a torn
-// append — recovery keeps the valid prefix and discards the rest.
+// append — recovery keeps the valid prefix and a read-write open
+// truncates the rest.
 func TestWALTornTailIgnored(t *testing.T) {
 	torn := EncodeWALRecord(&WALRecord{Op: WALOpPut, Seq: 99, NextOrd: 9, Key: []byte("torn"), Val: []byte("x")})
 	for _, tc := range []struct {
@@ -360,6 +349,9 @@ func TestWALTornTailIgnored(t *testing.T) {
 		got := dump(t, st.Current())
 		if len(got) != 1 || got["b"] != "2" {
 			t.Errorf("%s: recovered %v, want {b:2}", tc.name, got)
+		}
+		if _, err := st.Verify(); err != nil {
+			t.Errorf("%s: torn tail not truncated: %v", tc.name, err)
 		}
 		st.Close()
 	}
@@ -384,11 +376,24 @@ func TestWALVersionSkewRefused(t *testing.T) {
 	}
 }
 
-// TestWALOverlayReadOnly: a read-only open cannot fold, so the tail is
-// layered in memory — Get, Len, Iterate, and Specs all see it — and
-// neither file changes.
+// TestSeqRegressionIsCorrupt: a checksum-valid record whose seq does not
+// increase cannot come from a crash, so both opens fail with ErrCorrupt
+// instead of truncating it.
+func TestSeqRegressionIsCorrupt(t *testing.T) {
+	path := crashTail(t, EncodeWALRecord(&WALRecord{Op: WALOpPut, Seq: 1, NextOrd: 9, Key: []byte("old"), Val: []byte("x")}))
+	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open = %v, want ErrCorrupt", err)
+	}
+	if _, err := OpenReadOnly(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("read-only open = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestWALOverlayReadOnly: a read-only open sees every complete record,
+// tail included — Get, Len and Iterate all see it — and never writes the
+// file, not even to trim a torn tail.
 func TestWALOverlayReadOnly(t *testing.T) {
-	path := crashTail(t)
+	path := crashTail(t, []byte("torn"))
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -402,19 +407,15 @@ func TestWALOverlayReadOnly(t *testing.T) {
 	if sn.Len() != 1 {
 		t.Fatalf("overlaid Len = %d, want 1", sn.Len())
 	}
-	if v, ok, err := sn.Get([]byte("b")); err != nil || !ok || string(v) != "2" {
-		t.Fatalf("Get(b) = %q, %v, %v", v, ok, err)
+	if v, ok := sn.Get([]byte("b")); !ok || string(v) != "2" {
+		t.Fatalf("Get(b) = %q, %v", v, ok)
 	}
-	if _, ok, _ := sn.Get([]byte("a")); ok {
+	if _, ok := sn.Get([]byte("a")); ok {
 		t.Fatal("tombstoned key a still visible")
 	}
 	got := dump(t, sn)
 	if len(got) != 1 || got["b"] != "2" {
 		t.Fatalf("overlaid iterate = %v, want {b:2}", got)
-	}
-	ss := st.Stats()
-	if ss.WALRecordsPending != 2 {
-		t.Fatalf("read-only pending = %d, want the 2 tail records", ss.WALRecordsPending)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {
@@ -430,8 +431,9 @@ func TestWALOverlayReadOnly(t *testing.T) {
 	}
 }
 
-// TestWALOverlayIterateFrom exercises the merged iterator's bounds:
-// overlay keys before, between, equal to, and past tree keys.
+// TestWALOverlayIterateFrom exercises iteration bounds over a read-only
+// view whose tail records land before, between, on, and past the keys
+// committed ahead of them.
 func TestWALOverlayIterateFrom(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.db")
 	st, err := Create(path)
@@ -439,7 +441,7 @@ func TestWALOverlayIterateFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPut(t, st, "b", "tree-b", "d", "tree-d", "f", "tree-f")
-	walSeq := st.Stats().WALSeq
+	walSeq := st.Current().Seq()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -545,9 +547,9 @@ func TestBatchSpecReadYourWrites(t *testing.T) {
 }
 
 // TestDeadPageRatioAndAutoCompaction: rewriting one key over and over
-// strands copy-on-write pages; a store opened with CompactThreshold
-// folds, notices the ratio, and compacts in the background while a
-// pinned pre-compaction snapshot stays readable.
+// supersedes its records; a store opened with CompactThreshold commits,
+// notices the dead ratio, and compacts in the background while a pinned
+// pre-compaction snapshot stays readable.
 func TestDeadPageRatioAndAutoCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.db")
 	st, err := CreateOptions(path, Options{
@@ -588,7 +590,7 @@ func TestDeadPageRatioAndAutoCompaction(t *testing.T) {
 	if ss.DeadPageRatio >= 0.5 {
 		t.Fatalf("ratio %.2f still at threshold after compaction", ss.DeadPageRatio)
 	}
-	// The pre-compaction snapshot reads from the retired handle.
+	// The pre-compaction snapshot never reads the file.
 	if got := dump(t, pinned); got["stable"] != pinnedDump["stable"] {
 		t.Fatalf("pinned snapshot changed: %v", got)
 	}
@@ -619,17 +621,17 @@ func TestManualCompactFoldsPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Keys != 1 {
-		t.Fatalf("compacted %d keys, want the pending record folded in", cs.Keys)
+	if cs.Keys != 1 || b.Pending() != 0 {
+		t.Fatalf("compacted %d keys with %d pending, want the pending record committed first", cs.Keys, b.Pending())
 	}
-	if sz := walFileSize(t, st); sz != 0 {
-		t.Fatalf("log holds %d bytes after compaction", sz)
+	if _, err := st.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestReopenWithEmptyWALLeavesFileUntouched guards the no-op-reopen
-// contract the model suite pins for the store file, extended to the
-// sidecar: reopening a cleanly closed store writes nothing.
+// contract the model suite pins: reopening and closing a cleanly closed
+// store, with nothing pending, writes nothing.
 func TestReopenWithEmptyWALLeavesFileUntouched(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.db")
 	st, err := Create(path)
@@ -657,7 +659,7 @@ func TestReopenWithEmptyWALLeavesFileUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before, after) {
-		t.Fatal("reopen with an empty log rewrote the store file")
+		t.Fatal("reopen of a cleanly closed store rewrote the file")
 	}
 	st, err = Open(path)
 	if err != nil {

@@ -82,9 +82,6 @@ func (k EPKind) String() string {
 	return "?"
 }
 
-// IsSource reports whether the endpoint kind is a value source (domain V).
-func (k EPKind) IsSource() bool { return k <= SrcUninit }
-
 // Endpoint is a classified path end: a source (interaction datum) or a
 // sink (ultimate use).
 type Endpoint struct {

@@ -88,11 +88,6 @@ func (p *Path) Psi(g *pdg.Graph) solver.Formula {
 	return p.psi
 }
 
-// OrderOfSink returns Ω of the sink statement within its function.
-func (p *Path) OrderOfSink(g *pdg.Graph) int {
-	return g.Order(p.Sink.Stmt)
-}
-
 // String renders the path with line numbers for bug reports.
 func (p *Path) String() string {
 	var sb strings.Builder

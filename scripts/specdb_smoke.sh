@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# End-to-end smoke for the paged spec store, driving the real CLI the way
+# End-to-end smoke for the spec store, driving the real CLI the way
 # a user would:
 #
 #   1. infer a flat spec database and import it into a store,
@@ -10,7 +10,7 @@
 #      post-compaction detection against the same flat reference,
 #   4. re-import the flat file: first-wins dedup must add nothing,
 #   5. SIGKILL an importer mid-ingest on a bulk corpus, reopen the store
-#      (replaying the WAL tail), and re-import until the store matches a
+#      (replaying every complete record), and re-import until the store matches a
 #      never-crashed reference import of the same corpus.
 #
 # The finer-grained contracts (one-spec edit recomputing exactly one
@@ -78,7 +78,7 @@ esac
 
 echo "== kill -9 mid-ingest, reopen, converge"
 # Blow the inferred corpus up to ~8k unique-key clones so an importer
-# folding every 8 records is still mid-ingest when the signal lands.
+# committing every 8 records is still mid-ingest when the signal lands.
 python3 - "$work/specs.json" "$work/bulk-specs.json" <<'PY'
 import json, sys
 db = json.load(open(sys.argv[1]))
@@ -100,7 +100,7 @@ kill -9 "$victim" 2>/dev/null || true
 wait "$victim" 2>/dev/null || true
 
 if [ -f "$bulk" ]; then
-    echo "== killed store must reopen cleanly: WAL tail replays, tree verifies"
+    echo "== killed store must reopen cleanly: complete records replay, the file verifies"
     "$seal" specdb -db "$bulk" -verify
     "$seal" specdb -db "$bulk" -stats
 else

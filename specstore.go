@@ -7,7 +7,7 @@ import (
 	"seal/internal/specdb"
 )
 
-// This file loads and imports the paged spec store (internal/specdb). A
+// This file loads and imports the spec store (internal/specdb). A
 // store-backed run detects through the same region-group flow as a flat
 // spec file (detect.go), so its output is byte-identical to a flat run
 // over the same specs — same report, same redacted manifest, same
@@ -22,10 +22,10 @@ func ImportSpecStore(path string, db *SpecDB) (added, skipped int, err error) {
 }
 
 // ImportSpecStoreOptions is ImportSpecStore with an explicit store
-// configuration: the group-commit fold policy governs how many imported
-// specs ride in each WAL batch before folding into one B-tree commit,
-// and the compaction threshold arms ratio-triggered background
-// compaction for the duration of the import.
+// configuration: the group-commit policy governs how many imported specs
+// ride in each batch before one fsync makes them durable, and the
+// compaction threshold arms ratio-triggered background compaction for the
+// duration of the import.
 func ImportSpecStoreOptions(path string, db *SpecDB, opts specdb.Options) (added, skipped int, err error) {
 	st, err := specdb.OpenOptions(path, opts)
 	if errors.Is(err, os.ErrNotExist) {
