@@ -281,10 +281,15 @@ func filterAtoms(f solver.Formula) solver.Formula {
 }
 
 func atomHasLocalSym(a solver.Atom) bool {
-	for _, s := range solver.Symbols(a) {
-		if strings.HasPrefix(s, localSymPrefix) {
-			return true
-		}
+	return termHasLocalSym(a.A) || termHasLocalSym(a.B)
+}
+
+func termHasLocalSym(t solver.Term) bool {
+	switch x := t.(type) {
+	case solver.Sym:
+		return strings.HasPrefix(x.Name, localSymPrefix)
+	case solver.BinTerm:
+		return termHasLocalSym(x.A) || termHasLocalSym(x.B)
 	}
 	return false
 }

@@ -175,85 +175,94 @@ func String(f Formula) string {
 // MkAnd builds a conjunction, flattening, deduplicating, and
 // short-circuiting.
 func MkAnd(fs ...Formula) Formula {
-	var parts []Formula
-	seen := make(map[string]bool)
-	var push func(f Formula) bool
-	push = func(f Formula) bool {
-		switch x := f.(type) {
-		case nil, TrueF:
-			return true
-		case FalseF:
-			return false
-		case And:
-			for _, k := range x.Fs {
-				if !push(k) {
-					return false
-				}
-			}
-			return true
-		default:
-			key := f.fString()
-			if !seen[key] {
-				seen[key] = true
-				parts = append(parts, f)
-			}
-			return true
-		}
-	}
+	var ops operands
 	for _, f := range fs {
-		if !push(f) {
+		if !ops.pushAnd(f) {
 			return FalseF{}
 		}
 	}
-	if len(parts) == 0 {
+	switch len(ops.fs) {
+	case 0:
 		return TrueF{}
+	case 1:
+		return ops.fs[0]
 	}
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	return And{Fs: parts}
+	return And{Fs: ops.fs}
 }
 
 // MkOr builds a disjunction, flattening, deduplicating, and
 // short-circuiting.
 func MkOr(fs ...Formula) Formula {
-	var parts []Formula
-	seen := make(map[string]bool)
-	var push func(f Formula) bool
-	push = func(f Formula) bool {
-		switch x := f.(type) {
-		case nil, FalseF:
-			return true
-		case TrueF:
-			return false
-		case Or:
-			for _, k := range x.Fs {
-				if !push(k) {
-					return false
-				}
-			}
-			return true
-		default:
-			key := f.fString()
-			if !seen[key] {
-				seen[key] = true
-				parts = append(parts, f)
-			}
-			return true
-		}
-	}
+	var ops operands
 	for _, f := range fs {
-		if !push(f) {
+		if !ops.pushOr(f) {
 			return TrueF{}
 		}
 	}
-	if len(parts) == 0 {
+	switch len(ops.fs) {
+	case 0:
 		return FalseF{}
+	case 1:
+		return ops.fs[0]
 	}
-	if len(parts) == 1 {
-		return parts[0]
+	return Or{Fs: ops.fs}
+}
+
+// operands collects the distinct operands of one And or Or in first-seen
+// order. Duplicates are found by canonKey plus exact structural equality,
+// so operands that differ only in their own operand order both stay.
+type operands struct {
+	fs   []Formula
+	keys []uint64
+}
+
+// pushAnd adds f as conjuncts; false means f is false and so is the And.
+func (o *operands) pushAnd(f Formula) bool {
+	switch x := f.(type) {
+	case nil, TrueF:
+		return true
+	case FalseF:
+		return false
+	case And:
+		for _, k := range x.Fs {
+			if !o.pushAnd(k) {
+				return false
+			}
+		}
+		return true
 	}
-	return Or{Fs: parts}
+	o.add(f)
+	return true
+}
+
+// pushOr adds f as disjuncts; false means f is true and so is the Or.
+func (o *operands) pushOr(f Formula) bool {
+	switch x := f.(type) {
+	case nil, FalseF:
+		return true
+	case TrueF:
+		return false
+	case Or:
+		for _, k := range x.Fs {
+			if !o.pushOr(k) {
+				return false
+			}
+		}
+		return true
+	}
+	o.add(f)
+	return true
+}
+
+func (o *operands) add(f Formula) {
+	key := canonKey(f)
+	for i, k := range o.keys {
+		if k == key && equal(o.fs[i], f) {
+			return
+		}
+	}
+	o.fs = append(o.fs, f)
+	o.keys = append(o.keys, key)
 }
 
 // MkNot builds a negation, pushing through constants.

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -74,20 +75,44 @@ func TestSatMemoAgreesWithRaw(t *testing.T) {
 	}
 }
 
-func TestSatBudgetBypassesMemo(t *testing.T) {
-	f := MkAnd(lt(x("memo_budget"), c(0)), gt(x("memo_budget"), c(9)))
-	Sat(f) // warm the memo
+// TestSatBudgetHitChargesLikeMiss: a budgeted check served by a warm memo
+// charges its step sink exactly what the computation charged, so budgets
+// cannot tell a hit from a miss; a charge the budget refuses makes the hit
+// answer the conservative true, as the computation would have.
+func TestSatBudgetHitChargesLikeMiss(t *testing.T) {
+	f := MkOr(
+		MkAnd(lt(x("memo_budget"), c(0)), gt(x("memo_budget"), c(9))),
+		MkAnd(lt(x("memo_budget"), c(-3)), gt(x("memo_budget"), c(3))),
+	)
+	record := func(charges *[]int64) func(int64) error {
+		return func(n int64) error { *charges = append(*charges, n); return nil }
+	}
+	var miss, hit []int64
 	var tl Tally
-	steps := 0
-	got := tl.SatBudget(f, func(int64) error { steps++; return nil })
-	if got {
-		t.Fatal("budgeted check verdict wrong")
+	if tl.SatBudget(f, record(&miss)) {
+		t.Fatal("budgeted miss verdict wrong")
 	}
-	if tl != (Tally{Checks: 1}) {
-		t.Fatalf("budgeted check tally %+v, want one check and no memo traffic", tl)
+	if tl.SatBudget(f, record(&hit)) {
+		t.Fatal("budgeted hit verdict wrong")
 	}
-	if steps == 0 {
-		t.Fatal("budgeted check did not charge steps — it must do the real work")
+	if tl != (Tally{Checks: 2, MemoHits: 1, MemoMisses: 1}) {
+		t.Fatalf("tally %+v, want one miss then one hit", tl)
+	}
+	if len(miss) != 2 || fmt.Sprint(hit) != fmt.Sprint(miss) {
+		t.Fatalf("hit charged %v, miss charged %v; want the same two conjunct charges", hit, miss)
+	}
+	refused := errors.New("budget exhausted")
+	calls := 0
+	if !tl.SatBudget(f, func(int64) error {
+		if calls++; calls == 2 {
+			return refused
+		}
+		return nil
+	}) {
+		t.Fatal("hit whose replayed charge failed must answer the conservative true")
+	}
+	if calls != 2 {
+		t.Fatalf("hit made %d charges after the refused one, want it to stop there", calls-2)
 	}
 }
 
@@ -119,18 +144,18 @@ func TestTallyCountsEveryCheck(t *testing.T) {
 }
 
 func TestSatMemoGenerationalRotation(t *testing.T) {
-	m := &satMemo{cur: make(map[string]bool), cap: 4}
-	for i := 0; i < 10; i++ {
-		m.put(fmt.Sprintf("k%d", i), i%2 == 0)
+	m := &satMemo{cur: make(map[uint64][]memoEntry), cap: 4}
+	for i := uint64(0); i < 10; i++ {
+		m.put(i, memoEntry{f: TrueF{}, sat: i%2 == 0})
 	}
 	if len(m.cur) > m.cap {
 		t.Fatalf("current generation exceeded cap: %d > %d", len(m.cur), m.cap)
 	}
 	// A key from the previous generation is still served and promoted.
-	if v, ok := m.get("k5"); !ok || v != false {
-		t.Fatalf("previous-generation key lost: ok=%v v=%v", ok, v)
+	if e, ok := m.get(5, TrueF{}, equal); !ok || e.sat != false {
+		t.Fatalf("previous-generation key lost: ok=%v v=%v", ok, e.sat)
 	}
-	if _, ok := m.cur["k5"]; !ok {
+	if _, ok := m.cur[5]; !ok {
 		t.Fatal("hit did not promote into the current generation")
 	}
 }

@@ -37,69 +37,89 @@ const maxDNFConjuncts = 512
 // Sat reports whether f is satisfiable over the integers. The procedure is
 // exact for boolean combinations of unit-coefficient difference constraints
 // (x op c, x op y, x - y op c) — the fragment path conditions live in —
-// and conservatively answers true otherwise. Verdicts are memoized under a
-// canonical formula signature (see memo.go). The check is not counted; see
-// Tally.Sat.
+// and conservatively answers true otherwise. Verdicts are memoized (see
+// memo.go). The check is not counted; see Tally.Sat.
 func Sat(f Formula) bool { return (*Tally)(nil).Sat(f) }
 
 // Sat is the package-level Sat charged to t: every call counts, memo hit
-// or not, so Checks keeps meaning "checks asked for".
+// or not, so Checks keeps meaning "checks asked for". A hit only needs the
+// stored formula to match up to conjunct/disjunct order.
 func (t *Tally) Sat(f Formula) bool {
 	key := canonKey(f)
-	if v, ok := memo.get(key); ok {
+	if e, ok := memo.get(key, f, equalUnordered); ok {
 		t.note(1, 0)
-		return v
+		return e.sat
 	}
 	t.note(0, 1)
-	v := satRaw(f)
-	memo.put(key, v)
-	return v
+	sat, charges, _ := decide(f, nil)
+	memo.put(key, memoEntry{f: f, sat: sat, charges: charges})
+	return sat
 }
 
 // satRaw is the actual decision procedure, bypassing the memo.
 func satRaw(f Formula) bool {
+	sat, _, _ := decide(f, nil)
+	return sat
+}
+
+// decide runs the decision procedure: f's DNF, then a feasibility check
+// per conjunct until one is feasible. Each check first charges
+// 1 + len(conj)/8 steps; charges lists them in order. A DNF over
+// maxDNFConjuncts answers true with no charges. When step (which may be
+// nil) fails, decide stops with the conservative true and returns the
+// error; its charges are then incomplete.
+func decide(f Formula, step func(int64) error) (sat bool, charges []int64, err error) {
 	conjs, ok := toDNF(nnf(f))
 	if !ok {
-		return true // too large: conservative
+		return true, nil, nil // too large: conservative
 	}
+	charges = make([]int64, 0, len(conjs))
 	for _, conj := range conjs {
+		n := 1 + int64(len(conj))/8
+		if step != nil {
+			if err := step(n); err != nil {
+				return true, nil, err // budget exhausted: conservative
+			}
+		}
+		charges = append(charges, n)
 		if feasible(conj) {
-			return true
+			return true, charges, nil
 		}
 	}
-	return false
+	return false, charges, nil
 }
 
 // SatBudget is Sat with resource metering: each DNF conjunct's feasibility
-// check charges one unit via step (an analysis-step sink, typically
-// Budget.Step). On exhaustion it answers conservatively — "satisfiable" —
-// exactly like the DNF size cap, so a budgeted run can only keep more
-// candidate reports than an unmetered one, never invent unsound pruning.
+// check charges 1 + len(conj)/8 units via step (an analysis-step sink,
+// typically Budget.Step). On exhaustion it answers conservatively —
+// "satisfiable" — exactly like the DNF size cap, so a budgeted run can
+// only keep more candidate reports than an unmetered one, never invent
+// unsound pruning.
 //
-// A metered check deliberately bypasses the Sat memo: whether a unit
-// exhausts its budget must depend on its own work, not on which other
-// unit happened to warm a process-global cache first — otherwise
-// degradation outcomes would vary with scheduling.
-//
-// The check is charged to t.
+// A memo hit on exactly f (operand order included) replays the stored
+// charges through step before answering, so the charges, and whether the
+// budget runs out, are the same as if the check were computed. The check
+// is charged to t.
 func (t *Tally) SatBudget(f Formula, step func(int64) error) bool {
 	if step == nil {
 		return t.Sat(f)
 	}
-	t.note(0, 0)
-	conjs, ok := toDNF(nnf(f))
-	if !ok {
-		return true // too large: conservative
-	}
-	for _, conj := range conjs {
-		if err := step(1 + int64(len(conj))/8); err != nil {
-			return true // budget exhausted: conservative
+	key := canonKey(f)
+	if e, ok := memo.get(key, f, equal); ok {
+		t.note(1, 0)
+		for _, n := range e.charges {
+			if step(n) != nil {
+				return true // budget exhausted: conservative
+			}
 		}
-		if feasible(conj) {
-			return true
-		}
+		return e.sat
 	}
-	return false
+	t.note(0, 1)
+	sat, charges, err := decide(f, step)
+	if err == nil {
+		memo.put(key, memoEntry{f: f, sat: sat, charges: charges})
+	}
+	return sat
 }
 
 // Unsat reports whether f is definitely unsatisfiable.

@@ -265,6 +265,41 @@ func TestOpenAtMatchesReadOnly(t *testing.T) {
 		}
 		t.Fatalf("OpenAt(%d) pinned before the discard = %v, want ErrSnapshotGone", pinned, err)
 	}
+
+	// The same across a restart, which rebuilds the seq counter from the
+	// file: commit a, append b, pin b's seq, discard, reopen, append c.
+	path = filepath.Join(t.TempDir(), "restart.db")
+	rs, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, rs, "a", "1")
+	if err := rs.Batch().put([]byte("b"), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if ro, err = OpenReadOnly(path); err != nil {
+		t.Fatal(err)
+	}
+	pinned = ro.Current().Seq()
+	ro.Close()
+	if err := rs.Batch().Discard(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rs, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	mustPut(t, rs, "c", "y")
+	if pin, err := OpenAt(path, pinned); !errors.Is(err, ErrSnapshotGone) {
+		if err == nil {
+			t.Fatalf("OpenAt(%d) pinned before a discard and a restart now serves %v", pinned, dump(t, pin.Current()))
+		}
+		t.Fatalf("OpenAt(%d) pinned before a discard and a restart = %v, want ErrSnapshotGone", pinned, err)
+	}
+	check("after restart", map[string]string{"a": "1", "c": "y"})
 }
 
 func TestReopenByteIdentity(t *testing.T) {

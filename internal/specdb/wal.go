@@ -272,7 +272,10 @@ func (s *Store) commitLocked() error {
 // last commit and ordinal allocation resumes from it. Commits that already
 // landed stay. Sequence numbers are not reused: a reader may have pinned a
 // discarded record's seq, and it must find that seq gone rather than bound
-// to different records.
+// to different records — also after a restart, which rebuilds the seq
+// counter from the file. So when records were dropped, the discard commits
+// one seq marker past them: a delete of the reserved seqMarkKey, which
+// changes no key.
 func (s *Store) discardLocked() error {
 	s.stopTimerLocked()
 	var err error
@@ -284,7 +287,13 @@ func (s *Store) discardLocked() error {
 	}
 	s.dropPendingLocked()
 	s.nextOrd = s.cur.Load().nextOrd
-	return err
+	if err != nil || s.seq == s.cur.Load().seq {
+		return err
+	}
+	if err := s.appendRecordLocked(WALOpDelete, []byte(seqMarkKey), nil); err != nil {
+		return err
+	}
+	return s.commitLocked()
 }
 
 func (s *Store) dropPendingLocked() {
@@ -389,11 +398,18 @@ func (b *Batch) delete(key []byte) error {
 	return b.s.appendRecordLocked(WALOpDelete, key, nil)
 }
 
+// seqMarkKey is reserved for the records Discard commits to move the seq
+// past discarded records; no other record may use it.
+const seqMarkKey = "\x00seq"
+
 // checkKey validates a key before any ordinal is allocated or record
 // appended.
 func checkKey(key []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("specdb: empty key")
+	}
+	if string(key) == seqMarkKey {
+		return fmt.Errorf("specdb: key %q is reserved", key)
 	}
 	if len(key) > MaxKeyLen {
 		return fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLong, len(key), MaxKeyLen)

@@ -213,12 +213,13 @@ func TestBatchDiscard(t *testing.T) {
 	defer st.Close()
 	b := st.Batch()
 	var committed int64
+	var committedSeq uint64
 	for i := 0; i < 3; i++ { // first two commit, third stays pending
 		if err := b.put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
-			committed = fileSize(t, st)
+			committed, committedSeq = fileSize(t, st), st.Current().Seq()
 		}
 	}
 	if b.Pending() != 1 {
@@ -233,8 +234,11 @@ func TestBatchDiscard(t *testing.T) {
 	if got := st.Current().Len(); got != 2 {
 		t.Fatalf("len = %d after discard, want the 2 folded keys", got)
 	}
-	if sz := fileSize(t, st); sz != committed {
-		t.Fatalf("file holds %d bytes after discard, want the %d committed", sz, committed)
+	// The discarded record is gone from the file; in its place is the seq
+	// marker that keeps its seq unreachable after a restart.
+	marker := int64(len(EncodeWALRecord(&WALRecord{Op: WALOpDelete, Key: []byte(seqMarkKey)})))
+	if sz := fileSize(t, st); sz != committed+marker {
+		t.Fatalf("file holds %d bytes after discard, want the %d committed plus the %d-byte seq marker", sz, committed, marker)
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -242,17 +246,19 @@ func TestBatchDiscard(t *testing.T) {
 	if got := st.Current().Len(); got != 2 {
 		t.Fatalf("flush after discard committed phantoms: len %d", got)
 	}
-	// Appends resume right after the last commit in the file, but the
-	// discarded record's seq is never handed out again.
-	seq := st.Current().Seq()
+	// Appends resume right after the marker: the discarded record's seq is
+	// never handed out again.
+	if got := st.Current().Seq(); got != committedSeq+2 {
+		t.Fatalf("seq after discard = %d, want the marker's %d (seq %d was discarded)", got, committedSeq+2, committedSeq+1)
+	}
 	if err := b.put([]byte("k9"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Current().Seq(); got != seq+2 {
-		t.Fatalf("seq after discard and append = %d, want %d (seq %d was discarded)", got, seq+2, seq+1)
+	if got := st.Current().Seq(); got != committedSeq+3 {
+		t.Fatalf("seq after discard and append = %d, want %d (seq %d was discarded)", got, committedSeq+3, committedSeq+1)
 	}
 	if _, err := st.Verify(); err != nil {
 		t.Fatal(err)
