@@ -2,6 +2,9 @@
 // control dependence (the Ec edges of the PDG, paper Def. 6.1), the
 // topological flow order Ω (Def. 6.2), and forward reachability used to
 // decide whether two use sites are order-comparable.
+//
+// Per-block facts live in slices indexed by Block.ID, which lowering
+// numbers densely from 0 in fn.Blocks order with the exit block last.
 package cfg
 
 import (
@@ -19,12 +22,12 @@ type CtrlDep struct {
 type Info struct {
 	Fn *ir.Func
 
-	// IPostDom maps each block to its immediate post-dominator (nil for
-	// the exit block and for blocks that cannot reach exit).
-	IPostDom map[*ir.Block]*ir.Block
+	// IPostDom[b.ID] is b's immediate post-dominator (nil for the exit
+	// block and for blocks that cannot reach exit).
+	IPostDom []*ir.Block
 
-	// BlockDeps maps each block to the branches it is control-dependent on.
-	BlockDeps map[*ir.Block][]CtrlDep
+	// BlockDeps[b.ID] lists the branches b is control-dependent on.
+	BlockDeps [][]CtrlDep
 
 	// Order is the flow order Ω: Order[s1] < Order[s2] implies s1 executes
 	// before s2 whenever both lie on one execution path (back edges are
@@ -34,17 +37,20 @@ type Info struct {
 	// rpo is the block order used for Ω.
 	rpo []*ir.Block
 
-	reach     map[*ir.Block]map[*ir.Block]bool // acyclic forward reachability
-	transDeps map[*ir.Block][]CtrlDep          // transitive control dependence cache
-	backEdges map[*ir.Block][]bool             // per-successor loop back-edge marks
+	// reach[b.ID] is the bitset (bit c.ID) of blocks reachable from b
+	// along forward edges, b included; rows share one backing array.
+	reach     [][]uint64
+	transDeps [][]CtrlDep // transitive control dependence, by Block.ID
+	backEdges [][]bool    // per-successor loop back-edge marks, by Block.ID
 }
 
 // Analyze computes all control-flow facts for fn.
 func Analyze(fn *ir.Func) *Info {
+	n := len(fn.Blocks)
 	in := &Info{
 		Fn:        fn,
-		IPostDom:  make(map[*ir.Block]*ir.Block),
-		BlockDeps: make(map[*ir.Block][]CtrlDep),
+		IPostDom:  make([]*ir.Block, n),
+		BlockDeps: make([][]CtrlDep, n),
 		Order:     make(map[*ir.Stmt]int),
 	}
 	in.markBackEdges()
@@ -62,9 +68,12 @@ func Analyze(fn *ir.Func) *Info {
 // and StmtDeps is a pure read (safe for concurrent detectors sharing one
 // PDG).
 func (in *Info) computeTransDeps() {
-	in.transDeps = make(map[*ir.Block][]CtrlDep, len(in.Fn.Blocks))
+	n := len(in.Fn.Blocks)
+	in.transDeps = make([][]CtrlDep, n)
+	done := make([]bool, n)
+	onPath := make([]bool, n)
 	for _, b := range in.Fn.Blocks {
-		in.transitiveDeps(b, make(map[*ir.Block]bool))
+		in.transitiveDeps(b, done, onPath)
 	}
 }
 
@@ -72,29 +81,36 @@ func (in *Info) computeTransDeps() {
 // the Info (not on the shared IR blocks) so that independent analyses of
 // the same program — e.g. parallel detectors — never write shared state.
 func (in *Info) markBackEdges() {
-	in.backEdges = make(map[*ir.Block][]bool, len(in.Fn.Blocks))
-	state := make(map[*ir.Block]int) // 0 unvisited, 1 on stack, 2 done
+	blocks := in.Fn.Blocks
+	nEdges := 0
+	for _, b := range blocks {
+		nEdges += len(b.Succs)
+	}
+	marks := make([]bool, nEdges)
+	in.backEdges = make([][]bool, len(blocks))
+	for _, b := range blocks {
+		in.backEdges[b.ID], marks = marks[:len(b.Succs):len(b.Succs)], marks[len(b.Succs):]
+	}
+	state := make([]uint8, len(blocks)) // 0 unvisited, 1 on stack, 2 done
 	var dfs func(b *ir.Block)
 	dfs = func(b *ir.Block) {
-		state[b] = 1
-		marks := make([]bool, len(b.Succs))
-		in.backEdges[b] = marks
+		state[b.ID] = 1
 		for i, s := range b.Succs {
-			switch state[s] {
+			switch state[s.ID] {
 			case 0:
 				dfs(s)
 			case 1:
-				marks[i] = true
+				in.backEdges[b.ID][i] = true
 			}
 		}
-		state[b] = 2
+		state[b.ID] = 2
 	}
 	if in.Fn.Entry != nil {
 		dfs(in.Fn.Entry)
 	}
 	// Blocks unreachable from entry (dangling code after returns).
-	for _, b := range in.Fn.Blocks {
-		if state[b] == 0 {
+	for _, b := range blocks {
+		if state[b.ID] == 0 {
 			dfs(b)
 		}
 	}
@@ -102,35 +118,23 @@ func (in *Info) markBackEdges() {
 
 // IsBackEdge reports whether the i-th successor edge of b closes a loop.
 func (in *Info) IsBackEdge(b *ir.Block, i int) bool {
-	marks := in.backEdges[b]
+	marks := in.backEdges[b.ID]
 	return i < len(marks) && marks[i]
 }
 
-// forwardSuccs returns successors excluding back edges.
-func (in *Info) forwardSuccs(b *ir.Block) []*ir.Block {
-	var out []*ir.Block
-	marks := in.backEdges[b]
-	for i, s := range b.Succs {
-		if i >= len(marks) || !marks[i] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 func (in *Info) computeRPO() {
-	visited := make(map[*ir.Block]bool)
-	var post []*ir.Block
+	visited := make([]bool, len(in.Fn.Blocks))
+	post := make([]*ir.Block, 0, len(in.Fn.Blocks))
 	var dfs func(b *ir.Block)
 	dfs = func(b *ir.Block) {
-		visited[b] = true
-		// Visit successors in reverse so that loop bodies (the first
-		// successor of a loop header) finish last and therefore precede
-		// the loop exit in the resulting flow order Ω.
-		succs := in.forwardSuccs(b)
-		for i := len(succs) - 1; i >= 0; i-- {
-			if !visited[succs[i]] {
-				dfs(succs[i])
+		visited[b.ID] = true
+		// Visit forward successors in reverse so that loop bodies (the
+		// first successor of a loop header) finish last and therefore
+		// precede the loop exit in the resulting flow order Ω.
+		marks := in.backEdges[b.ID]
+		for i := len(b.Succs) - 1; i >= 0; i-- {
+			if s := b.Succs[i]; !marks[i] && !visited[s.ID] {
+				dfs(s)
 			}
 		}
 		post = append(post, b)
@@ -139,7 +143,7 @@ func (in *Info) computeRPO() {
 		dfs(in.Fn.Entry)
 	}
 	for _, b := range in.Fn.Blocks {
-		if !visited[b] {
+		if !visited[b.ID] {
 			dfs(b)
 		}
 	}
@@ -167,40 +171,39 @@ func (in *Info) computePostDom() {
 		return
 	}
 	// Reverse post-order of the reversed CFG.
-	visited := make(map[*ir.Block]bool)
+	visited := make([]bool, len(in.Fn.Blocks))
 	var post []*ir.Block
 	var dfs func(b *ir.Block)
 	dfs = func(b *ir.Block) {
-		visited[b] = true
+		visited[b.ID] = true
 		for _, p := range b.Preds {
-			if !visited[p] {
+			if !visited[p.ID] {
 				dfs(p)
 			}
 		}
 		post = append(post, b)
 	}
 	dfs(exit)
-	order := make(map[*ir.Block]int, len(post))
-	for i, b := range post {
-		order[b] = i // exit gets the largest index after reversal below
-	}
+	// order[b.ID] is b's position in rpo; only blocks on rpo are ever
+	// compared (ipdom chains stay within it).
+	order := make([]int, len(in.Fn.Blocks))
 	rpo := make([]*ir.Block, len(post))
 	for i := range post {
 		rpo[len(post)-1-i] = post[i]
 	}
 	for i, b := range rpo {
-		order[b] = i
+		order[b.ID] = i
 	}
 
 	ipdom := in.IPostDom
-	ipdom[exit] = exit
+	ipdom[exit.ID] = exit
 	intersect := func(a, b *ir.Block) *ir.Block {
 		for a != b {
-			for order[a] > order[b] {
-				a = ipdom[a]
+			for order[a.ID] > order[b.ID] {
+				a = ipdom[a.ID]
 			}
-			for order[b] > order[a] {
-				b = ipdom[b]
+			for order[b.ID] > order[a.ID] {
+				b = ipdom[b.ID]
 			}
 		}
 		return a
@@ -214,7 +217,7 @@ func (in *Info) computePostDom() {
 			}
 			var newIdom *ir.Block
 			for _, s := range b.Succs {
-				if ipdom[s] == nil {
+				if ipdom[s.ID] == nil {
 					continue
 				}
 				if newIdom == nil {
@@ -223,13 +226,13 @@ func (in *Info) computePostDom() {
 					newIdom = intersect(newIdom, s)
 				}
 			}
-			if newIdom != nil && ipdom[b] != newIdom {
-				ipdom[b] = newIdom
+			if newIdom != nil && ipdom[b.ID] != newIdom {
+				ipdom[b.ID] = newIdom
 				changed = true
 			}
 		}
 	}
-	ipdom[exit] = nil
+	ipdom[exit.ID] = nil
 }
 
 // computeControlDeps derives block-level control dependence from the
@@ -244,11 +247,11 @@ func (in *Info) computeControlDeps() {
 			// Walk up the post-dominator tree from s until reaching
 			// ipdom(b); every block on the way is control dependent on
 			// (b, edge i).
-			stop := in.IPostDom[b]
+			stop := in.IPostDom[b.ID]
 			v := s
 			for v != nil && v != stop {
-				in.BlockDeps[v] = append(in.BlockDeps[v], CtrlDep{Branch: term, EdgeIdx: i})
-				next := in.IPostDom[v]
+				in.BlockDeps[v.ID] = append(in.BlockDeps[v.ID], CtrlDep{Branch: term, EdgeIdx: i})
+				next := in.IPostDom[v.ID]
 				if next == v {
 					break
 				}
@@ -259,20 +262,28 @@ func (in *Info) computeControlDeps() {
 }
 
 func (in *Info) computeReach() {
-	in.reach = make(map[*ir.Block]map[*ir.Block]bool, len(in.Fn.Blocks))
+	n := len(in.Fn.Blocks)
+	words := (n + 63) / 64
+	rows := make([]uint64, n*words)
+	in.reach = make([][]uint64, n)
+	for i := range in.reach {
+		in.reach[i] = rows[i*words : (i+1)*words : (i+1)*words]
+	}
 	// Process blocks in reverse RPO so successors are done first
 	// (forward edges only — the graph is a DAG).
 	for i := len(in.rpo) - 1; i >= 0; i-- {
 		b := in.rpo[i]
-		set := make(map[*ir.Block]bool)
-		set[b] = true
-		for _, s := range in.forwardSuccs(b) {
-			for k := range in.reach[s] {
-				set[k] = true
+		row := in.reach[b.ID]
+		row[b.ID>>6] |= 1 << (b.ID & 63)
+		marks := in.backEdges[b.ID]
+		for k, s := range b.Succs {
+			if marks[k] {
+				continue
 			}
-			set[s] = true
+			for w, bits := range in.reach[s.ID] {
+				row[w] |= bits
+			}
 		}
-		in.reach[b] = set
 	}
 }
 
@@ -280,36 +291,39 @@ func (in *Info) computeReach() {
 // branch edge that governs its execution. Path conditions Ψ are the
 // conjunction of these edges' conditions (quasi-path-sensitivity, Def. 6.2).
 func (in *Info) StmtDeps(s *ir.Stmt) []CtrlDep {
-	return in.transDeps[s.Blk]
+	return in.transDeps[s.Blk.ID]
 }
 
-func (in *Info) transitiveDeps(b *ir.Block, onPath map[*ir.Block]bool) []CtrlDep {
-	if deps, ok := in.transDeps[b]; ok {
-		return deps
+// transitiveDeps computes b's transitive control dependences depth-first.
+// done marks blocks whose result is cached (nil is a valid result);
+// onPath guards against cycles through loops (irreducible dependence).
+func (in *Info) transitiveDeps(b *ir.Block, done, onPath []bool) []CtrlDep {
+	if done[b.ID] {
+		return in.transDeps[b.ID]
 	}
-	if onPath[b] {
-		return nil // cycle guard (irreducible dependence through loops)
+	if onPath[b.ID] {
+		return nil
 	}
-	onPath[b] = true
-	defer delete(onPath, b)
-	seen := make(map[*ir.Stmt]map[int]bool)
+	onPath[b.ID] = true
+	defer func() { onPath[b.ID] = false }()
 	var out []CtrlDep
 	add := func(d CtrlDep) {
-		if seen[d.Branch] == nil {
-			seen[d.Branch] = make(map[int]bool)
+		// Dependence lists are short: a scan beats a set.
+		for _, have := range out {
+			if have == d {
+				return
+			}
 		}
-		if !seen[d.Branch][d.EdgeIdx] {
-			seen[d.Branch][d.EdgeIdx] = true
-			out = append(out, d)
-		}
+		out = append(out, d)
 	}
-	for _, d := range in.BlockDeps[b] {
+	for _, d := range in.BlockDeps[b.ID] {
 		add(d)
-		for _, up := range in.transitiveDeps(d.Branch.Blk, onPath) {
+		for _, up := range in.transitiveDeps(d.Branch.Blk, done, onPath) {
 			add(up)
 		}
 	}
-	in.transDeps[b] = out
+	in.transDeps[b.ID] = out
+	done[b.ID] = true
 	return out
 }
 
@@ -319,7 +333,8 @@ func (in *Info) Reaches(a, b *ir.Stmt) bool {
 	if a.Blk == b.Blk {
 		return in.Order[a] < in.Order[b]
 	}
-	return in.reach[a.Blk][b.Blk]
+	id := b.Blk.ID
+	return in.reach[a.Blk.ID][id>>6]&(1<<(id&63)) != 0
 }
 
 // OrderComparable reports whether two statements lie on a common execution

@@ -195,11 +195,11 @@ func TestPostDomChain(t *testing.T) {
 		if b == fn.Exit {
 			continue
 		}
-		if in.IPostDom[b] == nil {
+		if in.IPostDom[b.ID] == nil {
 			t.Errorf("block b%d lacks a post-dominator", b.ID)
 		}
 	}
-	if in.IPostDom[fn.Exit] != nil {
+	if in.IPostDom[fn.Exit.ID] != nil {
 		t.Error("exit block must not have a post-dominator")
 	}
 }

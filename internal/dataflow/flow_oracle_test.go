@@ -35,11 +35,7 @@ func refMayAlias(pt *PointsTo, fn *ir.Func, l1, l2 ir.Loc) bool {
 // definitions as FlowAnalyze, but every (use, reaching def) pair asks
 // refMayAlias and every edge is deduplicated on the formatted Loc.Key.
 func refFlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
-	ff := &FuncFlow{
-		Fn:      fn,
-		UseDefs: make(map[*ir.Stmt][]DataDep),
-		DefUses: make(map[*ir.Stmt][]DataDep),
-	}
+	ff := &FuncFlow{Fn: fn}
 
 	var defs []flowDef
 	defIdx := make(map[*ir.Stmt][]int)
@@ -147,8 +143,6 @@ func refFlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 						seenDep[key] = true
 						dep := DataDep{Def: defs[j].stmt, Use: s, Loc: u}
 						ff.Deps = append(ff.Deps, dep)
-						ff.UseDefs[s] = append(ff.UseDefs[s], dep)
-						ff.DefUses[defs[j].stmt] = append(ff.DefUses[defs[j].stmt], dep)
 					}
 				}
 				if len(chosen) == 0 {
@@ -183,19 +177,6 @@ func diffFlow(got, want *FuncFlow) string {
 	}
 	if d := diffDeps("Unrooted", got.Unrooted, want.Unrooted); d != "" {
 		return d
-	}
-	for _, idx := range []struct {
-		name      string
-		got, want map[*ir.Stmt][]DataDep
-	}{{"UseDefs", got.UseDefs, want.UseDefs}, {"DefUses", got.DefUses, want.DefUses}} {
-		if len(idx.got) != len(idx.want) {
-			return fmt.Sprintf("%s: %d keys, want %d", idx.name, len(idx.got), len(idx.want))
-		}
-		for s, w := range idx.want {
-			if d := diffDeps(fmt.Sprintf("%s[%v]", idx.name, s), idx.got[s], w); d != "" {
-				return d
-			}
-		}
 	}
 	return ""
 }

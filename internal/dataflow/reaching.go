@@ -1,6 +1,9 @@
 package dataflow
 
 import (
+	"math/bits"
+	"slices"
+
 	"seal/internal/cir"
 	"seal/internal/ir"
 )
@@ -17,11 +20,6 @@ type DataDep struct {
 type FuncFlow struct {
 	Fn   *ir.Func
 	Deps []DataDep
-
-	// UseDefs indexes Deps by use statement.
-	UseDefs map[*ir.Stmt][]DataDep
-	// DefUses indexes Deps by defining statement.
-	DefUses map[*ir.Stmt][]DataDep
 	// Unrooted lists (use stmt, loc) pairs whose read has no reaching
 	// definition inside the function: reads of parameters' pointees,
 	// globals, or uninitialized locals. These are the slicing sources /
@@ -154,102 +152,121 @@ func EffectiveUses(fn *ir.Func, s *ir.Stmt) []ir.Loc {
 }
 
 // FlowAnalyze computes reaching definitions and def-use chains for fn.
+// Definition sets are word bitsets over the function's def indices, with
+// IN/OUT sets indexed by Block.ID.
 func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
-	ff := &FuncFlow{
-		Fn:      fn,
-		UseDefs: make(map[*ir.Stmt][]DataDep),
-		DefUses: make(map[*ir.Stmt][]DataDep),
-	}
+	ff := &FuncFlow{Fn: fn}
 
-	// Enumerate all defs.
+	// Enumerate all defs, statement by statement in block order: the defs
+	// of the k-th statement are defs[defStart[k]:defStart[k+1]], and the
+	// statements of block b start at ordinal stmtStart[b.ID].
 	var defs []flowDef
-	defIdx := make(map[*ir.Stmt][]int)
+	stmtStart := make([]int, len(fn.Blocks)+1)
+	var defStart []int32
 	for _, b := range fn.Blocks {
+		stmtStart[b.ID] = len(defStart)
 		for _, s := range b.Stmts {
+			defStart = append(defStart, int32(len(defs)))
 			for _, dl := range EffectiveDefsFlagged(fn, s) {
-				defIdx[s] = append(defIdx[s], len(defs))
 				defs = append(defs, flowDef{stmt: s, loc: dl.Loc, strong: isStrong(dl.Loc), effect: dl.Effect})
 			}
 		}
 	}
+	stmtStart[len(fn.Blocks)] = len(defStart)
+	defStart = append(defStart, int32(len(defs)))
 	n := len(defs)
+	words := (n + 63) / 64
 
 	fa := newFlowAliases(fn, pts, len(defs))
 
-	// Per-block GEN/KILL over def bitsets.
-	type bits []bool
-	newBits := func() bits { return make(bits, n) }
-	union := func(dst, src bits) bool {
-		changed := false
-		for i, v := range src {
-			if v && !dst[i] {
-				dst[i] = true
-				changed = true
-			}
-		}
-		return changed
-	}
-
-	apply := func(set bits, s *ir.Stmt) {
-		// Kill: strong defs of the same concrete loc.
-		for _, di := range defIdx[s] {
+	// Kill lists, once per call: the k-th statement's strong defs kill
+	// every other statement's def of the same concrete loc.
+	killStart := make([]int32, len(defStart))
+	var kills []int32
+	for k := 0; k+1 < len(defStart); k++ {
+		killStart[k] = int32(len(kills))
+		for di := defStart[k]; di < defStart[k+1]; di++ {
 			d := defs[di]
 			if !d.strong {
 				continue
 			}
 			for j := range defs {
-				if defs[j].stmt != s && defs[j].loc.Equal(d.loc) {
-					set[j] = false
+				if defs[j].stmt != d.stmt && defs[j].loc.Equal(d.loc) {
+					kills = append(kills, int32(j))
 				}
 			}
 		}
-		for _, di := range defIdx[s] {
-			set[di] = true
+	}
+	killStart[len(defStart)-1] = int32(len(kills))
+
+	apply := func(set []uint64, k int) {
+		for _, j := range kills[killStart[k]:killStart[k+1]] {
+			set[j>>6] &^= 1 << (j & 63)
+		}
+		for di := defStart[k]; di < defStart[k+1]; di++ {
+			set[di>>6] |= 1 << (di & 63)
 		}
 	}
 
-	in := make(map[*ir.Block]bits)
-	out := make(map[*ir.Block]bits)
-	for _, b := range fn.Blocks {
-		in[b] = newBits()
-		out[b] = newBits()
+	nb := len(fn.Blocks)
+	inBack := make([]uint64, nb*words)
+	outBack := make([]uint64, nb*words)
+	row := func(back []uint64, b *ir.Block) []uint64 {
+		return back[b.ID*words : (b.ID+1)*words : (b.ID+1)*words]
 	}
-	// Worklist iteration.
-	work := append([]*ir.Block{}, fn.Blocks...)
+	// Worklist iteration to the least fixpoint (independent of visit
+	// order: OUT sets only grow).
+	work := append(make([]*ir.Block, 0, nb), fn.Blocks...)
+	queued := make([]bool, nb)
+	for i := range queued {
+		queued[i] = true
+	}
+	ob := make([]uint64, words)
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
-		ib := newBits()
+		queued[b.ID] = false
+		ib := row(inBack, b)
+		clear(ib)
 		for _, p := range b.Preds {
-			union(ib, out[p])
+			orInto(ib, row(outBack, p))
 		}
-		in[b] = ib
-		ob := append(bits{}, ib...)
-		for _, s := range b.Stmts {
-			apply(ob, s)
+		copy(ob, ib)
+		for k := stmtStart[b.ID]; k < stmtStart[b.ID+1]; k++ {
+			apply(ob, k)
 		}
-		if union(out[b], ob) {
+		if orInto(row(outBack, b), ob) {
 			for _, sc := range b.Succs {
-				work = append(work, sc)
+				if !queued[sc.ID] {
+					queued[sc.ID] = true
+					work = append(work, sc)
+				}
 			}
 		}
 	}
 
-	// Def-use chains: replay each block.
-	seenDep := make(map[depKey]bool)
+	// Def-use chains: replay each block. Every statement is replayed once,
+	// so edges are deduplicated per use statement.
+	cur := make([]uint64, words)
+	var regular, effects []int
+	var seen []depKey
 	for _, b := range fn.Blocks {
-		cur := append(bits{}, in[b]...)
-		for _, s := range b.Stmts {
+		copy(cur, row(inBack, b))
+		for i, s := range b.Stmts {
+			k := stmtStart[b.ID] + i
 			uses := EffectiveUses(fn, s)
-			for i, u := range uses {
+			seen = seen[:0]
+			for ui, u := range uses {
 				// Gather reaching defs, preferring regular definitions;
 				// call-effect writes are weak fallbacks only.
-				var regular, effects []int
-				for j := range defs {
-					if !cur[j] || defs[j].stmt == s {
-						continue
-					}
-					if fa.alias(j, defs[j], u) {
+				regular, effects = regular[:0], effects[:0]
+				for w, word := range cur {
+					for word != 0 {
+						j := w<<6 | bits.TrailingZeros64(word)
+						word &= word - 1
+						if defs[j].stmt == s || !fa.alias(j, defs[j], u) {
+							continue
+						}
 						if defs[j].effect {
 							effects = append(effects, j)
 						} else {
@@ -261,32 +278,42 @@ func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 				if len(chosen) == 0 {
 					chosen = effects
 				}
-				k := keyClass(uses, i)
+				class := keyClass(uses, ui)
 				for _, j := range chosen {
-					key := depKey{def: defs[j].stmt, use: s, loc: k}
-					if !seenDep[key] {
-						seenDep[key] = true
-						dep := DataDep{Def: defs[j].stmt, Use: s, Loc: u}
-						ff.Deps = append(ff.Deps, dep)
-						ff.UseDefs[s] = append(ff.UseDefs[s], dep)
-						ff.DefUses[defs[j].stmt] = append(ff.DefUses[defs[j].stmt], dep)
+					key := depKey{def: defs[j].stmt, loc: class}
+					if !slices.Contains(seen, key) {
+						seen = append(seen, key)
+						ff.Deps = append(ff.Deps, DataDep{Def: defs[j].stmt, Use: s, Loc: u})
 					}
 				}
 				if len(chosen) == 0 {
 					ff.Unrooted = append(ff.Unrooted, DataDep{Use: s, Loc: u})
 				}
 			}
-			apply(cur, s)
+			apply(cur, k)
 		}
 	}
 	return ff
 }
 
-// depKey identifies one def-use edge for deduplication: the defining and
-// using statements plus the key class of the read location (keyClass).
+// orInto sets dst |= src and reports whether dst changed.
+func orInto(dst, src []uint64) bool {
+	changed := false
+	for i, w := range src {
+		if w&^dst[i] != 0 {
+			dst[i] |= w
+			changed = true
+		}
+	}
+	return changed
+}
+
+// depKey identifies one def-use edge of the statement being replayed for
+// deduplication: the defining statement plus the key class of the read
+// location (keyClass).
 type depKey struct {
-	def, use *ir.Stmt
-	loc      int
+	def *ir.Stmt
+	loc int
 }
 
 // keyClass returns the index of the first of uses whose Loc.Key equals

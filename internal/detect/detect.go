@@ -37,12 +37,23 @@ type Bug struct {
 	Trace2 *vfp.Path
 	// Message is a one-line summary.
 	Message string
+
+	// constraint and key are the spec's rendered constraint and the
+	// report's Key, set once by rendered before the bug is published.
+	constraint, key string
+}
+
+// rendered fills b's rendered constraint and key: the constraint text is
+// the costly part of both, and merging, sharding and recording each need
+// them. Every Bug is built through it.
+func rendered(b *Bug) *Bug {
+	b.constraint = b.Spec.Constraint.String()
+	b.key = b.Fn.Name + "|" + b.Spec.KeyWith(b.constraint)
+	return b
 }
 
 // Key is a dedup identity for the report list.
-func (b *Bug) Key() string {
-	return b.Fn.Name + "|" + b.Spec.Key()
-}
+func (b *Bug) Key() string { return b.key }
 
 // String implements fmt.Stringer.
 func (b *Bug) String() string {
@@ -183,8 +194,8 @@ func mergeBugs(perSpec [][]*Bug) []*Bug {
 	var out []*Bug
 	for _, bugs := range perSpec {
 		for _, b := range bugs {
-			if !seen[b.Key()] {
-				seen[b.Key()] = true
+			if k := b.Key(); !seen[k] {
+				seen[k] = true
 				out = append(out, b)
 			}
 		}
@@ -212,6 +223,8 @@ func (d *Detector) DetectSpec(s *spec.Spec) []*Bug {
 // Regions returns the bug-detection regions of a spec (paper §6.4.1):
 // other implementations of the same function pointer, or — when no
 // function-pointer elements are involved — other usages of the same API.
+// The slice may be shared with the program (FuncList, ImplsOf): callers
+// must not modify it.
 func (d *Detector) Regions(s *spec.Spec) []*ir.Func {
 	if d.GlobalRegions {
 		return d.G.Prog.FuncList
@@ -319,24 +332,33 @@ func (d *Detector) sources(v spec.Value, rc *regionCtx) []*ir.Stmt {
 			if !d.idx.Func(f).ReadsGlobals[v.Global] {
 				continue
 			}
-			flow := d.G.Flow(f)
-			for _, u := range flow.Unrooted {
-				if u.Loc.Base.Kind == ir.VarGlobal && u.Loc.Base.Name == v.Global {
-					out = append(out, u.Use)
-				}
-			}
+			out = appendUnrooted(out, d.G.Unrooted(f), f, func(l ir.Loc) bool {
+				return l.Base.Kind == ir.VarGlobal && l.Base.Name == v.Global
+			})
 		}
 	case spec.VUninit:
 		for _, f := range rc.funcs {
-			flow := d.G.Flow(f)
-			for _, u := range flow.Unrooted {
-				if u.Loc.Base.Kind == ir.VarLocal && !u.Loc.Base.Initialized {
-					out = append(out, u.Use)
+			out = appendUnrooted(out, d.G.Unrooted(f), f, func(l ir.Loc) bool {
+				return l.Base.Kind == ir.VarLocal && !l.Base.Initialized
+			})
+		}
+	}
+	return dedupStmts(out)
+}
+
+// appendUnrooted appends, in block and statement order, every statement of
+// fn with an unrooted read that match accepts (once per matching read).
+func appendUnrooted(out []*ir.Stmt, ur pdg.Unrooted, fn *ir.Func, match func(ir.Loc) bool) []*ir.Stmt {
+	for _, b := range fn.Blocks {
+		for _, s := range b.Stmts {
+			for _, l := range ur.At(s) {
+				if match(l) {
+					out = append(out, s)
 				}
 			}
 		}
 	}
-	return dedupStmts(out)
+	return out
 }
 
 // useMatches reports whether a found path's sink realizes the spec's U.
@@ -415,12 +437,12 @@ func (d *Detector) checkRequiredReach(s *spec.Spec, rc *regionCtx) *Bug {
 			msg += fmt.Sprintf("; note: region calls %s, possibly an equivalent post-operation", alt)
 		}
 	}
-	return &Bug{
+	return rendered(&Bug{
 		Spec:    s,
 		Fn:      fn,
 		Kind:    ClassifyKind(s),
 		Message: msg,
-	}
+	})
 }
 
 // similarAPICalled looks for an API invoked in the region whose name
@@ -455,14 +477,14 @@ func (d *Detector) checkForbiddenReach(s *spec.Spec, rc *regionCtx) *Bug {
 				continue
 			}
 			if d.condConsistent(p, rel.Cond) {
-				return &Bug{
+				return rendered(&Bug{
 					Spec:  s,
 					Fn:    fn,
 					Kind:  ClassifyKind(s),
 					Trace: p,
 					Message: fmt.Sprintf("forbidden value flow %s -> %s realizable under %s",
 						rel.V.Key(), rel.U.Key(), solver.String(rel.Cond)),
-				}
+				})
 			}
 		}
 	}
@@ -496,7 +518,7 @@ func (d *Detector) checkOrder(s *spec.Spec, rc *regionCtx) *Bug {
 					continue
 				}
 				if info.ExecutedBefore(s2, s1) {
-					return &Bug{
+					return rendered(&Bug{
 						Spec:   s,
 						Fn:     fn,
 						Kind:   ClassifyKind(s),
@@ -504,7 +526,7 @@ func (d *Detector) checkOrder(s *spec.Spec, rc *regionCtx) *Bug {
 						Trace2: p2,
 						Message: fmt.Sprintf("use %s at line %d occurs after %s at line %d (forbidden order)",
 							rel.U1.Key(), s1.Line, rel.U2.Key(), s2.Line),
-					}
+					})
 				}
 			}
 		}

@@ -35,7 +35,7 @@ func Record(b *Bug) BugRec {
 		Fn:              b.Fn.Name,
 		File:            b.Fn.File,
 		Message:         b.Message,
-		SpecConstraint:  b.Spec.Constraint.String(),
+		SpecConstraint:  b.constraint,
 		SpecScope:       b.Spec.Scope(),
 		SpecOriginPatch: b.Spec.OriginPatch,
 		SpecOrigin:      string(b.Spec.Origin),

@@ -182,7 +182,9 @@ func (ab *Abstracter) valueOfLocAt(at *ir.Stmt, loc ir.Loc) (spec.Value, bool) {
 	// Prefer the reaching definition of this exact location: the datum a
 	// condition inspects is whatever last defined it (e.g. risc->cpu at
 	// the NULL check is the dma_alloc_coherent return).
-	for _, e := range ab.G.DataPreds(at) {
+	preds := ab.G.PredEdges(at)
+	for i := 0; i < preds.Len(); i++ {
+		e := preds.At(i)
 		if ab.Scope != nil && !ab.Scope[e.From.Fn] {
 			continue
 		}
@@ -236,7 +238,9 @@ func (ab *Abstracter) valueFromDef(d *ir.Stmt, depth int) (spec.Value, bool) {
 	if depth == 0 {
 		return spec.Value{}, false
 	}
-	for _, e := range ab.G.DataPreds(d) {
+	preds := ab.G.PredEdges(d)
+	for i := 0; i < preds.Len(); i++ {
+		e := preds.At(i)
 		if ab.Scope != nil && !ab.Scope[e.From.Fn] {
 			continue
 		}

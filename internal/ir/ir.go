@@ -7,6 +7,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -106,6 +107,8 @@ func (k StmtKind) String() string {
 
 // Stmt is an IR statement; the unit of PDG nodes.
 type Stmt struct {
+	// ID is program-global and dense: Program.AllStmts()[ID] is the
+	// statement.
 	ID   int
 	Kind StmtKind
 	Fn   *Func
@@ -238,6 +241,7 @@ func (s *Stmt) ParamVar() *Var {
 
 // Block is a basic block.
 type Block struct {
+	// ID is the block's index in Fn.Blocks (the exit block is last).
 	ID    int
 	Fn    *Func
 	Stmts []*Stmt
@@ -342,9 +346,17 @@ type Program struct {
 	nextVarID  int
 	nextStmtID int
 	allStmts   []*Stmt
+
+	// The interface index, built once by NewProgram from OpsAssigns.
+	impls  map[ifaceKey][]*Func
+	ifaces map[string][]string // function name -> interface names
 }
 
+// ifaceKey names one function-pointer interface field.
+type ifaceKey struct{ structName, fieldName string }
+
 // NewProgram lowers the given translation units into one linked program.
+// The program is immutable once NewProgram returns.
 func NewProgram(files ...*cir.File) (*Program, error) {
 	p := &Program{
 		Funcs:      make(map[string]*Func),
@@ -353,15 +365,16 @@ func NewProgram(files ...*cir.File) (*Program, error) {
 		Structs:    make(map[string]*cir.StructDef),
 	}
 	for _, f := range files {
-		if err := p.AddFile(f); err != nil {
+		if err := p.addFile(f); err != nil {
 			return nil, err
 		}
 	}
+	p.indexInterfaces()
 	return p, nil
 }
 
-// AddFile links one translation unit into the program.
-func (p *Program) AddFile(f *cir.File) error {
+// addFile links one translation unit into the program.
+func (p *Program) addFile(f *cir.File) error {
 	p.Files = append(p.Files, f)
 	for name, s := range f.Structs {
 		if prev, ok := p.Structs[name]; ok && len(prev.Fields) > 0 && len(s.Fields) > 0 && prev != s {
@@ -440,38 +453,40 @@ func (p *Program) IsAPI(name string) bool {
 // AllStmts returns every statement in the program, in deterministic order.
 func (p *Program) AllStmts() []*Stmt { return p.allStmts }
 
-// ImplsOf returns, in deterministic order, the functions registered in ops
-// tables as implementations of the interface "structName.fieldName".
-func (p *Program) ImplsOf(structName, fieldName string) []*Func {
-	var out []*Func
-	seen := map[string]bool{}
+// indexInterfaces builds the ImplsOf and InterfacesOf answers from
+// OpsAssigns: implementations deduplicated and sorted by name, interface
+// names deduplicated and sorted.
+func (p *Program) indexInterfaces() {
+	p.impls = make(map[ifaceKey][]*Func)
+	p.ifaces = make(map[string][]string)
 	for _, oa := range p.OpsAssigns {
-		if oa.StructName == structName && oa.FieldName == fieldName && !seen[oa.FuncName] {
-			seen[oa.FuncName] = true
-			if fn, ok := p.Funcs[oa.FuncName]; ok {
-				out = append(out, fn)
-			}
+		k := ifaceKey{oa.StructName, oa.FieldName}
+		if fn, ok := p.Funcs[oa.FuncName]; ok && !slices.Contains(p.impls[k], fn) {
+			p.impls[k] = append(p.impls[k], fn)
+		}
+		if name := oa.InterfaceName(); !slices.Contains(p.ifaces[oa.FuncName], name) {
+			p.ifaces[oa.FuncName] = append(p.ifaces[oa.FuncName], name)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	for _, fns := range p.impls {
+		sort.Slice(fns, func(i, j int) bool { return fns[i].Name < fns[j].Name })
+	}
+	for _, names := range p.ifaces {
+		sort.Strings(names)
+	}
 }
 
-// InterfacesOf returns the interface names (struct.field) that fn implements.
+// ImplsOf returns, in deterministic order, the functions registered in ops
+// tables as implementations of the interface "structName.fieldName". The
+// slice is shared: callers must not modify it.
+func (p *Program) ImplsOf(structName, fieldName string) []*Func {
+	return p.impls[ifaceKey{structName, fieldName}]
+}
+
+// InterfacesOf returns the interface names (struct.field) that fn
+// implements, sorted. The slice is shared: callers must not modify it.
 func (p *Program) InterfacesOf(fn *Func) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, oa := range p.OpsAssigns {
-		if oa.FuncName == fn.Name {
-			key := oa.InterfaceName()
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, key)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
+	return p.ifaces[fn.Name]
 }
 
 // CallersOfAPI returns every call statement to the named function/API.

@@ -620,7 +620,8 @@ func (lw *lowerer) computeDefUse() {
 			s.Defs = dedupLocs(s.Defs)
 		}
 	}
-	// Renumber blocks so Exit has the final ID.
+	// Renumber blocks densely in fn.Blocks order, so Exit has the final ID:
+	// control-flow analyses index per-block facts by Block.ID.
 	for i, b := range fn.Blocks {
 		b.ID = i
 	}

@@ -10,10 +10,17 @@
 // channel), the heavy analysis runs outside the graph lock, and edge lists
 // are installed copy-on-write in a canonical order so query results are
 // identical regardless of which goroutine built which function first.
+//
+// Storage is dense and pointer-free: each statement's successor and
+// predecessor lists sit in slices indexed by the program-global Stmt.ID,
+// and a stored edge is 16 bytes — statement IDs, an ID into the graph's
+// append-only location table, its kind and argument index.
 package pdg
 
 import (
-	"sort"
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,39 +115,68 @@ type state struct {
 	ensureBuilds atomic.Int64
 	buildNanos   atomic.Int64
 
-	// mu guards every map below. Builds claim their slot under the write
+	// stmts is Prog.AllStmts(), indexed by Stmt.ID.
+	stmts []*ir.Stmt
+
+	// mu guards every field below. Builds claim their slot under the write
 	// lock, run the heavy analysis unlocked, then install results under
 	// the write lock again; queries take the read lock.
-	mu    sync.RWMutex
-	flows map[*ir.Func]*dataflow.FuncFlow
-	cfgs  map[*ir.Func]*cfg.Info
+	mu   sync.RWMutex
+	cfgs map[*ir.Func]*cfg.Info
 
-	succs map[*ir.Stmt][]Edge
-	preds map[*ir.Stmt][]Edge
+	// succs[id] and preds[id] are statement id's edge lists, in canonical
+	// order. A list is replaced wholesale, never changed in place, so a
+	// reader may keep one outside the lock.
+	succs [][]edge
+	preds [][]edge
+	// locs is the location table edges refer to by index; locs[0] is the
+	// zero Loc. It only grows, and published entries never change, so a
+	// reader may keep a slice header of it outside the lock. Indices
+	// depend on build order: they never leave the package and nothing is
+	// ordered by them. locIndex finds a Loc's index by its base.
+	locs     []ir.Loc
+	locIndex map[*ir.Var][]int32
+
+	// unrooted[id] lists the reads of statement id that no definition
+	// inside its function reaches, in use order (set when the function is
+	// built).
+	unrooted [][]ir.Loc
 
 	// building tracks which functions' subgraphs are materialized or in
 	// flight; waiters block on the slot's done channel.
 	building map[*ir.Func]*buildState
 
-	globalStores map[string][]*ir.Stmt // global name -> store stmts
-	globalLoads  map[string][]*ir.Stmt
+	globalStores map[string][]*ir.Stmt     // global name -> store stmts
+	globalLoads  map[string][]globalAccess // global name -> loads and their read Loc
+}
+
+// edge is the stored form of an Edge.
+type edge struct {
+	from, to int32 // Stmt.IDs
+	loc      int32 // index into state.locs
+	kind     uint8
+	arg      uint16
 }
 
 // New creates a PDG manager for prog; per-function subgraphs are built on
 // demand via Ensure.
 func New(prog *ir.Program) *Graph {
+	stmts := prog.AllStmts()
 	return &Graph{
 		Prog: prog,
 		PTS:  dataflow.Analyze(prog),
 		CG:   callgraph.Build(prog),
 		state: &state{
-			flows:        make(map[*ir.Func]*dataflow.FuncFlow),
+			stmts:        stmts,
 			cfgs:         make(map[*ir.Func]*cfg.Info),
-			succs:        make(map[*ir.Stmt][]Edge),
-			preds:        make(map[*ir.Stmt][]Edge),
+			succs:        make([][]edge, len(stmts)),
+			preds:        make([][]edge, len(stmts)),
+			locs:         []ir.Loc{{}},
+			locIndex:     make(map[*ir.Var][]int32),
+			unrooted:     make([][]ir.Loc, len(stmts)),
 			building:     make(map[*ir.Func]*buildState),
 			globalStores: make(map[string][]*ir.Stmt),
-			globalLoads:  make(map[string][]*ir.Stmt),
+			globalLoads:  make(map[string][]globalAccess),
 		},
 	}
 }
@@ -289,194 +325,311 @@ func (g *Graph) EnsureBudget(fn *ir.Func, step func(int64) error) error {
 // build runs the per-function analyses outside the graph lock and installs
 // the results under it.
 func (g *Graph) build(fn *ir.Func) {
+	if fn.Prog != g.Prog {
+		// Edges are indexed by the program's statement IDs.
+		panic(fmt.Sprintf("pdg: %s belongs to another program", fn.Name))
+	}
 	ff := dataflow.FlowAnalyze(fn, g.PTS)
 	ci := cfg.Analyze(fn)
-
-	// Intra-procedural Ed.
-	var edges []Edge
-	for _, d := range ff.Deps {
-		edges = append(edges, Edge{From: d.Def, To: d.Use, Loc: d.Loc, Kind: EdgeIntra})
-	}
-
-	// Inter-procedural Ed: actual -> formal and return -> receiver, for
-	// defined callees. These touch only immutable IR and the eager call
-	// graph, so the callee need not be built.
-	for _, s := range fn.Stmts() {
-		if s.Kind != ir.StCall {
-			continue
-		}
-		for _, callee := range g.CG.CalleesOf(s) {
-			// Parameter edges: call site -> parameter definition nodes.
-			for _, ps := range callee.Entry.Stmts {
-				if !ps.IsParamDef() {
-					continue
-				}
-				pv := ps.ParamVar()
-				if pv == nil || pv.ParamIndex >= len(s.Args) {
-					continue
-				}
-				edges = append(edges, Edge{From: s, To: ps, Loc: ir.Loc{Base: pv}, Kind: EdgeParam, ArgIndex: pv.ParamIndex})
-			}
-			// Return edges: callee returns -> call site (its result def).
-			if s.LHS != nil {
-				for _, r := range callee.ReturnStmts() {
-					if r.X != nil {
-						edges = append(edges, Edge{From: r, To: s, Kind: EdgeReturn})
-					}
-				}
-			}
-		}
-	}
-
-	// Global store/load accesses of fn (cross-function linking needs the
-	// registry, so the edges themselves are derived under the lock).
-	type globalAccess struct {
-		name  string
-		stmt  *ir.Stmt
-		loc   ir.Loc
-		store bool
-	}
-	var accesses []globalAccess
-	for _, s := range fn.Stmts() {
-		for _, d := range dataflow.EffectiveDefs(fn, s) {
-			if d.Base.Kind == ir.VarGlobal && !d.HasDeref() {
-				accesses = append(accesses, globalAccess{name: d.Base.Name, stmt: s, store: true})
-			}
-		}
-		for _, u := range dataflow.EffectiveUses(fn, s) {
-			if u.Base.Kind == ir.VarGlobal && !u.HasDeref() {
-				accesses = append(accesses, globalAccess{name: u.Base.Name, stmt: s, loc: u})
-			}
-		}
-	}
+	edges, accesses := g.funcEdges(fn, ff)
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.flows[fn] = ff
 	g.cfgs[fn] = ci
-	for _, a := range accesses {
-		if a.store {
-			if registerAccess(g.globalStores, a.name, a.stmt) {
-				for _, load := range g.globalLoads[a.name] {
-					if load.Fn != a.stmt.Fn {
-						edges = append(edges, Edge{From: a.stmt, To: load, Loc: ir.Loc{Base: g.Prog.GlobalVars[a.name]}, Kind: EdgeGlobal})
-					}
-				}
-			}
-		} else {
-			if registerAccess(g.globalLoads, a.name, a.stmt) {
-				for _, store := range g.globalStores[a.name] {
-					if store.Fn != a.stmt.Fn {
-						edges = append(edges, Edge{From: store, To: a.stmt, Loc: a.loc, Kind: EdgeGlobal})
-					}
-				}
-			}
-		}
+	for _, u := range ff.Unrooted {
+		g.unrooted[u.Use.ID] = append(g.unrooted[u.Use.ID], u.Loc)
 	}
+	edges = append(edges, g.linkGlobals(accesses)...)
 	g.installEdges(edges)
 }
 
-// registerAccess appends s to reg[name] unless present; reports whether it
-// was new.
-func registerAccess(reg map[string][]*ir.Stmt, name string, s *ir.Stmt) bool {
-	for _, prev := range reg[name] {
-		if prev == s {
-			return false
+// globalAccess is one read or write of a global (through no deref) by a
+// statement; loc is the location read (zero for writes).
+type globalAccess struct {
+	name  string
+	stmt  *ir.Stmt
+	loc   ir.Loc
+	store bool
+}
+
+// funcEdges derives fn's edges that need no other function built: the
+// intra-procedural Ed from its def-use chains, and actual -> formal and
+// return -> receiver edges to defined callees (immutable IR and the eager
+// call graph suffice). It also lists fn's global accesses, which are
+// linked across functions under the lock (linkGlobals).
+func (g *Graph) funcEdges(fn *ir.Func, ff *dataflow.FuncFlow) ([]Edge, []globalAccess) {
+	edges := make([]Edge, 0, len(ff.Deps))
+	for _, d := range ff.Deps {
+		edges = append(edges, Edge{From: d.Def, To: d.Use, Loc: d.Loc, Kind: EdgeIntra})
+	}
+	var accesses []globalAccess
+	for _, b := range fn.Blocks {
+		for _, s := range b.Stmts {
+			if s.Kind == ir.StCall {
+				edges = g.callEdges(edges, s)
+			}
+			for _, d := range dataflow.EffectiveDefs(fn, s) {
+				if d.Base.Kind == ir.VarGlobal && !d.HasDeref() {
+					accesses = append(accesses, globalAccess{name: d.Base.Name, stmt: s, store: true})
+				}
+			}
+			for _, u := range dataflow.EffectiveUses(fn, s) {
+				if u.Base.Kind == ir.VarGlobal && !u.HasDeref() {
+					accesses = append(accesses, globalAccess{name: u.Base.Name, stmt: s, loc: u})
+				}
+			}
 		}
 	}
-	reg[name] = append(reg[name], s)
-	return true
+	return edges, accesses
+}
+
+// callEdges appends the parameter and return edges of call site s.
+func (g *Graph) callEdges(edges []Edge, s *ir.Stmt) []Edge {
+	for _, callee := range g.CG.CalleesOf(s) {
+		// Parameter edges: call site -> parameter definition nodes.
+		for _, ps := range callee.Entry.Stmts {
+			if !ps.IsParamDef() {
+				continue
+			}
+			pv := ps.ParamVar()
+			if pv == nil || pv.ParamIndex >= len(s.Args) {
+				continue
+			}
+			edges = append(edges, Edge{From: s, To: ps, Loc: ir.Loc{Base: pv}, Kind: EdgeParam, ArgIndex: pv.ParamIndex})
+		}
+		// Return edges: callee returns -> call site (its result def).
+		if s.LHS != nil {
+			for _, r := range callee.ReturnStmts() {
+				if r.X != nil {
+					edges = append(edges, Edge{From: r, To: s, Kind: EdgeReturn})
+				}
+			}
+		}
+	}
+	return edges
+}
+
+// linkGlobals registers a function's global accesses and returns the
+// store -> load edges they close with other functions' accesses. An edge
+// carries the load's read location whichever side was registered first,
+// as intra edges carry the use's. Callers hold g.mu.
+func (g *Graph) linkGlobals(accesses []globalAccess) []Edge {
+	var edges []Edge
+	for _, a := range accesses {
+		if a.store {
+			if slices.Contains(g.globalStores[a.name], a.stmt) {
+				continue
+			}
+			g.globalStores[a.name] = append(g.globalStores[a.name], a.stmt)
+			for _, load := range g.globalLoads[a.name] {
+				if load.stmt.Fn != a.stmt.Fn {
+					edges = append(edges, Edge{From: a.stmt, To: load.stmt, Loc: load.loc, Kind: EdgeGlobal})
+				}
+			}
+			continue
+		}
+		if slices.ContainsFunc(g.globalLoads[a.name], func(l globalAccess) bool { return l.stmt == a.stmt }) {
+			continue
+		}
+		g.globalLoads[a.name] = append(g.globalLoads[a.name], a)
+		for _, store := range g.globalStores[a.name] {
+			if store.Fn != a.stmt.Fn {
+				edges = append(edges, Edge{From: store, To: a.stmt, Loc: a.loc, Kind: EdgeGlobal})
+			}
+		}
+	}
+	return edges
+}
+
+// intern returns l's index in the location table, appending it if new.
+// Callers hold g.mu.
+func (st *state) intern(l ir.Loc) int32 {
+	if l.Base == nil {
+		return 0
+	}
+	for _, id := range st.locIndex[l.Base] {
+		if st.locs[id].Equal(l) {
+			return id
+		}
+	}
+	id := int32(len(st.locs))
+	st.locs = append(st.locs, l)
+	st.locIndex[l.Base] = append(st.locIndex[l.Base], id)
+	return id
 }
 
 // installEdges merges new edges into the per-statement adjacency lists.
 // Lists are rebuilt copy-on-write (readers may hold the old slices outside
 // the lock) and kept in a canonical order, so the graph's shape does not
-// depend on the order in which functions were built. Callers hold g.mu.
+// depend on the order in which functions were built. Edges that compare
+// equal are identical, so sorting needs no stability. Callers hold g.mu.
 func (g *Graph) installEdges(edges []Edge) {
-	bySucc := make(map[*ir.Stmt][]Edge)
-	byPred := make(map[*ir.Stmt][]Edge)
-	for _, e := range edges {
-		bySucc[e.From] = append(bySucc[e.From], e)
-		byPred[e.To] = append(byPred[e.To], e)
+	if len(edges) == 0 {
+		return
 	}
-	for s, add := range bySucc {
-		g.succs[s] = mergeCanonical(g.succs[s], add)
+	packed := make([]edge, len(edges))
+	for i, e := range edges {
+		if e.ArgIndex > math.MaxUint16 {
+			panic(fmt.Sprintf("pdg: parameter index %d of %s out of range", e.ArgIndex, e.To.Fn.Name))
+		}
+		packed[i] = edge{
+			from: int32(e.From.ID), to: int32(e.To.ID), loc: g.intern(e.Loc),
+			kind: uint8(e.Kind), arg: uint16(e.ArgIndex),
+		}
 	}
-	for s, add := range byPred {
-		g.preds[s] = mergeCanonical(g.preds[s], add)
+	bySucc := func(a, b edge) int { return g.compare(a, b) }
+	byPred := func(a, b edge) int {
+		if a.to != b.to {
+			return int(a.to - b.to)
+		}
+		return g.compare(a, b)
+	}
+	slices.SortFunc(packed, bySucc)
+	g.mergeRuns(g.succs, packed, func(e edge) int32 { return e.from }, bySucc)
+	slices.SortFunc(packed, byPred)
+	g.mergeRuns(g.preds, packed, func(e edge) int32 { return e.to }, byPred)
+}
+
+// mergeRuns merges each run of sorted edges sharing a key into lists[key].
+func (g *Graph) mergeRuns(lists [][]edge, sorted []edge, key func(edge) int32, cmp func(a, b edge) int) {
+	for len(sorted) > 0 {
+		k := key(sorted[0])
+		n := 1
+		for n < len(sorted) && key(sorted[n]) == k {
+			n++
+		}
+		old, add := lists[k], sorted[:n]
+		out := make([]edge, 0, len(old)+n)
+		for len(old) > 0 && len(add) > 0 {
+			if cmp(add[0], old[0]) < 0 {
+				out, add = append(out, add[0]), add[1:]
+			} else {
+				out, old = append(out, old[0]), old[1:]
+			}
+		}
+		out = append(append(out, old...), add...)
+		lists[k] = out
+		sorted = sorted[n:]
 	}
 }
 
-func mergeCanonical(old, add []Edge) []Edge {
-	out := make([]Edge, 0, len(old)+len(add))
-	out = append(out, old...)
-	out = append(out, add...)
-	sort.SliceStable(out, func(i, j int) bool { return edgeLess(out[i], out[j]) })
+// compare is a total order on edges built from deterministic statement and
+// variable IDs (assigned in lowering order, independent of build schedule)
+// and location contents — never from location table indices.
+func (st *state) compare(a, b edge) int {
+	switch {
+	case a.from != b.from:
+		return int(a.from - b.from)
+	case a.to != b.to:
+		return int(a.to - b.to)
+	case a.kind != b.kind:
+		return int(a.kind) - int(b.kind)
+	case a.arg != b.arg:
+		return int(a.arg) - int(b.arg)
+	case a.loc == b.loc:
+		return 0
+	}
+	la, lb := st.locs[a.loc], st.locs[b.loc]
+	ab, bb := -1, -1
+	if la.Base != nil {
+		ab = la.Base.ID
+	}
+	if lb.Base != nil {
+		bb = lb.Base.ID
+	}
+	if ab != bb {
+		return ab - bb
+	}
+	if len(la.Path) != len(lb.Path) {
+		return len(la.Path) - len(lb.Path)
+	}
+	for i := range la.Path {
+		if la.Path[i].Kind != lb.Path[i].Kind {
+			return int(la.Path[i].Kind) - int(lb.Path[i].Kind)
+		}
+		if la.Path[i].Off != lb.Path[i].Off {
+			if la.Path[i].Off < lb.Path[i].Off {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// Edges is a read-only view of one statement's edge list, valid forever:
+// the list it holds is never changed in place.
+type Edges struct {
+	list  []edge
+	locs  []ir.Loc
+	stmts []*ir.Stmt
+}
+
+// Len returns the number of edges.
+func (v Edges) Len() int { return len(v.list) }
+
+// At returns the i-th edge.
+func (v Edges) At(i int) Edge {
+	e := v.list[i]
+	return Edge{
+		From: v.stmts[e.from], To: v.stmts[e.to], Loc: v.locs[e.loc],
+		Kind: EdgeKind(e.kind), ArgIndex: int(e.arg),
+	}
+}
+
+// edges materializes the view.
+func (v Edges) edges() []Edge {
+	if len(v.list) == 0 {
+		return nil
+	}
+	out := make([]Edge, len(v.list))
+	for i := range v.list {
+		out[i] = v.At(i)
+	}
 	return out
 }
 
-// edgeLess is a total order on edges built from deterministic statement and
-// variable IDs (assigned in lowering order, independent of build schedule).
-func edgeLess(a, b Edge) bool {
-	if a.From.ID != b.From.ID {
-		return a.From.ID < b.From.ID
-	}
-	if a.To.ID != b.To.ID {
-		return a.To.ID < b.To.ID
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.ArgIndex != b.ArgIndex {
-		return a.ArgIndex < b.ArgIndex
-	}
-	ab, bb := -1, -1
-	if a.Loc.Base != nil {
-		ab = a.Loc.Base.ID
-	}
-	if b.Loc.Base != nil {
-		bb = b.Loc.Base.ID
-	}
-	if ab != bb {
-		return ab < bb
-	}
-	if len(a.Loc.Path) != len(b.Loc.Path) {
-		return len(a.Loc.Path) < len(b.Loc.Path)
-	}
-	for i := range a.Loc.Path {
-		if a.Loc.Path[i].Kind != b.Loc.Path[i].Kind {
-			return a.Loc.Path[i].Kind < b.Loc.Path[i].Kind
-		}
-		if a.Loc.Path[i].Off != b.Loc.Path[i].Off {
-			return a.Loc.Path[i].Off < b.Loc.Path[i].Off
-		}
-	}
-	return false
-}
-
-// DataSuccs returns the outgoing Ed edges of a statement. The returned
-// slice is immutable (a rebuild replaces it wholesale).
-func (g *Graph) DataSuccs(s *ir.Stmt) []Edge {
+// SuccEdges returns a view of the outgoing Ed edges of a statement.
+func (g *Graph) SuccEdges(s *ir.Stmt) Edges {
 	g.Ensure(s.Fn)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.succs[s]
+	return Edges{list: g.succs[s.ID], locs: g.locs, stmts: g.stmts}
 }
 
-// DataPreds returns the incoming Ed edges of a statement.
-func (g *Graph) DataPreds(s *ir.Stmt) []Edge {
+// PredEdges returns a view of the incoming Ed edges of a statement.
+func (g *Graph) PredEdges(s *ir.Stmt) Edges {
 	g.Ensure(s.Fn)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.preds[s]
+	return Edges{list: g.preds[s.ID], locs: g.locs, stmts: g.stmts}
 }
 
-// Flow returns the def-use solution of fn.
-func (g *Graph) Flow(fn *ir.Func) *dataflow.FuncFlow {
+// DataSuccs returns the outgoing Ed edges of a statement, materialized
+// from SuccEdges.
+func (g *Graph) DataSuccs(s *ir.Stmt) []Edge { return g.SuccEdges(s).edges() }
+
+// DataPreds returns the incoming Ed edges of a statement, materialized
+// from PredEdges.
+func (g *Graph) DataPreds(s *ir.Stmt) []Edge { return g.PredEdges(s).edges() }
+
+// Unrooted is a read-only view of the reads a function's statements make
+// that no definition inside the function reaches: reads of parameters'
+// pointees, globals, or uninitialized locals (dataflow.FuncFlow.Unrooted).
+type Unrooted struct {
+	locs [][]ir.Loc
+}
+
+// At returns the unrooted reads of s, in use order. s must belong to the
+// function the view was taken for.
+func (u Unrooted) At(s *ir.Stmt) []ir.Loc { return u.locs[s.ID] }
+
+// Unrooted returns the unrooted reads of fn's statements.
+func (g *Graph) Unrooted(fn *ir.Func) Unrooted {
 	g.Ensure(fn)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.flows[fn]
+	return Unrooted{locs: g.unrooted}
 }
 
 // CFG returns the control-flow facts of fn.

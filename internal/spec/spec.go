@@ -238,7 +238,12 @@ func (s *Spec) Scope() string {
 
 // Key is a dedup identity for the spec (scope + constraint rendering).
 func (s *Spec) Key() string {
-	return s.Scope() + " | " + s.Constraint.String()
+	return s.KeyWith(s.Constraint.String())
+}
+
+// KeyWith is Key for a caller that has already rendered the constraint.
+func (s *Spec) KeyWith(constraint string) string {
+	return s.Scope() + " | " + constraint
 }
 
 // String implements fmt.Stringer.

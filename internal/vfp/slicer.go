@@ -64,6 +64,12 @@ type Slicer struct {
 		budgetHit bool
 		reason    budget.Reason
 	}
+
+	// visited[id] == walk marks statement id as on the current walk's
+	// trail; bumping walk clears every mark at once. A Slicer runs on one
+	// goroutine, so the marks need no locking.
+	visited []uint32
+	walk    uint32
 }
 
 // NewSlicer returns a slicer with the default bounds.
@@ -228,17 +234,36 @@ func crossesIndirect(e pdg.Edge) bool {
 // rootlessSources classifies the criterion's reads that have no reaching
 // definition (globals, uninitialized locals, raw parameter reads).
 func (sl *Slicer) rootlessSources(s *ir.Stmt) []Endpoint {
-	flow := sl.G.Flow(s.Fn)
 	var out []Endpoint
-	for _, u := range flow.Unrooted {
-		if u.Use != s {
-			continue
-		}
-		if ep, ok := classifyRootless(s, u.Loc); ok {
+	for _, l := range sl.G.Unrooted(s.Fn).At(s) {
+		if ep, ok := classifyRootless(s, l); ok {
 			out = append(out, ep)
 		}
 	}
 	return out
+}
+
+// beginWalk clears the visited marks for a new backward or forward walk.
+func (sl *Slicer) beginWalk() {
+	if n := len(sl.G.Prog.AllStmts()); len(sl.visited) != n {
+		sl.visited = make([]uint32, n)
+		sl.walk = 0
+	}
+	sl.walk++
+	if sl.walk == 0 { // wrapped: old marks could collide
+		clear(sl.visited)
+		sl.walk = 1
+	}
+}
+
+func (sl *Slicer) isVisited(s *ir.Stmt) bool { return sl.visited[s.ID] == sl.walk }
+
+func (sl *Slicer) setVisited(s *ir.Stmt, on bool) {
+	if on {
+		sl.visited[s.ID] = sl.walk
+	} else {
+		sl.visited[s.ID] = 0
+	}
 }
 
 // backward returns segments [source .. criterion] (criterion included).
@@ -253,7 +278,7 @@ func (sl *Slicer) backward(criterion *ir.Stmt) []segment {
 		}
 		out = append(out, segment{nodes: nodes, ep: ep})
 	}
-	visited := make(map[*ir.Stmt]bool)
+	sl.beginWalk()
 	var dfs func(cur *ir.Stmt, cameByParam bool, trail []*ir.Stmt)
 	dfs = func(cur *ir.Stmt, cameByParam bool, trail []*ir.Stmt) {
 		if len(out) >= sl.MaxPaths {
@@ -274,13 +299,15 @@ func (sl *Slicer) backward(criterion *ir.Stmt) []segment {
 				// Parameter of a plain helper: extend into direct callers
 				// when possible, otherwise treat the parameter as source.
 				extended := false
-				for _, e := range sl.G.DataPreds(cur) {
-					if e.Kind != pdg.EdgeParam || crossesIndirect(e) || visited[e.From] || !sl.inScope(e.From.Fn) {
+				preds := sl.G.PredEdges(cur)
+				for i := 0; i < preds.Len(); i++ {
+					e := preds.At(i)
+					if e.Kind != pdg.EdgeParam || crossesIndirect(e) || sl.isVisited(e.From) || !sl.inScope(e.From.Fn) {
 						continue
 					}
-					visited[e.From] = true
+					sl.setVisited(e.From, true)
 					dfs(e.From, true, trail)
-					visited[e.From] = false
+					sl.setVisited(e.From, false)
 					extended = true
 				}
 				if !extended {
@@ -301,7 +328,9 @@ func (sl *Slicer) backward(criterion *ir.Stmt) []segment {
 			emit(trail, ep)
 		}
 
-		for _, e := range sl.G.DataPreds(cur) {
+		preds := sl.G.PredEdges(cur)
+		for i := 0; i < preds.Len(); i++ {
+			e := preds.At(i)
 			if crossesIndirect(e) && !sl.CrossFunctionPointers {
 				continue
 			}
@@ -315,15 +344,15 @@ func (sl *Slicer) backward(criterion *ir.Stmt) []segment {
 			if cameByParam && cur.Kind == ir.StCall && e.Kind == pdg.EdgeReturn {
 				continue
 			}
-			if visited[e.From] {
+			if sl.isVisited(e.From) {
 				continue
 			}
-			visited[e.From] = true
+			sl.setVisited(e.From, true)
 			dfs(e.From, e.Kind == pdg.EdgeParam, trail)
-			visited[e.From] = false
+			sl.setVisited(e.From, false)
 		}
 	}
-	visited[criterion] = true
+	sl.setVisited(criterion, true)
 	dfs(criterion, false, nil)
 	return out
 }
@@ -332,7 +361,7 @@ func (sl *Slicer) backward(criterion *ir.Stmt) []segment {
 // criterion itself; each ends at a classified sink.
 func (sl *Slicer) forward(criterion *ir.Stmt) []segment {
 	var out []segment
-	visited := make(map[*ir.Stmt]bool)
+	sl.beginWalk()
 
 	// The criterion itself may be an ultimate use.
 	for _, ep := range sl.criterionSinks(criterion) {
@@ -357,7 +386,9 @@ func (sl *Slicer) forward(criterion *ir.Stmt) []segment {
 			seg := segment{nodes: append([]*ir.Stmt{}, trail...), ep: ep}
 			out = append(out, seg)
 		}
-		for _, e := range sl.G.DataSuccs(cur) {
+		succs := sl.G.SuccEdges(cur)
+		for i := 0; i < succs.Len(); i++ {
+			e := succs.At(i)
 			if crossesIndirect(e) && !sl.CrossFunctionPointers {
 				continue
 			}
@@ -376,25 +407,27 @@ func (sl *Slicer) forward(criterion *ir.Stmt) []segment {
 					continue
 				}
 			}
-			if visited[e.To] {
+			if sl.isVisited(e.To) {
 				continue
 			}
-			visited[e.To] = true
+			sl.setVisited(e.To, true)
 			dfs(e.To, e, trail)
-			visited[e.To] = false
+			sl.setVisited(e.To, false)
 		}
 	}
-	visited[criterion] = true
-	for _, e := range sl.G.DataSuccs(criterion) {
+	sl.setVisited(criterion, true)
+	succs := sl.G.SuccEdges(criterion)
+	for i := 0; i < succs.Len(); i++ {
+		e := succs.At(i)
 		if crossesIndirect(e) && !sl.CrossFunctionPointers {
 			continue
 		}
-		if visited[e.To] || !sl.inScope(e.To.Fn) {
+		if sl.isVisited(e.To) || !sl.inScope(e.To.Fn) {
 			continue
 		}
-		visited[e.To] = true
+		sl.setVisited(e.To, true)
 		dfs(e.To, e, nil)
-		visited[e.To] = false
+		sl.setVisited(e.To, false)
 	}
 	return out
 }
