@@ -2,6 +2,7 @@ package seal
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,11 +98,11 @@ func TargetHash(files map[string]string) string { return cache.FileSetHash(files
 // before any parsing happens.
 func ReadSourceDir(root string) (map[string]string, error) {
 	files := make(map[string]string)
-	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if info.IsDir() || !strings.HasSuffix(path, ".c") {
+		if d.IsDir() || !strings.HasSuffix(path, ".c") {
 			return nil
 		}
 		data, err := os.ReadFile(path)

@@ -182,7 +182,7 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 			if memo != nil {
 				memo.Store(keys[gi], o)
 			}
-			pc.Put(cache.TierDetectGroup, keys[gi], o)
+			pc.Put(cache.TierDetectGroup, keys[gi], o) // Outcome.MarshalBinary
 		}
 	}
 
@@ -198,7 +198,8 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 }
 
 // lookupGroup resolves one group key against the memo, then the persistent
-// cache (promoting a disk hit into the memo). Nil on a miss.
+// cache (promoting a disk hit into the memo). Nil on a miss. A disk entry
+// holds the group's Outcome in its binary form (Outcome.UnmarshalBinary).
 func lookupGroup(key string, memo *sync.Map, pc *cache.Cache) *detect.Outcome {
 	if memo != nil {
 		if v, ok := memo.Load(key); ok {

@@ -8,13 +8,16 @@
 // The cache is a performance layer, never a correctness layer: every entry
 // carries a checksum and a schema version, and anything that fails
 // verification (truncated file, flipped bit, entry written by a different
-// seal schema) is silently treated as a miss and recomputed. A nil *Cache
-// is the disabled cache: every method is a no-op, so call sites need no
-// branching.
+// seal schema, undecodable payload) is silently treated as a miss and
+// recomputed. A nil *Cache is the disabled cache: every method is a no-op,
+// so call sites need no branching.
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -27,11 +30,12 @@ import (
 	"time"
 )
 
-// SchemaVersion is baked into every fingerprint and entry envelope. Bump
-// it whenever a cached product's shape or the analysis that produces it
-// changes incompatibly: old entries become unreachable (different keys)
-// and unreadable (version check), both of which degrade to misses.
-const SchemaVersion = 2
+// SchemaVersion is baked into every fingerprint and entry header. Bump
+// it whenever a cached product's shape, its encoding, or the analysis that
+// produces it changes incompatibly: old entries become unreachable
+// (different keys) and unreadable (header check), both of which degrade to
+// misses.
+const SchemaVersion = 3
 
 // subdir is the directory the cache owns under the user-supplied root.
 // Keeping our objects one level down makes Clear safe: it removes only
@@ -126,25 +130,42 @@ func (c *Cache) Enabled() bool { return c != nil }
 // ReadOnly reports whether writes are suppressed.
 func (c *Cache) ReadOnly() bool { return c != nil && c.readOnly }
 
-// envelope is the on-disk entry format: the JSON payload plus enough
-// self-description to detect corruption, truncation, and version skew.
-type envelope struct {
-	Version int             `json:"version"`
-	Tier    string          `json:"tier"`
-	Key     string          `json:"key"`
-	Sum     string          `json:"sum"` // sha256 of Payload bytes
-	Payload json.RawMessage `json:"payload"`
+// magic opens every entry file.
+const magic = "sealpc\x00\n"
+
+// An entry file is a fixed header, the payload's SHA-256, and the payload:
+//
+//	magic | uvarint SchemaVersion | uvarint len(tier) tier | uvarint len(key) key | sha256(payload) | payload
+//
+// The header is fully determined by (tier, key), so Get verifies it with
+// one byte comparison and the checksum before decoding any payload byte.
+// A payload is the value's MarshalBinary output when it implements
+// encoding.BinaryMarshaler, and its JSON encoding otherwise.
+func header(tier, key string) []byte {
+	h := make([]byte, 0, len(magic)+3*binary.MaxVarintLen64+len(tier)+len(key))
+	h = append(h, magic...)
+	h = binary.AppendUvarint(h, SchemaVersion)
+	h = binary.AppendUvarint(h, uint64(len(tier)))
+	h = append(h, tier...)
+	h = binary.AppendUvarint(h, uint64(len(key)))
+	return append(h, key...)
 }
 
 func (c *Cache) path(tier, key string) string {
-	// Two-level fanout keeps directories small on big corpora.
+	// Two-level fanout keeps directories small on big corpora. The .json
+	// suffix predates the binary entry format; tools that list entries
+	// glob for it.
 	return filepath.Join(c.root, tier, key[:2], key+".json")
 }
 
-// Get looks up (tier, key) and decodes the payload into out. It returns
-// true only for a verified hit; every failure mode — absent, unreadable,
-// version-skewed, checksum mismatch, undecodable — counts as a miss (and,
-// when an entry existed but failed verification, as Corrupt).
+// Get looks up (tier, key) and decodes the payload into out: with
+// UnmarshalBinary when out implements encoding.BinaryUnmarshaler, as the
+// verified payload bytes verbatim when out is a *json.RawMessage, and with
+// encoding/json otherwise. It returns true only for a verified hit; every
+// failure mode — absent, unreadable, header mismatch (version skew, another
+// tier or key, an older format), checksum mismatch, undecodable — counts
+// as a miss (and, when an entry existed but failed verification, as
+// Corrupt).
 func (c *Cache) Get(tier, key string, out any) bool {
 	if c == nil || len(key) < 3 {
 		return false
@@ -155,21 +176,17 @@ func (c *Cache) Get(tier, key string, out any) bool {
 		return false
 	}
 	c.readBytes.Add(int64(len(data)))
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
+	hdr := header(tier, key)
+	if len(data) < len(hdr)+sha256.Size || !bytes.Equal(data[:len(hdr)], hdr) {
 		c.miss(true)
 		return false
 	}
-	if env.Version != SchemaVersion || env.Tier != tier || env.Key != key {
+	payload := data[len(hdr)+sha256.Size:]
+	if sha256.Sum256(payload) != [sha256.Size]byte(data[len(hdr):len(hdr)+sha256.Size]) {
 		c.miss(true)
 		return false
 	}
-	sum := sha256.Sum256(env.Payload)
-	if hex.EncodeToString(sum[:]) != env.Sum {
-		c.miss(true)
-		return false
-	}
-	if err := json.Unmarshal(env.Payload, out); err != nil {
+	if decode(payload, out) != nil {
 		c.miss(true)
 		return false
 	}
@@ -183,6 +200,18 @@ func (c *Cache) Get(tier, key string, out any) bool {
 	return true
 }
 
+func decode(payload []byte, out any) error {
+	switch v := out.(type) {
+	case *json.RawMessage:
+		*v = payload
+		return nil
+	case encoding.BinaryUnmarshaler:
+		return v.UnmarshalBinary(payload)
+	default:
+		return json.Unmarshal(payload, out)
+	}
+}
+
 func (c *Cache) miss(corrupt bool) {
 	c.misses.Add(1)
 	if corrupt {
@@ -190,7 +219,9 @@ func (c *Cache) miss(corrupt bool) {
 	}
 }
 
-// Put stores val under (tier, key). Best-effort: encoding or I/O errors
+// Put stores val under (tier, key), encoded with MarshalBinary when val
+// implements encoding.BinaryMarshaler and with encoding/json otherwise
+// (see header for the file format). Best-effort: encoding or I/O errors
 // are swallowed (a cache that cannot write is merely cold), and read-only
 // caches never write. The write is atomic (temp file + rename) so a
 // concurrent reader sees either the old entry or the complete new one.
@@ -198,22 +229,22 @@ func (c *Cache) Put(tier, key string, val any) {
 	if c == nil || c.readOnly || len(key) < 3 {
 		return
 	}
-	payload, err := json.Marshal(val)
+	var payload []byte
+	var err error
+	if m, ok := val.(encoding.BinaryMarshaler); ok {
+		payload, err = m.MarshalBinary()
+	} else {
+		payload, err = json.Marshal(val)
+	}
 	if err != nil {
 		return
 	}
+	hdr := header(tier, key)
 	sum := sha256.Sum256(payload)
-	env := envelope{
-		Version: SchemaVersion,
-		Tier:    tier,
-		Key:     key,
-		Sum:     hex.EncodeToString(sum[:]),
-		Payload: payload,
-	}
-	data, err := json.Marshal(&env)
-	if err != nil {
-		return
-	}
+	data := make([]byte, 0, len(hdr)+len(sum)+len(payload))
+	data = append(data, hdr...)
+	data = append(data, sum[:]...)
+	data = append(data, payload...)
 	path := c.path(tier, key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return

@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,51 +69,131 @@ func entryFile(t *testing.T, dir string) string {
 	return found
 }
 
+// binPayload has its own binary codec, like the detect-group tier's
+// payload: a count byte, then the name. An empty payload does not decode.
+type binPayload struct {
+	Name  string
+	Count byte
+}
+
+func (p binPayload) MarshalBinary() ([]byte, error) {
+	return append([]byte{p.Count}, p.Name...), nil
+}
+
+func (p *binPayload) UnmarshalBinary(b []byte) error {
+	if len(b) == 0 {
+		return errors.New("empty binPayload")
+	}
+	p.Count, p.Name = b[0], string(b[1:])
+	return nil
+}
+
+// rawBin marshals to its own bytes, to plant arbitrary payloads.
+type rawBin []byte
+
+func (r rawBin) MarshalBinary() ([]byte, error) { return r, nil }
+
+func TestBinaryPayloadRoundTrip(t *testing.T) {
+	c, _ := Open(t.TempDir(), false)
+	key := Key("bin")
+	want := binPayload{Name: "x", Count: 7}
+	c.Put(TierDetectGroup, key, want)
+	var got binPayload
+	if !c.Get(TierDetectGroup, key, &got) || got != want {
+		t.Fatalf("got %+v want %+v", got, want)
+	}
+	// A *json.RawMessage receives the verified payload bytes verbatim,
+	// binary or JSON alike.
+	var raw json.RawMessage
+	if !c.Get(TierDetectGroup, key, &raw) || string(raw) != "\x07x" {
+		t.Fatalf("raw binary payload %q", raw)
+	}
+	c.Put(TierInfer, key, payload{Name: "j", Count: 1})
+	if !c.Get(TierInfer, key, &raw) || string(raw) != `{"Name":"j","Count":1}` {
+		t.Fatalf("raw JSON payload %q", raw)
+	}
+}
+
+// entryBytes is the entry file a Put of val under (tier, key) writes.
+func entryBytes(t *testing.T, tier, key string, val any) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	c, _ := Open(dir, false)
+	c.Put(tier, key, val)
+	data, err := os.ReadFile(entryFile(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestCorruptEntryIsAMiss(t *testing.T) {
-	for name, corrupt := range map[string]func([]byte) []byte{
-		"bit-flip": func(b []byte) []byte {
+	key := Key("victim")
+	want := binPayload{Name: "ok", Count: 1}
+	for name, corrupt := range map[string]func(*testing.T, []byte) []byte{
+		"bit-flip": func(_ *testing.T, b []byte) []byte {
 			// Flip a byte inside the payload section.
-			mid := len(b) / 2
 			out := append([]byte(nil), b...)
-			out[mid] ^= 0x40
+			out[len(out)-1] ^= 0x40
 			return out
 		},
-		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
-		"not-json":  func([]byte) []byte { return []byte("garbage") },
-		"version-skew": func(b []byte) []byte {
-			var env map[string]any
-			if err := json.Unmarshal(b, &env); err != nil {
-				panic(err)
+		"truncated": func(_ *testing.T, b []byte) []byte { return b[:len(b)/2] },
+		"not-json":  func(*testing.T, []byte) []byte { return []byte("garbage") },
+		"version-skew": func(t *testing.T, b []byte) []byte {
+			// The version is the one-byte uvarint right after the magic.
+			out := append([]byte(nil), b...)
+			if out[len(magic)] != SchemaVersion {
+				t.Fatal("version varint not found after the magic")
 			}
-			env["version"] = SchemaVersion + 1
-			out, _ := json.Marshal(env)
+			out[len(magic)]++
+			return out
+		},
+		"tier-mismatch": func(t *testing.T, _ []byte) []byte {
+			return entryBytes(t, TierInfer, key, want)
+		},
+		"key-mismatch": func(t *testing.T, _ []byte) []byte {
+			return entryBytes(t, TierDetectGroup, Key("other"), want)
+		},
+		"undecodable-payload": func(t *testing.T, _ []byte) []byte {
+			// Header and checksum verify; UnmarshalBinary refuses.
+			return entryBytes(t, TierDetectGroup, key, rawBin{})
+		},
+		"schema-2-json": func(*testing.T, []byte) []byte {
+			// The previous format: a JSON envelope with a hex checksum,
+			// as if copied into this schema's directory.
+			p := []byte(`{"Name":"ok","Count":1}`)
+			sum := sha256.Sum256(p)
+			out, _ := json.Marshal(map[string]any{"version": 2, "tier": TierDetectGroup, "key": key,
+				"sum": hex.EncodeToString(sum[:]), "payload": json.RawMessage(p)})
 			return out
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			c, _ := Open(dir, false)
-			key := Key("victim")
-			c.Put(TierDetectGroup, key, payload{Name: "ok", Count: 1})
+			c.Put(TierDetectGroup, key, want)
 			file := entryFile(t, dir)
 			data, err := os.ReadFile(file)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(file, corrupt(data), 0o644); err != nil {
+			if err := os.WriteFile(file, corrupt(t, data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			var got payload
+			var got binPayload
 			if c.Get(TierDetectGroup, key, &got) {
 				t.Fatal("corrupted entry served as a hit")
 			}
-			if st := c.Stats(); st.Corrupt != 1 {
-				t.Fatalf("corruption not counted: %+v", st)
+			if st := c.Stats(); st.Corrupt != 1 || st.Misses != 1 || st.Hits != 0 {
+				t.Fatalf("corruption not counted once: %+v", st)
 			}
 			// Recovery: a rewrite restores the entry.
-			c.Put(TierDetectGroup, key, payload{Name: "ok", Count: 1})
-			if !c.Get(TierDetectGroup, key, &got) || got.Count != 1 {
+			c.Put(TierDetectGroup, key, want)
+			if !c.Get(TierDetectGroup, key, &got) || got != want {
 				t.Fatal("rewrite after corruption did not recover")
+			}
+			if st := c.Stats(); st.Corrupt != 1 {
+				t.Fatalf("recovered read counted as corrupt: %+v", st)
 			}
 		})
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -18,7 +19,10 @@ import (
 	"path/filepath"
 	"strconv"
 
+	"seal"
 	"seal/internal/cir"
+	"seal/internal/detect"
+	"seal/internal/kernelgen"
 	"seal/internal/randprog"
 	"seal/internal/spec"
 	"seal/internal/specdb"
@@ -196,7 +200,68 @@ func main() {
 		fail(err)
 	}
 
+	// Outcome codec seeds: real region-group entries of a cold-batch
+	// detection (the eval corpus at 10 instances, seed 1), feeding
+	// FuzzOutcomeCodec's decode contract.
+	if err := writeOutcomeSeeds(filepath.Join("internal", "detect", "testdata", "fuzz", "FuzzOutcomeCodec")); err != nil {
+		fail(err)
+	}
+
 	fmt.Println("fuzz seed corpora regenerated")
+}
+
+func writeOutcomeSeeds(dir string) error {
+	cfg := kernelgen.EvalConfig()
+	cfg.Instances, cfg.Seed = 10, 1
+	c := kernelgen.Generate(cfg)
+	inf, err := seal.InferSpecs(c.Patches, seal.Options{Validate: true})
+	if err != nil {
+		return err
+	}
+	t, err := seal.LoadFiles(c.Files)
+	if err != nil {
+		return err
+	}
+	specs := inf.DB.Specs
+	var groups [][]*spec.Spec
+	for _, g := range detect.ScopeGroups(specs) {
+		subset := make([]*spec.Spec, len(g))
+		for k, si := range g {
+			subset[k] = specs[si]
+		}
+		groups = append(groups, subset)
+	}
+	outs, err := detect.NewShared(t.Prog).RunGroups(context.Background(), groups, 1, seal.Limits{}, nil)
+	if err != nil {
+		return err
+	}
+	// The group with the most bugs, and the first with none.
+	most, none := outs[0], (*detect.Outcome)(nil)
+	for _, o := range outs {
+		if len(o.Bugs) > len(most.Bugs) {
+			most = o
+		}
+		if none == nil && len(o.Bugs) == 0 {
+			none = o
+		}
+	}
+	if none == nil || len(most.Bugs) == 0 {
+		return fmt.Errorf("outcome seeds: want a group with bugs and one without")
+	}
+	for name, o := range map[string]*detect.Outcome{"most_bugs": most, "no_bugs": none} {
+		o.Stats.PDGBuildNanos = 1000 // a wall time: pinned so seeds regenerate byte-identically
+		data, err := o.MarshalBinary()
+		if err == nil {
+			err = writeBytesEntry(dir, name, data)
+		}
+		if err == nil && o == most {
+			err = writeBytesEntry(dir, "truncated", data[:len(data)/2])
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func writeWALRecordSeeds(dir string) error {

@@ -12,7 +12,8 @@
 #      must match the cold run's,
 #   5. corrupt every cached entry in place and run once more: the run must
 #      still exit 0, count the corruption as misses, and reproduce the
-#      cold report byte-for-byte.
+#      cold report byte-for-byte. This is done twice: once damaging each
+#      entry's header, once flipping each entry's last (payload) byte.
 #
 # The finer-grained redacted-manifest byte-identity is enforced by
 # `go test ./cmd/seal -run TestCLICache`; this script is the coarse
@@ -95,31 +96,50 @@ if [ "$partial_misses" -ne 1 ]; then
     exit 1
 fi
 
-echo "== corrupting every cache entry"
-entries=0
-while IFS= read -r f; do
-    printf 'garbage' | dd of="$f" bs=1 seek=16 conv=notrunc status=none
-    entries=$((entries + 1))
-done < <(find "$cache" -type f)
-if [ "$entries" -eq 0 ]; then
-    echo "FAIL: cold run left no cache entries to corrupt" >&2
-    exit 1
-fi
-echo "   corrupted $entries entries"
+# damage_entries overwrites bytes of every cache entry in place: "header"
+# writes over offset 16, inside the entry's fixed header; "payload" flips
+# each entry's last byte, leaving the header intact so only the payload
+# checksum can catch it.
+damage_entries() { # $1 = header | payload
+    local entries=0 f size byte
+    while IFS= read -r f; do
+        if [ "$1" = header ]; then
+            printf 'garbage' | dd of="$f" bs=1 seek=16 conv=notrunc status=none
+        else
+            size=$(wc -c <"$f")
+            byte=$(tail -c 1 "$f" | od -An -tu1 | tr -d ' ')
+            printf "\\$(printf '%03o' $((byte ^ 0x40)))" |
+                dd of="$f" bs=1 seek=$((size - 1)) conv=notrunc status=none
+        fi
+        entries=$((entries + 1))
+    done < <(find "$cache" -type f)
+    if [ "$entries" -eq 0 ]; then
+        echo "FAIL: no cache entries to corrupt" >&2
+        exit 1
+    fi
+    echo "   damaged the $1 of $entries entries"
+}
 
-echo "== corrupted-cache run (must degrade to a recompute, exit 0)"
-run_pipeline damaged
-diff "$work/cold-report.txt" "$work/damaged-report.txt"
-for stage in infer detect; do
-    diff <(stable_metrics "$work/cold-$stage-metrics.prom") \
-         <(stable_metrics "$work/damaged-$stage-metrics.prom")
+# Each damaged run must still exit 0, count the damage as corrupt misses,
+# serve no hit, and reproduce the cold run byte-for-byte; its recompute
+# rewrites every entry for the next round.
+for part in header payload; do
+    echo "== damaging every cache entry's $part"
+    damage_entries "$part"
+    echo "== corrupted-cache run (must degrade to a recompute, exit 0)"
+    run_pipeline "damaged-$part"
+    diff "$work/cold-report.txt" "$work/damaged-$part-report.txt"
+    for stage in infer detect; do
+        diff <(stable_metrics "$work/cold-$stage-metrics.prom") \
+             <(stable_metrics "$work/damaged-$part-$stage-metrics.prom")
+    done
+
+    corrupt=$(metric "$work/damaged-$part-detect-metrics.prom" seal_pcache_corrupt_total)
+    hits=$(metric "$work/damaged-$part-detect-metrics.prom" seal_pcache_hits_total)
+    if [ "$corrupt" -eq 0 ] || [ "$hits" -ne 0 ]; then
+        echo "FAIL: damaged ${part}s were not detected as misses (corrupt=$corrupt hits=$hits)" >&2
+        exit 1
+    fi
 done
-
-corrupt=$(metric "$work/damaged-detect-metrics.prom" seal_pcache_corrupt_total)
-hits=$(metric "$work/damaged-detect-metrics.prom" seal_pcache_hits_total)
-if [ "$corrupt" -eq 0 ] || [ "$hits" -ne 0 ]; then
-    echo "FAIL: corrupted entries were not detected as misses (corrupt=$corrupt hits=$hits)" >&2
-    exit 1
-fi
 
 echo "PASS: warm and partly warm runs byte-identical, warm fully cached; corruption degraded to a clean recompute"
