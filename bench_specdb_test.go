@@ -35,7 +35,7 @@ func TestSpecEditRecomputeSpeedup(t *testing.T) {
 	if _, _, err := ImportSpecStore(storePath, &SpecDB{Specs: specs}); err != nil {
 		t.Fatal(err)
 	}
-	stored, _, err := LoadSpecStoreSpecs(storePath)
+	stored, err := LoadSpecStoreSpecs(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,11 @@ func TestSpecIngestSpeedup(t *testing.T) {
 	batchPath := filepath.Join(dir, "eq-batched.specdb")
 	ingestUnbatched(t, coldPath, specs)
 	ingestBatched(t, batchPath, specs)
-	coldSpecs, _, err := LoadSpecStoreSpecs(coldPath)
+	coldSpecs, err := LoadSpecStoreSpecs(coldPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchSpecs, _, err := LoadSpecStoreSpecs(batchPath)
+	batchSpecs, err := LoadSpecStoreSpecs(batchPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,62 +77,45 @@ type usageErr struct{ msg string }
 func (e usageErr) Error() string { return e.msg }
 func (e usageErr) ExitCode() int { return exitUsage }
 
-// validatePositiveFlags rejects explicitly-set non-positive values of the
-// named integer flags. Only flags the user actually set are checked
-// (fs.Visit), so a zero default — like -max-failures 0 meaning "keep
-// going" — stays valid when the flag is omitted but is rejected when
+// flagCheck is one rule for a flag's value: ok reports whether the
+// value's string form satisfies it, and want states the rule in the
+// usage error.
+type flagCheck struct {
+	want string
+	ok   func(string) bool
+}
+
+var (
+	positiveInt = flagCheck{"> 0", func(s string) bool {
+		v, err := strconv.ParseInt(s, 10, 64)
+		return err == nil && v > 0
+	}}
+	positiveDuration = flagCheck{"> 0", func(s string) bool {
+		d, err := time.ParseDuration(s)
+		return err == nil && d > 0
+	}}
+	// ratio is the shape of a dead-page compaction threshold.
+	ratio = flagCheck{"in (0, 1]", func(s string) bool {
+		v, err := strconv.ParseFloat(s, 64)
+		return err == nil && v > 0 && v <= 1
+	}}
+)
+
+// validateFlags rejects explicitly-set values of the named flags that
+// fail check, reporting the first in names order. Only flags the user
+// actually set are checked (fs.Visit), so a zero default — like
+// -max-failures 0 meaning "keep going", or -probe-interval 0 meaning
+// "disabled" — stays valid when the flag is omitted but is rejected when
 // someone writes it out expecting a threshold.
-func validatePositiveFlags(fs *flag.FlagSet, cmd string, names ...string) error {
+func validateFlags(fs *flag.FlagSet, cmd string, check flagCheck, names ...string) error {
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	for _, name := range names {
 		if !set[name] {
 			continue
 		}
-		f := fs.Lookup(name)
-		v, err := strconv.ParseInt(f.Value.String(), 10, 64)
-		if err != nil || v <= 0 {
-			return usageErr{msg: fmt.Sprintf("%s: -%s must be > 0 (got %s)", cmd, name, f.Value.String())}
-		}
-	}
-	return nil
-}
-
-// validatePositiveDurationFlags is validatePositiveFlags for duration
-// flags: explicitly-set zero or negative durations (like -probe-interval
-// 0, which would mean "probe constantly" to a naive reading) are rejected
-// as usage errors, while the omitted zero default keeps its documented
-// "disabled" meaning.
-func validatePositiveDurationFlags(fs *flag.FlagSet, cmd string, names ...string) error {
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, name := range names {
-		if !set[name] {
-			continue
-		}
-		f := fs.Lookup(name)
-		d, err := time.ParseDuration(f.Value.String())
-		if err != nil || d <= 0 {
-			return usageErr{msg: fmt.Sprintf("%s: -%s must be > 0 (got %s)", cmd, name, f.Value.String())}
-		}
-	}
-	return nil
-}
-
-// validateRatioFlags rejects explicitly-set values of the named float
-// flags outside (0, 1] — the shape of a dead-page compaction threshold.
-// The omitted zero default keeps its documented "disabled" meaning.
-func validateRatioFlags(fs *flag.FlagSet, cmd string, names ...string) error {
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, name := range names {
-		if !set[name] {
-			continue
-		}
-		f := fs.Lookup(name)
-		v, err := strconv.ParseFloat(f.Value.String(), 64)
-		if err != nil || v <= 0 || v > 1 {
-			return usageErr{msg: fmt.Sprintf("%s: -%s must be in (0, 1] (got %s)", cmd, name, f.Value.String())}
+		if v := fs.Lookup(name).Value.String(); !check.ok(v) {
+			return usageErr{msg: fmt.Sprintf("%s: -%s must be %s (got %s)", cmd, name, check.want, v)}
 		}
 	}
 	return nil
@@ -444,7 +427,7 @@ func cmdInfer(args []string) error {
 	of := addObsFlags(fs)
 	cf := addCacheFlags(fs)
 	fs.Parse(args)
-	if err := validatePositiveFlags(fs, "infer", "workers", "max-failures"); err != nil {
+	if err := validateFlags(fs, "infer", positiveInt, "workers", "max-failures"); err != nil {
 		return err
 	}
 	if *patchesDir == "" || *out == "" {
@@ -559,16 +542,16 @@ func cmdDetect(args []string) error {
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard dispatch deadline; a shard exceeding it is quarantined; 0 = none")
 	retryMax := fs.Int("retry-max", 0, "re-dispatch a failing shard up to this many extra times with capped exponential backoff (0 = no re-dispatch)")
 	retryBackoff := fs.Duration("retry-backoff", 0, "base backoff before a shard re-dispatch, doubling per attempt with deterministic jitter (0 = immediate)")
-	probeInterval := fs.Duration("probe-interval", 0, "probe worker health at this interval: /readyz gates every dispatch, /healthz watches in-flight shards (0 = disabled)")
+	probeInterval := fs.Duration("probe-interval", 0, "probe worker liveness (/healthz) at this interval while a shard is in flight (0 = disabled)")
 	reshardOnLoss := fs.Bool("reshard-on-loss", false, "re-partition a lost shard's region groups across surviving workers instead of quarantining them")
 	lf := addLimitFlags(fs)
 	of := addObsFlags(fs)
 	cf := addCacheFlags(fs)
 	fs.Parse(args)
-	if err := validatePositiveFlags(fs, "detect", "workers", "shards", "max-failures", "retry-max"); err != nil {
+	if err := validateFlags(fs, "detect", positiveInt, "workers", "shards", "max-failures", "retry-max"); err != nil {
 		return err
 	}
-	if err := validatePositiveDurationFlags(fs, "detect", "probe-interval", "retry-backoff"); err != nil {
+	if err := validateFlags(fs, "detect", positiveDuration, "probe-interval", "retry-backoff"); err != nil {
 		return err
 	}
 	addrs, aerr := parseShardAddrs(*shardAddrs)
@@ -593,13 +576,10 @@ func cmdDetect(args []string) error {
 	}
 	defer stop()
 	var db spec.DB
-	var storeSeq uint64
 	if *specDB != "" {
-		specs, seq, err := seal.LoadSpecStoreSpecs(*specDB)
-		if err != nil {
+		if db.Specs, err = seal.LoadSpecStoreSpecs(*specDB); err != nil {
 			return err
 		}
-		db.Specs, storeSeq = specs, seq
 	} else {
 		data, err := os.ReadFile(*specFile)
 		if err != nil {
@@ -619,18 +599,16 @@ func cmdDetect(args []string) error {
 			retryAttempts = *retryMax + 1 // N extra re-dispatches after the first try
 		}
 		res, shardsMan, runErr = runShardedDetect(context.Background(), *target, db.Specs, shardedOptions{
-			shards:   *shards,
-			addrs:    addrs,
-			timeout:  *shardTimeout,
-			workers:  *workers,
-			limits:   lf.limits(),
-			retry:    coord.RetryPolicy{MaxAttempts: retryAttempts, Backoff: *retryBackoff},
-			probe:    coord.ProbeOptions{Interval: *probeInterval},
-			reshard:  *reshardOnLoss,
-			rec:      rec,
-			cf:       cf,
-			specDB:   *specDB,
-			storeSeq: storeSeq,
+			shards:  *shards,
+			addrs:   addrs,
+			timeout: *shardTimeout,
+			workers: *workers,
+			limits:  lf.limits(),
+			retry:   coord.RetryPolicy{MaxAttempts: retryAttempts, Backoff: *retryBackoff},
+			probe:   coord.ProbeOptions{Interval: *probeInterval},
+			reshard: *reshardOnLoss,
+			rec:     rec,
+			cf:      cf,
 		})
 	} else {
 		pg := of.startProgress(rec, "detect")

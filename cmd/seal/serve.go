@@ -58,10 +58,10 @@ func setupServe(name string, args []string) (*serve.Server, net.Listener, error)
 	lf := addLimitFlags(fs)
 	cf := addCacheFlags(fs)
 	fs.Parse(args)
-	if err := validatePositiveFlags(fs, fs.Name(), "workers", "max-failures"); err != nil {
+	if err := validateFlags(fs, fs.Name(), positiveInt, "workers", "max-failures"); err != nil {
 		return nil, nil, err
 	}
-	if err := validateRatioFlags(fs, fs.Name(), "compact-threshold"); err != nil {
+	if err := validateFlags(fs, fs.Name(), ratio, "compact-threshold"); err != nil {
 		return nil, nil, err
 	}
 	if *specFile != "" && *specDB != "" {

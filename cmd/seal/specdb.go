@@ -29,13 +29,13 @@ func cmdSpecDB(args []string) error {
 	commitInterval := fs.Duration("commit-interval", 0, "group-commit this long after the first pending record (0 = no time trigger)")
 	compactThreshold := fs.Float64("compact-threshold", 0, "background-compact when the dead-record ratio (superseded record bytes over committed record bytes) reaches this fraction in (0, 1] (0 = never)")
 	fs.Parse(args)
-	if err := validatePositiveFlags(fs, "specdb", "commit-every", "commit-bytes"); err != nil {
+	if err := validateFlags(fs, "specdb", positiveInt, "commit-every", "commit-bytes"); err != nil {
 		return err
 	}
-	if err := validatePositiveDurationFlags(fs, "specdb", "commit-interval"); err != nil {
+	if err := validateFlags(fs, "specdb", positiveDuration, "commit-interval"); err != nil {
 		return err
 	}
-	if err := validateRatioFlags(fs, "specdb", "compact-threshold"); err != nil {
+	if err := validateFlags(fs, "specdb", ratio, "compact-threshold"); err != nil {
 		return err
 	}
 	if *db == "" {

@@ -41,7 +41,7 @@ func buildSpecStore(t *testing.T) (tree, specFile, storePath string) {
 // TestCLISpecDBDetectIdentity pins the substrate-swap contract at the CLI
 // surface: `seal detect -spec-db` must print the same bytes as the
 // flat-file run — in process, warm from a persistent cache, and sharded
-// across spawned workers resolving the store by (path, seq) reference.
+// across spawned workers that receive the store-loaded specs inline.
 func TestCLISpecDBDetectIdentity(t *testing.T) {
 	tree, specFile, storePath := buildSpecStore(t)
 
@@ -88,8 +88,8 @@ func TestCLISpecDBDetectIdentity(t *testing.T) {
 // TestCLISpecDBShardedWithWriterTail is the regression test for one seq
 // pinning two spec sets: while a writer holds an appended but uncommitted
 // edit, as `seal serve` can, a sharded `detect -spec-db` must print exactly
-// what the in-process run prints, because every worker's OpenAt(seq)
-// replays the same records the coordinator's read-only open saw.
+// what the in-process run prints, because the workers run the specs the
+// coordinator's read-only open saw, shipped inline in their jobs.
 func TestCLISpecDBShardedWithWriterTail(t *testing.T) {
 	tree, _, storePath := buildSpecStore(t)
 	st, err := specdb.OpenOptions(storePath, specdb.Options{

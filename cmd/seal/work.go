@@ -11,7 +11,6 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -96,10 +95,6 @@ type shardedOptions struct {
 	reshard bool               // -reshard-on-loss
 	rec     *obs.Recorder
 	cf      *cacheFlags
-	// specDB / storeSeq: when set, shard jobs reference the spec store
-	// snapshot by (path, seq) instead of shipping spec subsets inline.
-	specDB   string
-	storeSeq uint64
 }
 
 // runShardedDetect is cmdDetect's coordinator path: resolve workers
@@ -120,16 +115,6 @@ func runShardedDetect(ctx context.Context, target string, specs []*spec.Spec, so
 		defer stop()
 		addrs = spawned
 	}
-	var storeRef *coord.SpecStoreRef
-	if so.specDB != "" {
-		// Workers resolve the path themselves, so pin it to an absolute
-		// form that survives their (identical, but not guaranteed) cwd.
-		abs, err := filepath.Abs(so.specDB)
-		if err != nil {
-			return nil, nil, err
-		}
-		storeRef = &coord.SpecStoreRef{Path: abs, Seq: so.storeSeq}
-	}
 	return coord.Detect(ctx, seal.TargetHash(files), specs, coord.Options{
 		Addrs:         addrs,
 		Timeout:       so.timeout,
@@ -139,7 +124,6 @@ func runShardedDetect(ctx context.Context, target string, specs []*spec.Spec, so
 		Probe:         so.probe,
 		ReshardOnLoss: so.reshard,
 		Obs:           so.rec,
-		SpecStore:     storeRef,
 	})
 }
 

@@ -126,55 +126,3 @@ func (g *Graph) CalleesOf(s *ir.Stmt) []*ir.Func { return g.Callees[s] }
 
 // CallersOf returns the call sites that may invoke fn.
 func (g *Graph) CallersOf(fn *ir.Func) []*ir.Stmt { return g.CallerSites[fn] }
-
-// ImplsOfInterface returns the implementations of a function-pointer
-// interface identified as "struct.field".
-func (g *Graph) ImplsOfInterface(structName, fieldName string) []*ir.Func {
-	return sortedFuncs(g.byField[structName][fieldName])
-}
-
-// ReachableWithin returns the set of functions reachable from roots within
-// the given call depth (used to delineate patch-related functions for
-// demand-driven PDG generation, paper §7).
-func (g *Graph) ReachableWithin(roots []*ir.Func, depth int) map[*ir.Func]bool {
-	seen := make(map[*ir.Func]bool)
-	type item struct {
-		fn *ir.Func
-		d  int
-	}
-	var queue []item
-	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			queue = append(queue, item{r, 0})
-		}
-	}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		if it.d >= depth {
-			continue
-		}
-		// Callees.
-		for _, s := range it.fn.Stmts() {
-			if s.Kind != ir.StCall {
-				continue
-			}
-			for _, t := range g.Callees[s] {
-				if !seen[t] {
-					seen[t] = true
-					queue = append(queue, item{t, it.d + 1})
-				}
-			}
-		}
-		// Callers.
-		for _, site := range g.CallerSites[it.fn] {
-			caller := site.Fn
-			if !seen[caller] {
-				seen[caller] = true
-				queue = append(queue, item{caller, it.d + 1})
-			}
-		}
-	}
-	return seen
-}

@@ -82,35 +82,6 @@ func TestCallersOf(t *testing.T) {
 	}
 }
 
-func TestImplsOfInterface(t *testing.T) {
-	_, g := buildGraph(t, multiImplSrc)
-	impls := g.ImplsOfInterface("vb2_ops", "buf_prepare")
-	if len(impls) != 2 {
-		t.Fatalf("impls: %v", names(impls))
-	}
-}
-
-func TestReachableWithin(t *testing.T) {
-	p, g := buildGraph(t, `
-void leaf(int x) { }
-void mid(int x) { leaf(x); }
-void top(int x) { mid(x); }
-void far(int x) { top(x); }
-`)
-	mid := p.Funcs["mid"]
-	r1 := g.ReachableWithin([]*ir.Func{mid}, 1)
-	if !r1[p.Funcs["leaf"]] || !r1[p.Funcs["top"]] {
-		t.Error("depth-1 should include direct callee and caller")
-	}
-	if r1[p.Funcs["far"]] {
-		t.Error("depth-1 must not include depth-2 caller")
-	}
-	r2 := g.ReachableWithin([]*ir.Func{mid}, 2)
-	if !r2[p.Funcs["far"]] {
-		t.Error("depth-2 should include far")
-	}
-}
-
 func names(fns []*ir.Func) []string {
 	var out []string
 	for _, f := range fns {

@@ -65,8 +65,8 @@ func coordDetectOnce(tb testing.TB, shards int) time.Duration {
 }
 
 // coordDetectOnceOpts is coordDetectOnce with the fleet-resilience layer
-// optionally switched on (readiness gates, liveness probing, retry
-// policy, re-shard-on-loss) — the no-fault steady-state configuration
+// optionally switched on (liveness probing, retry policy,
+// re-shard-on-loss) — the no-fault steady-state configuration
 // whose overhead TestResilienceOverhead bounds.
 func coordDetectOnceOpts(tb testing.TB, shards int, resilient bool) time.Duration {
 	tb.Helper()
@@ -234,10 +234,9 @@ func TestCoordinationOverhead(t *testing.T) {
 }
 
 // TestResilienceOverhead bounds the steady-state cost of the resilience
-// layer itself: with no faults, a coordinated run with readiness gates,
-// liveness probing, retry policy, and re-shard-on-loss all enabled must
-// stay within 5% of the same run with them off. The readiness gate is one
-// tiny GET per dispatch and the prober is one GET per interval on an
+// layer itself: with no faults, a coordinated run with liveness probing,
+// retry policy, and re-shard-on-loss all enabled must stay within 5% of
+// the same run with them off. The prober is one GET per interval on an
 // otherwise idle goroutine — insurance must be cheap when nothing burns.
 // Measurements alternate sides so the solver memo and page cache warm
 // both identically.
@@ -251,7 +250,7 @@ func TestResilienceOverhead(t *testing.T) {
 	coordDetectOnceOpts(t, 1, true)
 
 	// Each sample is three consecutive runs: the tax ratio is unchanged
-	// (every run pays its own gate), but per-sample scheduler noise on a
+	// (every run pays its own prober), but per-sample scheduler noise on a
 	// ~13ms corpus shrinks by √3 — the minima stay meaningful.
 	const perSample = 3
 	plain := make([]float64, runs)
@@ -265,8 +264,8 @@ func TestResilienceOverhead(t *testing.T) {
 	sort.Float64s(plain)
 	sort.Float64s(resilient)
 
-	// Compare minima, not medians: the systematic per-run tax (the extra
-	// readiness GET, the prober goroutine) persists in every sample
+	// Compare minima, not medians: the systematic per-run tax (the prober
+	// goroutine and its GETs) persists in every sample
 	// including the quietest one, while scheduler and GC noise — which on
 	// a ~12ms corpus dwarfs the tax — does not.
 	ratio := resilient[0] / plain[0]

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,8 +40,7 @@ type Options struct {
 	// Retry is the dispatch retry policy (zero = a single attempt with no
 	// backoff).
 	Retry RetryPolicy
-	// Probe enables worker health probing: a readiness gate before every
-	// dispatch attempt and liveness probing of in-flight shards (zero =
+	// Probe enables liveness probing of in-flight shards (zero =
 	// disabled; failures are then detected only at dispatch/deadline).
 	Probe ProbeOptions
 	// ReshardOnLoss re-partitions a lost shard's region groups across
@@ -52,11 +52,6 @@ type Options struct {
 	// — executed, recovered, or lost — so the merged manifest matches a
 	// single-process run's after redaction.
 	Obs *obs.Recorder
-	// SpecStore, when non-nil, names the shared spec store (path +
-	// committed snapshot sequence) the corpus was loaded from. Jobs then
-	// reference their subset by scope list against that snapshot instead of
-	// shipping the specs inline; Scopes and SpecsHash are filled per job.
-	SpecStore *SpecStoreRef
 }
 
 // shardOutcome is one dispatch's verdict: the result or the loss, plus
@@ -69,11 +64,13 @@ type shardOutcome struct {
 	log      []obs.ShardAttempt
 }
 
-// recovExec is one re-shard-on-loss recovery job: a lost shard's group
-// subset re-dispatched to a surviving worker.
-type recovExec struct {
-	origin  int   // the lost shard whose groups this job recovers
-	target  int   // the surviving shard slot executing them
+// execJob is one dispatch of a region-group subset to one worker slot. A
+// primary job runs shard origin's plan slice on its own worker (target ==
+// origin); a recovery job carries part of lost shard origin's groups to a
+// surviving slot target.
+type execJob struct {
+	origin  int
+	target  int
 	groups  []int // global group indices, ascending
 	specIdx []int // global spec indices, ascending
 	oc      shardOutcome
@@ -98,40 +95,25 @@ func Detect(ctx context.Context, targetHash string, specs []*spec.Spec, opts Opt
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if opts.Client == nil {
+		opts.Client = http.DefaultClient
+	}
+	opts.Retry = opts.Retry.withDefaults()
 	plan := PlanShards(specs, len(opts.Addrs))
-	client := opts.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	policy := opts.Retry.withDefaults()
 
-	shardLimits := opts.Limits
-	shardLimits.MaxFailures = 0 // global threshold, enforced below
-
-	outcomes := make([]shardOutcome, plan.Shards)
-	done := make(chan int)
-	for si := range plan.Jobs {
-		if len(plan.Jobs[si].Groups) == 0 {
-			outcomes[si] = shardOutcome{res: &ShardResult{Shard: si}, attempts: 0}
-			continue
-		}
-		go func(si int) {
-			outcomes[si] = dispatch(ctx, client, opts.Addrs[si], buildJob(plan, si, targetHash, specs, opts, shardLimits), policy, opts.Probe, opts.Timeout)
-			done <- si
-		}(si)
+	// jobs holds the primary jobs, one per shard slot in shard order,
+	// followed by any recovery jobs.
+	jobs := make([]execJob, plan.Shards)
+	for si, j := range plan.Jobs {
+		jobs[si] = execJob{origin: si, target: si, groups: j.Groups, specIdx: j.SpecIdx}
 	}
-	for si := range plan.Jobs {
-		if len(plan.Jobs[si].Groups) > 0 {
-			<-done
-		}
-	}
-
-	var recovs []recovExec
+	dispatchAll(ctx, opts, targetHash, specs, plan.Shards, jobs)
 	if opts.ReshardOnLoss {
-		recovs = reshardLost(ctx, client, plan, specs, targetHash, opts, policy, shardLimits, outcomes)
+		jobs = append(jobs, recoveryJobs(plan, jobs)...)
+		dispatchAll(ctx, opts, targetHash, specs, plan.Shards, jobs[plan.Shards:])
 	}
 
-	res, shards := merge(plan, specs, opts, outcomes, recovs)
+	res, shards := merge(plan, opts, jobs)
 	if opts.Limits.MaxFailures > 0 && len(res.Failures) > opts.Limits.MaxFailures {
 		return res, shards, fmt.Errorf("detect: aborted after %d quarantined units (max %d)",
 			len(res.Failures), opts.Limits.MaxFailures)
@@ -142,108 +124,80 @@ func Detect(ctx context.Context, targetHash string, specs []*spec.Spec, opts Opt
 	return res, shards, nil
 }
 
-// buildJob assembles shard si's wire job from the plan.
-func buildJob(plan *Plan, si int, targetHash string, specs []*spec.Spec, opts Options, limits budget.Limits) *ShardJob {
-	return subsetJob(si, plan.Shards, targetHash, specs, plan.Jobs[si].SpecIdx, opts.Workers, limits, opts.SpecStore)
-}
-
-// subsetJob builds a wire job over an arbitrary ascending spec-index
-// subset — the shared core of primary and recovery dispatch. With a store
-// reference, the subset travels as (snapshot, scope list, content hash)
-// and the inline specs are omitted; a subset that cannot be fingerprinted
-// falls back to the inline form.
-func subsetJob(shard, shards int, targetHash string, specs []*spec.Spec, specIdx []int, workers int, limits budget.Limits, store *SpecStoreRef) *ShardJob {
-	subset := make([]*spec.Spec, len(specIdx))
-	for k, gi := range specIdx {
-		subset[k] = specs[gi]
-	}
-	job := &ShardJob{
-		Shard:      shard,
-		Shards:     shards,
-		TargetHash: targetHash,
-		Specs:      &spec.DB{Specs: subset},
-		Workers:    workers,
-		Limits:     limits,
-	}
-	if store != nil {
-		if hash, err := (&spec.DB{Specs: subset}).Hash(); err == nil {
-			var scopes []string // first-appearance order = global group order
-			for _, g := range detect.ScopeGroups(subset) {
-				scopes = append(scopes, subset[g[0]].Scope())
-			}
-			job.Specs = nil
-			job.SpecStore = &SpecStoreRef{
-				Path:      store.Path,
-				Seq:       store.Seq,
-				Scopes:    scopes,
-				SpecsHash: hash,
-			}
+// dispatchAll sends every job that owns region groups to its target
+// worker concurrently, each with its spec subset inline in global
+// relative order, and returns once all have finished. A job without
+// groups keeps its zero outcome: ok, no attempts, no result.
+func dispatchAll(ctx context.Context, opts Options, targetHash string, specs []*spec.Spec, shards int, jobs []execJob) {
+	limits := opts.Limits
+	limits.MaxFailures = 0 // global threshold, enforced by Detect over the merge
+	var wg sync.WaitGroup
+	for i := range jobs {
+		e := &jobs[i]
+		if len(e.groups) == 0 {
+			continue
 		}
+		subset := make([]*spec.Spec, len(e.specIdx))
+		for k, gi := range e.specIdx {
+			subset[k] = specs[gi]
+		}
+		job := &ShardJob{
+			Shard:      e.target,
+			Shards:     shards,
+			TargetHash: targetHash,
+			Specs:      &spec.DB{Specs: subset},
+			Workers:    opts.Workers,
+			Limits:     limits,
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.oc = dispatch(ctx, opts, job)
+		}()
 	}
-	return job
+	wg.Wait()
 }
 
-// dispatch runs the full retry loop for one shard job: up to
-// policy.MaxAttempts tries separated by deterministic capped backoff,
-// each attempt readiness-gated and liveness-probed when probing is
-// enabled. Every attempt — its backoff, probe verdict, failure reason,
-// and wall clock — is recorded in the outcome's log. Retries never sleep
-// past the run deadline: when the next backoff cannot complete before
-// ctx's deadline, the loop stops with the retry budget exhausted.
-func dispatch(ctx context.Context, client *http.Client, addr string, job *ShardJob, policy RetryPolicy, probe ProbeOptions, timeout time.Duration) shardOutcome {
+// dispatch runs the full retry loop for one shard job against the worker
+// in slot job.Shard: up to
+// opts.Retry.MaxAttempts tries separated by deterministic capped backoff,
+// each liveness-probed when probing is enabled. Every attempt — its
+// backoff, probe verdict, failure reason, and wall clock — is recorded in
+// the outcome's log. Retries never sleep past the run deadline: when the
+// next backoff cannot complete before ctx's deadline, the loop stops with
+// the retry budget exhausted.
+func dispatch(ctx context.Context, opts Options, job *ShardJob) shardOutcome {
 	start := time.Now()
-	// Encode the job once, concurrently with the first readiness probe —
-	// the gate's round trip hides under the marshal, so a healthy fleet
-	// pays (almost) nothing for being watched.
-	var body []byte
-	var bodyErr error
-	bodyDone := make(chan struct{})
-	go func() {
-		defer close(bodyDone)
-		body, bodyErr = json.Marshal(job)
-	}()
+	addr := opts.Addrs[job.Shard]
+	body, err := json.Marshal(job)
+	if err != nil {
+		return shardOutcome{err: fmt.Errorf("encode job: %w", err), wall: time.Since(start)}
+	}
 	var log []obs.ShardAttempt
 	var lastErr error
 	attempts := 0
-	for attempt := 1; attempt <= policy.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= opts.Retry.MaxAttempts; attempt++ {
 		var backoff time.Duration
 		if attempt > 1 {
-			backoff = policy.Delay(job.Shard, attempt)
+			backoff = opts.Retry.Delay(job.Shard, attempt)
 			if !sleepBudgeted(ctx, backoff) {
 				lastErr = fmt.Errorf("retry budget exhausted before attempt %d (backoff %s vs run deadline): %w",
 					attempt, backoff, lastErr)
 				break
 			}
 		}
-		at := obs.ShardAttempt{Attempt: attempt, Addr: addr, BackoffMS: float64(backoff.Nanoseconds()) / 1e6}
 		astart := time.Now()
 		attempts = attempt
-
-		if probe.enabled() {
-			if err := checkReady(ctx, client, addr, probe); err != nil {
-				at.Outcome, at.Error, at.Probe = "failed", err.Error(), "not-ready"
-				at.WallMS = float64(time.Since(astart).Nanoseconds()) / 1e6
-				log = append(log, at)
-				lastErr = err
-				if ctx.Err() != nil {
-					break
-				}
-				continue
-			}
-			at.Probe = "ready"
-		}
-
-		<-bodyDone
-		if bodyErr != nil {
-			return shardOutcome{err: fmt.Errorf("encode job: %w", bodyErr), attempts: attempt, wall: time.Since(start), log: log}
-		}
-		res, verdict, err := postProbed(ctx, client, addr, body, job.Shard, timeout, probe)
-		at.WallMS = float64(time.Since(astart).Nanoseconds()) / 1e6
-		if verdict != "" {
-			at.Probe = verdict
+		res, verdict, err := postProbed(ctx, opts, addr, body, job.Shard)
+		at := obs.ShardAttempt{
+			Attempt:   attempt,
+			Addr:      addr,
+			Outcome:   "ok",
+			Probe:     verdict,
+			BackoffMS: float64(backoff.Nanoseconds()) / 1e6,
+			WallMS:    float64(time.Since(astart).Nanoseconds()) / 1e6,
 		}
 		if err == nil {
-			at.Outcome = "ok"
 			log = append(log, at)
 			return shardOutcome{res: res, attempts: attempt, wall: time.Since(start), log: log}
 		}
@@ -262,11 +216,11 @@ func dispatch(ctx context.Context, client *http.Client, addr string, job *ShardJ
 // it cancels the attempt; the returned verdict string carries the probe
 // diagnosis so provenance can distinguish "worker hung mid-response,
 // probes failed" from "request timed out against a live worker".
-func postProbed(ctx context.Context, client *http.Client, addr string, body []byte, shard int, timeout time.Duration, probe ProbeOptions) (*ShardResult, string, error) {
+func postProbed(ctx context.Context, opts Options, addr string, body []byte, shard int) (*ShardResult, string, error) {
 	actx := ctx
 	var cancel context.CancelFunc
-	if timeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, timeout)
+	if opts.Timeout > 0 {
+		actx, cancel = context.WithTimeout(ctx, opts.Timeout)
 	} else {
 		actx, cancel = context.WithCancel(ctx)
 	}
@@ -274,16 +228,16 @@ func postProbed(ctx context.Context, client *http.Client, addr string, body []by
 
 	var verdict atomic.Pointer[string]
 	probeDone := make(chan struct{})
-	if probe.enabled() {
+	if opts.Probe.enabled() {
 		go func() {
 			defer close(probeDone)
-			probeLiveness(actx, client, addr, probe, &verdict, cancel)
+			probeLiveness(actx, opts.Client, addr, opts.Probe, &verdict, cancel)
 		}()
 	} else {
 		close(probeDone)
 	}
 
-	res, err := post(actx, client, addr, body, shard)
+	res, err := post(actx, opts.Client, addr, body, shard)
 	cancel()
 	<-probeDone // the prober never outlives its attempt
 
@@ -347,38 +301,37 @@ func errSnippet(data []byte) string {
 	return s
 }
 
-// reshardLost builds and dispatches the recovery wave: every lost shard's
-// region groups are re-partitioned across the surviving workers with the
-// same ordinal machinery the primary plan uses (ShardOf over the group
-// scope, reduced over the survivor list), so the assignment is a pure
-// function of (plan, survivor set). Groups move whole, spec subsets keep
-// global relative order, and the coordinator translates job-local
-// ordinals back through each recovery job's own index — which is what
-// keeps the merged output byte-identical to a single-process run.
-func reshardLost(ctx context.Context, client *http.Client, plan *Plan, specs []*spec.Spec, targetHash string, opts Options, policy RetryPolicy, shardLimits budget.Limits, outcomes []shardOutcome) []recovExec {
-	anyLost := false
-	for si := range plan.Jobs {
-		if outcomes[si].err != nil && len(plan.Jobs[si].Groups) > 0 {
-			anyLost = true
-			break
+// recoveryJobs plans the recovery wave: every lost shard's region groups
+// are re-partitioned across the surviving workers with the same ordinal
+// machinery the primary plan uses (ShardOf over the group scope, reduced
+// over the survivor list), so the assignment is a pure function of (plan,
+// survivor set). Groups move whole, spec subsets keep global relative
+// order, and the coordinator translates job-local ordinals back through
+// each recovery job's own index — which is what keeps the merged output
+// byte-identical to a single-process run.
+//
+// A survivor is any slot whose primary job did not fail, including slots
+// that owned no groups; a wrong guess costs one failed recovery dispatch,
+// after which the groups quarantine exactly as without resharding.
+func recoveryJobs(plan *Plan, primary []execJob) []execJob {
+	var survivors []int
+	for si := range primary {
+		if primary[si].oc.err == nil {
+			survivors = append(survivors, si)
 		}
 	}
-	if !anyLost {
-		return nil // the steady state: recovery costs nothing when nothing burned
+	if len(survivors) == 0 || len(survivors) == len(primary) {
+		return nil // nothing lost costs nothing; nobody left cannot recover
 	}
-	survivors := survivorSlots(ctx, client, plan, opts, outcomes)
-	if len(survivors) == 0 {
-		return nil
-	}
-	var execs []recovExec
-	for si := range plan.Jobs {
-		if outcomes[si].err == nil || len(plan.Jobs[si].Groups) == 0 {
+	var jobs []execJob
+	for si := range primary {
+		if primary[si].oc.err == nil {
 			continue
 		}
 		// Partition this lost shard's groups over the survivors,
 		// deterministically, one recovery job per (lost shard, survivor).
 		byTarget := make(map[int][]int)
-		for _, gi := range plan.Jobs[si].Groups {
+		for _, gi := range primary[si].groups {
 			t := survivors[ShardOf(plan.Scopes[gi], len(survivors))]
 			byTarget[t] = append(byTarget[t], gi)
 		}
@@ -394,130 +347,71 @@ func reshardLost(ctx context.Context, client *http.Client, plan *Plan, specs []*
 				specIdx = append(specIdx, plan.Groups[gi]...)
 			}
 			sort.Ints(specIdx)
-			execs = append(execs, recovExec{origin: si, target: t, groups: groups, specIdx: specIdx})
+			jobs = append(jobs, execJob{origin: si, target: t, groups: groups, specIdx: specIdx})
 		}
 	}
-	if len(execs) == 0 {
-		return nil
-	}
-	done := make(chan struct{})
-	for i := range execs {
-		go func(e *recovExec) {
-			job := subsetJob(e.target, plan.Shards, targetHash, specs, e.specIdx, opts.Workers, shardLimits, opts.SpecStore)
-			e.oc = dispatch(ctx, client, opts.Addrs[e.target], job, policy, opts.Probe, opts.Timeout)
-			done <- struct{}{}
-		}(&execs[i])
-	}
-	for range execs {
-		<-done
-	}
-	return execs
+	return jobs
 }
 
-// survivorSlots lists the shard slots eligible to absorb recovered work,
-// ascending: every shard whose dispatch succeeded, plus shards that owned
-// no groups — verified by a readiness probe when probing is enabled,
-// assumed live otherwise (a wrong assumption costs one failed recovery
-// dispatch, after which the groups quarantine exactly as without
-// resharding).
-func survivorSlots(ctx context.Context, client *http.Client, plan *Plan, opts Options, outcomes []shardOutcome) []int {
-	var out []int
-	for si := range plan.Jobs {
-		if si >= len(opts.Addrs) {
-			break
-		}
-		if len(plan.Jobs[si].Groups) == 0 {
-			if opts.Probe.enabled() && checkReady(ctx, client, opts.Addrs[si], opts.Probe) != nil {
-				continue
-			}
-			out = append(out, si)
-			continue
-		}
-		if outcomes[si].err == nil {
-			out = append(out, si)
-		}
+// shardRecord is one job's manifest span.
+func shardRecord(addrs []string, e *execJob) obs.ShardManifest {
+	sm := obs.ShardManifest{
+		Shard:      e.target,
+		Groups:     len(e.groups),
+		Specs:      len(e.specIdx),
+		Outcome:    "ok",
+		Attempts:   e.oc.attempts,
+		WallMS:     float64(e.oc.wall.Nanoseconds()) / 1e6,
+		AttemptLog: e.oc.log,
 	}
-	return out
+	if e.target < len(addrs) {
+		sm.Addr = addrs[e.target]
+	}
+	if e.oc.err != nil {
+		sm.Outcome = "lost"
+		sm.Reason = e.oc.err.Error()
+	}
+	return sm
 }
 
-// merge folds every shard outcome — primary and recovery — into one
-// Result through detect.Fold, deterministically: identical inputs and
-// identical per-shard outcomes produce byte-identical output regardless of
-// dispatch completion order.
-func merge(plan *Plan, specs []*spec.Spec, opts Options, outcomes []shardOutcome, recovs []recovExec) (*detect.Result, []obs.ShardManifest) {
+// merge folds every job outcome — primary and recovery — into one Result
+// through detect.Fold, deterministically: identical inputs and identical
+// per-shard outcomes produce byte-identical output regardless of dispatch
+// completion order.
+func merge(plan *Plan, opts Options, jobs []execJob) (*detect.Result, []obs.ShardManifest) {
 	opts.Obs.SetUnitsTotal(len(plan.Groups))
 	f := detect.NewFold(plan.Scopes)
 	shards := make([]obs.ShardManifest, plan.Shards)
 	covered := make([]bool, len(plan.Groups))
+	recovFail := make(map[int]*execJob)
 
-	// fold accumulates one successful ShardResult, translating job-local
-	// spec ordinals through the job's own index and replaying its unit
-	// spans. Returns the bug count folded in.
-	fold := func(specIdx []int, sr *ShardResult) int {
-		for _, u := range sr.ManifestUnits {
-			opts.Obs.ReplayUnit(u)
-		}
-		return f.Add(specIdx, &sr.Outcome)
-	}
-
-	for si := range outcomes {
-		oc := outcomes[si]
-		job := plan.Jobs[si]
-		sm := obs.ShardManifest{
-			Shard:      si,
-			Groups:     len(job.Groups),
-			Specs:      len(job.SpecIdx),
-			Outcome:    "ok",
-			Attempts:   oc.attempts,
-			WallMS:     float64(oc.wall.Nanoseconds()) / 1e6,
-			AttemptLog: oc.log,
-		}
-		if si < len(opts.Addrs) {
-			sm.Addr = opts.Addrs[si]
-		}
-		if oc.err != nil {
-			sm.Outcome = "lost"
-			sm.Reason = oc.err.Error()
-		} else {
-			if oc.res != nil {
-				sm.Bugs = fold(job.SpecIdx, oc.res)
+	// Primary jobs in shard order, then recovery jobs in build order (lost
+	// shard ascending, target ascending), each recorded on its origin's
+	// span. A successful job's bugs fold in with its job-local ordinals
+	// translated through its own index, and its unit spans replay.
+	for i := range jobs {
+		e := &jobs[i]
+		sm := shardRecord(opts.Addrs, e)
+		if e.oc.err == nil {
+			if e.oc.res != nil {
+				for _, u := range e.oc.res.ManifestUnits {
+					opts.Obs.ReplayUnit(u)
+				}
+				sm.Bugs = f.Add(e.specIdx, &e.oc.res.Outcome)
 			}
-			for _, gi := range job.Groups {
+			for _, gi := range e.groups {
 				covered[gi] = true
 			}
-		}
-		shards[si] = sm
-	}
-
-	// Recovery executions, in build order (lost shard ascending, target
-	// ascending): fold the recovered results and record full provenance
-	// on the lost shard's manifest span.
-	recovFail := make(map[int]*recovExec)
-	for i := range recovs {
-		e := &recovs[i]
-		rm := obs.ShardRecovery{
-			Addr:       opts.Addrs[e.target],
-			Shard:      e.target,
-			Groups:     len(e.groups),
-			Specs:      len(e.specIdx),
-			Outcome:    "ok",
-			Attempts:   e.oc.attempts,
-			WallMS:     float64(e.oc.wall.Nanoseconds()) / 1e6,
-			AttemptLog: e.oc.log,
-		}
-		if e.oc.err != nil {
-			rm.Outcome = "lost"
-			rm.Reason = e.oc.err.Error()
+		} else if i >= plan.Shards {
 			for _, gi := range e.groups {
 				recovFail[gi] = e
 			}
-		} else {
-			rm.Bugs = fold(e.specIdx, e.oc.res)
-			for _, gi := range e.groups {
-				covered[gi] = true
-			}
 		}
-		shards[e.origin].Recovery = append(shards[e.origin].Recovery, rm)
+		if i < plan.Shards {
+			shards[i] = sm
+		} else {
+			shards[e.origin].Recovery = append(shards[e.origin].Recovery, sm)
+		}
 	}
 	for si := range shards {
 		if shards[si].Outcome != "lost" || len(shards[si].Recovery) == 0 {
@@ -537,8 +431,8 @@ func merge(plan *Plan, specs []*spec.Spec, opts Options, outcomes []shardOutcome
 
 	// Every group still uncovered — its shard lost and never recovered —
 	// quarantines with the full loss chain in the record.
-	for si := range outcomes {
-		oc := outcomes[si]
+	for si := range shards {
+		oc := jobs[si].oc
 		if oc.err == nil {
 			continue
 		}

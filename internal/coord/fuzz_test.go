@@ -41,16 +41,18 @@ func FuzzShardWire(f *testing.F) {
 		// with shard 1 lost — both merge paths run on every input.
 		specs := planSpecs()
 		plan := PlanShards(specs, 2)
-		outcomes := []shardOutcome{
-			{res: &sr, attempts: 1},
-			{err: errFuzzLost, attempts: 2},
+		jobs := []execJob{
+			{origin: 0, target: 0, groups: plan.Jobs[0].Groups, specIdx: plan.Jobs[0].SpecIdx,
+				oc: shardOutcome{res: &sr, attempts: 1}},
+			{origin: 1, target: 1, groups: plan.Jobs[1].Groups, specIdx: plan.Jobs[1].SpecIdx,
+				oc: shardOutcome{err: errFuzzLost, attempts: 2}},
 		}
 		rec := obs.New()
 		rec.StartRun("detect")
-		res, shards := merge(plan, specs, Options{
+		res, shards := merge(plan, Options{
 			Addrs: []string{"http://a", "http://b"},
 			Obs:   rec,
-		}, outcomes, nil)
+		}, jobs)
 		if res == nil || len(shards) != 2 {
 			t.Fatalf("merge returned res=%v shards=%d", res, len(shards))
 		}

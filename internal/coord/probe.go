@@ -9,13 +9,13 @@ import (
 	"time"
 )
 
-// probeGet performs one health/readiness probe: GET addr+path bounded by
+// probeHealth performs one liveness probe: GET addr/healthz bounded by
 // the probe timeout, expecting 200. The body is drained and discarded —
 // a probe is a heartbeat, not a data channel.
-func probeGet(ctx context.Context, client *http.Client, addr, path string, timeout time.Duration) error {
+func probeHealth(ctx context.Context, client *http.Client, addr string, timeout time.Duration) error {
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, addr+path, nil)
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, addr+"/healthz", nil)
 	if err != nil {
 		return err
 	}
@@ -25,27 +25,16 @@ func probeGet(ctx context.Context, client *http.Client, addr, path string, timeo
 	}
 	defer resp.Body.Close()
 	if _, err := io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)); err != nil {
-		return fmt.Errorf("%s: read: %w", path, err) // a hung or cut body is a miss
+		return fmt.Errorf("/healthz: read: %w", err) // a hung or cut body is a miss
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: HTTP %d", path, resp.StatusCode)
-	}
-	return nil
-}
-
-// checkReady is the pre-dispatch readiness gate: before shipping a shard
-// job (which can be large), the coordinator asks the worker whether it is
-// ready to take work at all. A dead or draining worker fails here in one
-// probe-timeout instead of one job-upload + shard-deadline.
-func checkReady(ctx context.Context, client *http.Client, addr string, po ProbeOptions) error {
-	if err := probeGet(ctx, client, addr, "/readyz", po.timeout()); err != nil {
-		return fmt.Errorf("readiness probe: %w", err)
+		return fmt.Errorf("/healthz: HTTP %d", resp.StatusCode)
 	}
 	return nil
 }
 
 // probeLiveness watches one in-flight dispatch: every po.Interval it
-// probes the worker's /healthz, and after po.failures() consecutive
+// probes the worker's /healthz, and after probeFailures consecutive
 // misses it stores the verdict and cancels the attempt — a worker that
 // hangs mid-response is cut by probe timeout, not only by the shard
 // deadline. The goroutine exits when ctx is done (attempt finished or
@@ -61,13 +50,13 @@ func probeLiveness(ctx context.Context, client *http.Client, addr string, po Pro
 			return
 		case <-tick.C:
 		}
-		if err := probeGet(ctx, client, addr, "/healthz", po.timeout()); err != nil {
+		if err := probeHealth(ctx, client, addr, po.timeout()); err != nil {
 			if ctx.Err() != nil {
 				return // attempt already over; the miss is cancellation, not death
 			}
 			misses++
 			lastErr = err
-			if misses >= po.failures() {
+			if misses >= probeFailures {
 				v := fmt.Sprintf("liveness probe failed %d time(s): %v", misses, lastErr)
 				verdict.Store(&v)
 				cancelAttempt()

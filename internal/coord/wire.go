@@ -40,13 +40,8 @@ type ShardJob struct {
 	// (target-mismatch) instead of silently merging results from the wrong
 	// program.
 	TargetHash string `json:"target_hash"`
-	// Specs is this shard's spec subset, in global relative order. Nil when
-	// SpecStore is set: the worker resolves the subset from the shared spec
-	// store instead of decoding it off the wire.
-	Specs *spec.DB `json:"specs,omitempty"`
-	// SpecStore, when non-nil, references the shard's spec subset by
-	// (store snapshot, scope list) instead of shipping it inline.
-	SpecStore *SpecStoreRef `json:"spec_store,omitempty"`
+	// Specs is this shard's spec subset, in global relative order.
+	Specs *spec.DB `json:"specs"`
 	// Workers is the worker's in-process detection parallelism
 	// (output-invariant; 0 = the worker's default).
 	Workers int `json:"workers,omitempty"`
@@ -54,25 +49,6 @@ type ShardJob struct {
 	// here and enforces the global threshold itself after merging, so a
 	// shard never aborts locally on a count another shard can't see.
 	Limits budget.Limits `json:"limits"`
-}
-
-// SpecStoreRef references a spec subset resident in a shared spec
-// store (internal/specdb) instead of shipping the specs inline: the
-// worker opens the store at exactly the referenced snapshot sequence and
-// reads the named scopes' specs in global ordinal order — the same order
-// an inline subset would carry. A worker whose store no longer holds the
-// sequence answers 409 (spec-store-skew) rather than computing against a
-// different corpus, and SpecsHash lets it verify the resolved subset is
-// byte-identical to what the coordinator planned.
-type SpecStoreRef struct {
-	// Path is the store file, shared between coordinator and workers.
-	Path string `json:"path"`
-	// Seq is the committed snapshot sequence the plan was built against.
-	Seq uint64 `json:"seq"`
-	// Scopes are the subset's detection scopes in global group order.
-	Scopes []string `json:"scopes,omitempty"`
-	// SpecsHash is the spec.DB content fingerprint of the resolved subset.
-	SpecsHash string `json:"specs_hash,omitempty"`
 }
 
 // ShardResult is the wire form of one shard's outcome: everything the

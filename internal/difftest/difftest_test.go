@@ -219,9 +219,10 @@ func TestPDGBuildIdempotent(t *testing.T) {
 
 // edgeKeys renders the outgoing data edges of a statement order-insensitively.
 func edgeKeys(g *pdg.Graph, s *ir.Stmt) []string {
-	edges := g.DataSuccs(s)
-	out := make([]string, 0, len(edges))
-	for _, e := range edges {
+	edges := g.SuccEdges(s)
+	out := make([]string, 0, edges.Len())
+	for i := 0; i < edges.Len(); i++ {
+		e := edges.At(i)
 		loc := "" // return edges carry a zero Loc
 		if e.Loc.Base != nil {
 			loc = e.Loc.Key()

@@ -103,7 +103,7 @@ func TestSharedGraphConcurrency(t *testing.T) {
 	for _, fn := range prog.FuncList {
 		n := 0
 		for _, s := range fn.Stmts() {
-			n += len(ref.DataSuccs(s))
+			n += ref.SuccEdges(s).Len()
 		}
 		want[fn.Name] = n
 	}
@@ -125,7 +125,10 @@ func TestSharedGraphConcurrency(t *testing.T) {
 				// building; exact counts are checked after the barrier,
 				// once every caller has materialized its edges.
 				for _, s := range fn.Stmts() {
-					g.DataSuccs(s)
+					succs := g.SuccEdges(s)
+					for j := 0; j < succs.Len(); j++ {
+						succs.At(j)
+					}
 				}
 				for _, s := range fn.Entry.Stmts {
 					if s.IsParamDef() {
@@ -144,7 +147,7 @@ func TestSharedGraphConcurrency(t *testing.T) {
 	for _, fn := range prog.FuncList {
 		n := 0
 		for _, s := range fn.Stmts() {
-			n += len(g.DataSuccs(s))
+			n += g.SuccEdges(s).Len()
 		}
 		if n != want[fn.Name] {
 			t.Errorf("%s: %d data edges on shared graph, want %d", fn.Name, n, want[fn.Name])

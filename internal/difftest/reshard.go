@@ -26,22 +26,15 @@ import (
 	"seal/internal/spec"
 )
 
-// reshardPolicy is the retry/probe configuration the recovery oracles
-// run under: three attempts with a fast deterministic backoff and tight
-// probing, so every failure mode resolves in test time while still
-// exercising the full schedule.
-func reshardPolicy(seed int64) (coord.RetryPolicy, coord.ProbeOptions) {
-	return coord.RetryPolicy{
-			MaxAttempts: 3,
-			Backoff:     5 * time.Millisecond,
-			Cap:         20 * time.Millisecond,
-			Seed:        seed,
-		}, coord.ProbeOptions{
-			Interval: 20 * time.Millisecond,
-			Timeout:  150 * time.Millisecond,
-			Failures: 2,
-		}
-}
+// reshardRetry and reshardProbe are the retry/probe configuration the
+// recovery oracles run under: three attempts with a fast deterministic
+// backoff and tight probing (a 160ms probe timeout, 4×Interval), so every
+// failure mode resolves in test time while still exercising the full
+// schedule.
+var (
+	reshardRetry = coord.RetryPolicy{MaxAttempts: 3, Backoff: 5 * time.Millisecond}
+	reshardProbe = coord.ProbeOptions{Interval: 40 * time.Millisecond}
+)
 
 // coordRunOpts drives one coordinated detection with explicit resilience
 // options and builds its comparison surface.
@@ -159,13 +152,12 @@ func RunReshardCase(seed int64, n int) ([]Divergence, error) {
 	defer stop()
 	servers[kill].Close() // the crash
 
-	retry, probe := reshardPolicy(seed)
 	surf, res, shards, err := coordRunOpts(ctx, files, specs, coord.Options{
 		Addrs:         addrs,
 		Timeout:       30 * time.Second,
 		Workers:       1,
-		Retry:         retry,
-		Probe:         probe,
+		Retry:         reshardRetry,
+		Probe:         reshardProbe,
 		ReshardOnLoss: true,
 	})
 	if err != nil {
@@ -184,11 +176,11 @@ func RunReshardCase(seed int64, n int) ([]Divergence, error) {
 
 // netFaultRoutes installs the wire-fault rules for one failure kind
 // against the victim worker. The route choice is deliberate per kind:
-// refuse is host-wide (the process is gone — the readiness gate must
-// catch it); hang wedges /shard and /healthz but leaves /readyz clean, so
-// the gate passes and the mid-run liveness prober is what cuts the
-// attempt; truncate and corrupt hit only /shard, exercising the decode
-// rejection; slow hits only /shard, exercising the dispatch deadline.
+// refuse is host-wide (the process is gone — the /shard POST itself is
+// refused); hang wedges /shard and /healthz, so the mid-run liveness
+// prober is what cuts the attempt; truncate and corrupt hit only /shard,
+// exercising the decode rejection; slow hits only /shard, exercising the
+// dispatch deadline.
 func netFaultRoutes(p *faultinject.NetPlan, host string, kind faultinject.NetKind) {
 	switch kind {
 	case faultinject.NetRefuse:
@@ -206,8 +198,7 @@ func netFaultRoutes(p *faultinject.NetPlan, host string, kind faultinject.NetKin
 // lost) and without (PR 7 isolation: exactly the victim's groups
 // quarantine) — and then reruns the same workers clean to prove no
 // substrate poisoning. Backoff schedules in the recorded attempt logs
-// must reproduce the policy exactly from the seed. Returns the
-// divergences.
+// must reproduce the policy exactly. Returns the divergences.
 func RunNetFaultSuite(seed int64, n int) ([]Divergence, error) {
 	ctx := context.Background()
 	files, specs, err := ShardCorpus(seed)
@@ -229,7 +220,6 @@ func RunNetFaultSuite(seed int64, n int) ([]Divergence, error) {
 	defer stop()
 	victimHost := strings.TrimPrefix(addrs[kill], "http://")
 
-	retry, probe := reshardPolicy(seed)
 	var divs []Divergence
 	for _, kind := range faultinject.NetKinds() {
 		timeout := 30 * time.Second
@@ -246,8 +236,8 @@ func RunNetFaultSuite(seed int64, n int) ([]Divergence, error) {
 				Client:        &http.Client{Transport: plan.Transport(nil)},
 				Timeout:       timeout,
 				Workers:       1,
-				Retry:         retry,
-				Probe:         probe,
+				Retry:         reshardRetry,
+				Probe:         reshardProbe,
 				ReshardOnLoss: reshard,
 			}
 			conf := fmt.Sprintf("netfault kind=%s reshard=%v", kind, reshard)
@@ -259,7 +249,7 @@ func RunNetFaultSuite(seed int64, n int) ([]Divergence, error) {
 				divs = append(divs, Divergence{Stage: "reshard", Conf: conf + " plan",
 					Ref: "injected fault fired", Got: "no request hit the faulted route"})
 			}
-			divs = checkAttemptSchedule(divs, conf, shards, kill, retry)
+			divs = checkAttemptSchedule(divs, conf, shards, kill, reshardRetry)
 			if kind == faultinject.NetHang {
 				divs = checkProbeVerdict(divs, conf, shards, kill)
 			}
@@ -280,8 +270,8 @@ func RunNetFaultSuite(seed int64, n int) ([]Divergence, error) {
 			Addrs:   addrs,
 			Timeout: 30 * time.Second,
 			Workers: 1,
-			Retry:   retry,
-			Probe:   probe,
+			Retry:   reshardRetry,
+			Probe:   reshardProbe,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: clean rerun after %s: %w", seed, kind, err)

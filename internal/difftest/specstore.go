@@ -72,7 +72,7 @@ func RunSpecEditCase(seed int64, dir string) ([]Divergence, error) {
 	if _, _, err := seal.ImportSpecStore(storePath, &spec.DB{Specs: specs}); err != nil {
 		return nil, fmt.Errorf("seed %d: import: %w", seed, err)
 	}
-	stored, _, err := seal.LoadSpecStoreSpecs(storePath)
+	stored, err := seal.LoadSpecStoreSpecs(storePath)
 	if err != nil {
 		return nil, fmt.Errorf("seed %d: store load: %w", seed, err)
 	}
@@ -149,9 +149,9 @@ func RunSpecEditCase(seed int64, dir string) ([]Divergence, error) {
 }
 
 // RunSpecStoreShardCase is the scale-out half of the spec-store protocol:
-// a coordinated run whose shard jobs reference the store snapshot by
-// (path, seq, scopes) — no spec bytes on the wire — must reproduce the
-// flat single-process reference byte-for-byte. Runs inside dir.
+// a coordinated run over specs loaded from the store, shipped inline in
+// each shard job, must reproduce the flat single-process reference
+// byte-for-byte at every shard count. Runs inside dir.
 func RunSpecStoreShardCase(seed int64, dir string, shardCounts []int) ([]Divergence, error) {
 	ctx := context.Background()
 	files, specs, err := ShardCorpus(seed)
@@ -167,7 +167,7 @@ func RunSpecStoreShardCase(seed int64, dir string, shardCounts []int) ([]Diverge
 	if _, _, err := seal.ImportSpecStore(storePath, &spec.DB{Specs: specs}); err != nil {
 		return nil, fmt.Errorf("seed %d: import: %w", seed, err)
 	}
-	stored, seq, err := seal.LoadSpecStoreSpecs(storePath)
+	stored, err := seal.LoadSpecStoreSpecs(storePath)
 	if err != nil {
 		return nil, err
 	}
@@ -187,12 +187,11 @@ func RunSpecStoreShardCase(seed int64, dir string, shardCounts []int) ([]Diverge
 		rec := seal.NewRecorder()
 		rec.StartRun("detect")
 		res, _, runErr := coord.Detect(ctx, targetHash, stored, coord.Options{
-			Addrs:     addrs,
-			Timeout:   30 * time.Second,
-			Workers:   1,
-			Limits:    budget.Limits{},
-			Obs:       rec,
-			SpecStore: &coord.SpecStoreRef{Path: storePath, Seq: seq},
+			Addrs:   addrs,
+			Timeout: 30 * time.Second,
+			Workers: 1,
+			Limits:  budget.Limits{},
+			Obs:     rec,
 		})
 		if runErr != nil {
 			stop()

@@ -58,40 +58,25 @@ type ShardManifest struct {
 	// debuggable post-hoc.
 	AttemptLog []ShardAttempt `json:"attempt_log,omitempty"`
 	// Recovery lists this shard's re-shard-on-loss executions on surviving
-	// workers, in deterministic (origin, target) order.
-	Recovery []ShardRecovery `json:"recovery,omitempty"`
+	// workers, in deterministic (origin, target) order. Each entry's Shard
+	// is the surviving slot that executed it, its Outcome "ok" or "lost"
+	// (the recovery dispatch itself failed), and its Recovery empty.
+	Recovery []ShardManifest `json:"recovery,omitempty"`
 }
 
-// ShardAttempt is one dispatch (or probe-gate) attempt against a worker.
+// ShardAttempt is one dispatch attempt against a worker.
 type ShardAttempt struct {
 	Attempt int    `json:"attempt"`
 	Addr    string `json:"addr,omitempty"`
 	// Outcome is "ok" or "failed".
 	Outcome string `json:"outcome"`
 	Error   string `json:"error,omitempty"`
-	// Probe carries the probe verdict for the attempt: "ready" (readiness
-	// gate passed), "not-ready" (gate refused dispatch), or a liveness
-	// diagnosis when the prober cut a hung in-flight request.
+	// Probe carries the liveness diagnosis when the prober cut a hung
+	// in-flight request.
 	Probe string `json:"probe,omitempty"`
 	// BackoffMS is the deterministic backoff slept before this attempt.
 	BackoffMS float64 `json:"backoff_ms,omitempty"`
 	WallMS    float64 `json:"wall_ms"`
-}
-
-// ShardRecovery is one recovery job: a subset of a lost shard's region
-// groups re-dispatched to a surviving worker.
-type ShardRecovery struct {
-	Addr   string `json:"addr,omitempty"`
-	Shard  int    `json:"shard"` // surviving shard slot that executed it
-	Groups int    `json:"groups"`
-	Specs  int    `json:"specs"`
-	// Outcome is "ok" or "lost" (the recovery dispatch itself failed).
-	Outcome    string         `json:"outcome"`
-	Reason     string         `json:"reason,omitempty"`
-	Attempts   int            `json:"attempts,omitempty"`
-	WallMS     float64        `json:"wall_ms"`
-	Bugs       int            `json:"bugs"`
-	AttemptLog []ShardAttempt `json:"attempt_log,omitempty"`
 }
 
 // OutcomeCounts summarizes unit verdicts.

@@ -577,18 +577,6 @@ func (v Edges) At(i int) Edge {
 	}
 }
 
-// edges materializes the view.
-func (v Edges) edges() []Edge {
-	if len(v.list) == 0 {
-		return nil
-	}
-	out := make([]Edge, len(v.list))
-	for i := range v.list {
-		out[i] = v.At(i)
-	}
-	return out
-}
-
 // SuccEdges returns a view of the outgoing Ed edges of a statement.
 func (g *Graph) SuccEdges(s *ir.Stmt) Edges {
 	g.Ensure(s.Fn)
@@ -604,14 +592,6 @@ func (g *Graph) PredEdges(s *ir.Stmt) Edges {
 	defer g.mu.RUnlock()
 	return Edges{list: g.preds[s.ID], locs: g.locs, stmts: g.stmts}
 }
-
-// DataSuccs returns the outgoing Ed edges of a statement, materialized
-// from SuccEdges.
-func (g *Graph) DataSuccs(s *ir.Stmt) []Edge { return g.SuccEdges(s).edges() }
-
-// DataPreds returns the incoming Ed edges of a statement, materialized
-// from PredEdges.
-func (g *Graph) DataPreds(s *ir.Stmt) []Edge { return g.PredEdges(s).edges() }
 
 // Unrooted is a read-only view of the reads a function's statements make
 // that no definition inside the function reaches: reads of parameters'

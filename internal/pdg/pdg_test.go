@@ -41,8 +41,17 @@ func findRet(fn *ir.Func, val int64) *ir.Stmt {
 	return nil
 }
 
+// edgeList materializes an edge view.
+func edgeList(v Edges) []Edge {
+	var out []Edge
+	for i := 0; i < v.Len(); i++ {
+		out = append(out, v.At(i))
+	}
+	return out
+}
+
 func hasEdge(g *Graph, from, to *ir.Stmt, kind EdgeKind) bool {
-	for _, e := range g.DataSuccs(from) {
+	for _, e := range edgeList(g.SuccEdges(from)) {
 		if e.To == to && e.Kind == kind {
 			return true
 		}

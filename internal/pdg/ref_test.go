@@ -167,10 +167,10 @@ func locEqual(a, b ir.Loc) bool {
 func diffGraph(g *Graph, ref *refGraph, fns []*ir.Func) string {
 	for _, fn := range fns {
 		for _, s := range fn.Stmts() {
-			if d := diffEdges(fmt.Sprintf("succs(%v)", s), g.DataSuccs(s), ref.succs[s]); d != "" {
+			if d := diffEdges(fmt.Sprintf("succs(%v)", s), edgeList(g.SuccEdges(s)), ref.succs[s]); d != "" {
 				return d
 			}
-			if d := diffEdges(fmt.Sprintf("preds(%v)", s), g.DataPreds(s), ref.preds[s]); d != "" {
+			if d := diffEdges(fmt.Sprintf("preds(%v)", s), edgeList(g.PredEdges(s)), ref.preds[s]); d != "" {
 				return d
 			}
 		}
@@ -326,7 +326,7 @@ func TestGlobalEdgeLocIndependentOfBuildOrder(t *testing.T) {
 		var out []string
 		for _, name := range order {
 			for _, s := range p.Funcs[name].Stmts() {
-				for _, e := range g.DataSuccs(s) {
+				for _, e := range edgeList(g.SuccEdges(s)) {
 					loc := "-"
 					if e.Loc.Base != nil {
 						loc = e.Loc.Key()

@@ -99,16 +99,20 @@ func TestDataflowDefUseConsistency(t *testing.T) {
 	}
 }
 
-// TestPDGEdgeMirroring: DataSuccs and DataPreds are exact mirrors.
+// TestPDGEdgeMirroring: SuccEdges and PredEdges are exact mirrors.
 func TestPDGEdgeMirroring(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		p := genProg(t, seed, Default())
 		g := pdg.BuildAll(p)
 		for _, fn := range p.FuncList {
 			for _, s := range fn.Stmts() {
-				for _, e := range g.DataSuccs(s) {
+				succs := g.SuccEdges(s)
+				for i := 0; i < succs.Len(); i++ {
+					e := succs.At(i)
 					found := false
-					for _, back := range g.DataPreds(e.To) {
+					preds := g.PredEdges(e.To)
+					for j := 0; j < preds.Len(); j++ {
+						back := preds.At(j)
 						if back.From == s && back.Kind == e.Kind && back.Loc.Key() == e.Loc.Key() {
 							found = true
 						}

@@ -4,8 +4,7 @@ import "net/http"
 
 // HealthResponse answers /healthz and /readyz probes. Liveness is
 // process-level ("the event loop answers"); readiness additionally pins
-// the snapshot the worker would serve, so a coordinator's pre-dispatch
-// gate sees what it is about to dispatch against.
+// the snapshot the server would serve.
 type HealthResponse struct {
 	OK         bool   `json:"ok"`
 	Ready      bool   `json:"ready,omitempty"`
@@ -13,11 +12,6 @@ type HealthResponse struct {
 	TargetHash string `json:"target_hash,omitempty"`
 	Specs      int    `json:"specs,omitempty"`
 }
-
-// SetReady flips the readiness gate: a draining worker answers /readyz
-// with 503 while /healthz stays 200, so coordinators stop dispatching to
-// it without declaring it dead.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // handleHealthz is the liveness probe: if this handler runs at all, the
 // process is alive. Deliberately snapshot-free — a worker mid-publish or
@@ -29,15 +23,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{OK: true})
 }
 
-// handleReadyz is the readiness probe: 200 with the pinned snapshot when
-// the worker accepts dispatch, structured 503 while not ready.
+// handleReadyz is the readiness probe: a server that answers at all has
+// a published snapshot, so it is 200 with that snapshot.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	if !s.ready.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, "not-ready",
-			"worker is not accepting dispatch", nil)
 		return
 	}
 	snap := s.store.Current()

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"seal"
@@ -70,9 +69,6 @@ type Server struct {
 	// source of truth for the active spec database (snapshots re-read it
 	// on every publish) and the target of /specs edits.
 	specStore *specdb.Store
-	// ready gates /readyz: true once the server is willing to accept work.
-	// New sets it; SetReady lets the process drain before shutdown.
-	ready atomic.Bool
 }
 
 // New builds a server over an initial source tree and spec database
@@ -133,7 +129,6 @@ func New(cfg Config, files map[string]string, specs []*seal.Spec) (*Server, erro
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/", s.handleUnknown)
-	s.ready.Store(true)
 	return s, nil
 }
 

@@ -1,48 +1,12 @@
 package serve
 
 import (
-	"errors"
-	"fmt"
 	"net/http"
 
 	"seal"
 	"seal/internal/coord"
 	"seal/internal/obs"
-	"seal/internal/spec"
-	"seal/internal/specdb"
 )
-
-// resolveSpecStore materializes a job's spec subset from a shared spec
-// store reference: open the store pinned at exactly the referenced
-// snapshot sequence, read the named scopes' specs in global ordinal
-// order, and verify the resolved subset's content hash against what the
-// coordinator planned. Any failure maps to a structured 409 — the
-// coordinator treats it like any other shard loss and can retry or
-// re-shard, but the worker never computes against a corpus the plan did
-// not name.
-func resolveSpecStore(ref *coord.SpecStoreRef) ([]*spec.Spec, string, string) {
-	st, err := specdb.OpenAt(ref.Path, ref.Seq)
-	if err != nil {
-		if errors.Is(err, specdb.ErrSnapshotGone) {
-			return nil, "spec-store-skew", fmt.Sprintf("shard: spec store %s: %v", ref.Path, err)
-		}
-		return nil, "spec-store-error", fmt.Sprintf("shard: spec store %s: %v", ref.Path, err)
-	}
-	defer st.Close()
-	subset, err := st.Current().ScopesSpecs(ref.Scopes)
-	if err != nil {
-		return nil, "spec-store-error", fmt.Sprintf("shard: spec store %s: %v", ref.Path, err)
-	}
-	if ref.SpecsHash != "" {
-		hash, err := (&spec.DB{Specs: subset}).Hash()
-		if err != nil || hash != ref.SpecsHash {
-			return nil, "spec-store-mismatch", fmt.Sprintf(
-				"shard: spec store %s seq %d resolved a different subset than the plan (got %d specs)",
-				ref.Path, ref.Seq, len(subset))
-		}
-	}
-	return subset, "", ""
-}
 
 // handleShard is the worker half of the scale-out tier: it executes one
 // coordinator-assigned shard of a detection corpus over the resident
@@ -62,16 +26,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, st, code, msg, nil)
 		return
 	}
-	jobSpecs := job.Specs
-	if job.SpecStore != nil {
-		subset, code, msg := resolveSpecStore(job.SpecStore)
-		if code != "" {
-			s.writeError(w, http.StatusConflict, code, msg, nil)
-			return
-		}
-		jobSpecs = &spec.DB{Specs: subset}
-	}
-	if jobSpecs == nil || len(jobSpecs.Specs) == 0 {
+	if job.Specs == nil || len(job.Specs.Specs) == 0 {
 		s.writeError(w, http.StatusBadRequest, "bad-request", "shard: specs is required", nil)
 		return
 	}
@@ -87,7 +42,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := obs.New()
 	rec.StartRun("shard")
-	res, _, runErr := snap.Resident.Detect(r.Context(), jobSpecs.Specs, seal.DetectRunOptions{
+	res, _, runErr := snap.Resident.Detect(r.Context(), job.Specs.Specs, seal.DetectRunOptions{
 		Workers:       workers,
 		Limits:        job.Limits,
 		Obs:           rec,

@@ -263,23 +263,6 @@ func (sn *Snapshot) ScopeSpecs(scope string) ([]*spec.Spec, error) {
 	return sortByOrd(out), nil
 }
 
-// ScopesSpecs gathers the specs of several scopes and sorts them
-// globally by ordinal — the subset a shard job resolves from its
-// (store snapshot, scope list) reference.
-func (sn *Snapshot) ScopesSpecs(scopes []string) ([]*spec.Spec, error) {
-	var out []ordSpec
-	for _, scope := range scopes {
-		err := sn.scopeScan(scope, func(ord uint64, sp *spec.Spec) error {
-			out = append(out, ordSpec{ord, sp})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sortByOrd(out), nil
-}
-
 // Query filters specs. Zero-valued fields match everything.
 type Query struct {
 	Scope       string // exact scope, e.g. "iface:kmalloc"

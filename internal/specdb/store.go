@@ -284,9 +284,8 @@ func upTo(recs []*WALRecord, seq uint64) []*WALRecord {
 
 // OpenAt opens the store read-only pinned at an exact sequence number: the
 // seq of the last compaction (the header's baseSeq) or of any record after
-// it. Any other seq fails with an error wrapping ErrSnapshotGone. This is
-// the coordinator/worker contract — a shard job references (path, seq) and
-// the worker refuses to run against a view the coordinator didn't pin.
+// it. Any other seq fails with an error wrapping ErrSnapshotGone, so a
+// caller never reads a view other than the one it named.
 func OpenAt(path string, seq uint64) (*Store, error) {
 	osf, err := os.Open(path)
 	if err != nil {

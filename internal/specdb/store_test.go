@@ -805,7 +805,7 @@ func TestUpsertKeepsOrdinalDeleteRemoves(t *testing.T) {
 	}
 }
 
-func TestScopeAndScopesSpecs(t *testing.T) {
+func TestScopeSpecs(t *testing.T) {
 	st := tmpStore(t)
 	corpus := importCorpus(t, st)
 
@@ -818,17 +818,6 @@ func TestScopeAndScopesSpecs(t *testing.T) {
 	}
 	if none, _ := st.Current().ScopeSpecs("iface:nope"); len(none) != 0 {
 		t.Fatalf("ScopeSpecs(nope) = %v", specKeys(none))
-	}
-
-	// Multi-scope gather sorts globally by ordinal regardless of the
-	// scope list order.
-	multi, err := st.Current().ScopesSpecs([]string{"api:kfree", "iface:ops.prepare"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{corpus[0].Key(), corpus[1].Key(), corpus[2].Key(), corpus[4].Key()}
-	if strings.Join(specKeys(multi), "\n") != strings.Join(want, "\n") {
-		t.Fatalf("ScopesSpecs = %v, want %v", specKeys(multi), want)
 	}
 
 	sp, ok, err := st.Current().SpecByKey(corpus[3].Key())

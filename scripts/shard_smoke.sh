@@ -5,7 +5,9 @@
 #   1. single-process reference: infer a spec DB and render a detection
 #      report with the one-shot CLI,
 #   2. `seal detect -shards 2` (coordinator spawns its own worker
-#      processes) — stdout must be byte-identical to the reference,
+#      processes) — stdout must be byte-identical to the reference, and
+#      again with the specs loaded from a spec store (-spec-db), which the
+#      coordinator ships to the workers inline,
 #   3. start two `seal work` daemons and run detect against them via
 #      -shard-addrs — byte-identical again,
 #   4. kill one worker, rerun: the coordinator must exit 3 (quarantine),
@@ -53,6 +55,13 @@ echo "== -shards 2 (spawned workers) vs reference"
 "$work/seal" detect -target "$work/corpus/tree" -specs "$work/specs.json" -report \
     -shards 2 -cache-dir "$work/cache-spawn" >"$work/spawn-report.txt"
 diff "$work/ref-report.txt" "$work/spawn-report.txt"
+echo "   byte-identical"
+
+echo "== -spec-db -shards 2 (store-loaded specs) vs reference"
+"$work/seal" specdb -db "$work/specs.specdb" -import "$work/specs.json" >/dev/null
+"$work/seal" detect -target "$work/corpus/tree" -spec-db "$work/specs.specdb" -report \
+    -shards 2 >"$work/store-spawn-report.txt"
+diff "$work/ref-report.txt" "$work/store-spawn-report.txt"
 echo "   byte-identical"
 
 start_worker() { # $1 = addr, $2 = log file; records pid in $2.pid, prints addr

@@ -40,18 +40,12 @@ func ImportSpecStoreOptions(path string, db *SpecDB, opts specdb.Options) (added
 
 // LoadSpecStoreSpecs opens the store at path read-only and materializes
 // its full spec list in ordinal (import) order — the same order a flat
-// file load produces — along with the snapshot sequence number the list
-// was read at.
-func LoadSpecStoreSpecs(path string) ([]*Spec, uint64, error) {
+// file load produces.
+func LoadSpecStoreSpecs(path string) ([]*Spec, error) {
 	st, err := specdb.OpenReadOnly(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer st.Close()
-	snap := st.Current()
-	specs, err := snap.Specs()
-	if err != nil {
-		return nil, 0, err
-	}
-	return specs, snap.Seq(), nil
+	return st.Current().Specs()
 }
