@@ -24,20 +24,22 @@ type cacheRun struct {
 	detectOut       string // detect stdout (bug reports + summary)
 	detectManifest  string // redacted detect manifest
 	detectMetrics   string // redacted detect metrics
-	inferRawCache   *obs.CacheStats
-	detectRawCache  *obs.CacheStats
+	inferRaw        counters
+	detectRaw       counters
 	detectRawCalled bool
 }
 
-// rawCacheStats loads the unredacted manifest's cache counters (nil when
-// the manifest carries none).
-func rawCacheStats(t *testing.T, path string) *obs.CacheStats {
+// counters is an unredacted manifest's counters section.
+type counters map[string]float64
+
+// rawCounters loads the unredacted manifest's counters.
+func rawCounters(t *testing.T, path string) counters {
 	t.Helper()
 	m, err := obs.ReadManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.Cache
+	return m.Counters
 }
 
 // runCachedPipeline executes infer and detect with -cache-dir set, writing
@@ -70,7 +72,7 @@ func runCachedPipeline(t *testing.T, dir, corpusDir, specFile, cacheDir, tag str
 	r.specDB = string(db)
 	r.inferManifest = sanitize(redactedManifest(t, inferManifest))
 	r.inferMetrics = redactedMetrics(t, inferMetrics)
-	r.inferRawCache = rawCacheStats(t, inferManifest)
+	r.inferRaw = rawCounters(t, inferManifest)
 
 	detectManifest := filepath.Join(outDir, "detect_manifest.json")
 	detectMetrics := filepath.Join(outDir, "detect_metrics.txt")
@@ -83,7 +85,7 @@ func runCachedPipeline(t *testing.T, dir, corpusDir, specFile, cacheDir, tag str
 	}))
 	r.detectManifest = sanitize(redactedManifest(t, detectManifest))
 	r.detectMetrics = redactedMetrics(t, detectMetrics)
-	r.detectRawCache = rawCacheStats(t, detectManifest)
+	r.detectRaw = rawCounters(t, detectManifest)
 	r.detectRawCalled = true
 	return r
 }
@@ -124,28 +126,33 @@ func TestCLICacheWarmColdIdentity(t *testing.T) {
 
 	// The cold run must have populated the cache, and the warm run must
 	// have actually served from it — otherwise identity is vacuous.
-	if cold.inferRawCache == nil || cold.inferRawCache.PCacheWrites == 0 {
-		t.Errorf("cold infer wrote no cache entries: %+v", cold.inferRawCache)
+	for _, run := range []struct {
+		name string
+		c    counters
+	}{{"infer", cold.inferRaw}, {"detect", cold.detectRaw}} {
+		if run.c["seal_pcache_writes_total"] == 0 || run.c["seal_pcache_write_bytes_total"] == 0 {
+			t.Errorf("cold %s wrote no cache entries: %v", run.name, run.c)
+		}
 	}
-	if cold.detectRawCache == nil || cold.detectRawCache.PCacheWrites == 0 {
-		t.Errorf("cold detect wrote no cache entries: %+v", cold.detectRawCache)
-	}
-	if warm.inferRawCache == nil || warm.inferRawCache.PCacheHits == 0 || warm.inferRawCache.PCacheMisses != 0 {
-		t.Errorf("warm infer was not fully served from cache: %+v", warm.inferRawCache)
-	}
-	if warm.detectRawCache == nil || warm.detectRawCache.PCacheHits == 0 || warm.detectRawCache.PCacheMisses != 0 {
-		t.Errorf("warm detect was not fully served from cache: %+v", warm.detectRawCache)
-	}
-	if warm.detectRawCache != nil && warm.detectRawCache.PCacheWrites != 0 {
-		t.Errorf("warm detect rewrote cache entries: %+v", warm.detectRawCache)
+	for _, run := range []struct {
+		name string
+		c    counters
+	}{{"infer", warm.inferRaw}, {"detect", warm.detectRaw}} {
+		if run.c["seal_pcache_hits_total"] == 0 || run.c["seal_pcache_misses_total"] != 0 ||
+			run.c["seal_pcache_read_bytes_total"] == 0 {
+			t.Errorf("warm %s was not fully served from cache: %v", run.name, run.c)
+		}
+		if run.c["seal_pcache_writes_total"] != 0 || run.c["seal_pcache_write_bytes_total"] != 0 {
+			t.Errorf("warm %s rewrote cache entries: %v", run.name, run.c)
+		}
 	}
 
 	// -cache-clear wipes the cache's own subtree: the next run is cold
 	// again (recomputes and rewrites) but still byte-identical.
 	cleared := runCachedPipeline(t, dir, corpusDir, specFile, cacheDir, "cleared", "-cache-clear")
 	diffRuns(t, "cleared vs cold", cold, cleared)
-	if cleared.inferRawCache == nil || cleared.inferRawCache.PCacheHits != 0 || cleared.inferRawCache.PCacheWrites == 0 {
-		t.Errorf("-cache-clear infer still hit the cache: %+v", cleared.inferRawCache)
+	if c := cleared.inferRaw; c["seal_pcache_hits_total"] != 0 || c["seal_pcache_writes_total"] == 0 {
+		t.Errorf("-cache-clear infer still hit the cache: %v", c)
 	}
 }
 
@@ -170,11 +177,11 @@ func TestCLICacheWorkersColdWarmIdentity(t *testing.T) {
 	warm := runCachedPipeline(t, dir, corpusDir, specFile, cacheDir, "warm", "-workers", "1")
 	diffRuns(t, "cold -workers 4 vs cold -workers 1", ref, cold)
 	diffRuns(t, "warm -workers 1 vs cold -workers 4", cold, warm)
-	if warm.detectRawCache == nil || warm.detectRawCache.PCacheHits == 0 || warm.detectRawCache.PCacheMisses != 0 {
-		t.Errorf("warm detect was not fully served from cache: %+v", warm.detectRawCache)
+	if c := warm.detectRaw; c["seal_pcache_hits_total"] == 0 || c["seal_pcache_misses_total"] != 0 {
+		t.Errorf("warm detect was not fully served from cache: %v", c)
 	}
-	if cold.detectRawCache == nil || cold.detectRawCache.PDGBuilds == 0 || cold.detectRawCache.PDGEnsureCalls == 0 {
-		t.Errorf("cold detect recorded no PDG work: %+v", cold.detectRawCache)
+	if c := cold.detectRaw; c["seal_pdg_builds_total"] == 0 || c["seal_pdg_ensure_calls_total"] == 0 {
+		t.Errorf("cold detect recorded no PDG work: %v", c)
 	}
 }
 
@@ -219,21 +226,21 @@ func TestCLICacheCorruptFallback(t *testing.T) {
 
 	damaged := runCachedPipeline(t, dir, corpusDir, specFile, cacheDir, "damaged")
 	diffRuns(t, "corrupt-cache vs cold", cold, damaged)
-	if damaged.detectRawCache == nil || damaged.detectRawCache.PCacheCorrupt == 0 {
-		t.Errorf("corrupted detect entries were not counted: %+v", damaged.detectRawCache)
+	if c := damaged.detectRaw; c["seal_pcache_corrupt_total"] == 0 {
+		t.Errorf("corrupted detect entries were not counted: %v", c)
 	}
-	if damaged.inferRawCache == nil || damaged.inferRawCache.PCacheCorrupt == 0 {
-		t.Errorf("corrupted infer entries were not counted: %+v", damaged.inferRawCache)
+	if c := damaged.inferRaw; c["seal_pcache_corrupt_total"] == 0 {
+		t.Errorf("corrupted infer entries were not counted: %v", c)
 	}
-	if damaged.detectRawCache != nil && damaged.detectRawCache.PCacheHits != 0 {
-		t.Errorf("corrupted entries served as hits: %+v", damaged.detectRawCache)
+	if c := damaged.detectRaw; c["seal_pcache_hits_total"] != 0 {
+		t.Errorf("corrupted entries served as hits: %v", c)
 	}
 
 	// The damaged run rewrote good entries, so a fourth run is warm again.
 	healed := runCachedPipeline(t, dir, corpusDir, specFile, cacheDir, "healed")
 	diffRuns(t, "healed vs cold", cold, healed)
-	if healed.detectRawCache == nil || healed.detectRawCache.PCacheHits == 0 {
-		t.Errorf("cache did not heal after corruption recompute: %+v", healed.detectRawCache)
+	if c := healed.detectRaw; c["seal_pcache_hits_total"] == 0 {
+		t.Errorf("cache did not heal after corruption recompute: %v", c)
 	}
 }
 
@@ -250,11 +257,11 @@ func TestCLICacheReadOnly(t *testing.T) {
 	}
 
 	r := runCachedPipeline(t, dir, corpusDir, specFile, cacheDir, "ro", "-cache-readonly")
-	if r.inferRawCache != nil && r.inferRawCache.PCacheWrites != 0 {
-		t.Errorf("read-only infer wrote entries: %+v", r.inferRawCache)
+	if c := r.inferRaw; c["seal_pcache_writes_total"] != 0 {
+		t.Errorf("read-only infer wrote entries: %v", c)
 	}
-	if r.detectRawCache != nil && r.detectRawCache.PCacheWrites != 0 {
-		t.Errorf("read-only detect wrote entries: %+v", r.detectRawCache)
+	if c := r.detectRaw; c["seal_pcache_writes_total"] != 0 {
+		t.Errorf("read-only detect wrote entries: %v", c)
 	}
 	var files []string
 	if err := filepath.Walk(cacheDir, func(path string, info os.FileInfo, err error) error {
@@ -311,11 +318,11 @@ func TestCLICachePartialWarmInfer(t *testing.T) {
 	warm := runCachedPipeline(t, dir, corpusDir, specFile, cacheDir, "warm")
 	diffRuns(t, "partly warm vs cold", cold, partial)
 	diffRuns(t, "fully warm vs cold", cold, warm)
-	if c := partial.inferRawCache; c == nil || c.PCacheHits != int64(len(entries)-1) || c.PCacheMisses != 1 {
-		t.Errorf("partly warm infer cache = %+v, want %d hits and 1 miss", c, len(entries)-1)
+	if c := partial.inferRaw; c["seal_pcache_hits_total"] != float64(len(entries)-1) || c["seal_pcache_misses_total"] != 1 {
+		t.Errorf("partly warm infer cache = %v, want %d hits and 1 miss", c, len(entries)-1)
 	}
-	if c := warm.inferRawCache; c == nil || c.PCacheHits != int64(len(entries)) || c.PCacheMisses != 0 {
-		t.Errorf("fully warm infer cache = %+v, want %d hits and no miss", c, len(entries))
+	if c := warm.inferRaw; c["seal_pcache_hits_total"] != float64(len(entries)) || c["seal_pcache_misses_total"] != 0 {
+		t.Errorf("fully warm infer cache = %v, want %d hits and no miss", c, len(entries))
 	}
 	if !strings.Contains(cold.inferMetrics, "\nseal_solver_sat_checks_total ") {
 		t.Error("redacted infer metrics lost seal_solver_sat_checks_total; the identity check is vacuous")

@@ -101,27 +101,29 @@ func DetectFiles(ctx context.Context, files map[string]string, specs []*Spec, op
 		}
 		return detect.NewShared(t.Prog), nil
 	}
-	return detectGroups(ctx, targetHash, acquire, specs, opts, pc, nil)
+	return detectGroups(ctx, targetHash, acquire, specs, opts, pc, nil, nil)
 }
 
 // Detect runs a budgeted, cached detection pinned to this resident
 // substrate (see DetectFiles). Groups resolve from the group memo first, so
 // a repeated request — or a request after a one-spec edit — replays every
 // unchanged group from memory; clean computed groups are written back to
-// the memo and, when configured, the persistent cache.
+// the memo and, when configured, the persistent cache. Every computed
+// group's Stats are added to the resident's total (see Stats).
 func (r *Resident) Detect(ctx context.Context, specs []*Spec, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
 	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
 	if err != nil {
 		return nil, GroupedStats{}, err
 	}
 	acquire := func() (*detect.Shared, error) { return r.sh, nil }
-	return detectGroups(ctx, r.TargetHash, acquire, specs, opts, pc, &r.memo)
+	return detectGroups(ctx, r.TargetHash, acquire, specs, opts, pc, &r.memo, r.addStats)
 }
 
 // detectGroups is the group scheduler. acquire is called at most once, and
 // only when some group missed; memo may be nil (persistent cache only).
 // Group keys are hashed only when there is a memo or a cache to consult.
-func detectGroups(ctx context.Context, targetHash string, acquire func() (*detect.Shared, error), specs []*Spec, opts DetectRunOptions, pc *cache.Cache, memo *sync.Map) (*DetectResult, GroupedStats, error) {
+// addStats, when non-nil, receives the Stats of every computed group.
+func detectGroups(ctx context.Context, targetHash string, acquire func() (*detect.Shared, error), specs []*Spec, opts DetectRunOptions, pc *cache.Cache, memo *sync.Map, addStats func(DetectStats)) (*DetectResult, GroupedStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -173,6 +175,9 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 			gi := missedAt[k]
 			outs[gi] = o
 			gs.Computed++
+			if addStats != nil {
+				addStats(o.Stats)
+			}
 			// Only full-fidelity groups are stored: a degraded or
 			// quarantined outcome must never poison a later full-budget run.
 			if len(o.Failures) > 0 || len(o.Degraded) > 0 || keys[gi] == "" {

@@ -41,8 +41,8 @@ func TestCanonReuseMatchesRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := detect.NewShared(r.Prog)
-	withReuse := dumpFull(memo.Detector().Detect(r.Specs))
+	memo := detect.NewShared(r.Prog).Detector()
+	withReuse := dumpFull(memo.Detect(r.Specs))
 
 	raw := detect.New(r.Prog)
 	raw.DisableMemo = true
@@ -52,7 +52,7 @@ func TestCanonReuseMatchesRecompute(t *testing.T) {
 		t.Fatalf("canonical reuse changed detection results:\n--- with reuse ---\n%s\n--- recomputed ---\n%s",
 			withReuse, recomputed)
 	}
-	if st := memo.Stats(); st.PathCacheHits == 0 {
+	if st := memo.Work(); st.PathCacheHits == 0 {
 		t.Fatal("oracle ran without exercising the path cache")
 	}
 }
@@ -71,9 +71,9 @@ func TestPathCacheHitRateFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := detect.NewShared(r.Prog)
-	sh.Detector().Detect(r.Specs)
-	st := sh.Stats()
+	d := detect.NewShared(r.Prog).Detector()
+	d.Detect(r.Specs)
+	st := d.Work()
 	total := st.PathCacheHits + st.PathCacheMisses
 	if total == 0 {
 		t.Fatal("no path-cache lookups on the bench corpus")

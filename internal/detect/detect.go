@@ -102,18 +102,17 @@ type Detector struct {
 	// absorb each other's checks into their per-run figures. Nil counts
 	// nothing.
 	sat *solver.Tally
-	// pdgWork, lookups, pathHits, and pathMisses are this detector's own
-	// share of the substrate counters, charged where the work happens (the
-	// graph and index handles, pathsFor) for the same reason.
+	// pdgWork, lookups, pathHits, and pathMisses count the substrate work
+	// this detector caused, charged where the work happens (the graph and
+	// index handles, pathsFor) for the same reason.
 	pdgWork              pdg.Stats
 	lookups              int64
 	pathHits, pathMisses int64
 }
 
-// work returns the substrate work this detector caused. The work of every
-// detector over a substrate sums to the substrate's own Stats, however the
-// detectors were scheduled.
-func (d *Detector) work() Stats {
+// Work returns the substrate work this detector caused, however other
+// detectors on the same substrate were scheduled.
+func (d *Detector) Work() Stats {
 	return Stats{
 		EnsureCalls:      d.pdgWork.EnsureCalls,
 		EnsureBuilds:     d.pdgWork.EnsureBuilds,

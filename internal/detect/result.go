@@ -110,7 +110,7 @@ func (sh *Shared) RunGroups(ctx context.Context, groups [][]*spec.Spec, workers 
 			if span != nil {
 				d.clk = &u.clk
 			}
-			defer func() { u.work = u.work.Merge(d.work()) }()
+			defer func() { u.work = u.work.Merge(d.Work()) }()
 			perSpec := make([][]*Bug, len(groups[gi]))
 			n := 0
 			for k, s := range groups[gi] {

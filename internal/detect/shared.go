@@ -2,7 +2,6 @@ package detect
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"seal/internal/infer"
 	"seal/internal/ir"
@@ -38,16 +37,6 @@ type Shared struct {
 	stmtMu      sync.Mutex
 	stmtPos     map[*ir.Stmt]int
 	stmtIndexed map[*ir.Func]bool
-
-	pathHits   atomic.Int64
-	pathMisses atomic.Int64
-	// truncations counts slicer enumerations cut short by any cap or
-	// budget across every detector bound to this substrate (the counted
-	// warning of the formerly-silent MaxPaths/MaxDepth truncation).
-	truncations atomic.Int64
-	// enumerations counts slicer path enumerations started across every
-	// detector bound to this substrate.
-	enumerations atomic.Int64
 }
 
 const numPathShards = 64
@@ -96,10 +85,14 @@ type regionCtx struct {
 	shape *shapeInfo
 }
 
-// Stats aggregates the substrate's instrumentation counters.
+// Stats are detection's instrumentation counters. The substrate fields
+// are the work a unit's own detectors caused, charged where it happens
+// (the counting handles on the graph and index, and pathsFor), so a run's
+// figures are the Merge of its units' and nothing counts the substrate as
+// a whole. The unit fields describe the run's verdicts.
 type Stats struct {
-	// EnsureCalls / EnsureBuilds mirror pdg.Graph.Stats: how often a
-	// function subgraph was requested vs actually constructed.
+	// EnsureCalls / EnsureBuilds mirror pdg.Stats: how often a function
+	// subgraph was requested vs actually constructed.
 	EnsureCalls  int64
 	EnsureBuilds int64
 	// PathCacheHits / PathCacheMisses count shared path-cache lookups;
@@ -112,7 +105,7 @@ type Stats struct {
 	// hit avoids one; Truncations counts the subset cut short).
 	PathEnumerations int64
 	// PDGBuildNanos is the wall time spent inside actual PDG subgraph
-	// builds, mirrored from pdg.Graph.Stats.
+	// builds, mirrored from pdg.Stats.
 	PDGBuildNanos int64
 	// Truncations counts value-flow enumerations cut short by a path or
 	// depth cap or by a unit budget (never silent: each is also marked on
@@ -174,21 +167,6 @@ func NewShared(prog *ir.Program) *Shared {
 	return sh
 }
 
-// Stats returns the substrate counters accumulated so far.
-func (sh *Shared) Stats() Stats {
-	gs := sh.G.Stats()
-	return Stats{
-		EnsureCalls:      gs.EnsureCalls,
-		EnsureBuilds:     gs.EnsureBuilds,
-		PathCacheHits:    sh.pathHits.Load(),
-		PathCacheMisses:  sh.pathMisses.Load(),
-		IndexLookups:     sh.Idx.Lookups(),
-		PathEnumerations: sh.enumerations.Load(),
-		PDGBuildNanos:    gs.BuildNanos,
-		Truncations:      sh.truncations.Load(),
-	}
-}
-
 // ResidentStats describes what a substrate currently holds in memory — the
 // figures a long-running service ("seal serve") reports so operators can
 // see how warm the resident snapshot is.
@@ -236,15 +214,13 @@ func (sh *Shared) Resident() ResidentStats {
 // Detector returns a new detector bound to the substrate. Each concurrent
 // worker needs its own (a Detector carries per-region scratch state); any
 // number of them may run at once over one Shared. The detector reaches the
-// graph and the index through counting handles, so its work() is exactly
-// the substrate work it caused, whoever else runs alongside.
+// graph and the index through counting handles, so its Work is exactly the
+// substrate work it caused, whoever else runs alongside.
 func (sh *Shared) Detector() *Detector {
 	d := &Detector{sh: sh}
 	d.G = sh.G.Counting(&d.pdgWork)
 	d.idx = sh.Idx.Counting(&d.lookups)
 	d.sl = vfp.NewSlicer(d.G)
-	d.sl.OnTruncate = func(vfp.TruncateEvent) { sh.truncations.Add(1) }
-	d.sl.OnEnum = func() { sh.enumerations.Add(1) }
 	d.ab = infer.NewAbstracter(d.G)
 	return d
 }
@@ -285,8 +261,7 @@ func (sh *Shared) region(root *ir.Func, ix *progindex.Index) *regionCtx {
 
 // pathsFor returns the value-flow paths from src confined to rc, computing
 // them at most once per (source, region) across all workers, with d's
-// slicer (already scoped to rc). Hits and misses are charged to d as well
-// as to the substrate.
+// slicer (already scoped to rc). Hits and misses are charged to d.
 //
 // Fault isolation: a panic during the computation is recorded on the entry
 // before its done channel closes, and every waiter re-panics with it — each
@@ -311,7 +286,6 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, d *Detector) []*vfp.Path
 			if e.volatile {
 				continue // computed under an exhausted budget; recompute
 			}
-			sh.pathHits.Add(1)
 			d.pathHits++
 			return e.paths
 		}
@@ -324,7 +298,6 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, d *Detector) []*vfp.Path
 			close(e.done)
 			shard.m[key] = e
 			shard.mu.Unlock()
-			sh.pathHits.Add(1)
 			d.pathHits++
 			return ps
 		}
@@ -332,7 +305,6 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, d *Detector) []*vfp.Path
 		shard.m[key] = e
 		shard.mu.Unlock()
 
-		sh.pathMisses.Add(1)
 		d.pathMisses++
 		trunc0 := sl.BudgetTruncations
 		func() {

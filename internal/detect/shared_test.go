@@ -63,34 +63,28 @@ func TestDetectParallelBuildsOnce(t *testing.T) {
 			dumpRecs(par.Recs), dumpBugs(seq))
 	}
 
-	st := sh.Stats()
 	// Every unit charges exactly the substrate work its own detectors
-	// caused, so a cold run's per-group figures sum to the substrate's.
-	if par.Stats.EnsureCalls != st.EnsureCalls || par.Stats.EnsureBuilds != st.EnsureBuilds ||
-		par.Stats.PathCacheHits != st.PathCacheHits || par.Stats.PathCacheMisses != st.PathCacheMisses ||
-		par.Stats.IndexLookups != st.IndexLookups || par.Stats.PathEnumerations != st.PathEnumerations {
-		t.Errorf("per-group work %+v does not sum to the substrate's %+v", par.Stats, st)
-	}
+	// caused, so a cold run's per-group figures account for every build the
+	// substrate now holds: each function once, however the workers raced.
+	st := par.Stats
 	if st.EnsureBuilds == 0 {
 		t.Fatal("no PDG builds recorded")
 	}
-	if st.EnsureBuilds > int64(len(prog.FuncList)) {
-		t.Errorf("EnsureBuilds = %d exceeds %d functions: some function was built more than once",
-			st.EnsureBuilds, len(prog.FuncList))
+	if resident := int64(sh.Resident().PDGFuncs); st.EnsureBuilds != resident {
+		t.Errorf("cold run charged %d builds, substrate holds %d function PDGs", st.EnsureBuilds, resident)
 	}
 	if st.EnsureCalls < st.EnsureBuilds {
 		t.Errorf("EnsureCalls = %d < EnsureBuilds = %d", st.EnsureCalls, st.EnsureBuilds)
 	}
 
-	before := st.EnsureBuilds
-	if _, err := runAll(context.Background(), sh, specs, 4, budget.Limits{}, nil); err != nil {
+	again, err := runAll(context.Background(), sh, specs, 4, budget.Limits{}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st = sh.Stats()
-	if st.EnsureBuilds != before {
-		t.Errorf("second run on the same substrate rebuilt PDGs: %d -> %d builds", before, st.EnsureBuilds)
+	if again.Stats.EnsureBuilds != 0 {
+		t.Errorf("second run on the same substrate rebuilt %d PDGs", again.Stats.EnsureBuilds)
 	}
-	if st.PathCacheHits == 0 {
+	if st.PathCacheHits+again.Stats.PathCacheHits == 0 {
 		t.Error("path cache recorded no hits across two runs on one substrate")
 	}
 }

@@ -110,11 +110,13 @@ func TestSharedGraphConcurrency(t *testing.T) {
 
 	g := pdg.New(prog)
 	const workers = 16
+	var tallies [workers]pdg.Stats
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			g := g.Counting(&tallies[w])
 			sl := vfp.NewSlicer(g)
 			// Each worker walks the function list from a different offset so
 			// Ensure claims collide on overlapping sets.
@@ -140,9 +142,14 @@ func TestSharedGraphConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := g.Stats()
-	if st.EnsureBuilds > int64(len(prog.FuncList)) {
-		t.Errorf("EnsureBuilds = %d > %d functions: single-flight failed", st.EnsureBuilds, len(prog.FuncList))
+	// Every worker ensured every function, so single-flight means each
+	// function was built by exactly one worker's handle.
+	var builds int64
+	for _, st := range tallies {
+		builds += st.EnsureBuilds
+	}
+	if builds != int64(len(prog.FuncList)) {
+		t.Errorf("EnsureBuilds = %d over %d functions: single-flight failed", builds, len(prog.FuncList))
 	}
 	for _, fn := range prog.FuncList {
 		n := 0

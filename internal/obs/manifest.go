@@ -23,7 +23,6 @@ type Manifest struct {
 	Workers   int                `json:"workers,omitempty"`
 	Inputs    map[string]string  `json:"inputs,omitempty"` // flags and input paths
 	Outcomes  OutcomeCounts      `json:"outcomes"`
-	Cache     *CacheStats        `json:"cache,omitempty"`
 	Counters  map[string]float64 `json:"counters,omitempty"` // registry snapshot
 	Units     []UnitManifest     `json:"units"`              // sorted by (stage, id)
 	// Slowest lists the top-K slowest units by duration — the "where did
@@ -85,30 +84,6 @@ type OutcomeCounts struct {
 	Degraded    int `json:"degraded"`
 	Quarantined int `json:"quarantined"`
 	Skipped     int `json:"skipped"`
-}
-
-// CacheStats embeds the shared-substrate counters (detect runs) plus the
-// persistent cross-run analysis-cache counters (any cached run).
-type CacheStats struct {
-	PDGEnsureCalls   int64   `json:"pdg_ensure_calls"`
-	PDGBuilds        int64   `json:"pdg_builds"`
-	PathCacheHits    int64   `json:"path_cache_hits"`
-	PathCacheMisses  int64   `json:"path_cache_misses"`
-	PathHitRatePct   float64 `json:"path_hit_rate_pct"`
-	IndexLookups     int64   `json:"index_lookups"`
-	PathEnumerations int64   `json:"path_enumerations"`
-	Truncations      int64   `json:"truncations"`
-
-	// Persistent-cache counters (internal/cache): zero unless the run had
-	// a -cache-dir. Redact zeroes them — they are exactly what differs
-	// between a cold and a warm run of the same inputs.
-	PCacheHits        int64 `json:"pcache_hits,omitempty"`
-	PCacheMisses      int64 `json:"pcache_misses,omitempty"`
-	PCacheWrites      int64 `json:"pcache_writes,omitempty"`
-	PCacheCorrupt     int64 `json:"pcache_corrupt,omitempty"`
-	PCacheReadBytes   int64 `json:"pcache_read_bytes,omitempty"`
-	PCacheWriteBytes  int64 `json:"pcache_write_bytes,omitempty"`
-	PCacheUncacheable int64 `json:"pcache_uncacheable,omitempty"`
 }
 
 // UnitManifest is one unit of work's outcome.
@@ -249,13 +224,6 @@ func (r *Recorder) ReplayUnit(u UnitManifest) {
 	span.End()
 }
 
-// SetCache attaches the shared-substrate counters.
-func (m *Manifest) SetCache(c CacheStats) {
-	if m != nil {
-		m.Cache = &c
-	}
-}
-
 // Redact returns a deep copy normalized for golden comparison: the start
 // timestamp, the worker count, wall-clock durations, every volatile
 // counter (see VolatileMetric), and the per-unit budget spend are zeroed,
@@ -292,23 +260,6 @@ func (m *Manifest) Redact() *Manifest {
 			out.Counters[k] = v
 		}
 	}
-	if m.Cache != nil {
-		c := *m.Cache
-		c.PathCacheHits = 0
-		c.PathCacheMisses = 0
-		c.PathHitRatePct = 0
-		c.IndexLookups = 0
-		c.PathEnumerations = 0
-		c.Truncations = 0
-		c.PCacheHits = 0
-		c.PCacheMisses = 0
-		c.PCacheWrites = 0
-		c.PCacheCorrupt = 0
-		c.PCacheReadBytes = 0
-		c.PCacheWriteBytes = 0
-		c.PCacheUncacheable = 0
-		out.Cache = &c
-	}
 	out.Units = make([]UnitManifest, len(m.Units))
 	for i, u := range m.Units {
 		ru := u
@@ -332,17 +283,16 @@ func (m *Manifest) Redact() *Manifest {
 	return &out
 }
 
-// RedactSubstrate is Redact plus the substrate-dependent counters: cache
-// hit/miss/build counts depend on how work was arranged over substrates
-// (one shared graph vs per-unit private graphs), so comparisons across
-// those arrangements zero them too. Unit outcomes, reasons, spend, and
-// result counts remain.
+// RedactSubstrate is Redact without the counters and the per-unit spend
+// and stages: PDG build, path-cache and lookup counts depend on how work
+// was arranged over substrates (one shared graph vs per-unit private
+// graphs), so comparisons across those arrangements drop them. Unit
+// outcomes, reasons, and result counts remain.
 func (m *Manifest) RedactSubstrate() *Manifest {
 	out := m.Redact()
 	if out == nil {
 		return nil
 	}
-	out.Cache = nil
 	out.Counters = nil
 	for i := range out.Units {
 		out.Units[i].Steps = 0

@@ -21,7 +21,6 @@ func TestReplayUnitReproducesRedactedManifest(t *testing.T) {
 		r.ReplayUnit(u)
 	}
 	replayed := r.BuildManifest("detect", 4, map[string]string{"target": "/tmp/tree"}, 2)
-	replayed.SetCache(CacheStats{PDGEnsureCalls: 9, PDGBuilds: 3, PathCacheHits: 5, PathCacheMisses: 5, PathHitRatePct: 50})
 
 	want, err := orig.RedactSubstrate().MarshalIndent()
 	if err != nil {

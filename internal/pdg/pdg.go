@@ -22,7 +22,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"seal/internal/callgraph"
@@ -73,8 +72,8 @@ type Edge struct {
 	ArgIndex int
 }
 
-// Stats are cumulative construction counters of one Graph, read via
-// Graph.Stats. EnsureCalls counts every Ensure invocation; EnsureBuilds
+// Stats are the construction counters one caller charged through a
+// Counting handle. EnsureCalls counts every Ensure invocation; EnsureBuilds
 // counts the ones that actually materialized a function (at most one per
 // function over the graph's lifetime, however many goroutines race).
 type Stats struct {
@@ -104,17 +103,13 @@ type Graph struct {
 	CG   *callgraph.Graph
 
 	*state
-	// tally, when set, additionally charges every Ensure call and build made
-	// through this handle to one caller (see Counting).
+	// tally, when set, charges every Ensure call and build made through
+	// this handle to one caller (see Counting).
 	tally *Stats
 }
 
 // state is the synchronized core every handle on one graph shares.
 type state struct {
-	ensureCalls  atomic.Int64
-	ensureBuilds atomic.Int64
-	buildNanos   atomic.Int64
-
 	// stmts is Prog.AllStmts(), indexed by Stmt.ID.
 	stmts []*ir.Stmt
 
@@ -181,11 +176,12 @@ func New(prog *ir.Program) *Graph {
 	}
 }
 
-// Counting returns a handle on the same graph that also charges every
-// Ensure call and build made through it — directly or by any accessor — to
-// t, so concurrent callers each know exactly the work they caused. The
-// graph's own Stats still count everything. t is updated without
-// synchronization: use the handle from one goroutine at a time.
+// Counting returns a handle on the same graph that charges every Ensure
+// call and build made through it — directly or by any accessor — to t, so
+// concurrent callers each know exactly the work they caused. This is the
+// only count of construction work: the graph keeps none of its own. t is
+// updated without synchronization: use the handle from one goroutine at a
+// time.
 func (g *Graph) Counting(t *Stats) *Graph {
 	return &Graph{Prog: g.Prog, PTS: g.PTS, CG: g.CG, state: g.state, tally: t}
 }
@@ -198,15 +194,6 @@ func BuildAll(prog *ir.Program) *Graph {
 		g.Ensure(fn)
 	}
 	return g
-}
-
-// Stats returns the construction counters accumulated so far.
-func (g *Graph) Stats() Stats {
-	return Stats{
-		EnsureCalls:  g.ensureCalls.Load(),
-		EnsureBuilds: g.ensureBuilds.Load(),
-		BuildNanos:   g.buildNanos.Load(),
-	}
 }
 
 // Built reports whether fn's subgraph is fully materialized.
@@ -250,7 +237,6 @@ func (g *Graph) Ensure(fn *ir.Func) {
 	if fn == nil {
 		return
 	}
-	g.ensureCalls.Add(1)
 	if g.tally != nil {
 		g.tally.EnsureCalls++
 	}
@@ -273,15 +259,12 @@ func (g *Graph) Ensure(fn *ir.Func) {
 	g.building[fn] = st
 	g.mu.Unlock()
 
-	g.ensureBuilds.Add(1)
 	func() {
 		t0 := time.Now()
 		defer func() {
-			ns := time.Since(t0).Nanoseconds()
-			g.buildNanos.Add(ns)
 			if g.tally != nil {
 				g.tally.EnsureBuilds++
-				g.tally.BuildNanos += ns
+				g.tally.BuildNanos += time.Since(t0).Nanoseconds()
 			}
 			st.panicVal = recover()
 			close(st.done)

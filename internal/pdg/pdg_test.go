@@ -198,7 +198,8 @@ func TestDemandDrivenEnsure(t *testing.T) {
 int isolated(int x) { return x + 1; }
 int other(int y) { return y - 1; }
 `)
-	g := New(p)
+	var st Stats
+	g := New(p).Counting(&st)
 	fn := p.Funcs["isolated"]
 	g.Ensure(fn)
 	if !g.Built(fn) {
@@ -207,12 +208,11 @@ int other(int y) { return y - 1; }
 	if g.Built(p.Funcs["other"]) {
 		t.Error("Ensure must not eagerly build unrelated functions")
 	}
-	st := g.Stats()
 	if st.EnsureCalls != 1 || st.EnsureBuilds != 1 {
 		t.Errorf("Stats = %+v, want 1 call / 1 build", st)
 	}
 	g.Ensure(fn)
-	if st := g.Stats(); st.EnsureBuilds != 1 {
+	if st.EnsureCalls != 2 || st.EnsureBuilds != 1 {
 		t.Errorf("re-Ensure must not rebuild: %+v", st)
 	}
 }

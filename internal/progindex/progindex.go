@@ -2,13 +2,12 @@
 // ir.Program once, so that detection does not rescan every statement of
 // every function for each (spec, region) pair. The index is immutable
 // after Build and therefore safe to share across any number of concurrent
-// detector workers; an atomic counter records how many lookups it served
-// (exposed through detect.Stats for the benchmark harness).
+// detector workers; each worker counts the lookups it makes through its own
+// Counting handle (reported through detect.Stats).
 package progindex
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"seal/internal/cir"
 	"seal/internal/dataflow"
@@ -43,16 +42,15 @@ type Index struct {
 	fns     map[*ir.Func]*FuncIndex
 	callers map[string][]*ir.Func // callee name -> distinct calling funcs, sorted by name
 
-	lookups *atomic.Int64
-	// tally, when set, additionally counts the lookups served through this
-	// handle (see Counting).
+	// tally, when set, counts the lookups served through this handle (see
+	// Counting).
 	tally *int64
 }
 
-// Counting returns a handle on the same index that also counts every
-// lookup served through it into n, so concurrent callers each know their
-// own share. Lookups still counts everything. n is updated without
-// synchronization: use the handle from one goroutine at a time.
+// Counting returns a handle on the same index that counts every lookup
+// served through it into n, so concurrent callers each know their own
+// share. n is updated without synchronization: use the handle from one
+// goroutine at a time.
 func (ix *Index) Counting(n *int64) *Index {
 	h := *ix
 	h.tally = n
@@ -60,7 +58,6 @@ func (ix *Index) Counting(n *int64) *Index {
 }
 
 func (ix *Index) count() {
-	ix.lookups.Add(1)
 	if ix.tally != nil {
 		*ix.tally++
 	}
@@ -74,7 +71,6 @@ func Build(prog *ir.Program) *Index {
 		prog:    prog,
 		fns:     make(map[*ir.Func]*FuncIndex, len(prog.FuncList)),
 		callers: make(map[string][]*ir.Func),
-		lookups: new(atomic.Int64),
 	}
 	callerSeen := make(map[string]map[*ir.Func]bool)
 	for _, fn := range prog.FuncList {
@@ -148,9 +144,4 @@ func (ix *Index) Func(fn *ir.Func) *FuncIndex {
 func (ix *Index) CallersOf(name string) []*ir.Func {
 	ix.count()
 	return ix.callers[name]
-}
-
-// Lookups returns how many index queries were served so far.
-func (ix *Index) Lookups() int64 {
-	return ix.lookups.Load()
 }

@@ -151,8 +151,12 @@ func TestIndexMatchesScan(t *testing.T) {
 		}
 	}
 
-	if ix.Lookups() == 0 {
-		t.Error("lookup counter did not advance")
+	var n int64
+	h := ix.Counting(&n)
+	h.Func(prog.FuncList[0])
+	h.CallersOf("kmalloc")
+	if n != 2 {
+		t.Errorf("counting handle charged %d lookups, want 2", n)
 	}
 }
 

@@ -240,8 +240,13 @@ func (s *Server) runError(w http.ResponseWriter, runErr error, failures []*seal.
 	s.writeError(w, http.StatusUnprocessableEntity, "run-aborted", runErr.Error(), failures)
 }
 
-// LimitsSpec is the JSON form of a per-request budget override; zero
-// fields inherit the server default.
+// LimitsSpec is the JSON form of a per-request budget override. A request
+// can narrow a limit the server sets but not widen it: each field takes the
+// smaller of the request's and the server's value. A zero request field
+// inherits the server's value, and where the server's is 0 (no limit, or
+// the slicer's default path and depth caps) the request's applies. Retry is
+// not narrowed: a request's true turns on the halved-budget retry even when
+// the server leaves it off.
 type LimitsSpec struct {
 	UnitTimeoutMS int64 `json:"unit_timeout_ms,omitempty"`
 	MaxSteps      int64 `json:"max_steps,omitempty"`
@@ -257,28 +262,25 @@ func (ls *LimitsSpec) limits(def seal.Limits) seal.Limits {
 		return def
 	}
 	out := def
-	if ls.UnitTimeoutMS > 0 {
-		out.UnitTimeout = time.Duration(ls.UnitTimeoutMS) * time.Millisecond
-	}
-	if ls.MaxSteps > 0 {
-		out.MaxSteps = ls.MaxSteps
-	}
-	if ls.MaxMemBytes > 0 {
-		out.MaxMemBytes = ls.MaxMemBytes
-	}
-	if ls.MaxPaths > 0 {
-		out.MaxPaths = ls.MaxPaths
-	}
-	if ls.MaxDepth > 0 {
-		out.MaxDepth = ls.MaxDepth
-	}
-	if ls.MaxFailures > 0 {
-		out.MaxFailures = ls.MaxFailures
-	}
+	out.UnitTimeout = narrow(def.UnitTimeout, time.Duration(ls.UnitTimeoutMS)*time.Millisecond)
+	out.MaxSteps = narrow(def.MaxSteps, ls.MaxSteps)
+	out.MaxMemBytes = narrow(def.MaxMemBytes, ls.MaxMemBytes)
+	out.MaxPaths = narrow(def.MaxPaths, ls.MaxPaths)
+	out.MaxDepth = narrow(def.MaxDepth, ls.MaxDepth)
+	out.MaxFailures = narrow(def.MaxFailures, ls.MaxFailures)
 	if ls.Retry {
 		out.Retry = true
 	}
 	return out
+}
+
+// narrow returns the tighter of a server limit and a request's, where 0
+// (or less) means unset on either side.
+func narrow[T ~int | ~int64](server, req T) T {
+	if req <= 0 || (server > 0 && server < req) {
+		return server
+	}
+	return req
 }
 
 // DetectInputs is the content-addressed manifest Inputs of a serve-side

@@ -367,8 +367,8 @@ func TestServeMetrics(t *testing.T) {
 }
 
 // TestServeMemoReplayIdentity checks the group memo directly: the second
-// identical request replays byte-identically (report and records) and adds
-// no memo entries, at a different worker count.
+// identical request replays byte-identically (report and records), adds
+// no memo entries and no substrate work, at a different worker count.
 func TestServeMemoReplayIdentity(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	var first, second DetectResponse
@@ -385,5 +385,75 @@ func TestServeMemoReplayIdentity(t *testing.T) {
 	do(t, ts, "GET", "/stats", "", &st)
 	if want := corpusGroups(t); st.MemoEntries != want {
 		t.Fatalf("memo entries = %d, want %d (replay must not re-store)", st.MemoEntries, want)
+	}
+	// The first request computed every group and the replay none, so the
+	// resident's substrate total is exactly what the first one reported.
+	if st.Substrate != first.Stats {
+		t.Fatalf("/stats substrate = %+v, want the computing request's %+v", st.Substrate, first.Stats)
+	}
+}
+
+// TestLimitsSpecNarrowsOnly pins the Config promise that a request body may
+// narrow the server's budget but never widen it: with the server's caps set
+// every field takes the smaller value, and where the server leaves a cap at
+// 0 the request's value applies.
+func TestLimitsSpecNarrowsOnly(t *testing.T) {
+	capped := seal.Limits{
+		UnitTimeout: 100 * time.Millisecond, MaxSteps: 100, MaxMemBytes: 1000,
+		MaxPaths: 10, MaxDepth: 8, MaxFailures: 2,
+	}
+	cases := []struct {
+		name   string
+		server seal.Limits
+		req    *LimitsSpec
+		want   seal.Limits
+	}{
+		{name: "no request", server: capped, req: nil, want: capped},
+		{name: "empty request", server: capped, req: &LimitsSpec{}, want: capped},
+		{
+			name:   "widening request keeps server caps",
+			server: capped,
+			req: &LimitsSpec{UnitTimeoutMS: 5000, MaxSteps: 1_000_000, MaxMemBytes: 1 << 30,
+				MaxPaths: 400, MaxDepth: 24, MaxFailures: 50},
+			want: capped,
+		},
+		{
+			name:   "narrowing request applies",
+			server: capped,
+			req: &LimitsSpec{UnitTimeoutMS: 50, MaxSteps: 10, MaxMemBytes: 100,
+				MaxPaths: 5, MaxDepth: 4, MaxFailures: 1},
+			want: seal.Limits{UnitTimeout: 50 * time.Millisecond, MaxSteps: 10, MaxMemBytes: 100,
+				MaxPaths: 5, MaxDepth: 4, MaxFailures: 1},
+		},
+		{
+			name:   "mixed fields narrow independently",
+			server: capped,
+			req:    &LimitsSpec{MaxSteps: 1_000_000, MaxPaths: 3},
+			want: seal.Limits{UnitTimeout: 100 * time.Millisecond, MaxSteps: 100, MaxMemBytes: 1000,
+				MaxPaths: 3, MaxDepth: 8, MaxFailures: 2},
+		},
+		{
+			name:   "unset server caps take the request",
+			server: seal.Limits{},
+			req: &LimitsSpec{UnitTimeoutMS: 5000, MaxSteps: 1_000_000, MaxMemBytes: 1 << 30,
+				MaxPaths: 400, MaxDepth: 24, MaxFailures: 50},
+			want: seal.Limits{UnitTimeout: 5 * time.Second, MaxSteps: 1_000_000, MaxMemBytes: 1 << 30,
+				MaxPaths: 400, MaxDepth: 24, MaxFailures: 50},
+		},
+		{name: "unset server, empty request", server: seal.Limits{}, req: &LimitsSpec{}, want: seal.Limits{}},
+		{
+			name:   "retry is taken from the request",
+			server: capped,
+			req:    &LimitsSpec{Retry: true},
+			want: seal.Limits{UnitTimeout: 100 * time.Millisecond, MaxSteps: 100, MaxMemBytes: 1000,
+				MaxPaths: 10, MaxDepth: 8, MaxFailures: 2, Retry: true},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.req.limits(tc.server); got != tc.want {
+				t.Fatalf("limits(%+v) over server %+v = %+v, want %+v", tc.req, tc.server, got, tc.want)
+			}
+		})
 	}
 }

@@ -6,16 +6,6 @@ import (
 	"seal/internal/pdg"
 )
 
-// TruncateEvent describes one path enumeration cut short by a cap or
-// budget — surfaced so truncation is counted and logged, never silent.
-type TruncateEvent struct {
-	// Criterion is the statement whose enumeration was truncated.
-	Criterion *ir.Stmt
-	// Reason is the cap that fired (path-cap, depth-cap, step-budget,
-	// memory-budget, deadline).
-	Reason budget.Reason
-}
-
 // Slicer collects value-flow paths by forward/backward traversal over the
 // PDG's data-dependence edges (paper §6.2: "the collection process is
 // conducted via forward and backward slicings from the slicing criterions").
@@ -25,9 +15,6 @@ type Slicer struct {
 	MaxDepth int
 	// MaxPaths bounds the total paths returned per criterion.
 	MaxPaths int
-	// CrossFunctionPointers, when false (the default and the paper's
-	// choice, §7), stops slicing at indirect-call boundaries.
-	CrossFunctionPointers bool
 	// Scope, when non-nil, confines traversal to statements of the given
 	// functions. Detection sets it to the region's callee closure so path
 	// results depend only on the region — not on which other functions
@@ -38,13 +25,6 @@ type Slicer struct {
 	// pathological criterion exhausts its unit's budget instead of the
 	// process. Nil means unmetered.
 	Budget *budget.Budget
-	// OnTruncate, when non-nil, is invoked once per truncated enumeration
-	// (the counted-warning hook; detection wires it into its stats).
-	OnTruncate func(TruncateEvent)
-	// OnEnum, when non-nil, is invoked once at the start of every path
-	// enumeration (Collect or PathsFrom); detection aggregates it across
-	// workers into its substrate stats.
-	OnEnum func()
 
 	// Enumerations counts path enumerations started since the slicer was
 	// created.
@@ -62,7 +42,6 @@ type Slicer struct {
 	trunc struct {
 		fired     bool
 		budgetHit bool
-		reason    budget.Reason
 	}
 
 	// visited[id] == walk marks statement id as on the current walk's
@@ -92,21 +71,14 @@ func (sl *Slicer) ApplyLimits(l budget.Limits) {
 // enumeration.
 func (sl *Slicer) beginEnum() {
 	sl.Enumerations++
-	if sl.OnEnum != nil {
-		sl.OnEnum()
-	}
 	sl.trunc.fired = false
 	sl.trunc.budgetHit = false
-	sl.trunc.reason = ""
 }
 
-// noteTrunc records one truncation cause; the first reason wins and the
-// event is surfaced once per enumeration.
+// noteTrunc records one truncation cause; finishEnum counts the
+// enumeration once however many causes fired.
 func (sl *Slicer) noteTrunc(reason budget.Reason) {
-	if !sl.trunc.fired {
-		sl.trunc.fired = true
-		sl.trunc.reason = reason
-	}
+	sl.trunc.fired = true
 	switch reason {
 	case budget.ReasonSteps, budget.ReasonMemory, budget.ReasonDeadline, budget.ReasonCanceled:
 		sl.trunc.budgetHit = true
@@ -139,19 +111,16 @@ func (sl *Slicer) chargePath(nodes int) bool {
 	return true
 }
 
-// finishEnum settles an enumeration: counts the truncation, fires the
-// warning hook, and marks every produced path so downstream consumers can
-// tell "no path" from "enumeration cut short" (Path.Truncated).
-func (sl *Slicer) finishEnum(criterion *ir.Stmt, paths []*Path) []*Path {
+// finishEnum settles an enumeration: counts the truncation and marks every
+// produced path so downstream consumers can tell "no path" from
+// "enumeration cut short" (Path.Truncated).
+func (sl *Slicer) finishEnum(paths []*Path) []*Path {
 	if !sl.trunc.fired {
 		return paths
 	}
 	sl.Truncations++
 	if sl.trunc.budgetHit {
 		sl.BudgetTruncations++
-	}
-	if sl.OnTruncate != nil {
-		sl.OnTruncate(TruncateEvent{Criterion: criterion, Reason: sl.trunc.reason})
 	}
 	for _, p := range paths {
 		p.Truncated = true
@@ -178,16 +147,16 @@ func (sl *Slicer) Collect(criterion *ir.Stmt) []*Path {
 			nodes = append(nodes, b.nodes...)
 			nodes = append(nodes, f.nodes...) // forward nodes exclude criterion
 			if !sl.chargePath(len(nodes)) {
-				return sl.finishEnum(criterion, DedupePaths(out))
+				return sl.finishEnum(DedupePaths(out))
 			}
 			out = append(out, &Path{Nodes: nodes, Source: b.ep, Sink: f.ep})
 			if len(out) >= sl.MaxPaths {
 				sl.noteTrunc(budget.ReasonPaths)
-				return sl.finishEnum(criterion, DedupePaths(out))
+				return sl.finishEnum(DedupePaths(out))
 			}
 		}
 	}
-	return sl.finishEnum(criterion, DedupePaths(out))
+	return sl.finishEnum(DedupePaths(out))
 }
 
 // PathsFrom gathers the value-flow paths starting at a source statement
@@ -216,11 +185,11 @@ func (sl *Slicer) PathsFrom(source *ir.Stmt) []*Path {
 			break
 		}
 	}
-	return sl.finishEnum(source, DedupePaths(out))
+	return sl.finishEnum(DedupePaths(out))
 }
 
 // crossesIndirect reports whether following the edge would cross an
-// indirect-call boundary.
+// indirect-call boundary, which slicing never does (paper §7).
 func crossesIndirect(e pdg.Edge) bool {
 	switch e.Kind {
 	case pdg.EdgeParam:
@@ -285,7 +254,7 @@ func (sl *Slicer) backward(criterion *ir.Stmt) []segment {
 			sl.noteTrunc(budget.ReasonPaths)
 			return
 		}
-		if len(trail) >= sl.maxDepth() {
+		if len(trail) >= sl.MaxDepth {
 			sl.noteTrunc(budget.ReasonDepth)
 			return
 		}
@@ -331,7 +300,7 @@ func (sl *Slicer) backward(criterion *ir.Stmt) []segment {
 		preds := sl.G.PredEdges(cur)
 		for i := 0; i < preds.Len(); i++ {
 			e := preds.At(i)
-			if crossesIndirect(e) && !sl.CrossFunctionPointers {
+			if crossesIndirect(e) {
 				continue
 			}
 			if !sl.inScope(e.From.Fn) {
@@ -374,7 +343,7 @@ func (sl *Slicer) forward(criterion *ir.Stmt) []segment {
 			sl.noteTrunc(budget.ReasonPaths)
 			return
 		}
-		if len(trail) >= sl.maxDepth() {
+		if len(trail) >= sl.MaxDepth {
 			sl.noteTrunc(budget.ReasonDepth)
 			return
 		}
@@ -389,7 +358,7 @@ func (sl *Slicer) forward(criterion *ir.Stmt) []segment {
 		succs := sl.G.SuccEdges(cur)
 		for i := 0; i < succs.Len(); i++ {
 			e := succs.At(i)
-			if crossesIndirect(e) && !sl.CrossFunctionPointers {
+			if crossesIndirect(e) {
 				continue
 			}
 			if !sl.inScope(e.To.Fn) {
@@ -419,7 +388,7 @@ func (sl *Slicer) forward(criterion *ir.Stmt) []segment {
 	succs := sl.G.SuccEdges(criterion)
 	for i := 0; i < succs.Len(); i++ {
 		e := succs.At(i)
-		if crossesIndirect(e) && !sl.CrossFunctionPointers {
+		if crossesIndirect(e) {
 			continue
 		}
 		if sl.isVisited(e.To) || !sl.inScope(e.To.Fn) {
@@ -469,13 +438,6 @@ func (sl *Slicer) criterionSinks(s *ir.Stmt) []Endpoint {
 // configured Scope).
 func (sl *Slicer) inScope(fn *ir.Func) bool {
 	return sl.Scope == nil || sl.Scope[fn]
-}
-
-func (sl *Slicer) maxDepth() int {
-	if sl.MaxDepth <= 0 {
-		return 24
-	}
-	return sl.MaxDepth
 }
 
 func (sl *Slicer) interfaceImpl(fn *ir.Func) bool {

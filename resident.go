@@ -31,6 +31,12 @@ type Resident struct {
 	// edit replays every group it did not touch. Degraded or quarantined
 	// outcomes are never stored.
 	memo sync.Map // group key -> *detect.Outcome
+
+	// stats is the sum of every computed group's Outcome.Stats: the
+	// substrate work this resident's detections caused (replayed groups
+	// add nothing).
+	statsMu sync.Mutex
+	stats   DetectStats
 }
 
 // NewResident pins a loaded target to a fresh shared substrate.
@@ -58,8 +64,20 @@ type ResidentStats = detect.ResidentStats
 // subgraphs, cached regions and shapes, completed path sets).
 func (r *Resident) Resident() ResidentStats { return r.sh.Resident() }
 
-// Stats returns the substrate's cumulative instrumentation counters.
-func (r *Resident) Stats() DetectStats { return r.sh.Stats() }
+// Stats returns the substrate work of every group computed on this
+// resident so far.
+func (r *Resident) Stats() DetectStats {
+	r.statsMu.Lock()
+	defer r.statsMu.Unlock()
+	return r.stats
+}
+
+// addStats charges one computed group's work to the resident's total.
+func (r *Resident) addStats(st DetectStats) {
+	r.statsMu.Lock()
+	r.stats = r.stats.Merge(st)
+	r.statsMu.Unlock()
+}
 
 // MemoEntries reports how many region-group outcomes the group memo holds.
 func (r *Resident) MemoEntries() int {

@@ -32,7 +32,7 @@ func FinishInferRun(rec *Recorder, res *InferenceResult, nPatches, workers int, 
 	reg.Counter("seal_infer_relations_pplus_total", "P+ (added-path) relations").Add(int64(t.PPlus))
 	reg.Counter("seal_infer_relations_ppsi_total", "PΨ (order) relations").Add(int64(t.PPsi))
 	reg.Counter("seal_infer_relations_pomega_total", "PΩ (condition) relations").Add(int64(t.POmega))
-	return finishRun(rec, "infer", workers, inputs, nil, res.Solver, res.PCache)
+	return finishRun(rec, "infer", workers, inputs, res.Solver, res.PCache)
 }
 
 // FinishDetectRun derives a detection run's outcome metrics and builds its
@@ -56,41 +56,16 @@ func FinishDetectRun(rec *Recorder, res *DetectResult, nSpecs, workers int, inpu
 	reg.Counter("seal_path_enumerations_total", "slicer path enumerations").Add(st.PathEnumerations)
 	reg.Counter("seal_truncations_total", "budget-truncated path enumerations").Add(st.Truncations)
 	reg.Gauge("seal_report_render_seconds", "wall time spent rendering reports").Set(renderSecs)
-	cache := &obs.CacheStats{
-		PDGEnsureCalls:   st.EnsureCalls,
-		PDGBuilds:        st.EnsureBuilds,
-		PathCacheHits:    st.PathCacheHits,
-		PathCacheMisses:  st.PathCacheMisses,
-		PathHitRatePct:   100 * st.PathHitRate(),
-		IndexLookups:     st.IndexLookups,
-		PathEnumerations: st.PathEnumerations,
-		Truncations:      st.Truncations,
-	}
-	return finishRun(rec, "detect", workers, inputs, cache, res.Solver, res.PCache)
+	return finishRun(rec, "detect", workers, inputs, res.Solver, res.PCache)
 }
 
-// finishRun is the command-independent tail: build the manifest, attach
-// cache counters, derive the run-outcome and duration metrics, re-snapshot
-// the registry into the manifest, and render the metrics text. sat is the
-// run's solver work, summed over its units, so concurrent runs in one
-// process never see each other's checks.
-func finishRun(rec *Recorder, command string, workers int, inputs map[string]string, cache *obs.CacheStats, sat solver.Tally, pstats CacheStats) (*RunArtifacts, error) {
+// finishRun is the command-independent tail: build the manifest, derive
+// the solver, persistent-cache, run-outcome and duration metrics,
+// re-snapshot the registry into the manifest, and render the metrics text.
+// sat is the run's solver work, summed over its units, so concurrent runs
+// in one process never see each other's checks.
+func finishRun(rec *Recorder, command string, workers int, inputs map[string]string, sat solver.Tally, pstats CacheStats) (*RunArtifacts, error) {
 	m := rec.BuildManifest(command, workers, inputs, 10)
-	if cache == nil && pstats != (CacheStats{}) {
-		// Inference has no substrate counters, but a cached run still
-		// surfaces its persistent-cache figures in the manifest.
-		cache = &obs.CacheStats{}
-	}
-	if cache != nil {
-		cache.PCacheHits = pstats.Hits
-		cache.PCacheMisses = pstats.Misses
-		cache.PCacheWrites = pstats.Writes
-		cache.PCacheCorrupt = pstats.Corrupt
-		cache.PCacheReadBytes = pstats.ReadBytes
-		cache.PCacheWriteBytes = pstats.WriteBytes
-		cache.PCacheUncacheable = pstats.Uncacheable
-		m.SetCache(*cache)
-	}
 	reg := rec.Registry()
 	reg.Counter("seal_solver_sat_checks_total", "satisfiability checks performed").Add(sat.Checks)
 	reg.Counter("seal_solver_sat_memo_hits_total", "solver memo hits").Add(sat.MemoHits)
@@ -98,6 +73,8 @@ func finishRun(rec *Recorder, command string, workers int, inputs map[string]str
 	reg.Counter("seal_pcache_hits_total", "persistent analysis cache hits").Add(pstats.Hits)
 	reg.Counter("seal_pcache_misses_total", "persistent analysis cache misses").Add(pstats.Misses)
 	reg.Counter("seal_pcache_writes_total", "persistent analysis cache writes").Add(pstats.Writes)
+	reg.Counter("seal_pcache_read_bytes_total", "bytes read from persistent analysis cache entries").Add(pstats.ReadBytes)
+	reg.Counter("seal_pcache_write_bytes_total", "bytes written to persistent analysis cache entries").Add(pstats.WriteBytes)
 	reg.Counter("seal_pcache_corrupt_total", "cache entries failing verification, degraded to misses").Add(pstats.Corrupt)
 	reg.Counter("seal_pcache_uncacheable_total", "results not cached because they were degraded or partial").Add(pstats.Uncacheable)
 	reg.Counter("seal_pcache_evictions_total", "cache entries evicted by the size bound (recompute on next miss)").Add(pstats.Evictions)

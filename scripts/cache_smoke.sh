@@ -76,6 +76,13 @@ if [ "$warm_hits" -eq 0 ] || [ "$warm_misses" -ne 0 ]; then
     echo "FAIL: warm detect was not fully served from cache (hits=$warm_hits misses=$warm_misses)" >&2
     exit 1
 fi
+cold_write_bytes=$(metric "$work/cold-detect-metrics.prom" seal_pcache_write_bytes_total)
+warm_read_bytes=$(metric "$work/warm-detect-metrics.prom" seal_pcache_read_bytes_total)
+warm_write_bytes=$(metric "$work/warm-detect-metrics.prom" seal_pcache_write_bytes_total)
+if [ "$cold_write_bytes" -eq 0 ] || [ "$warm_read_bytes" -eq 0 ] || [ "$warm_write_bytes" -ne 0 ]; then
+    echo "FAIL: cache byte counters off (cold wrote $cold_write_bytes, warm read $warm_read_bytes and wrote $warm_write_bytes)" >&2
+    exit 1
+fi
 
 echo "== partly warm infer (cache filled from all patches but the first)"
 mkdir -p "$work/subset"

@@ -384,7 +384,8 @@ func Detect(t *Target, specs []*Spec) []*Bug {
 	return d.Detect(specs)
 }
 
-// DetectStats are the shared-substrate instrumentation counters.
+// DetectStats are detection's instrumentation counters: the substrate work
+// each region group's own detectors caused, summed over groups.
 type DetectStats = detect.Stats
 
 // MergeSpecDBs unions specification databases, deduplicating by constraint
