@@ -1,6 +1,7 @@
 package seal
 
 import (
+	"encoding/json"
 	"fmt"
 	"io/fs"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"seal/internal/detect"
 	"seal/internal/infer"
 	"seal/internal/solver"
+	"seal/internal/spec"
 )
 
 // Version identifies the analysis semantics baked into every persistent
@@ -76,6 +78,22 @@ type inferCacheEntry struct {
 	Solver solver.Tally `json:"solver"`
 }
 
+// UnmarshalJSON decodes the entry in one json.Unmarshal pass: the nested
+// DB decodes as spec.DBFields rather than through SpecDB's own codec,
+// which would scan its bytes again.
+func (e *inferCacheEntry) UnmarshalJSON(data []byte) error {
+	var w struct {
+		DB     spec.DBFields `json:"db"`
+		Stats  infer.Stats   `json:"stats"`
+		Solver solver.Tally  `json:"solver"`
+	}
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*e = inferCacheEntry{DB: *w.DB.DB(), Stats: w.Stats, Solver: w.Solver}
+	return nil
+}
+
 // detectConfigPart renders the detection knobs that change results for
 // identical sources; same exclusion rule as inferConfigPart.
 func detectConfigPart(limits Limits) string {
@@ -85,7 +103,7 @@ func detectConfigPart(limits Limits) string {
 
 // SpecSetHash fingerprints a spec list in order, conditions included — the
 // spec-side identity in region-group cache keys and serve request envelopes.
-func SpecSetHash(specs []*Spec) (string, error) {
+func SpecSetHash(specs []*Spec) string {
 	return (&SpecDB{Specs: specs}).Hash()
 }
 

@@ -354,12 +354,8 @@ func cmdSpecs(args []string) error {
 	if *file == "" {
 		return fmt.Errorf("specs: -file is required")
 	}
-	data, err := os.ReadFile(*file)
+	db, err := readSpecFile(*file)
 	if err != nil {
-		return err
-	}
-	var db spec.DB
-	if err := json.Unmarshal(data, &db); err != nil {
 		return err
 	}
 	byScope := make(map[string][]*spec.Spec)
@@ -487,15 +483,11 @@ func cmdInfer(args []string) error {
 	}
 	db := res.DB
 	if *appendTo != "" {
-		prev, err := os.ReadFile(*appendTo)
+		existing, err := readSpecFile(*appendTo)
 		if err != nil {
 			return fmt.Errorf("infer: -append: %w", err)
 		}
-		var existing spec.DB
-		if err := json.Unmarshal(prev, &existing); err != nil {
-			return fmt.Errorf("infer: -append: %w", err)
-		}
-		merged := seal.MergeSpecDBs(&existing, db)
+		merged := seal.MergeSpecDBs(existing, db)
 		fmt.Printf("merged %d existing + %d new specs -> %d\n",
 			len(existing.Specs), len(db.Specs), len(merged.Specs))
 		db = merged
@@ -564,8 +556,11 @@ func cmdDetect(args []string) error {
 	if *specFile != "" && *specDB != "" {
 		return usageErr{msg: "detect: -specs and -spec-db are mutually exclusive"}
 	}
-	if *target == "" || (*specFile == "" && *specDB == "") {
-		return fmt.Errorf("detect: -target and -specs are required")
+	if *target == "" {
+		return usageErr{msg: "detect: -target is required"}
+	}
+	if *specFile == "" && *specDB == "" {
+		return usageErr{msg: "detect: -specs or -spec-db is required"}
 	}
 	if err := cf.prepare(); err != nil {
 		return err
@@ -575,19 +570,9 @@ func cmdDetect(args []string) error {
 		return err
 	}
 	defer stop()
-	var db spec.DB
-	if *specDB != "" {
-		if db.Specs, err = seal.LoadSpecStoreSpecs(*specDB); err != nil {
-			return err
-		}
-	} else {
-		data, err := os.ReadFile(*specFile)
-		if err != nil {
-			return err
-		}
-		if err := json.Unmarshal(data, &db); err != nil {
-			return err
-		}
+	files, specs, err := loadInputs(*target, *specFile, *specDB)
+	if err != nil {
+		return err
 	}
 	rec := of.recorder("detect")
 	var res *seal.DetectResult
@@ -598,7 +583,7 @@ func cmdDetect(args []string) error {
 		if *retryMax > 0 {
 			retryAttempts = *retryMax + 1 // N extra re-dispatches after the first try
 		}
-		res, shardsMan, runErr = runShardedDetect(context.Background(), *target, db.Specs, shardedOptions{
+		res, shardsMan, runErr = runShardedDetect(context.Background(), *target, files, specs, shardedOptions{
 			shards:  *shards,
 			addrs:   addrs,
 			timeout: *shardTimeout,
@@ -621,7 +606,7 @@ func cmdDetect(args []string) error {
 			CacheMaxBytes: cf.maxBytes,
 		}
 		var gs seal.GroupedStats
-		res, gs, runErr = seal.DetectDir(context.Background(), *target, db.Specs, runOpts)
+		res, gs, runErr = seal.DetectFiles(context.Background(), files, specs, runOpts)
 		pg.Stop()
 		if *stats && res != nil {
 			fmt.Fprintf(os.Stderr, "grouped: %d region groups, %d warm, %d computed\n",
@@ -657,7 +642,7 @@ func cmdDetect(args []string) error {
 			specsInput = *specDB
 		}
 		inputs := map[string]string{"target": *target, "specs": specsInput}
-		art, err := seal.FinishDetectRun(rec, res, len(db.Specs), *workers, inputs, renderSecs)
+		art, err := seal.FinishDetectRun(rec, res, len(specs), *workers, inputs, renderSecs)
 		if err != nil {
 			return err
 		}
@@ -673,7 +658,9 @@ func cmdDetect(args []string) error {
 		return runErr
 	}
 	renderStart := time.Now()
-	fmt.Print(report.RenderDetectStdout(recs, res.Degraded, res.Failures, len(db.Specs), *full))
+	if _, err := os.Stdout.WriteString(report.RenderDetectStdout(recs, res.Degraded, res.Failures, len(specs), *full)); err != nil {
+		return err
+	}
 	renderSecs = time.Since(renderStart).Seconds()
 	if err := finishObs(); err != nil {
 		return err

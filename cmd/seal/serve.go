@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -12,9 +11,7 @@ import (
 	"syscall"
 	"time"
 
-	"seal"
 	"seal/internal/serve"
-	"seal/internal/spec"
 )
 
 // cmdServe starts the resident analysis daemon: load once, stay hot,
@@ -68,26 +65,15 @@ func setupServe(name string, args []string) (*serve.Server, net.Listener, error)
 		return nil, nil, usageErr{msg: fmt.Sprintf("%s: -specs and -spec-db are mutually exclusive", fs.Name())}
 	}
 	if *target == "" {
-		return nil, nil, fmt.Errorf("%s: -target is required", fs.Name())
+		return nil, nil, usageErr{msg: fmt.Sprintf("%s: -target is required", fs.Name())}
 	}
 	if err := cf.prepare(); err != nil {
 		return nil, nil, err
 	}
-	files, err := seal.ReadSourceDir(*target)
+	// A spec store is opened by serve.New, which keeps it open.
+	files, specs, err := loadInputs(*target, *specFile, "")
 	if err != nil {
 		return nil, nil, err
-	}
-	var specs []*seal.Spec
-	if *specFile != "" {
-		data, err := os.ReadFile(*specFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		var db spec.DB
-		if err := json.Unmarshal(data, &db); err != nil {
-			return nil, nil, err
-		}
-		specs = db.Specs
 	}
 	srv, err := serve.New(serve.Config{
 		Workers:          *workers,

@@ -134,10 +134,15 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"detect -probe-interval 0", func() error { return cmdDetect([]string{"-probe-interval", "0s"}) }},
 		{"detect -retry-backoff negative", func() error { return cmdDetect([]string{"-retry-backoff", "-1s"}) }},
 		{"detect -reshard-on-loss without shards", func() error { return cmdDetect([]string{"-reshard-on-loss"}) }},
+		{"detect without -target", func() error { return cmdDetect([]string{"-specs", "a.json"}) }},
+		{"detect -spec-db without -target", func() error { return cmdDetect([]string{"-spec-db", "b.specdb"}) }},
+		{"detect without specs", func() error { return cmdDetect([]string{"-target", "tree"}) }},
 		{"infer -workers 0", func() error { return cmdInfer([]string{"-workers", "0"}) }},
 		{"infer -max-failures -1", func() error { return cmdInfer([]string{"-max-failures", "-1"}) }},
 		{"work -workers 0", func() error { _, _, err := setupServe("work", []string{"-workers", "0"}); return err }},
 		{"serve -max-failures 0", func() error { _, _, err := setupServe("serve", []string{"-max-failures", "0"}); return err }},
+		{"serve without -target", func() error { _, _, err := setupServe("serve", []string{"-specs", "a.json"}); return err }},
+		{"work without -target", func() error { _, _, err := setupServe("work", nil); return err }},
 		{"detect -specs with -spec-db", func() error { return cmdDetect([]string{"-specs", "a.json", "-spec-db", "b.specdb"}) }},
 		{"serve -specs with -spec-db", func() error {
 			_, _, err := setupServe("serve", []string{"-specs", "a.json", "-spec-db", "b.specdb"})
@@ -173,17 +178,14 @@ func TestCLIFlagValidation(t *testing.T) {
 
 // TestCLIShardedOmittedFlagsStayValid guards the fs.Visit contract: a
 // zero default that was never set on the command line (like -max-failures
-// meaning "keep going") must not trip the positivity check.
+// meaning "keep going") must not trip the positivity check, so the first
+// complaint is the missing -target.
 func TestCLIShardedOmittedFlagsStayValid(t *testing.T) {
 	err := cmdDetect([]string{"-target", "", "-specs", ""})
 	if err == nil {
 		t.Fatal("expected the missing-target error")
 	}
-	var ec exitCoder
-	if errors.As(err, &ec) && ec.ExitCode() == exitUsage {
-		t.Fatalf("omitted flags were rejected as a usage error: %v", err)
-	}
-	if !strings.Contains(err.Error(), "-target and -specs are required") {
-		t.Fatalf("unexpected error: %v", err)
+	if err.Error() != "detect: -target is required" {
+		t.Fatalf("omitted flags were rejected: %v", err)
 	}
 }

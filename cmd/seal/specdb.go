@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"sort"
 
 	"seal"
@@ -62,15 +60,11 @@ func cmdSpecDB(args []string) error {
 	}
 	switch {
 	case *importFile != "":
-		data, err := os.ReadFile(*importFile)
+		flat, err := readSpecFile(*importFile)
 		if err != nil {
 			return err
 		}
-		var flat spec.DB
-		if err := json.Unmarshal(data, &flat); err != nil {
-			return err
-		}
-		added, skipped, err := seal.ImportSpecStoreOptions(*db, &flat, opts)
+		added, skipped, err := seal.ImportSpecStoreOptions(*db, flat, opts)
 		if err != nil {
 			return err
 		}

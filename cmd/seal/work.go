@@ -98,14 +98,10 @@ type shardedOptions struct {
 }
 
 // runShardedDetect is cmdDetect's coordinator path: resolve workers
-// (spawn local ones unless -shard-addrs named remote ones), fingerprint
-// the target, dispatch, merge. The sources are read for hashing but never
-// parsed here — analysis happens only in the workers.
-func runShardedDetect(ctx context.Context, target string, specs []*spec.Spec, so shardedOptions) (*seal.DetectResult, []obs.ShardManifest, error) {
-	files, err := seal.ReadSourceDir(target)
-	if err != nil {
-		return nil, nil, err
-	}
+// (spawn local ones over target unless -shard-addrs named remote ones),
+// fingerprint the target's sources, dispatch, merge. files are hashed but
+// never parsed here — analysis happens only in the workers.
+func runShardedDetect(ctx context.Context, target string, files map[string]string, specs []*spec.Spec, so shardedOptions) (*seal.DetectResult, []obs.ShardManifest, error) {
 	addrs := so.addrs
 	if len(addrs) == 0 {
 		spawned, stop, err := spawnWorkers(so.shards, target, so.cf)

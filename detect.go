@@ -66,15 +66,6 @@ func detectGroupKey(targetHash, scope, groupHash string, limits Limits) string {
 	)
 }
 
-// DetectDir runs detection over the tree at root; see DetectFiles.
-func DetectDir(ctx context.Context, root string, specs []*Spec, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
-	files, err := ReadSourceDir(root)
-	if err != nil {
-		return nil, GroupedStats{}, err
-	}
-	return DetectFiles(ctx, files, specs, opts)
-}
-
 // DetectFiles runs a budgeted, fault-isolated detection over an in-memory
 // source set, with an optional persistent cache. Every region group runs as
 // one unit of work: quarantined units are reported as FailureRecords with
@@ -142,10 +133,8 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 		}
 		scopes[gi] = subset[0].Scope()
 		if memo != nil || pc.Enabled() {
-			if h, err := SpecSetHash(subset); err == nil {
-				keys[gi] = detectGroupKey(targetHash, scopes[gi], h, opts.Limits)
-				outs[gi] = lookupGroup(keys[gi], memo, pc)
-			}
+			keys[gi] = detectGroupKey(targetHash, scopes[gi], SpecSetHash(subset), opts.Limits)
+			outs[gi] = lookupGroup(keys[gi], memo, pc)
 		}
 		if outs[gi] == nil {
 			missed, missedAt = append(missed, subset), append(missedAt, gi)

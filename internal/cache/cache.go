@@ -14,6 +14,7 @@
 package cache
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding"
@@ -35,7 +36,7 @@ import (
 // produces it changes incompatibly: old entries become unreachable
 // (different keys) and unreadable (header check), both of which degrade to
 // misses.
-const SchemaVersion = 3
+const SchemaVersion = 4
 
 // subdir is the directory the cache owns under the user-supplied root.
 // Keeping our objects one level down makes Clear safe: it removes only
@@ -160,8 +161,10 @@ func (c *Cache) path(tier, key string) string {
 
 // Get looks up (tier, key) and decodes the payload into out: with
 // UnmarshalBinary when out implements encoding.BinaryUnmarshaler, as the
-// verified payload bytes verbatim when out is a *json.RawMessage, and with
-// encoding/json otherwise. It returns true only for a verified hit; every
+// verified payload bytes verbatim when out is a *json.RawMessage, with
+// out's own UnmarshalJSON when it has one (json.Unmarshal would first scan
+// the payload to validate it, then hand it over to be scanned again), and
+// with encoding/json otherwise. It returns true only for a verified hit; every
 // failure mode — absent, unreadable, header mismatch (version skew, another
 // tier or key, an older format), checksum mismatch, undecodable — counts
 // as a miss (and, when an entry existed but failed verification, as
@@ -207,6 +210,8 @@ func decode(payload []byte, out any) error {
 		return nil
 	case encoding.BinaryUnmarshaler:
 		return v.UnmarshalBinary(payload)
+	case json.Unmarshaler:
+		return v.UnmarshalJSON(payload)
 	default:
 		return json.Unmarshal(payload, out)
 	}
@@ -354,33 +359,43 @@ func (c *Cache) Stats() Stats {
 // the chain.
 func Key(parts ...string) string {
 	h := sha256.New()
-	writePart(h, "schema:"+strconv.Itoa(SchemaVersion))
+	w := bufio.NewWriterSize(h, 512)
+	writePart(w, "schema:"+strconv.Itoa(SchemaVersion))
 	for _, p := range parts {
-		writePart(h, p)
+		writePart(w, p)
 	}
+	w.Flush()
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // FileSetHash fingerprints a set of named sources (the "parsed-unit hash"
 // link of the chain): names are sorted, and each name and body is
 // length-prefixed, so the hash is order-independent and unambiguous.
+// The parts stream to the hash through one buffer of at most 32 KB, so no
+// source is copied into a []byte of its own.
 func FileSetHash(files map[string]string) string {
 	names := make([]string, 0, len(files))
-	for n := range files {
+	size := 0
+	for n, src := range files {
 		names = append(names, n)
+		size += len(n) + len(src) + 2*21 // two parts, each "len:" at most 21 bytes
 	}
 	sort.Strings(names)
 	h := sha256.New()
+	w := bufio.NewWriterSize(h, min(size, 32<<10))
 	for _, n := range names {
-		writePart(h, n)
-		writePart(h, files[n])
+		writePart(w, n)
+		writePart(w, files[n])
 	}
+	w.Flush()
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func writePart(h interface{ Write([]byte) (int, error) }, p string) {
-	var lenbuf [16]byte
-	b := strconv.AppendInt(lenbuf[:0], int64(len(p)), 10)
-	h.Write(append(b, ':'))
-	h.Write([]byte(p))
+// writePart writes p as "len(p):p". The writer's target is a hash, whose
+// Write never fails, so neither can these writes.
+func writePart(w *bufio.Writer, p string) {
+	var lenbuf [20]byte
+	w.Write(strconv.AppendInt(lenbuf[:0], int64(len(p)), 10))
+	w.WriteByte(':')
+	w.WriteString(p)
 }

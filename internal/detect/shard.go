@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"sort"
 
 	"seal/internal/spec"
@@ -110,6 +111,7 @@ func NewFold(scopes []string) *Fold {
 // bug records folded in. A malformed ordinal is dropped, never panicked on.
 func (f *Fold) Add(specIdx []int, o *Outcome) int {
 	n := 0
+	f.res.Bugs = slices.Grow(f.res.Bugs, len(o.Bugs))
 	for _, sb := range o.Bugs {
 		if sb.Ord < 0 || sb.Ord >= len(specIdx) {
 			continue

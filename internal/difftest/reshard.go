@@ -39,10 +39,7 @@ var (
 // coordRunOpts drives one coordinated detection with explicit resilience
 // options and builds its comparison surface.
 func coordRunOpts(ctx context.Context, files map[string]string, specs []*spec.Spec, opts coord.Options) (*shardSurface, *detect.Result, []obs.ShardManifest, error) {
-	specsHash, err := seal.SpecSetHash(specs)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	specsHash := seal.SpecSetHash(specs)
 	targetHash := seal.TargetHash(files)
 	rec := seal.NewRecorder()
 	rec.StartRun("detect")

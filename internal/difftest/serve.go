@@ -33,10 +33,7 @@ type serveRef struct {
 // exactly as the CLI does (same render path, same artifact builders,
 // content-addressed manifest inputs) and snapshots the comparison surface.
 func batchDetectRef(ctx context.Context, files map[string]string, specs []*seal.Spec) (*serveRef, error) {
-	specsHash, err := seal.SpecSetHash(specs)
-	if err != nil {
-		return nil, err
-	}
+	specsHash := seal.SpecSetHash(specs)
 	targetHash := seal.TargetHash(files)
 	rec := seal.NewRecorder()
 	rec.StartRun("detect")

@@ -24,10 +24,7 @@ import (
 // groupedRun drives one in-process detection (cached when cacheDir is set)
 // and builds its comparison surface.
 func groupedRun(ctx context.Context, files map[string]string, specs []*spec.Spec, cacheDir string) (*shardSurface, *detect.Result, seal.GroupedStats, error) {
-	specsHash, err := seal.SpecSetHash(specs)
-	if err != nil {
-		return nil, nil, seal.GroupedStats{}, err
-	}
+	specsHash := seal.SpecSetHash(specs)
 	rec := seal.NewRecorder()
 	rec.StartRun("detect")
 	res, gs, runErr := seal.DetectFiles(ctx, files, specs, seal.DetectRunOptions{
@@ -78,14 +75,7 @@ func RunSpecEditCase(seed int64, dir string) ([]Divergence, error) {
 	}
 
 	var divs []Divergence
-	flatHash, err := seal.SpecSetHash(specs)
-	if err != nil {
-		return nil, err
-	}
-	storeHash, err := seal.SpecSetHash(stored)
-	if err != nil {
-		return nil, err
-	}
+	flatHash, storeHash := seal.SpecSetHash(specs), seal.SpecSetHash(stored)
 	if storeHash != flatHash {
 		divs = append(divs, Divergence{Stage: "specstore", Conf: "round-trip hash",
 			Ref: flatHash, Got: storeHash})
@@ -178,11 +168,7 @@ func RunSpecStoreShardCase(seed int64, dir string, shardCounts []int) ([]Diverge
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: workers: %w", seed, err)
 		}
-		specsHash, err := seal.SpecSetHash(stored)
-		if err != nil {
-			stop()
-			return nil, err
-		}
+		specsHash := seal.SpecSetHash(stored)
 		targetHash := seal.TargetHash(files)
 		rec := seal.NewRecorder()
 		rec.StartRun("detect")

@@ -511,7 +511,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 				return specs, ssnap.Seq(), err
 			})
 		} else {
-			snap, perr = s.store.MergeAndPublish(res.DB)
+			snap = s.store.MergeAndPublish(res.DB)
 		}
 		if perr != nil {
 			s.writeError(w, http.StatusInternalServerError, "internal", perr.Error(), nil)

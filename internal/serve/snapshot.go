@@ -115,26 +115,20 @@ func buildSnapshot(files map[string]string, specs []*seal.Spec, prev *Snapshot) 
 		s.Epoch = prev.Epoch + 1
 		s.StoreSeq = prev.StoreSeq // source edit, specs unchanged
 	}
-	if s.SpecsHash, err = seal.SpecSetHash(specs); err != nil {
-		return nil, err
-	}
+	s.SpecsHash = seal.SpecSetHash(specs)
 	return s, nil
 }
 
 // withSpecs derives a successor snapshot that shares this one's target,
 // parse trees, and resident substrate (nothing source-side changed) but
 // activates a different spec database.
-func (s *Snapshot) withSpecs(specs []*seal.Spec) (*Snapshot, error) {
-	hash, err := seal.SpecSetHash(specs)
-	if err != nil {
-		return nil, err
-	}
+func (s *Snapshot) withSpecs(specs []*seal.Spec) *Snapshot {
 	next := *s
 	next.Epoch = s.Epoch + 1
 	next.Specs = specs
-	next.SpecsHash = hash
+	next.SpecsHash = seal.SpecSetHash(specs)
 	next.ReusedFiles, next.ParsedFiles = len(s.Files), 0
-	return &next, nil
+	return &next
 }
 
 // Store is the snapshot holder: lock-free reads of the current epoch, a
@@ -193,10 +187,7 @@ func (st *Store) EditSpecs(apply func() ([]*seal.Spec, uint64, error)) (*Snapsho
 	if err != nil {
 		return nil, err
 	}
-	next, err := st.cur.Load().withSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
+	next := st.cur.Load().withSpecs(specs)
 	next.StoreSeq = seq
 	st.cur.Store(next)
 	return next, nil
@@ -205,15 +196,12 @@ func (st *Store) EditSpecs(apply func() ([]*seal.Spec, uint64, error)) (*Snapsho
 // MergeAndPublish merges an inferred database into the active one
 // (deduplicated, the incremental dataset growth of paper §9) and
 // publishes the merged set as a new epoch.
-func (st *Store) MergeAndPublish(db *seal.SpecDB) (*Snapshot, error) {
+func (st *Store) MergeAndPublish(db *seal.SpecDB) *Snapshot {
 	st.writer.Lock()
 	defer st.writer.Unlock()
 	cur := st.cur.Load()
 	merged := seal.MergeSpecDBs(&seal.SpecDB{Specs: cur.Specs}, db)
-	next, err := cur.withSpecs(merged.Specs)
-	if err != nil {
-		return nil, err
-	}
+	next := cur.withSpecs(merged.Specs)
 	st.cur.Store(next)
-	return next, nil
+	return next
 }

@@ -9,6 +9,7 @@ package spec
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -272,8 +273,9 @@ func (db *DB) Dedup() {
 
 // MarshalJSON serializes the DB with conditions in tree form. It works on
 // shallow spec copies (Relation is a value field) so marshaling never
-// writes to the shared spec objects — a DB is serialized for content
-// hashing while concurrent detections read the very same specs.
+// writes to the shared spec objects — a DB is serialized for a shard job
+// or a spec-store record while concurrent detections read the very same
+// specs.
 func (db *DB) MarshalJSON() ([]byte, error) {
 	type alias DB
 	out := alias{Specs: make([]*Spec, len(db.Specs))}
@@ -285,31 +287,135 @@ func (db *DB) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// Hash is the content fingerprint of the database: the hex SHA-256 of
-// its JSON serialization (conditions in tree form). Every layer that
-// identifies a spec set by content — detection cache keys, serve request
-// envelopes, spec-store shard references — goes through this one
-// function, so the fingerprints agree across processes. It calls
-// MarshalJSON directly: json.Marshal would only re-compact the same bytes.
-func (db *DB) Hash() (string, error) {
-	data, err := db.MarshalJSON()
-	if err != nil {
-		return "", err
+// Hash is the content fingerprint of the database: the hex SHA-256 of a
+// length-prefixed encoding of every spec's JSON-visible fields, with each
+// condition walked node by node as CondToNode would render it (see
+// appendSpec). Two databases hash alike exactly when their MarshalJSON
+// bytes agree, so flat-file, store-loaded and in-memory specs fingerprint
+// alike, and no JSON is built to get there. Every layer that identifies a
+// spec set by content — detection cache keys, serve request envelopes —
+// goes through this one function. Strings are hashed as their bytes: JSON
+// would replace invalid UTF-8 with U+FFFD, so on such strings the hash
+// tells apart what the JSON form conflates, never the reverse.
+func (db *DB) Hash() string {
+	h := sha256.New()
+	buf := binary.AppendUvarint(make([]byte, 0, 1<<10), uint64(len(db.Specs)))
+	for _, s := range db.Specs {
+		if len(buf) > 8<<10 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = appendSpec(buf, s)
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// UnmarshalJSON restores conditions from tree form.
+// appendSpec appends the hash encoding of one spec. Every field is
+// self-delimiting (uvarint-length strings, varint numbers, tagged formula
+// nodes with counted children), so a concatenation of specs is
+// unambiguous.
+func appendSpec(b []byte, s *Spec) []byte {
+	b = appendStr(appendStr(appendStr(b, s.ID), s.Iface), s.API)
+	forbidden := byte(0)
+	if s.Constraint.Forbidden {
+		forbidden = 1
+	}
+	r := &s.Constraint.Rel
+	b = binary.AppendVarint(append(b, forbidden), int64(r.Kind))
+	b = appendUse(appendUse(appendUse(appendValue(b, r.V), r.U), r.U1), r.U2)
+	b = appendCond(b, r.Cond)
+	return appendStr(appendStr(b, string(s.Origin)), s.OriginPatch)
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendValue(b []byte, v Value) []byte {
+	b = appendStr(binary.AppendVarint(b, int64(v.Kind)), v.Iface)
+	b = appendStr(appendStr(binary.AppendVarint(b, int64(v.ArgIndex)), v.API), v.Global)
+	return appendStr(binary.AppendVarint(b, v.Lit), v.Field)
+}
+
+func appendUse(b []byte, u Use) []byte {
+	b = appendStr(binary.AppendVarint(b, int64(u.Kind)), u.API)
+	return appendStr(appendStr(binary.AppendVarint(b, int64(u.ArgIndex)), u.Iface), u.Global)
+}
+
+// appendCond encodes a formula node by node with CondToNode's cases: nil,
+// TrueF and any other type encode as "true".
+func appendCond(b []byte, f solver.Formula) []byte {
+	switch x := f.(type) {
+	case solver.FalseF:
+		return append(b, 'f')
+	case solver.Atom:
+		b = appendStr(append(b, 'a'), x.Op.String())
+		return appendTerm(appendTerm(b, x.A), x.B)
+	case solver.Not:
+		return appendCond(append(b, '!'), x.F)
+	case solver.And:
+		return appendConds(append(b, '&'), x.Fs)
+	case solver.Or:
+		return appendConds(append(b, '|'), x.Fs)
+	}
+	return append(b, 't')
+}
+
+func appendConds(b []byte, fs []solver.Formula) []byte {
+	b = binary.AppendUvarint(b, uint64(len(fs)))
+	for _, f := range fs {
+		b = appendCond(b, f)
+	}
+	return b
+}
+
+// appendTerm encodes a term with termToNode's cases: an unknown arithmetic
+// operator is "add", and any other term is the symbol "?".
+func appendTerm(b []byte, t solver.Term) []byte {
+	switch x := t.(type) {
+	case solver.Const:
+		return binary.AppendVarint(append(b, 'c'), x.Val)
+	case solver.Sym:
+		return appendStr(append(b, 's'), x.Name)
+	case solver.BinTerm:
+		op := byte('+')
+		switch x.Op {
+		case solver.TSub:
+			op = '-'
+		case solver.TMul:
+			op = '*'
+		}
+		return appendTerm(appendTerm(append(b, 'b', op), x.A), x.B)
+	}
+	return appendStr(append(b, 's'), "?")
+}
+
+// UnmarshalJSON restores conditions from tree form. A caller holding the
+// bytes calls it directly: json.Unmarshal(data, &db) would scan the whole
+// input once to validate it before handing it here to be scanned again.
 func (db *DB) UnmarshalJSON(data []byte) error {
-	type alias DB
-	if err := json.Unmarshal(data, (*alias)(db)); err != nil {
+	if err := json.Unmarshal(data, (*DBFields)(db)); err != nil {
 		return err
 	}
-	for _, s := range db.Specs {
+	(*DBFields)(db).DB()
+	return nil
+}
+
+// DBFields is DB's JSON shape without DB's codec. A record that nests a
+// DB (a cache entry, a spec-store record) declares the field as DBFields,
+// so the record's own json.Unmarshal decodes the DB's bytes in that one
+// pass, and then calls DB to rebuild the conditions. Never encode one: it
+// carries the decoded condition trees, not Cond.
+type DBFields DB
+
+// DB rebuilds every spec's condition from its tree form and returns the
+// fields as a DB sharing their storage.
+func (f *DBFields) DB() *DB {
+	for _, s := range f.Specs {
 		s.Constraint.Rel.Cond = NodeToCond(s.Constraint.Rel.CondJSON)
 	}
-	return nil
+	return (*DB)(f)
 }
 
 // CondNode is the JSON form of a solver formula.

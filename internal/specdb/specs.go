@@ -18,16 +18,18 @@ import (
 	"seal/internal/spec"
 )
 
-// specRecord is the stored value for one spec. The spec rides inside a
-// single-entry spec.DB because condition trees only (de)serialize
-// through the DB-level JSON codec.
+// specRecord is the stored value for one spec: {"ord":N,"db":DB}. The
+// spec rides inside a single-entry spec.DB because condition trees only
+// serialize through the DB-level JSON codec; it decodes as spec.DBFields,
+// in the record's own json.Unmarshal pass.
 type specRecord struct {
-	Ord uint64   `json:"ord"`
-	DB  *spec.DB `json:"db"`
+	Ord uint64         `json:"ord"`
+	DB  *spec.DBFields `json:"db"`
 }
 
-// encodeSpec writes what json.Marshal(specRecord{...}) would: the DB's
-// JSON is already compact, so it is spliced in rather than re-compacted.
+// encodeSpec writes what json.Marshal would for a record whose db field
+// is the one-spec spec.DB: the DB's JSON is already compact, so it is
+// spliced in rather than re-compacted.
 func encodeSpec(ord uint64, sp *spec.Spec) ([]byte, error) {
 	db, err := (&spec.DB{Specs: []*spec.Spec{sp}}).MarshalJSON()
 	if err != nil {
@@ -45,10 +47,10 @@ func decodeSpec(val []byte) (uint64, *spec.Spec, error) {
 	if rec.DB == nil || len(rec.DB.Specs) != 1 {
 		return 0, nil, fmt.Errorf("%w: spec record holds %d specs, want 1", ErrCorrupt, recLen(rec.DB))
 	}
-	return rec.Ord, rec.DB.Specs[0], nil
+	return rec.Ord, rec.DB.DB().Specs[0], nil
 }
 
-func recLen(db *spec.DB) int {
+func recLen(db *spec.DBFields) int {
 	if db == nil {
 		return 0
 	}

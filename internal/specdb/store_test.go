@@ -892,7 +892,10 @@ func TestSpecRoundTripPreservesBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := json.Marshal(specRecord{Ord: uint64(i) + 7, DB: &spec.DB{Specs: []*spec.Spec{sp}}})
+		ref, err := json.Marshal(struct {
+			Ord uint64   `json:"ord"`
+			DB  *spec.DB `json:"db"`
+		}{uint64(i) + 7, &spec.DB{Specs: []*spec.Spec{sp}}})
 		if err != nil || !bytes.Equal(enc, ref) {
 			t.Fatalf("encodeSpec differs from json.Marshal (%v):\n%s\nvs\n%s", err, enc, ref)
 		}

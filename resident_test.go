@@ -70,11 +70,7 @@ func TestResidentStatsCountsComputedGroups(t *testing.T) {
 			subset = append(subset, s)
 		}
 	}
-	h, err := SpecSetHash(subset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok := r.memo.Load(detectGroupKey(r.TargetHash, edited.Scope(), h, opts.Limits))
+	v, ok := r.memo.Load(detectGroupKey(r.TargetHash, edited.Scope(), SpecSetHash(subset), opts.Limits))
 	if !ok {
 		t.Fatal("recomputed group is not in the memo")
 	}

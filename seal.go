@@ -377,8 +377,8 @@ func InferSpecsContext(ctx context.Context, patches []*Patch, opts Options) (*In
 
 // Detect runs stage ④: check every specification against the target and
 // return the deduplicated bug reports. It is the sequential reference;
-// DetectFiles, DetectDir, and Resident.Detect add caching, budgets, and
-// parallel region groups with byte-identical output.
+// DetectFiles and Resident.Detect add caching, budgets, and parallel
+// region groups with byte-identical output.
 func Detect(t *Target, specs []*Spec) []*Bug {
 	d := detect.New(t.Prog)
 	return d.Detect(specs)
