@@ -126,7 +126,7 @@ func benchIngestSpecs(tb testing.TB, n int) []*Spec {
 	return out
 }
 
-// ingestUnbatched is the pre-group-commit write path: one durable store
+// ingestUnbatched is the per-spec write path: one durable store
 // commit (record append + fsync) per spec.
 func ingestUnbatched(tb testing.TB, path string, specs []*Spec) {
 	tb.Helper()
@@ -142,19 +142,19 @@ func ingestUnbatched(tb testing.TB, path string, specs []*Spec) {
 	}
 }
 
-// ingestBatched is the group-commit path: every spec appends a record and
-// the default commit policy makes each batch durable with one fsync.
+// ingestBatched is the batched path: the whole import is one batch whose
+// records reach the file in one write and become durable with one fsync.
 func ingestBatched(tb testing.TB, path string, specs []*Spec) {
 	tb.Helper()
-	if _, _, err := ImportSpecStoreOptions(path, &SpecDB{Specs: specs}, specdb.Options{}); err != nil {
+	if _, _, err := ImportSpecStore(path, &SpecDB{Specs: specs}); err != nil {
 		tb.Fatal(err)
 	}
 }
 
-// BenchmarkSpecIngest pins the bulk-ingestion claim behind the
-// group-commit path: "cold" commits every spec as its own transaction,
-// "batched" is the same corpus through ImportSpecs with the default
-// commit policy. Record results in BENCH_detect.json.
+// BenchmarkSpecIngest pins the bulk-ingestion claim behind batched
+// commits: "cold" commits every spec as its own transaction, "batched" is
+// the same corpus through ImportSpecs as one commit. Record results in
+// BENCH_detect.json.
 func BenchmarkSpecIngest(b *testing.B) {
 	specs := benchIngestSpecs(b, 1000)
 	b.Run("cold", func(b *testing.B) {
@@ -175,7 +175,7 @@ func BenchmarkSpecIngest(b *testing.B) {
 	})
 }
 
-// TestSpecIngestSpeedup enforces the group-commit acceptance bar: bulk
+// TestSpecIngestSpeedup enforces the batched-commit acceptance bar: bulk
 // ingestion of 1k specs through the batched import path must be at least
 // 10× faster than committing each spec as its own transaction, and both
 // paths must produce stores that read back the identical spec list.
@@ -218,7 +218,7 @@ func TestSpecIngestSpeedup(t *testing.T) {
 	}
 
 	speedup := cold / batched
-	t.Logf("per-spec-commit median %.2fms, group-commit median %.2fms, speedup %.1fx",
+	t.Logf("per-spec-commit median %.2fms, one-commit import median %.2fms, speedup %.1fx",
 		cold/1e6, batched/1e6, speedup)
 	if speedup < 10 {
 		t.Errorf("batched ingest is only %.2fx faster than per-spec commits, want >= 10x", speedup)

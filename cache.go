@@ -90,7 +90,11 @@ func (e *inferCacheEntry) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	*e = inferCacheEntry{DB: *w.DB.DB(), Stats: w.Stats, Solver: w.Solver}
+	db, err := w.DB.DB()
+	if err != nil {
+		return err
+	}
+	*e = inferCacheEntry{DB: *db, Stats: w.Stats, Solver: w.Solver}
 	return nil
 }
 

@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,6 +127,42 @@ func TestCLIDetectBadInputsSpecErrorFirst(t *testing.T) {
 		waitGoroutines(t, before)
 		if err == nil || err.Error() != tc.want.Error() {
 			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCLINullSpecEntry: a spec file whose specs array holds null fails
+// cleanly on every path that decodes it — a fatal error (exit 1, not a
+// usage error) naming the entry, never a panic.
+func TestCLINullSpecEntry(t *testing.T) {
+	dir := t.TempDir()
+	tree := filepath.Join(dir, "tree")
+	if err := os.MkdirAll(tree, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(tree, "a.c"), []byte("int f(void) { return 0; }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	nullSpecs := filepath.Join(dir, "null.json")
+	if err := os.WriteFile(nullSpecs, []byte(`{"specs":[{"id":"s"},null]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"detect -specs", func() error { return cmdDetect([]string{"-target", tree, "-specs", nullSpecs}) }},
+		{"specdb -import", func() error {
+			return cmdSpecDB([]string{"-db", filepath.Join(dir, "s.specdb"), "-import", nullSpecs})
+		}},
+	} {
+		err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), "spec entry 1 is null") {
+			t.Errorf("%s: error %v, want one naming spec entry 1", tc.name, err)
+		}
+		var ec exitCoder
+		if errors.As(err, &ec) {
+			t.Errorf("%s: exit code %d, want a fatal error (exit %d)", tc.name, ec.ExitCode(), exitFatal)
 		}
 	}
 }

@@ -17,12 +17,20 @@ import (
 // cmdServe starts the resident analysis daemon: load once, stay hot,
 // answer /infer /detect /edit /stats /metrics until interrupted.
 func cmdServe(args []string) error {
-	srv, ln, err := setupServe("serve", args)
+	return runDaemon("serve", args, "serving on http://%s (endpoints: /infer /detect /edit /specs /stats /metrics /healthz /readyz)\n")
+}
+
+// runDaemon is the run loop `seal serve` and `seal work` share: build the
+// server from flags, print the banner (a format taking the listen
+// address; scripts and the coordinator scrape it), and serve until the
+// listener fails or SIGINT/SIGTERM asks for a graceful shutdown.
+func runDaemon(name string, args []string, banner string) error {
+	srv, ln, err := setupServe(name, args)
 	if err != nil {
 		return err
 	}
 	hs := &http.Server{Handler: srv.Handler()}
-	fmt.Printf("serving on http://%s (endpoints: /infer /detect /edit /specs /stats /metrics /healthz /readyz)\n", ln.Addr())
+	fmt.Printf(banner, ln.Addr())
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	sigCh := make(chan os.Signal, 1)
@@ -39,9 +47,8 @@ func cmdServe(args []string) error {
 }
 
 // setupServe builds the server and its listener from flags — separated
-// from cmdServe so tests drive a real listener without signal handling,
-// and shared with cmdWork (a worker IS a serve daemon; name only changes
-// the error prefix).
+// from runDaemon so tests drive a real listener without signal handling
+// (a worker IS a serve daemon; name only changes the error prefix).
 func setupServe(name string, args []string) (*serve.Server, net.Listener, error) {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port, printed on startup)")

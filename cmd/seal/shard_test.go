@@ -150,11 +150,6 @@ func TestCLIFlagValidation(t *testing.T) {
 		}},
 		{"specdb no mode", func() error { return cmdSpecDB([]string{"-db", "x.specdb"}) }},
 		{"specdb two modes", func() error { return cmdSpecDB([]string{"-db", "x.specdb", "-compact", "-verify"}) }},
-		{"specdb -commit-every 0", func() error { return cmdSpecDB([]string{"-commit-every", "0"}) }},
-		{"specdb -commit-bytes -1", func() error { return cmdSpecDB([]string{"-commit-bytes", "-1"}) }},
-		{"specdb -commit-interval 0", func() error { return cmdSpecDB([]string{"-commit-interval", "0s"}) }},
-		{"specdb -compact-threshold 0", func() error { return cmdSpecDB([]string{"-compact-threshold", "0"}) }},
-		{"specdb -compact-threshold 1.5", func() error { return cmdSpecDB([]string{"-compact-threshold", "1.5"}) }},
 		{"serve -compact-threshold -0.2", func() error {
 			_, _, err := setupServe("serve", []string{"-compact-threshold", "-0.2"})
 			return err

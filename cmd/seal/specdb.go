@@ -17,35 +17,14 @@ import (
 func cmdSpecDB(args []string) error {
 	fs := flag.NewFlagSet("specdb", flag.ExitOnError)
 	db := fs.String("db", "", "spec store file (required; created by -import when missing)")
-	importFile := fs.String("import", "", "import a flat spec database (JSON from `seal infer`) into the store")
+	importFile := fs.String("import", "", "import a flat spec database (JSON from `seal infer`) into the store, as one commit")
 	compact := fs.Bool("compact", false, "rewrite the store as its live records only, dropping superseded ones")
 	verify := fs.Bool("verify", false, "re-read the store, checking the header and every record checksum, record order, and that the replay matches the served snapshot")
 	query := fs.String("query", "", "print specs matching comma-separated field=value terms (fields: scope, iface, api, origin, patch, forbidden)")
 	stats := fs.Bool("stats", false, "print the store position (seq, keys), file size, and dead-record ratio")
-	commitEvery := fs.Int("commit-every", 0, "group-commit after this many records (0 = default 256)")
-	commitBytes := fs.Int64("commit-bytes", 0, "group-commit after this many pending record bytes (0 = default 1 MiB)")
-	commitInterval := fs.Duration("commit-interval", 0, "group-commit this long after the first pending record (0 = no time trigger)")
-	compactThreshold := fs.Float64("compact-threshold", 0, "background-compact when the dead-record ratio (superseded record bytes over committed record bytes) reaches this fraction in (0, 1] (0 = never)")
 	fs.Parse(args)
-	if err := validateFlags(fs, "specdb", positiveInt, "commit-every", "commit-bytes"); err != nil {
-		return err
-	}
-	if err := validateFlags(fs, "specdb", positiveDuration, "commit-interval"); err != nil {
-		return err
-	}
-	if err := validateFlags(fs, "specdb", ratio, "compact-threshold"); err != nil {
-		return err
-	}
 	if *db == "" {
 		return fmt.Errorf("specdb: -db is required")
-	}
-	opts := specdb.Options{
-		Commit: specdb.CommitPolicy{
-			Records:  *commitEvery,
-			Bytes:    *commitBytes,
-			Interval: *commitInterval,
-		},
-		CompactThreshold: *compactThreshold,
 	}
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -64,14 +43,14 @@ func cmdSpecDB(args []string) error {
 		if err != nil {
 			return err
 		}
-		added, skipped, err := seal.ImportSpecStoreOptions(*db, flat, opts)
+		added, skipped, err := seal.ImportSpecStore(*db, flat)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("imported %d specs into %s (%d already present)\n", added, *db, skipped)
 		return nil
 	case *compact:
-		st, err := specdb.OpenOptions(*db, opts)
+		st, err := specdb.Open(*db)
 		if err != nil {
 			return err
 		}

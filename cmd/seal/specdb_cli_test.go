@@ -86,44 +86,126 @@ func TestCLISpecDBDetectIdentity(t *testing.T) {
 }
 
 // TestCLISpecDBShardedWithWriterTail is the regression test for one seq
-// pinning two spec sets: while a writer holds an appended but uncommitted
-// edit, as `seal serve` can, a sharded `detect -spec-db` must print exactly
-// what the in-process run prints, because the workers run the specs the
-// coordinator's read-only open saw, shipped inline in their jobs.
+// pinning two spec sets. A writer that dies between its write and its
+// fsync leaves complete records past its last commit, which every later
+// open replays; the test stands in for it by appending an encoded record
+// that edits the spec behind the first report straight to the store file.
+// A sharded `detect -spec-db` must print exactly what the in-process run
+// prints, edit included, because the workers run the specs the
+// coordinator's read-only open saw, shipped inline in their jobs. And the
+// seq `seal specdb -stats` reports must pin, through OpenAt, that same
+// spec set.
 func TestCLISpecDBShardedWithWriterTail(t *testing.T) {
-	tree, _, storePath := buildSpecStore(t)
-	st, err := specdb.OpenOptions(storePath, specdb.Options{
-		Commit: specdb.CommitPolicy{Records: 1 << 20, Bytes: 1 << 40},
+	tree, specFile, storePath := buildSpecStore(t)
+	flat := captureStdout(t, func() error {
+		return cmdDetect([]string{"-target", tree, "-specs", specFile, "-report"})
 	})
+	key := firstReportSpecKey(t, flat)
+
+	// The writer's view of its store, which the tail record extends.
+	st, err := specdb.Open(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := st.Batch()
-	defer func() {
-		b.Discard()
-		st.Close()
-	}()
-	specs, err := st.Current().Specs()
-	if err != nil {
+	sn := st.Current()
+	sp, ok, err := sn.SpecByKey(key)
+	if err != nil || !ok {
+		t.Fatalf("spec %q behind the first report: found=%v err=%v", key, ok, err)
+	}
+	raw, _ := sn.Get([]byte(key))
+	var rec struct {
+		Ord uint64 `json:"ord"`
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
 		t.Fatal(err)
 	}
-	edited := *specs[0]
+	edited := *sp
 	edited.OriginPatch += "-edited"
-	if created, err := b.UpsertSpec(&edited); err != nil || created {
-		t.Fatalf("edit: created=%v err=%v", created, err)
+	val, err := json.Marshal(struct {
+		Ord uint64   `json:"ord"`
+		DB  *spec.DB `json:"db"`
+	}{rec.Ord, &spec.DB{Specs: []*spec.Spec{&edited}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := specdb.EncodeWALRecord(&specdb.WALRecord{Op: specdb.WALOpPut, Seq: sn.Seq() + 1,
+		NextOrd: st.Stats().NextOrd, Key: []byte(key), Val: val})
+	st.Close()
+	f, err := os.OpenFile(storePath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	inProcess := captureStdout(t, func() error {
 		return cmdDetect([]string{"-target", tree, "-spec-db", storePath, "-report"})
 	})
+	if !strings.Contains(inProcess, edited.OriginPatch) {
+		t.Fatalf("the in-process run did not see the tail record's edit (%s):\n%s", edited.OriginPatch, inProcess)
+	}
 	sharded := captureStdout(t, func() error {
 		return cmdDetect([]string{"-target", tree, "-spec-db", storePath, "-report",
 			"-shards", "2", "-cache-dir", t.TempDir()})
 	})
 	if sharded != inProcess {
-		t.Errorf("-shards 2 output differs from the in-process run while a writer holds an uncommitted edit.\nsharded:\n%s\nin-process:\n%s",
+		t.Errorf("-shards 2 output differs from the in-process run over a store with a writer's tail.\nsharded:\n%s\nin-process:\n%s",
 			sharded, inProcess)
 	}
+
+	stats := captureStdout(t, func() error {
+		return cmdSpecDB([]string{"-db", storePath, "-stats"})
+	})
+	var seq uint64
+	if _, err := fmt.Sscanf(stats[len(storePath):], ": seq %d,", &seq); err != nil {
+		t.Fatalf("stats output %q: %v", stats, err)
+	}
+	pin, err := specdb.OpenAt(storePath, seq)
+	if err != nil {
+		t.Fatalf("OpenAt(%d), the seq -stats reported: %v", seq, err)
+	}
+	pinnedSpecs, err := pin.Current().Specs()
+	pin.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := (&spec.DB{Specs: pinnedSpecs}).MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinnedFile := filepath.Join(t.TempDir(), "pinned.json")
+	if err := os.WriteFile(pinnedFile, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pinned := captureStdout(t, func() error {
+		return cmdDetect([]string{"-target", tree, "-specs", pinnedFile, "-report"})
+	})
+	if pinned != inProcess {
+		t.Errorf("seq %d pins a spec set other than the one the read-only open served.\npinned:\n%s\nin-process:\n%s",
+			seq, pinned, inProcess)
+	}
+}
+
+// firstReportSpecKey is the spec.Key() of the spec behind the first report
+// in a `detect -report` output: its Scope line's scope and its Spec line.
+func firstReportSpecKey(t *testing.T, report string) string {
+	t.Helper()
+	var constraint string
+	for _, line := range strings.Split(report, "\n") {
+		if c, ok := strings.CutPrefix(line, "Spec     : "); ok && constraint == "" {
+			constraint = c
+		}
+		if sc, ok := strings.CutPrefix(line, "Scope    : "); ok && constraint != "" {
+			scope, _, _ := strings.Cut(sc, " (")
+			return scope + " | " + constraint
+		}
+	}
+	t.Fatalf("no report in:\n%s", report)
+	return ""
 }
 
 // TestCLISpecDBDetectWorkersOverlap is the regression test for a

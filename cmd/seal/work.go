@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"net/url"
 	"os"
 	"os/exec"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"seal"
@@ -34,25 +31,7 @@ const workBanner = "worker on http://"
 // once is a replay for every worker asked for it afterwards, including a
 // worker restarted after a crash.
 func cmdWork(args []string) error {
-	srv, ln, err := setupServe("work", args)
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	fmt.Printf("%s%s (endpoints: /shard /detect /infer /edit /specs /stats /metrics /healthz /readyz)\n", workBanner, ln.Addr())
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		return err
-	case sig := <-sigCh:
-		fmt.Fprintf(os.Stderr, "seal: %v: shutting down\n", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		return hs.Shutdown(ctx)
-	}
+	return runDaemon("work", args, workBanner+"%s (endpoints: /shard /detect /infer /edit /specs /stats /metrics /healthz /readyz)\n")
 }
 
 // parseShardAddrs parses -shard-addrs: comma-separated worker base URLs

@@ -134,7 +134,7 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 		scopes[gi] = subset[0].Scope()
 		if memo != nil || pc.Enabled() {
 			keys[gi] = detectGroupKey(targetHash, scopes[gi], SpecSetHash(subset), opts.Limits)
-			outs[gi] = lookupGroup(keys[gi], memo, pc)
+			outs[gi] = lookupGroup(scopes[gi], keys[gi], memo, pc)
 		}
 		if outs[gi] == nil {
 			missed, missedAt = append(missed, subset), append(missedAt, gi)
@@ -174,7 +174,7 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 				continue
 			}
 			if memo != nil {
-				memo.Store(keys[gi], o)
+				memo.Store(scopes[gi], memoEntry{keys[gi], o})
 			}
 			pc.Put(cache.TierDetectGroup, keys[gi], o) // Outcome.MarshalBinary
 		}
@@ -191,13 +191,22 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 	return res, gs, runErr
 }
 
-// lookupGroup resolves one group key against the memo, then the persistent
-// cache (promoting a disk hit into the memo). Nil on a miss. A disk entry
-// holds the group's Outcome in its binary form (Outcome.UnmarshalBinary).
-func lookupGroup(key string, memo *sync.Map, pc *cache.Cache) *detect.Outcome {
+// memoEntry is a group memo value: the outcome computed for one group
+// key. The memo holds one entry per region-group scope, so a spec edit
+// replaces its group's old outcome instead of adding a new one beside it.
+type memoEntry struct {
+	key string
+	o   *detect.Outcome
+}
+
+// lookupGroup resolves one group key against the memo entry of its scope,
+// then the persistent cache (promoting a disk hit into the memo). Nil on a
+// miss. A disk entry holds the group's Outcome in its binary form
+// (Outcome.UnmarshalBinary).
+func lookupGroup(scope, key string, memo *sync.Map, pc *cache.Cache) *detect.Outcome {
 	if memo != nil {
-		if v, ok := memo.Load(key); ok {
-			return v.(*detect.Outcome)
+		if v, ok := memo.Load(scope); ok && v.(memoEntry).key == key {
+			return v.(memoEntry).o
 		}
 	}
 	var o detect.Outcome
@@ -205,7 +214,7 @@ func lookupGroup(key string, memo *sync.Map, pc *cache.Cache) *detect.Outcome {
 		return nil
 	}
 	if memo != nil {
-		memo.Store(key, &o)
+		memo.Store(scope, memoEntry{key, &o})
 	}
 	return &o
 }

@@ -195,7 +195,7 @@ func main() {
 	// WAL record seeds: valid put/delete frames from the real encoder
 	// plus the three hostile classes FuzzWALRecord's contract names —
 	// truncated, flipped-checksum, and version-skewed-but-resealed —
-	// feeding the group-commit log scanner's torn-tail discipline.
+	// feeding the record-log scanner's torn-tail discipline.
 	if err := writeWALRecordSeeds(filepath.Join("internal", "specdb", "testdata", "fuzz", "FuzzWALRecord")); err != nil {
 		fail(err)
 	}

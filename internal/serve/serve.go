@@ -581,8 +581,8 @@ type StatsResponse struct {
 	Resident    seal.ResidentStats `json:"resident"`
 	MemoEntries int                `json:"memo_entries"`
 	Substrate   seal.DetectStats   `json:"substrate"`
-	// SpecStore surfaces the backing store's write-path liveness (pending
-	// records, dead-record ratio, compaction count) in SpecDB mode.
+	// SpecStore surfaces the backing store's position, size, dead-record
+	// ratio and compaction count in SpecDB mode.
 	SpecStore *specdb.StoreStats `json:"spec_store,omitempty"`
 }
 

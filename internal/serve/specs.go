@@ -27,8 +27,8 @@ type SpecsResponse struct {
 
 // SpecsEditRequest edits the spec database: Upsert inserts or replaces
 // specs by key, Delete removes specs by key. Upserts apply before
-// deletes; the whole edit group-commits as one batch of records made
-// durable by a single fsync, and publishes once.
+// deletes; the whole edit is one store transaction, made durable by a
+// single fsync and published once, or rejected with nothing written.
 type SpecsEditRequest struct {
 	Upsert *seal.SpecDB `json:"upsert,omitempty"`
 	Delete []string     `json:"delete,omitempty"`
@@ -110,12 +110,12 @@ func (s *Server) handleSpecsEdit(w http.ResponseWriter, r *http.Request) {
 	}
 	var created, replaced, deleted int
 	snap, err := s.store.EditSpecs(func() ([]*seal.Spec, uint64, error) {
+		// An error before Flush drops the batch unwritten.
 		b := s.specStore.Batch()
 		if req.Upsert != nil {
 			for _, sp := range req.Upsert.Specs {
 				isNew, err := b.UpsertSpec(sp)
 				if err != nil {
-					b.Discard()
 					return nil, 0, err
 				}
 				if isNew {
@@ -126,12 +126,7 @@ func (s *Server) handleSpecsEdit(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		for _, key := range req.Delete {
-			ok, err := b.DeleteSpec(key)
-			if err != nil {
-				b.Discard()
-				return nil, 0, err
-			}
-			if ok {
+			if b.DeleteSpec(key) {
 				deleted++
 			}
 		}
@@ -143,10 +138,8 @@ func (s *Server) handleSpecsEdit(w http.ResponseWriter, r *http.Request) {
 		return specs, ssnap.Seq(), err
 	})
 	if err != nil {
-		// A discarded batch leaves the store exactly as the last commit
-		// left it — the edit is all-or-nothing up to any group-commit
-		// the policy tripped mid-batch. The published epoch is unchanged,
-		// and the next successful edit republishes everything.
+		// A rejected or failed edit commits nothing: the store stays as
+		// the last commit left it and the published epoch is unchanged.
 		s.writeError(w, http.StatusUnprocessableEntity, "edit-failed", err.Error(), nil)
 		return
 	}

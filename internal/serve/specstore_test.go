@@ -1,18 +1,23 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"seal"
 	"seal/internal/spec"
+	"seal/internal/specdb"
 )
 
-// newStoreBackedServer imports the shared corpus specs into a fresh paged
+// newStoreBackedServer imports the shared corpus specs into a fresh spec
 // store and builds a server over it.
 func newStoreBackedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, string) {
 	t.Helper()
@@ -180,5 +185,97 @@ func TestServeSpecsEndpoint(t *testing.T) {
 	// An empty edit is rejected before touching the store.
 	if got := do(t, ts, "POST", "/specs", "{}", &env); got != http.StatusBadRequest {
 		t.Fatalf("empty edit: status %d, want 400", got)
+	}
+}
+
+// TestServeSpecsRejectedEditChangesNothing: an edit is one transaction.
+// 257 valid upserts followed by one whose key is too long answer 422, the
+// daemon keeps serving the old database, and the store file is
+// byte-identical afterwards, so a restart serves nothing the client was
+// told was rejected.
+func TestServeSpecsRejectedEditChangesNothing(t *testing.T) {
+	srv, ts, storePath := newStoreBackedServer(t, Config{Workers: 1})
+	_, specs := corpus(t)
+	before, err := os.ReadFile(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var upserts []*spec.Spec
+	for i := 0; i < 257; i++ {
+		sp := *specs[i%len(specs)]
+		sp.Iface = fmt.Sprintf("bulk.ops%03d", i)
+		upserts = append(upserts, &sp)
+	}
+	long := *specs[0]
+	long.Iface = strings.Repeat("x", specdb.MaxKeyLen)
+	upserts = append(upserts, &long)
+	body, err := json.Marshal(SpecsEditRequest{Upsert: &seal.SpecDB{Specs: upserts}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env errorEnvelope
+	if got := do(t, ts, "POST", "/specs", string(body), &env); got != http.StatusUnprocessableEntity || env.Error.Code != "edit-failed" {
+		t.Fatalf("edit with an over-long key: status %d code %q, want 422 edit-failed", got, env.Error.Code)
+	}
+	if n := len(srv.Store().Current().Specs); n != len(specs) {
+		t.Fatalf("daemon serves %d specs after a rejected edit, want %d", n, len(specs))
+	}
+	after, err := os.ReadFile(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		st, err := specdb.OpenReadOnly(storePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		t.Fatalf("a rejected edit changed the store file: %d -> %d bytes, %d keys now (was %d)",
+			len(before), len(after), st.Current().Len(), len(specs))
+	}
+}
+
+// TestServeSpecsNullUpsert: a null entry in an edit's upsert list is a
+// malformed request (400 bad-request naming the entry), not a server
+// panic.
+func TestServeSpecsNullUpsert(t *testing.T) {
+	_, ts, _ := newStoreBackedServer(t, Config{Workers: 1})
+	var env errorEnvelope
+	if got := do(t, ts, "POST", "/specs", `{"upsert":{"specs":[null]}}`, &env); got != http.StatusBadRequest || env.Error.Code != "bad-request" {
+		t.Fatalf("null upsert: status %d code %q, want 400 bad-request", got, env.Error.Code)
+	}
+	if !strings.Contains(env.Error.Message, "spec entry 0 is null") {
+		t.Fatalf("null upsert error %q does not name the entry", env.Error.Message)
+	}
+}
+
+// TestServeSpecsEditsKeepMemoBounded: the resident group memo holds one
+// outcome per region group, however many one-spec edits arrive. Each
+// edit's detection replaces its group's entry instead of adding a new one
+// beside the old.
+func TestServeSpecsEditsKeepMemoBounded(t *testing.T) {
+	_, ts, _ := newStoreBackedServer(t, Config{Workers: 1})
+	_, specs := corpus(t)
+	const edits = 6
+	for i := 0; i < edits; i++ {
+		edited := *specs[i%len(specs)]
+		edited.OriginPatch += fmt.Sprintf("-edit%d", i)
+		body, err := json.Marshal(SpecsEditRequest{Upsert: &seal.SpecDB{Specs: []*spec.Spec{&edited}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := do(t, ts, "POST", "/specs", string(body), nil); got != http.StatusOK {
+			t.Fatalf("edit %d: status %d", i, got)
+		}
+		if got := do(t, ts, "POST", "/detect", "{}", nil); got != http.StatusOK {
+			t.Fatalf("detect after edit %d: status %d", i, got)
+		}
+	}
+	var st StatsResponse
+	if got := do(t, ts, "GET", "/stats", "", &st); got != http.StatusOK {
+		t.Fatalf("stats: status %d", got)
+	}
+	if want := corpusGroups(t); st.MemoEntries != want {
+		t.Fatalf("memo entries after %d edits = %d, want the %d region groups", edits, st.MemoEntries, want)
 	}
 }

@@ -398,8 +398,8 @@ func (db *DB) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, (*DBFields)(db)); err != nil {
 		return err
 	}
-	(*DBFields)(db).DB()
-	return nil
+	_, err := (*DBFields)(db).DB()
+	return err
 }
 
 // DBFields is DB's JSON shape without DB's codec. A record that nests a
@@ -410,12 +410,16 @@ func (db *DB) UnmarshalJSON(data []byte) error {
 type DBFields DB
 
 // DB rebuilds every spec's condition from its tree form and returns the
-// fields as a DB sharing their storage.
-func (f *DBFields) DB() *DB {
-	for _, s := range f.Specs {
+// fields as a DB sharing their storage. A null entry in specs is an
+// error naming its index.
+func (f *DBFields) DB() (*DB, error) {
+	for i, s := range f.Specs {
+		if s == nil {
+			return nil, fmt.Errorf("spec entry %d is null", i)
+		}
 		s.Constraint.Rel.Cond = NodeToCond(s.Constraint.Rel.CondJSON)
 	}
-	return (*DB)(f)
+	return (*DB)(f), nil
 }
 
 // CondNode is the JSON form of a solver formula.

@@ -3,6 +3,7 @@ package spec
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +91,46 @@ func TestDBDedup(t *testing.T) {
 	db.Dedup()
 	if len(db.Specs) != 2 {
 		t.Fatalf("dedup kept %d specs, want 2", len(db.Specs))
+	}
+}
+
+// TestDBDecodeRejectsNullEntries: a null in the specs array fails the
+// decode with an error naming its index, through DB's codec and through a
+// record that nests DBFields; well-formed inputs still decode.
+func TestDBDecodeRejectsNullEntries(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		wantErr string // "" = decodes
+		specs   int
+	}{
+		{`{"specs":[null]}`, "spec entry 0 is null", 0},
+		{`{"specs":[{"id":"a"},null]}`, "spec entry 1 is null", 0},
+		{`{"specs":[null,{"id":"b"}]}`, "spec entry 0 is null", 0},
+		{`{"specs":[]}`, "", 0},
+		{`{"specs":null}`, "", 0},
+		{`{"specs":[{"id":"a"},{"id":"b"}]}`, "", 2},
+	} {
+		var db DB
+		err := json.Unmarshal([]byte(tc.in), &db)
+		var rec struct {
+			DB DBFields `json:"db"`
+		}
+		nestErr := json.Unmarshal([]byte(`{"db":`+tc.in+`}`), &rec)
+		var nested *DB
+		if nestErr == nil {
+			nested, nestErr = rec.DB.DB()
+		}
+		for _, got := range []error{err, nestErr} {
+			if tc.wantErr == "" && got != nil {
+				t.Errorf("%s: %v, want a clean decode", tc.in, got)
+			}
+			if tc.wantErr != "" && (got == nil || !strings.Contains(got.Error(), tc.wantErr)) {
+				t.Errorf("%s: error %v, want %q", tc.in, got, tc.wantErr)
+			}
+		}
+		if tc.wantErr == "" && (len(db.Specs) != tc.specs || len(nested.Specs) != tc.specs) {
+			t.Errorf("%s: decoded %d and %d specs, want %d", tc.in, len(db.Specs), len(nested.Specs), tc.specs)
+		}
 	}
 }
 

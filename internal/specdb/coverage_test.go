@@ -121,27 +121,28 @@ func TestOpenRejectsHostileHeaders(t *testing.T) {
 	}
 }
 
-// failFile injects a WriteAt, Sync or Truncate failure after a countdown,
-// to drive the append, commit and discard error paths.
+// failFile injects WriteAt, Sync and Truncate failures, to drive the
+// commit error paths.
 type failFile struct {
 	*memFile
-	writesLeft int
-	failSync   bool
+	failWrites int // fail this many upcoming writes
+	failSyncs  int // fail this many upcoming syncs
 	failTrunc  bool
 }
 
 var errInjected = errors.New("injected I/O failure")
 
 func (f *failFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.writesLeft <= 0 {
+	if f.failWrites > 0 {
+		f.failWrites--
 		return 0, errInjected
 	}
-	f.writesLeft--
 	return f.memFile.WriteAt(p, off)
 }
 
 func (f *failFile) Sync() error {
-	if f.failSync {
+	if f.failSyncs > 0 {
+		f.failSyncs--
 		return errInjected
 	}
 	return f.memFile.Sync()
@@ -155,62 +156,62 @@ func (f *failFile) Truncate(n int64) error {
 }
 
 func TestCommitSurfacesWriteErrors(t *testing.T) {
-	ff := &failFile{memFile: &memFile{}, writesLeft: 1 << 30}
-	st, err := initFile(ff, "fail.mem", Options{Commit: CommitPolicy{Records: 1 << 20, Bytes: 1 << 30}})
+	ff := &failFile{memFile: &memFile{}}
+	st, err := initFile(ff, "fail.mem")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := st.Batch()
+	flush := func(key, val string) error {
+		t.Helper()
+		if err := b.put([]byte(key), []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		return b.Flush()
+	}
+	marker := int64(len(EncodeWALRecord(&WALRecord{Op: WALOpDelete, Key: []byte(seqMarkKey)})))
 
-	// A failed append leaves nothing pending and the seq where it was.
-	ff.writesLeft = 0
-	if err := b.put([]byte("k"), []byte("v")); !errors.Is(err, errInjected) {
-		t.Fatalf("append = %v, want injected failure", err)
-	}
-	ff.writesLeft = 1 << 30
-	if b.Pending() != 0 {
-		t.Fatal("failed append left a pending record")
-	}
-
-	// A failed sync keeps the batch pending and the snapshot unpublished;
-	// the retry commits it.
-	if err := b.put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	ff.failSync = true
-	if err := b.Flush(); !errors.Is(err, errInjected) {
+	// A failed write publishes nothing. The seq marker's write fails too,
+	// so the file keeps only its header, but this process's seq counter
+	// has moved past both (seqs 1 and 2).
+	ff.failWrites = 2
+	if err := flush("k", "v"); !errors.Is(err, errInjected) {
 		t.Fatalf("Flush = %v, want injected failure", err)
 	}
-	if st.Current().Seq() != 0 || b.Pending() != 1 {
-		t.Fatalf("failed commit published seq %d with %d pending", st.Current().Seq(), b.Pending())
+	if st.Current().Seq() != 0 || len(ff.buf) != headerLen {
+		t.Fatalf("failed write published seq %d, left %d bytes", st.Current().Seq(), len(ff.buf))
 	}
-	ff.failSync = false
-	if err := b.Flush(); err != nil || st.Current().Seq() != 1 {
+
+	// A failed sync: the written record (seq 3) is cut away and a durable
+	// seq marker (seq 4) commits in its place, changing no key.
+	ff.failSyncs = 1
+	if err := flush("k", "v"); !errors.Is(err, errInjected) {
+		t.Fatalf("Flush = %v, want injected failure", err)
+	}
+	if st.Current().Seq() != 4 || st.Current().Len() != 0 || int64(len(ff.buf)) != headerLen+marker {
+		t.Fatalf("after a failed sync: seq %d, %d keys, %d bytes; want the seq marker alone", st.Current().Seq(), st.Current().Len(), len(ff.buf))
+	}
+	if err := flush("k", "v"); err != nil || st.Current().Seq() != 5 {
 		t.Fatalf("retried commit: %v, seq %d", err, st.Current().Seq())
 	}
 
-	// A failed truncate still drops the batch; the next append overwrites
-	// the discarded bytes, so a reopen sees only committed records.
-	if err := b.put([]byte("gone"), []byte("long discarded value")); err != nil {
-		t.Fatal(err)
-	}
-	ff.failTrunc = true
-	if err := b.Discard(); !errors.Is(err, errInjected) {
-		t.Fatalf("Discard = %v, want injected failure", err)
+	// A failed truncate leaves the failed record in the file and writes no
+	// marker; the next commit overwrites its bytes, so a reopen sees only
+	// committed records.
+	ff.failSyncs, ff.failTrunc = 1, true
+	if err := flush("gone", "long discarded value"); !errors.Is(err, errInjected) {
+		t.Fatalf("Flush = %v, want injected failure", err)
 	}
 	ff.failTrunc = false
-	if err := b.put([]byte("x"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Flush(); err != nil {
+	if err := flush("x", ""); err != nil {
 		t.Fatal(err)
 	}
 	re, err := openFile(&memFile{buf: ff.buf}, "reopen", true, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dump(t, re.Current()); len(got) != 2 || got["k"] != "v" || got["x"] != "" {
-		t.Fatalf("reopened after failed truncate: %v", got)
+	if got := dump(t, re.Current()); len(got) != 2 || got["k"] != "v" || got["x"] != "" || re.Current().Seq() != 7 {
+		t.Fatalf("reopened after failed truncate: %v at seq %d", got, re.Current().Seq())
 	}
 }
 
@@ -292,11 +293,12 @@ func TestStorePathAccessor(t *testing.T) {
 	if err := st.Close(); err != nil { // double close is a no-op
 		t.Fatal(err)
 	}
-	if err := st.Batch().put([]byte("k"), nil); err == nil {
-		t.Fatal("put on closed store succeeded")
+	b := st.Batch()
+	if err := b.put([]byte("k"), nil); err != nil {
+		t.Fatal(err)
 	}
-	if err := st.Batch().Discard(); err == nil {
-		t.Fatal("Discard on closed store succeeded")
+	if err := b.Flush(); err == nil {
+		t.Fatal("Flush on closed store succeeded")
 	}
 	if _, err := st.Compact(); err == nil {
 		t.Fatal("Compact on closed store succeeded")

@@ -1,8 +1,8 @@
 package specdb
 
 // Crash-consistency harness. A recording file logs every physical
-// operation the store issues on its one file — record appends, the
-// truncations Discard makes, and the syncs that commit — across a
+// operation the store issues on its one file — the one write of each
+// Flush's records, any truncation, and the syncs that commit — across a
 // multi-commit run. Beside the log it keeps an independent oracle: the
 // records the file holds after each operation, each with the state a plain
 // map reaches by applying the records up to it. The harness then rebuilds
@@ -11,8 +11,9 @@ package specdb
 // byte prefix of the final image, and single-bit flips, and asserts what
 // recovery yields: exactly the replay of a prefix of the records — all of
 // them when every write in the prefix completed, so at least the last
-// synced commit — or, for damage ahead of the final record, a clean
-// ErrCorrupt; never a panic, never data that was not written.
+// synced commit, and the ones wholly inside a torn write — or, for damage
+// ahead of the final record, a clean ErrCorrupt; never a panic, never data
+// that was not written.
 
 import (
 	"errors"
@@ -94,13 +95,15 @@ func (r *recordingFile) Close() error                            { return nil }
 func (r *recordingFile) WriteAt(p []byte, off int64) (int, error) {
 	if off == 0 {
 		r.held = []filed{{end: int64(len(p)), nextOrd: 1, model: map[string]string{}}}
-	} else {
-		rec, n, err := DecodeWALRecord(p)
-		if err != nil || n != len(p) {
-			panic(fmt.Sprintf("store wrote a non-record at %d: %v", off, err))
+	}
+	for at := 0; off > 0 && at < len(p); {
+		rec, n, err := DecodeWALRecord(p[at:])
+		if err != nil {
+			panic(fmt.Sprintf("store wrote a non-record at %d: %v", off+int64(at), err))
 		}
+		at += n
 		last := r.held[len(r.held)-1]
-		next := filed{end: off + int64(n), seq: rec.Seq, nextOrd: rec.NextOrd, model: copyModel(last.model)}
+		next := filed{end: off + int64(at), seq: rec.Seq, nextOrd: rec.NextOrd, model: copyModel(last.model)}
 		if rec.Op == WALOpPut {
 			next.model[string(rec.Key)] = string(rec.Val)
 		} else {
@@ -162,11 +165,11 @@ func replayOps(log []fileOp, n int) *memFile {
 }
 
 // buildCrashRun drives a deterministic raw workload — puts, deletes,
-// policy-tripped commits, flushes and discards — through a recording file.
+// flushes and discards — through a recording file.
 func buildCrashRun(t *testing.T) *recordingFile {
 	t.Helper()
 	rec := &recordingFile{}
-	st, err := initFile(rec, "crash.mem", Options{Commit: CommitPolicy{Records: 5, Bytes: 1 << 30}})
+	st, err := initFile(rec, "crash.mem")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +241,7 @@ func checkRecovery(t *testing.T, img *memFile, held []filed, k int, label string
 // checkEveryPrefix replays a run cut after every op, plus a torn and a
 // scribbled variant of each in-flight write: every complete record must
 // survive, so recovery is the replay of all records held — at least the
-// last synced commit.
+// last synced commit — plus those wholly inside the torn write's half.
 func checkEveryPrefix(t *testing.T, rec *recordingFile) {
 	for p := 0; p <= len(rec.log); p++ {
 		held, durable := rec.heldAt(p)
@@ -253,10 +256,16 @@ func checkEveryPrefix(t *testing.T, rec *recordingFile) {
 		if next.trunc || next.sync {
 			continue
 		}
-		// Torn in-flight write: only the first half lands.
+		// Torn in-flight write: only the first half lands, and with it the
+		// records of a multi-record write that lie wholly inside it.
+		after, _ := rec.heldAt(p + 1)
+		half := next.off + int64(len(next.data)/2)
+		if held == nil {
+			after = nil
+		}
 		img := replayOps(rec.log, p)
 		img.WriteAt(next.data[:len(next.data)/2], next.off)
-		checkRecovery(t, img, held, len(held)-1, fmt.Sprintf("torn %d/%d", p, len(rec.log)))
+		checkRecovery(t, img, after, recordsBefore(after, half), fmt.Sprintf("torn %d/%d", p, len(rec.log)))
 		// Scribbled: the first half lands and the rest is garbage.
 		img = replayOps(rec.log, p)
 		scribble := append([]byte(nil), next.data...)
@@ -264,7 +273,7 @@ func checkEveryPrefix(t *testing.T, rec *recordingFile) {
 			scribble[i] = 0xAA
 		}
 		img.WriteAt(scribble, next.off)
-		checkRecovery(t, img, held, len(held)-1, fmt.Sprintf("scribbled %d/%d", p, len(rec.log)))
+		checkRecovery(t, img, after, recordsBefore(after, half), fmt.Sprintf("scribbled %d/%d", p, len(rec.log)))
 	}
 }
 
@@ -365,7 +374,7 @@ func TestCrashBitFlips(t *testing.T) {
 func buildSpecCrashRun(t *testing.T) *recordingFile {
 	t.Helper()
 	rec := &recordingFile{}
-	st, err := initFile(rec, "walcrash.mem", Options{Commit: CommitPolicy{Records: 4, Bytes: 1 << 30}})
+	st, err := initFile(rec, "walcrash.mem")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,9 +392,8 @@ func buildSpecCrashRun(t *testing.T) *recordingFile {
 		key := edited.Key()
 		_, live := model[key]
 		if rng.Intn(4) == 0 {
-			ok, err := b.DeleteSpec(key)
-			if err != nil || ok != live {
-				t.Fatalf("op %d: delete(%q) = %v %v, model live %v", c, key, ok, err, live)
+			if ok := b.DeleteSpec(key); ok != live {
+				t.Fatalf("op %d: delete(%q) = %v, model live %v", c, key, ok, live)
 			}
 			delete(model, key)
 		} else {
@@ -423,8 +431,8 @@ func buildSpecCrashRun(t *testing.T) *recordingFile {
 }
 
 // TestWALCrashConsistencyEveryPrefix replays the spec-level workload cut
-// at every op: an operation is durable once its record is wholly on disk,
-// whether or not the commit that covers it ran, and ordinals survive.
+// at every op: a record is recovered once it is wholly on disk, whether or
+// not the sync that covers it ran, and ordinals survive.
 func TestWALCrashConsistencyEveryPrefix(t *testing.T) {
 	checkEveryPrefix(t, buildSpecCrashRun(t))
 }
@@ -437,7 +445,7 @@ func TestWALCrashRecoveredStoreStaysWritable(t *testing.T) {
 	for _, frac := range []int{3, 2, 1} {
 		p := len(rec.log) / frac
 		held, _ := rec.heldAt(p)
-		st, err := openFile(replayOps(rec.log, p), "rewrite", false, Options{Commit: CommitPolicy{Records: 2, Bytes: 1 << 30}})
+		st, err := openFile(replayOps(rec.log, p), "rewrite", false, Options{})
 		if err != nil {
 			t.Fatalf("cut %d: %v", p, err)
 		}

@@ -17,7 +17,7 @@ import (
 func buildStoreImages(tb testing.TB) [][]byte {
 	tb.Helper()
 	f := &memFile{}
-	st, err := initFile(f, "seed.mem", Options{})
+	st, err := initFile(f, "seed.mem")
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -2,9 +2,10 @@ package specdb
 
 // Model-based property test: seeded random operation sequences (put,
 // delete, flush, discard, snapshot, compact, reopen) run against an
-// in-memory map model. After every operation the store's published
-// snapshot must agree with the committed model on content, count, and
-// iteration order; held snapshots must keep showing the state they were
+// in-memory map model. Staged operations change the model only when their
+// batch flushes; a discard or a reopen drops them. After every operation
+// the store's published snapshot must agree with the committed model on
+// content, count, and iteration order; held snapshots must keep showing the state they were
 // taken at no matter what later commits, compactions and closes do;
 // OpenAt must reproduce every commit since the last compaction; and a
 // close/reopen cycle must reload the same state without rewriting the
@@ -103,8 +104,7 @@ type commitPoint struct {
 func runModelSeed(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	path := filepath.Join(t.TempDir(), "model.db")
-	opts := Options{Commit: CommitPolicy{Records: 2 + rng.Intn(10), Bytes: 1 << 30}}
-	st, err := CreateOptions(path, opts)
+	st, err := Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func runModelSeed(t *testing.T, seed int64) {
 		sizes := []int{0, 1, 17, 511, 512, 513, 2000, 4200}
 		return strings.Repeat(string(rune('a'+rng.Intn(26))), sizes[rng.Intn(len(sizes))])
 	}
-	// committedNow records a commit if the batch just went durable.
-	committedNow := func(b *Batch) {
-		if b.Pending() == 0 && st.Current().Seq() != points[len(points)-1].seq {
-			committed = copyModel(pending)
-			points = append(points, commitPoint{seq: st.Current().Seq(), model: committed})
+	// flushed records the commit a Flush just made, if it wrote anything.
+	flushed := func() {
+		committed = copyModel(pending)
+		if seq := st.Current().Seq(); seq != points[len(points)-1].seq {
+			points = append(points, commitPoint{seq: seq, model: committed})
 		}
 	}
 	checkOpenAt := func(label string) {
@@ -152,19 +152,17 @@ func runModelSeed(t *testing.T, seed int64) {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			pending[k] = v
-			committedNow(b)
 		case op < 13:
 			k := key()
 			if err := b.delete([]byte(k)); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			delete(pending, k)
-			committedNow(b)
 		case op < 15:
 			if err := b.Flush(); err != nil {
 				t.Fatalf("step %d flush: %v", step, err)
 			}
-			committedNow(b)
+			flushed()
 		case op < 16:
 			if err := b.Discard(); err != nil {
 				t.Fatalf("step %d discard: %v", step, err)
@@ -178,7 +176,6 @@ func runModelSeed(t *testing.T, seed int64) {
 			if _, err := st.Compact(); err != nil {
 				t.Fatalf("step %d compact: %v", step, err)
 			}
-			committedNow(b)
 			last := points[len(points)-1]
 			for _, p := range points[:len(points)-1] {
 				if p.seq != last.seq {
@@ -191,12 +188,12 @@ func runModelSeed(t *testing.T, seed int64) {
 			if err := st.Close(); err != nil {
 				t.Fatalf("step %d close: %v", step, err)
 			}
-			committedNow(b)
 			preSeq := st.Current().Seq()
-			if st, err = OpenOptions(path, opts); err != nil {
+			if st, err = Open(path); err != nil {
 				t.Fatalf("step %d reopen: %v", step, err)
 			}
-			b = st.Batch()
+			b = st.Batch() // the closed store's staged operations are gone
+			pending = copyModel(committed)
 			if got := fileHash(t, path); got != preHash {
 				t.Fatalf("step %d: close and reopen rewrote the file", step)
 			}
@@ -214,7 +211,7 @@ func runModelSeed(t *testing.T, seed int64) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	committedNow(b)
+	flushed()
 	checkOpenAt("end")
 	if _, err := st.Verify(); err != nil {
 		t.Fatal(err)

@@ -9,10 +9,13 @@
 //	record: blen(4) | body | fnv64a(body)(8)
 //	body:   ver(1) | op(1) | seq(8) | nextord(8) | klen(4) | key | val
 //
-// Every write appends one record. A commit is one fsync followed by
+// Records reach the file only at Batch.Flush. A Batch stages its
+// operations in memory; Flush resolves them against the store, appends
+// their records in one write and commits them: one fsync followed by
 // publishing the next Snapshot, which holds the latest record per key and
-// a sorted key list. Snapshots never read the file, so they stay valid
-// across later commits, compactions and Close.
+// a sorted key list. Discard drops a batch without touching the file.
+// Snapshots never read the file, so they stay valid across later commits,
+// compactions and Close.
 //
 // Record sequence numbers increase strictly through the file.
 // Snapshot.Seq is the sequence number of the last record a snapshot
@@ -23,10 +26,12 @@
 // every seq from baseSeq through the last record stays reachable by
 // OpenAt, older ones are gone.
 //
-// Record sequence numbers are never reused, not even for records a
-// Discard truncated away. A record that fails length or checksum
-// validation with nothing valid after it is a torn final append: a
-// read-write open truncates it away, a read-only open ignores it. Damage
+// Record sequence numbers are never reused, not even for the records of a
+// Flush whose write or fsync failed: those are truncated away and a seq
+// marker record past them commits in their place. A record that fails
+// length or checksum validation with nothing valid after it is a torn
+// final append: a read-write open truncates it away, a read-only open
+// ignores it. Damage
 // that a checksum-valid record follows is inside the committed log, and
 // both opens fail with ErrCorrupt without touching the file. A
 // checksum-valid header or record written by another format version is a

@@ -27,16 +27,17 @@ type specRecord struct {
 	DB  *spec.DBFields `json:"db"`
 }
 
-// encodeSpec writes what json.Marshal would for a record whose db field
-// is the one-spec spec.DB: the DB's JSON is already compact, so it is
-// spliced in rather than re-compacted.
-func encodeSpec(ord uint64, sp *spec.Spec) ([]byte, error) {
-	db, err := (&spec.DB{Specs: []*spec.Spec{sp}}).MarshalJSON()
-	if err != nil {
-		return nil, err
-	}
-	val := append(strconv.AppendUint([]byte(`{"ord":`), ord, 10), `,"db":`...)
-	return append(append(val, db...), '}'), nil
+// specJSON is the JSON of the one-spec spec.DB a record carries. It is
+// already compact, so frameSpec splices it in rather than re-compacting.
+func specJSON(sp *spec.Spec) ([]byte, error) {
+	return (&spec.DB{Specs: []*spec.Spec{sp}}).MarshalJSON()
+}
+
+// frameSpec wraps a one-spec DB's JSON into a record value with its
+// ordinal: what json.Marshal writes for a specRecord.
+func frameSpec(ord uint64, db []byte) []byte {
+	val := strconv.AppendUint(append(make([]byte, 0, len(db)+34), `{"ord":`...), ord, 10)
+	return append(append(append(val, `,"db":`...), db...), '}')
 }
 
 func decodeSpec(val []byte) (uint64, *spec.Spec, error) {
@@ -47,7 +48,11 @@ func decodeSpec(val []byte) (uint64, *spec.Spec, error) {
 	if rec.DB == nil || len(rec.DB.Specs) != 1 {
 		return 0, nil, fmt.Errorf("%w: spec record holds %d specs, want 1", ErrCorrupt, recLen(rec.DB))
 	}
-	return rec.Ord, rec.DB.DB().Specs[0], nil
+	db, err := rec.DB.DB()
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: spec record: %v", ErrCorrupt, err)
+	}
+	return rec.Ord, db.Specs[0], nil
 }
 
 func recLen(db *spec.DBFields) int {
@@ -57,101 +62,63 @@ func recLen(db *spec.DBFields) int {
 	return len(db.Specs)
 }
 
-// lookupLocked resolves key through the pending batch first, then the
-// committed snapshot — the writer's read-your-writes view. Caller holds
-// s.mu.
-func (s *Store) lookupLocked(key []byte) ([]byte, bool) {
-	if val, present, hit := s.pendingGet(key); hit {
-		return val, present
-	}
-	return s.cur.Load().Get(key)
-}
-
-// ImportSpecs appends specs in order through the batch, first-wins on
-// duplicate keys (matching spec.DB.Dedup semantics for both in-input
-// duplicates and keys already present in the store or pending batch).
-// Records commit whenever the commit policy trips mid-import.
+// ImportSpecs stages inserts of specs in order, first-wins on duplicate
+// keys (matching spec.DB.Dedup semantics): a key already live in the
+// batch's view, or staged earlier in the same input, is skipped. Flush
+// applies the same rule against the store as it is then. The counts are
+// the batch's view at staging time.
 func (b *Batch) ImportSpecs(specs []*spec.Spec) (added, skipped int, err error) {
-	b.s.mu.Lock()
-	defer b.s.mu.Unlock()
 	for _, sp := range specs {
 		key := []byte(sp.Key())
 		if err := checkKey(key); err != nil {
 			return added, skipped, err
 		}
-		if _, ok := b.s.lookupLocked(key); ok {
+		if b.live(key) {
 			skipped++
 			continue
 		}
-		val, err := encodeSpec(b.s.nextOrd, sp)
+		db, err := specJSON(sp)
 		if err != nil {
 			return added, skipped, err
 		}
-		b.s.nextOrd++
-		if err := b.s.appendRecordLocked(WALOpPut, key, val); err != nil {
-			return added, skipped, err
-		}
+		b.stage(stagedOp{op: WALOpPut, key: key, db: db, ifAbsent: true})
 		added++
 	}
 	return added, skipped, nil
 }
 
-// UpsertSpec appends an insert-or-replace of sp.Key() through the
-// batch. A replaced spec (committed or pending) keeps its ordinal; a
-// new spec allocates the next one.
+// UpsertSpec stages an insert-or-replace of sp.Key(), reporting whether
+// the key was absent from the batch's view. At Flush a replaced spec keeps
+// its ordinal and a new one takes the next.
 func (b *Batch) UpsertSpec(sp *spec.Spec) (created bool, err error) {
-	b.s.mu.Lock()
-	defer b.s.mu.Unlock()
 	key := []byte(sp.Key())
 	if err := checkKey(key); err != nil {
 		return false, err
 	}
-	old, ok := b.s.lookupLocked(key)
-	var ord uint64
-	if ok {
-		if ord, _, err = decodeSpec(old); err != nil {
-			return false, err
-		}
-	} else {
-		ord = b.s.nextOrd
-		created = true
-	}
-	val, err := encodeSpec(ord, sp)
+	db, err := specJSON(sp)
 	if err != nil {
 		return false, err
 	}
-	if created {
-		b.s.nextOrd++
-	}
-	if err := b.s.appendRecordLocked(WALOpPut, key, val); err != nil {
-		return false, err
-	}
+	created = !b.live(key)
+	b.stage(stagedOp{op: WALOpPut, key: key, db: db})
 	return created, nil
 }
 
-// DeleteSpec appends a delete of key (a spec.Key() string) through the
-// batch, reporting whether the key was present in the batch's view.
-func (b *Batch) DeleteSpec(key string) (bool, error) {
-	b.s.mu.Lock()
-	defer b.s.mu.Unlock()
-	if _, ok := b.s.lookupLocked([]byte(key)); !ok {
-		return false, nil
+// DeleteSpec stages a delete of key (a spec.Key() string), reporting
+// whether the key was live in the batch's view. A miss stages nothing.
+func (b *Batch) DeleteSpec(key string) bool {
+	if !b.live([]byte(key)) {
+		return false
 	}
-	if err := b.s.appendRecordLocked(WALOpDelete, []byte(key), nil); err != nil {
-		return false, err
-	}
-	return true, nil
+	b.stage(stagedOp{op: WALOpDelete, key: []byte(key)})
+	return true
 }
 
-// ImportSpecs inserts specs in order, first-wins on duplicate keys.
-// The whole import runs through one batch and flushes at the end, so a
-// small corpus lands as one commit and a large one commits at every
-// CommitPolicy trip; a failure discards only the uncommitted tail.
+// ImportSpecs inserts specs in order, first-wins on duplicate keys, as one
+// commit: the whole import lands or none of it does.
 func (s *Store) ImportSpecs(specs []*spec.Spec) (added, skipped int, err error) {
 	b := s.Batch()
-	added, skipped, err = b.ImportSpecs(specs)
-	if err != nil {
-		b.Discard()
+	if added, skipped, err = b.ImportSpecs(specs); err != nil {
 		return 0, 0, err
 	}
 	if err := b.Flush(); err != nil {
@@ -166,9 +133,7 @@ func (s *Store) ImportSpecs(specs []*spec.Spec) (added, skipped int, err error) 
 // ordinal.
 func (s *Store) UpsertSpec(sp *spec.Spec) (created bool, err error) {
 	b := s.Batch()
-	created, err = b.UpsertSpec(sp)
-	if err != nil {
-		b.Discard()
+	if created, err = b.UpsertSpec(sp); err != nil {
 		return false, err
 	}
 	return created, b.Flush()
@@ -178,11 +143,7 @@ func (s *Store) UpsertSpec(sp *spec.Spec) (created bool, err error) {
 // one durable commit, reporting whether it was present.
 func (s *Store) DeleteSpec(key string) (bool, error) {
 	b := s.Batch()
-	deleted, err := b.DeleteSpec(key)
-	if err != nil {
-		b.Discard()
-		return false, err
-	}
+	deleted := b.DeleteSpec(key)
 	return deleted, b.Flush()
 }
 

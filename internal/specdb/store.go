@@ -12,31 +12,20 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Store is an open spec store. One writer at a time (serialized by an
-// internal mutex); any number of concurrent readers via Current(), each
-// holding an immutable Snapshot.
+// Store is an open spec store. One writer at a time (Batch.Flush
+// serializes on an internal mutex); any number of concurrent readers via
+// Current(), each holding an immutable Snapshot.
 type Store struct {
 	path     string
 	readOnly bool
 
-	mu      sync.Mutex // serializes appends, commits, Compact, Verify and Close
-	f       file
-	size    int64  // append offset: end of the last record written
-	durable int64  // file length at the last commit; Discard truncates here
-	seq     uint64 // last sequence number assigned, pending batch included
-	nextOrd uint64 // next ordinal to allocate, pending batch included
-	closed  bool
-
-	// Group-commit state (guarded by mu).
-	pend       []*WALRecord
-	pendKey    map[string]*WALRecord
-	pendBytes  int64
-	pendGen    uint64
-	pol        CommitPolicy
-	flushTimer *time.Timer
+	mu     sync.Mutex // serializes commits, Compact, Verify and Close
+	f      file
+	size   int64  // file length at the last commit; the next append lands here
+	seq    uint64 // last sequence number assigned, failed commits included
+	closed bool
 
 	// Background compaction (opened with Options.CompactThreshold).
 	threshold   float64
@@ -139,17 +128,12 @@ func (sn *Snapshot) apply(recs []*WALRecord) *Snapshot {
 
 // Create makes a new empty store at path, failing if the file exists.
 func Create(path string) (*Store, error) {
-	return CreateOptions(path, Options{})
-}
-
-// CreateOptions is Create with a commit policy and compaction tuning.
-func CreateOptions(path string, opts Options) (*Store, error) {
 	osf, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	f := osFile{f: osf}
-	st, err := initFile(f, path, opts)
+	st, err := initFile(f, path)
 	if err != nil {
 		f.Close()
 		os.Remove(path)
@@ -159,14 +143,14 @@ func CreateOptions(path string, opts Options) (*Store, error) {
 }
 
 // initFile writes the header of an empty store and opens it.
-func initFile(f file, path string, opts Options) (*Store, error) {
+func initFile(f file, path string) (*Store, error) {
 	if _, err := f.WriteAt(encodeHeader(header{nextOrd: 1}), 0); err != nil {
 		return nil, err
 	}
 	if err := f.Sync(); err != nil {
 		return nil, err
 	}
-	return openFile(f, path, false, opts)
+	return openFile(f, path, false, Options{})
 }
 
 // Open opens an existing store read-write, replaying every complete
@@ -176,14 +160,14 @@ func Open(path string) (*Store, error) {
 	return OpenOptions(path, Options{})
 }
 
-// OpenOptions is Open with a commit policy and compaction tuning.
+// OpenOptions is Open with compaction tuning.
 func OpenOptions(path string, opts Options) (*Store, error) {
 	return openPath(path, false, opts)
 }
 
 // OpenReadOnly opens an existing store for reading only. It sees every
-// complete record in the file, including records a live writer appended
-// but has not committed yet; the file is never written.
+// complete record in the file, including those of a writer's Flush whose
+// fsync has not returned yet; the file is never written.
 func OpenReadOnly(path string) (*Store, error) {
 	return openPath(path, true, Options{})
 }
@@ -229,10 +213,7 @@ func openFile(f file, path string, readOnly bool, opts Options) (*Store, error) 
 		readOnly:  readOnly,
 		f:         f,
 		size:      end,
-		durable:   end,
 		seq:       sn.seq,
-		nextOrd:   sn.nextOrd,
-		pol:       opts.Commit.withDefaults(),
 		threshold: opts.CompactThreshold,
 	}
 	st.cur.Store(sn)
@@ -317,19 +298,15 @@ func (s *Store) Path() string { return s.path }
 // Current returns the latest committed snapshot.
 func (s *Store) Current() *Snapshot { return s.cur.Load() }
 
-// Close commits any pending batch, waits for an in-flight background
-// compaction, and releases the file. Snapshots stay readable.
+// Close waits for an in-flight background compaction and releases the
+// file. Operations staged in unflushed batches are never written.
+// Snapshots stay readable.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	var err error
-	if !s.readOnly {
-		err = s.commitLocked()
-	}
-	s.stopTimerLocked()
 	s.closed = true
 	s.mu.Unlock()
 	// A background compaction observes closed under mu and bails; wait for
@@ -337,10 +314,7 @@ func (s *Store) Close() error {
 	s.wg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return s.f.Close()
 }
 
 // CompactStats reports what Compact reclaimed.
@@ -351,17 +325,13 @@ type CompactStats struct {
 	BytesAfter  int64
 }
 
-// Compact commits any pending batch, then rewrites the store as a fresh
-// header plus the live records in sequence order and atomically renames
-// it over the store path. The state and its Seq are unchanged; seqs
+// Compact rewrites the store as a fresh header plus the live records in
+// sequence order and atomically renames it over the store path. The state and its Seq are unchanged; seqs
 // before it stop being reachable by OpenAt.
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
-		return CompactStats{}, err
-	}
-	if err := s.commitLocked(); err != nil {
 		return CompactStats{}, err
 	}
 	sn := s.cur.Load()
@@ -395,7 +365,7 @@ func (s *Store) Compact() (CompactStats, error) {
 	s.f.Close()
 	s.f = osFile{f: osf}
 	cs := CompactStats{Seq: sn.seq, Keys: uint64(len(sn.keys)), BytesBefore: s.size, BytesAfter: int64(len(img))}
-	s.size, s.durable = cs.BytesAfter, cs.BytesAfter
+	s.size = cs.BytesAfter
 	s.cur.Store(&Snapshot{seq: sn.seq, nextOrd: sn.nextOrd, recs: sn.recs, keys: sn.keys, bytes: sn.live, live: sn.live})
 	return cs, nil
 }
@@ -448,17 +418,14 @@ func sameState(a, b *Snapshot) bool {
 	return true
 }
 
-// StoreStats is a cheap summary of the open store, plus the write-path
-// liveness signals: how deep the pending batch is and how much of the file
-// a compaction would reclaim.
+// StoreStats is a cheap summary of the open store, plus how much of the
+// file a compaction would reclaim.
 type StoreStats struct {
 	Path      string `json:"path"`
 	Seq       uint64 `json:"seq"`
 	Keys      uint64 `json:"keys"`
 	NextOrd   uint64 `json:"next_ord"`
 	FileBytes int64  `json:"file_bytes"`
-	// Pending counts records appended but not yet committed.
-	Pending int `json:"pending"`
 	// DeadPageRatio is the share of committed record bytes superseded by a
 	// later record for the same key — what Compact reclaims. The Go name
 	// stays because the benchmark harness reads it. Compactions counts
@@ -467,12 +434,11 @@ type StoreStats struct {
 	Compactions   int64   `json:"compactions"`
 }
 
-// Stats reports the current snapshot's position, the file size, and the
-// pending-batch and dead-ratio liveness signals.
+// Stats reports the current snapshot's position, the file size and the
+// dead ratio.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	sz, _ := s.f.Size()
-	pending := len(s.pend)
 	s.mu.Unlock()
 	sn := s.Current()
 	return StoreStats{
@@ -481,7 +447,6 @@ func (s *Store) Stats() StoreStats {
 		Keys:          uint64(sn.Len()),
 		NextOrd:       sn.nextOrd,
 		FileBytes:     sz,
-		Pending:       pending,
 		DeadPageRatio: sn.deadRatio(),
 		Compactions:   s.compactions.Load(),
 	}

@@ -200,20 +200,37 @@ func TestSnapshotIsolationAcrossCommit(t *testing.T) {
 	}
 }
 
+// syncHook runs fn in place of the next sync: a window in which a Flush's
+// records are in the file but not yet committed, as when the writer
+// crashes or its fsync fails.
+type syncHook struct {
+	file
+	fn func() error
+}
+
+func (h *syncHook) Sync() error {
+	if fn := h.fn; fn != nil {
+		h.fn = nil
+		return fn()
+	}
+	return h.file.Sync()
+}
+
 // TestOpenAtMatchesReadOnly pins one seq to one spec set: the seq a
 // read-only open reports must reopen through OpenAt to exactly the same
-// keys and values, both for a cleanly committed store and while a writer
-// holds appended but uncommitted records; a seq pinned from a tail the
-// writer later discards is gone rather than reused.
+// keys and values, both for a cleanly committed store and while a Flush's
+// records are in the file ahead of its fsync; when that fsync fails, a seq
+// pinned from those records is gone rather than reused, also after a
+// restart.
 func TestOpenAtMatchesReadOnly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "specs.db")
-	st, err := CreateOptions(path, Options{Commit: CommitPolicy{Records: 1 << 20, Bytes: 1 << 30}})
+	st, err := Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	mustPut(t, st, "a", "1", "b", "2")
-	check := func(label string, want map[string]string) {
+	check := func(label string, want map[string]string) uint64 {
 		t.Helper()
 		ro, err := OpenReadOnly(path)
 		if err != nil {
@@ -229,6 +246,22 @@ func TestOpenAtMatchesReadOnly(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(pinned) != fmt.Sprint(want) {
 			t.Fatalf("%s: read-only %v, OpenAt %v, want %v", label, got, pinned, want)
 		}
+		return ro.Current().Seq()
+	}
+	// failFlush flushes b with its fsync failing; in the window between
+	// the write and the failed fsync a reader opens the store and pins the
+	// seq it reports.
+	failFlush := func(s *Store, b *Batch, label string, want map[string]string) uint64 {
+		t.Helper()
+		var pinned uint64
+		s.f = &syncHook{file: s.f, fn: func() error {
+			pinned = check(label, want)
+			return errInjected
+		}}
+		if err := b.Flush(); !errors.Is(err, errInjected) {
+			t.Fatalf("%s: Flush = %v, want the injected sync failure", label, err)
+		}
+		return pinned
 	}
 	check("committed", map[string]string{"a": "1", "b": "2"})
 	b := st.Batch()
@@ -238,53 +271,42 @@ func TestOpenAtMatchesReadOnly(t *testing.T) {
 	if err := b.delete([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	check("uncommitted tail", map[string]string{"b": "edited"})
-	// A coordinator pins the tail's seq; the writer then discards it and
-	// appends something else. The pinned seq must be gone, never bound to
-	// the new records.
-	ro, err := OpenReadOnly(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := ro.Current().Seq()
-	ro.Close()
-	if err := b.Discard(); err != nil {
-		t.Fatal(err)
-	}
-	check("discarded tail", map[string]string{"a": "1", "b": "2"})
+	// A coordinator pins the failed Flush's seq; the writer then commits
+	// something else. The pinned seq must be gone, never bound to the new
+	// records.
+	pinned := failFlush(st, b, "unsynced records", map[string]string{"b": "edited"})
+	check("failed flush", map[string]string{"a": "1", "b": "2"})
 	if err := b.put([]byte("c"), []byte("3")); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.put([]byte("d"), []byte("4")); err != nil {
 		t.Fatal(err)
 	}
-	check("new tail after discard", map[string]string{"a": "1", "b": "2", "c": "3", "d": "4"})
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("commit after a failed flush", map[string]string{"a": "1", "b": "2", "c": "3", "d": "4"})
 	if pin, err := OpenAt(path, pinned); !errors.Is(err, ErrSnapshotGone) {
 		if err == nil {
-			t.Fatalf("OpenAt(%d) pinned before the discard now serves %v", pinned, dump(t, pin.Current()))
+			t.Fatalf("OpenAt(%d) pinned before the failed flush now serves %v", pinned, dump(t, pin.Current()))
 		}
-		t.Fatalf("OpenAt(%d) pinned before the discard = %v, want ErrSnapshotGone", pinned, err)
+		t.Fatalf("OpenAt(%d) pinned before the failed flush = %v, want ErrSnapshotGone", pinned, err)
 	}
 
 	// The same across a restart, which rebuilds the seq counter from the
-	// file: commit a, append b, pin b's seq, discard, reopen, append c.
+	// file: commit a, fail a flush of b after pinning its seq, reopen,
+	// commit c.
 	path = filepath.Join(t.TempDir(), "restart.db")
 	rs, err := Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustPut(t, rs, "a", "1")
-	if err := rs.Batch().put([]byte("b"), []byte("x")); err != nil {
+	rb := rs.Batch()
+	if err := rb.put([]byte("b"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if ro, err = OpenReadOnly(path); err != nil {
-		t.Fatal(err)
-	}
-	pinned = ro.Current().Seq()
-	ro.Close()
-	if err := rs.Batch().Discard(); err != nil {
-		t.Fatal(err)
-	}
+	pinned = failFlush(rs, rb, "unsynced records before a restart", map[string]string{"a": "1", "b": "x"})
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -295,9 +317,9 @@ func TestOpenAtMatchesReadOnly(t *testing.T) {
 	mustPut(t, rs, "c", "y")
 	if pin, err := OpenAt(path, pinned); !errors.Is(err, ErrSnapshotGone) {
 		if err == nil {
-			t.Fatalf("OpenAt(%d) pinned before a discard and a restart now serves %v", pinned, dump(t, pin.Current()))
+			t.Fatalf("OpenAt(%d) pinned before a failed flush and a restart now serves %v", pinned, dump(t, pin.Current()))
 		}
-		t.Fatalf("OpenAt(%d) pinned before a discard and a restart = %v, want ErrSnapshotGone", pinned, err)
+		t.Fatalf("OpenAt(%d) pinned before a failed flush and a restart = %v, want ErrSnapshotGone", pinned, err)
 	}
 	check("after restart", map[string]string{"a": "1", "c": "y"})
 }
@@ -373,10 +395,11 @@ func TestReadOnlyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	if err := ro.Batch().put([]byte("k"), []byte("w")); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("put on read-only store = %v", err)
+	b := ro.Batch()
+	if err := b.put([]byte("k"), []byte("w")); err != nil {
+		t.Fatal(err)
 	}
-	if err := ro.Batch().Flush(); !errors.Is(err, ErrReadOnly) {
+	if err := b.Flush(); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Flush on read-only store = %v", err)
 	}
 	if _, err := ro.Compact(); !errors.Is(err, ErrReadOnly) {
@@ -680,7 +703,7 @@ func TestStats(t *testing.T) {
 	st := tmpStore(t)
 	mustPut(t, st, "a", "1", "b", "2")
 	got := st.Stats()
-	if got.Keys != 2 || got.Seq != 2 || got.FileBytes <= headerLen || got.DeadPageRatio != 0 || got.Pending != 0 {
+	if got.Keys != 2 || got.Seq != 2 || got.FileBytes <= headerLen || got.DeadPageRatio != 0 {
 		t.Fatalf("stats = %+v", got)
 	}
 	if got.Path == "" || got.NextOrd != 1 {
@@ -886,7 +909,7 @@ func TestSpecRoundTripPreservesBytes(t *testing.T) {
 	if !bytes.Equal(want, have) {
 		t.Fatalf("store round trip changed spec DB bytes:\n%s\nvs\n%s", want, have)
 	}
-	// The record encoder splices the DB's JSON in place of json.Marshal.
+	// The record framing splices the DB's JSON in place of json.Marshal.
 	for i, sp := range corpus {
 		enc, err := encodeSpec(uint64(i)+7, sp)
 		if err != nil {
@@ -900,6 +923,15 @@ func TestSpecRoundTripPreservesBytes(t *testing.T) {
 			t.Fatalf("encodeSpec differs from json.Marshal (%v):\n%s\nvs\n%s", err, enc, ref)
 		}
 	}
+}
+
+// encodeSpec is the record value a spec put with ordinal ord writes.
+func encodeSpec(ord uint64, sp *spec.Spec) ([]byte, error) {
+	db, err := specJSON(sp)
+	if err != nil {
+		return nil, err
+	}
+	return frameSpec(ord, db), nil
 }
 
 func mustJSON(t *testing.T, db *spec.DB) []byte {

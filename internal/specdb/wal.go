@@ -1,16 +1,14 @@
-// Record codec, group commit and the Batch handle. Every mutation appends
-// one checksummed record to the store file at once; a commit policy — N
-// records, B bytes, or T interval, whichever trips first — decides when
-// the pending batch becomes durable with one fsync and visible as the next
-// snapshot, so bulk ingestion pays one fsync per batch instead of one per
-// record.
+// Record codec, the Batch transaction and its commit. A Batch stages
+// operations in memory and writes nothing; Flush turns them into records,
+// appends them to the store file in one write, makes them durable with one
+// fsync and publishes the snapshot that includes them, so an edit or a
+// bulk import lands whole or not at all.
 package specdb
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 )
 
 const (
@@ -30,36 +28,10 @@ const (
 	// walMaxBody bounds a record body so a corrupt length prefix cannot
 	// drive a huge allocation.
 	walMaxBody = 1 << 28
-
-	// DefaultCommitRecords and DefaultCommitBytes are the commit policy
-	// defaults: commit after 256 pending records or 1 MiB of pending
-	// payload, whichever comes first.
-	DefaultCommitRecords = 256
-	DefaultCommitBytes   = 1 << 20
 )
 
-// CommitPolicy controls when the pending batch commits. Zero-valued
-// fields take the defaults; Interval 0 means no time-based commit.
-type CommitPolicy struct {
-	Records  int           // commit after this many pending records
-	Bytes    int64         // commit after this many pending payload bytes
-	Interval time.Duration // commit this long after the first pending record
-}
-
-func (p CommitPolicy) withDefaults() CommitPolicy {
-	if p.Records <= 0 {
-		p.Records = DefaultCommitRecords
-	}
-	if p.Bytes <= 0 {
-		p.Bytes = DefaultCommitBytes
-	}
-	return p
-}
-
-// Options tunes a store opened with OpenOptions or CreateOptions.
+// Options tunes a store opened with OpenOptions.
 type Options struct {
-	// Commit is the group-commit policy.
-	Commit CommitPolicy
 	// CompactThreshold, when in (0, 1], triggers a background compaction
 	// whenever a commit leaves the dead ratio (superseded record bytes
 	// over committed record bytes) at or above it. 0 disables automatic
@@ -80,8 +52,15 @@ type WALRecord struct {
 
 // EncodeWALRecord frames one record: length prefix, body, checksum.
 func EncodeWALRecord(r *WALRecord) []byte {
+	return appendWALRecord(make([]byte, 0, r.size()), r)
+}
+
+// appendWALRecord appends the framed record to dst.
+func appendWALRecord(dst []byte, r *WALRecord) []byte {
 	blen := walBodyHdr + len(r.Key) + len(r.Val)
-	buf := make([]byte, 4+blen+8)
+	at := len(dst)
+	dst = append(dst, make([]byte, 4+blen+8)...)
+	buf := dst[at:]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(blen))
 	body := buf[4 : 4+blen]
 	body[0] = WALVersion
@@ -92,7 +71,7 @@ func EncodeWALRecord(r *WALRecord) []byte {
 	copy(body[walBodyHdr:], r.Key)
 	copy(body[walBodyHdr+len(r.Key):], r.Val)
 	binary.LittleEndian.PutUint64(buf[4+blen:], checksum(body))
-	return buf
+	return dst
 }
 
 // DecodeWALRecord decodes the record at the head of buf, returning the
@@ -188,124 +167,54 @@ func (s *Store) writableLocked() error {
 	return nil
 }
 
-// appendRecordLocked assigns the next sequence number to one operation,
-// appends its record to the file, stages it in the pending batch, and
-// commits if the policy trips. Caller holds s.mu and has already advanced
-// s.nextOrd for any ordinal the operation allocated.
-func (s *Store) appendRecordLocked(op byte, key, val []byte) error {
-	if err := s.writableLocked(); err != nil {
-		return err
-	}
-	rec := &WALRecord{
-		Op:      op,
-		Seq:     s.seq + 1,
-		NextOrd: s.nextOrd,
-		Key:     append([]byte(nil), key...),
-		Val:     append([]byte(nil), val...),
-	}
-	buf := EncodeWALRecord(rec)
-	if _, err := s.f.WriteAt(buf, s.size); err != nil {
-		return fmt.Errorf("specdb: append record: %w", err)
-	}
-	s.size += int64(len(buf))
-	s.seq = rec.Seq
-	s.pend = append(s.pend, rec)
-	if s.pendKey == nil {
-		s.pendKey = make(map[string]*WALRecord)
-	}
-	s.pendKey[string(rec.Key)] = rec
-	s.pendBytes += rec.size()
-	if len(s.pend) >= s.pol.Records || s.pendBytes >= s.pol.Bytes {
-		return s.commitLocked()
-	}
-	if s.pol.Interval > 0 && len(s.pend) == 1 {
-		gen := s.pendGen
-		s.flushTimer = time.AfterFunc(s.pol.Interval, func() { s.intervalCommit(gen) })
-	}
-	return nil
-}
-
-// pendingGet resolves key through the pending batch: the last staged
-// record for a key shadows the committed snapshot. hit reports whether
-// the batch says anything about the key at all.
-func (s *Store) pendingGet(key []byte) (val []byte, present, hit bool) {
-	rec, ok := s.pendKey[string(key)]
-	if !ok {
-		return nil, false, false
-	}
-	return rec.Val, rec.Op == WALOpPut, true
-}
-
-// intervalCommit is the commit-interval timer body: commit whatever is
-// still pending, unless a policy- or flush-triggered commit already took
-// the batch (the generation moved).
-func (s *Store) intervalCommit(gen uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.pendGen != gen {
-		return
-	}
-	// A failed commit leaves the batch staged; the next append or explicit
-	// Flush retries and surfaces the error.
-	_ = s.commitLocked()
-}
-
-// commitLocked makes the pending batch durable with one fsync and
-// publishes the snapshot that includes it. On failure the batch stays
-// pending and the published snapshot is unchanged. Caller holds s.mu.
-func (s *Store) commitLocked() error {
-	s.stopTimerLocked()
-	if len(s.pend) == 0 {
+// commitLocked appends recs to the file in one write, makes them durable
+// with one fsync and publishes the snapshot that includes them. Caller
+// holds s.mu.
+//
+// Sequence numbers are never reused. A failed write or sync may still have
+// put some of recs in the file, where a read-only open can see them and
+// pin their seqs. So the file is cut back to the last commit and a seq
+// marker past them is committed in their place: a delete of the reserved
+// seqMarkKey, which changes no key. A pinned seq then finds its state gone
+// rather than bound to different records, also after a restart, which
+// rebuilds the seq counter from the file.
+func (s *Store) commitLocked(recs []*WALRecord) error {
+	err := s.appendLocked(recs)
+	if err == nil {
 		return nil
+	}
+	if terr := s.f.Truncate(s.size); terr != nil {
+		return fmt.Errorf("%w; truncating the failed records: %v", err, terr)
+	}
+	// Best effort: if the marker fails too, this process still never
+	// reuses the seqs, because appendLocked has advanced s.seq past them.
+	s.appendLocked([]*WALRecord{{Op: WALOpDelete, Seq: s.seq + 1, NextOrd: s.cur.Load().nextOrd, Key: []byte(seqMarkKey)}})
+	return err
+}
+
+// appendLocked is one commit attempt: write recs at the end of the last
+// commit, fsync, publish. On failure nothing is published and s.size stays
+// at the last commit. Caller holds s.mu.
+func (s *Store) appendLocked(recs []*WALRecord) error {
+	var n int64
+	for _, r := range recs {
+		n += r.size()
+	}
+	buf := make([]byte, 0, n)
+	for _, r := range recs {
+		buf = appendWALRecord(buf, r)
+	}
+	s.seq = recs[len(recs)-1].Seq
+	if _, err := s.f.WriteAt(buf, s.size); err != nil {
+		return fmt.Errorf("specdb: append records: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("specdb: sync: %w", err)
 	}
-	s.cur.Store(s.cur.Load().apply(s.pend))
-	s.durable = s.size
-	s.dropPendingLocked()
+	s.size += n
+	s.cur.Store(s.cur.Load().apply(recs))
 	s.maybeCompactLocked()
 	return nil
-}
-
-// discardLocked drops the pending batch: the file is truncated back to the
-// last commit and ordinal allocation resumes from it. Commits that already
-// landed stay. Sequence numbers are not reused: a reader may have pinned a
-// discarded record's seq, and it must find that seq gone rather than bound
-// to different records — also after a restart, which rebuilds the seq
-// counter from the file. So when records were dropped, the discard commits
-// one seq marker past them: a delete of the reserved seqMarkKey, which
-// changes no key.
-func (s *Store) discardLocked() error {
-	s.stopTimerLocked()
-	var err error
-	if s.size > s.durable {
-		if err = s.f.Truncate(s.durable); err != nil {
-			err = fmt.Errorf("specdb: truncate pending records: %w", err)
-		}
-		s.size = s.durable
-	}
-	s.dropPendingLocked()
-	s.nextOrd = s.cur.Load().nextOrd
-	if err != nil || s.seq == s.cur.Load().seq {
-		return err
-	}
-	if err := s.appendRecordLocked(WALOpDelete, []byte(seqMarkKey), nil); err != nil {
-		return err
-	}
-	return s.commitLocked()
-}
-
-func (s *Store) dropPendingLocked() {
-	s.pend, s.pendKey, s.pendBytes = nil, nil, 0
-	s.pendGen++
-}
-
-func (s *Store) stopTimerLocked() {
-	if s.flushTimer != nil {
-		s.flushTimer.Stop()
-		s.flushTimer = nil
-	}
 }
 
 // maybeCompactLocked starts a background compaction when the published
@@ -337,73 +246,136 @@ func (s *Store) maybeCompactLocked() {
 	}()
 }
 
-// Batch is a group-commit handle: operations append to the store file
-// immediately and stage in memory; the commit happens when the commit
-// policy trips or Flush is called. All methods serialize on the store's
-// writer lock, so concurrent batches interleave safely — they share one
-// pending batch and one commit.
-type Batch struct{ s *Store }
+// Batch is a transaction on the store. Its operations stage in memory,
+// each against the committed snapshot plus the batch's own earlier
+// operations, and reach the file only at Flush. A Batch belongs to one
+// goroutine at a time; any number of batches may stage concurrently, and
+// their Flushes serialize on the store's writer lock.
+type Batch struct {
+	s    *Store
+	ops  []stagedOp
+	last map[string]int // key -> index in ops of its latest operation
+}
 
-// Batch returns a group-commit handle on the store.
+// stagedOp is one operation awaiting Flush.
+type stagedOp struct {
+	op  byte // WALOpPut or WALOpDelete
+	key []byte
+	val []byte // a raw put's value
+	// db is a spec put's one-spec DB JSON. Flush frames it with the spec's
+	// ordinal, resolved against the store as it is at that moment.
+	db []byte
+	// ifAbsent marks an import: first wins, so Flush skips the put when
+	// the key is live by then.
+	ifAbsent bool
+}
+
+// Batch returns an empty transaction on the store.
 func (s *Store) Batch() *Batch { return &Batch{s: s} }
 
-// Flush commits everything pending as one durable snapshot. A no-op when
-// nothing is pending.
+func (b *Batch) stage(op stagedOp) {
+	if b.last == nil {
+		b.last = make(map[string]int)
+	}
+	b.last[string(op.key)] = len(b.ops)
+	b.ops = append(b.ops, op)
+}
+
+// live reports whether key holds a value in the batch's view: the batch's
+// own latest operation on it, else the committed snapshot.
+func (b *Batch) live(key []byte) bool {
+	if i, ok := b.last[string(key)]; ok {
+		return b.ops[i].op == WALOpPut
+	}
+	_, ok := b.s.Current().Get(key)
+	return ok
+}
+
+// Flush commits the staged operations as one transaction and empties the
+// batch. Under the store's writer lock it resolves each operation against
+// the store as it is now: an import of a live key is skipped (first wins),
+// a delete of an absent key writes nothing, and a spec put keeps the
+// ordinal of the spec it replaces or takes the next one. The records get
+// the next sequence numbers, reach the file in one write and become
+// durable with one fsync before the snapshot that includes them is
+// published. A failed Flush publishes nothing; a Flush with nothing to
+// write touches nothing.
 func (b *Batch) Flush() error {
-	b.s.mu.Lock()
-	defer b.s.mu.Unlock()
-	if err := b.s.writableLocked(); err != nil {
+	ops := b.ops
+	b.ops, b.last = nil, nil
+	s := b.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	return b.s.commitLocked()
+	sn := s.cur.Load()
+	nextOrd := sn.nextOrd
+	recs := make([]*WALRecord, 0, len(ops))
+	written := make(map[string]*WALRecord, len(ops))
+	for _, op := range ops {
+		old, live := sn.Get(op.key)
+		if r, ok := written[string(op.key)]; ok {
+			old, live = r.Val, r.Op == WALOpPut
+		}
+		val := op.val
+		switch {
+		case op.op == WALOpDelete && !live, op.ifAbsent && live:
+			continue
+		case op.db != nil:
+			ord := nextOrd
+			if live {
+				var err error
+				if ord, _, err = decodeSpec(old); err != nil {
+					return err
+				}
+			} else {
+				nextOrd++
+			}
+			val = frameSpec(ord, op.db)
+		}
+		r := &WALRecord{Op: op.op, Seq: s.seq + uint64(len(recs)) + 1, NextOrd: nextOrd, Key: op.key, Val: val}
+		recs = append(recs, r)
+		written[string(op.key)] = r
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	return s.commitLocked(recs)
 }
 
-// Discard drops every operation still pending (not yet committed).
-// Operations a policy-triggered commit already made durable stay — the
-// same durability a sequence of individual upserts would have had.
+// Discard drops the staged operations. It touches neither the file nor the
+// sequence counter, and never fails; the error result keeps it
+// interchangeable with Flush at call sites.
 func (b *Batch) Discard() error {
-	b.s.mu.Lock()
-	defer b.s.mu.Unlock()
-	if err := b.s.writableLocked(); err != nil {
-		return err
-	}
-	return b.s.discardLocked()
+	b.ops, b.last = nil, nil
+	return nil
 }
 
-// Pending reports how many records await the next commit.
-func (b *Batch) Pending() int {
-	b.s.mu.Lock()
-	defer b.s.mu.Unlock()
-	return len(b.s.pend)
-}
-
-// put appends one raw put (spec-level wrappers add ordinal bookkeeping on
-// top).
+// put stages one raw put (spec-level operations add ordinal bookkeeping
+// on top).
 func (b *Batch) put(key, val []byte) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
-	b.s.mu.Lock()
-	defer b.s.mu.Unlock()
-	return b.s.appendRecordLocked(WALOpPut, key, val)
+	b.stage(stagedOp{op: WALOpPut, key: append([]byte(nil), key...), val: append([]byte(nil), val...)})
+	return nil
 }
 
-// delete appends one raw delete.
+// delete stages one raw delete.
 func (b *Batch) delete(key []byte) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
-	b.s.mu.Lock()
-	defer b.s.mu.Unlock()
-	return b.s.appendRecordLocked(WALOpDelete, key, nil)
+	b.stage(stagedOp{op: WALOpDelete, key: append([]byte(nil), key...)})
+	return nil
 }
 
-// seqMarkKey is reserved for the records Discard commits to move the seq
-// past discarded records; no other record may use it.
+// seqMarkKey is reserved for the records a failed Flush commits to move
+// the seq past its records; no other record may use it.
 const seqMarkKey = "\x00seq"
 
-// checkKey validates a key before any ordinal is allocated or record
-// appended.
+// checkKey validates a key before it is staged.
 func checkKey(key []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("specdb: empty key")

@@ -1,9 +1,9 @@
 package specdb
 
-// Unit suite for the record log and group commit: record codec hostility,
-// commit policy triggers (records / bytes / interval), batch
-// read-your-writes and discard, tail recovery on reopen (read-write and
-// read-only), and ratio-triggered background compaction.
+// Unit suite for the record log and the Batch transaction: record codec
+// hostility, staging until Flush, batch read-your-writes and discard,
+// concurrent batches, tail recovery on reopen (read-write and read-only),
+// and ratio-triggered background compaction.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -105,163 +106,217 @@ func TestWALRecordDecodeRejections(t *testing.T) {
 	}
 }
 
-// TestBatchFoldOnRecordCount pins the N-records policy: the batch is
-// appended to the file at once but stays pending (invisible to Current)
-// until the count trips, then commits as one snapshot.
-func TestBatchFoldOnRecordCount(t *testing.T) {
-	st, err := CreateOptions(filepath.Join(t.TempDir(), "s.db"), Options{
-		Commit: CommitPolicy{Records: 3, Bytes: 1 << 30},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	seq0 := st.Current().Seq()
-	size0 := fileSize(t, st)
-
+// TestBatchStagesUntilFlush: staged operations reach neither the file nor
+// the published snapshot until Flush, which commits them as one snapshot
+// with one sequence number per record.
+func TestBatchStagesUntilFlush(t *testing.T) {
+	st := tmpStore(t)
+	seq0, size0 := st.Current().Seq(), fileSize(t, st)
 	b := st.Batch()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if err := b.put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := b.Pending(); got != 2 {
-		t.Fatalf("pending = %d, want 2", got)
 	}
 	if st.Current().Seq() != seq0 || st.Current().Len() != 0 {
-		t.Fatal("pending records leaked into the committed snapshot")
+		t.Fatal("staged records leaked into the committed snapshot")
 	}
-	if sz := fileSize(t, st); sz <= size0 {
-		t.Fatal("pending records not in the file")
-	}
-
-	// The third record trips the policy: one commit.
-	if err := b.put([]byte("k2"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Pending(); got != 0 {
-		t.Fatalf("pending after fold = %d, want 0", got)
-	}
-	sn := st.Current()
-	if sn.Seq() != seq0+3 || sn.Len() != 3 {
-		t.Fatalf("after commit: seq %d len %d, want seq %d len 3", sn.Seq(), sn.Len(), seq0+3)
-	}
-	ss := st.Stats()
-	if ss.Seq != 3 || ss.Pending != 0 || ss.FileBytes != fileSize(t, st) {
-		t.Fatalf("stats = %+v", ss)
-	}
-}
-
-// TestBatchFoldOnBytes pins the B-bytes policy.
-func TestBatchFoldOnBytes(t *testing.T) {
-	st, err := CreateOptions(filepath.Join(t.TempDir(), "s.db"), Options{
-		Commit: CommitPolicy{Records: 1 << 20, Bytes: 256},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	b := st.Batch()
-	if err := b.put([]byte("small"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if b.Pending() != 1 {
-		t.Fatal("small record folded early")
-	}
-	if err := b.put([]byte("big"), bytes.Repeat([]byte("x"), 512)); err != nil {
-		t.Fatal(err)
-	}
-	if b.Pending() != 0 {
-		t.Fatal("byte policy did not fold")
-	}
-	if got := st.Current().Len(); got != 2 {
-		t.Fatalf("len = %d, want 2", got)
-	}
-}
-
-// TestBatchFoldOnInterval pins the T-interval policy: a lone record
-// folds on its own once the timer fires.
-func TestBatchFoldOnInterval(t *testing.T) {
-	st, err := CreateOptions(filepath.Join(t.TempDir(), "s.db"), Options{
-		Commit: CommitPolicy{Records: 1 << 20, Bytes: 1 << 30, Interval: 20 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Batch().put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for st.Current().Len() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("interval fold never fired")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestBatchDiscard drops the uncommitted tail — truncating the file back
-// to the last commit — but keeps committed records.
-func TestBatchDiscard(t *testing.T) {
-	st, err := CreateOptions(filepath.Join(t.TempDir(), "s.db"), Options{
-		Commit: CommitPolicy{Records: 2, Bytes: 1 << 30},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	b := st.Batch()
-	var committed int64
-	var committedSeq uint64
-	for i := 0; i < 3; i++ { // first two commit, third stays pending
-		if err := b.put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		if i == 1 {
-			committed, committedSeq = fileSize(t, st), st.Current().Seq()
-		}
-	}
-	if b.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", b.Pending())
-	}
-	if err := b.Discard(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Pending() != 0 {
-		t.Fatal("discard left records pending")
-	}
-	if got := st.Current().Len(); got != 2 {
-		t.Fatalf("len = %d after discard, want the 2 folded keys", got)
-	}
-	// The discarded record is gone from the file; in its place is the seq
-	// marker that keeps its seq unreachable after a restart.
-	marker := int64(len(EncodeWALRecord(&WALRecord{Op: WALOpDelete, Key: []byte(seqMarkKey)})))
-	if sz := fileSize(t, st); sz != committed+marker {
-		t.Fatalf("file holds %d bytes after discard, want the %d committed plus the %d-byte seq marker", sz, committed, marker)
+	if sz := fileSize(t, st); sz != size0 {
+		t.Fatalf("staging wrote %d bytes to the file", sz-size0)
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	sn := st.Current()
+	if sn.Seq() != seq0+3 || sn.Len() != 3 {
+		t.Fatalf("after flush: seq %d len %d, want seq %d len 3", sn.Seq(), sn.Len(), seq0+3)
+	}
+	ss := st.Stats()
+	if ss.Seq != 3 || ss.FileBytes != fileSize(t, st) {
+		t.Fatalf("stats = %+v", ss)
+	}
+	// The batch is empty again: a second Flush writes nothing.
+	if err := b.Flush(); err != nil || st.Current().Seq() != seq0+3 || fileSize(t, st) != ss.FileBytes {
+		t.Fatalf("flush of an emptied batch: %v, seq %d", err, st.Current().Seq())
+	}
+}
+
+// TestBatchDiscard drops the staged operations without touching the file
+// or the seq counter; committed records stay, and a later Flush commits
+// only what was staged after the Discard.
+func TestBatchDiscard(t *testing.T) {
+	st := tmpStore(t)
+	mustPut(t, st, "k0", "v", "k1", "v")
+	committed, committedSeq := fileSize(t, st), st.Current().Seq()
+	b := st.Batch()
+	if err := b.put([]byte("k2"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.delete([]byte("k0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Discard(); err != nil {
+		t.Fatal(err)
+	}
 	if got := st.Current().Len(); got != 2 {
-		t.Fatalf("flush after discard committed phantoms: len %d", got)
+		t.Fatalf("len = %d after discard, want the 2 committed keys", got)
 	}
-	// Appends resume right after the marker: the discarded record's seq is
-	// never handed out again.
-	if got := st.Current().Seq(); got != committedSeq+2 {
-		t.Fatalf("seq after discard = %d, want the marker's %d (seq %d was discarded)", got, committedSeq+2, committedSeq+1)
+	if sz := fileSize(t, st); sz != committed {
+		t.Fatalf("file holds %d bytes after discard, want the %d committed", sz, committed)
 	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Current().Seq() != committedSeq || st.Current().Len() != 2 {
+		t.Fatalf("flush after discard committed phantoms: seq %d len %d", st.Current().Seq(), st.Current().Len())
+	}
+	// The seq counter did not move: the next commit takes the next seq.
 	if err := b.put([]byte("k9"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Current().Seq(); got != committedSeq+3 {
-		t.Fatalf("seq after discard and append = %d, want %d (seq %d was discarded)", got, committedSeq+3, committedSeq+1)
+	if got := st.Current().Seq(); got != committedSeq+1 {
+		t.Fatalf("seq after discard and commit = %d, want %d", got, committedSeq+1)
 	}
 	if _, err := st.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBatchFileOps counts the physical operations on the crash harness's
+// recording file: a discarded batch makes no write, truncate or sync, and
+// a flushed one makes exactly one write and one sync, however many
+// records it carries.
+func TestBatchFileOps(t *testing.T) {
+	rec := &recordingFile{}
+	st, err := initFile(rec, "ops.mem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage := func(b *Batch) {
+		if _, _, err := b.ImportSpecs(testCorpus()); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.put([]byte("raw"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		b.DeleteSpec(testCorpus()[0].Key())
+	}
+	n := len(rec.log)
+	b := st.Batch()
+	stage(b)
+	if err := b.Discard(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.log) != n {
+		t.Fatalf("a discarded batch made %d file operations: %+v", len(rec.log)-n, rec.log[n:])
+	}
+	stage(b)
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ops := rec.log[n:]
+	if len(ops) != 2 || ops[0].trunc || ops[0].sync || !ops[1].sync {
+		t.Fatalf("a flushed batch made %d file operations, want one write then one sync: %+v", len(ops), ops)
+	}
+	if got := len(rec.held) - 1; got != len(testCorpus())+2 {
+		t.Fatalf("the write carried %d records, want %d", got, len(testCorpus())+2)
+	}
+}
+
+// TestConcurrentBatches stages and flushes two batches at once (run it
+// under -race). Each commits exactly its own operations. A spec both
+// batches replace keeps its ordinal, and a spec both create takes the
+// ordinal of whichever batch flushes first, the other replacing it.
+func TestConcurrentBatches(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		st := tmpStore(t)
+		corpus := importCorpus(t, st)
+		seq0, ord0 := st.Current().Seq(), st.Stats().NextOrd
+		shared := mkSpec("ops.shared", "kzalloc", true, 77, "p")
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				b := st.Batch()
+				edited := *corpus[0]
+				edited.OriginPatch = fmt.Sprintf("batch-%d", w)
+				both := *shared
+				both.OriginPatch = fmt.Sprintf("batch-%d", w)
+				for _, sp := range []*spec.Spec{&edited, &both, mkSpec(fmt.Sprintf("ops.own%d", w), "kmalloc", true, int64(w), "p")} {
+					if _, err := b.UpsertSpec(sp); err != nil {
+						errs[w] = err
+						return
+					}
+				}
+				errs[w] = b.Flush()
+			}(w)
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+		sn := st.Current()
+		if sn.Seq() != seq0+6 || st.Stats().NextOrd != ord0+3 {
+			t.Fatalf("round %d: seq %d nextOrd %d, want %d and %d (3 records and 1 new ordinal per batch, 1 shared)",
+				round, sn.Seq(), st.Stats().NextOrd, seq0+6, ord0+3)
+		}
+		ordOf := func(key string) (uint64, string) {
+			t.Helper()
+			val, ok := sn.Get([]byte(key))
+			if !ok {
+				t.Fatalf("round %d: %q missing", round, key)
+			}
+			ord, sp, err := decodeSpec(val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ord, sp.OriginPatch
+		}
+		if ord, _ := ordOf(corpus[0].Key()); ord != 1 {
+			t.Fatalf("round %d: replaced spec moved to ordinal %d, want 1", round, ord)
+		}
+		// The batch that flushed last wrote the shared spec's final value;
+		// the first one created it, at the first ordinal after the corpus.
+		_, last := ordOf(corpus[0].Key())
+		sharedOrd, sharedPatch := ordOf(shared.Key())
+		if sharedPatch != last {
+			t.Fatalf("round %d: shared spec from %s, edited spec from %s: not one flush order", round, sharedPatch, last)
+		}
+		if sharedOrd != ord0 {
+			t.Fatalf("round %d: shared spec at ordinal %d, want %d (created by the first flush)", round, sharedOrd, ord0)
+		}
+		// Each batch's own new spec took the next ordinal in flush order,
+		// and the first commit holds exactly the first batch's records.
+		pin, err := OpenAt(st.Path(), seq0+3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid := dump(t, pin.Current())
+		pin.Close()
+		for w := 0; w < 2; w++ {
+			own := mkSpec(fmt.Sprintf("ops.own%d", w), "kmalloc", true, int64(w), "p").Key()
+			want, inFirst := ord0+1, fmt.Sprintf("batch-%d", w) != last
+			if !inFirst {
+				want = ord0 + 2
+			}
+			if ord, _ := ordOf(own); ord != want {
+				t.Fatalf("round %d: batch %d's own spec at ordinal %d, want %d", round, w, ord, want)
+			}
+			if _, ok := mid[own]; ok != inFirst {
+				t.Fatalf("round %d: batch %d's own spec in the first commit = %v, want %v", round, w, ok, inFirst)
+			}
+		}
+		if len(mid) != len(corpus)+2 || strings.Contains(mid[corpus[0].Key()]+mid[shared.Key()], last) {
+			t.Fatalf("round %d: the first commit holds %d keys or the last batch's edits, want the first batch's alone", round, len(mid))
+		}
+		if _, err := st.Verify(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -322,7 +377,7 @@ func TestWALTailReplayOnOpen(t *testing.T) {
 	if ss.NextOrd != 5 {
 		t.Fatalf("recovered NextOrd = %d, want 5 (from the tail)", ss.NextOrd)
 	}
-	if ss.Pending != 0 || ss.Seq != 3 {
+	if ss.Seq != 3 {
 		t.Fatalf("stats after recovery = %+v", ss)
 	}
 	if _, err := st.Verify(); err != nil {
@@ -432,8 +487,12 @@ func TestWALOverlayReadOnly(t *testing.T) {
 	}
 
 	// Writes are refused as ever.
-	if err := st.Batch().put([]byte("x"), []byte("y")); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("read-only put = %v, want ErrReadOnly", err)
+	b := st.Batch()
+	if err := b.put([]byte("x"), []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("read-only flush = %v, want ErrReadOnly", err)
 	}
 }
 
@@ -502,17 +561,11 @@ func TestWALOverlayIterateFrom(t *testing.T) {
 }
 
 // TestBatchSpecReadYourWrites: spec-level batch ops resolve keys
-// through the pending batch — a pending upsert keeps its ordinal on
-// re-upsert, a pending insert dedups an import, and a pending delete
-// hides the key.
+// through the batch's own staged operations — a staged upsert keeps its
+// ordinal on re-upsert, a staged insert dedups an import, and a staged
+// delete hides the key.
 func TestBatchSpecReadYourWrites(t *testing.T) {
-	st, err := CreateOptions(filepath.Join(t.TempDir(), "s.db"), Options{
-		Commit: CommitPolicy{Records: 1 << 20, Bytes: 1 << 30},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	st := tmpStore(t)
 	b := st.Batch()
 	sp := mkSpec("ops.wal", "kmalloc", true, 1, "p1")
 	created, err := b.UpsertSpec(sp)
@@ -521,19 +574,17 @@ func TestBatchSpecReadYourWrites(t *testing.T) {
 	}
 	created, err = b.UpsertSpec(sp)
 	if err != nil || created {
-		t.Fatalf("pending re-upsert: created=%v err=%v, want replace", created, err)
+		t.Fatalf("staged re-upsert: created=%v err=%v, want replace", created, err)
 	}
 	added, skipped, err := b.ImportSpecs([]*spec.Spec{sp, mkSpec("ops.wal2", "kfree", true, 2, "p1")})
 	if err != nil || added != 1 || skipped != 1 {
-		t.Fatalf("import over pending: added=%d skipped=%d err=%v", added, skipped, err)
+		t.Fatalf("import over staged: added=%d skipped=%d err=%v", added, skipped, err)
 	}
-	ok, err := b.DeleteSpec(sp.Key())
-	if err != nil || !ok {
-		t.Fatalf("pending delete: %v %v", ok, err)
+	if !b.DeleteSpec(sp.Key()) {
+		t.Fatal("staged delete missed")
 	}
-	ok, err = b.DeleteSpec(sp.Key())
-	if err != nil || ok {
-		t.Fatalf("double delete: %v %v, want miss", ok, err)
+	if b.DeleteSpec(sp.Key()) {
+		t.Fatal("double delete hit, want miss")
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -546,7 +597,7 @@ func TestBatchSpecReadYourWrites(t *testing.T) {
 		keys := specKeys(specs)
 		t.Fatalf("flushed corpus = %v", keys)
 	}
-	// Ordinal 2 was allocated to ops.wal2 while ops.wal was pending.
+	// Ordinal 2 was allocated to ops.wal2 while ops.wal was staged.
 	if st.Stats().NextOrd != 3 {
 		t.Fatalf("NextOrd = %d, want 3", st.Stats().NextOrd)
 	}
@@ -558,10 +609,12 @@ func TestBatchSpecReadYourWrites(t *testing.T) {
 // pre-compaction snapshot stays readable.
 func TestDeadPageRatioAndAutoCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.db")
-	st, err := CreateOptions(path, Options{
-		Commit:           CommitPolicy{Records: 4, Bytes: 1 << 30},
-		CompactThreshold: 0.5,
-	})
+	created, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	created.Close()
+	st, err := OpenOptions(path, Options{CompactThreshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,16 +662,11 @@ func TestDeadPageRatioAndAutoCompaction(t *testing.T) {
 	}
 }
 
-// TestManualCompactFoldsPending: Compact on a store with a pending
-// batch captures the batch, not just the last fold.
-func TestManualCompactFoldsPending(t *testing.T) {
-	st, err := CreateOptions(filepath.Join(t.TempDir(), "s.db"), Options{
-		Commit: CommitPolicy{Records: 1 << 20, Bytes: 1 << 30},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+// TestCompactLeavesBatchStaged: Compact rewrites the committed state
+// only; operations staged in a batch stay staged and commit at its Flush.
+func TestCompactLeavesBatchStaged(t *testing.T) {
+	st := tmpStore(t)
+	mustPut(t, st, "a", "1")
 	b := st.Batch()
 	if err := b.put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -627,8 +675,14 @@ func TestManualCompactFoldsPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Keys != 1 || b.Pending() != 0 {
-		t.Fatalf("compacted %d keys with %d pending, want the pending record committed first", cs.Keys, b.Pending())
+	if cs.Keys != 1 {
+		t.Fatalf("compacted %d keys, want the 1 committed", cs.Keys)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dump(t, st.Current()); len(got) != 2 || got["k"] != "v" {
+		t.Fatalf("after flush: %v", got)
 	}
 	if _, err := st.Verify(); err != nil {
 		t.Fatal(err)
@@ -637,7 +691,7 @@ func TestManualCompactFoldsPending(t *testing.T) {
 
 // TestReopenWithEmptyWALLeavesFileUntouched guards the no-op-reopen
 // contract the model suite pins: reopening and closing a cleanly closed
-// store, with nothing pending, writes nothing.
+// store writes nothing.
 func TestReopenWithEmptyWALLeavesFileUntouched(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.db")
 	st, err := Create(path)

@@ -25,12 +25,14 @@ type Resident struct {
 
 	sh *detect.Shared
 
-	// memo is the group memo: full-fidelity region-group outcomes keyed
-	// exactly like the disk cache's TierDetectGroup entries, so a repeated
-	// request replays without touching disk or the substrate, and a spec
-	// edit replays every group it did not touch. Degraded or quarantined
-	// outcomes are never stored.
-	memo sync.Map // group key -> *detect.Outcome
+	// memo is the group memo: one full-fidelity outcome per region-group
+	// scope, under the group key the disk cache's TierDetectGroup entry
+	// has, so a repeated request replays without touching disk or the
+	// substrate, and a spec edit replays every group it did not touch. A
+	// computed group replaces its scope's entry, so the memo stays as
+	// large as the group count however many edits arrive. Degraded or
+	// quarantined outcomes are never stored.
+	memo sync.Map // scope -> memoEntry
 
 	// stats is the sum of every computed group's Outcome.Stats: the
 	// substrate work this resident's detections caused (replayed groups

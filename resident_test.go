@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"seal/internal/detect"
 	"seal/internal/kernelgen"
 )
 
@@ -70,11 +69,11 @@ func TestResidentStatsCountsComputedGroups(t *testing.T) {
 			subset = append(subset, s)
 		}
 	}
-	v, ok := r.memo.Load(detectGroupKey(r.TargetHash, edited.Scope(), SpecSetHash(subset), opts.Limits))
-	if !ok {
+	v, ok := r.memo.Load(edited.Scope())
+	if !ok || v.(memoEntry).key != detectGroupKey(r.TargetHash, edited.Scope(), SpecSetHash(subset), opts.Limits) {
 		t.Fatal("recomputed group is not in the memo")
 	}
-	group := v.(*detect.Outcome).Stats
+	group := v.(memoEntry).o.Stats
 	if group.EnsureCalls == 0 {
 		t.Fatalf("recomputed group charged no PDG work: %+v", group)
 	}

@@ -16,20 +16,12 @@ import (
 // ImportSpecStore imports a flat spec database into the store at path,
 // creating the store when missing. Import is first-wins by spec key,
 // matching SpecDB.Dedup, so re-importing an unchanged corpus is a no-op.
-// Returns (added, skipped).
+// The import is one commit: it lands whole or not at all. Returns (added,
+// skipped).
 func ImportSpecStore(path string, db *SpecDB) (added, skipped int, err error) {
-	return ImportSpecStoreOptions(path, db, specdb.Options{})
-}
-
-// ImportSpecStoreOptions is ImportSpecStore with an explicit store
-// configuration: the group-commit policy governs how many imported specs
-// ride in each batch before one fsync makes them durable, and the
-// compaction threshold arms ratio-triggered background compaction for the
-// duration of the import.
-func ImportSpecStoreOptions(path string, db *SpecDB, opts specdb.Options) (added, skipped int, err error) {
-	st, err := specdb.OpenOptions(path, opts)
+	st, err := specdb.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		st, err = specdb.CreateOptions(path, opts)
+		st, err = specdb.Create(path)
 	}
 	if err != nil {
 		return 0, 0, err
