@@ -11,7 +11,9 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"testing"
+	"time"
 
 	"seal/internal/spec"
 	"seal/internal/specdb"
@@ -186,13 +188,35 @@ func TestSpecIngestSpeedup(t *testing.T) {
 	specs := benchIngestSpecs(t, 1000)
 	dir := t.TempDir()
 
-	const runs = 5
-	cold := medianRunNs(t, runs, func() {
-		ingestUnbatched(t, filepath.Join(t.TempDir(), "cold.specdb"), specs)
-	})
-	batched := medianRunNs(t, runs, func() {
-		ingestBatched(t, filepath.Join(t.TempDir(), "batched.specdb"), specs)
-	})
+	// Samples come in interleaved pairs, one import each way, with the
+	// order alternating from pair to pair. The gate is the median of the
+	// per-pair ratios: load from other processes (a parallel `go test
+	// ./...`) that lands on a few pairs moves their ratios, not the median,
+	// where whole blocks of samples would each see a different box.
+	const pairs = 9
+	timed := func(ingest func(testing.TB, string, []*Spec), name string) float64 {
+		path := filepath.Join(t.TempDir(), name)
+		start := time.Now()
+		ingest(t, path, specs)
+		return float64(time.Since(start))
+	}
+	ratios := make([]float64, pairs)
+	var coldNs, batchedNs []float64
+	for i := range ratios {
+		var cold, batched float64
+		if i%2 == 0 {
+			cold = timed(ingestUnbatched, "cold.specdb")
+			batched = timed(ingestBatched, "batched.specdb")
+		} else {
+			batched = timed(ingestBatched, "batched.specdb")
+			cold = timed(ingestUnbatched, "cold.specdb")
+		}
+		ratios[i] = cold / batched
+		coldNs, batchedNs = append(coldNs, cold), append(batchedNs, batched)
+	}
+	sort.Float64s(ratios)
+	sort.Float64s(coldNs)
+	sort.Float64s(batchedNs)
 
 	// Equivalence: both write paths materialize the same database in the
 	// same import order.
@@ -217,9 +241,9 @@ func TestSpecIngestSpeedup(t *testing.T) {
 		}
 	}
 
-	speedup := cold / batched
-	t.Logf("per-spec-commit median %.2fms, one-commit import median %.2fms, speedup %.1fx",
-		cold/1e6, batched/1e6, speedup)
+	speedup := ratios[pairs/2]
+	t.Logf("per-spec-commit median %.2fms, one-commit import median %.2fms; median per-pair speedup over %d pairs %.1fx (quartiles %.1fx–%.1fx)",
+		coldNs[pairs/2]/1e6, batchedNs[pairs/2]/1e6, pairs, speedup, ratios[pairs/4], ratios[3*pairs/4])
 	if speedup < 10 {
 		t.Errorf("batched ingest is only %.2fx faster than per-spec commits, want >= 10x", speedup)
 	}

@@ -1,7 +1,8 @@
 package seal
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -68,35 +69,71 @@ func inferPatchKey(p *Patch, opts Options) string {
 	)
 }
 
-// inferCacheEntry is the TierInfer payload: one patch's validated specs
-// (conditions in tree form via SpecDB's JSON round trip), its relation
-// statistics, and the solver work computing it took, which a replaying run
-// adds to its own figures.
+// inferCacheEntry is the TierInfer payload: one patch's validated specs,
+// its relation statistics, and the solver work computing it took, which a
+// replaying run adds to its own figures. Its binary form is the specs' (see
+// spec.DB.MarshalBinary), then the 10 Stats and 3 Tally fields as varints.
 type inferCacheEntry struct {
-	DB     SpecDB       `json:"db"`
-	Stats  infer.Stats  `json:"stats"`
-	Solver solver.Tally `json:"solver"`
+	DB     SpecDB
+	Stats  infer.Stats
+	Solver solver.Tally
 }
 
-// UnmarshalJSON decodes the entry in one json.Unmarshal pass: the nested
-// DB decodes as spec.DBFields rather than through SpecDB's own codec,
-// which would scan its bytes again.
-func (e *inferCacheEntry) UnmarshalJSON(data []byte) error {
-	var w struct {
-		DB     spec.DBFields `json:"db"`
-		Stats  infer.Stats   `json:"stats"`
-		Solver solver.Tally  `json:"solver"`
+// counters lists the entry's Stats and Solver fields in encoding order.
+func (e *inferCacheEntry) counters() ([8]*int, [5]*int64) {
+	s, t := &e.Stats, &e.Solver
+	return [...]*int{&s.Criteria, &s.PrePaths, &s.PostPaths, &s.PMinus, &s.PPlus, &s.PPsi, &s.POmega, &s.Relations},
+		[...]*int64{&s.Truncations, &s.BudgetTruncations, &t.Checks, &t.MemoHits, &t.MemoMisses}
+}
+
+// MarshalBinary encodes the entry.
+func (e *inferCacheEntry) MarshalBinary() ([]byte, error) {
+	b, err := e.DB.MarshalBinary()
+	if err != nil {
+		return nil, err
 	}
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
+	ints, int64s := e.counters()
+	for _, c := range ints {
+		b = binary.AppendVarint(b, int64(*c))
 	}
-	db, err := w.DB.DB()
+	for _, c := range int64s {
+		b = binary.AppendVarint(b, *c)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes MarshalBinary's output into e, replacing its
+// contents; a short or overlong input is an error.
+func (e *inferCacheEntry) UnmarshalBinary(data []byte) error {
+	db, n, err := spec.ReadBinary(data)
 	if err != nil {
 		return err
 	}
-	*e = inferCacheEntry{DB: *db, Stats: w.Stats, Solver: w.Solver}
+	out := inferCacheEntry{DB: *db}
+	ints, int64s := out.counters()
+	var vals [len(ints) + len(int64s)]int64
+	rest := data[n:]
+	for i := range vals {
+		v, k := binary.Varint(rest)
+		if k <= 0 {
+			return errInferEntry
+		}
+		vals[i], rest = v, rest[k:]
+	}
+	if len(rest) != 0 {
+		return errInferEntry
+	}
+	for i, c := range ints {
+		*c = int(vals[i])
+	}
+	for i, c := range int64s {
+		*c = vals[len(ints)+i]
+	}
+	*e = out
 	return nil
 }
+
+var errInferEntry = errors.New("malformed infer cache entry")
 
 // detectConfigPart renders the detection knobs that change results for
 // identical sources; same exclusion rule as inferConfigPart.

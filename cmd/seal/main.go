@@ -492,7 +492,7 @@ func cmdInfer(args []string) error {
 			len(existing.Specs), len(db.Specs), len(merged.Specs))
 		db = merged
 	}
-	data, err := json.MarshalIndent(db, "", "  ")
+	data, err := db.MarshalIndent()
 	if err != nil {
 		return err
 	}

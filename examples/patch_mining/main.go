@@ -42,7 +42,7 @@ func main() {
 
 	// Serialize.
 	path := filepath.Join(os.TempDir(), "seal-specs.json")
-	data, err := json.MarshalIndent(res.DB, "", "  ")
+	data, err := res.DB.MarshalIndent()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ import (
 // produces it changes incompatibly: old entries become unreachable
 // (different keys) and unreadable (header check), both of which degrade to
 // misses.
-const SchemaVersion = 4
+const SchemaVersion = 5
 
 // subdir is the directory the cache owns under the user-supplied root.
 // Keeping our objects one level down makes Clear safe: it removes only
@@ -140,8 +140,7 @@ const magic = "sealpc\x00\n"
 //
 // The header is fully determined by (tier, key), so Get verifies it with
 // one byte comparison and the checksum before decoding any payload byte.
-// A payload is the value's MarshalBinary output when it implements
-// encoding.BinaryMarshaler, and its JSON encoding otherwise.
+// A payload is the value's MarshalBinary output.
 func header(tier, key string) []byte {
 	h := make([]byte, 0, len(magic)+3*binary.MaxVarintLen64+len(tier)+len(key))
 	h = append(h, magic...)
@@ -159,16 +158,13 @@ func (c *Cache) path(tier, key string) string {
 	return filepath.Join(c.root, tier, key[:2], key+".json")
 }
 
-// Get looks up (tier, key) and decodes the payload into out: with
-// UnmarshalBinary when out implements encoding.BinaryUnmarshaler, as the
-// verified payload bytes verbatim when out is a *json.RawMessage, with
-// out's own UnmarshalJSON when it has one (json.Unmarshal would first scan
-// the payload to validate it, then hand it over to be scanned again), and
-// with encoding/json otherwise. It returns true only for a verified hit; every
-// failure mode — absent, unreadable, header mismatch (version skew, another
-// tier or key, an older format), checksum mismatch, undecodable — counts
-// as a miss (and, when an entry existed but failed verification, as
-// Corrupt).
+// Get looks up (tier, key) and decodes the payload into out, which is an
+// encoding.BinaryUnmarshaler or a *json.RawMessage (which receives the
+// verified payload bytes verbatim). It returns true only for a verified
+// hit; every failure mode — absent, unreadable, header mismatch (version
+// skew, another tier or key, an older format), checksum mismatch,
+// undecodable — counts as a miss (and, when an entry existed but failed
+// verification, as Corrupt).
 func (c *Cache) Get(tier, key string, out any) bool {
 	if c == nil || len(key) < 3 {
 		return false
@@ -210,11 +206,8 @@ func decode(payload []byte, out any) error {
 		return nil
 	case encoding.BinaryUnmarshaler:
 		return v.UnmarshalBinary(payload)
-	case json.Unmarshaler:
-		return v.UnmarshalJSON(payload)
-	default:
-		return json.Unmarshal(payload, out)
 	}
+	return fmt.Errorf("cache: cannot decode into %T", out)
 }
 
 func (c *Cache) miss(corrupt bool) {
@@ -224,23 +217,16 @@ func (c *Cache) miss(corrupt bool) {
 	}
 }
 
-// Put stores val under (tier, key), encoded with MarshalBinary when val
-// implements encoding.BinaryMarshaler and with encoding/json otherwise
-// (see header for the file format). Best-effort: encoding or I/O errors
-// are swallowed (a cache that cannot write is merely cold), and read-only
-// caches never write. The write is atomic (temp file + rename) so a
+// Put stores val's MarshalBinary output under (tier, key) (see header for
+// the file format). Best-effort: encoding or I/O errors are swallowed (a
+// cache that cannot write is merely cold), and read-only caches never
+// write. The write is atomic (temp file + rename) so a
 // concurrent reader sees either the old entry or the complete new one.
-func (c *Cache) Put(tier, key string, val any) {
+func (c *Cache) Put(tier, key string, val encoding.BinaryMarshaler) {
 	if c == nil || c.readOnly || len(key) < 3 {
 		return
 	}
-	var payload []byte
-	var err error
-	if m, ok := val.(encoding.BinaryMarshaler); ok {
-		payload, err = m.MarshalBinary()
-	} else {
-		payload, err = json.Marshal(val)
-	}
+	payload, err := val.MarshalBinary()
 	if err != nil {
 		return
 	}

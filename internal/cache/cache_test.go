@@ -2,6 +2,8 @@ package cache
 
 import (
 	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -11,9 +13,25 @@ import (
 	"testing"
 )
 
+// payload is a test value with its own binary codec, as every cached
+// product has: Count as a varint, then the name. An empty payload does
+// not decode.
 type payload struct {
 	Name  string
 	Count int
+}
+
+func (p payload) MarshalBinary() ([]byte, error) {
+	return append(binary.AppendVarint(nil, int64(p.Count)), p.Name...), nil
+}
+
+func (p *payload) UnmarshalBinary(b []byte) error {
+	v, n := binary.Varint(b)
+	if n <= 0 {
+		return errors.New("malformed payload")
+	}
+	p.Count, p.Name = int(v), string(b[n:])
+	return nil
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -69,25 +87,6 @@ func entryFile(t *testing.T, dir string) string {
 	return found
 }
 
-// binPayload has its own binary codec, like the detect-group tier's
-// payload: a count byte, then the name. An empty payload does not decode.
-type binPayload struct {
-	Name  string
-	Count byte
-}
-
-func (p binPayload) MarshalBinary() ([]byte, error) {
-	return append([]byte{p.Count}, p.Name...), nil
-}
-
-func (p *binPayload) UnmarshalBinary(b []byte) error {
-	if len(b) == 0 {
-		return errors.New("empty binPayload")
-	}
-	p.Count, p.Name = b[0], string(b[1:])
-	return nil
-}
-
 // rawBin marshals to its own bytes, to plant arbitrary payloads.
 type rawBin []byte
 
@@ -96,26 +95,29 @@ func (r rawBin) MarshalBinary() ([]byte, error) { return r, nil }
 func TestBinaryPayloadRoundTrip(t *testing.T) {
 	c, _ := Open(t.TempDir(), false)
 	key := Key("bin")
-	want := binPayload{Name: "x", Count: 7}
+	want := payload{Name: "x", Count: 7}
 	c.Put(TierDetectGroup, key, want)
-	var got binPayload
+	var got payload
 	if !c.Get(TierDetectGroup, key, &got) || got != want {
 		t.Fatalf("got %+v want %+v", got, want)
 	}
-	// A *json.RawMessage receives the verified payload bytes verbatim,
-	// binary or JSON alike.
+	// A *json.RawMessage receives the verified payload bytes verbatim.
 	var raw json.RawMessage
-	if !c.Get(TierDetectGroup, key, &raw) || string(raw) != "\x07x" {
-		t.Fatalf("raw binary payload %q", raw)
+	if !c.Get(TierDetectGroup, key, &raw) || string(raw) != "\x0ex" {
+		t.Fatalf("raw payload %q", raw)
 	}
-	c.Put(TierInfer, key, payload{Name: "j", Count: 1})
-	if !c.Get(TierInfer, key, &raw) || string(raw) != `{"Name":"j","Count":1}` {
-		t.Fatalf("raw JSON payload %q", raw)
+	// Any other receiver is a decode failure: a corrupt miss.
+	var plain struct{ Name string }
+	if c.Get(TierDetectGroup, key, &plain) {
+		t.Fatal("a value without a binary codec decoded a payload")
+	}
+	if st := c.Stats(); st.Corrupt != 1 {
+		t.Fatalf("undecodable receiver not counted as corrupt: %+v", st)
 	}
 }
 
 // entryBytes is the entry file a Put of val under (tier, key) writes.
-func entryBytes(t *testing.T, tier, key string, val any) []byte {
+func entryBytes(t *testing.T, tier, key string, val encoding.BinaryMarshaler) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	c, _ := Open(dir, false)
@@ -129,7 +131,7 @@ func entryBytes(t *testing.T, tier, key string, val any) []byte {
 
 func TestCorruptEntryIsAMiss(t *testing.T) {
 	key := Key("victim")
-	want := binPayload{Name: "ok", Count: 1}
+	want := payload{Name: "ok", Count: 1}
 	for name, corrupt := range map[string]func(*testing.T, []byte) []byte{
 		"bit-flip": func(_ *testing.T, b []byte) []byte {
 			// Flip a byte inside the payload section.
@@ -180,7 +182,7 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 			if err := os.WriteFile(file, corrupt(t, data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			var got binPayload
+			var got payload
 			if c.Get(TierDetectGroup, key, &got) {
 				t.Fatal("corrupted entry served as a hit")
 			}

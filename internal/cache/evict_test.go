@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,7 +11,7 @@ import (
 // entrySize measures the on-disk size of one cache entry with the given
 // payload — all Key()-derived keys have equal length, so every entry
 // written from the same payload shape is the same size.
-func entrySize(t *testing.T, val any) int64 {
+func entrySize(t *testing.T, val encoding.BinaryMarshaler) int64 {
 	t.Helper()
 	c, err := Open(t.TempDir(), false)
 	if err != nil {

@@ -2,10 +2,11 @@ package kernelgen
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"seal/internal/patch"
 )
@@ -40,7 +41,11 @@ func (c *Corpus) WriteTo(dir string) error {
 		}
 		meta := map[string]interface{}{"id": pt.ID, "description": pt.Description, "tags": pt.Tags}
 		data, _ := json.MarshalIndent(meta, "", "  ")
-		if err := os.WriteFile(filepath.Join(dir, "patches", pt.ID, "patch.json"), data, 0o644); err != nil {
+		pdir := filepath.Join(dir, "patches", pt.ID)
+		if err := os.MkdirAll(pdir, 0o755); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(pdir, "patch.json"), data, 0o644); err != nil {
 			return err
 		}
 	}
@@ -55,56 +60,80 @@ func (c *Corpus) WriteTo(dir string) error {
 	return os.WriteFile(filepath.Join(dir, "groundtruth.json"), data, 0o644)
 }
 
-// LoadPatches reads a dir/patches/... layout back into patch values.
+// LoadPatches reads a WriteTo layout (dir/<id>/pre/..., dir/<id>/post/...,
+// dir/<id>/patch.json) back into patch values, sorted by ID. A side with no
+// files, for which WriteTo creates no directory, loads as empty, and so does
+// a missing patch.json; a malformed one fails the load.
 func LoadPatches(dir string) ([]*patch.Patch, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var ids []string
-	for _, e := range entries {
-		if e.IsDir() {
-			ids = append(ids, e.Name())
-		}
-	}
-	sort.Strings(ids)
 	var out []*patch.Patch
-	for _, id := range ids {
+	for _, e := range entries { // ReadDir sorts by name
+		if !e.IsDir() {
+			continue
+		}
+		id := e.Name()
 		p := &patch.Patch{ID: id, Pre: map[string]string{}, Post: map[string]string{}, Tags: map[string]string{}}
-		for side, m := range map[string]map[string]string{"pre": p.Pre, "post": p.Post} {
-			root := filepath.Join(dir, id, side)
-			err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-				if err != nil || info.IsDir() {
-					return err
-				}
-				data, err := os.ReadFile(path)
-				if err != nil {
-					return err
-				}
-				rel, err := filepath.Rel(root, path)
-				if err != nil {
-					return err
-				}
-				m[filepath.ToSlash(rel)] = string(data)
-				return nil
-			})
-			if err != nil {
+		for side, files := range map[string]map[string]string{"pre": p.Pre, "post": p.Post} {
+			if err := loadSide(filepath.Join(dir, id, side), files); err != nil {
 				return nil, fmt.Errorf("patch %s/%s: %w", id, side, err)
 			}
 		}
-		if metaData, err := os.ReadFile(filepath.Join(dir, id, "patch.json")); err == nil {
-			var meta struct {
-				Description string            `json:"description"`
-				Tags        map[string]string `json:"tags"`
-			}
-			if json.Unmarshal(metaData, &meta) == nil {
-				p.Description = meta.Description
-				if meta.Tags != nil {
-					p.Tags = meta.Tags
-				}
-			}
+		if err := loadMeta(filepath.Join(dir, id, "patch.json"), p); err != nil {
+			return nil, fmt.Errorf("patch %s: %w", id, err)
 		}
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+// loadSide reads every file under root into files, keyed by slash-separated
+// path relative to root. A missing root is an empty side.
+func loadSide(root string, files map[string]string) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			if path == root && errors.Is(err, fs.ErrNotExist) {
+				return nil
+			}
+			return err
+		}
+		if d.IsDir() {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		files[filepath.ToSlash(rel)] = string(data)
+		return nil
+	})
+}
+
+// loadMeta sets p's description and tags from its patch.json, if any.
+func loadMeta(path string, p *patch.Patch) error {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	var meta struct {
+		Description string            `json:"description"`
+		Tags        map[string]string `json:"tags"`
+	}
+	if err := json.Unmarshal(data, &meta); err != nil {
+		return fmt.Errorf("patch.json: %w", err)
+	}
+	p.Description = meta.Description
+	if meta.Tags != nil {
+		p.Tags = meta.Tags
+	}
+	return nil
 }

@@ -8,9 +8,6 @@
 package spec
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -287,110 +284,6 @@ func (db *DB) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// Hash is the content fingerprint of the database: the hex SHA-256 of a
-// length-prefixed encoding of every spec's JSON-visible fields, with each
-// condition walked node by node as CondToNode would render it (see
-// appendSpec). Two databases hash alike exactly when their MarshalJSON
-// bytes agree, so flat-file, store-loaded and in-memory specs fingerprint
-// alike, and no JSON is built to get there. Every layer that identifies a
-// spec set by content — detection cache keys, serve request envelopes —
-// goes through this one function. Strings are hashed as their bytes: JSON
-// would replace invalid UTF-8 with U+FFFD, so on such strings the hash
-// tells apart what the JSON form conflates, never the reverse.
-func (db *DB) Hash() string {
-	h := sha256.New()
-	buf := binary.AppendUvarint(make([]byte, 0, 1<<10), uint64(len(db.Specs)))
-	for _, s := range db.Specs {
-		if len(buf) > 8<<10 {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-		buf = appendSpec(buf, s)
-	}
-	h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// appendSpec appends the hash encoding of one spec. Every field is
-// self-delimiting (uvarint-length strings, varint numbers, tagged formula
-// nodes with counted children), so a concatenation of specs is
-// unambiguous.
-func appendSpec(b []byte, s *Spec) []byte {
-	b = appendStr(appendStr(appendStr(b, s.ID), s.Iface), s.API)
-	forbidden := byte(0)
-	if s.Constraint.Forbidden {
-		forbidden = 1
-	}
-	r := &s.Constraint.Rel
-	b = binary.AppendVarint(append(b, forbidden), int64(r.Kind))
-	b = appendUse(appendUse(appendUse(appendValue(b, r.V), r.U), r.U1), r.U2)
-	b = appendCond(b, r.Cond)
-	return appendStr(appendStr(b, string(s.Origin)), s.OriginPatch)
-}
-
-func appendStr(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-func appendValue(b []byte, v Value) []byte {
-	b = appendStr(binary.AppendVarint(b, int64(v.Kind)), v.Iface)
-	b = appendStr(appendStr(binary.AppendVarint(b, int64(v.ArgIndex)), v.API), v.Global)
-	return appendStr(binary.AppendVarint(b, v.Lit), v.Field)
-}
-
-func appendUse(b []byte, u Use) []byte {
-	b = appendStr(binary.AppendVarint(b, int64(u.Kind)), u.API)
-	return appendStr(appendStr(binary.AppendVarint(b, int64(u.ArgIndex)), u.Iface), u.Global)
-}
-
-// appendCond encodes a formula node by node with CondToNode's cases: nil,
-// TrueF and any other type encode as "true".
-func appendCond(b []byte, f solver.Formula) []byte {
-	switch x := f.(type) {
-	case solver.FalseF:
-		return append(b, 'f')
-	case solver.Atom:
-		b = appendStr(append(b, 'a'), x.Op.String())
-		return appendTerm(appendTerm(b, x.A), x.B)
-	case solver.Not:
-		return appendCond(append(b, '!'), x.F)
-	case solver.And:
-		return appendConds(append(b, '&'), x.Fs)
-	case solver.Or:
-		return appendConds(append(b, '|'), x.Fs)
-	}
-	return append(b, 't')
-}
-
-func appendConds(b []byte, fs []solver.Formula) []byte {
-	b = binary.AppendUvarint(b, uint64(len(fs)))
-	for _, f := range fs {
-		b = appendCond(b, f)
-	}
-	return b
-}
-
-// appendTerm encodes a term with termToNode's cases: an unknown arithmetic
-// operator is "add", and any other term is the symbol "?".
-func appendTerm(b []byte, t solver.Term) []byte {
-	switch x := t.(type) {
-	case solver.Const:
-		return binary.AppendVarint(append(b, 'c'), x.Val)
-	case solver.Sym:
-		return appendStr(append(b, 's'), x.Name)
-	case solver.BinTerm:
-		op := byte('+')
-		switch x.Op {
-		case solver.TSub:
-			op = '-'
-		case solver.TMul:
-			op = '*'
-		}
-		return appendTerm(appendTerm(append(b, 'b', op), x.A), x.B)
-	}
-	return appendStr(append(b, 's'), "?")
-}
-
 // UnmarshalJSON restores conditions from tree form. A caller holding the
 // bytes calls it directly: json.Unmarshal(data, &db) would scan the whole
 // input once to validate it before handing it here to be scanned again.
@@ -410,14 +303,17 @@ func (db *DB) UnmarshalJSON(data []byte) error {
 type DBFields DB
 
 // DB rebuilds every spec's condition from its tree form and returns the
-// fields as a DB sharing their storage. A null entry in specs is an
-// error naming its index.
+// fields as a DB sharing their storage. It drops the trees: MarshalJSON
+// renders Cond, so they are dead weight, and without them a decoded DB is
+// the same value whether it came from JSON or from the binary form. A null
+// entry in specs is an error naming its index.
 func (f *DBFields) DB() (*DB, error) {
 	for i, s := range f.Specs {
 		if s == nil {
 			return nil, fmt.Errorf("spec entry %d is null", i)
 		}
-		s.Constraint.Rel.Cond = NodeToCond(s.Constraint.Rel.CondJSON)
+		r := &s.Constraint.Rel
+		r.Cond, r.CondJSON = NodeToCond(r.CondJSON), nil
 	}
 	return (*DB)(f), nil
 }
@@ -498,22 +394,7 @@ func NodeToCond(n *CondNode) solver.Formula {
 	case "false":
 		return solver.FalseF{}
 	case "atom":
-		var op solver.CmpOp
-		switch n.Cmp {
-		case "==":
-			op = solver.OpEq
-		case "!=":
-			op = solver.OpNe
-		case "<":
-			op = solver.OpLt
-		case "<=":
-			op = solver.OpLe
-		case ">":
-			op = solver.OpGt
-		case ">=":
-			op = solver.OpGe
-		}
-		return solver.Atom{Op: op, A: nodeToTerm(n.A), B: nodeToTerm(n.B)}
+		return solver.Atom{Op: cmpOp(n.Cmp), A: nodeToTerm(n.A), B: nodeToTerm(n.B)}
 	case "not":
 		if len(n.Kids) == 1 {
 			return solver.MkNot(NodeToCond(n.Kids[0]))
@@ -532,6 +413,24 @@ func NodeToCond(n *CondNode) solver.Formula {
 		return solver.MkOr(fs...)
 	}
 	return solver.TrueF{}
+}
+
+// cmpOp parses a comparison operator as CmpOp.String renders it; any
+// other text is OpEq.
+func cmpOp(s string) solver.CmpOp {
+	switch s {
+	case "!=":
+		return solver.OpNe
+	case "<":
+		return solver.OpLt
+	case "<=":
+		return solver.OpLe
+	case ">":
+		return solver.OpGt
+	case ">=":
+		return solver.OpGe
+	}
+	return solver.OpEq
 }
 
 func nodeToTerm(n *TermNode) solver.Term {
