@@ -86,15 +86,16 @@ func TestCLISpecDBDetectIdentity(t *testing.T) {
 }
 
 // TestCLISpecDBShardedWithWriterTail is the regression test for one seq
-// pinning two spec sets. A writer that dies between its write and its
-// fsync leaves complete records past its last commit, which every later
-// open replays; the test stands in for it by appending an encoded record
-// that edits the spec behind the first report straight to the store file.
-// A sharded `detect -spec-db` must print exactly what the in-process run
-// prints, edit included, because the workers run the specs the
-// coordinator's read-only open saw, shipped inline in their jobs. And the
-// seq `seal specdb -stats` reports must pin, through OpenAt, that same
-// spec set.
+// naming two spec sets. A writer that dies between its write and its
+// fsync can leave its whole commit record past the last synced commit,
+// which every later open replays; the test stands in for it by committing
+// an edit of the spec behind the first report to a copy of the store and
+// appending the bytes the copy gained to the store file. A sharded
+// `detect -spec-db` must print exactly what the in-process run prints,
+// edit included, because the workers run the specs the coordinator's
+// read-only open saw, shipped inline in their jobs. And the seq
+// `seal specdb -stats` reports read-only must be the seq a read-write
+// reopen serves, with the spec set the read-only runs detected with.
 func TestCLISpecDBShardedWithWriterTail(t *testing.T) {
 	tree, specFile, storePath := buildSpecStore(t)
 	flat := captureStdout(t, func() error {
@@ -102,40 +103,39 @@ func TestCLISpecDBShardedWithWriterTail(t *testing.T) {
 	})
 	key := firstReportSpecKey(t, flat)
 
-	// The writer's view of its store, which the tail record extends.
-	st, err := specdb.Open(storePath)
+	orig, err := os.ReadFile(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn := st.Current()
-	sp, ok, err := sn.SpecByKey(key)
+	copyPath := filepath.Join(t.TempDir(), "writer.specdb")
+	if err := os.WriteFile(copyPath, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := specdb.Open(copyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, ok, err := st.Current().SpecByKey(key)
 	if err != nil || !ok {
 		t.Fatalf("spec %q behind the first report: found=%v err=%v", key, ok, err)
 	}
-	raw, _ := sn.Get([]byte(key))
-	var rec struct {
-		Ord uint64 `json:"ord"`
-	}
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatal(err)
-	}
 	edited := *sp
 	edited.OriginPatch += "-edited"
-	val, err := json.Marshal(struct {
-		Ord uint64   `json:"ord"`
-		DB  *spec.DB `json:"db"`
-	}{rec.Ord, &spec.DB{Specs: []*spec.Spec{&edited}}})
+	if created, err := st.UpsertSpec(&edited); err != nil || created {
+		t.Fatalf("edit of %q: created=%v err=%v", key, created, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := os.ReadFile(copyPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := specdb.EncodeWALRecord(&specdb.WALRecord{Op: specdb.WALOpPut, Seq: sn.Seq() + 1,
-		NextOrd: st.Stats().NextOrd, Key: []byte(key), Val: val})
-	st.Close()
 	f, err := os.OpenFile(storePath, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(tail); err != nil {
+	if _, err := f.Write(grown[len(orig):]); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -164,29 +164,33 @@ func TestCLISpecDBShardedWithWriterTail(t *testing.T) {
 	if _, err := fmt.Sscanf(stats[len(storePath):], ": seq %d,", &seq); err != nil {
 		t.Fatalf("stats output %q: %v", stats, err)
 	}
-	pin, err := specdb.OpenAt(storePath, seq)
-	if err != nil {
-		t.Fatalf("OpenAt(%d), the seq -stats reported: %v", seq, err)
-	}
-	pinnedSpecs, err := pin.Current().Specs()
-	pin.Close()
+	rw, err := specdb.Open(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := (&spec.DB{Specs: pinnedSpecs}).MarshalJSON()
+	rwSeq := rw.Current().Seq()
+	rwSpecs, err := rw.Current().Specs()
+	rw.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinnedFile := filepath.Join(t.TempDir(), "pinned.json")
-	if err := os.WriteFile(pinnedFile, data, 0o644); err != nil {
+	if rwSeq != seq {
+		t.Errorf("read-only -stats reports seq %d, a read-write reopen serves seq %d", seq, rwSeq)
+	}
+	data, err := (&spec.DB{Specs: rwSpecs}).MarshalJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
-	pinned := captureStdout(t, func() error {
-		return cmdDetect([]string{"-target", tree, "-specs", pinnedFile, "-report"})
+	rwFile := filepath.Join(t.TempDir(), "reopened.json")
+	if err := os.WriteFile(rwFile, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened := captureStdout(t, func() error {
+		return cmdDetect([]string{"-target", tree, "-specs", rwFile, "-report"})
 	})
-	if pinned != inProcess {
-		t.Errorf("seq %d pins a spec set other than the one the read-only open served.\npinned:\n%s\nin-process:\n%s",
-			seq, pinned, inProcess)
+	if reopened != inProcess {
+		t.Errorf("the read-write reopen at seq %d serves a spec set other than the one the read-only open detected with.\nreopened:\n%s\nin-process:\n%s",
+			seq, reopened, inProcess)
 	}
 }
 
@@ -315,27 +319,38 @@ func TestCLISpecDBModes(t *testing.T) {
 }
 
 // TestCLISpecDBVersionSkew pins the version-skew contract at the CLI
-// surface: a store written by a different format version is refused with
-// a clean fatal error (exit 1, not a usage error, no panic) that names
-// the skew, on both the detect and admin paths.
+// surface: a store written by a different format version — the previous
+// format 2, or one from the future — is refused with a clean fatal error
+// (exit 1, not a usage error, no panic) that names the skew and the
+// re-import, on both the detect and admin paths.
 func TestCLISpecDBVersionSkew(t *testing.T) {
 	_, _, storePath := buildSpecStore(t)
 
-	// Bump the format version in the header and re-seal its checksum
-	// (FNV-64a over the 28 bytes before it), so the file is a structurally
-	// valid store from the future.
-	data, err := os.ReadFile(storePath)
+	image, err := os.ReadFile(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(data[8:12], specdb.FormatVersion+41)
-	h := fnv.New64a()
-	h.Write(data[:28])
-	binary.LittleEndian.PutUint64(data[28:36], h.Sum64())
-	if err := os.WriteFile(storePath, data, 0o644); err != nil {
-		t.Fatal(err)
+	// Set the format version in the header and re-seal its checksum
+	// (FNV-64a over the 28 bytes before it), so the file is a structurally
+	// valid store of the previous format, then of one from the future.
+	for _, version := range []uint32{2, specdb.FormatVersion + 41} {
+		data := append([]byte(nil), image...)
+		binary.LittleEndian.PutUint32(data[8:12], version)
+		h := fnv.New64a()
+		h.Write(data[:28])
+		binary.LittleEndian.PutUint64(data[28:36], h.Sum64())
+		if err := os.WriteFile(storePath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		checkSpecDBSkew(t, storePath, version)
 	}
+}
 
+// checkSpecDBSkew requires every store-reading CLI path to refuse the
+// store at path, written by format version, with a fatal error that
+// names the skew and the re-import.
+func checkSpecDBSkew(t *testing.T, storePath string, version uint32) {
+	t.Helper()
 	for _, tc := range []struct {
 		name string
 		args func() error
@@ -357,8 +372,10 @@ func TestCLISpecDBVersionSkew(t *testing.T) {
 		if !errors.Is(err, specdb.ErrVersion) {
 			t.Errorf("%s: %v, want ErrVersion", tc.name, err)
 		}
-		if !strings.Contains(err.Error(), "format version") {
-			t.Errorf("%s error does not name the skew: %v", tc.name, err)
+		for _, frag := range []string{"format version", fmt.Sprintf("store format %d", version), "seal specdb -import"} {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("%s: format %d error does not name %q: %v", tc.name, version, frag, err)
+			}
 		}
 		var ue usageErr
 		if errors.As(err, &ue) {

@@ -185,18 +185,14 @@ func main() {
 		}
 	}
 
-	// Spec-store image seeds: a real (tiny) store file plus a flipped
-	// header, a torn tail and a format-1 paged-store meta page, feeding
-	// FuzzStoreImage's open contract.
-	if err := writeStoreImageSeeds(filepath.Join("internal", "specdb", "testdata", "fuzz", "FuzzStoreImage")); err != nil {
-		fail(err)
-	}
-
-	// WAL record seeds: valid put/delete frames from the real encoder
-	// plus the three hostile classes FuzzWALRecord's contract names —
-	// truncated, flipped-checksum, and version-skewed-but-resealed —
-	// feeding the record-log scanner's torn-tail discipline.
-	if err := writeWALRecordSeeds(filepath.Join("internal", "specdb", "testdata", "fuzz", "FuzzWALRecord")); err != nil {
+	// Spec-store seeds, all from one tiny store written through its own
+	// API: the store file plus a flipped header, a torn tail, a format-2
+	// header and a format-1 paged-store meta page, feeding
+	// FuzzStoreImage's open contract; and the commit records the store
+	// appended plus a truncated and a flipped-checksum one, feeding
+	// FuzzWALRecord's record decoder and its torn-tail discipline.
+	fuzz := filepath.Join("internal", "specdb", "testdata", "fuzz")
+	if err := writeSpecStoreSeeds(filepath.Join(fuzz, "FuzzStoreImage"), filepath.Join(fuzz, "FuzzWALRecord")); err != nil {
 		fail(err)
 	}
 
@@ -264,49 +260,14 @@ func writeOutcomeSeeds(dir string) error {
 	return nil
 }
 
-func writeWALRecordSeeds(dir string) error {
-	put := specdb.EncodeWALRecord(&specdb.WALRecord{Op: specdb.WALOpPut, Seq: 3, NextOrd: 7,
-		Key: []byte("iface:ops.prepare | some-constraint"), Val: []byte(`{"ord":6,"db":{}}`)})
-	del := specdb.EncodeWALRecord(&specdb.WALRecord{Op: specdb.WALOpDelete, Seq: 4, NextOrd: 7,
-		Key: []byte("api:kfree | k")})
-	truncated := put[:len(put)-5]
-	flipped := append([]byte(nil), put...)
-	flipped[len(flipped)-2] ^= 0x08
-	// Version skew with a recomputed checksum: structurally perfect,
-	// refused on the version byte alone.
-	skew := append([]byte(nil), del...)
-	body := skew[4 : len(skew)-8]
-	body[0] = specdb.WALVersion + 1
-	var sum uint64
-	h := fnv.New64a()
-	h.Write(body)
-	sum = h.Sum64()
-	binary.LittleEndian.PutUint64(skew[len(skew)-8:], sum)
-	seeds := []struct {
-		name string
-		data []byte
-	}{
-		{"put", put},
-		{"delete", del},
-		{"back_to_back", append(append([]byte(nil), put...), del...)},
-		{"truncated", truncated},
-		{"flipped_checksum", flipped},
-		{"version_skew", skew},
-		{"garbage", []byte("garbage that is not a record")},
-	}
-	for _, s := range seeds {
-		if err := writeBytesEntry(dir, s.name, s.data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func writeBytesEntry(dir, name string, data []byte) error {
 	return writeRaw(dir, name, "[]byte("+strconv.Quote(string(data))+")")
 }
 
-func writeStoreImageSeeds(dir string) error {
+// writeSpecStoreSeeds writes both spec-store seed sets from one store:
+// its file image and hostile variants into imageDir, the records its
+// commits appended into recordDir.
+func writeSpecStoreSeeds(imageDir, recordDir string) error {
 	tmp, err := os.MkdirTemp("", "specdb-seeds")
 	if err != nil {
 		return err
@@ -317,29 +278,62 @@ func writeStoreImageSeeds(dir string) error {
 	if err != nil {
 		return err
 	}
+	defer st.Close()
 	seeds := []*spec.Spec{
 		{ID: "S1", Iface: "ops.prepare", API: "kmalloc",
 			Constraint: spec.Constraint{Forbidden: true}, Origin: spec.OriginRemoved, OriginPatch: "p1"},
 		{ID: "S2", API: "kfree",
 			Constraint: spec.Constraint{Forbidden: false}, Origin: spec.OriginAdded, OriginPatch: "p2"},
 	}
-	if _, _, err := st.ImportSpecs(seeds); err != nil {
-		return err
-	}
-	if _, err := st.DeleteSpec(seeds[0].Key()); err != nil {
-		return err
-	}
-	if err := st.Close(); err != nil {
-		return err
-	}
+	// Each commit appends one record: the bytes the file gained.
 	img, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
+	var recs [][]byte
+	for _, commit := range []func() error{
+		func() error { _, _, err := st.ImportSpecs(seeds); return err },
+		func() error { _, err := st.DeleteSpec(seeds[0].Key()); return err },
+	} {
+		if err := commit(); err != nil {
+			return err
+		}
+		grown, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		recs, img = append(recs, grown[len(img):]), grown
+	}
+	put, del := recs[0], recs[1]
+	flippedRec := append([]byte(nil), put...)
+	flippedRec[len(flippedRec)-2] ^= 0x08
+	for _, s := range []struct {
+		name string
+		data []byte
+	}{
+		{"put", put},
+		{"delete", del},
+		{"back_to_back", append(append([]byte(nil), put...), del...)},
+		{"truncated", put[:len(put)-5]},
+		{"flipped_checksum", flippedRec},
+		{"garbage", []byte("garbage that is not a record")},
+	} {
+		if err := writeBytesEntry(recordDir, s.name, s.data); err != nil {
+			return err
+		}
+	}
+
 	// The header's baseSeq field with one bit flipped: its checksum
 	// must catch it.
 	flipped := append([]byte(nil), img...)
 	flipped[14] ^= 0x10
+	// The header as format 2 wrote it: the same fields under version 2,
+	// resealed.
+	format2 := append([]byte(nil), img[:36]...)
+	binary.LittleEndian.PutUint32(format2[8:12], 2)
+	h := fnv.New64a()
+	h.Write(format2[:28])
+	binary.LittleEndian.PutUint64(format2[28:36], h.Sum64())
 	// A format-1 meta page (type 1, magic, version 1, page size 4096,
 	// seq 2, npages 2, nextord 1) with a valid page checksum.
 	page := make([]byte, 4096)
@@ -350,7 +344,7 @@ func writeStoreImageSeeds(dir string) error {
 	binary.LittleEndian.PutUint64(page[17:25], 2)
 	binary.LittleEndian.PutUint64(page[33:41], 2)
 	binary.LittleEndian.PutUint64(page[41:49], 1)
-	h := fnv.New64a()
+	h.Reset()
 	h.Write(page[:4088])
 	binary.LittleEndian.PutUint64(page[4088:], h.Sum64())
 	for _, s := range []struct {
@@ -360,9 +354,10 @@ func writeStoreImageSeeds(dir string) error {
 		{"image", img},
 		{"flipped_header", flipped},
 		{"torn_tail", img[:len(img)-5]},
+		{"format2_header", format2},
 		{"format1_page", page},
 	} {
-		if err := writeBytesEntry(dir, s.name, s.data); err != nil {
+		if err := writeBytesEntry(imageDir, s.name, s.data); err != nil {
 			return err
 		}
 	}

@@ -271,8 +271,7 @@ func (db *DB) Dedup() {
 // MarshalJSON serializes the DB with conditions in tree form. It works on
 // shallow spec copies (Relation is a value field) so marshaling never
 // writes to the shared spec objects — a DB is serialized for a shard job
-// or a spec-store record while concurrent detections read the very same
-// specs.
+// while concurrent detections read the very same specs.
 func (db *DB) MarshalJSON() ([]byte, error) {
 	type alias DB
 	out := alias{Specs: make([]*Spec, len(db.Specs))}
@@ -284,38 +283,26 @@ func (db *DB) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON restores conditions from tree form. A caller holding the
-// bytes calls it directly: json.Unmarshal(data, &db) would scan the whole
-// input once to validate it before handing it here to be scanned again.
+// UnmarshalJSON restores conditions from tree form, then drops the trees:
+// MarshalJSON renders Cond, so they are dead weight, and without them a
+// decoded DB is the same value whether it came from JSON or from the
+// binary form. A null entry in specs is an error naming its index. A
+// caller holding the bytes calls it directly: json.Unmarshal(data, &db)
+// would scan the whole input once to validate it before handing it here
+// to be scanned again.
 func (db *DB) UnmarshalJSON(data []byte) error {
-	if err := json.Unmarshal(data, (*DBFields)(db)); err != nil {
+	type fields DB // DB's JSON shape without DB's codec
+	if err := json.Unmarshal(data, (*fields)(db)); err != nil {
 		return err
 	}
-	_, err := (*DBFields)(db).DB()
-	return err
-}
-
-// DBFields is DB's JSON shape without DB's codec. A record that nests a
-// DB (a cache entry, a spec-store record) declares the field as DBFields,
-// so the record's own json.Unmarshal decodes the DB's bytes in that one
-// pass, and then calls DB to rebuild the conditions. Never encode one: it
-// carries the decoded condition trees, not Cond.
-type DBFields DB
-
-// DB rebuilds every spec's condition from its tree form and returns the
-// fields as a DB sharing their storage. It drops the trees: MarshalJSON
-// renders Cond, so they are dead weight, and without them a decoded DB is
-// the same value whether it came from JSON or from the binary form. A null
-// entry in specs is an error naming its index.
-func (f *DBFields) DB() (*DB, error) {
-	for i, s := range f.Specs {
+	for i, s := range db.Specs {
 		if s == nil {
-			return nil, fmt.Errorf("spec entry %d is null", i)
+			return fmt.Errorf("spec entry %d is null", i)
 		}
 		r := &s.Constraint.Rel
 		r.Cond, r.CondJSON = NodeToCond(r.CondJSON), nil
 	}
-	return (*DB)(f), nil
+	return nil
 }
 
 // CondNode is the JSON form of a solver formula.

@@ -35,8 +35,8 @@ func TestDeepTreeSplitAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs.Keys != n || vs.Records != n {
-		t.Fatalf("verify saw %d keys in %d records, want %d", vs.Keys, vs.Records, n)
+	if vs.Keys != n || vs.Records != 1 {
+		t.Fatalf("verify saw %d keys in %d records, want %d in one", vs.Keys, vs.Records, n)
 	}
 
 	rng := rand.New(rand.NewSource(5))
@@ -169,11 +169,11 @@ func TestCommitSurfacesWriteErrors(t *testing.T) {
 		}
 		return b.Flush()
 	}
-	marker := int64(len(EncodeWALRecord(&WALRecord{Op: WALOpDelete, Key: []byte(seqMarkKey)})))
+	marker := int64(len(record(0, 0)))
 
-	// A failed write publishes nothing. The seq marker's write fails too,
-	// so the file keeps only its header, but this process's seq counter
-	// has moved past both (seqs 1 and 2).
+	// A failed write publishes nothing. The empty commit's write fails
+	// too, so the file keeps only its header, but this process's seq
+	// counter has moved past both (seqs 1 and 2).
 	ff.failWrites = 2
 	if err := flush("k", "v"); !errors.Is(err, errInjected) {
 		t.Fatalf("Flush = %v, want injected failure", err)
@@ -182,22 +182,26 @@ func TestCommitSurfacesWriteErrors(t *testing.T) {
 		t.Fatalf("failed write published seq %d, left %d bytes", st.Current().Seq(), len(ff.buf))
 	}
 
-	// A failed sync: the written record (seq 3) is cut away and a durable
-	// seq marker (seq 4) commits in its place, changing no key.
+	// A failed sync: the written commit (seq 3) is cut away and a durable
+	// empty commit (seq 4) takes its place, changing no key.
 	ff.failSyncs = 1
 	if err := flush("k", "v"); !errors.Is(err, errInjected) {
 		t.Fatalf("Flush = %v, want injected failure", err)
 	}
 	if st.Current().Seq() != 4 || st.Current().Len() != 0 || int64(len(ff.buf)) != headerLen+marker {
-		t.Fatalf("after a failed sync: seq %d, %d keys, %d bytes; want the seq marker alone", st.Current().Seq(), st.Current().Len(), len(ff.buf))
+		t.Fatalf("after a failed sync: seq %d, %d keys, %d bytes; want the empty commit alone", st.Current().Seq(), st.Current().Len(), len(ff.buf))
+	}
+	// A restart rebuilds the seq counter from the file: past the lost seq.
+	if re, err := openFile(&memFile{buf: append([]byte(nil), ff.buf...)}, "restart", true, Options{}); err != nil || re.Current().Seq() != 4 {
+		t.Fatalf("reopened after a failed sync: %v", err)
 	}
 	if err := flush("k", "v"); err != nil || st.Current().Seq() != 5 {
 		t.Fatalf("retried commit: %v, seq %d", err, st.Current().Seq())
 	}
 
-	// A failed truncate leaves the failed record in the file and writes no
-	// marker; the next commit overwrites its bytes, so a reopen sees only
-	// committed records.
+	// A failed truncate leaves the failed commit in the file and writes no
+	// empty commit; the next commit overwrites its bytes, so a reopen sees
+	// only committed records.
 	ff.failSyncs, ff.failTrunc = 1, true
 	if err := flush("gone", "long discarded value"); !errors.Is(err, errInjected) {
 		t.Fatalf("Flush = %v, want injected failure", err)
@@ -231,17 +235,28 @@ func TestCorruptSpecRecordSurfaces(t *testing.T) {
 	st := tmpStore(t)
 	importCorpus(t, st)
 	// Smuggle garbage under a spec-layer key shape.
-	mustPut(t, st, "api:zzz | ∄: junk", "{not json")
+	junk := mkSpec("", "zzz", true, 1, "p")
+	mustPut(t, st, junk.Key(), "\x01not a spec")
 	if _, err := st.Current().Specs(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Specs over garbage record = %v, want ErrCorrupt", err)
 	}
-	if _, _, err := st.Current().SpecByKey("api:zzz | ∄: junk"); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := st.Current().SpecByKey(junk.Key()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("SpecByKey over garbage record = %v", err)
 	}
 	// A record holding zero specs is equally corrupt.
-	mustPut(t, st, "api:zzz | ∄: junk", `{"ord":1,"db":{"specs":[]}}`)
-	if _, _, err := st.Current().SpecByKey("api:zzz | ∄: junk"); !errors.Is(err, ErrCorrupt) {
+	mustPut(t, st, junk.Key(), "\x01\x00")
+	if _, _, err := st.Current().SpecByKey(junk.Key()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("SpecByKey over empty record = %v", err)
+	}
+	// So is a value with no ordinal, and replacing that spec fails the
+	// Flush with nothing written.
+	mustPut(t, st, junk.Key(), "\x80")
+	if _, _, err := st.Current().SpecByKey(junk.Key()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("SpecByKey over a record with no ordinal = %v", err)
+	}
+	seq := st.Current().Seq()
+	if _, err := st.UpsertSpec(junk); !errors.Is(err, ErrCorrupt) || st.Current().Seq() != seq {
+		t.Fatalf("replacing a record with no ordinal = %v at seq %d, want ErrCorrupt at %d", err, st.Current().Seq(), seq)
 	}
 }
 

@@ -2,18 +2,18 @@ package specdb
 
 // Crash-consistency harness. A recording file logs every physical
 // operation the store issues on its one file — the one write of each
-// Flush's records, any truncation, and the syncs that commit — across a
-// multi-commit run. Beside the log it keeps an independent oracle: the
-// records the file holds after each operation, each with the state a plain
-// map reaches by applying the records up to it. The harness then rebuilds
+// Flush's commit record, any truncation, and the syncs that commit — across
+// a multi-commit run. Beside the log it keeps an independent oracle: the
+// commits the file holds after each operation, each with the state a plain
+// map reaches by applying the commits up to it. The harness then rebuilds
 // the file image at every operation prefix (a crash between any two
 // operations), plus torn and scribbled variants of the next write, every
 // byte prefix of the final image, and single-bit flips, and asserts what
-// recovery yields: exactly the replay of a prefix of the records — all of
+// recovery yields: exactly the replay of a prefix of the commits — all of
 // them when every write in the prefix completed, so at least the last
-// synced commit, and the ones wholly inside a torn write — or, for damage
-// ahead of the final record, a clean ErrCorrupt; never a panic, never data
-// that was not written.
+// synced commit, and none of a torn one, however many operations it
+// carries — or, for damage ahead of the final record, a clean ErrCorrupt;
+// never a panic, never data that was not written, never part of a commit.
 
 import (
 	"errors"
@@ -69,7 +69,7 @@ type fileOp struct {
 	size  int64
 }
 
-// filed is one record the file holds, with the oracle state after it.
+// filed is one commit the file holds, with the oracle state after it.
 type filed struct {
 	end     int64 // file offset just past the record
 	seq     uint64
@@ -78,14 +78,15 @@ type filed struct {
 }
 
 // recordingFile mirrors operations into a memFile, logs them, and after
-// each one notes which records the file holds and how many of them the
+// each one notes which commits the file holds and how many of them the
 // last sync made durable.
 type recordingFile struct {
-	mem    memFile
-	log    []fileOp
-	held   []filed   // current records; held[0] stands for the header alone
-	file   [][]filed // file[p]: held after the first p ops
-	synced []int     // synced[p]: records durable after the first p ops
+	mem     memFile
+	log     []fileOp
+	held    []filed   // current commits; held[0] stands for the header alone
+	file    [][]filed // file[p]: held after the first p ops
+	synced  []int     // synced[p]: commits durable after the first p ops
+	multiOp int       // commits of more than one operation
 }
 
 func (r *recordingFile) ReadAt(p []byte, off int64) (int, error) { return r.mem.ReadAt(p, off) }
@@ -96,20 +97,23 @@ func (r *recordingFile) WriteAt(p []byte, off int64) (int, error) {
 	if off == 0 {
 		r.held = []filed{{end: int64(len(p)), nextOrd: 1, model: map[string]string{}}}
 	}
-	for at := 0; off > 0 && at < len(p); {
-		rec, n, err := DecodeWALRecord(p[at:])
-		if err != nil {
-			panic(fmt.Sprintf("store wrote a non-record at %d: %v", off+int64(at), err))
+	if off > 0 {
+		c, n, err := decodeCommit(p)
+		if err != nil || n != len(p) {
+			panic(fmt.Sprintf("store wrote %d bytes at %d, not one record: %v", len(p), off, err))
 		}
-		at += n
-		last := r.held[len(r.held)-1]
-		next := filed{end: off + int64(at), seq: rec.Seq, nextOrd: rec.NextOrd, model: copyModel(last.model)}
-		if rec.Op == WALOpPut {
-			next.model[string(rec.Key)] = string(rec.Val)
-		} else {
-			delete(next.model, string(rec.Key))
+		next := filed{end: off + int64(n), seq: c.seq, nextOrd: c.nextOrd, model: copyModel(r.held[len(r.held)-1].model)}
+		for _, o := range c.ops {
+			if o.kind == opPut {
+				next.model[string(o.key)] = string(o.val)
+			} else {
+				delete(next.model, string(o.key))
+			}
 		}
 		r.held = append(r.held, next)
+		if len(c.ops) > 1 {
+			r.multiOp++
+		}
 	}
 	r.note(fileOp{off: off, data: append([]byte(nil), p...)})
 	return r.mem.WriteAt(p, off)
@@ -141,7 +145,7 @@ func (r *recordingFile) note(op fileOp) {
 	r.synced = append(r.synced, durable)
 }
 
-// heldAt returns the records the file holds after the first p ops (nil
+// heldAt returns the commits the file holds after the first p ops (nil
 // before the header was written) and how many of them are durable.
 func (r *recordingFile) heldAt(p int) ([]filed, int) {
 	if p == 0 {
@@ -200,11 +204,11 @@ func buildCrashRun(t *testing.T) *recordingFile {
 }
 
 // checkRecovery opens a crash image read-write and asserts it recovers to
-// exactly the state after the first k of the records held, and stays
-// consistent: it verifies, reports the last record's seq and ordinal
-// counter, and a read-only open of the same image sees the same state
-// without writing it. With no header (held == nil) a clean open error is
-// the only correct outcome.
+// exactly the state after the first k of the commits held, and stays
+// consistent: it verifies, reports that commit's seq and ordinal counter,
+// and a read-only open of the same image sees the same state without
+// writing it. With no header (held == nil) a clean open error is the only
+// correct outcome.
 func checkRecovery(t *testing.T, img *memFile, held []filed, k int, label string) {
 	t.Helper()
 	pristine := append([]byte(nil), img.buf...)
@@ -238,15 +242,21 @@ func checkRecovery(t *testing.T, img *memFile, held []filed, k int, label string
 	}
 }
 
-// checkEveryPrefix replays a run cut after every op, plus a torn and a
-// scribbled variant of each in-flight write: every complete record must
-// survive, so recovery is the replay of all records held — at least the
-// last synced commit — plus those wholly inside the torn write's half.
+// checkEveryPrefix replays a run cut after every op: every complete
+// commit survives, so recovery is the replay of all the commits the file
+// holds — at least the last synced one. It also tears each in-flight write
+// after its first byte, half way and one byte short of its end, and
+// scribbles over its second half: a torn commit is dropped whole, so
+// recovery is exactly the state before it, however many operations it
+// carries.
 func checkEveryPrefix(t *testing.T, rec *recordingFile) {
+	if rec.multiOp == 0 {
+		t.Fatal("the run made no commit of more than one operation")
+	}
 	for p := 0; p <= len(rec.log); p++ {
 		held, durable := rec.heldAt(p)
 		if held != nil && len(held)-1 < durable {
-			t.Fatalf("prefix %d: oracle holds %d records, %d durable", p, len(held)-1, durable)
+			t.Fatalf("prefix %d: oracle holds %d commits, %d durable", p, len(held)-1, durable)
 		}
 		checkRecovery(t, replayOps(rec.log, p), held, len(held)-1, fmt.Sprintf("prefix %d/%d", p, len(rec.log)))
 		if p == len(rec.log) {
@@ -256,29 +266,24 @@ func checkEveryPrefix(t *testing.T, rec *recordingFile) {
 		if next.trunc || next.sync {
 			continue
 		}
-		// Torn in-flight write: only the first half lands, and with it the
-		// records of a multi-record write that lie wholly inside it.
-		after, _ := rec.heldAt(p + 1)
-		half := next.off + int64(len(next.data)/2)
-		if held == nil {
-			after = nil
+		for _, cut := range []int{1, len(next.data) / 2, len(next.data) - 1} {
+			img := replayOps(rec.log, p)
+			img.WriteAt(next.data[:cut], next.off)
+			checkRecovery(t, img, held, len(held)-1, fmt.Sprintf("torn at byte %d of %d/%d", cut, p, len(rec.log)))
 		}
-		img := replayOps(rec.log, p)
-		img.WriteAt(next.data[:len(next.data)/2], next.off)
-		checkRecovery(t, img, after, recordsBefore(after, half), fmt.Sprintf("torn %d/%d", p, len(rec.log)))
 		// Scribbled: the first half lands and the rest is garbage.
-		img = replayOps(rec.log, p)
+		img := replayOps(rec.log, p)
 		scribble := append([]byte(nil), next.data...)
 		for i := len(scribble) / 2; i < len(scribble); i++ {
 			scribble[i] = 0xAA
 		}
 		img.WriteAt(scribble, next.off)
-		checkRecovery(t, img, after, recordsBefore(after, half), fmt.Sprintf("scribbled %d/%d", p, len(rec.log)))
+		checkRecovery(t, img, held, len(held)-1, fmt.Sprintf("scribbled %d/%d", p, len(rec.log)))
 	}
 }
 
-// recordsBefore counts the records wholly inside the first off bytes.
-func recordsBefore(held []filed, off int64) int {
+// commitsBefore counts the commits wholly inside the first off bytes.
+func commitsBefore(held []filed, off int64) int {
 	k := 0
 	for k+1 < len(held) && held[k+1].end <= off {
 		k++
@@ -293,8 +298,9 @@ func TestCrashConsistencyEveryCommitOffset(t *testing.T) {
 }
 
 // TestCrashTruncation cuts the final image at every byte: recovery is the
-// replay of the records wholly inside the cut, or a clean error inside the
-// header, and every recovered store accepts and commits a new write.
+// replay of the commits wholly inside the cut — a cut inside a commit
+// drops all of its operations — or a clean error inside the header, and
+// every recovered store accepts and commits a new write.
 func TestCrashTruncation(t *testing.T) {
 	rec := buildCrashRun(t)
 	held := rec.held
@@ -306,7 +312,7 @@ func TestCrashTruncation(t *testing.T) {
 			checkRecovery(t, img, nil, 0, label)
 			continue
 		}
-		k := recordsBefore(held, int64(cut))
+		k := commitsBefore(held, int64(cut))
 		checkRecovery(t, img, held, k, label)
 		st, err := openFile(img, label, false, Options{})
 		if err != nil {
@@ -423,16 +429,17 @@ func buildSpecCrashRun(t *testing.T) *recordingFile {
 	}
 	final := rec.held[len(rec.held)-1]
 	checkAgainstModel(t, st.Current(), model, "spec run")
-	checkAgainstModel(t, st.Current(), final.model, "spec run records")
+	checkAgainstModel(t, st.Current(), final.model, "spec run commits")
 	if final.nextOrd != nextOrd {
-		t.Fatalf("records end at NextOrd %d, model %d", final.nextOrd, nextOrd)
+		t.Fatalf("commits end at NextOrd %d, model %d", final.nextOrd, nextOrd)
 	}
 	return rec
 }
 
 // TestWALCrashConsistencyEveryPrefix replays the spec-level workload cut
-// at every op: a record is recovered once it is wholly on disk, whether or
-// not the sync that covers it ran, and ordinals survive.
+// at every op: a commit is recovered once its record is wholly on disk,
+// whether or not the sync that covers it ran, never in part, and ordinals
+// survive.
 func TestWALCrashConsistencyEveryPrefix(t *testing.T) {
 	checkEveryPrefix(t, buildSpecCrashRun(t))
 }

@@ -6,14 +6,12 @@ package specdb
 // batch flushes; a discard or a reopen drops them. After every operation
 // the store's published snapshot must agree with the committed model on
 // content, count, and iteration order; held snapshots must keep showing the state they were
-// taken at no matter what later commits, compactions and closes do;
-// OpenAt must reproduce every commit since the last compaction; and a
-// close/reopen cycle must reload the same state without rewriting the
+// taken at no matter what later commits, compactions and closes do; and
+// a close/reopen cycle must reload the same state without rewriting the
 // file.
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -95,12 +93,6 @@ func TestModelRandomOps(t *testing.T) {
 	}
 }
 
-// commitPoint is the committed model at one published seq.
-type commitPoint struct {
-	seq   uint64
-	model map[string]string
-}
-
 func runModelSeed(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	path := filepath.Join(t.TempDir(), "model.db")
@@ -112,37 +104,12 @@ func runModelSeed(t *testing.T, seed int64) {
 
 	committed, pending := map[string]string{}, map[string]string{}
 	var held []heldSnap
-	points := []commitPoint{{seq: 0, model: map[string]string{}}} // reachable by OpenAt
-	var gone []uint64                                             // seqs a compaction dropped
 
 	key := func() string { return fmt.Sprintf("spec/%03d", rng.Intn(60)) }
 	value := func() string {
 		sizes := []int{0, 1, 17, 511, 512, 513, 2000, 4200}
 		return strings.Repeat(string(rune('a'+rng.Intn(26))), sizes[rng.Intn(len(sizes))])
 	}
-	// flushed records the commit a Flush just made, if it wrote anything.
-	flushed := func() {
-		committed = copyModel(pending)
-		if seq := st.Current().Seq(); seq != points[len(points)-1].seq {
-			points = append(points, commitPoint{seq: seq, model: committed})
-		}
-	}
-	checkOpenAt := func(label string) {
-		for _, p := range points {
-			pin, err := OpenAt(path, p.seq)
-			if err != nil {
-				t.Fatalf("%s: OpenAt(%d): %v", label, p.seq, err)
-			}
-			checkAgainstModel(t, pin.Current(), p.model, fmt.Sprintf("%s OpenAt(%d)", label, p.seq))
-			pin.Close()
-		}
-		for _, seq := range gone {
-			if _, err := OpenAt(path, seq); !errors.Is(err, ErrSnapshotGone) {
-				t.Fatalf("%s: OpenAt(%d) before the last compaction = %v, want ErrSnapshotGone", label, seq, err)
-			}
-		}
-	}
-
 	b := st.Batch()
 	for step := 0; step < 300; step++ {
 		switch op := rng.Intn(20); {
@@ -162,7 +129,7 @@ func runModelSeed(t *testing.T, seed int64) {
 			if err := b.Flush(); err != nil {
 				t.Fatalf("step %d flush: %v", step, err)
 			}
-			flushed()
+			committed = copyModel(pending)
 		case op < 16:
 			if err := b.Discard(); err != nil {
 				t.Fatalf("step %d discard: %v", step, err)
@@ -172,17 +139,10 @@ func runModelSeed(t *testing.T, seed int64) {
 			if len(held) < 4 {
 				held = append(held, heldSnap{snap: st.Current(), model: copyModel(committed)})
 			}
-		case op < 18: // compact; held snapshots survive, older seqs go
+		case op < 18: // compact; held snapshots survive
 			if _, err := st.Compact(); err != nil {
 				t.Fatalf("step %d compact: %v", step, err)
 			}
-			last := points[len(points)-1]
-			for _, p := range points[:len(points)-1] {
-				if p.seq != last.seq {
-					gone = append(gone, p.seq)
-				}
-			}
-			points = []commitPoint{last}
 		default: // close and reopen; the file bytes must be untouched
 			preHash := fileHash(t, path)
 			if err := st.Close(); err != nil {
@@ -200,7 +160,6 @@ func runModelSeed(t *testing.T, seed int64) {
 			if st.Current().Seq() != preSeq {
 				t.Fatalf("step %d: reopen changed seq %d -> %d", step, preSeq, st.Current().Seq())
 			}
-			checkOpenAt(fmt.Sprintf("step %d", step))
 		}
 
 		checkAgainstModel(t, st.Current(), committed, fmt.Sprintf("step %d current", step))
@@ -211,8 +170,7 @@ func runModelSeed(t *testing.T, seed int64) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	flushed()
-	checkOpenAt("end")
+	checkAgainstModel(t, st.Current(), pending, "end")
 	if _, err := st.Verify(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,41 +1,42 @@
 // Package specdb is an on-disk spec store: one append-only file of
-// checksummed records, replayed on open into an immutable in-memory
+// checksummed commit records, replayed on open into an immutable in-memory
 // snapshot.
 //
-// The file is a fixed header followed by records in the log encoding of
-// EncodeWALRecord (all integers little-endian):
+// The file is a fixed header followed by records (all integers
+// little-endian):
 //
 //	header: magic(8) | version(4) | baseSeq(8) | nextOrd(8) | fnv64a(8)
 //	record: blen(4) | body | fnv64a(body)(8)
-//	body:   ver(1) | op(1) | seq(8) | nextord(8) | klen(4) | key | val
+//	body:   seq(8) | nextOrd(8) | count(4) | count × op
+//	op:     kind(1) | klen(4) | key | a put's vlen(4) | val
 //
-// Records reach the file only at Batch.Flush. A Batch stages its
-// operations in memory; Flush resolves them against the store, appends
-// their records in one write and commits them: one fsync followed by
-// publishing the next Snapshot, which holds the latest record per key and
-// a sorted key list. Discard drops a batch without touching the file.
+// A record is one commit. Records reach the file only at Batch.Flush,
+// which resolves the batch's staged operations against the store, appends
+// them as one record in one write and commits it: one fsync followed by
+// publishing the next Snapshot, which holds the latest value per key and a
+// sorted key list. Discard drops a batch without touching the file.
 // Snapshots never read the file, so they stay valid across later commits,
-// compactions and Close.
+// compactions and Close. A spec's value is its import ordinal as a uvarint
+// followed by the one-spec spec.DB in the spec binary form.
 //
-// Record sequence numbers increase strictly through the file.
-// Snapshot.Seq is the sequence number of the last record a snapshot
-// includes, and OpenAt replays the file up to an exact one. Compaction
-// writes the live records, in sequence order, behind a fresh header into
-// <path>.compact and renames it over the store. The header's baseSeq is the
-// sequence number of that compacted state and nextOrd its ordinal counter:
-// every seq from baseSeq through the last record stays reachable by
-// OpenAt, older ones are gone.
+// Each commit takes the next sequence number, so seqs increase strictly
+// through the file, and Snapshot.Seq is the seq of the last commit a
+// snapshot includes. The header holds the state before the first record.
+// Compaction writes the live values as one commit, behind a header of the
+// same state, into <path>.compact and renames it over the store; the seq
+// and the ordinal counter stay as they were.
 //
-// Record sequence numbers are never reused, not even for the records of a
-// Flush whose write or fsync failed: those are truncated away and a seq
-// marker record past them commits in their place. A record that fails
-// length or checksum validation with nothing valid after it is a torn
-// final append: a read-write open truncates it away, a read-only open
-// ignores it. Damage
-// that a checksum-valid record follows is inside the committed log, and
-// both opens fail with ErrCorrupt without touching the file. A
-// checksum-valid header or record written by another format version is a
-// hard ErrVersion, never decoded on a best-effort basis.
+// Sequence numbers are never reused, not even the seq of a Flush whose
+// write or fsync failed: its bytes are truncated away and an empty commit
+// past its seq takes its place. A record that fails length, checksum or
+// structural validation with nothing valid after it is a torn final
+// append: a read-write open truncates it away, a read-only open ignores
+// it. So a crash anywhere inside a Flush leaves the store exactly as it was
+// before that commit or as it is after it. Damage that a valid record
+// follows is inside the committed log, and both opens fail with ErrCorrupt
+// without touching the file. A checksum-valid header written by another
+// format version is a hard ErrVersion, never decoded on a best-effort
+// basis.
 package specdb
 
 import (
@@ -49,14 +50,14 @@ import (
 
 const (
 	// FormatVersion is the store file format this build reads and writes.
-	FormatVersion = 2
+	FormatVersion = 3
 	// MaxKeyLen bounds key length.
 	MaxKeyLen = 768
 
 	magic     = "SEALSPDB"
 	headerLen = 36
 	// maxSeq bounds the sequence numbers a file may hold, so that an open
-	// store can always append another record without wrapping.
+	// store can always append another commit without wrapping.
 	maxSeq = 1 << 63
 )
 
@@ -72,9 +73,6 @@ var (
 	ErrNotStore = errors.New("specdb: not a spec store")
 	// ErrReadOnly is returned by write operations on a read-only store.
 	ErrReadOnly = errors.New("specdb: store is read-only")
-	// ErrSnapshotGone is returned by OpenAt when the requested sequence
-	// number is older than the last compaction or names no record.
-	ErrSnapshotGone = errors.New("specdb: snapshot no longer in the store")
 	// ErrKeyTooLong is returned by writes of keys above MaxKeyLen.
 	ErrKeyTooLong = errors.New("specdb: key exceeds maximum length")
 )

@@ -1,65 +1,57 @@
 // Spec-level layer over the raw key/value records. Keys are spec.Key()
 // — "<scope> | <constraint>" with scope "iface:NAME" or "api:NAME" —
 // so one interface's specs occupy one contiguous key range and a
-// region-group's spec subset is a prefix scan. Values are JSON records
-// carrying the spec plus its import ordinal; Specs() returns the corpus
-// sorted by ordinal, which reproduces the flat-file load order exactly
-// (the byte-identity contract with the flat baseline rests on this).
+// region-group's spec subset is a prefix scan. A value is the spec's
+// import ordinal as a uvarint followed by the one-spec spec.DB in the spec
+// binary form; Specs() returns the corpus sorted by ordinal, which
+// reproduces the flat-file load order exactly (the byte-identity contract
+// with the flat baseline rests on this).
 package specdb
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"seal/internal/spec"
 )
 
-// specRecord is the stored value for one spec: {"ord":N,"db":DB}. The
-// spec rides inside a single-entry spec.DB because condition trees only
-// serialize through the DB-level JSON codec; it decodes as spec.DBFields,
-// in the record's own json.Unmarshal pass.
-type specRecord struct {
-	Ord uint64         `json:"ord"`
-	DB  *spec.DBFields `json:"db"`
-}
-
-// specJSON is the JSON of the one-spec spec.DB a record carries. It is
-// already compact, so frameSpec splices it in rather than re-compacting.
-func specJSON(sp *spec.Spec) ([]byte, error) {
-	return (&spec.DB{Specs: []*spec.Spec{sp}}).MarshalJSON()
-}
-
-// frameSpec wraps a one-spec DB's JSON into a record value with its
-// ordinal: what json.Marshal writes for a specRecord.
-func frameSpec(ord uint64, db []byte) []byte {
-	val := strconv.AppendUint(append(make([]byte, 0, len(db)+34), `{"ord":`...), ord, 10)
-	return append(append(append(val, `,"db":`...), db...), '}')
+// specOrd reads the ordinal at the front of a spec value and returns it
+// with its length.
+func specOrd(val []byte) (uint64, int, error) {
+	ord, n := binary.Uvarint(val)
+	if n <= 0 {
+		return 0, 0, fmt.Errorf("%w: spec record has no ordinal", ErrCorrupt)
+	}
+	return ord, n, nil
 }
 
 func decodeSpec(val []byte) (uint64, *spec.Spec, error) {
-	var rec specRecord
-	if err := json.Unmarshal(val, &rec); err != nil {
-		return 0, nil, fmt.Errorf("%w: spec record: %v", ErrCorrupt, err)
-	}
-	if rec.DB == nil || len(rec.DB.Specs) != 1 {
-		return 0, nil, fmt.Errorf("%w: spec record holds %d specs, want 1", ErrCorrupt, recLen(rec.DB))
-	}
-	db, err := rec.DB.DB()
+	ord, n, err := specOrd(val)
 	if err != nil {
+		return 0, nil, err
+	}
+	var db spec.DB
+	if err := db.UnmarshalBinary(val[n:]); err != nil {
 		return 0, nil, fmt.Errorf("%w: spec record: %v", ErrCorrupt, err)
 	}
-	return rec.Ord, db.Specs[0], nil
+	if len(db.Specs) != 1 {
+		return 0, nil, fmt.Errorf("%w: spec record holds %d specs, want 1", ErrCorrupt, len(db.Specs))
+	}
+	return ord, db.Specs[0], nil
 }
 
-func recLen(db *spec.DBFields) int {
-	if db == nil {
-		return 0
+// stageSpec stages a put of sp under key: the one-spec DB's binary form,
+// which Flush prefixes with the spec's ordinal.
+func (b *Batch) stageSpec(key []byte, sp *spec.Spec, ifAbsent bool) error {
+	bin, err := (&spec.DB{Specs: []*spec.Spec{sp}}).MarshalBinary()
+	if err != nil {
+		return err
 	}
-	return len(db.Specs)
+	b.stage(stagedOp{op: op{kind: opPut, key: key}, spec: bin, ifAbsent: ifAbsent})
+	return nil
 }
 
 // ImportSpecs stages inserts of specs in order, first-wins on duplicate
@@ -77,11 +69,9 @@ func (b *Batch) ImportSpecs(specs []*spec.Spec) (added, skipped int, err error) 
 			skipped++
 			continue
 		}
-		db, err := specJSON(sp)
-		if err != nil {
+		if err := b.stageSpec(key, sp, true); err != nil {
 			return added, skipped, err
 		}
-		b.stage(stagedOp{op: WALOpPut, key: key, db: db, ifAbsent: true})
 		added++
 	}
 	return added, skipped, nil
@@ -95,12 +85,10 @@ func (b *Batch) UpsertSpec(sp *spec.Spec) (created bool, err error) {
 	if err := checkKey(key); err != nil {
 		return false, err
 	}
-	db, err := specJSON(sp)
-	if err != nil {
+	created = !b.live(key)
+	if err := b.stageSpec(key, sp, false); err != nil {
 		return false, err
 	}
-	created = !b.live(key)
-	b.stage(stagedOp{op: WALOpPut, key: key, db: db})
 	return created, nil
 }
 
@@ -110,7 +98,7 @@ func (b *Batch) DeleteSpec(key string) bool {
 	if !b.live([]byte(key)) {
 		return false
 	}
-	b.stage(stagedOp{op: WALOpDelete, key: []byte(key)})
+	b.stage(stagedOp{op: op{kind: opDelete, key: []byte(key)}})
 	return true
 }
 

@@ -1,6 +1,5 @@
 // Store lifecycle: create/open by replaying the file, snapshots and their
-// publication, pinned historical snapshots (OpenAt), compaction, strict
-// verification, and stats.
+// publication, compaction, strict verification, and stats.
 package specdb
 
 import (
@@ -42,15 +41,15 @@ type Store struct {
 type Snapshot struct {
 	seq     uint64
 	nextOrd uint64
-	recs    map[string]*WALRecord // latest put per live key
-	keys    []string              // live keys, sorted
+	recs    map[string]op // latest put per live key
+	keys    []string      // live keys, sorted
 
-	// Dead-ratio accounting: record bytes in the file prefix this snapshot
-	// replays, and the bytes of the records in recs.
+	// Dead-ratio accounting: the bytes of every op this snapshot replays,
+	// and the bytes of the ops in recs.
 	bytes, live int64
 }
 
-// Seq is the sequence number of the last record this snapshot includes.
+// Seq is the sequence number of the last commit this snapshot includes.
 func (sn *Snapshot) Seq() uint64 { return sn.seq }
 
 // Len is the number of keys in the snapshot.
@@ -62,7 +61,7 @@ func (sn *Snapshot) Get(key []byte) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return r.Val, true
+	return r.val, true
 }
 
 // Iterate walks all keys in order. fn returns false to stop early.
@@ -74,15 +73,15 @@ func (sn *Snapshot) Iterate(fn func(key, val []byte) (bool, error)) error {
 func (sn *Snapshot) IterateFrom(lo []byte, fn func(key, val []byte) (bool, error)) error {
 	for _, k := range sn.keys[sort.SearchStrings(sn.keys, string(lo)):] {
 		r := sn.recs[k]
-		if cont, err := fn(r.Key, r.Val); err != nil || !cont {
+		if cont, err := fn(r.key, r.val); err != nil || !cont {
 			return err
 		}
 	}
 	return nil
 }
 
-// deadRatio is the share of the snapshot's record bytes superseded by a
-// later record for the same key — what Compact reclaims.
+// deadRatio is the share of the snapshot's op bytes superseded by a later
+// op on the same key — what Compact reclaims.
 func (sn *Snapshot) deadRatio() float64 {
 	if sn.bytes == 0 {
 		return 0
@@ -90,38 +89,40 @@ func (sn *Snapshot) deadRatio() float64 {
 	return float64(sn.bytes-sn.live) / float64(sn.bytes)
 }
 
-// apply returns the snapshot after recs, sharing nothing mutable with sn.
-func (sn *Snapshot) apply(recs []*WALRecord) *Snapshot {
+// apply returns the snapshot after commits, sharing nothing mutable with
+// sn.
+func (sn *Snapshot) apply(commits ...*commit) *Snapshot {
 	next := &Snapshot{seq: sn.seq, nextOrd: sn.nextOrd, recs: maps.Clone(sn.recs), bytes: sn.bytes, live: sn.live}
 	if next.recs == nil {
-		next.recs = make(map[string]*WALRecord, len(recs))
+		next.recs = make(map[string]op)
 	}
-	for _, r := range recs {
-		k := string(r.Key)
-		if old, ok := next.recs[k]; ok {
-			next.live -= old.size()
-			delete(next.recs, k)
-		}
-		if r.Op == WALOpPut {
-			next.recs[k] = r
-			next.live += r.size()
-		}
-		next.bytes += r.size()
-		next.seq = max(next.seq, r.Seq)
-		next.nextOrd = max(next.nextOrd, r.NextOrd)
-	}
-	// A batch of in-place edits keeps the key set, and so the sorted list.
-	next.keys = sn.keys
-	for _, r := range recs {
-		_, was := sn.recs[string(r.Key)]
-		if _, is := next.recs[string(r.Key)]; was != is {
-			next.keys = make([]string, 0, len(next.recs))
-			for k := range next.recs {
-				next.keys = append(next.keys, k)
+	keysChanged := false
+	for _, c := range commits {
+		for _, o := range c.ops {
+			k := string(o.key)
+			old, was := next.recs[k]
+			if was {
+				next.live -= old.size()
+				delete(next.recs, k)
 			}
-			sort.Strings(next.keys)
-			break
+			if o.kind == opPut {
+				next.recs[k] = o
+				next.live += o.size()
+			}
+			next.bytes += o.size()
+			keysChanged = keysChanged || was != (o.kind == opPut)
 		}
+		next.seq = max(next.seq, c.seq)
+		next.nextOrd = max(next.nextOrd, c.nextOrd)
+	}
+	// Commits of in-place edits keep the key set, and so the sorted list.
+	next.keys = sn.keys
+	if keysChanged {
+		next.keys = make([]string, 0, len(next.recs))
+		for k := range next.recs {
+			next.keys = append(next.keys, k)
+		}
+		sort.Strings(next.keys)
 	}
 	return next
 }
@@ -192,7 +193,7 @@ func openPath(path string, readOnly bool, opts Options) (*Store, error) {
 // openFile replays a store file into its first snapshot. Factored over the
 // file interface so the crash harness can open simulated post-crash images.
 func openFile(f file, path string, readOnly bool, opts Options) (*Store, error) {
-	h, recs, end, err := load(f, path)
+	h, commits, end, err := load(f, path)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +208,7 @@ func openFile(f file, path string, readOnly bool, opts Options) (*Store, error) 
 			}
 		}
 	}
-	sn := replay(h, recs)
+	sn := replay(h, commits)
 	st := &Store{
 		path:      path,
 		readOnly:  readOnly,
@@ -222,7 +223,7 @@ func openFile(f file, path string, readOnly bool, opts Options) (*Store, error) 
 
 // load reads a whole store file and decodes its header and records; end is
 // the offset just past the last complete record.
-func load(f file, path string) (header, []*WALRecord, int64, error) {
+func load(f file, path string) (header, []*commit, int64, error) {
 	size, err := f.Size()
 	if err != nil {
 		return header{}, nil, 0, err
@@ -237,59 +238,24 @@ func load(f file, path string) (header, []*WALRecord, int64, error) {
 	if err != nil {
 		return header{}, nil, 0, err
 	}
-	recs, end, err := scan(img)
+	commits, end, err := scan(img)
 	if err != nil {
 		return header{}, nil, 0, fmt.Errorf("%s: %w", path, err)
 	}
-	return h, recs, end, nil
+	return h, commits, end, nil
 }
 
 // replay builds the snapshot a header and its records describe. Decoded
-// records alias the file image, so the live ones are copied out: the
-// snapshot must not keep the whole image, dead records included, alive.
-func replay(h header, recs []*WALRecord) *Snapshot {
-	sn := (&Snapshot{seq: h.baseSeq, nextOrd: h.nextOrd}).apply(recs)
+// ops alias the file image, so the live ones are copied out: the snapshot
+// must not keep the whole image, dead ops included, alive.
+func replay(h header, commits []*commit) *Snapshot {
+	sn := (&Snapshot{seq: h.baseSeq, nextOrd: h.nextOrd}).apply(commits...)
 	for k, r := range sn.recs {
-		kv := append(append(make([]byte, 0, len(r.Key)+len(r.Val)), r.Key...), r.Val...)
-		cp := *r
-		cp.Key, cp.Val = kv[:len(r.Key):len(r.Key)], kv[len(r.Key):]
-		sn.recs[k] = &cp
+		kv := append(append(make([]byte, 0, len(r.key)+len(r.val)), r.key...), r.val...)
+		r.key, r.val = kv[:len(r.key):len(r.key)], kv[len(r.key):]
+		sn.recs[k] = r
 	}
 	return sn
-}
-
-// upTo returns the prefix of recs with sequence numbers at or below seq.
-func upTo(recs []*WALRecord, seq uint64) []*WALRecord {
-	return recs[:sort.Search(len(recs), func(i int) bool { return recs[i].Seq > seq })]
-}
-
-// OpenAt opens the store read-only pinned at an exact sequence number: the
-// seq of the last compaction (the header's baseSeq) or of any record after
-// it. Any other seq fails with an error wrapping ErrSnapshotGone, so a
-// caller never reads a view other than the one it named.
-func OpenAt(path string, seq uint64) (*Store, error) {
-	osf, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	f := osFile{f: osf}
-	h, recs, _, err := load(f, path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	pre := upTo(recs, seq)
-	if seq != h.baseSeq && (seq < h.baseSeq || len(pre) == 0 || pre[len(pre)-1].Seq != seq) {
-		f.Close()
-		last := h.baseSeq
-		if len(recs) > 0 {
-			last = max(last, recs[len(recs)-1].Seq)
-		}
-		return nil, fmt.Errorf("%w: %s holds seqs %d through %d, requested seq %d", ErrSnapshotGone, path, h.baseSeq, last, seq)
-	}
-	st := &Store{path: path, readOnly: true, f: f}
-	st.cur.Store(replay(h, pre))
-	return st, nil
 }
 
 // Path returns the file path the store was opened at.
@@ -325,9 +291,9 @@ type CompactStats struct {
 	BytesAfter  int64
 }
 
-// Compact rewrites the store as a fresh header plus the live records in
-// sequence order and atomically renames it over the store path. The state and its Seq are unchanged; seqs
-// before it stop being reachable by OpenAt.
+// Compact rewrites the store as a fresh header plus one commit of the
+// live values and atomically renames it over the store path. The state,
+// its Seq and the ordinal counter are unchanged.
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -335,14 +301,13 @@ func (s *Store) Compact() (CompactStats, error) {
 		return CompactStats{}, err
 	}
 	sn := s.cur.Load()
-	live := make([]*WALRecord, 0, len(sn.recs))
-	for _, r := range sn.recs {
-		live = append(live, r)
+	c := &commit{seq: sn.seq, nextOrd: sn.nextOrd, ops: make([]op, len(sn.keys))}
+	for i, k := range sn.keys {
+		c.ops[i] = sn.recs[k]
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].Seq < live[j].Seq })
-	img := encodeHeader(header{baseSeq: sn.seq, nextOrd: sn.nextOrd})
-	for _, r := range live {
-		img = append(img, EncodeWALRecord(r)...)
+	img, err := appendCommit(encodeHeader(header{baseSeq: sn.seq, nextOrd: sn.nextOrd}), c)
+	if err != nil {
+		return CompactStats{}, err
 	}
 	tmp := s.path + ".compact"
 	os.Remove(tmp)
@@ -374,19 +339,20 @@ func (s *Store) Compact() (CompactStats, error) {
 type VerifyStats struct {
 	Seq     uint64
 	Keys    uint64
-	Records int   // records in the file
+	Records int   // commit records in the file
 	Bytes   int64 // file length
 }
 
 // Verify re-reads the file and checks it strictly: the header checksum,
-// every record checksum, strictly increasing seqs, no bytes past the last
-// record, and that replaying the file up to the served snapshot's seq
-// reproduces that snapshot exactly.
+// every record checksum and structure, strictly increasing seqs, no bytes
+// past the last record, and that replaying the records up to the served
+// snapshot's seq reproduces that snapshot exactly. (A writer may have
+// committed past the seq a read-only store serves.)
 func (s *Store) Verify() (VerifyStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sn := s.cur.Load()
-	h, recs, end, err := load(s.f, s.path)
+	h, commits, end, err := load(s.f, s.path)
 	if err != nil {
 		return VerifyStats{}, err
 	}
@@ -394,11 +360,15 @@ func (s *Store) Verify() (VerifyStats, error) {
 	if err != nil {
 		return VerifyStats{}, err
 	}
-	vs := VerifyStats{Seq: sn.seq, Keys: uint64(sn.Len()), Records: len(recs), Bytes: size}
+	vs := VerifyStats{Seq: sn.seq, Keys: uint64(sn.Len()), Records: len(commits), Bytes: size}
 	if end != size {
 		return vs, fmt.Errorf("%w: %s has %d bytes past the last valid record at offset %d", ErrCorrupt, s.path, size-end, end)
 	}
-	if !sameState(replay(h, upTo(recs, sn.seq)), sn) {
+	n := len(commits)
+	for n > 0 && commits[n-1].seq > sn.seq {
+		n--
+	}
+	if !sameState(replay(h, commits[:n]), sn) {
 		return vs, fmt.Errorf("%w: replaying %s does not reproduce the served snapshot at seq %d", ErrCorrupt, s.path, sn.seq)
 	}
 	return vs, nil
@@ -411,7 +381,7 @@ func sameState(a, b *Snapshot) bool {
 		return false
 	}
 	for k, r := range a.recs {
-		if !bytes.Equal(r.Val, b.recs[k].Val) {
+		if !bytes.Equal(r.val, b.recs[k].val) {
 			return false
 		}
 	}
@@ -426,8 +396,8 @@ type StoreStats struct {
 	Keys      uint64 `json:"keys"`
 	NextOrd   uint64 `json:"next_ord"`
 	FileBytes int64  `json:"file_bytes"`
-	// DeadPageRatio is the share of committed record bytes superseded by a
-	// later record for the same key — what Compact reclaims. The Go name
+	// DeadPageRatio is the share of committed op bytes superseded by a
+	// later op on the same key — what Compact reclaims. The Go name
 	// stays because the benchmark harness reads it. Compactions counts
 	// background compactions this handle has completed.
 	DeadPageRatio float64 `json:"dead_ratio"`

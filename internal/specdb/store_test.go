@@ -1,14 +1,12 @@
 package specdb
 
 // Unit suite for the store proper: raw key/value operations across
-// commits and reopens, large values, compaction, verification, the OpenAt
-// snapshot-pinning contract, version-skew rejection, and the spec/query
-// layer's ordinal-order guarantees.
+// commits and reopens, large values, compaction, verification, version-skew
+// rejection, and the spec/query layer's ordinal-order guarantees.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -200,130 +198,6 @@ func TestSnapshotIsolationAcrossCommit(t *testing.T) {
 	}
 }
 
-// syncHook runs fn in place of the next sync: a window in which a Flush's
-// records are in the file but not yet committed, as when the writer
-// crashes or its fsync fails.
-type syncHook struct {
-	file
-	fn func() error
-}
-
-func (h *syncHook) Sync() error {
-	if fn := h.fn; fn != nil {
-		h.fn = nil
-		return fn()
-	}
-	return h.file.Sync()
-}
-
-// TestOpenAtMatchesReadOnly pins one seq to one spec set: the seq a
-// read-only open reports must reopen through OpenAt to exactly the same
-// keys and values, both for a cleanly committed store and while a Flush's
-// records are in the file ahead of its fsync; when that fsync fails, a seq
-// pinned from those records is gone rather than reused, also after a
-// restart.
-func TestOpenAtMatchesReadOnly(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "specs.db")
-	st, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	mustPut(t, st, "a", "1", "b", "2")
-	check := func(label string, want map[string]string) uint64 {
-		t.Helper()
-		ro, err := OpenReadOnly(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ro.Close()
-		pin, err := OpenAt(path, ro.Current().Seq())
-		if err != nil {
-			t.Fatalf("%s: OpenAt(%d): %v", label, ro.Current().Seq(), err)
-		}
-		defer pin.Close()
-		got, pinned := dump(t, ro.Current()), dump(t, pin.Current())
-		if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(pinned) != fmt.Sprint(want) {
-			t.Fatalf("%s: read-only %v, OpenAt %v, want %v", label, got, pinned, want)
-		}
-		return ro.Current().Seq()
-	}
-	// failFlush flushes b with its fsync failing; in the window between
-	// the write and the failed fsync a reader opens the store and pins the
-	// seq it reports.
-	failFlush := func(s *Store, b *Batch, label string, want map[string]string) uint64 {
-		t.Helper()
-		var pinned uint64
-		s.f = &syncHook{file: s.f, fn: func() error {
-			pinned = check(label, want)
-			return errInjected
-		}}
-		if err := b.Flush(); !errors.Is(err, errInjected) {
-			t.Fatalf("%s: Flush = %v, want the injected sync failure", label, err)
-		}
-		return pinned
-	}
-	check("committed", map[string]string{"a": "1", "b": "2"})
-	b := st.Batch()
-	if err := b.put([]byte("b"), []byte("edited")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.delete([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	// A coordinator pins the failed Flush's seq; the writer then commits
-	// something else. The pinned seq must be gone, never bound to the new
-	// records.
-	pinned := failFlush(st, b, "unsynced records", map[string]string{"b": "edited"})
-	check("failed flush", map[string]string{"a": "1", "b": "2"})
-	if err := b.put([]byte("c"), []byte("3")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.put([]byte("d"), []byte("4")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	check("commit after a failed flush", map[string]string{"a": "1", "b": "2", "c": "3", "d": "4"})
-	if pin, err := OpenAt(path, pinned); !errors.Is(err, ErrSnapshotGone) {
-		if err == nil {
-			t.Fatalf("OpenAt(%d) pinned before the failed flush now serves %v", pinned, dump(t, pin.Current()))
-		}
-		t.Fatalf("OpenAt(%d) pinned before the failed flush = %v, want ErrSnapshotGone", pinned, err)
-	}
-
-	// The same across a restart, which rebuilds the seq counter from the
-	// file: commit a, fail a flush of b after pinning its seq, reopen,
-	// commit c.
-	path = filepath.Join(t.TempDir(), "restart.db")
-	rs, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPut(t, rs, "a", "1")
-	rb := rs.Batch()
-	if err := rb.put([]byte("b"), []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	pinned = failFlush(rs, rb, "unsynced records before a restart", map[string]string{"a": "1", "b": "x"})
-	if err := rs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if rs, err = Open(path); err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	mustPut(t, rs, "c", "y")
-	if pin, err := OpenAt(path, pinned); !errors.Is(err, ErrSnapshotGone) {
-		if err == nil {
-			t.Fatalf("OpenAt(%d) pinned before a failed flush and a restart now serves %v", pinned, dump(t, pin.Current()))
-		}
-		t.Fatalf("OpenAt(%d) pinned before a failed flush and a restart = %v, want ErrSnapshotGone", pinned, err)
-	}
-	check("after restart", map[string]string{"a": "1", "c": "y"})
-}
-
 func TestReopenByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "specs.db")
@@ -410,61 +284,25 @@ func TestReadOnlyStore(t *testing.T) {
 	}
 }
 
-// TestOpenAtPinsResidentSeqs: every seq from the last compaction through
-// the last record reopens to the state it named; a seq older than the last
-// compaction, or past the end of the file, is gone.
-func TestOpenAtPinsResidentSeqs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "specs.db")
-	st, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	mustPut(t, st, "k", "v0")
-	gone := st.Current().Seq()
-	mustPut(t, st, "k", "v1")
-	if pin, err := OpenAt(path, gone); err != nil {
-		t.Fatalf("OpenAt(%d) before compaction: %v", gone, err)
-	} else {
-		pin.Close()
-	}
-	old := st.Current().Seq()
-	if _, err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	base := st.Current().Seq()
-	if old != base {
-		t.Fatalf("compaction moved the seq %d -> %d", old, base)
-	}
-	want := map[uint64]string{base: "v1"}
-	for _, v := range []string{"v2", "v3", "v4"} {
-		mustPut(t, st, "k", v)
-		want[st.Current().Seq()] = v
-	}
-	mustDelete(t, st, "k")
-	want[st.Current().Seq()] = ""
-	cur := st.Current().Seq()
-
-	for seq, val := range want {
-		pin, err := OpenAt(path, seq)
-		if err != nil {
-			t.Fatalf("OpenAt(%d): %v", seq, err)
-		}
-		if v, _ := pin.Current().Get([]byte("k")); string(v) != val || pin.Current().Seq() != seq {
-			t.Fatalf("OpenAt(%d) sees k=%q at seq %d, want %q", seq, v, pin.Current().Seq(), val)
-		}
-		pin.Close()
-	}
-	for _, seq := range []uint64{gone, cur + 7} {
-		if _, err := OpenAt(path, seq); !errors.Is(err, ErrSnapshotGone) {
-			t.Fatalf("OpenAt(%d) = %v, want ErrSnapshotGone", seq, err)
-		}
-	}
+// format2Image is a format-2 store holding one put, as that format's
+// writer laid it out: a header of the same shape as today's, then a record
+// per operation, each body ver(1) | op(1) | seq(8) | nextord(8) | klen(4) |
+// key | val.
+func format2Image() []byte {
+	img := encodeHeader(header{nextOrd: 1})
+	binary.LittleEndian.PutUint32(img[8:12], 2)
+	binary.LittleEndian.PutUint64(img[28:36], checksum(img[:28]))
+	body := []byte{1, 1} // record version 1, op put
+	body = binary.LittleEndian.AppendUint64(body, 1)
+	body = binary.LittleEndian.AppendUint64(body, 1)
+	body = append(binary.LittleEndian.AppendUint32(body, 1), "kv"...)
+	img = append(binary.LittleEndian.AppendUint32(img, uint32(len(body))), body...)
+	return binary.LittleEndian.AppendUint64(img, checksum(body))
 }
 
 // TestVersionSkewRejectedCleanly: a header from another format version,
-// and a format-1 paged store (meta page in either slot), fail with
-// ErrVersion and the re-import hint.
+// a format-2 store and a format-1 paged store (meta page in either slot)
+// fail with ErrVersion and the re-import hint.
 func TestVersionSkewRejectedCleanly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "specs.db")
 	st, err := Create(path)
@@ -492,6 +330,7 @@ func TestVersionSkewRejectedCleanly(t *testing.T) {
 		version int
 	}{
 		{"future header", skewed, FormatVersion + 41},
+		{"format-2 store", format2Image(), 2},
 		{"format-1 slot 0", format1(0), 1},
 		{"format-1 slot 1", format1(1), 1},
 	} {
@@ -509,9 +348,6 @@ func TestVersionSkewRejectedCleanly(t *testing.T) {
 				}
 			}
 		}
-		if _, err := OpenAt(path, 1); !errors.Is(err, ErrVersion) {
-			t.Fatalf("%s: OpenAt = %v, want ErrVersion", tc.name, err)
-		}
 	}
 }
 
@@ -523,14 +359,8 @@ func TestOpenGarbageFile(t *testing.T) {
 	if _, err := Open(path); !errors.Is(err, ErrNotStore) {
 		t.Fatalf("Open(garbage) = %v, want ErrNotStore", err)
 	}
-	if _, err := OpenAt(path, 1); !errors.Is(err, ErrNotStore) {
-		t.Fatalf("OpenAt(garbage) = %v, want ErrNotStore", err)
-	}
 	if _, err := Open(filepath.Join(t.TempDir(), "missing.db")); err == nil {
 		t.Fatal("Open(missing) succeeded")
-	}
-	if _, err := OpenAt(filepath.Join(t.TempDir(), "missing.db"), 1); err == nil {
-		t.Fatal("OpenAt(missing) succeeded")
 	}
 }
 
@@ -631,7 +461,7 @@ func TestVerifyCatchesCorruptPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[headerLen+4+walBodyHdr] ^= 0x40 // the first record's key byte
+	data[headerLen+4+bodyHdr+5] ^= 0x40 // the first record's key byte
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +533,7 @@ func TestStats(t *testing.T) {
 	st := tmpStore(t)
 	mustPut(t, st, "a", "1", "b", "2")
 	got := st.Stats()
-	if got.Keys != 2 || got.Seq != 2 || got.FileBytes <= headerLen || got.DeadPageRatio != 0 {
+	if got.Keys != 2 || got.Seq != 1 || got.FileBytes <= headerLen || got.DeadPageRatio != 0 {
 		t.Fatalf("stats = %+v", got)
 	}
 	if got.Path == "" || got.NextOrd != 1 {
@@ -711,7 +541,7 @@ func TestStats(t *testing.T) {
 	}
 	mustPut(t, st, "a", "one")
 	if r := st.Stats().DeadPageRatio; r <= 0.2 || r >= 0.5 {
-		t.Fatalf("dead ratio after one of three records was superseded = %.2f", r)
+		t.Fatalf("dead ratio after one of three puts was superseded = %.2f", r)
 	}
 }
 
@@ -909,29 +739,25 @@ func TestSpecRoundTripPreservesBytes(t *testing.T) {
 	if !bytes.Equal(want, have) {
 		t.Fatalf("store round trip changed spec DB bytes:\n%s\nvs\n%s", want, have)
 	}
-	// The record framing splices the DB's JSON in place of json.Marshal.
+	// The stored value is the ordinal, then the one-spec DB's binary form,
+	// and it decodes back to both.
 	for i, sp := range corpus {
-		enc, err := encodeSpec(uint64(i)+7, sp)
-		if err != nil {
-			t.Fatal(err)
+		val, _ := st.Current().Get([]byte(sp.Key()))
+		enc, err := encodeSpec(uint64(i)+1, sp)
+		if err != nil || !bytes.Equal(val, enc) {
+			t.Fatalf("spec %d: stored value %x, want %x (%v)", i, val, enc, err)
 		}
-		ref, err := json.Marshal(struct {
-			Ord uint64   `json:"ord"`
-			DB  *spec.DB `json:"db"`
-		}{uint64(i) + 7, &spec.DB{Specs: []*spec.Spec{sp}}})
-		if err != nil || !bytes.Equal(enc, ref) {
-			t.Fatalf("encodeSpec differs from json.Marshal (%v):\n%s\nvs\n%s", err, enc, ref)
+		ord, got, err := decodeSpec(enc)
+		if err != nil || ord != uint64(i)+1 || !bytes.Equal(mustJSON(t, &spec.DB{Specs: []*spec.Spec{got}}), mustJSON(t, &spec.DB{Specs: []*spec.Spec{sp}})) {
+			t.Fatalf("spec %d: decoded ordinal %d (%v), or a different spec", i, ord, err)
 		}
 	}
 }
 
-// encodeSpec is the record value a spec put with ordinal ord writes.
+// encodeSpec is the value a spec put with ordinal ord writes.
 func encodeSpec(ord uint64, sp *spec.Spec) ([]byte, error) {
-	db, err := specJSON(sp)
-	if err != nil {
-		return nil, err
-	}
-	return frameSpec(ord, db), nil
+	bin, err := (&spec.DB{Specs: []*spec.Spec{sp}}).MarshalBinary()
+	return append(binary.AppendUvarint(nil, ord), bin...), err
 }
 
 func mustJSON(t *testing.T, db *spec.DB) []byte {

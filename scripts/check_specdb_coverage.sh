@@ -1,9 +1,9 @@
 #!/bin/sh
-# Enforce the statement-coverage floor for the paged spec store. The store
-# is a storage engine — page checksums, copy-on-write commits, crash
-# recovery — where an untested branch silently loses specs, so the floor
-# is checked in (scripts/specdb_coverage_floor.txt): raising it is a
-# reviewed change and lowering it is a visible one.
+# Enforce the statement-coverage floor for the spec store. The store is a
+# storage engine — an append-only log of checksummed records, one record
+# per commit, torn-tail recovery — where an untested branch silently
+# loses specs, so the floor is checked in (scripts/specdb_coverage_floor.txt):
+# raising it is a reviewed change and lowering it is a visible one.
 set -eu
 
 floor=$(cat "$(dirname "$0")/specdb_coverage_floor.txt")

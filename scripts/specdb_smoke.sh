@@ -10,13 +10,14 @@
 #      post-compaction detection against the same flat reference,
 #   4. re-import the flat file: first-wins dedup must add nothing,
 #   5. SIGKILL an importer mid-ingest on a bulk corpus, reopen the store
-#      (a read-only open ignores a torn tail; the read-write open of the
-#      re-import cuts it off and replays every complete record), verify
-#      it, and check that the re-import converges on a never-crashed
-#      reference import of the same corpus. An import is one write and
-#      one fsync, so the kill lands before, inside or after that write;
-#      every torn-write case is covered deterministically by the Go crash
-#      harness (internal/specdb/crash_test.go).
+#      read-only and require it to hold none of the import or all of it:
+#      an import is one commit record, written in one write and made
+#      durable by one fsync, and a torn record is dropped whole. Then
+#      re-import (its read-write open cuts a torn record off), verify,
+#      and check that the store converges on a never-crashed reference
+#      import of the same corpus. The kill lands before, inside or after
+#      that write; every torn-write case is covered deterministically by
+#      the Go crash harness (internal/specdb/crash_test.go).
 #
 # The finer-grained contracts (one-spec edit recomputing exactly one
 # region group, snapshot pinning, version skew, every crash prefix) are
@@ -82,8 +83,8 @@ case "$reimport" in
 esac
 
 echo "== kill -9 mid-ingest, reopen, converge"
-# Blow the inferred corpus up to ~8k unique-key clones so the importer is
-# likely still staging or writing its one commit when the signal lands.
+# Blow the inferred corpus up to ~8k unique-key clones, so the import's
+# one write is megabytes long.
 python3 - "$work/specs.json" "$work/bulk-specs.json" <<'PY'
 import json, sys
 db = json.load(open(sys.argv[1]))
@@ -97,16 +98,38 @@ while len(out) < 8000:
     i += 1
 json.dump({"specs": out}, open(sys.argv[2], "w"))
 PY
+ref="$work/bulk-ref.specdb"
+"$seal" specdb -db "$ref" -import "$work/bulk-specs.json"
+full=$("$seal" specdb -db "$ref" -stats | sed -n 's/.*, \([0-9]*\) keys,.*/\1/p')
+[ -n "$full" ] || { echo "FAIL: no key count in the reference store's -stats" >&2; exit 1; }
+
 bulk="$work/bulk.specdb"
-"$seal" specdb -db "$bulk" -import "$work/bulk-specs.json" &
-victim=$!
-sleep 0.4
-kill -9 "$victim" 2>/dev/null || true
-wait "$victim" 2>/dev/null || true
+# SIGKILL the importer as soon as the store file grows past its 36-byte
+# header, that is once the import's one write has begun, so the kill
+# usually lands inside that write.
+python3 - "$seal" "$bulk" "$work/bulk-specs.json" <<'PY'
+import os, signal, subprocess, sys
+seal, db, specs = sys.argv[1:]
+p = subprocess.Popen([seal, "specdb", "-db", db, "-import", specs], stdout=subprocess.DEVNULL)
+while p.poll() is None:
+    try:
+        if os.path.getsize(db) > 36:
+            os.kill(p.pid, signal.SIGKILL)
+            break
+    except OSError:
+        pass
+p.wait()
+PY
 
 if [ -f "$bulk" ]; then
-    echo "== killed store must reopen: complete records replay, a torn tail is ignored"
-    "$seal" specdb -db "$bulk" -stats
+    echo "== killed store must reopen holding none of the import or all $full keys"
+    stats=$("$seal" specdb -db "$bulk" -stats)
+    echo "$stats"
+    keys=$(echo "$stats" | sed -n 's/.*, \([0-9]*\) keys,.*/\1/p')
+    if [ "$keys" != 0 ] && [ "$keys" != "$full" ]; then
+        echo "FAIL: the killed import left $keys of its $full keys: a commit survived in part" >&2
+        exit 1
+    fi
 else
     echo "note: importer killed before the store file appeared; re-import starts fresh"
 fi
@@ -115,10 +138,8 @@ echo "== re-import reopens read-write, converges on the full corpus, and verifie
 "$seal" specdb -db "$bulk" -import "$work/bulk-specs.json"
 "$seal" specdb -db "$bulk" -verify
 
-ref="$work/bulk-ref.specdb"
-"$seal" specdb -db "$ref" -import "$work/bulk-specs.json"
 "$seal" specdb -db "$bulk" -query "" >"$work/bulk-dump.txt"
 "$seal" specdb -db "$ref" -query "" >"$work/ref-dump.txt"
 diff "$work/bulk-dump.txt" "$work/ref-dump.txt"
 
-echo "PASS: store-backed detection byte-identical to flat (in-process at 1 and 2 workers, sharded, post-compaction); kill-mid-ingest recovered and converged"
+echo "PASS: store-backed detection byte-identical to flat (in-process at 1 and 2 workers, sharded, post-compaction); kill-mid-ingest kept all or nothing, recovered and converged"
