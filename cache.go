@@ -1,14 +1,18 @@
 package seal
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 
+	"seal/internal/budget"
 	"seal/internal/cache"
 	"seal/internal/detect"
 	"seal/internal/infer"
@@ -135,6 +139,46 @@ func (e *inferCacheEntry) UnmarshalBinary(data []byte) error {
 
 var errInferEntry = errors.New("malformed infer cache entry")
 
+// specsKey is the TierSpecs fingerprint chain: schema version (inside
+// cache.Key) → the SHA-256 of a spec database file's bytes. The bytes are
+// the decode's whole input, so no analysis version or config takes part;
+// the binary form's layout is covered by cache.SchemaVersion.
+func specsKey(data []byte) string {
+	sum := sha256.Sum256(data)
+	return cache.Key("tier:"+cache.TierSpecs, "json:"+hex.EncodeToString(sum[:]))
+}
+
+// ReadSpecFile loads a spec database file written by `seal infer`. With
+// cacheDir set it looks the file's bytes up in the TierSpecs tier: a
+// verified hit decodes the stored binary form (spec.DB.UnmarshalBinary),
+// and a miss decodes the JSON and stores its binary form for the next
+// load. A file that fails to decode is never stored, so the error is the
+// one an uncached load returns, and a decoded database is the same value
+// either way. A cache that cannot be opened is not used: the run's own
+// open reports it. The returned stats are the lookup's (zero without a
+// cache), for the caller to add to its run's.
+func ReadSpecFile(path, cacheDir string, cacheReadOnly bool, cacheMaxBytes int64) (*SpecDB, CacheStats, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, CacheStats{}, err
+	}
+	pc, _ := openCache(cacheDir, cacheReadOnly, cacheMaxBytes)
+	var key string
+	if pc.Enabled() {
+		key = specsKey(data)
+	}
+	db := new(SpecDB)
+	if !pc.Get(cache.TierSpecs, key, db) {
+		// A direct UnmarshalJSON call decodes in one pass, where
+		// json.Unmarshal would first scan the whole file to validate it.
+		if err := db.UnmarshalJSON(data); err != nil {
+			return nil, pc.Stats(), err
+		}
+		pc.Put(cache.TierSpecs, key, db)
+	}
+	return db, pc.Stats(), nil
+}
+
 // detectConfigPart renders the detection knobs that change results for
 // identical sources; same exclusion rule as inferConfigPart.
 func detectConfigPart(limits Limits) string {
@@ -154,32 +198,43 @@ func TargetHash(files map[string]string) string { return cache.FileSetHash(files
 
 // ReadSourceDir reads every .c file under root (recursively) into a
 // name → source map, the raw-bytes form a cached detection run fingerprints
-// before any parsing happens.
+// before any parsing happens. The tree is walked first, then its files are
+// read on a pool of GOMAXPROCS readers; the map and the error are those of
+// a serial read in walk order: the first failure, whether a read or the
+// walk itself, is the one returned.
 func ReadSourceDir(root string) (map[string]string, error) {
-	files := make(map[string]string)
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	var paths []string
+	walkErr := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".c") {
-			return nil
+		if !d.IsDir() && strings.HasSuffix(path, ".c") {
+			paths = append(paths, path)
 		}
-		data, err := os.ReadFile(path)
+		return nil
+	})
+	srcs := make([]string, len(paths))
+	errs := make([]error, len(paths))
+	budget.Each(runtime.GOMAXPROCS(0), len(paths), func(i int) {
+		data, err := os.ReadFile(paths[i])
+		srcs[i], errs[i] = string(data), err
+	})
+	// Every path listed comes before the point where the walk stopped.
+	for _, err := range append(errs, walkErr) {
 		if err != nil {
-			return err
+			return nil, err
 		}
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("no .c files under %s", root)
+	}
+	files := make(map[string]string, len(paths))
+	for i, path := range paths {
 		rel, err := filepath.Rel(root, path)
 		if err != nil {
 			rel = path
 		}
-		files[rel] = string(data)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .c files under %s", root)
+		files[rel] = srcs[i]
 	}
 	return files, nil
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"seal/internal/cache"
 	"seal/internal/obs"
 )
 
@@ -352,5 +353,159 @@ func copyTree(t *testing.T, src, dst string) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// specEntries lists the entry files of the spec replay tier under
+// cacheDir.
+func specEntries(t *testing.T, cacheDir string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.Walk(cacheDir, func(path string, info os.FileInfo, err error) error {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		if err != nil || info.IsDir() {
+			return err
+		}
+		if filepath.Base(filepath.Dir(filepath.Dir(path))) == cache.TierSpecs {
+			out = append(out, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCLICacheSpecReplay drives the spec replay tier through detect: a
+// cold run fills one entry for specs.json, a warm run replays it, a
+// corrupted entry is a counted miss that is rewritten, an edited file is a
+// new key, -cache-readonly writes nothing and -cache-clear starts over.
+// Every run prints the uncached run's stdout and redacted metrics byte for
+// byte, and a malformed file fails with the uncached error and is never
+// stored. infer -append counts its replay in its own run's counters.
+func TestCLICacheSpecReplay(t *testing.T) {
+	dir := t.TempDir()
+	corpusDir := filepath.Join(dir, "corpus")
+	specFile := filepath.Join(dir, "specs.json")
+	cacheDir := filepath.Join(dir, "cache")
+	if err := cmdGen([]string{"-out", corpusDir}); err != nil {
+		t.Fatal(err)
+	}
+	captureStdout(t, func() error {
+		return cmdInfer([]string{"-patches", filepath.Join(corpusDir, "patches"), "-out", specFile})
+	})
+	tree := filepath.Join(corpusDir, "tree")
+	type run struct {
+		out, metrics string
+		c            counters
+	}
+	detect := func(tag, specs string, extra ...string) run {
+		t.Helper()
+		manifest, metrics := filepath.Join(dir, tag+"-manifest.json"), filepath.Join(dir, tag+"-metrics.txt")
+		out := captureStdout(t, func() error {
+			return cmdDetect(append([]string{"-target", tree, "-specs", specs,
+				"-manifest-out", manifest, "-metrics-out", metrics}, extra...))
+		})
+		return run{out, redactedMetrics(t, metrics), rawCounters(t, manifest)}
+	}
+	cached := []string{"-cache-dir", cacheDir}
+	ref := detect("ref", specFile)
+	want := func(what string, r run, hits, misses, writes, corrupt float64) {
+		t.Helper()
+		if r.out != ref.out || r.metrics != ref.metrics {
+			t.Errorf("%s: stdout or redacted metrics differ from the uncached run", what)
+		}
+		c := r.c
+		if c["seal_pcache_hits_total"] != hits || c["seal_pcache_misses_total"] != misses ||
+			c["seal_pcache_writes_total"] != writes || c["seal_pcache_corrupt_total"] != corrupt {
+			t.Errorf("%s: cache counters %v, want %v hits, %v misses, %v writes, %v corrupt",
+				what, c, hits, misses, writes, corrupt)
+		}
+	}
+
+	cold := detect("cold", specFile, cached...)
+	groups := cold.c["seal_pcache_misses_total"] - 1 // every group, and the spec file
+	want("cold", cold, 0, groups+1, groups+1, 0)
+	entries := specEntries(t, cacheDir)
+	if len(entries) != 1 {
+		t.Fatalf("cold run left %d spec entries, want 1", len(entries))
+	}
+	want("warm", detect("warm", specFile, cached...), groups+1, 0, 0, 0)
+
+	// Flip the entry's last payload byte: its checksum fails, the file is
+	// decoded again and the entry rewritten.
+	data, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x40
+	if err := os.WriteFile(entries[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want("corrupted entry", detect("corrupt", specFile, cached...), groups, 1, 1, 1)
+	want("healed", detect("healed", specFile, cached...), groups+1, 0, 0, 0)
+
+	// The same specs in other bytes: a new key, beside the old entry.
+	edited := filepath.Join(dir, "edited.json")
+	db, _, err := readSpecFile(specFile, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := db.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(edited, compact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want("edited file", detect("edited", edited, cached...), groups, 1, 1, 0)
+	if n := len(specEntries(t, cacheDir)); n != 2 {
+		t.Errorf("after the edit the cache holds %d spec entries, want 2", n)
+	}
+
+	roCache := filepath.Join(dir, "ro-cache")
+	want("read-only, empty", detect("ro", specFile, "-cache-dir", roCache, "-cache-readonly"), 0, groups+1, 0, 0)
+	if n := len(specEntries(t, roCache)); n != 0 {
+		t.Errorf("a read-only run left %d spec entries", n)
+	}
+	want("read-only, warm", detect("ro-warm", edited, append(cached, "-cache-readonly")...), groups+1, 0, 0, 0)
+
+	want("cleared", detect("cleared", specFile, append(cached, "-cache-clear")...), 0, groups+1, groups+1, 0)
+	if n := len(specEntries(t, cacheDir)); n != 1 {
+		t.Errorf("after -cache-clear the cache holds %d spec entries, want 1", n)
+	}
+
+	malformed := filepath.Join(dir, "malformed.json")
+	if err := os.WriteFile(malformed, []byte(`{"specs": [`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, plainErr := readSpecFile(malformed, nil)
+	for i := 0; i < 2; i++ {
+		err := cmdDetect([]string{"-target", tree, "-specs", malformed, "-cache-dir", cacheDir})
+		if plainErr == nil || err == nil || err.Error() != plainErr.Error() {
+			t.Errorf("malformed file, run %d: error %v, want %v", i, err, plainErr)
+		}
+	}
+	if n := len(specEntries(t, cacheDir)); n != 1 {
+		t.Errorf("a malformed file left the cache with %d spec entries, want 1", n)
+	}
+
+	// infer -append replays the file it merges into and counts it.
+	patches, err := os.ReadDir(filepath.Join(corpusDir, "patches"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inferManifest := filepath.Join(dir, "append-manifest.json")
+	for i := 0; i < 2; i++ {
+		captureStdout(t, func() error {
+			return cmdInfer(append([]string{"-patches", filepath.Join(corpusDir, "patches"), "-out", filepath.Join(dir, "merged.json"),
+				"-append", specFile, "-manifest-out", inferManifest}, cached...))
+		})
+	}
+	if c := rawCounters(t, inferManifest); c["seal_pcache_hits_total"] != float64(len(patches)+1) || c["seal_pcache_misses_total"] != 0 {
+		t.Errorf("warm infer -append: cache counters %v, want %d hits and no miss", c, len(patches)+1)
 	}
 }

@@ -1,19 +1,18 @@
 package main
 
 import (
-	"os"
-
 	"seal"
 	"seal/internal/spec"
 )
 
 // loadInputs reads what detect and serve analyze: the target tree's .c
 // sources and the specs of the spec store specDB or, failing that, of the
-// spec file specFile (none when both are empty). The tree is read on its
-// own goroutine while the specs load, so the two inputs load at the same
-// time, and loadInputs returns only once both are done. When both fail,
-// the spec error is the one reported.
-func loadInputs(target, specFile, specDB string) (map[string]string, []*spec.Spec, error) {
+// spec file specFile (none when both are empty), the latter through the
+// spec replay tier of cf's cache (see readSpecFile), whose figures it
+// returns. The tree is read on its own goroutine while the specs load, so
+// the two inputs load at the same time, and loadInputs returns only once
+// both are done. When both fail, the spec error is the one reported.
+func loadInputs(target, specFile, specDB string, cf *cacheFlags) (map[string]string, []*spec.Spec, seal.CacheStats, error) {
 	type tree struct {
 		files map[string]string
 		err   error
@@ -24,37 +23,34 @@ func loadInputs(target, specFile, specDB string) (map[string]string, []*spec.Spe
 		read <- tree{files, err}
 	}()
 	var specs []*spec.Spec
+	var pstats seal.CacheStats
 	var specErr error
 	switch {
 	case specDB != "":
 		specs, specErr = seal.LoadSpecStoreSpecs(specDB)
 	case specFile != "":
 		var db *spec.DB
-		if db, specErr = readSpecFile(specFile); specErr == nil {
+		if db, pstats, specErr = readSpecFile(specFile, cf); specErr == nil {
 			specs = db.Specs
 		}
 	}
 	t := <-read
 	if specErr != nil {
-		return nil, nil, specErr
+		return nil, nil, pstats, specErr
 	}
 	if t.err != nil {
-		return nil, nil, t.err
+		return nil, nil, pstats, t.err
 	}
-	return t.files, specs, nil
+	return t.files, specs, pstats, nil
 }
 
-// readSpecFile loads a spec database written by `seal infer`, decoding it
-// in one pass: a direct UnmarshalJSON call, where json.Unmarshal would
-// first scan the whole file to validate it.
-func readSpecFile(path string) (*spec.DB, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// readSpecFile loads a spec database written by `seal infer`. With a
+// cache directory in cf (nil means none) a file loaded before is replayed
+// from its binary form (seal.ReadSpecFile); the returned figures belong in
+// the seal_pcache_* counters of the run that loaded it.
+func readSpecFile(path string, cf *cacheFlags) (*spec.DB, seal.CacheStats, error) {
+	if cf == nil {
+		cf = &cacheFlags{}
 	}
-	var db spec.DB
-	if err := db.UnmarshalJSON(data); err != nil {
-		return nil, err
-	}
-	return &db, nil
+	return seal.ReadSpecFile(path, cf.dir, cf.readOnly, cf.maxBytes)
 }

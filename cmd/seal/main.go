@@ -354,7 +354,7 @@ func cmdSpecs(args []string) error {
 	if *file == "" {
 		return fmt.Errorf("specs: -file is required")
 	}
-	db, err := readSpecFile(*file)
+	db, _, err := readSpecFile(*file, nil)
 	if err != nil {
 		return err
 	}
@@ -483,10 +483,11 @@ func cmdInfer(args []string) error {
 	}
 	db := res.DB
 	if *appendTo != "" {
-		existing, err := readSpecFile(*appendTo)
+		existing, pstats, err := readSpecFile(*appendTo, cf)
 		if err != nil {
 			return fmt.Errorf("infer: -append: %w", err)
 		}
+		res.PCache = res.PCache.Add(pstats)
 		merged := seal.MergeSpecDBs(existing, db)
 		fmt.Printf("merged %d existing + %d new specs -> %d\n",
 			len(existing.Specs), len(db.Specs), len(merged.Specs))
@@ -570,7 +571,7 @@ func cmdDetect(args []string) error {
 		return err
 	}
 	defer stop()
-	files, specs, err := loadInputs(*target, *specFile, *specDB)
+	files, specs, specStats, err := loadInputs(*target, *specFile, *specDB, cf)
 	if err != nil {
 		return err
 	}
@@ -616,6 +617,7 @@ func cmdDetect(args []string) error {
 	if res == nil {
 		return runErr
 	}
+	res.PCache = res.PCache.Add(specStats)
 	recs, st := res.Recs, res.Stats
 	if *stats {
 		fmt.Fprintf(os.Stderr, "substrate: pdg builds=%d/%d calls, path cache hits=%d misses=%d (%.1f%%), index lookups=%d\n",

@@ -77,8 +77,10 @@ func setupServe(name string, args []string) (*serve.Server, net.Listener, error)
 	if err := cf.prepare(); err != nil {
 		return nil, nil, err
 	}
-	// A spec store is opened by serve.New, which keeps it open.
-	files, specs, err := loadInputs(*target, *specFile, "")
+	// A spec store is opened by serve.New, which keeps it open. The daemon
+	// has no run to report a spec file's replay in, so its figures go
+	// unreported.
+	files, specs, _, err := loadInputs(*target, *specFile, "", cf)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -39,7 +39,7 @@ func cmdSpecDB(args []string) error {
 	}
 	switch {
 	case *importFile != "":
-		flat, err := readSpecFile(*importFile)
+		flat, _, err := readSpecFile(*importFile, nil)
 		if err != nil {
 			return err
 		}

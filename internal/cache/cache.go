@@ -53,6 +53,10 @@ const (
 	// target + the group's own spec subset — editing one spec invalidates
 	// exactly the group that owns it, every other group replays.
 	TierDetectGroup = "detect-group"
+	// TierSpecs holds the binary form of a spec database file, keyed by the
+	// SHA-256 of the file's bytes: a warm load replays the decode instead
+	// of parsing the JSON again.
+	TierSpecs = "specs"
 )
 
 // Stats are the cache's instrumentation counters.
@@ -69,6 +73,22 @@ type Stats struct {
 	// a cost, never a correctness event.
 	Evictions    int64
 	EvictedBytes int64
+}
+
+// Add returns the sum of s and o, counter by counter: the figures of two
+// handles on one cache, reported as one run's.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Hits:         s.Hits + o.Hits,
+		Misses:       s.Misses + o.Misses,
+		Writes:       s.Writes + o.Writes,
+		Corrupt:      s.Corrupt + o.Corrupt,
+		ReadBytes:    s.ReadBytes + o.ReadBytes,
+		WriteBytes:   s.WriteBytes + o.WriteBytes,
+		Uncacheable:  s.Uncacheable + o.Uncacheable,
+		Evictions:    s.Evictions + o.Evictions,
+		EvictedBytes: s.EvictedBytes + o.EvictedBytes,
+	}
 }
 
 // Cache is an open handle on one on-disk cache. Safe for concurrent use.

@@ -7,7 +7,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 
+	"seal/internal/budget"
 	"seal/internal/patch"
 )
 
@@ -63,30 +65,51 @@ func (c *Corpus) WriteTo(dir string) error {
 // LoadPatches reads a WriteTo layout (dir/<id>/pre/..., dir/<id>/post/...,
 // dir/<id>/patch.json) back into patch values, sorted by ID. A side with no
 // files, for which WriteTo creates no directory, loads as empty, and so does
-// a missing patch.json; a malformed one fails the load.
+// a missing patch.json; a malformed one fails the load. Patch directories
+// load on a pool of GOMAXPROCS readers, and the result and the error are
+// those of a serial load in ID order: the first failing patch's error,
+// naming pre before post before patch.json.
 func LoadPatches(dir string) ([]*patch.Patch, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var out []*patch.Patch
+	var ids []string
 	for _, e := range entries { // ReadDir sorts by name
-		if !e.IsDir() {
-			continue
+		if e.IsDir() {
+			ids = append(ids, e.Name())
 		}
-		id := e.Name()
-		p := &patch.Patch{ID: id, Pre: map[string]string{}, Post: map[string]string{}, Tags: map[string]string{}}
-		for side, files := range map[string]map[string]string{"pre": p.Pre, "post": p.Post} {
-			if err := loadSide(filepath.Join(dir, id, side), files); err != nil {
-				return nil, fmt.Errorf("patch %s/%s: %w", id, side, err)
-			}
+	}
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	out := make([]*patch.Patch, len(ids))
+	errs := make([]error, len(ids))
+	budget.Each(runtime.GOMAXPROCS(0), len(ids), func(i int) {
+		out[i], errs[i] = loadPatch(filepath.Join(dir, ids[i]), ids[i])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		if err := loadMeta(filepath.Join(dir, id, "patch.json"), p); err != nil {
-			return nil, fmt.Errorf("patch %s: %w", id, err)
-		}
-		out = append(out, p)
 	}
 	return out, nil
+}
+
+// loadPatch reads one patch directory: its pre side, then its post side,
+// then its patch.json.
+func loadPatch(pdir, id string) (*patch.Patch, error) {
+	p := &patch.Patch{ID: id, Pre: map[string]string{}, Post: map[string]string{}, Tags: map[string]string{}}
+	if err := loadSide(filepath.Join(pdir, "pre"), p.Pre); err != nil {
+		return nil, fmt.Errorf("patch %s/pre: %w", id, err)
+	}
+	if err := loadSide(filepath.Join(pdir, "post"), p.Post); err != nil {
+		return nil, fmt.Errorf("patch %s/post: %w", id, err)
+	}
+	if err := loadMeta(filepath.Join(pdir, "patch.json"), p); err != nil {
+		return nil, fmt.Errorf("patch %s: %w", id, err)
+	}
+	return p, nil
 }
 
 // loadSide reads every file under root into files, keyed by slash-separated

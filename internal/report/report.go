@@ -8,6 +8,7 @@ package report
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"seal/internal/budget"
@@ -170,13 +171,25 @@ func RenderDetectStdout(recs []detect.BugRec, degs []budget.Degradation, failure
 	if full {
 		return RenderAllRecs(recs, map[string]*patch.Patch{}) + RenderRobustness(degs, failures)
 	}
-	var sb strings.Builder
+	// Each line is BugRec.String() and a newline, written into one buffer
+	// sized for every line and the summary.
+	n := len("---\n reports over  specs\n") + 2*20
 	for _, b := range recs {
-		sb.WriteString(b.String())
-		sb.WriteByte('\n')
+		n += len(b.Kind) + len(b.Fn) + len(b.File) + len(b.Message) + len(" in  (): \n")
 	}
-	sum := SummarizeRecs(recs)
-	fmt.Fprintf(&sb, "---\n%d reports over %d specs\n", sum.Total, nSpecs)
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, b := range recs {
+		for _, part := range [...]string{b.Kind, " in ", b.Fn, " (", b.File, "): ", b.Message, "\n"} {
+			sb.WriteString(part)
+		}
+	}
+	var num [20]byte
+	sb.WriteString("---\n")
+	sb.Write(strconv.AppendInt(num[:0], int64(len(recs)), 10))
+	sb.WriteString(" reports over ")
+	sb.Write(strconv.AppendInt(num[:0], int64(nSpecs), 10))
+	sb.WriteString(" specs\n")
 	return sb.String()
 }
 

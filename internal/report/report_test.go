@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -106,5 +107,23 @@ func TestRenderAllIncludesSummary(t *testing.T) {
 	out := RenderAll(bugs, patches)
 	if !strings.Contains(out, "reports by type") {
 		t.Errorf("missing summary:\n%s", out)
+	}
+}
+
+// TestRenderDetectStdoutPlainLines holds the plain detect stdout to its
+// fmt form: one BugRec.String line per record, then the summary line.
+func TestRenderDetectStdoutPlainLines(t *testing.T) {
+	bugs, _ := fig3Bugs(t)
+	recs := detect.Records(bugs)
+	recs = append(recs, detect.BugRec{}, detect.BugRec{Kind: "npd", Fn: "f", File: "ü.c", Message: "a\nb"})
+	for _, n := range []int{0, 1, len(recs)} {
+		var want strings.Builder
+		for _, r := range recs[:n] {
+			fmt.Fprintf(&want, "%s\n", r)
+		}
+		fmt.Fprintf(&want, "---\n%d reports over %d specs\n", n, 316+n)
+		if got := RenderDetectStdout(recs[:n], nil, nil, 316+n, false); got != want.String() {
+			t.Errorf("%d records:\n%s\nwant:\n%s", n, got, want.String())
+		}
 	}
 }

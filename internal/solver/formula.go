@@ -7,9 +7,8 @@
 package solver
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // CmpOp is a comparison operator of an atom.
@@ -66,18 +65,18 @@ func (op CmpOp) negate() CmpOp {
 // Term is an integer-valued term: a constant, a symbol, or an arithmetic
 // combination.
 type Term interface {
-	termString() string
+	appendTerm(b []byte) []byte
 }
 
 // Const is an integer constant term.
 type Const struct{ Val int64 }
 
-func (c Const) termString() string { return fmt.Sprintf("%d", c.Val) }
+func (c Const) appendTerm(b []byte) []byte { return strconv.AppendInt(b, c.Val, 10) }
 
 // Sym is a symbolic integer (a program value).
 type Sym struct{ Name string }
 
-func (s Sym) termString() string { return s.Name }
+func (s Sym) appendTerm(b []byte) []byte { return append(b, s.Name...) }
 
 // TermOp is an arithmetic operator.
 type TermOp int
@@ -95,31 +94,32 @@ type BinTerm struct {
 	A, B Term
 }
 
-func (b BinTerm) termString() string {
-	op := "+"
-	switch b.Op {
+func (t BinTerm) appendTerm(b []byte) []byte {
+	op := byte('+')
+	switch t.Op {
 	case TSub:
-		op = "-"
+		op = '-'
 	case TMul:
-		op = "*"
+		op = '*'
 	}
-	return "(" + b.A.termString() + op + b.B.termString() + ")"
+	b = t.A.appendTerm(append(b, '('))
+	return append(t.B.appendTerm(append(b, op)), ')')
 }
 
 // Formula is a boolean combination of atoms.
 type Formula interface {
-	fString() string
+	appendFormula(b []byte) []byte
 }
 
 // TrueF is the always-true formula.
 type TrueF struct{}
 
-func (TrueF) fString() string { return "true" }
+func (TrueF) appendFormula(b []byte) []byte { return append(b, "true"...) }
 
 // FalseF is the always-false formula.
 type FalseF struct{}
 
-func (FalseF) fString() string { return "false" }
+func (FalseF) appendFormula(b []byte) []byte { return append(b, "false"...) }
 
 // Atom is a single comparison.
 type Atom struct {
@@ -127,49 +127,53 @@ type Atom struct {
 	A, B Term
 }
 
-func (a Atom) fString() string {
-	return a.A.termString() + " " + a.Op.String() + " " + a.B.termString()
+func (a Atom) appendFormula(b []byte) []byte {
+	b = append(append(append(a.A.appendTerm(b), ' '), a.Op.String()...), ' ')
+	return a.B.appendTerm(b)
 }
 
 // Not negates a formula.
 type Not struct{ F Formula }
 
-func (n Not) fString() string { return "!(" + n.F.fString() + ")" }
+func (n Not) appendFormula(b []byte) []byte {
+	return append(n.F.appendFormula(append(b, "!("...)), ')')
+}
 
 // And is an n-ary conjunction.
 type And struct{ Fs []Formula }
 
-func (a And) fString() string {
-	if len(a.Fs) == 0 {
-		return "true"
-	}
-	parts := make([]string, len(a.Fs))
-	for i, f := range a.Fs {
-		parts[i] = f.fString()
-	}
-	return "(" + strings.Join(parts, " && ") + ")"
-}
+func (a And) appendFormula(b []byte) []byte { return appendJoined(b, a.Fs, " && ", "true") }
 
 // Or is an n-ary disjunction.
 type Or struct{ Fs []Formula }
 
-func (o Or) fString() string {
-	if len(o.Fs) == 0 {
-		return "false"
+func (o Or) appendFormula(b []byte) []byte { return appendJoined(b, o.Fs, " || ", "false") }
+
+// appendJoined renders the operands of an And or Or, parenthesized and
+// separated by sep; empty renders as the operation's identity.
+func appendJoined(b []byte, fs []Formula, sep, empty string) []byte {
+	if len(fs) == 0 {
+		return append(b, empty...)
 	}
-	parts := make([]string, len(o.Fs))
-	for i, f := range o.Fs {
-		parts[i] = f.fString()
+	b = append(b, '(')
+	for i, f := range fs {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = f.appendFormula(b)
 	}
-	return "(" + strings.Join(parts, " || ") + ")"
+	return append(b, ')')
 }
 
 // String renders a formula.
-func String(f Formula) string {
+func String(f Formula) string { return string(AppendString(nil, f)) }
+
+// AppendString appends String(f) to b.
+func AppendString(b []byte, f Formula) []byte {
 	if f == nil {
-		return "true"
+		return append(b, "true"...)
 	}
-	return f.fString()
+	return f.appendFormula(b)
 }
 
 // MkAnd builds a conjunction, flattening, deduplicating, and

@@ -187,7 +187,7 @@ func naryKey(tag uint64, fs []Formula) uint64 {
 }
 
 // equal reports whether a and b are the same formula, And/Or operand
-// order included: the structural counterpart of comparing fStrings.
+// order included: the structural counterpart of comparing String renderings.
 // Terms and atoms are comparable values, so == compares them
 // structurally.
 func equal(a, b Formula) bool {

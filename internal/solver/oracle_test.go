@@ -299,7 +299,7 @@ func TestSatOracleConcurrent(t *testing.T) {
 // TestStructuralEqualityMatchesFString: on every subformula of the
 // corpora, exact structural equality holds exactly when the renderings
 // are equal — so MkAnd/MkOr, which now dedup structurally, keep the
-// operands the fString-keyed dedup kept — and order-insensitive equality
+// operands the String-keyed dedup kept — and order-insensitive equality
 // implies an equal canonical key. MkAnd/MkOr and NNF rebuild every corpus
 // formula exactly as the reference builders do.
 func TestStructuralEqualityMatchesFString(t *testing.T) {

@@ -1,6 +1,6 @@
 package solver_test
 
-// The reference solver: Sat, SatBudget, canonKey and the fString-deduping
+// The reference solver: Sat, SatBudget, canonKey and the String-deduping
 // MkAnd/MkOr as they were before the memo served budgeted checks. Sat
 // memoizes verdicts under a canonical string key with conjunct/disjunct
 // order sorted away; SatBudget with a live step function bypasses the memo

@@ -279,10 +279,10 @@ func linearize(t Term) linTerm {
 				return scaleLin(a, b.c)
 			}
 			// Non-linear: opaque.
-			return linTerm{coeffs: map[string]int64{"#" + x.termString(): 1}}
+			return linTerm{coeffs: map[string]int64{string(x.appendTerm([]byte{'#'})): 1}}
 		}
 	}
-	return linTerm{coeffs: map[string]int64{"#" + t.termString(): 1}}
+	return linTerm{coeffs: map[string]int64{string(t.appendTerm([]byte{'#'})): 1}}
 }
 
 func addLin(a, b linTerm, sign int64) linTerm {

@@ -188,9 +188,38 @@ func FuzzSpecBinary(f *testing.F) {
 	})
 }
 
+// checkReplay holds a database decoded from JSON to what the spec replay
+// cache tier stores and serves in its place: its binary form must decode,
+// and the decoded database must re-encode to the same binary form and
+// write the same specs.json bytes.
+func checkReplay(t testing.TB, db *spec.DB) {
+	t.Helper()
+	back, bin := binaryRoundTrip(t, db)
+	again, err := back.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(bin) {
+		t.Fatal("the binary round trip changed the binary form")
+	}
+	want, err := db.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := back.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("the binary round trip changed the specs.json bytes:\ngot  %s\nwant %s", got, want)
+	}
+}
+
 // FuzzSpecIndentJSON checks the writer against json.MarshalIndent on
 // databases decoded from fuzzed JSON and from fuzzed binary forms, and on
-// a spec whose strings are the raw fuzzed bytes.
+// a spec whose strings are the raw fuzzed bytes. A database decoded from
+// JSON must also survive the binary round trip the spec replay tier puts
+// it through (checkReplay).
 func FuzzSpecIndentJSON(f *testing.F) {
 	for _, s := range []*spec.Spec{fullSpec(), {ID: "a"}, {}} {
 		data, err := (&spec.DB{Specs: []*spec.Spec{s, s}}).MarshalJSON()
@@ -207,6 +236,7 @@ func FuzzSpecIndentJSON(f *testing.F) {
 		var fromJSON, fromBinary spec.DB
 		if fromJSON.UnmarshalJSON(data) == nil {
 			checkWriter(t, &fromJSON)
+			checkReplay(t, &fromJSON)
 		}
 		if fromBinary.UnmarshalBinary(data) == nil {
 			checkWriter(t, &fromBinary)

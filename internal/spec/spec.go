@@ -10,6 +10,7 @@ package spec
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"seal/internal/solver"
@@ -56,25 +57,31 @@ type Value struct {
 
 // Key returns the canonical symbol name for the value (used both as the
 // spec identity and as the solver symbol in abstracted conditions).
-func (v Value) Key() string {
-	base := ""
+func (v Value) Key() string { return string(v.appendKey(nil)) }
+
+// appendKey appends Key() to b.
+func (v Value) appendKey(b []byte) []byte {
 	switch v.Kind {
 	case VIfaceArg:
-		base = fmt.Sprintf("arg%d[%s]", v.ArgIndex, v.Iface)
+		b = appendNamed(appendInt(append(b, "arg"...), v.ArgIndex), v.Iface)
 	case VAPIRet:
-		base = fmt.Sprintf("ret[%s]", v.API)
+		b = appendNamed(append(b, "ret"...), v.API)
 	case VGlobal:
-		base = fmt.Sprintf("global[%s]", v.Global)
+		b = appendNamed(append(b, "global"...), v.Global)
 	case VLiteral:
-		base = fmt.Sprintf("lit[%d]", v.Lit)
+		b = append(strconv.AppendInt(append(b, "lit["...), v.Lit, 10), ']')
 	case VUninit:
-		base = "uninit"
+		b = append(b, "uninit"...)
 	}
-	if v.Field != "" {
-		base += v.Field
-	}
-	return base
+	return append(b, v.Field...)
 }
+
+// appendNamed appends "[name]" to b.
+func appendNamed(b []byte, name string) []byte {
+	return append(append(append(b, '['), name...), ']')
+}
+
+func appendInt(b []byte, n int) []byte { return strconv.AppendInt(b, int64(n), 10) }
 
 // String implements fmt.Stringer.
 func (v Value) String() string { return v.Key() }
@@ -119,24 +126,27 @@ type Use struct {
 }
 
 // Key returns the canonical identity of the use.
-func (u Use) Key() string {
+func (u Use) Key() string { return string(u.appendKey(nil)) }
+
+// appendKey appends Key() to b.
+func (u Use) appendKey(b []byte) []byte {
 	switch u.Kind {
 	case UAPIArg:
-		return fmt.Sprintf("arg%d[%s]", u.ArgIndex, u.API)
+		return appendNamed(appendInt(append(b, "arg"...), u.ArgIndex), u.API)
 	case UIfaceRet:
-		return fmt.Sprintf("ret[%s]", u.Iface)
+		return appendNamed(append(b, "ret"...), u.Iface)
 	case UGlobalStore:
-		return fmt.Sprintf("store[%s]", u.Global)
+		return appendNamed(append(b, "store"...), u.Global)
 	case UDeref:
-		return "deref"
+		return append(b, "deref"...)
 	case UIndex:
-		return "index"
+		return append(b, "index"...)
 	case UDiv:
-		return "div"
+		return append(b, "div"...)
 	case UParamStore:
-		return fmt.Sprintf("pstore%d[%s]", u.ArgIndex, u.Iface)
+		return appendNamed(appendInt(append(b, "pstore"...), u.ArgIndex), u.Iface)
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // String implements fmt.Stringer.
@@ -168,19 +178,27 @@ type Relation struct {
 }
 
 // String renders the relation in the paper's notation.
-func (r Relation) String() string {
+func (r Relation) String() string { return string(r.appendString(nil)) }
+
+// appendString appends String() to b.
+func (r Relation) appendString(b []byte) []byte {
 	switch r.Kind {
 	case RelReach:
-		c := solver.String(r.Cond)
-		if c == "true" {
-			return fmt.Sprintf("%s ↪ %s", r.V, r.U)
+		b = r.U.appendKey(append(r.V.appendKey(b), " ↪ "...))
+		const under = " under ("
+		n := len(b)
+		b = solver.AppendString(append(b, under...), r.Cond)
+		if string(b[n+len(under):]) == "true" {
+			return b[:n]
 		}
-		return fmt.Sprintf("%s ↪ %s under (%s)", r.V, r.U, c)
+		return append(b, ')')
 	case RelOrder:
-		return fmt.Sprintf("(%s ↪ %s) ∧ (%s ↪ %s) ∧ (%s ≺ %s)",
-			r.V, r.U1, r.V, r.U2, r.U2.Key(), r.U1.Key())
+		b = r.U1.appendKey(append(r.V.appendKey(append(b, '(')), " ↪ "...))
+		b = r.U2.appendKey(append(r.V.appendKey(append(b, ") ∧ ("...)), " ↪ "...))
+		b = r.U2.appendKey(append(b, ") ∧ ("...))
+		return append(r.U1.appendKey(append(b, " ≺ "...)), ')')
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // Constraint is a quantified relation: Forbidden constraints (∄) are
@@ -192,11 +210,14 @@ type Constraint struct {
 }
 
 // String implements fmt.Stringer.
-func (c Constraint) String() string {
+func (c Constraint) String() string { return string(c.appendString(nil)) }
+
+// appendString appends String() to b.
+func (c Constraint) appendString(b []byte) []byte {
 	if c.Forbidden {
-		return "∄: " + c.Rel.String()
+		return c.Rel.appendString(append(b, "∄: "...))
 	}
-	return "∀: " + c.Rel.String()
+	return c.Rel.appendString(append(b, "∀: "...))
 }
 
 // Origin classifies which path-change category produced a specification
@@ -235,8 +256,16 @@ func (s *Spec) Scope() string {
 }
 
 // Key is a dedup identity for the spec (scope + constraint rendering).
-func (s *Spec) Key() string {
-	return s.KeyWith(s.Constraint.String())
+func (s *Spec) Key() string { return string(s.appendKey(nil)) }
+
+// appendKey appends Key() to b.
+func (s *Spec) appendKey(b []byte) []byte {
+	if s.Iface != "" {
+		b = append(append(b, "iface:"...), s.Iface...)
+	} else {
+		b = append(append(b, "api:"...), s.API...)
+	}
+	return s.Constraint.appendString(append(b, " | "...))
 }
 
 // KeyWith is Key for a caller that has already rendered the constraint.
@@ -254,14 +283,17 @@ type DB struct {
 	Specs []*Spec `json:"specs"`
 }
 
-// Dedup removes duplicate specs by Key, keeping first occurrences.
+// Dedup removes duplicate specs by Key, keeping first occurrences. Keys
+// are built in one reused buffer, and only a first occurrence's key is
+// copied out of it.
 func (db *DB) Dedup() {
 	seen := make(map[string]bool, len(db.Specs))
 	var out []*Spec
+	var key []byte
 	for _, s := range db.Specs {
-		k := s.Key()
-		if !seen[k] {
-			seen[k] = true
+		key = s.appendKey(key[:0])
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			out = append(out, s)
 		}
 	}

@@ -8,7 +8,9 @@ package specdb
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -229,6 +231,47 @@ func TestCreateRefusesExistingFile(t *testing.T) {
 	if _, err := Create(path); err == nil {
 		t.Fatal("Create over an existing file succeeded")
 	}
+}
+
+// TestCreateFailureLeavesNoFile fails Create right before its file takes
+// the store's name. An importer killed between creating the file and
+// writing its header once left an empty file there that neither Open nor
+// Create accepts. At the failure point nothing is at the path and the file
+// about to be linked is already a whole empty store; afterwards no file of
+// the attempt is left, and a retried create and import succeed.
+func TestCreateFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "specs.db")
+	injected := errors.New("injected failure")
+	t.Cleanup(func() { linkFile = os.Link })
+	linkFile = func(created, name string) error {
+		if _, err := os.Stat(name); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("before the link, stat %s = %v; want it absent", name, err)
+		}
+		st, err := OpenReadOnly(created)
+		if err != nil {
+			t.Errorf("the file about to be linked does not open: %v", err)
+			return injected
+		}
+		if n := st.Current().Len(); n != 0 {
+			t.Errorf("the file about to be linked holds %d keys", n)
+		}
+		st.Close()
+		return injected
+	}
+	if _, err := Create(path); !errors.Is(err, injected) {
+		t.Fatalf("Create = %v, want the injected failure", err)
+	}
+	linkFile = os.Link
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("a failed Create left %v (%v)", left, err)
+	}
+	st, err := Create(path)
+	if err != nil {
+		t.Fatalf("retried Create: %v", err)
+	}
+	defer st.Close()
+	importCorpus(t, st)
 }
 
 func TestCorruptSpecRecordSurfaces(t *testing.T) {

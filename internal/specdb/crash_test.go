@@ -60,6 +60,15 @@ func (m *memFile) Truncate(n int64) error {
 func (m *memFile) Close() error         { return nil }
 func (m *memFile) Size() (int64, error) { return int64(len(m.buf)), nil }
 
+// initFile writes the header of an empty store on f, a
+// simulated file, and opens it.
+func initFile(f file, path string) (*Store, error) {
+	if err := writeHeader(f); err != nil {
+		return nil, err
+	}
+	return openFile(f, path, false, Options{})
+}
+
 // fileOp is one logged physical operation.
 type fileOp struct {
 	trunc bool // Truncate(size) rather than WriteAt(data, off)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"maps"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -127,14 +128,32 @@ func (sn *Snapshot) apply(commits ...*commit) *Snapshot {
 	return next
 }
 
-// Create makes a new empty store at path, failing if the file exists.
+// Create makes a new empty store at path, failing if the file exists. The
+// header is written and synced in a temporary file beside path, which is
+// then linked into place — the link fails, as an exclusive create would,
+// when path exists — and its temporary name removed. A crash at any step
+// leaves either no file at path or a complete empty store, never an empty
+// file that neither Open nor Create accepts (a crash before the removal
+// may leave the temporary name behind).
 func Create(path string) (*Store, error) {
-	osf, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	osf, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".create*")
 	if err != nil {
 		return nil, err
 	}
+	defer os.Remove(osf.Name())
 	f := osFile{f: osf}
-	st, err := initFile(f, path)
+	err = osf.Chmod(0o644)
+	if err == nil {
+		err = writeHeader(f)
+	}
+	if err == nil {
+		err = linkFile(osf.Name(), path)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	st, err := openFile(f, path, false, Options{})
 	if err != nil {
 		f.Close()
 		os.Remove(path)
@@ -143,15 +162,16 @@ func Create(path string) (*Store, error) {
 	return st, nil
 }
 
-// initFile writes the header of an empty store and opens it.
-func initFile(f file, path string) (*Store, error) {
+// linkFile puts a created store in place; a variable so tests can fail
+// the step.
+var linkFile = os.Link
+
+// writeHeader writes and syncs the header of an empty store.
+func writeHeader(f file) error {
 	if _, err := f.WriteAt(encodeHeader(header{nextOrd: 1}), 0); err != nil {
-		return nil, err
+		return err
 	}
-	if err := f.Sync(); err != nil {
-		return nil, err
-	}
-	return openFile(f, path, false, Options{})
+	return f.Sync()
 }
 
 // Open opens an existing store read-write, replaying every complete
