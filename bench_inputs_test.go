@@ -1,10 +1,15 @@
 package seal
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"seal/internal/budget"
+	"seal/internal/cache"
+	"seal/internal/detect"
 	"seal/internal/kernelgen"
 )
 
@@ -36,15 +41,44 @@ func warmBatchInputs(b *testing.B) (tree, specFile string) {
 	return filepath.Join(dir, "tree"), specFile
 }
 
-// BenchmarkWarmDetectInputs times the two inputs a warm `seal detect
-// -specs` loads on the warm-batch corpus: the spec file decoded from JSON
-// and replayed from a filled spec cache tier, and the tree read serially
-// and on the reader pool.
+// BenchmarkWarmDetectInputs times the inputs a warm `seal detect -specs`
+// loads on the warm-batch corpus: the spec file decoded from JSON and
+// replayed from a filled spec cache tier, the tree read by the WalkDir
+// reference and by ReadSourceDir (fsread.Tree), and the region groups'
+// persistent-cache probes (93 entries), one after another and on
+// detectGroups' pool of GOMAXPROCS readers.
 func BenchmarkWarmDetectInputs(b *testing.B) {
 	tree, specFile := warmBatchInputs(b)
 	cacheDir := b.TempDir()
-	if _, _, err := ReadSpecFile(specFile, cacheDir, false, 0); err != nil {
+	db, _, err := ReadSpecFile(specFile, cacheDir, false, 0)
+	if err != nil {
 		b.Fatal(err)
+	}
+	files, err := ReadSourceDir(tree)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := DetectFiles(context.Background(), files, db.Specs, DetectRunOptions{Workers: 2, CacheDir: cacheDir}); err != nil {
+		b.Fatal(err)
+	}
+	pc, err := cache.Open(cacheDir, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	targetHash := TargetHash(files)
+	var keys []string
+	for _, g := range detect.ScopeGroups(db.Specs) {
+		subset := make([]*Spec, len(g))
+		for k, si := range g {
+			subset[k] = db.Specs[si]
+		}
+		keys = append(keys, detectGroupKey(targetHash, subset[0].Scope(), SpecSetHash(subset), Limits{}))
+	}
+	probe := func(i int) {
+		var o detect.Outcome
+		if !pc.Get(cache.TierDetectGroup, keys[i], &o) {
+			b.Fatalf("group %d missed", i)
+		}
 	}
 	for _, bc := range []struct {
 		name string
@@ -53,7 +87,9 @@ func BenchmarkWarmDetectInputs(b *testing.B) {
 		{"specs=json", func() error { _, _, err := ReadSpecFile(specFile, "", false, 0); return err }},
 		{"specs=replay", func() error { _, _, err := ReadSpecFile(specFile, cacheDir, true, 0); return err }},
 		{"tree=serial", func() error { _, err := serialReadSourceDir(tree); return err }},
-		{"tree=pooled", func() error { _, err := ReadSourceDir(tree); return err }},
+		{"tree=fsread", func() error { _, err := ReadSourceDir(tree); return err }},
+		{"groups=serial", func() error { budget.Each(1, len(keys), probe); return nil }},
+		{"groups=pooled", func() error { budget.Each(runtime.GOMAXPROCS(0), len(keys), probe); return nil }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

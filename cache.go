@@ -6,15 +6,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 
-	"seal/internal/budget"
 	"seal/internal/cache"
 	"seal/internal/detect"
+	"seal/internal/fsread"
 	"seal/internal/infer"
 	"seal/internal/solver"
 	"seal/internal/spec"
@@ -158,7 +154,7 @@ func specsKey(data []byte) string {
 // open reports it. The returned stats are the lookup's (zero without a
 // cache), for the caller to add to its run's.
 func ReadSpecFile(path, cacheDir string, cacheReadOnly bool, cacheMaxBytes int64) (*SpecDB, CacheStats, error) {
-	data, err := os.ReadFile(path)
+	data, err := fsread.File(path)
 	if err != nil {
 		return nil, CacheStats{}, err
 	}
@@ -198,43 +194,18 @@ func TargetHash(files map[string]string) string { return cache.FileSetHash(files
 
 // ReadSourceDir reads every .c file under root (recursively) into a
 // name → source map, the raw-bytes form a cached detection run fingerprints
-// before any parsing happens. The tree is walked first, then its files are
-// read on a pool of GOMAXPROCS readers; the map and the error are those of
-// a serial read in walk order: the first failure, whether a read or the
-// walk itself, is the one returned.
+// before any parsing happens. Names are slash-separated paths relative to
+// root ("." when root is itself a .c file). The tree is read in one serial
+// pass (fsread.Tree); the map and the error are those of a filepath.WalkDir
+// that reads each file as it meets it: the first failure in walk order,
+// whether a read or the walk itself, is the one returned.
 func ReadSourceDir(root string) (map[string]string, error) {
-	var paths []string
-	walkErr := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(path, ".c") {
-			paths = append(paths, path)
-		}
-		return nil
-	})
-	srcs := make([]string, len(paths))
-	errs := make([]error, len(paths))
-	budget.Each(runtime.GOMAXPROCS(0), len(paths), func(i int) {
-		data, err := os.ReadFile(paths[i])
-		srcs[i], errs[i] = string(data), err
-	})
-	// Every path listed comes before the point where the walk stopped.
-	for _, err := range append(errs, walkErr) {
-		if err != nil {
-			return nil, err
-		}
+	files, err := fsread.Tree(root, func(name string) bool { return strings.HasSuffix(name, ".c") })
+	if err != nil {
+		return nil, err
 	}
-	if len(paths) == 0 {
+	if len(files) == 0 {
 		return nil, fmt.Errorf("no .c files under %s", root)
-	}
-	files := make(map[string]string, len(paths))
-	for i, path := range paths {
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			rel = path
-		}
-		files[rel] = srcs[i]
 	}
 	return files, nil
 }

@@ -2,8 +2,10 @@ package seal
 
 import (
 	"context"
+	"runtime"
 	"sync"
 
+	"seal/internal/budget"
 	"seal/internal/cache"
 	"seal/internal/detect"
 	"seal/internal/obs"
@@ -112,7 +114,10 @@ func (r *Resident) Detect(ctx context.Context, specs []*Spec, opts DetectRunOpti
 
 // detectGroups is the group scheduler. acquire is called at most once, and
 // only when some group missed; memo may be nil (persistent cache only).
-// Group keys are hashed only when there is a memo or a cache to consult.
+// Group keys are hashed, and the memo consulted, serially in group order,
+// and only when there is a memo or a cache to consult; the groups the memo
+// missed are then looked up in the persistent cache on a pool of
+// GOMAXPROCS readers.
 // addStats, when non-nil, receives the Stats of every computed group.
 func detectGroups(ctx context.Context, targetHash string, acquire func() (*detect.Shared, error), specs []*Spec, opts DetectRunOptions, pc *cache.Cache, memo *sync.Map, addStats func(DetectStats)) (*DetectResult, GroupedStats, error) {
 	if ctx == nil {
@@ -122,28 +127,54 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 	gs := GroupedStats{Groups: len(groups)}
 	opts.Obs.SetUnitsTotal(len(groups))
 	scopes := make([]string, len(groups))
+	subsets := make([][]*Spec, len(groups))
 	keys := make([]string, len(groups)) // "" = never cached
 	outs := make([]*detect.Outcome, len(groups))
-	var missed [][]*Spec
-	var missedAt []int
+	var probes []int // groups the memo missed, to look up on disk
 	for gi, g := range groups {
 		subset := make([]*Spec, len(g))
 		for k, si := range g {
 			subset[k] = specs[si]
 		}
-		scopes[gi] = subset[0].Scope()
-		if memo != nil || pc.Enabled() {
-			keys[gi] = detectGroupKey(targetHash, scopes[gi], SpecSetHash(subset), opts.Limits)
-			outs[gi] = lookupGroup(scopes[gi], keys[gi], memo, pc)
+		scopes[gi], subsets[gi] = subset[0].Scope(), subset
+		if memo == nil && !pc.Enabled() {
+			continue
 		}
-		if outs[gi] == nil {
-			missed, missedAt = append(missed, subset), append(missedAt, gi)
+		keys[gi] = detectGroupKey(targetHash, scopes[gi], SpecSetHash(subset), opts.Limits)
+		if memo != nil {
+			if v, ok := memo.Load(scopes[gi]); ok && v.(memoEntry).key == keys[gi] {
+				outs[gi] = v.(memoEntry).o
+			}
+		}
+		if outs[gi] == nil && pc.Enabled() {
+			probes = append(probes, gi)
+		}
+	}
+	// Disk probes are file reads and checksums, independent per group, so
+	// they run on a bounded pool; a hit is promoted into the memo.
+	if len(probes) > 0 {
+		budget.Each(runtime.GOMAXPROCS(0), len(probes), func(i int) {
+			gi := probes[i]
+			var o detect.Outcome
+			if pc.Get(cache.TierDetectGroup, keys[gi], &o) { // Outcome.UnmarshalBinary
+				outs[gi] = &o
+				if memo != nil {
+					memo.Store(scopes[gi], memoEntry{keys[gi], &o})
+				}
+			}
+		})
+	}
+	var missed [][]*Spec
+	var missedAt []int
+	for gi, o := range outs {
+		if o == nil {
+			missed, missedAt = append(missed, subsets[gi]), append(missedAt, gi)
 			continue
 		}
 		gs.Warm++
 		// Replay the group's unit spans with the computing run's stage
 		// structure, so warm and cold manifests agree.
-		for _, u := range outs[gi].Units {
+		for _, u := range o.Units {
 			opts.Obs.ReplayUnit(obs.UnitManifest{Stage: "detect", ID: u.ID, Specs: u.Specs, Bugs: u.Bugs,
 				Stages: []obs.StageManifest{{Name: "slice"}, {Name: "solve"}}})
 		}
@@ -197,24 +228,4 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 type memoEntry struct {
 	key string
 	o   *detect.Outcome
-}
-
-// lookupGroup resolves one group key against the memo entry of its scope,
-// then the persistent cache (promoting a disk hit into the memo). Nil on a
-// miss. A disk entry holds the group's Outcome in its binary form
-// (Outcome.UnmarshalBinary).
-func lookupGroup(scope, key string, memo *sync.Map, pc *cache.Cache) *detect.Outcome {
-	if memo != nil {
-		if v, ok := memo.Load(scope); ok && v.(memoEntry).key == key {
-			return v.(memoEntry).o
-		}
-	}
-	var o detect.Outcome
-	if !pc.Get(cache.TierDetectGroup, key, &o) {
-		return nil
-	}
-	if memo != nil {
-		memo.Store(scope, memoEntry{key, &o})
-	}
-	return &o
 }

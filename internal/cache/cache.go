@@ -29,6 +29,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"seal/internal/fsread"
 )
 
 // SchemaVersion is baked into every fingerprint and entry header. Bump
@@ -102,6 +104,10 @@ type Cache struct {
 	// evict) until the cache fits again.
 	maxBytes int64
 	evictMu  sync.Mutex
+	// stored is the handle's running total of the entries' size: what the
+	// last eviction walk left, plus every byte this handle wrote since; -1
+	// until the first write walks. Guarded by evictMu.
+	stored int64
 
 	hits, misses, writes, corrupt   atomic.Int64
 	readBytes, writeBytes, uncached atomic.Int64
@@ -133,7 +139,7 @@ func OpenLimited(dir string, readOnly bool, maxBytes int64) (*Cache, error) {
 	if maxBytes < 0 {
 		maxBytes = 0
 	}
-	return &Cache{root: root, readOnly: readOnly, maxBytes: maxBytes}, nil
+	return &Cache{root: root, readOnly: readOnly, maxBytes: maxBytes, stored: -1}, nil
 }
 
 // Clear removes every object the cache owns under dir (the cache's own
@@ -189,7 +195,7 @@ func (c *Cache) Get(tier, key string, out any) bool {
 	if c == nil || len(key) < 3 {
 		return false
 	}
-	data, err := os.ReadFile(c.path(tier, key))
+	data, err := fsread.File(c.path(tier, key))
 	if err != nil {
 		c.misses.Add(1)
 		return false
@@ -276,22 +282,40 @@ func (c *Cache) Put(tier, key string, val encoding.BinaryMarshaler) {
 	}
 	c.writes.Add(1)
 	c.writeBytes.Add(int64(len(data)))
-	c.evict()
+	c.evict(int64(len(data)))
 }
 
-// evict enforces the size bound after a write: walk every stored entry,
-// and while the total exceeds maxBytes remove the least-recently-touched
-// entries first (mtime ascending, path as a deterministic tie-break). The
-// just-written entry carries the newest mtime, so it is evicted last —
-// a fresh write is never sacrificed for stale neighbors. Races with
-// concurrent readers are benign: a reader either verified the entry
-// before the unlink (hit) or finds it gone (miss → recompute).
-func (c *Cache) evict() {
+// evict enforces the size bound after a write of the given size. The
+// handle's first write walks the cache; later writes only add to the
+// running total (see stored), and walk again when it passes maxBytes. The
+// total never falls below the true size while this handle is the only
+// writer (an overwrite counts in full), so a write that leaves it within the
+// bound is one after which a walk would evict nothing: the survivors are
+// those of a walk after every write. Writes by other handles are seen at
+// this handle's next walk.
+func (c *Cache) evict(written int64) {
 	if c == nil || c.maxBytes <= 0 || c.readOnly {
 		return
 	}
 	c.evictMu.Lock()
 	defer c.evictMu.Unlock()
+	if c.stored >= 0 {
+		c.stored += written
+		if c.stored <= c.maxBytes {
+			return
+		}
+	}
+	c.stored = c.sweep()
+}
+
+// sweep walks every stored entry, and while the total exceeds maxBytes
+// removes the least-recently-touched entries first (mtime ascending, path as
+// a deterministic tie-break); it returns the total left. The just-written
+// entry carries the newest mtime, so it is evicted last — a fresh write is
+// never sacrificed for stale neighbors. Races with concurrent readers are
+// benign: a reader either verified the entry before the unlink (hit) or
+// finds it gone (miss → recompute). The caller holds evictMu.
+func (c *Cache) sweep() int64 {
 	type entry struct {
 		path  string
 		size  int64
@@ -311,7 +335,7 @@ func (c *Cache) evict() {
 		return nil
 	})
 	if total <= c.maxBytes {
-		return
+		return total
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		if !entries[i].mtime.Equal(entries[j].mtime) {
@@ -330,6 +354,7 @@ func (c *Cache) evict() {
 		c.evictions.Add(1)
 		c.evictedBytes.Add(e.size)
 	}
+	return total
 }
 
 // NoteUncacheable records a result that was deliberately not written —

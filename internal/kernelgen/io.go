@@ -10,6 +10,7 @@ import (
 	"runtime"
 
 	"seal/internal/budget"
+	"seal/internal/fsread"
 	"seal/internal/patch"
 )
 
@@ -115,32 +116,20 @@ func loadPatch(pdir, id string) (*patch.Patch, error) {
 // loadSide reads every file under root into files, keyed by slash-separated
 // path relative to root. A missing root is an empty side.
 func loadSide(root string, files map[string]string) error {
-	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if path == root && errors.Is(err, fs.ErrNotExist) {
-				return nil
-			}
-			return err
-		}
-		if d.IsDir() {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		files[filepath.ToSlash(rel)] = string(data)
+	got, err := fsread.Tree(root, func(string) bool { return true })
+	var pe *fs.PathError
+	if errors.As(err, &pe) && pe.Op == "lstat" && pe.Path == root && errors.Is(err, fs.ErrNotExist) {
 		return nil
-	})
+	}
+	for name, src := range got {
+		files[name] = src
+	}
+	return err
 }
 
 // loadMeta sets p's description and tags from its patch.json, if any.
 func loadMeta(path string, p *patch.Patch) error {
-	data, err := os.ReadFile(path)
+	data, err := fsread.File(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
