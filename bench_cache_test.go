@@ -34,7 +34,7 @@ func BenchmarkInferScaling(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				opts := Options{Validate: true, Workers: w}
 				if warm {
-					opts.CacheDir = b.TempDir()
+					opts.Cache = openTestCache(b, b.TempDir())
 					if _, err := InferSpecsContext(context.Background(), corpus.Patches, opts); err != nil {
 						b.Fatal(err)
 					}
@@ -85,7 +85,7 @@ func BenchmarkColdDetect(b *testing.B) {
 		dir := b.TempDir()
 		b.StartTimer()
 		res, _, err := DetectFiles(context.Background(), files, specs,
-			DetectRunOptions{CacheDir: dir})
+			DetectRunOptions{Cache: openTestCache(b, dir)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,15 +103,15 @@ func BenchmarkColdDetect(b *testing.B) {
 // PDG, no solving.
 func BenchmarkWarmDetect(b *testing.B) {
 	files, specs := benchDetectCorpus(b)
-	dir := b.TempDir()
+	pc := openTestCache(b, b.TempDir())
 	if _, _, err := DetectFiles(context.Background(), files, specs,
-		DetectRunOptions{CacheDir: dir}); err != nil {
+		DetectRunOptions{Cache: pc}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, _, err := DetectFiles(context.Background(), files, specs,
-			DetectRunOptions{CacheDir: dir})
+			DetectRunOptions{Cache: pc.View()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,14 +149,14 @@ func TestWarmDetectSpeedup(t *testing.T) {
 	files, specs := benchDetectCorpus(t)
 	ctx := context.Background()
 
-	warmDir := t.TempDir()
-	if _, _, err := DetectFiles(ctx, files, specs, DetectRunOptions{CacheDir: warmDir}); err != nil {
+	warm := openTestCache(t, t.TempDir())
+	if _, _, err := DetectFiles(ctx, files, specs, DetectRunOptions{Cache: warm}); err != nil {
 		t.Fatal(err)
 	}
 
 	const runs = 5
 	cold := medianRunNs(t, runs, func() {
-		res, _, err := DetectFiles(ctx, files, specs, DetectRunOptions{CacheDir: t.TempDir()})
+		res, _, err := DetectFiles(ctx, files, specs, DetectRunOptions{Cache: openTestCache(t, t.TempDir())})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,8 +164,8 @@ func TestWarmDetectSpeedup(t *testing.T) {
 			t.Fatal("cold run hit the cache")
 		}
 	})
-	warm := medianRunNs(t, runs, func() {
-		res, _, err := DetectFiles(ctx, files, specs, DetectRunOptions{CacheDir: warmDir})
+	warmNs := medianRunNs(t, runs, func() {
+		res, _, err := DetectFiles(ctx, files, specs, DetectRunOptions{Cache: warm.View()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,9 +174,9 @@ func TestWarmDetectSpeedup(t *testing.T) {
 		}
 	})
 
-	speedup := cold / warm
+	speedup := cold / warmNs
 	t.Logf("cold median %.2fms, warm median %.2fms, speedup %.1fx",
-		cold/1e6, warm/1e6, speedup)
+		cold/1e6, warmNs/1e6, speedup)
 	if speedup < 3 {
 		t.Errorf("warm detect is only %.2fx faster than cold, want >= 3x", speedup)
 	}

@@ -50,7 +50,7 @@ func warmBatchInputs(b *testing.B) (tree, specFile string) {
 func BenchmarkWarmDetectInputs(b *testing.B) {
 	tree, specFile := warmBatchInputs(b)
 	cacheDir := b.TempDir()
-	db, _, err := ReadSpecFile(specFile, cacheDir, false, 0)
+	db, err := ReadSpecFile(specFile, openTestCache(b, cacheDir))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,10 +58,10 @@ func BenchmarkWarmDetectInputs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := DetectFiles(context.Background(), files, db.Specs, DetectRunOptions{Workers: 2, CacheDir: cacheDir}); err != nil {
+	if _, _, err := DetectFiles(context.Background(), files, db.Specs, DetectRunOptions{Workers: 2, Cache: openTestCache(b, cacheDir)}); err != nil {
 		b.Fatal(err)
 	}
-	pc, err := cache.Open(cacheDir, true)
+	pc, err := OpenCache(cacheDir, true, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func BenchmarkWarmDetectInputs(b *testing.B) {
 		name string
 		load func() error
 	}{
-		{"specs=json", func() error { _, _, err := ReadSpecFile(specFile, "", false, 0); return err }},
-		{"specs=replay", func() error { _, _, err := ReadSpecFile(specFile, cacheDir, true, 0); return err }},
+		{"specs=json", func() error { _, err := ReadSpecFile(specFile, nil); return err }},
+		{"specs=replay", func() error { _, err := ReadSpecFile(specFile, pc); return err }},
 		{"tree=serial", func() error { _, err := serialReadSourceDir(tree); return err }},
 		{"tree=fsread", func() error { _, err := ReadSourceDir(tree); return err }},
 		{"groups=serial", func() error { budget.Each(1, len(keys), probe); return nil }},

@@ -44,7 +44,7 @@ func TestSpecEditRecomputeSpeedup(t *testing.T) {
 
 	const runs = 5
 	cold := medianRunNs(t, runs, func() {
-		res, gs, err := DetectFiles(ctx, files, stored, DetectRunOptions{CacheDir: t.TempDir()})
+		res, gs, err := DetectFiles(ctx, files, stored, DetectRunOptions{Cache: openTestCache(t, t.TempDir())})
 		if err != nil {
 			t.Fatal(err)
 		}

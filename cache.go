@@ -34,10 +34,18 @@ type CacheStats = cache.Stats
 // directory. Missing directories are fine.
 func ClearCache(dir string) error { return cache.Clear(dir) }
 
-// openCache opens the configured cache; an empty dir is the disabled cache
-// (nil, on which every operation is a no-op). maxBytes > 0 bounds the
-// cache's on-disk size by LRU eviction.
-func openCache(dir string, readOnly bool, maxBytes int64) (*cache.Cache, error) {
+// Cache is an open persistent analysis cache: results keyed by source
+// bytes, configuration, and seal version, so a warm run over unchanged
+// inputs replays them without analyzing anything. Its counters are those
+// of every run it served; View gives a handle with counters of its own.
+// The nil *Cache is the disabled cache.
+type Cache = cache.Cache
+
+// OpenCache opens (creating if needed) the persistent analysis cache under
+// dir. readOnly serves hits but never writes (shared or archived caches);
+// maxBytes > 0 bounds the cache's on-disk size by LRU eviction. An empty
+// dir is the disabled cache (nil, on which every operation is a no-op).
+func OpenCache(dir string, readOnly bool, maxBytes int64) (*Cache, error) {
 	if dir == "" {
 		return nil, nil
 	}
@@ -144,35 +152,33 @@ func specsKey(data []byte) string {
 	return cache.Key("tier:"+cache.TierSpecs, "json:"+hex.EncodeToString(sum[:]))
 }
 
-// ReadSpecFile loads a spec database file written by `seal infer`. With
-// cacheDir set it looks the file's bytes up in the TierSpecs tier: a
-// verified hit decodes the stored binary form (spec.DB.UnmarshalBinary),
-// and a miss decodes the JSON and stores its binary form for the next
-// load. A file that fails to decode is never stored, so the error is the
-// one an uncached load returns, and a decoded database is the same value
-// either way. A cache that cannot be opened is not used: the run's own
-// open reports it. The returned stats are the lookup's (zero without a
-// cache), for the caller to add to its run's.
-func ReadSpecFile(path, cacheDir string, cacheReadOnly bool, cacheMaxBytes int64) (*SpecDB, CacheStats, error) {
+// ReadSpecFile loads a spec database file written by `seal infer`. With a
+// cache c it looks the file's bytes up in the TierSpecs tier: a verified
+// hit decodes the stored binary form (spec.DB.UnmarshalBinary), and a miss
+// decodes the JSON and stores its binary form for the next load. The
+// lookup counts in c's counters, so a run that passes its own handle
+// reports it among its figures. A file that fails to decode is never
+// stored, so the error is the one an uncached load returns, and a decoded
+// database is the same value either way.
+func ReadSpecFile(path string, c *Cache) (*SpecDB, error) {
 	data, err := fsread.File(path)
 	if err != nil {
-		return nil, CacheStats{}, err
+		return nil, err
 	}
-	pc, _ := openCache(cacheDir, cacheReadOnly, cacheMaxBytes)
 	var key string
-	if pc.Enabled() {
+	if c.Enabled() {
 		key = specsKey(data)
 	}
 	db := new(SpecDB)
-	if !pc.Get(cache.TierSpecs, key, db) {
+	if !c.Get(cache.TierSpecs, key, db) {
 		// A direct UnmarshalJSON call decodes in one pass, where
 		// json.Unmarshal would first scan the whole file to validate it.
 		if err := db.UnmarshalJSON(data); err != nil {
-			return nil, pc.Stats(), err
+			return nil, err
 		}
-		pc.Put(cache.TierSpecs, key, db)
+		c.Put(cache.TierSpecs, key, db)
 	}
-	return db, pc.Stats(), nil
+	return db, nil
 }
 
 // detectConfigPart renders the detection knobs that change results for

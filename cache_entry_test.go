@@ -8,6 +8,17 @@ import (
 	"seal/internal/spec"
 )
 
+// openTestCache opens the unbounded, writable persistent cache under dir
+// (nil for ""), failing the test when it cannot.
+func openTestCache(tb testing.TB, dir string) *Cache {
+	tb.Helper()
+	c, err := OpenCache(dir, false, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
 // TestInferCacheEntryCodec round-trips an infer cache entry whose every
 // counter holds a distinct value, so a Stats or Tally field left out of
 // the binary form fails here, and checks that a short or overlong payload

@@ -15,13 +15,24 @@ import (
 	"seal/internal/kernelgen"
 )
 
+// openCache opens the persistent cache under dir with the given size bound
+// (0 = unbounded), failing the test when it cannot.
+func openCache(t *testing.T, dir string, maxBytes int64) *seal.Cache {
+	t.Helper()
+	c, err := seal.OpenCache(dir, false, maxBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // degradedInfer runs inference under a step budget small enough to
-// truncate at least one patch, against cacheDir.
-func degradedInfer(t *testing.T, patches []*seal.Patch, cacheDir string) *seal.InferenceResult {
+// truncate at least one patch, on a view of pc.
+func degradedInfer(t *testing.T, patches []*seal.Patch, pc *seal.Cache) *seal.InferenceResult {
 	t.Helper()
 	res, err := seal.InferSpecsContext(context.Background(), patches, seal.Options{
 		Validate: true,
-		CacheDir: cacheDir,
+		Cache:    pc.View(),
 		Limits:   seal.Limits{MaxSteps: 5},
 	})
 	if err != nil {
@@ -32,9 +43,9 @@ func degradedInfer(t *testing.T, patches []*seal.Patch, cacheDir string) *seal.I
 
 func TestInferDegradedNeverCached(t *testing.T) {
 	patches := kernelgen.Generate(kernelgen.DefaultConfig()).Patches
-	cacheDir := t.TempDir()
+	pc := openCache(t, t.TempDir(), 0)
 
-	deg := degradedInfer(t, patches, cacheDir)
+	deg := degradedInfer(t, patches, pc)
 	if len(deg.Degraded) == 0 {
 		t.Fatal("MaxSteps=5 run degraded no patches; the truncation premise is gone")
 	}
@@ -54,7 +65,7 @@ func TestInferDegradedNeverCached(t *testing.T) {
 	// that was degraded (their truncated results were never stored).
 	full, err := seal.InferSpecsContext(context.Background(), patches, seal.Options{
 		Validate: true,
-		CacheDir: cacheDir,
+		Cache:    pc.View(),
 	})
 	if err != nil {
 		t.Fatalf("full infer: %v", err)
@@ -74,7 +85,7 @@ func TestInferDegradedNeverCached(t *testing.T) {
 	// byte-for-byte.
 	warm, err := seal.InferSpecsContext(context.Background(), patches, seal.Options{
 		Validate: true,
-		CacheDir: cacheDir,
+		Cache:    pc.View(),
 	})
 	if err != nil {
 		t.Fatalf("warm infer: %v", err)
@@ -107,11 +118,11 @@ func TestDetectDegradedNeverCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := inferred.DB.Specs
-	cacheDir := t.TempDir()
+	pc := openCache(t, t.TempDir(), 0)
 
 	deg, _, err := seal.DetectFiles(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
-		CacheDir: cacheDir,
-		Limits:   seal.Limits{MaxSteps: 5},
+		Cache:  pc.View(),
+		Limits: seal.Limits{MaxSteps: 5},
 	})
 	if err != nil {
 		t.Fatalf("degraded detect: %v", err)
@@ -128,7 +139,7 @@ func TestDetectDegradedNeverCached(t *testing.T) {
 
 	// Full-budget run: must miss (nothing was stored) and then write.
 	full, _, err := seal.DetectFiles(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
-		CacheDir: cacheDir,
+		Cache: pc.View(),
 	})
 	if err != nil {
 		t.Fatalf("full detect: %v", err)
@@ -142,7 +153,7 @@ func TestDetectDegradedNeverCached(t *testing.T) {
 
 	// Warm replay must agree with the recomputed full-budget reports.
 	warm, _, err := seal.DetectFiles(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
-		CacheDir: cacheDir,
+		Cache: pc.View(),
 	})
 	if err != nil {
 		t.Fatalf("warm detect: %v", err)
@@ -175,17 +186,16 @@ func TestDetectEvictionNeverBreaksCorrectness(t *testing.T) {
 	specs := inferred.DB.Specs
 
 	ref, _, err := seal.DetectFiles(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
-		CacheDir: t.TempDir(),
+		Cache: openCache(t, t.TempDir(), 0),
 	})
 	if err != nil {
 		t.Fatalf("reference detect: %v", err)
 	}
 
-	cacheDir := t.TempDir()
+	pc := openCache(t, t.TempDir(), 1)
 	for round := 0; round < 2; round++ {
 		res, _, err := seal.DetectFiles(context.Background(), corpus.Files, specs, seal.DetectRunOptions{
-			CacheDir:      cacheDir,
-			CacheMaxBytes: 1,
+			Cache: pc.View(),
 		})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)

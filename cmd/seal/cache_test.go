@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"seal"
 	"seal/internal/cache"
 	"seal/internal/obs"
 )
@@ -450,7 +451,7 @@ func TestCLICacheSpecReplay(t *testing.T) {
 
 	// The same specs in other bytes: a new key, beside the old entry.
 	edited := filepath.Join(dir, "edited.json")
-	db, _, err := readSpecFile(specFile, nil)
+	db, err := seal.ReadSpecFile(specFile, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +483,7 @@ func TestCLICacheSpecReplay(t *testing.T) {
 	if err := os.WriteFile(malformed, []byte(`{"specs": [`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, plainErr := readSpecFile(malformed, nil)
+	_, plainErr := seal.ReadSpecFile(malformed, nil)
 	for i := 0; i < 2; i++ {
 		err := cmdDetect([]string{"-target", tree, "-specs", malformed, "-cache-dir", cacheDir})
 		if plainErr == nil || err == nil || err.Error() != plainErr.Error() {

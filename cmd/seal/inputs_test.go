@@ -71,7 +71,7 @@ func TestCLIInputLoader(t *testing.T) {
 	}
 	for _, tc := range cases {
 		before := runtime.NumGoroutine()
-		files, specs, _, err := loadInputs(tc.target, tc.specFile, "", nil)
+		files, specs, err := loadInputs(tc.target, tc.specFile, "", nil)
 		waitGoroutines(t, before)
 		if tc.wantErr != nil {
 			if err == nil || err.Error() != tc.wantErr.Error() {

@@ -250,12 +250,16 @@ func addCacheFlags(fs *flag.FlagSet) *cacheFlags {
 	return cf
 }
 
-// prepare applies -cache-clear before the run.
-func (cf *cacheFlags) prepare() error {
+// open applies -cache-clear, then opens the cache the flags configure: the
+// process's one handle, whose counters are its run's seal_pcache_* figures
+// (nil, the disabled cache, without -cache-dir).
+func (cf *cacheFlags) open() (*seal.Cache, error) {
 	if cf.clear && cf.dir != "" {
-		return seal.ClearCache(cf.dir)
+		if err := seal.ClearCache(cf.dir); err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	return seal.OpenCache(cf.dir, cf.readOnly, cf.maxBytes)
 }
 
 // obsFlags is the shared observability flag set of infer and detect: a
@@ -354,7 +358,7 @@ func cmdSpecs(args []string) error {
 	if *file == "" {
 		return fmt.Errorf("specs: -file is required")
 	}
-	db, _, err := readSpecFile(*file, nil)
+	db, err := seal.ReadSpecFile(*file, nil)
 	if err != nil {
 		return err
 	}
@@ -429,7 +433,8 @@ func cmdInfer(args []string) error {
 	if *patchesDir == "" || *out == "" {
 		return fmt.Errorf("infer: -patches and -out are required")
 	}
-	if err := cf.prepare(); err != nil {
+	pc, err := cf.open()
+	if err != nil {
 		return err
 	}
 	patches, err := kernelgen.LoadPatches(*patchesDir)
@@ -439,14 +444,12 @@ func cmdInfer(args []string) error {
 	rec := of.recorder("infer")
 	pg := of.startProgress(rec, "infer")
 	res, runErr := seal.InferSpecsContext(context.Background(), patches, seal.Options{
-		Validate:      !*noValidate,
-		Workers:       *workers,
-		Limits:        lf.limits(),
-		FailFast:      *failFast,
-		Obs:           rec,
-		CacheDir:      cf.dir,
-		CacheReadOnly: cf.readOnly,
-		CacheMaxBytes: cf.maxBytes,
+		Validate: !*noValidate,
+		Workers:  *workers,
+		Limits:   lf.limits(),
+		FailFast: *failFast,
+		Obs:      rec,
+		Cache:    pc,
 	})
 	pg.Stop()
 	for _, d := range res.Degraded {
@@ -483,11 +486,11 @@ func cmdInfer(args []string) error {
 	}
 	db := res.DB
 	if *appendTo != "" {
-		existing, pstats, err := readSpecFile(*appendTo, cf)
+		existing, err := seal.ReadSpecFile(*appendTo, pc)
 		if err != nil {
 			return fmt.Errorf("infer: -append: %w", err)
 		}
-		res.PCache = res.PCache.Add(pstats)
+		res.PCache = pc.Stats() // the run's figures now count the lookup too
 		merged := seal.MergeSpecDBs(existing, db)
 		fmt.Printf("merged %d existing + %d new specs -> %d\n",
 			len(existing.Specs), len(db.Specs), len(merged.Specs))
@@ -563,7 +566,8 @@ func cmdDetect(args []string) error {
 	if *specFile == "" && *specDB == "" {
 		return usageErr{msg: "detect: -specs or -spec-db is required"}
 	}
-	if err := cf.prepare(); err != nil {
+	pc, err := cf.open()
+	if err != nil {
 		return err
 	}
 	stop, err := startProfiles(*cpuprofile, *memprofile)
@@ -571,7 +575,7 @@ func cmdDetect(args []string) error {
 		return err
 	}
 	defer stop()
-	files, specs, specStats, err := loadInputs(*target, *specFile, *specDB, cf)
+	files, specs, err := loadInputs(*target, *specFile, *specDB, pc)
 	if err != nil {
 		return err
 	}
@@ -599,12 +603,10 @@ func cmdDetect(args []string) error {
 	} else {
 		pg := of.startProgress(rec, "detect")
 		runOpts := seal.DetectRunOptions{
-			Workers:       *workers,
-			Limits:        lf.limits(),
-			Obs:           rec,
-			CacheDir:      cf.dir,
-			CacheReadOnly: cf.readOnly,
-			CacheMaxBytes: cf.maxBytes,
+			Workers: *workers,
+			Limits:  lf.limits(),
+			Obs:     rec,
+			Cache:   pc,
 		}
 		var gs seal.GroupedStats
 		res, gs, runErr = seal.DetectFiles(context.Background(), files, specs, runOpts)
@@ -617,7 +619,9 @@ func cmdDetect(args []string) error {
 	if res == nil {
 		return runErr
 	}
-	res.PCache = res.PCache.Add(specStats)
+	// The run's figures are its handle's: the spec file's lookup and, in
+	// process, the region groups' (a sharded run's groups are its workers').
+	res.PCache = pc.Stats()
 	recs, st := res.Recs, res.Stats
 	if *stats {
 		fmt.Fprintf(os.Stderr, "substrate: pdg builds=%d/%d calls, path cache hits=%d misses=%d (%.1f%%), index lookups=%d\n",

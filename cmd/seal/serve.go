@@ -74,22 +74,22 @@ func setupServe(name string, args []string) (*serve.Server, net.Listener, error)
 	if *target == "" {
 		return nil, nil, usageErr{msg: fmt.Sprintf("%s: -target is required", fs.Name())}
 	}
-	if err := cf.prepare(); err != nil {
+	// An unusable cache directory fails start-up here, not the first
+	// request. Requests run on views of this handle (see serve.Config), so
+	// the spec file's replay below counts in no request's figures.
+	pc, err := cf.open()
+	if err != nil {
 		return nil, nil, err
 	}
-	// A spec store is opened by serve.New, which keeps it open. The daemon
-	// has no run to report a spec file's replay in, so its figures go
-	// unreported.
-	files, specs, _, err := loadInputs(*target, *specFile, "", cf)
+	// A spec store is opened by serve.New, which keeps it open.
+	files, specs, err := loadInputs(*target, *specFile, "", pc)
 	if err != nil {
 		return nil, nil, err
 	}
 	srv, err := serve.New(serve.Config{
 		Workers:          *workers,
 		Limits:           lf.limits(),
-		CacheDir:         cf.dir,
-		CacheReadOnly:    cf.readOnly,
-		CacheMaxBytes:    cf.maxBytes,
+		Cache:            pc,
 		RequestTimeout:   *reqTimeout,
 		MaxBodyBytes:     *maxBody,
 		SpecDB:           *specDB,

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -107,6 +109,56 @@ func TestCLIServe(t *testing.T) {
 	// A whitespace-only edit must not change the findings.
 	if det2.Report != det.Report {
 		t.Fatalf("whitespace edit changed the report:\n%s\nvs\n%s", det2.Report, det.Report)
+	}
+}
+
+// TestCLIUnusableCacheDir checks that a -cache-dir that cannot be created
+// fails every command at start-up, before any request or analysis: serve
+// and work with -specs and with -spec-db, detect and infer with a fatal
+// error (exit 1). The cache opens before the inputs are read, so with a
+// bad spec file as well the cache's error is the one reported.
+func TestCLIUnusableCacheDir(t *testing.T) {
+	tree, specFile, storePath := buildSpecStore(t)
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "file")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badCache := filepath.Join(blocker, "cache")
+	_, openErr := seal.OpenCache(badCache, false, 0)
+	if openErr == nil {
+		t.Fatal("a cache directory under a regular file opened")
+	}
+	for _, name := range []string{"serve", "work"} {
+		for _, specs := range [][]string{{"-specs", specFile}, {"-spec-db", storePath}} {
+			args := append([]string{"-target", tree, "-cache-dir", badCache}, specs...)
+			if srv, ln, err := setupServe(name, args); err == nil {
+				ln.Close()
+				srv.Close()
+				t.Errorf("%s %s: started on a cache directory under a regular file", name, specs[0])
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"detect", func() error { return cmdDetect([]string{"-target", tree, "-specs", specFile, "-cache-dir", badCache}) }},
+		{"detect, missing spec file", func() error {
+			return cmdDetect([]string{"-target", tree, "-specs", filepath.Join(dir, "missing.json"), "-cache-dir", badCache})
+		}},
+		{"infer", func() error {
+			return cmdInfer([]string{"-patches", filepath.Join(filepath.Dir(tree), "patches"), "-out", filepath.Join(dir, "out.json"), "-cache-dir", badCache})
+		}},
+	} {
+		err := tc.run()
+		if err == nil || err.Error() != openErr.Error() {
+			t.Errorf("%s: error %v, want %q", tc.name, err, openErr)
+		}
+		var ec exitCoder
+		if errors.As(err, &ec) {
+			t.Errorf("%s: exit code %d, want a fatal error (exit %d)", tc.name, ec.ExitCode(), exitFatal)
+		}
 	}
 }
 

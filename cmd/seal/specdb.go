@@ -39,7 +39,7 @@ func cmdSpecDB(args []string) error {
 	}
 	switch {
 	case *importFile != "":
-		flat, _, err := readSpecFile(*importFile, nil)
+		flat, err := seal.ReadSpecFile(*importFile, nil)
 		if err != nil {
 			return err
 		}

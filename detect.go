@@ -32,15 +32,9 @@ type DetectRunOptions struct {
 	// Obs, when non-nil, records one unit span per region group — live or
 	// replayed — so warm and cold manifests agree.
 	Obs *Recorder
-	// CacheDir enables the persistent analysis cache rooted there; empty
-	// disables it.
-	CacheDir string
-	// CacheReadOnly serves hits but never writes (shared or archived
-	// caches).
-	CacheReadOnly bool
-	// CacheMaxBytes bounds the persistent cache's total on-disk size;
-	// exceeding it evicts least-recently-used entries. 0 = unbounded.
-	CacheMaxBytes int64
+	// Cache is the persistent analysis cache; nil disables it. The run's
+	// DetectResult.PCache is its counter snapshot at the end of the run.
+	Cache *Cache
 }
 
 // GroupedStats reports how incremental a detection was.
@@ -79,12 +73,8 @@ func detectGroupKey(targetHash, scope, groupHash string, limits Limits) string {
 // run-level aborts (context canceled, or more than opts.Limits.MaxFailures
 // units quarantined) — the partial result is valid either way.
 func DetectFiles(ctx context.Context, files map[string]string, specs []*Spec, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
-	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
-	if err != nil {
-		return nil, GroupedStats{}, err
-	}
 	var targetHash string
-	if pc.Enabled() {
+	if opts.Cache.Enabled() {
 		targetHash = cache.FileSetHash(files)
 	}
 	acquire := func() (*detect.Shared, error) {
@@ -94,7 +84,7 @@ func DetectFiles(ctx context.Context, files map[string]string, specs []*Spec, op
 		}
 		return detect.NewShared(t.Prog), nil
 	}
-	return detectGroups(ctx, targetHash, acquire, specs, opts, pc, nil, nil)
+	return detectGroups(ctx, targetHash, acquire, specs, opts, nil, nil)
 }
 
 // Detect runs a budgeted, cached detection pinned to this resident
@@ -104,12 +94,8 @@ func DetectFiles(ctx context.Context, files map[string]string, specs []*Spec, op
 // the memo and, when configured, the persistent cache. Every computed
 // group's Stats are added to the resident's total (see Stats).
 func (r *Resident) Detect(ctx context.Context, specs []*Spec, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
-	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
-	if err != nil {
-		return nil, GroupedStats{}, err
-	}
 	acquire := func() (*detect.Shared, error) { return r.sh, nil }
-	return detectGroups(ctx, r.TargetHash, acquire, specs, opts, pc, &r.memo, r.addStats)
+	return detectGroups(ctx, r.TargetHash, acquire, specs, opts, &r.memo, r.addStats)
 }
 
 // detectGroups is the group scheduler. acquire is called at most once, and
@@ -119,10 +105,11 @@ func (r *Resident) Detect(ctx context.Context, specs []*Spec, opts DetectRunOpti
 // missed are then looked up in the persistent cache on a pool of
 // GOMAXPROCS readers.
 // addStats, when non-nil, receives the Stats of every computed group.
-func detectGroups(ctx context.Context, targetHash string, acquire func() (*detect.Shared, error), specs []*Spec, opts DetectRunOptions, pc *cache.Cache, memo *sync.Map, addStats func(DetectStats)) (*DetectResult, GroupedStats, error) {
+func detectGroups(ctx context.Context, targetHash string, acquire func() (*detect.Shared, error), specs []*Spec, opts DetectRunOptions, memo *sync.Map, addStats func(DetectStats)) (*DetectResult, GroupedStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	pc := opts.Cache
 	groups := detect.ScopeGroups(specs)
 	gs := GroupedStats{Groups: len(groups)}
 	opts.Obs.SetUnitsTotal(len(groups))

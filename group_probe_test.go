@@ -27,13 +27,13 @@ type probeRun struct {
 // observedDetect runs DetectFiles at the given GOMAXPROCS with a live
 // recorder and renders its stdout, redacted manifest and redacted metrics;
 // no goroutine it starts may outlive it.
-func observedDetect(t *testing.T, procs int, files map[string]string, specs []*Spec, cacheDir string) probeRun {
+func observedDetect(t *testing.T, procs int, files map[string]string, specs []*Spec, pc *Cache) probeRun {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	before := runtime.NumGoroutine()
 	rec := NewRecorder()
 	rec.StartRun("detect")
-	res, gs, err := DetectFiles(context.Background(), files, specs, DetectRunOptions{Workers: 2, Obs: rec, CacheDir: cacheDir})
+	res, gs, err := DetectFiles(context.Background(), files, specs, DetectRunOptions{Workers: 2, Obs: rec, Cache: pc.View()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,8 @@ func TestGroupProbesPooled(t *testing.T) {
 	}
 	specs := inf.DB.Specs
 	cacheDir := t.TempDir()
-	cold := observedDetect(t, 4, corpus.Files, specs, cacheDir)
+	pc := openTestCache(t, cacheDir)
+	cold := observedDetect(t, 4, corpus.Files, specs, pc)
 	groups := detect.ScopeGroups(specs)
 	if cold.gs.Computed != len(groups) || len(groups) < 3 {
 		t.Fatalf("cold run: %+v over %d groups", cold.gs, len(groups))
@@ -93,7 +94,7 @@ func TestGroupProbesPooled(t *testing.T) {
 
 	var warm []probeRun
 	for _, procs := range []int{1, 4} {
-		w := observedDetect(t, procs, corpus.Files, specs, cacheDir)
+		w := observedDetect(t, procs, corpus.Files, specs, pc)
 		if w.gs.Warm != len(groups) || w.res.PCache.Hits != int64(len(groups)) || w.res.PCache.Misses != 0 {
 			t.Errorf("GOMAXPROCS %d warm: %+v, %+v", procs, w.gs, w.res.PCache)
 		}
@@ -107,7 +108,7 @@ func TestGroupProbesPooled(t *testing.T) {
 		if err := os.WriteFile(entry, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		c := observedDetect(t, procs, corpus.Files, specs, cacheDir)
+		c := observedDetect(t, procs, corpus.Files, specs, pc)
 		st := c.res.PCache
 		if st.Corrupt != 1 || st.Misses != 1 || st.Writes != 1 || st.Hits != int64(len(groups)-1) || c.gs.Computed != 1 {
 			t.Errorf("GOMAXPROCS %d corrupted: %+v, %+v", procs, c.gs, st)
@@ -146,7 +147,7 @@ func TestGroupProbesPooled(t *testing.T) {
 		specs          []*Spec
 		hits, memoSize int
 	}{{firstHalf, half, half}, {specs, len(groups) - half, len(groups)}, {specs, 0, len(groups)}} {
-		res, gs, err := r.Detect(context.Background(), tc.specs, DetectRunOptions{Workers: 2, CacheDir: cacheDir})
+		res, gs, err := r.Detect(context.Background(), tc.specs, DetectRunOptions{Workers: 2, Cache: pc.View()})
 		if err != nil {
 			t.Fatal(err)
 		}

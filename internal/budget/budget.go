@@ -49,12 +49,6 @@ type Limits struct {
 	MaxFailures int
 }
 
-// Enabled reports whether any limit is configured.
-func (l Limits) Enabled() bool {
-	return l.UnitTimeout > 0 || l.MaxSteps > 0 || l.MaxMemBytes > 0 ||
-		l.MaxPaths > 0 || l.MaxDepth > 0
-}
-
 // Halved returns the limits with deadline and quantitative caps halved
 // (floored at 1 where a zero would mean "unlimited").
 func (l Limits) Halved() Limits {

@@ -112,12 +112,6 @@ func TestHalved(t *testing.T) {
 	if !h.Retry || h.MaxFailures != 3 {
 		t.Fatal("Halved must not alter Retry/MaxFailures")
 	}
-	if (Limits{}).Enabled() {
-		t.Fatal("zero Limits must report disabled")
-	}
-	if !l.Enabled() {
-		t.Fatal("configured Limits must report enabled")
-	}
 }
 
 func TestProtectPanic(t *testing.T) {

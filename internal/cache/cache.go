@@ -71,32 +71,27 @@ type Stats struct {
 	WriteBytes  int64
 	Uncacheable int64 // results not written because they were degraded/partial
 	// Evictions / EvictedBytes count entries removed by the size bound
-	// (OpenLimited). An evicted entry degrades to a miss and a recompute —
-	// a cost, never a correctness event.
+	// (OpenLimited) after this handle's writes. An evicted entry degrades
+	// to a miss and a recompute — a cost, never a correctness event.
 	Evictions    int64
 	EvictedBytes int64
 }
 
-// Add returns the sum of s and o, counter by counter: the figures of two
-// handles on one cache, reported as one run's.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		Hits:         s.Hits + o.Hits,
-		Misses:       s.Misses + o.Misses,
-		Writes:       s.Writes + o.Writes,
-		Corrupt:      s.Corrupt + o.Corrupt,
-		ReadBytes:    s.ReadBytes + o.ReadBytes,
-		WriteBytes:   s.WriteBytes + o.WriteBytes,
-		Uncacheable:  s.Uncacheable + o.Uncacheable,
-		Evictions:    s.Evictions + o.Evictions,
-		EvictedBytes: s.EvictedBytes + o.EvictedBytes,
-	}
-}
-
 // Cache is an open handle on one on-disk cache. Safe for concurrent use.
 // The nil *Cache is valid and disabled: Get always misses, Put does
-// nothing.
+// nothing. The counters are the handle's own; View makes another handle on
+// the same cache with counters of its own.
 type Cache struct {
+	*disk
+
+	hits, misses, writes, corrupt   atomic.Int64
+	readBytes, writeBytes, uncached atomic.Int64
+	evictions, evictedBytes         atomic.Int64
+}
+
+// disk is what every view of one opened cache shares: its place, its mode
+// and its size bound, with the bound's running total.
+type disk struct {
 	root     string // <user dir>/<subdir>/v<SchemaVersion>
 	readOnly bool
 	// maxBytes bounds the total size of stored entries; 0 = unbounded.
@@ -104,14 +99,10 @@ type Cache struct {
 	// evict) until the cache fits again.
 	maxBytes int64
 	evictMu  sync.Mutex
-	// stored is the handle's running total of the entries' size: what the
-	// last eviction walk left, plus every byte this handle wrote since; -1
-	// until the first write walks. Guarded by evictMu.
+	// stored is the running total of the entries' size: what the last
+	// eviction walk left, plus every byte any view wrote since; -1 until
+	// the first write walks. Guarded by evictMu.
 	stored int64
-
-	hits, misses, writes, corrupt   atomic.Int64
-	readBytes, writeBytes, uncached atomic.Int64
-	evictions, evictedBytes         atomic.Int64
 }
 
 // Open opens (creating if needed) the cache under dir. readOnly serves
@@ -139,7 +130,7 @@ func OpenLimited(dir string, readOnly bool, maxBytes int64) (*Cache, error) {
 	if maxBytes < 0 {
 		maxBytes = 0
 	}
-	return &Cache{root: root, readOnly: readOnly, maxBytes: maxBytes, stored: -1}, nil
+	return &Cache{disk: &disk{root: root, readOnly: readOnly, maxBytes: maxBytes, stored: -1}}, nil
 }
 
 // Clear removes every object the cache owns under dir (the cache's own
@@ -151,11 +142,20 @@ func Clear(dir string) error {
 	return os.RemoveAll(filepath.Join(dir, subdir))
 }
 
+// View returns another handle on c's cache — the same directory, mode and
+// size bound, and one running total for the bound across every view — with
+// counters that start at zero. A resident service takes one view per
+// request, so each request's figures are its own. The view of the nil
+// (disabled) cache is nil.
+func (c *Cache) View() *Cache {
+	if c == nil {
+		return nil
+	}
+	return &Cache{disk: c.disk}
+}
+
 // Enabled reports whether the cache is live.
 func (c *Cache) Enabled() bool { return c != nil }
-
-// ReadOnly reports whether writes are suppressed.
-func (c *Cache) ReadOnly() bool { return c != nil && c.readOnly }
 
 // magic opens every entry file.
 const magic = "sealpc\x00\n"
@@ -286,13 +286,13 @@ func (c *Cache) Put(tier, key string, val encoding.BinaryMarshaler) {
 }
 
 // evict enforces the size bound after a write of the given size. The
-// handle's first write walks the cache; later writes only add to the
+// cache's first write walks it; later writes, by any view, only add to the
 // running total (see stored), and walk again when it passes maxBytes. The
-// total never falls below the true size while this handle is the only
+// total never falls below the true size while this process is the only
 // writer (an overwrite counts in full), so a write that leaves it within the
 // bound is one after which a walk would evict nothing: the survivors are
-// those of a walk after every write. Writes by other handles are seen at
-// this handle's next walk.
+// those of a walk after every write. Writes by other processes are seen at
+// the next walk.
 func (c *Cache) evict(written int64) {
 	if c == nil || c.maxBytes <= 0 || c.readOnly {
 		return

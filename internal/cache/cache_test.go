@@ -247,7 +247,7 @@ func TestClearRemovesOnlyOwnSubtree(t *testing.T) {
 
 func TestNilCacheIsDisabled(t *testing.T) {
 	var c *Cache
-	if c.Enabled() || c.ReadOnly() {
+	if c.Enabled() || c.View() != nil {
 		t.Fatal("nil cache claims to be live")
 	}
 	c.Put(TierInfer, Key("k"), payload{})

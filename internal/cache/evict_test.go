@@ -4,6 +4,8 @@ import (
 	"encoding"
 	"os"
 	"path/filepath"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -160,5 +162,74 @@ func TestUnboundedAndReadOnlyNeverEvict(t *testing.T) {
 	})
 	if files != 4 {
 		t.Fatalf("entries on disk = %d, want 4", files)
+	}
+}
+
+// onDiskBytes sums the sizes of the entry files under dir.
+func onDiskBytes(t *testing.T, dir string) (total int64, files int) {
+	t.Helper()
+	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err == nil && info != nil && !info.IsDir() && filepath.Ext(path) == ".json" {
+			total += info.Size()
+			files++
+		}
+		return nil
+	})
+	return total, files
+}
+
+// TestViewsShareTheBound writes through two views of one bounded handle,
+// alternating, well past the bound, then once more from two goroutines:
+// the views share one running total, so each sees the other's writes and
+// the cache on disk ends within the bound. (Views that each kept a total
+// of their own writes would each stay under the bound and never walk.)
+// Each view's counters hold only its own writes.
+func TestViewsShareTheBound(t *testing.T) {
+	val := payload{Name: "same-size", Count: 1}
+	size := entrySize(t, val)
+	dir := t.TempDir()
+	bound := 10*size + size/2
+	c, err := OpenLimited(dir, false, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := []*Cache{c.View(), c.View()}
+	const perView = 8
+	put := func(v, i int) { views[v].Put(TierInfer, Key(strconv.Itoa(v), strconv.Itoa(i)), val) }
+	for i := 0; i < perView; i++ {
+		put(0, i)
+		put(1, i)
+	}
+	if total, files := onDiskBytes(t, dir); total > bound {
+		t.Fatalf("alternating views left %d entries (%d B) on disk under a %d B bound", files, total, bound)
+	}
+	var wg sync.WaitGroup
+	for v := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := perView; i < 2*perView; i++ {
+				put(v, i)
+			}
+		}()
+	}
+	wg.Wait()
+	total, files := onDiskBytes(t, dir)
+	if total > bound {
+		t.Fatalf("concurrent views left %d entries (%d B) on disk under a %d B bound", files, total, bound)
+	}
+	var evicted int64
+	for v, view := range views {
+		st := view.Stats()
+		if st.Writes != 2*perView || st.WriteBytes != 2*perView*size {
+			t.Errorf("view %d stats = %+v, want its own %d writes", v, st, 2*perView)
+		}
+		evicted += st.Evictions
+	}
+	if want := int64(4*perView - files); evicted != want {
+		t.Errorf("views evicted %d entries, want %d (%d written, %d left)", evicted, want, 4*perView, files)
+	}
+	if st := c.Stats(); st != (Stats{}) {
+		t.Errorf("parent handle counted its views' work: %+v", st)
 	}
 }

@@ -224,9 +224,14 @@ func RunCase(c *randprog.PatchCase) (*CaseResult, error) {
 // an uncached reference run, a cold cached run (populates cacheDir), and a
 // warm cached run (must replay from disk) — all three must normalize
 // byte-identically for both the inferred database and the bug records,
-// and the warm run must actually hit. Returns the divergences.
+// and the warm run must actually hit. The cache is opened once; each run
+// counts on a view of its own. Returns the divergences.
 func RunCacheCase(c *randprog.PatchCase, cacheDir string) ([]Divergence, error) {
 	ctx := context.Background()
+	pc, err := seal.OpenCache(cacheDir, false, 0)
+	if err != nil {
+		return nil, err
+	}
 	ref, err := seal.InferSpecsContext(ctx, []*patch.Patch{c.Patch}, seal.Options{Validate: true})
 	if err != nil {
 		return nil, fmt.Errorf("seed %d: reference inference: %w", c.Seed, err)
@@ -236,7 +241,7 @@ func RunCacheCase(c *randprog.PatchCase, cacheDir string) ([]Divergence, error) 
 	var divs []Divergence
 	for _, conf := range []string{"cache-cold", "cache-warm"} {
 		got, err := seal.InferSpecsContext(ctx, []*patch.Patch{c.Patch}, seal.Options{
-			Validate: true, CacheDir: cacheDir,
+			Validate: true, Cache: pc.View(),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: %s inference: %w", c.Seed, conf, err)
@@ -257,7 +262,7 @@ func RunCacheCase(c *randprog.PatchCase, cacheDir string) ([]Divergence, error) 
 	refBugs := NormalizeRecs(refDet.Recs)
 	for _, conf := range []string{"cache-cold", "cache-warm"} {
 		got, _, err := seal.DetectFiles(ctx, c.Target, ref.DB.Specs, seal.DetectRunOptions{
-			CacheDir: cacheDir,
+			Cache: pc.View(),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: %s detection: %w", c.Seed, conf, err)

@@ -95,7 +95,7 @@ func ShardCorpus(seed int64) (map[string]string, []*spec.Spec, error) {
 // singleProcessRef runs the corpus through the ordinary in-process
 // pipeline, uncached, and snapshots the comparison surface.
 func singleProcessRef(ctx context.Context, files map[string]string, specs []*spec.Spec) (*shardSurface, *detect.Result, error) {
-	surf, res, _, err := groupedRun(ctx, files, specs, "")
+	surf, res, _, err := groupedRun(ctx, files, specs, nil)
 	return surf, res, err
 }
 

@@ -21,14 +21,14 @@ import (
 	"seal/internal/specdb"
 )
 
-// groupedRun drives one in-process detection (cached when cacheDir is set)
-// and builds its comparison surface.
-func groupedRun(ctx context.Context, files map[string]string, specs []*spec.Spec, cacheDir string) (*shardSurface, *detect.Result, seal.GroupedStats, error) {
+// groupedRun drives one in-process detection (cached on a view of pc when
+// pc is non-nil) and builds its comparison surface.
+func groupedRun(ctx context.Context, files map[string]string, specs []*spec.Spec, pc *seal.Cache) (*shardSurface, *detect.Result, seal.GroupedStats, error) {
 	specsHash := seal.SpecSetHash(specs)
 	rec := seal.NewRecorder()
 	rec.StartRun("detect")
 	res, gs, runErr := seal.DetectFiles(ctx, files, specs, seal.DetectRunOptions{
-		Workers: 1, Obs: rec, CacheDir: cacheDir,
+		Workers: 1, Obs: rec, Cache: pc.View(),
 	})
 	if runErr != nil {
 		return nil, res, gs, runErr
@@ -65,7 +65,10 @@ func RunSpecEditCase(seed int64, dir string) ([]Divergence, error) {
 	}
 
 	storePath := filepath.Join(dir, "specs.specdb")
-	cacheDir := filepath.Join(dir, "cache")
+	pc, err := seal.OpenCache(filepath.Join(dir, "cache"), false, 0)
+	if err != nil {
+		return nil, err
+	}
 	if _, _, err := seal.ImportSpecStore(storePath, &spec.DB{Specs: specs}); err != nil {
 		return nil, fmt.Errorf("seed %d: import: %w", seed, err)
 	}
@@ -82,7 +85,7 @@ func RunSpecEditCase(seed int64, dir string) ([]Divergence, error) {
 		return divs, nil // everything downstream would mis-compare
 	}
 
-	surf, _, gs, err := groupedRun(ctx, files, stored, cacheDir)
+	surf, _, gs, err := groupedRun(ctx, files, stored, pc)
 	if err != nil {
 		return nil, fmt.Errorf("seed %d: cold grouped run: %w", seed, err)
 	}
@@ -120,7 +123,7 @@ func RunSpecEditCase(seed int64, dir string) ([]Divergence, error) {
 	if err != nil {
 		return nil, fmt.Errorf("seed %d: edited reference: %w", seed, err)
 	}
-	surf2, res2, gs2, err := groupedRun(ctx, files, newSpecs, cacheDir)
+	surf2, res2, gs2, err := groupedRun(ctx, files, newSpecs, pc)
 	if err != nil {
 		return nil, fmt.Errorf("seed %d: warm grouped run: %w", seed, err)
 	}

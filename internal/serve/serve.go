@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"seal"
-	"seal/internal/cache"
 	"seal/internal/detect"
 	"seal/internal/obs"
 	"seal/internal/report"
@@ -26,14 +25,11 @@ type Config struct {
 	Workers int
 	// Limits is the default per-unit budget applied to every request.
 	Limits seal.Limits
-	// CacheDir composes the daemon with the persistent analysis cache: a
+	// Cache composes the daemon with the persistent analysis cache: a
 	// restart warms region-group results from disk, and clean results are
-	// written back for the next process.
-	CacheDir      string
-	CacheReadOnly bool
-	// CacheMaxBytes bounds the persistent cache's total on-disk size;
-	// exceeding it evicts least-recently-used entries. 0 = unbounded.
-	CacheMaxBytes int64
+	// written back for the next process. Each request runs on its own
+	// View, so its seal_pcache_* figures are its own. Nil disables it.
+	Cache *seal.Cache
 	// RequestTimeout bounds one request's whole run (0 = none). Exceeding
 	// it yields a structured 503, never a dropped connection.
 	RequestTimeout time.Duration
@@ -72,7 +68,7 @@ type Server struct {
 }
 
 // New builds a server over an initial source tree and spec database
-// (specs may be nil). A set cfg.CacheDir must be usable at start-up.
+// (specs may be nil).
 // With cfg.SpecDB set the spec database comes from the store instead and
 // specs must be nil.
 func New(cfg Config, files map[string]string, specs []*seal.Spec) (*Server, error) {
@@ -101,16 +97,6 @@ func New(cfg Config, files map[string]string, specs []*seal.Spec) (*Server, erro
 		return nil, err
 	}
 	snap.StoreSeq = storeSeq
-	if cfg.CacheDir != "" {
-		// Reject an unusable cache directory at start-up rather than on
-		// the first request.
-		if _, err := cache.OpenLimited(cfg.CacheDir, cfg.CacheReadOnly, cfg.CacheMaxBytes); err != nil {
-			if specStore != nil {
-				specStore.Close()
-			}
-			return nil, err
-		}
-	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -363,12 +349,10 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	rec := obs.New()
 	rec.StartRun("detect")
 	runOpts := seal.DetectRunOptions{
-		Workers:       workers,
-		Limits:        req.Limits.limits(s.cfg.Limits),
-		Obs:           rec,
-		CacheDir:      s.cfg.CacheDir,
-		CacheReadOnly: s.cfg.CacheReadOnly,
-		CacheMaxBytes: s.cfg.CacheMaxBytes,
+		Workers: workers,
+		Limits:  req.Limits.limits(s.cfg.Limits),
+		Obs:     rec,
+		Cache:   s.cfg.Cache.View(),
 	}
 	res, gs, runErr := snap.Resident.Detect(r.Context(), snap.Specs, runOpts)
 	var grouped *seal.GroupedStats
@@ -463,14 +447,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	rec := obs.New()
 	rec.StartRun("infer")
 	res, runErr := seal.InferSpecsContext(r.Context(), req.Patches, seal.Options{
-		Validate:      validate,
-		Workers:       workers,
-		Limits:        req.Limits.limits(s.cfg.Limits),
-		FailFast:      req.FailFast,
-		Obs:           rec,
-		CacheDir:      s.cfg.CacheDir,
-		CacheReadOnly: s.cfg.CacheReadOnly,
-		CacheMaxBytes: s.cfg.CacheMaxBytes,
+		Validate: validate,
+		Workers:  workers,
+		Limits:   req.Limits.limits(s.cfg.Limits),
+		FailFast: req.FailFast,
+		Obs:      rec,
+		Cache:    s.cfg.Cache.View(),
 	})
 	if runErr != nil {
 		var failures []*seal.FailureRecord

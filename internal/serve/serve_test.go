@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -19,7 +17,6 @@ import (
 	"seal/internal/faultinject"
 	"seal/internal/patch"
 	"seal/internal/randprog"
-	"seal/internal/spec"
 )
 
 // Shared test corpus: the seed-0 generated target, with specs inferred
@@ -279,14 +276,13 @@ func TestServeDeleteFile(t *testing.T) {
 // detect request from disk — byte-identical output, nothing recomputed.
 func TestServeWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 1, CacheDir: dir}
-	_, ts1 := newTestServer(t, cfg)
+	_, ts1 := newTestServer(t, Config{Workers: 1, Cache: openCache(t, dir)})
 	var cold DetectResponse
 	if got := do(t, ts1, "POST", "/detect", `{"report":true}`, &cold); got != http.StatusOK {
 		t.Fatalf("cold detect: status %d", got)
 	}
 	// "Restart": a brand-new server over the same tree and cache dir.
-	_, ts2 := newTestServer(t, cfg)
+	_, ts2 := newTestServer(t, Config{Workers: 1, Cache: openCache(t, dir)})
 	var warm DetectResponse
 	if got := do(t, ts2, "POST", "/detect", `{"report":true}`, &warm); got != http.StatusOK {
 		t.Fatalf("warm detect: status %d", got)
@@ -311,29 +307,47 @@ func TestServeWarmRestart(t *testing.T) {
 	}
 }
 
-// TestServeRejectsUnusableCacheDir checks that a cache directory that
-// cannot be created fails New at start-up rather than the first request,
-// for a flat and a store-backed daemon alike.
-func TestServeRejectsUnusableCacheDir(t *testing.T) {
-	files, specs := corpus(t)
-	dir := t.TempDir()
-	blocker := filepath.Join(dir, "file")
-	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+// openCache opens the unbounded, writable persistent cache under dir.
+func openCache(t *testing.T, dir string) *seal.Cache {
+	t.Helper()
+	c, err := seal.OpenCache(dir, false, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: 1, CacheDir: filepath.Join(blocker, "cache")}
-	if srv, err := New(cfg, files, specs); err == nil {
-		srv.Close()
-		t.Fatal("New accepted a cache directory under a regular file")
+	return c
+}
+
+// TestServePerRequestCacheCounters checks that every request reports its
+// own seal_pcache_* figures although the daemon holds one cache handle: a
+// cold daemon's /detect writes every region group; a second daemon on the
+// same handle answers its first /detect from disk, reporting one hit per
+// group and no write; its next /detect replays from the memo and touches
+// the cache not at all.
+func TestServePerRequestCacheCounters(t *testing.T) {
+	pc := openCache(t, t.TempDir())
+	groups := float64(corpusGroups(t))
+	pcache := func(ts *httptest.Server, what string) (hits, misses, writes float64) {
+		t.Helper()
+		var resp DetectResponse
+		if got := do(t, ts, "POST", "/detect", "{}", &resp); got != http.StatusOK {
+			t.Fatalf("%s detect: status %d", what, got)
+		}
+		c := resp.Manifest.Counters
+		return c["seal_pcache_hits_total"], c["seal_pcache_misses_total"], c["seal_pcache_writes_total"]
 	}
-	storePath := filepath.Join(dir, "specs.specdb")
-	if _, _, err := seal.ImportSpecStore(storePath, &spec.DB{Specs: specs}); err != nil {
-		t.Fatal(err)
+	_, cold := newTestServer(t, Config{Workers: 1, Cache: pc})
+	if h, m, w := pcache(cold, "cold"); h != 0 || m != groups || w != groups {
+		t.Errorf("cold detect: %v hits, %v misses, %v writes, want 0, %v, %v", h, m, w, groups, groups)
 	}
-	cfg.SpecDB = storePath
-	if srv, err := New(cfg, files, nil); err == nil {
-		srv.Close()
-		t.Fatal("store-backed New accepted a cache directory under a regular file")
+	_, warm := newTestServer(t, Config{Workers: 1, Cache: pc})
+	if h, m, w := pcache(warm, "warm"); h != groups || m != 0 || w != 0 {
+		t.Errorf("warm detect: %v hits, %v misses, %v writes, want %v, 0, 0", h, m, w, groups)
+	}
+	if h, m, w := pcache(warm, "memo"); h != 0 || m != 0 || w != 0 {
+		t.Errorf("memo detect: %v hits, %v misses, %v writes, want none", h, m, w)
+	}
+	if st := pc.Stats(); st != (seal.CacheStats{}) {
+		t.Errorf("the daemon's handle counted its requests' work: %+v", st)
 	}
 }
 

@@ -43,12 +43,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	rec := obs.New()
 	rec.StartRun("shard")
 	res, _, runErr := snap.Resident.Detect(r.Context(), job.Specs.Specs, seal.DetectRunOptions{
-		Workers:       workers,
-		Limits:        job.Limits,
-		Obs:           rec,
-		CacheDir:      s.cfg.CacheDir,
-		CacheReadOnly: s.cfg.CacheReadOnly,
-		CacheMaxBytes: s.cfg.CacheMaxBytes,
+		Workers: workers,
+		Limits:  job.Limits,
+		Obs:     rec,
+		Cache:   s.cfg.Cache.View(),
 	})
 	if runErr != nil {
 		var failures []*seal.FailureRecord

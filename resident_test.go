@@ -2,8 +2,14 @@ package seal
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"strconv"
+	"sync"
 	"testing"
 
+	"seal/internal/cache"
+	"seal/internal/detect"
 	"seal/internal/kernelgen"
 )
 
@@ -79,5 +85,75 @@ func TestResidentStatsCountsComputedGroups(t *testing.T) {
 	}
 	if got, want := r.Stats(), cold.Merge(group); got != want {
 		t.Fatalf("total after edit = %+v, want cold total plus the group's %+v = %+v", got, group, want)
+	}
+}
+
+// TestResidentCacheCountsPerRun runs two cold detections at once on one
+// resident, each over its own region groups and each on its own view of
+// one cache handle, as a daemon's concurrent requests do. Each run's
+// PCache must hold exactly its own work: one miss and one write per group
+// it owns, and the bytes of those groups' entries on disk. The handle the
+// views came from counts nothing.
+func TestResidentCacheCountsPerRun(t *testing.T) {
+	corpus := kernelgen.Generate(kernelgen.DefaultConfig())
+	inf, err := InferSpecs(corpus.Patches, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Alternate region groups (one scope each) between the two runs.
+	var runs [2][]*Spec
+	side := make(map[string]int)
+	for _, s := range inf.DB.Specs {
+		k, ok := side[s.Scope()]
+		if !ok {
+			k = len(side) % 2
+			side[s.Scope()] = k
+		}
+		runs[k] = append(runs[k], s)
+	}
+	r, err := NewResidentFiles(corpus.Files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	pc := openTestCache(t, dir)
+	var got [2]CacheStats
+	var wg sync.WaitGroup
+	for i, specs := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, _, err := r.Detect(context.Background(), specs, DetectRunOptions{Workers: 2, Cache: pc.View()})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = res.PCache
+		}()
+	}
+	wg.Wait()
+	for i, specs := range runs {
+		want := CacheStats{}
+		for _, g := range detect.ScopeGroups(specs) {
+			subset := make([]*Spec, len(g))
+			for k, si := range g {
+				subset[k] = specs[si]
+			}
+			key := detectGroupKey(r.TargetHash, subset[0].Scope(), SpecSetHash(subset), Limits{})
+			info, err := os.Stat(filepath.Join(dir, "seal-analysis-cache", "v"+strconv.Itoa(cache.SchemaVersion),
+				cache.TierDetectGroup, key[:2], key+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Misses++
+			want.Writes++
+			want.WriteBytes += info.Size()
+		}
+		if got[i] != want || want.Writes == 0 {
+			t.Errorf("run %d: PCache %+v, want %+v", i, got[i], want)
+		}
+	}
+	if st := pc.Stats(); st != (CacheStats{}) {
+		t.Errorf("the handle counted its views' work: %+v", st)
 	}
 }

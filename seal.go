@@ -129,19 +129,12 @@ type Options struct {
 	// pdg / diff / infer / validate stage spans and budget-spend deltas)
 	// under InferSpecsContext. Nil disables observability.
 	Obs *Recorder
-	// CacheDir enables the persistent analysis cache rooted at this
-	// directory (InferSpecsContext only): per-patch results are keyed by
-	// source bytes, configuration, and seal version, so a warm run over
-	// an unchanged corpus replays them without analyzing anything.
-	// Degraded or quarantined results are never written. Empty disables
-	// the cache.
-	CacheDir string
-	// CacheReadOnly serves cache hits but never writes (shared or
-	// archived caches).
-	CacheReadOnly bool
-	// CacheMaxBytes bounds the persistent cache's total on-disk size;
-	// exceeding it evicts least-recently-used entries. 0 = unbounded.
-	CacheMaxBytes int64
+	// Cache is the persistent analysis cache (InferSpecsContext only):
+	// per-patch results are keyed by source bytes, configuration, and seal
+	// version, so a warm run over an unchanged corpus replays them without
+	// analyzing anything. Degraded or quarantined results are never
+	// written. Nil disables the cache.
+	Cache *Cache
 }
 
 // DefaultOptions enables validation with sequential processing.
@@ -181,8 +174,9 @@ type InferenceResult struct {
 	// quarantined and degraded patches included) or replayed from the
 	// patch's cache entry.
 	Solver solver.Tally
-	// PCache is the persistent analysis cache's counter snapshot; zero
-	// unless Options.CacheDir was set.
+	// PCache is Options.Cache's counter snapshot at the end of the run:
+	// this run's lookups and writes and whatever the handle counted
+	// before (a View counts only its own). Zero without a cache.
 	PCache CacheStats
 }
 
@@ -246,7 +240,7 @@ func InferSpecs(patches []*Patch, opts Options) (*InferenceResult, error) {
 // in res.Failures — without disturbing any other patch; a patch that merely
 // exhausts a quantitative budget completes Degraded with its partial specs
 // kept. With opts.Limits.Retry, a quarantined patch is re-attempted once
-// with a halved budget. With opts.CacheDir, cached patches are replayed up
+// with a halved budget. With opts.Cache, cached patches are replayed up
 // front, only the missed ones run, and the clean ones are written back.
 //
 // The returned error is non-nil only for run-level aborts: the context was
@@ -262,10 +256,7 @@ func InferSpecsContext(ctx context.Context, patches []*Patch, opts Options) (*In
 		DB:       &SpecDB{},
 		Outcomes: make([]PatchOutcome, len(patches)),
 	}
-	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
-	if err != nil {
-		return res, err
-	}
+	pc := opts.Cache
 	rec := opts.Obs
 	rec.SetUnitsTotal(len(patches))
 	// Each patch's payload, replayed or computed, in its cache-entry form.
