@@ -77,21 +77,21 @@ func inferPatchKey(p *Patch, opts Options) string {
 	)
 }
 
-// inferCacheEntry is the TierInfer payload: one patch's validated specs,
-// its relation statistics, and the solver work computing it took, which a
-// replaying run adds to its own figures. Its binary form is the specs' (see
-// spec.DB.MarshalBinary), then the 10 Stats and 3 Tally fields as varints.
+// inferCacheEntry is one patch's specs, relation statistics and solver
+// work. Its binary form, the TierInfer payload, is the specs' (see
+// spec.DB.MarshalBinary), then the 10 Stats fields and Solver.Checks as
+// varints: the memo hit/miss split depends on the process-global memo.
 type inferCacheEntry struct {
 	DB     SpecDB
 	Stats  infer.Stats
 	Solver solver.Tally
 }
 
-// counters lists the entry's Stats and Solver fields in encoding order.
-func (e *inferCacheEntry) counters() ([8]*int, [5]*int64) {
-	s, t := &e.Stats, &e.Solver
+// counters lists the entry's stored fields in encoding order.
+func (e *inferCacheEntry) counters() ([8]*int, [3]*int64) {
+	s := &e.Stats
 	return [...]*int{&s.Criteria, &s.PrePaths, &s.PostPaths, &s.PMinus, &s.PPlus, &s.PPsi, &s.POmega, &s.Relations},
-		[...]*int64{&s.Truncations, &s.BudgetTruncations, &t.Checks, &t.MemoHits, &t.MemoMisses}
+		[...]*int64{&s.Truncations, &s.BudgetTruncations, &e.Solver.Checks}
 }
 
 // MarshalBinary encodes the entry.

@@ -161,10 +161,10 @@ func TestCLICacheWarmColdIdentity(t *testing.T) {
 // TestCLICacheWorkersColdWarmIdentity pins per-unit work attribution: a
 // cache filled by concurrent region groups (-workers 4) replays at
 // -workers 1 with byte-identical reports, redacted manifests, and redacted
-// metrics — PDG build and ensure counters included — and both match a
-// cold -workers 1 run. Each group's cached counters are the work its own
-// detectors caused, so they sum to the same totals however the groups
-// overlapped.
+// metrics, and both match a cold -workers 1 run. Each group's PDG counters
+// are the work its own detectors caused, so the raw cold figures sum to
+// the same totals however the groups overlapped; a warm run replays only
+// findings and builds nothing.
 func TestCLICacheWorkersColdWarmIdentity(t *testing.T) {
 	dir := t.TempDir()
 	corpusDir := filepath.Join(dir, "corpus")
@@ -184,6 +184,14 @@ func TestCLICacheWorkersColdWarmIdentity(t *testing.T) {
 	}
 	if c := cold.detectRaw; c["seal_pdg_builds_total"] == 0 || c["seal_pdg_ensure_calls_total"] == 0 {
 		t.Errorf("cold detect recorded no PDG work: %v", c)
+	}
+	for _, name := range []string{"seal_pdg_builds_total", "seal_pdg_ensure_calls_total"} {
+		if r, c := ref.detectRaw[name], cold.detectRaw[name]; r != c {
+			t.Errorf("%s: cold -workers 1 = %v, cold -workers 4 = %v", name, r, c)
+		}
+	}
+	if b := warm.detectRaw["seal_pdg_builds_total"]; b != 0 {
+		t.Errorf("warm detect built %v PDGs", b)
 	}
 }
 

@@ -627,9 +627,9 @@ func cmdDetect(args []string) error {
 		fmt.Fprintf(os.Stderr, "substrate: pdg builds=%d/%d calls, path cache hits=%d misses=%d (%.1f%%), index lookups=%d\n",
 			st.EnsureBuilds, st.EnsureCalls, st.PathCacheHits, st.PathCacheMisses,
 			100*st.PathHitRate(), st.IndexLookups)
-		if st.Truncations+st.QuarantinedUnits+st.DegradedUnits+st.RetriedUnits > 0 {
+		if st.Truncations+st.RetriedUnits > 0 || len(res.Failures)+len(res.Degraded) > 0 {
 			fmt.Fprintf(os.Stderr, "robustness: truncated enumerations=%d, quarantined=%d, degraded=%d, retried=%d\n",
-				st.Truncations, st.QuarantinedUnits, st.DegradedUnits, st.RetriedUnits)
+				st.Truncations, len(res.Failures), len(res.Degraded), st.RetriedUnits)
 		}
 	}
 	for _, d := range res.Degraded {

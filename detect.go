@@ -84,18 +84,24 @@ func DetectFiles(ctx context.Context, files map[string]string, specs []*Spec, op
 		}
 		return detect.NewShared(t.Prog), nil
 	}
-	return detectGroups(ctx, targetHash, acquire, specs, opts, nil, nil)
+	return detectGroups(ctx, targetHash, acquire, specs, opts, nil)
 }
 
 // Detect runs a budgeted, cached detection pinned to this resident
 // substrate (see DetectFiles). Groups resolve from the group memo first, so
 // a repeated request — or a request after a one-spec edit — replays every
 // unchanged group from memory; clean computed groups are written back to
-// the memo and, when configured, the persistent cache. Every computed
-// group's Stats are added to the resident's total (see Stats).
+// the memo and, when configured, the persistent cache. The run's Stats are
+// added to the resident's total (see Stats).
 func (r *Resident) Detect(ctx context.Context, specs []*Spec, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
 	acquire := func() (*detect.Shared, error) { return r.sh, nil }
-	return detectGroups(ctx, r.TargetHash, acquire, specs, opts, &r.memo, r.addStats)
+	res, gs, err := detectGroups(ctx, r.TargetHash, acquire, specs, opts, &r.memo)
+	if res != nil {
+		r.statsMu.Lock()
+		r.stats = r.stats.Merge(res.Stats)
+		r.statsMu.Unlock()
+	}
+	return res, gs, err
 }
 
 // detectGroups is the group scheduler. acquire is called at most once, and
@@ -103,9 +109,9 @@ func (r *Resident) Detect(ctx context.Context, specs []*Spec, opts DetectRunOpti
 // Group keys are hashed, and the memo consulted, serially in group order,
 // and only when there is a memo or a cache to consult; the groups the memo
 // missed are then looked up in the persistent cache on a pool of
-// GOMAXPROCS readers.
-// addStats, when non-nil, receives the Stats of every computed group.
-func detectGroups(ctx context.Context, targetHash string, acquire func() (*detect.Shared, error), specs []*Spec, opts DetectRunOptions, memo *sync.Map, addStats func(DetectStats)) (*DetectResult, GroupedStats, error) {
+// GOMAXPROCS readers. Replayed groups are Findings, so the result's Stats
+// and memo split are the work of the groups computed in this run.
+func detectGroups(ctx context.Context, targetHash string, acquire func() (*detect.Shared, error), specs []*Spec, opts DetectRunOptions, memo *sync.Map) (*DetectResult, GroupedStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -182,9 +188,6 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 			gi := missedAt[k]
 			outs[gi] = o
 			gs.Computed++
-			if addStats != nil {
-				addStats(o.Stats)
-			}
 			// Only full-fidelity groups are stored: a degraded or
 			// quarantined outcome must never poison a later full-budget run.
 			if len(o.Failures) > 0 || len(o.Degraded) > 0 || keys[gi] == "" {
@@ -192,9 +195,9 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 				continue
 			}
 			if memo != nil {
-				memo.Store(scopes[gi], memoEntry{keys[gi], o})
+				memo.Store(scopes[gi], memoEntry{keys[gi], o.Findings()})
 			}
-			pc.Put(cache.TierDetectGroup, keys[gi], o) // Outcome.MarshalBinary
+			pc.Put(cache.TierDetectGroup, keys[gi], o) // Outcome.MarshalBinary encodes o.Findings()
 		}
 	}
 
@@ -209,9 +212,9 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 	return res, gs, runErr
 }
 
-// memoEntry is a group memo value: the outcome computed for one group
-// key. The memo holds one entry per region-group scope, so a spec edit
-// replaces its group's old outcome instead of adding a new one beside it.
+// memoEntry is a group memo value: for one group key, the Findings a disk
+// hit decodes. The memo holds one entry per region-group scope, so a spec
+// edit replaces its group's old outcome instead of adding a new one.
 type memoEntry struct {
 	key string
 	o   *detect.Outcome

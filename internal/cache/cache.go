@@ -38,7 +38,7 @@ import (
 // produces it changes incompatibly: old entries become unreachable
 // (different keys) and unreadable (header check), both of which degrade to
 // misses.
-const SchemaVersion = 5
+const SchemaVersion = 6
 
 // subdir is the directory the cache owns under the user-supplied root.
 // Keeping our objects one level down makes Clear safe: it removes only
@@ -48,8 +48,8 @@ const subdir = "seal-analysis-cache"
 // Product tiers. Each tier invalidates independently: its keys hash
 // different inputs.
 const (
-	// TierInfer holds per-patch inference results (specs, stats, and the
-	// patch's solver work, so a replaying run's figures match a cold one).
+	// TierInfer holds per-patch inference results (specs, relation stats
+	// and the patch's solver check count).
 	TierInfer = "infer"
 	// TierDetectGroup holds per-region-group detection results, keyed over
 	// target + the group's own spec subset — editing one spec invalidates
@@ -83,6 +83,7 @@ type Stats struct {
 // the same cache with counters of its own.
 type Cache struct {
 	*disk
+	stamp time.Time // the mtime a bounded handle gives its entries (see OpenLimited)
 
 	hits, misses, writes, corrupt   atomic.Int64
 	readBytes, writeBytes, uncached atomic.Int64
@@ -113,9 +114,10 @@ func Open(dir string, readOnly bool) (*Cache, error) {
 
 // OpenLimited is Open with a total-size bound: whenever a write pushes the
 // stored entries past maxBytes, least-recently-used entries are evicted
-// until the cache fits. Recency is approximated by file modification time
-// — every verified hit refreshes its entry's mtime — because access times
-// are unreliable across platforms and noatime mounts. maxBytes <= 0 means
+// until the cache fits. Recency is the mtime (access times are unreliable
+// across platforms and noatime mounts), which a bounded handle sets to the
+// time it was made on every entry it hits or writes, so one run's entries
+// tie and fall by name whatever order its reads took. maxBytes <= 0 means
 // unbounded (plain Open).
 func OpenLimited(dir string, readOnly bool, maxBytes int64) (*Cache, error) {
 	if dir == "" {
@@ -130,7 +132,7 @@ func OpenLimited(dir string, readOnly bool, maxBytes int64) (*Cache, error) {
 	if maxBytes < 0 {
 		maxBytes = 0
 	}
-	return &Cache{disk: &disk{root: root, readOnly: readOnly, maxBytes: maxBytes, stored: -1}}, nil
+	return &Cache{disk: &disk{root: root, readOnly: readOnly, maxBytes: maxBytes, stored: -1}, stamp: time.Now()}, nil
 }
 
 // Clear removes every object the cache owns under dir (the cache's own
@@ -144,14 +146,14 @@ func Clear(dir string) error {
 
 // View returns another handle on c's cache — the same directory, mode and
 // size bound, and one running total for the bound across every view — with
-// counters that start at zero. A resident service takes one view per
-// request, so each request's figures are its own. The view of the nil
-// (disabled) cache is nil.
+// counters that start at zero and a recency stamp of its own. A resident
+// service takes one view per request, so each request's figures are its
+// own. The view of the nil (disabled) cache is nil.
 func (c *Cache) View() *Cache {
 	if c == nil {
 		return nil
 	}
-	return &Cache{disk: c.disk}
+	return &Cache{disk: c.disk, stamp: time.Now()}
 }
 
 // Enabled reports whether the cache is live.
@@ -217,10 +219,8 @@ func (c *Cache) Get(tier, key string, out any) bool {
 	}
 	c.hits.Add(1)
 	if c.maxBytes > 0 && !c.readOnly {
-		// Refresh the entry's mtime so the eviction pass sees it as
-		// recently used. Best-effort: a failed touch only skews LRU order.
-		now := time.Now()
-		_ = os.Chtimes(c.path(tier, key), now, now)
+		// Best-effort: a failed touch only skews LRU order.
+		_ = os.Chtimes(c.path(tier, key), c.stamp, c.stamp)
 	}
 	return true
 }
@@ -282,21 +282,22 @@ func (c *Cache) Put(tier, key string, val encoding.BinaryMarshaler) {
 	}
 	c.writes.Add(1)
 	c.writeBytes.Add(int64(len(data)))
-	c.evict(int64(len(data)))
+	c.evict(path, int64(len(data)))
 }
 
-// evict enforces the size bound after a write of the given size. The
-// cache's first write walks it; later writes, by any view, only add to the
-// running total (see stored), and walk again when it passes maxBytes. The
-// total never falls below the true size while this process is the only
-// writer (an overwrite counts in full), so a write that leaves it within the
-// bound is one after which a walk would evict nothing: the survivors are
-// those of a walk after every write. Writes by other processes are seen at
-// the next walk.
-func (c *Cache) evict(written int64) {
+// evict stamps the entry just written at path and enforces the size bound
+// after a write of the given size. The cache's first write walks it; later
+// writes, by any view, only add to the running total (see stored), and walk
+// again when it passes maxBytes. The total never falls below the true size
+// while this process is the only writer (an overwrite counts in full), so a
+// write that leaves it within the bound is one after which a walk would
+// evict nothing: the survivors are those of a walk after every write.
+// Writes by other processes are seen at the next walk.
+func (c *Cache) evict(path string, written int64) {
 	if c == nil || c.maxBytes <= 0 || c.readOnly {
 		return
 	}
+	_ = os.Chtimes(path, c.stamp, c.stamp)
 	c.evictMu.Lock()
 	defer c.evictMu.Unlock()
 	if c.stored >= 0 {
@@ -310,11 +311,11 @@ func (c *Cache) evict(written int64) {
 
 // sweep walks every stored entry, and while the total exceeds maxBytes
 // removes the least-recently-touched entries first (mtime ascending, path as
-// a deterministic tie-break); it returns the total left. The just-written
-// entry carries the newest mtime, so it is evicted last — a fresh write is
-// never sacrificed for stale neighbors. Races with concurrent readers are
-// benign: a reader either verified the entry before the unlink (hit) or
-// finds it gone (miss → recompute). The caller holds evictMu.
+// the tie-break); it returns the total left. The entries this handle hit or
+// wrote carry its stamp, newer than an earlier handle's, so a fresh write
+// is never sacrificed for stale neighbors. Races with concurrent readers
+// are benign: a reader either verified the entry before the unlink (hit)
+// or finds it gone (miss → recompute). The caller holds evictMu.
 func (c *Cache) sweep() int64 {
 	type entry struct {
 		path  string

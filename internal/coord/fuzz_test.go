@@ -67,9 +67,6 @@ func FuzzShardWire(f *testing.F) {
 		if lost < len(plan.Jobs[1].Groups) {
 			t.Fatalf("lost shard quarantined %d groups, owns %d", lost, len(plan.Jobs[1].Groups))
 		}
-		if res.Stats.QuarantinedUnits != int64(len(res.Failures)) {
-			t.Fatalf("stats quarantined=%d, failures=%d", res.Stats.QuarantinedUnits, len(res.Failures))
-		}
 		// Every merged bug ordinal was translated through the job's index
 		// map; anything the bounds check let through must be in range.
 		for _, r := range res.Recs {

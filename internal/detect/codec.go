@@ -14,12 +14,14 @@ import (
 //	uvarint len(Bugs)  | per bug:  13 × str (Key, SpecID, BugRec's strings),
 //	                               varint Ord, flags byte
 //	uvarint len(Units) | per unit: str ID, varint Specs, varint Bugs
-//	11 × varint Stats | 3 × varint Solver
+//	varint Solver.Checks
 //
 // A str is a uvarint: 0 for "", i for the table's i-th string. Flags bit 0
 // is Rec.TraceTruncated, bit 1 Rec.Trace2Truncated. The encoding is
-// deterministic. Only full-fidelity outcomes have a binary form, because
-// only those are ever cached: Failures and Degraded are not encoded.
+// deterministic, and it holds exactly Findings: Stats and the solver memo
+// split are not encoded. Only full-fidelity outcomes have a binary form,
+// because only those are ever cached: Failures and Degraded are not
+// encoded.
 
 var errOutcomeCodec = errors.New("detect: malformed binary outcome")
 
@@ -37,15 +39,6 @@ func (b *ShardBug) strs() [13]*string {
 	return [...]*string{&b.Key, &b.SpecID, &r.Kind, &r.Fn, &r.File, &r.Message,
 		&r.SpecConstraint, &r.SpecCond, &r.SpecScope, &r.SpecOriginPatch, &r.SpecOrigin,
 		&r.Trace, &r.Trace2}
-}
-
-// counters lists the outcome's Stats and Solver fields in encoding order.
-func (o *Outcome) counters() [14]*int64 {
-	s, t := &o.Stats, &o.Solver
-	return [...]*int64{&s.EnsureCalls, &s.EnsureBuilds, &s.PathCacheHits, &s.PathCacheMisses,
-		&s.IndexLookups, &s.PathEnumerations, &s.PDGBuildNanos, &s.Truncations,
-		&s.QuarantinedUnits, &s.DegradedUnits, &s.RetriedUnits,
-		&t.Checks, &t.MemoHits, &t.MemoMisses}
 }
 
 // MarshalBinary encodes a full-fidelity outcome; one with Failures or
@@ -77,9 +70,7 @@ func (o *Outcome) MarshalBinary() ([]byte, error) {
 		e.body = binary.AppendVarint(e.body, int64(u.Specs))
 		e.body = binary.AppendVarint(e.body, int64(u.Bugs))
 	}
-	for _, c := range o.counters() {
-		e.body = binary.AppendVarint(e.body, *c)
-	}
+	e.body = binary.AppendVarint(e.body, o.Solver.Checks)
 
 	out := binary.AppendUvarint(nil, uint64(len(e.strs)))
 	for _, s := range e.strs {
@@ -142,9 +133,7 @@ func (o *Outcome) UnmarshalBinary(data []byte) error {
 			u.Bugs = d.int()
 		}
 	}
-	for _, c := range out.counters() {
-		*c = d.varint()
-	}
+	out.Solver.Checks = d.varint()
 	if d.err != nil {
 		return d.err
 	}

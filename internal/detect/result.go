@@ -33,13 +33,21 @@ type Outcome struct {
 	// Degraded are the units that completed but with budget-truncated
 	// results (step/memory caps): their reports are kept, marked.
 	Degraded []budget.Degradation `json:"degraded,omitempty"`
-	// Stats are the substrate counters the groups' own detectors caused,
-	// plus their unit verdicts.
+	// Stats are the substrate counters the groups' own detectors caused in
+	// this run (see Stats); a replayed group's are zero.
 	Stats Stats `json:"stats"`
-	// Solver is the solver work the groups' units asked for. Intrinsic to
-	// each unit's work, so the sum is identical however the units are
-	// partitioned across workers, shards, or concurrent runs.
+	// Solver is the solver work the groups' units asked for. Checks is the
+	// same however units are partitioned and whatever ran before, so it is
+	// stored with the findings; the memo hit/miss split depends on the
+	// process-global memo, so it counts only units computed in this run.
 	Solver solver.Tally `json:"solver"`
+}
+
+// Findings is the part of o that is a function of its groups' cache key:
+// bugs, unit records and the solver check count. The persistent cache (the
+// binary form encodes exactly it) and the group memo store it.
+func (o *Outcome) Findings() *Outcome {
+	return &Outcome{Bugs: o.Bugs, Units: o.Units, Solver: solver.Tally{Checks: o.Solver.Checks}}
 }
 
 // Result is the outcome of a whole detection run: the merged outcome of

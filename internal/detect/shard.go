@@ -129,8 +129,7 @@ func (f *Fold) Add(specIdx []int, o *Outcome) int {
 }
 
 // Result finishes the merge: records deduplicated and sorted, units sorted
-// by ID, robustness records in global group order, and the run's unit
-// verdict counts.
+// by ID, and robustness records in global group order.
 func (f *Fold) Result() *Result {
 	res := f.res
 	res.Recs = MergeShardRecs(res.Bugs)
@@ -141,7 +140,5 @@ func (f *Fold) Result() *Result {
 	sort.SliceStable(res.Degraded, func(i, j int) bool {
 		return f.ord[res.Degraded[i].Unit] < f.ord[res.Degraded[j].Unit]
 	})
-	res.Stats.QuarantinedUnits = int64(len(res.Failures))
-	res.Stats.DegradedUnits = int64(len(res.Degraded))
 	return &res
 }

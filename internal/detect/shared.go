@@ -85,11 +85,13 @@ type regionCtx struct {
 	shape *shapeInfo
 }
 
-// Stats are detection's instrumentation counters. The substrate fields
-// are the work a unit's own detectors caused, charged where it happens
-// (the counting handles on the graph and index, and pathsFor), so a run's
-// figures are the Merge of its units' and nothing counts the substrate as
-// a whole. The unit fields describe the run's verdicts.
+// Stats are detection's instrumentation counters: the work a unit's own
+// detectors caused, charged where it happens (the counting handles on the
+// graph and index, and pathsFor), so a run's figures are the Merge of its
+// units' and nothing counts the substrate as a whole. They count only work
+// done in the run: how much a unit does depends on what the substrate
+// already held, so no cache entry or memo value stores them, and a replayed
+// group adds nothing.
 type Stats struct {
 	// EnsureCalls / EnsureBuilds mirror pdg.Stats: how often a function
 	// subgraph was requested vs actually constructed.
@@ -111,13 +113,10 @@ type Stats struct {
 	// depth cap or by a unit budget (never silent: each is also marked on
 	// the affected paths).
 	Truncations int64
-	// QuarantinedUnits / DegradedUnits / RetriedUnits describe a budgeted
-	// run (RunGroups): units isolated after a panic/deadline/error,
-	// units that completed with budget-truncated results, and units that
-	// were re-attempted with a halved budget.
-	QuarantinedUnits int64
-	DegradedUnits    int64
-	RetriedUnits     int64
+	// RetriedUnits counts the units of a budgeted run (RunGroups) that
+	// were re-attempted with a halved budget. Quarantined and degraded
+	// units are the lengths of Result.Failures and Result.Degraded.
+	RetriedUnits int64
 }
 
 // PathHitRate returns the fraction of path lookups served from cache.
@@ -144,8 +143,6 @@ func (s Stats) Merge(o Stats) Stats {
 		PathEnumerations: s.PathEnumerations + o.PathEnumerations,
 		PDGBuildNanos:    s.PDGBuildNanos + o.PDGBuildNanos,
 		Truncations:      s.Truncations + o.Truncations,
-		QuarantinedUnits: s.QuarantinedUnits + o.QuarantinedUnits,
-		DegradedUnits:    s.DegradedUnits + o.DegradedUnits,
 		RetriedUnits:     s.RetriedUnits + o.RetriedUnits,
 	}
 }

@@ -25,14 +25,14 @@ func TestStatsMerge(t *testing.T) {
 				PathCacheHits: 6, PathCacheMisses: 2,
 				IndexLookups: 5, PathEnumerations: 2,
 				PDGBuildNanos: 1e6, Truncations: 1,
-				QuarantinedUnits: 1, DegradedUnits: 2, RetriedUnits: 3,
+				RetriedUnits: 3,
 			},
 			want: Stats{
 				EnsureCalls: 10, EnsureBuilds: 3,
 				PathCacheHits: 6, PathCacheMisses: 2,
 				IndexLookups: 5, PathEnumerations: 2,
 				PDGBuildNanos: 1e6, Truncations: 1,
-				QuarantinedUnits: 1, DegradedUnits: 2, RetriedUnits: 3,
+				RetriedUnits: 3,
 			},
 			hitRate: 0.75,
 		},
@@ -41,20 +41,17 @@ func TestStatsMerge(t *testing.T) {
 			a: Stats{
 				EnsureCalls: 1, EnsureBuilds: 1, PathCacheHits: 1,
 				PathCacheMisses: 1, IndexLookups: 1, PathEnumerations: 1,
-				PDGBuildNanos: 1, Truncations: 1, QuarantinedUnits: 1,
-				DegradedUnits: 1, RetriedUnits: 1,
+				PDGBuildNanos: 1, Truncations: 1, RetriedUnits: 1,
 			},
 			b: Stats{
 				EnsureCalls: 2, EnsureBuilds: 3, PathCacheHits: 4,
 				PathCacheMisses: 5, IndexLookups: 6, PathEnumerations: 7,
-				PDGBuildNanos: 8, Truncations: 9, QuarantinedUnits: 10,
-				DegradedUnits: 11, RetriedUnits: 12,
+				PDGBuildNanos: 8, Truncations: 9, RetriedUnits: 12,
 			},
 			want: Stats{
 				EnsureCalls: 3, EnsureBuilds: 4, PathCacheHits: 5,
 				PathCacheMisses: 6, IndexLookups: 7, PathEnumerations: 8,
-				PDGBuildNanos: 9, Truncations: 10, QuarantinedUnits: 11,
-				DegradedUnits: 12, RetriedUnits: 13,
+				PDGBuildNanos: 9, Truncations: 10, RetriedUnits: 13,
 			},
 			hitRate: 5.0 / 11.0,
 		},

@@ -25,9 +25,9 @@ func TestFaultIsolation(t *testing.T) {
 		if !o.Ok() {
 			t.Errorf("seed %d (%dp/%ds):\n%s", cfg.Seed, cfg.NPanic, cfg.NStall, o.Report())
 		}
-		if o.Result != nil && o.Result.Stats.QuarantinedUnits != int64(cfg.NPanic+cfg.NStall) {
-			t.Errorf("seed %d: Stats.QuarantinedUnits = %d, want %d",
-				cfg.Seed, o.Result.Stats.QuarantinedUnits, cfg.NPanic+cfg.NStall)
+		if o.Result != nil && len(o.Result.Failures) != cfg.NPanic+cfg.NStall {
+			t.Errorf("seed %d: %d failure records, want %d",
+				cfg.Seed, len(o.Result.Failures), cfg.NPanic+cfg.NStall)
 		}
 		// The manifest must agree with the failure records (RunFaultCase
 		// already cross-checks unit-by-unit; this pins the headline count).

@@ -272,9 +272,9 @@ func RunShardFaultCase(seed int64, n, kill int) ([]Divergence, error) {
 				Ref: "non-empty loss reason", Got: "empty"})
 		}
 	}
-	if res.Stats.QuarantinedUnits != int64(len(lostOrder)) {
+	if len(res.Failures) != len(lostOrder) {
 		divs = append(divs, Divergence{Stage: "shard", Conf: "fault stats",
-			Ref: fmt.Sprintf("quarantined=%d", len(lostOrder)), Got: fmt.Sprintf("quarantined=%d", res.Stats.QuarantinedUnits)})
+			Ref: fmt.Sprintf("quarantined=%d", len(lostOrder)), Got: fmt.Sprintf("quarantined=%d", len(res.Failures))})
 	}
 	return divs, nil
 }

@@ -236,9 +236,9 @@ func (r *Recorder) ReplayUnit(u UnitManifest) {
 // than one worker two isomorphic regions can both miss) and on a resident
 // substrate keeping its regions and paths across requests, the
 // persistent-cache counters, which depend on cache temperature (cold vs
-// warm), and the index-lookup counter, which a resident substrate's kept
-// regions skip. Everything else — unit identities, outcomes, reasons,
-// spec/bug counts, stage structure, PDG build counters — is preserved,
+// warm), and the index-lookup and PDG counters, which kept substrates and
+// replayed groups skip. Everything else — unit identities, outcomes,
+// reasons, spec/bug counts, stage structure, solver checks — is preserved,
 // which is exactly the set that must be deterministic across worker
 // counts AND across cold/warm runs of the same inputs.
 func (m *Manifest) Redact() *Manifest {
@@ -309,8 +309,9 @@ func (m *Manifest) RedactSubstrate() *Manifest {
 // (cross-worker racing), the in-run path-cache family (canonical-shape
 // reuse is not single-flight, so with more than one worker two isomorphic
 // regions can both miss, and a resident substrate keeps its paths across
-// requests), and index lookups (a resident substrate keeps its region
-// closures across requests, so later runs skip their index queries).
+// requests), and index lookups and PDG ensure calls and builds (a resident
+// substrate keeps its region closures and subgraphs across requests, and a
+// warm run replays groups without either).
 func VolatileMetric(name string) bool {
 	if containsSeconds(name) {
 		return true
@@ -321,7 +322,8 @@ func VolatileMetric(name string) bool {
 	switch name {
 	case "seal_path_cache_hits_total", "seal_path_cache_misses_total",
 		"seal_path_cache_hit_ratio", "seal_path_enumerations_total",
-		"seal_index_lookups_total", "seal_truncations_total":
+		"seal_index_lookups_total", "seal_truncations_total",
+		"seal_pdg_ensure_calls_total", "seal_pdg_builds_total":
 		return true
 	}
 	return false

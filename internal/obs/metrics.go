@@ -275,10 +275,9 @@ func writeHeader(w io.Writer, name, help, typ string) error {
 
 // RedactTimings normalizes a Prometheus text export for golden
 // comparison: every sample of a volatile metric (durations, persistent
-// cache counters, solver-memo counters, the in-run path-cache family —
-// see VolatileMetric) has its value replaced with 0. Comments, metric
-// names, and bucket labels are preserved, so a redacted export still pins
-// the full metric structure.
+// cache, solver-memo, path-cache and PDG counters — see VolatileMetric)
+// has its value replaced with 0. Comments, metric names, and bucket labels
+// are preserved, so a redacted export still pins the full metric structure.
 func RedactTimings(prom string) string {
 	return redactMetrics(prom, VolatileMetric)
 }
@@ -287,8 +286,9 @@ func RedactTimings(prom string) string {
 // counters: PDG ensure/build figures depend on how region groups were
 // arranged over substrates (one shared graph, or one private graph per
 // shard worker — a function reachable from groups on two shards is built
-// twice), so comparisons across those arrangements zero them too. It is
-// the metrics-text counterpart of Manifest.RedactSubstrate.
+// twice), so comparisons across those arrangements zero them too (they are
+// volatile as well). It is the metrics-text counterpart of
+// Manifest.RedactSubstrate.
 func RedactSubstrateTimings(prom string) string {
 	return redactMetrics(prom, func(name string) bool {
 		return VolatileMetric(name) || SubstrateMetric(name)

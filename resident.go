@@ -34,9 +34,8 @@ type Resident struct {
 	// quarantined outcomes are never stored.
 	memo sync.Map // scope -> memoEntry
 
-	// stats is the sum of every computed group's Outcome.Stats: the
-	// substrate work this resident's detections caused (replayed groups
-	// add nothing).
+	// stats is the sum of every run's Stats: the substrate work this
+	// resident's detections caused (replayed groups add nothing).
 	statsMu sync.Mutex
 	stats   DetectStats
 }
@@ -72,13 +71,6 @@ func (r *Resident) Stats() DetectStats {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
 	return r.stats
-}
-
-// addStats charges one computed group's work to the resident's total.
-func (r *Resident) addStats(st DetectStats) {
-	r.statsMu.Lock()
-	r.stats = r.stats.Merge(st)
-	r.statsMu.Unlock()
 }
 
 // MemoEntries reports how many region-group outcomes the group memo holds.

@@ -59,11 +59,12 @@ func TestResidentStatsCountsComputedGroups(t *testing.T) {
 	}
 
 	// One-spec edit: only the edited spec's group recomputes, and the
-	// total grows by exactly that group's Outcome.Stats.
+	// total grows by exactly that run's Stats, the group's work.
 	edited := *specs[0]
 	edited.OriginPatch += "-edited"
 	next := append([]*Spec{&edited}, specs[1:]...)
-	if _, gs, err = r.Detect(ctx, next, opts); err != nil {
+	res, gs, err = r.Detect(ctx, next, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if gs.Computed != 1 {
@@ -79,7 +80,7 @@ func TestResidentStatsCountsComputedGroups(t *testing.T) {
 	if !ok || v.(memoEntry).key != detectGroupKey(r.TargetHash, edited.Scope(), SpecSetHash(subset), opts.Limits) {
 		t.Fatal("recomputed group is not in the memo")
 	}
-	group := v.(memoEntry).o.Stats
+	group := res.Stats
 	if group.EnsureCalls == 0 {
 		t.Fatalf("recomputed group charged no PDG work: %+v", group)
 	}
