@@ -58,14 +58,16 @@ func Build(prog *ir.Program) *Graph {
 		}
 	}
 	for _, fn := range prog.FuncList {
-		for _, s := range fn.Stmts() {
-			if s.Kind != ir.StCall {
-				continue
-			}
-			targets := g.resolve(fn, s)
-			g.Callees[s] = targets
-			for _, t := range targets {
-				g.CallerSites[t] = append(g.CallerSites[t], s)
+		for _, b := range fn.Blocks {
+			for _, s := range b.Stmts {
+				if s.Kind != ir.StCall {
+					continue
+				}
+				targets := g.resolve(fn, s)
+				g.Callees[s] = targets
+				for _, t := range targets {
+					g.CallerSites[t] = append(g.CallerSites[t], s)
+				}
 			}
 		}
 	}

@@ -2,8 +2,10 @@ package cir
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // LexError describes a lexical error with position information.
@@ -27,6 +29,8 @@ type Lexer struct {
 	pos  int
 	line int
 	col  int
+	// start is the source offset of the last token Next returned.
+	start int
 }
 
 // NewLexer returns a lexer over src.
@@ -37,19 +41,76 @@ func NewLexer(src string) *Lexer {
 // Lex tokenizes the entire input. On error it returns the tokens produced
 // so far along with the error.
 func Lex(src string) ([]Token, error) {
-	l := NewLexer(src)
+	var ts tokens
+	err := ts.lex(nil, src)
+	toks := make([]Token, len(ts.toks))
+	for i := range toks {
+		toks[i] = ts.at(i)
+	}
+	return toks, err
+}
+
+// tok is a token as ParseFile's reused buffer holds it. It has no
+// pointers: its text is src[off:off+n] when the source spells it, and
+// texts[-n-1] otherwise (decoded string and char literals, #define
+// bodies). So the garbage collector never scans a token buffer, and a
+// pooled buffer keeps no source file alive.
+type tok struct {
+	kind      TokKind
+	off, n    int
+	val       int64
+	line, col int
+}
+
+// tokens is one file's token buffer plus the texts the source does not
+// spell.
+type tokens struct {
+	src   string
+	toks  []tok
+	texts []string
+}
+
+// tokenBufs recycles ParseFile's token buffers: the tokens are garbage
+// once the file is parsed, and a fresh buffer per file was the largest
+// allocation of a cold run. sync.Pool drops idle buffers at GC, so a
+// long-running process does not keep them.
+var tokenBufs = sync.Pool{New: func() any { return new([]tok) }}
+
+// lex tokenizes the whole of src into toks[:0], growing it as needed; on
+// error ts.toks holds the tokens before it. ParseFile lexes before it
+// parses, so a lex error wins over a parse error earlier in the file.
+func (ts *tokens) lex(toks []tok, src string) error {
+	ts.src = src
 	// Kernel C averages about 4.4 source bytes per token.
-	toks := make([]Token, 0, len(src)/4+1)
+	ts.toks = slices.Grow(toks[:0], len(src)/4+1)
+	l := NewLexer(src)
 	for {
 		t, err := l.Next()
 		if err != nil {
-			return toks, err
+			return err
 		}
-		toks = append(toks, t)
+		k := tok{kind: t.Kind, off: l.start, n: len(t.Text), val: t.Val, line: t.Line, col: t.Col}
+		if t.Text != "" && (l.start+len(t.Text) > len(src) || src[l.start:l.start+len(t.Text)] != t.Text) {
+			ts.texts = append(ts.texts, t.Text)
+			k.n = -len(ts.texts)
+		}
+		ts.toks = append(ts.toks, k)
 		if t.Kind == TokEOF {
-			return toks, nil
+			return nil
 		}
 	}
+}
+
+// at returns token i in its public form.
+func (ts *tokens) at(i int) Token {
+	k := &ts.toks[i]
+	t := Token{Kind: k.kind, Val: k.val, Line: k.line, Col: k.col}
+	if k.n >= 0 {
+		t.Text = ts.src[k.off : k.off+k.n]
+	} else {
+		t.Text = ts.texts[-k.n-1]
+	}
+	return t
 }
 
 func (l *Lexer) peekByte() byte {
@@ -132,6 +193,7 @@ func (l *Lexer) Next() (Token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return Token{}, err
 	}
+	l.start = l.pos
 	if l.pos >= len(l.src) {
 		return Token{Kind: TokEOF, Line: l.line, Col: l.col}, nil
 	}

@@ -44,7 +44,7 @@ var BuiltinDefines = map[string]int64{
 // Parser is a recursive-descent parser for the kernel-C dialect.
 type Parser struct {
 	fileName string
-	toks     []Token
+	toks     tokens
 	pos      int
 	structs  map[string]*StructDef
 	defines  map[string]int64
@@ -52,15 +52,23 @@ type Parser struct {
 
 // ParseFile parses a full translation unit.
 func ParseFile(name, src string) (*File, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
+	buf := tokenBufs.Get().(*[]tok)
+	defer tokenBufs.Put(buf)
+	return parseFile(name, src, buf)
+}
+
+// parseFile is ParseFile lexing into *buf, which it leaves holding the
+// (possibly grown) buffer for the next file.
+func parseFile(name, src string, buf *[]tok) (*File, error) {
 	p := &Parser{
 		fileName: name,
-		toks:     toks,
 		structs:  make(map[string]*StructDef),
 		defines:  make(map[string]int64),
+	}
+	err := p.toks.lex(*buf, src)
+	*buf = p.toks.toks[:0]
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	for k, v := range BuiltinDefines {
 		p.defines[k] = v
@@ -94,24 +102,24 @@ func MustParseFile(name, src string) *File {
 	return f
 }
 
-func (p *Parser) cur() Token        { return p.toks[p.pos] }
-func (p *Parser) at(k TokKind) bool { return p.toks[p.pos].Kind == k }
+func (p *Parser) cur() Token        { return p.toks.at(p.pos) }
+func (p *Parser) at(k TokKind) bool { return p.toks.toks[p.pos].kind == k }
 func (p *Parser) atAny(ks ...TokKind) bool {
 	for _, k := range ks {
-		if p.toks[p.pos].Kind == k {
+		if p.toks.toks[p.pos].kind == k {
 			return true
 		}
 	}
 	return false
 }
 func (p *Parser) peek(n int) Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+	if p.pos+n >= len(p.toks.toks) {
+		return p.toks.at(len(p.toks.toks) - 1)
 	}
-	return p.toks[p.pos+n]
+	return p.toks.at(p.pos + n)
 }
 func (p *Parser) next() Token {
-	t := p.toks[p.pos]
+	t := p.toks.at(p.pos)
 	if t.Kind != TokEOF {
 		p.pos++
 	}
@@ -576,7 +584,7 @@ func (p *Parser) parseFuncRest(f *File, name string, ret *Type, pos Pos, static 
 		return err
 	}
 	fd.Body = body
-	fd.EndPos = p.posOf(p.toks[p.pos-1])
+	fd.EndPos = p.posOf(p.toks.at(p.pos - 1))
 	f.Funcs = append(f.Funcs, fd)
 	return nil
 }

@@ -2,6 +2,7 @@ package cir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -120,34 +121,52 @@ func (t *Type) IsFuncPtr() bool {
 
 // String renders the type in C-ish syntax.
 func (t *Type) String() string {
-	if t == nil {
+	switch {
+	case t == nil:
 		return "<nil>"
+	case t.Kind == TypeVoid:
+		return "void"
+	case t.Kind == TypeInt && t.Name != "":
+		return t.Name
+	}
+	var buf [64]byte
+	return string(t.AppendString(buf[:0]))
+}
+
+// AppendString appends t.String() to b.
+func (t *Type) AppendString(b []byte) []byte {
+	if t == nil {
+		return append(b, "<nil>"...)
 	}
 	switch t.Kind {
 	case TypeVoid:
-		return "void"
+		return append(b, "void"...)
 	case TypeInt:
 		if t.Name != "" {
-			return t.Name
+			return append(b, t.Name...)
 		}
-		return fmt.Sprintf("int%d", t.Size*8)
+		return strconv.AppendInt(append(b, "int"...), int64(t.Size*8), 10)
 	case TypePtr:
-		return t.Elem.String() + " *"
+		return append(t.Elem.AppendString(b), " *"...)
 	case TypeArray:
-		return fmt.Sprintf("%s[%d]", t.Elem.String(), t.Len)
+		b = append(t.Elem.AppendString(b), '[')
+		return append(strconv.AppendInt(b, int64(t.Len), 10), ']')
 	case TypeStruct:
 		if t.Struct != nil {
-			return "struct " + t.Struct.Name
+			return append(append(b, "struct "...), t.Struct.Name...)
 		}
-		return "struct <anon>"
+		return append(b, "struct <anon>"...)
 	case TypeFunc:
-		var ps []string
-		for _, p := range t.Sig.Params {
-			ps = append(ps, p.String())
+		b = append(t.Sig.Ret.AppendString(b), " (*)("...)
+		for i, p := range t.Sig.Params {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = p.AppendString(b)
 		}
-		return fmt.Sprintf("%s (*)(%s)", t.Sig.Ret, strings.Join(ps, ", "))
+		return append(b, ')')
 	}
-	return "<bad type>"
+	return append(b, "<bad type>"...)
 }
 
 // Layout (re)computes the byte offsets of all fields. Fields are laid out

@@ -265,10 +265,15 @@ func post(ctx context.Context, client *http.Client, addr string, body []byte, sh
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
+	// Read as io.ReadAll would, into a pooled buffer: the body is garbage
+	// once decoded (the decoded result copies every string out of it).
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, 64<<20)); err != nil {
 		return nil, err
 	}
+	data := buf.Bytes()
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, errSnippet(data))
 	}
@@ -281,6 +286,10 @@ func post(ctx context.Context, client *http.Client, addr string, body []byte, sh
 	}
 	return &sr, nil
 }
+
+// bodyBufs recycles the buffers post reads shard results into. They hold
+// no pointers, and sync.Pool drops idle ones at GC.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // errSnippet extracts the structured error message from a worker's JSON
 // error envelope, falling back to a truncated raw body.

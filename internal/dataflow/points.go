@@ -6,8 +6,9 @@
 package dataflow
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -68,9 +69,10 @@ func (s CellSet) add(c Cell) bool {
 	return true
 }
 
-func (s CellSet) addAll(o CellSet) bool {
+// addCells adds every cell of cs and reports whether s changed.
+func (s CellSet) addCells(cs []Cell) bool {
 	changed := false
-	for c := range o {
+	for _, c := range cs {
 		if s.add(c) {
 			changed = true
 		}
@@ -78,20 +80,35 @@ func (s CellSet) addAll(o CellSet) bool {
 	return changed
 }
 
-// Slice returns the cells in deterministic order.
-func (s CellSet) Slice() []Cell {
-	out := make([]Cell, 0, len(s))
+// appendTo appends the cells of s to dst, in map order.
+func (s CellSet) appendTo(dst []Cell) []Cell {
 	for c := range s {
-		out = append(out, c)
+		dst = append(dst, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Obj.ID != out[j].Obj.ID {
-			return out[i].Obj.ID < out[j].Obj.ID
-		}
-		return out[i].Off < out[j].Off
-	})
-	return out
+	return dst
 }
+
+// sortCells sorts cs by object ID, then offset, and drops duplicates in
+// place: the deterministic order of resolved cells. Object IDs are unique
+// within a PointsTo.
+func sortCells(cs []Cell) []Cell {
+	if len(cs) < 2 {
+		return cs
+	}
+	slices.SortFunc(cs, func(a, b Cell) int {
+		if a.Obj.ID != b.Obj.ID {
+			return cmp.Compare(a.Obj.ID, b.Obj.ID)
+		}
+		return cmp.Compare(a.Off, b.Off)
+	})
+	return slices.Compact(cs)
+}
+
+// cellBuf is the stack array behind a query's or a transfer function's
+// working cell list. The cells one access path denotes rarely outnumber
+// it, so resolving a path allocates nothing; a longer list moves to the
+// heap by append.
+type cellBuf [8]Cell
 
 // PointsTo is the whole-program points-to solution.
 type PointsTo struct {
@@ -295,11 +312,9 @@ func (pt *PointsTo) transfer(fn *ir.Func, s *ir.Stmt) bool {
 		if !ok {
 			return false
 		}
-		src := pt.evalPtr(fn, s.RHS)
-		if len(src) == 0 {
-			return false
-		}
-		return pt.storeTo(fn, lv, src)
+		var buf cellBuf
+		src := pt.evalPtr(fn, s.RHS, buf[:0])
+		return len(src) > 0 && pt.storeTo(fn, lv, src)
 	case ir.StCall:
 		changed := false
 		// Result binding.
@@ -308,20 +323,23 @@ func (pt *PointsTo) transfer(fn *ir.Func, s *ir.Stmt) bool {
 			if ok {
 				if callee, isDef := pt.prog.Funcs[s.Callee]; isDef && s.Callee != "" {
 					// Link all returned pointer values.
-					for _, ret := range callee.ReturnStmts() {
-						if ret.X == nil {
-							continue
-						}
-						src := pt.evalPtr(callee, ret.X)
-						if pt.storeTo(fn, lv, src) {
-							changed = true
+					var buf cellBuf
+					src := buf[:0]
+					for _, b := range callee.Blocks {
+						for _, ret := range b.Stmts {
+							if ret.Kind != ir.StReturn || ret.X == nil {
+								continue
+							}
+							src = pt.evalPtr(callee, ret.X, src[:0])
+							if pt.storeTo(fn, lv, src) {
+								changed = true
+							}
 						}
 					}
 				} else if retTypeIsPtr(pt.prog, s) {
 					// External pointer-returning API: allocation site.
-					src := make(CellSet)
-					src.add(Cell{Obj: pt.heapOf(s)})
-					if pt.storeTo(fn, lv, src) {
+					src := [1]Cell{{Obj: pt.heapOf(s)}}
+					if pt.storeTo(fn, lv, src[:]) {
 						changed = true
 					}
 				}
@@ -329,6 +347,8 @@ func (pt *PointsTo) transfer(fn *ir.Func, s *ir.Stmt) bool {
 		}
 		// Parameter binding for defined callees.
 		if callee, isDef := pt.prog.Funcs[s.Callee]; isDef && s.Callee != "" {
+			var buf cellBuf
+			src := buf[:0]
 			for i, arg := range s.Args {
 				if i >= len(callee.Params) {
 					break
@@ -337,12 +357,12 @@ func (pt *PointsTo) transfer(fn *ir.Func, s *ir.Stmt) bool {
 				if !formal.Type.IsPtr() {
 					continue
 				}
-				src := pt.evalPtr(fn, arg)
+				src = pt.evalPtr(fn, arg, src[:0])
 				if len(src) == 0 {
 					continue
 				}
 				dst := pt.get(Cell{Obj: pt.objOfVar(formal)})
-				if dst.addAll(src) {
+				if dst.addCells(src) {
 					changed = true
 				}
 			}
@@ -363,124 +383,140 @@ func retTypeIsPtr(prog *ir.Program, s *ir.Stmt) bool {
 }
 
 // storeTo unions src into the cells addressed by lv.
-func (pt *PointsTo) storeTo(fn *ir.Func, lv ir.Loc, src CellSet) bool {
-	cells := pt.cellsOfLoc(fn, lv)
+func (pt *PointsTo) storeTo(fn *ir.Func, lv ir.Loc, src []Cell) bool {
+	var buf cellBuf
 	changed := false
-	for c := range cells {
-		if pt.get(c).addAll(src) {
+	for _, c := range pt.resolveLoc(fn, lv, buf[:0]) {
+		if pt.get(c).addCells(src) {
 			changed = true
 		}
 	}
 	return changed
 }
 
-// cellsOfLoc resolves an access path to the set of cells it denotes.
+// cellsOfLoc resolves an access path to the set of cells it denotes: the
+// set form of resolveLoc, which the reference alias oracle queries.
 func (pt *PointsTo) cellsOfLoc(fn *ir.Func, l ir.Loc) CellSet {
-	cur := make(CellSet)
-	cur.add(Cell{Obj: pt.objOfVar(l.Base)})
+	out := make(CellSet)
+	for _, c := range pt.resolveLoc(fn, l, nil) {
+		out.add(c)
+	}
+	return out
+}
+
+// resolveLoc appends the cells an access path denotes to dst, sorted by
+// object ID and offset, without duplicates. Each step reads the previous
+// step's cells from one stack list and writes the next.
+func (pt *PointsTo) resolveLoc(fn *ir.Func, l ir.Loc, dst []Cell) []Cell {
+	base := Cell{Obj: pt.objOfVar(l.Base)}
+	if len(l.Path) == 0 {
+		pt.noteCell(base)
+		return append(dst, base)
+	}
+	var bc, bn cellBuf
+	cur, next := append(bc[:0], base), bn[:0]
 	for _, st := range l.Path {
-		next := make(CellSet)
+		next = next[:0]
 		switch st.Kind {
 		case ir.StepOff:
-			for c := range cur {
+			for _, c := range cur {
 				off := c.Off
 				if off == ir.AnyOff || st.Off == ir.AnyOff {
 					off = ir.AnyOff
 				} else {
 					off += st.Off
 				}
-				next.add(Cell{Obj: c.Obj, Off: off})
+				next = append(next, Cell{Obj: c.Obj, Off: off})
 			}
 		case ir.StepDeref:
-			for c := range cur {
-				next.addAll(pt.lookup(c))
+			for _, c := range cur {
+				next = pt.lookup(c, next)
 			}
 		}
-		cur = next
+		cur, next = sortCells(next), cur
 	}
-	for c := range cur {
+	for _, c := range cur {
 		pt.noteCell(c)
 	}
-	return cur
+	return append(dst, cur...)
 }
 
-// lookup reads pts at a cell, expanding AnyOff wildcards in both directions.
-func (pt *PointsTo) lookup(c Cell) CellSet {
-	out := make(CellSet)
-	out.addAll(pt.get(c))
+// lookup appends the pts of a cell to dst, expanding AnyOff wildcards in
+// both directions. The appended cells may repeat.
+func (pt *PointsTo) lookup(c Cell, dst []Cell) []Cell {
+	dst = pt.get(c).appendTo(dst)
 	if c.Off == ir.AnyOff {
 		// Summary read: union over all recorded offsets of the object.
 		for off := range pt.cellIndex[c.Obj.ID] {
 			if off == ir.AnyOff {
 				continue
 			}
-			out.addAll(pt.get(Cell{Obj: c.Obj, Off: off}))
+			dst = pt.get(Cell{Obj: c.Obj, Off: off}).appendTo(dst)
 		}
 	} else {
 		// A concrete read also sees the object's summary cell.
-		out.addAll(pt.get(Cell{Obj: c.Obj, Off: ir.AnyOff}))
+		dst = pt.get(Cell{Obj: c.Obj, Off: ir.AnyOff}).appendTo(dst)
 	}
-	return out
+	return dst
 }
 
-// evalPtr computes the cells a pointer-valued expression may hold.
-func (pt *PointsTo) evalPtr(fn *ir.Func, e cir.Expr) CellSet {
-	out := make(CellSet)
+// evalPtr appends the cells a pointer-valued expression may hold to dst.
+// The appended cells may repeat.
+func (pt *PointsTo) evalPtr(fn *ir.Func, e cir.Expr, dst []Cell) []Cell {
 	switch x := e.(type) {
 	case nil:
-		return out
+		return dst
 	case *cir.Ident:
 		if v := fn.VarByName(x.Name); v != nil {
-			out.addAll(pt.lookup(Cell{Obj: pt.objOfVar(v)}))
+			dst = pt.lookup(Cell{Obj: pt.objOfVar(v)}, dst)
 		}
-		return out
+		return dst
 	case *cir.UnaryExpr:
 		if x.Op == cir.TokAmp {
 			// Address-of: the cells of the lvalue path themselves.
 			if lv, _, ok := fn.LvalLoc(x.X); ok {
-				return pt.cellsOfLoc(fn, lv)
+				return pt.resolveLoc(fn, lv, dst)
 			}
-			return out
+			return dst
 		}
 		if x.Op == cir.TokStar {
 			if lv, _, ok := fn.LvalLoc(x); ok {
-				return pt.readLoc(fn, lv)
+				return pt.readLoc(fn, lv, dst)
 			}
 		}
-		return pt.evalPtr(fn, x.X)
+		return pt.evalPtr(fn, x.X, dst)
 	case *cir.FieldExpr, *cir.IndexExpr:
 		if lv, _, ok := fn.LvalLoc(e); ok {
-			return pt.readLoc(fn, lv)
+			return pt.readLoc(fn, lv, dst)
 		}
-		return out
+		return dst
 	case *cir.CastExpr:
-		return pt.evalPtr(fn, x.X)
+		return pt.evalPtr(fn, x.X, dst)
 	case *cir.CondExpr:
-		out.addAll(pt.evalPtr(fn, x.Then))
-		out.addAll(pt.evalPtr(fn, x.Else))
-		return out
+		return pt.evalPtr(fn, x.Else, pt.evalPtr(fn, x.Then, dst))
 	case *cir.BinaryExpr:
 		// Pointer arithmetic: propagate base pointers.
-		out.addAll(pt.evalPtr(fn, x.X))
-		out.addAll(pt.evalPtr(fn, x.Y))
-		return out
+		return pt.evalPtr(fn, x.Y, pt.evalPtr(fn, x.X, dst))
 	}
-	return out
+	return dst
 }
 
-// readLoc reads the pointer value stored at an access path.
-func (pt *PointsTo) readLoc(fn *ir.Func, l ir.Loc) CellSet {
-	cells := pt.cellsOfLoc(fn, l)
-	out := make(CellSet)
-	for c := range cells {
-		out.addAll(pt.lookup(c))
+// readLoc appends the pointer values stored at an access path to dst.
+func (pt *PointsTo) readLoc(fn *ir.Func, l ir.Loc, dst []Cell) []Cell {
+	var buf cellBuf
+	for _, c := range pt.resolveLoc(fn, l, buf[:0]) {
+		dst = pt.lookup(c, dst)
 	}
-	return out
+	return dst
 }
 
 // CellsOf exposes access-path resolution for other analyses.
 func (pt *PointsTo) CellsOf(fn *ir.Func, l ir.Loc) []Cell {
-	return pt.cellsOfLoc(fn, l).Slice()
+	var buf cellBuf
+	cells := pt.resolveLoc(fn, l, buf[:0])
+	out := make([]Cell, len(cells))
+	copy(out, cells)
+	return out
 }
 
 // overlaps reports whether two resolved access paths (CellsOf) may denote
@@ -513,9 +549,8 @@ func (pt *PointsTo) PointeeString(fn *ir.Func, name string) string {
 	if v == nil {
 		return "<unknown var>"
 	}
-	cells := pt.lookup(Cell{Obj: pt.objOfVar(v)})
 	var parts []string
-	for _, c := range cells.Slice() {
+	for _, c := range sortCells(pt.lookup(Cell{Obj: pt.objOfVar(v)}, nil)) {
 		parts = append(parts, c.String())
 	}
 	return strings.Join(parts, ", ")

@@ -107,7 +107,11 @@ type DefLoc struct {
 // paper §7) and parameter pointee initialization at parameter-definition
 // nodes.
 func EffectiveDefsFlagged(fn *ir.Func, s *ir.Stmt) []DefLoc {
-	var out []DefLoc
+	return appendEffectiveDefs(nil, fn, s)
+}
+
+// appendEffectiveDefs appends EffectiveDefsFlagged(fn, s) to out.
+func appendEffectiveDefs(out []DefLoc, fn *ir.Func, s *ir.Stmt) []DefLoc {
 	for _, l := range s.Defs {
 		out = append(out, DefLoc{Loc: l})
 	}
@@ -129,7 +133,8 @@ func EffectiveDefsFlagged(fn *ir.Func, s *ir.Stmt) []DefLoc {
 
 // EffectiveDefs returns just the locations of EffectiveDefsFlagged.
 func EffectiveDefs(fn *ir.Func, s *ir.Stmt) []ir.Loc {
-	flagged := EffectiveDefsFlagged(fn, s)
+	var buf [4]DefLoc
+	flagged := appendEffectiveDefs(buf[:0], fn, s)
 	out := make([]ir.Loc, len(flagged))
 	for i, d := range flagged {
 		out[i] = d.Loc
@@ -138,9 +143,10 @@ func EffectiveDefs(fn *ir.Func, s *ir.Stmt) []ir.Loc {
 }
 
 // EffectiveUses returns the locations a statement may read, including
-// callee reads through pointer arguments.
+// callee reads through pointer arguments. The result may share s.Uses:
+// callers must not modify it (appending is safe).
 func EffectiveUses(fn *ir.Func, s *ir.Stmt) []ir.Loc {
-	out := append([]ir.Loc{}, s.Uses...)
+	out := s.Uses[:len(s.Uses):len(s.Uses)]
 	if s.Kind == ir.StCall {
 		for _, a := range s.Args {
 			if pl, ok := pointeeLoc(fn, a); ok {
@@ -160,14 +166,17 @@ func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 	// Enumerate all defs, statement by statement in block order: the defs
 	// of the k-th statement are defs[defStart[k]:defStart[k+1]], and the
 	// statements of block b start at ordinal stmtStart[b.ID].
-	var defs []flowDef
+	ns := fn.NumStmts()
+	defs := make([]flowDef, 0, ns) // most statements define one loc
 	stmtStart := make([]int, len(fn.Blocks)+1)
-	var defStart []int32
+	defStart := make([]int32, 0, ns+1)
+	var dls []DefLoc // one statement's defs, reused
 	for _, b := range fn.Blocks {
 		stmtStart[b.ID] = len(defStart)
 		for _, s := range b.Stmts {
 			defStart = append(defStart, int32(len(defs)))
-			for _, dl := range EffectiveDefsFlagged(fn, s) {
+			dls = appendEffectiveDefs(dls[:0], fn, s)
+			for _, dl := range dls {
 				defs = append(defs, flowDef{stmt: s, loc: dl.Loc, strong: isStrong(dl.Loc), effect: dl.Effect})
 			}
 		}
@@ -215,16 +224,17 @@ func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 		return back[b.ID*words : (b.ID+1)*words : (b.ID+1)*words]
 	}
 	// Worklist iteration to the least fixpoint (independent of visit
-	// order: OUT sets only grow).
+	// order: OUT sets only grow). The queue is a ring over work's nb
+	// slots: a block is queued at most once, so it never holds more.
 	work := append(make([]*ir.Block, 0, nb), fn.Blocks...)
 	queued := make([]bool, nb)
 	for i := range queued {
 		queued[i] = true
 	}
 	ob := make([]uint64, words)
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
+	for head, size := 0, nb; size > 0; size-- {
+		b := work[head]
+		head = (head + 1) % nb
 		queued[b.ID] = false
 		ib := row(inBack, b)
 		clear(ib)
@@ -239,7 +249,8 @@ func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 			for _, sc := range b.Succs {
 				if !queued[sc.ID] {
 					queued[sc.ID] = true
-					work = append(work, sc)
+					work[(head+size-1)%nb] = sc
+					size++
 				}
 			}
 		}
@@ -357,13 +368,13 @@ type flowAliases struct {
 	paths map[*ir.Var][]resolvedLoc
 }
 
+func newFlowAliases(fn *ir.Func, pts *PointsTo, nDefs int) *flowAliases {
+	return &flowAliases{fn: fn, pts: pts, defs: make([][]Cell, nDefs), paths: make(map[*ir.Var][]resolvedLoc)}
+}
+
 type resolvedLoc struct {
 	loc   ir.Loc
 	cells []Cell
-}
-
-func newFlowAliases(fn *ir.Func, pts *PointsTo, nDefs int) *flowAliases {
-	return &flowAliases{fn: fn, pts: pts, defs: make([][]Cell, nDefs), paths: make(map[*ir.Var][]resolvedLoc)}
 }
 
 func (fa *flowAliases) defCells(j int, l ir.Loc) []Cell {

@@ -1,9 +1,8 @@
 package detect
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"seal/internal/cir"
 	"seal/internal/ir"
@@ -56,17 +55,18 @@ type canonEntry struct {
 }
 
 // shapeOf interns the canonical shape of a region closure. Called once
-// per region from region() (under regionMu); the serialization reads only
-// immutable IR.
+// per region from region(), under regionMu, which also guards the reused
+// writer; the serialization reads only immutable IR. The map lookup with
+// string(bytes) does not copy, so only a new shape allocates its key.
 func (sh *Shared) shapeOf(rc *regionCtx) *shapeInfo {
-	canon, size := canonRegion(sh.G.Prog, rc)
+	canon, size := sh.canon.region(sh.G.Prog, rc)
 	sh.shapeMu.Lock()
 	defer sh.shapeMu.Unlock()
-	if si, ok := sh.shapes[canon]; ok {
+	if si, ok := sh.shapes[string(canon)]; ok {
 		return si
 	}
 	si := &shapeInfo{size: size}
-	sh.shapes[canon] = si
+	sh.shapes[string(canon)] = si
 	return si
 }
 
@@ -130,8 +130,12 @@ func (sh *Shared) stmtPosition(src *ir.Stmt) (int, bool) {
 		return 0, false
 	}
 	sh.stmtIndexed[src.Fn] = true
-	for i, s := range src.Fn.Stmts() {
-		sh.stmtPos[s] = i
+	i := 0
+	for _, b := range src.Fn.Blocks {
+		for _, s := range b.Stmts {
+			sh.stmtPos[s] = i
+			i++
+		}
 	}
 	i, ok := sh.stmtPos[src]
 	return i, ok
@@ -143,21 +147,17 @@ func (sh *Shared) stmtPosition(src *ir.Stmt) (int, bool) {
 // lookup is in range by construction.
 func (sh *Shared) translatePaths(ce *canonEntry, rc *regionCtx) []*vfp.Path {
 	from := ce.rc
-	fnMap := make(map[*ir.Func]*ir.Func, len(from.funcs))
-	for i, f := range from.funcs {
-		fnMap[f] = rc.funcs[i]
-	}
-	stmtCache := make(map[*ir.Func][]*ir.Stmt, len(rc.funcs))
-	stmts := func(fn *ir.Func) []*ir.Stmt {
-		if s, ok := stmtCache[fn]; ok {
-			return s
+	// fnMap maps a function of the origin closure to its counterpart in
+	// rc: both closures number their functions alike.
+	fnMap := func(f *ir.Func) (*ir.Func, bool) {
+		i, ok := from.idx[f]
+		if !ok {
+			return nil, false
 		}
-		s := fn.Stmts()
-		stmtCache[fn] = s
-		return s
+		return rc.funcs[i], true
 	}
 	mapStmt := func(s *ir.Stmt) *ir.Stmt {
-		dst, ok := fnMap[s.Fn]
+		dst, ok := fnMap(s.Fn)
 		if !ok {
 			return s // outside the mapped closure: program-level identity
 		}
@@ -165,13 +165,13 @@ func (sh *Shared) translatePaths(ce *canonEntry, rc *regionCtx) []*vfp.Path {
 		if !ok {
 			return s
 		}
-		return stmts(dst)[i]
+		return dst.StmtAt(i)
 	}
 	mapVar := func(v *ir.Var) *ir.Var {
 		if v == nil || v.Fn == nil {
 			return v // globals keep identity
 		}
-		dst, ok := fnMap[v.Fn]
+		dst, ok := fnMap(v.Fn)
 		if !ok {
 			return v
 		}
@@ -197,7 +197,7 @@ func (sh *Shared) translatePaths(ce *canonEntry, rc *regionCtx) []*vfp.Path {
 			out.Stmt = mapStmt(ep.Stmt)
 		}
 		if ep.Fn != nil {
-			if dst, ok := fnMap[ep.Fn]; ok {
+			if dst, ok := fnMap(ep.Fn); ok {
 				out.Fn = dst
 			}
 		}
@@ -220,13 +220,31 @@ func (sh *Shared) translatePaths(ce *canonEntry, rc *regionCtx) []*vfp.Path {
 	return out
 }
 
-// canonRegion serializes the lowered IR of a region closure into its
-// canonical shape string; returns the total statement count alongside.
-func canonRegion(prog *ir.Program, rc *regionCtx) (string, int) {
-	c := &canonWriter{
-		prog:  prog,
-		fnIdx: rc.idx,
+// canonWriter serializes region shapes into one reused buffer: a region's
+// canonical shape is garbage once interned, so Shared keeps one writer
+// (guarded by regionMu) and every region overwrites the last one's bytes.
+type canonWriter struct {
+	b     []byte
+	prog  *ir.Program
+	fnIdx map[*ir.Func]int
+	// vi numbers the current function's params and locals positionally;
+	// blk numbers its blocks. Both are cleared per function and reused.
+	vi  map[*ir.Var]int
+	blk map[*ir.Block]int
+	fn  *ir.Func
+}
+
+// region serializes the lowered IR of a region closure into its canonical
+// shape and returns the total statement count alongside. The bytes are
+// valid until the next call.
+func (c *canonWriter) region(prog *ir.Program, rc *regionCtx) ([]byte, int) {
+	if c.vi == nil {
+		c.vi = make(map[*ir.Var]int)
+		c.blk = make(map[*ir.Block]int)
 	}
+	c.b = c.b[:0]
+	c.prog = prog
+	c.fnIdx = rc.idx
 	// File-layout ranks: PDG edge lists sort by program-global statement
 	// IDs, so the relative lowering order of the closure's functions is a
 	// traversal input (it decides edge enumeration order across
@@ -237,7 +255,10 @@ func canonRegion(prog *ir.Program, rc *regionCtx) (string, int) {
 	for i, f := range rc.funcs {
 		size += c.writeFunc(f, i, ranks[i])
 	}
-	return c.sb.String(), size
+	c.prog, c.fnIdx, c.fn = nil, nil, nil
+	clear(c.vi)
+	clear(c.blk)
+	return c.b, size
 }
 
 // layoutRanks orders the closure's functions by their first statement ID
@@ -247,8 +268,8 @@ func layoutRanks(funcs []*ir.Func) []int {
 	order := make([]at, len(funcs))
 	for i, f := range funcs {
 		id := int(^uint(0) >> 1)
-		if ss := f.Stmts(); len(ss) > 0 {
-			id = ss[0].ID
+		if s := f.StmtAt(0); s != nil {
+			id = s.ID
 		}
 		order[i] = at{pos: i, id: id}
 	}
@@ -260,19 +281,25 @@ func layoutRanks(funcs []*ir.Func) []int {
 	return ranks
 }
 
-// canonWriter carries the serialization state of one region shape.
-type canonWriter struct {
-	sb    strings.Builder
-	prog  *ir.Program
-	fnIdx map[*ir.Func]int
-	// vi numbers the current function's params and locals positionally.
-	vi map[*ir.Var]int
-	fn *ir.Func
+func (c *canonWriter) num(prefix string, n int64) {
+	c.b = strconv.AppendInt(append(c.b, prefix...), n, 10)
+}
+
+func (c *canonWriter) str(s string) { c.b = append(c.b, s...) }
+
+func (c *canonWriter) ch(x byte) { c.b = append(c.b, x) }
+
+func (c *canonWriter) typ(t *cir.Type) {
+	if t == nil {
+		c.ch('?')
+		return
+	}
+	c.b = t.AppendString(c.b)
 }
 
 func (c *canonWriter) writeFunc(f *ir.Func, idx, rank int) int {
 	c.fn = f
-	c.vi = make(map[*ir.Var]int, len(f.Params)+len(f.Locals))
+	clear(c.vi)
 	n := 0
 	for _, v := range f.Params {
 		c.vi[v] = n
@@ -282,32 +309,48 @@ func (c *canonWriter) writeFunc(f *ir.Func, idx, rank int) int {
 		c.vi[v] = n
 		n++
 	}
-	impl := 0
+	impl := int64(0)
 	if len(c.prog.InterfacesOf(f)) > 0 {
 		impl = 1
 	}
-	ret := "?"
+	c.num("F", int64(idx))
+	c.num(" rank", int64(rank))
+	c.num(" impl", impl)
+	c.str(" ret=")
 	if f.Decl != nil && f.Decl.Ret != nil {
-		ret = f.Decl.Ret.String()
+		c.typ(f.Decl.Ret)
+	} else {
+		c.ch('?')
 	}
-	fmt.Fprintf(&c.sb, "F%d rank%d impl%d ret=%s\n", idx, rank, impl, ret)
+	c.ch('\n')
 	for _, v := range f.Params {
-		fmt.Fprintf(&c.sb, " p%d t=%s i%v\n", v.ParamIndex, typeStr(v.Type), v.Initialized)
+		c.num(" p", int64(v.ParamIndex))
+		c.str(" t=")
+		c.typ(v.Type)
+		c.str(" i")
+		c.b = strconv.AppendBool(c.b, v.Initialized)
+		c.ch('\n')
 	}
 	for _, v := range f.Locals {
-		fmt.Fprintf(&c.sb, " l k%d t=%s i%v\n", v.Kind, typeStr(v.Type), v.Initialized)
+		c.num(" l k", int64(v.Kind))
+		c.str(" t=")
+		c.typ(v.Type)
+		c.str(" i")
+		c.b = strconv.AppendBool(c.b, v.Initialized)
+		c.ch('\n')
 	}
-	blkIdx := make(map[*ir.Block]int, len(f.Blocks))
+	clear(c.blk)
 	for i, b := range f.Blocks {
-		blkIdx[b] = i
+		c.blk[b] = i
 	}
 	stmts := 0
 	for i, b := range f.Blocks {
-		fmt.Fprintf(&c.sb, " b%d:", i)
+		c.num(" b", int64(i))
+		c.ch(':')
 		for _, s := range b.Succs {
-			fmt.Fprintf(&c.sb, "%d,", blkIdx[s])
+			c.b = append(strconv.AppendInt(c.b, int64(c.blk[s]), 10), ',')
 		}
-		c.sb.WriteByte('\n')
+		c.ch('\n')
 		for _, s := range b.Stmts {
 			c.writeStmt(s)
 			stmts++
@@ -317,30 +360,31 @@ func (c *canonWriter) writeFunc(f *ir.Func, idx, rank int) int {
 }
 
 func (c *canonWriter) writeStmt(s *ir.Stmt) {
-	fmt.Fprintf(&c.sb, "  s%d ", s.Kind)
+	c.num("  s", int64(s.Kind))
+	c.ch(' ')
 	c.expr(s.LHS)
-	c.sb.WriteByte('=')
+	c.ch('=')
 	c.expr(s.RHS)
-	c.sb.WriteByte(';')
+	c.ch(';')
 	c.expr(s.X)
 	if s.Kind == ir.StCall {
-		c.sb.WriteString(";c:")
+		c.str(";c:")
 		c.callee(s.Callee)
 		c.expr(s.CalleeExpr)
 		for _, a := range s.Args {
-			c.sb.WriteByte(',')
+			c.ch(',')
 			c.expr(a)
 		}
 	}
-	c.sb.WriteString(";D")
+	c.str(";D")
 	for _, l := range s.Defs {
 		c.loc(l)
 	}
-	c.sb.WriteString(";U")
+	c.str(";U")
 	for _, l := range s.Uses {
 		c.loc(l)
 	}
-	c.sb.WriteByte('\n')
+	c.ch('\n')
 }
 
 // callee canonicalizes a call target name: in-region functions by closure
@@ -352,48 +396,49 @@ func (c *canonWriter) callee(name string) {
 	}
 	if fn, ok := c.prog.Funcs[name]; ok {
 		if i, in := c.fnIdx[fn]; in {
-			fmt.Fprintf(&c.sb, "F%d", i)
+			c.num("F", int64(i))
 			return
 		}
 	}
-	c.sb.WriteString(name)
+	c.str(name)
 }
 
+// loc writes an access path; steps spell as ir.Step.String does.
 func (c *canonWriter) loc(l ir.Loc) {
 	if l.Base == nil {
-		c.sb.WriteString("[]")
+		c.str("[]")
 		return
 	}
-	c.sb.WriteByte('[')
+	c.ch('[')
 	c.varRef(l.Base)
 	for _, st := range l.Path {
-		c.sb.WriteString(st.String())
+		switch {
+		case st.Kind == ir.StepDeref:
+			c.ch('*')
+		case st.Off == ir.AnyOff:
+			c.str("[?]")
+		default:
+			c.num("+", int64(st.Off))
+		}
 	}
-	c.sb.WriteByte(']')
+	c.ch(']')
 }
 
 func (c *canonWriter) varRef(v *ir.Var) {
 	if v.Fn == nil {
 		// Program-level identity: global names stay verbatim.
-		c.sb.WriteString("g:")
-		c.sb.WriteString(v.Name)
+		c.str("g:")
+		c.str(v.Name)
 		return
 	}
 	if i, ok := c.vi[v]; ok {
-		fmt.Fprintf(&c.sb, "v%d", i)
+		c.num("v", int64(i))
 		return
 	}
 	// A variable of another function (should not occur in per-statement
 	// locs); fall back to the program-global ID so the shape stays
 	// deterministic but never spuriously unifies.
-	fmt.Fprintf(&c.sb, "V#%d", v.ID)
-}
-
-func typeStr(t *cir.Type) string {
-	if t == nil {
-		return "?"
-	}
-	return t.String()
+	c.num("V#", int64(v.ID))
 }
 
 // expr serializes an expression with identifiers canonicalized: variables
@@ -405,7 +450,7 @@ func typeStr(t *cir.Type) string {
 func (c *canonWriter) expr(e cir.Expr) {
 	switch x := e.(type) {
 	case nil:
-		c.sb.WriteByte('_')
+		c.ch('_')
 	case *cir.Ident:
 		if v := c.fn.VarByName(x.Name); v != nil {
 			c.varRef(v)
@@ -413,74 +458,80 @@ func (c *canonWriter) expr(e cir.Expr) {
 		}
 		if fn, ok := c.prog.Funcs[x.Name]; ok {
 			if i, in := c.fnIdx[fn]; in {
-				fmt.Fprintf(&c.sb, "F%d", i)
+				c.num("F", int64(i))
 				return
 			}
 		}
-		c.sb.WriteString("x:")
-		c.sb.WriteString(x.Name)
+		c.str("x:")
+		c.str(x.Name)
 	case *cir.IntLit:
-		fmt.Fprintf(&c.sb, "i%d:%s", x.Val, x.Text)
+		c.num("i", x.Val)
+		c.ch(':')
+		c.str(x.Text)
 	case *cir.StrLit:
-		fmt.Fprintf(&c.sb, "%q", x.Val)
+		c.b = strconv.AppendQuote(c.b, x.Val)
 	case *cir.UnaryExpr:
-		fmt.Fprintf(&c.sb, "u%d(", x.Op)
+		c.num("u", int64(x.Op))
+		c.ch('(')
 		c.expr(x.X)
-		c.sb.WriteByte(')')
+		c.ch(')')
 	case *cir.BinaryExpr:
-		fmt.Fprintf(&c.sb, "b%d(", x.Op)
+		c.num("b", int64(x.Op))
+		c.ch('(')
 		c.expr(x.X)
-		c.sb.WriteByte(',')
+		c.ch(',')
 		c.expr(x.Y)
-		c.sb.WriteByte(')')
+		c.ch(')')
 	case *cir.CondExpr:
-		c.sb.WriteString("?(")
+		c.str("?(")
 		c.expr(x.Cond)
-		c.sb.WriteByte(',')
+		c.ch(',')
 		c.expr(x.Then)
-		c.sb.WriteByte(',')
+		c.ch(',')
 		c.expr(x.Else)
-		c.sb.WriteByte(')')
+		c.ch(')')
 	case *cir.CallExpr:
-		c.sb.WriteString("call(")
+		c.str("call(")
 		c.expr(x.Fun)
 		for _, a := range x.Args {
-			c.sb.WriteByte(',')
+			c.ch(',')
 			c.expr(a)
 		}
-		c.sb.WriteByte(')')
+		c.ch(')')
 	case *cir.IndexExpr:
-		c.sb.WriteString("ix(")
+		c.str("ix(")
 		c.expr(x.X)
-		c.sb.WriteByte(',')
+		c.ch(',')
 		c.expr(x.Index)
-		c.sb.WriteByte(')')
+		c.ch(')')
 	case *cir.FieldExpr:
 		arrow := "."
 		if x.Arrow {
 			arrow = "->"
 		}
-		c.sb.WriteString("f(")
+		c.str("f(")
 		c.expr(x.X)
-		c.sb.WriteString(arrow)
-		c.sb.WriteString(x.Name)
-		c.sb.WriteByte(')')
+		c.str(arrow)
+		c.str(x.Name)
+		c.ch(')')
 	case *cir.CastExpr:
-		fmt.Fprintf(&c.sb, "cast[%s](", typeStr(x.Type))
+		c.str("cast[")
+		c.typ(x.Type)
+		c.str("](")
 		c.expr(x.X)
-		c.sb.WriteByte(')')
+		c.ch(')')
 	case *cir.SizeofExpr:
-		fmt.Fprintf(&c.sb, "sz%d", x.Size)
+		c.num("sz", int64(x.Size))
 	case *cir.StructInitExpr:
-		c.sb.WriteString("init{")
+		c.str("init{")
 		for _, fl := range x.Fields {
-			c.sb.WriteString(fl.Name)
-			c.sb.WriteByte('=')
+			c.str(fl.Name)
+			c.ch('=')
 			c.expr(fl.Value)
-			c.sb.WriteByte(';')
+			c.ch(';')
 		}
-		c.sb.WriteByte('}')
+		c.ch('}')
 	default:
-		c.sb.WriteString("<?>")
+		c.str("<?>")
 	}
 }

@@ -72,7 +72,11 @@ func (o *Outcome) MarshalBinary() ([]byte, error) {
 	}
 	e.body = binary.AppendVarint(e.body, o.Solver.Checks)
 
-	out := binary.AppendUvarint(nil, uint64(len(e.strs)))
+	size := binary.MaxVarintLen64*(len(e.strs)+1) + len(e.body)
+	for _, s := range e.strs {
+		size += len(s)
+	}
+	out := binary.AppendUvarint(make([]byte, 0, size), uint64(len(e.strs)))
 	for _, s := range e.strs {
 		out = binary.AppendUvarint(out, uint64(len(s)))
 	}

@@ -30,6 +30,8 @@ type Shared struct {
 	// position maps for translation.
 	shapeMu sync.Mutex
 	shapes  map[string]*shapeInfo
+	// canon is the reused shape serializer, guarded by regionMu.
+	canon canonWriter
 
 	canonMu    sync.Mutex
 	canonPaths map[canonPathKey]*canonEntry

@@ -55,7 +55,7 @@ func surfaceOf(rec *seal.Recorder, res *detect.Result, nSpecs int, targetHash, s
 		report:   rendered,
 		recs:     NormalizeRecs(res.Recs),
 		manifest: string(manifest),
-		metrics:  obs.RedactSubstrateTimings(art.Metrics),
+		metrics:  obs.RedactTimings(art.Metrics),
 	}, nil
 }
 

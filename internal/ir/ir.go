@@ -296,7 +296,8 @@ func (f *Func) VarByName(name string) *Var {
 	return nil
 }
 
-// Stmts returns all statements in block order.
+// Stmts returns all statements in block order, as a new slice. Hot paths
+// walk f.Blocks instead, or use NumStmts and StmtAt, which copy nothing.
 func (f *Func) Stmts() []*Stmt {
 	var out []*Stmt
 	for _, b := range f.Blocks {
@@ -305,12 +306,37 @@ func (f *Func) Stmts() []*Stmt {
 	return out
 }
 
+// NumStmts returns len(f.Stmts()).
+func (f *Func) NumStmts() int {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Stmts)
+	}
+	return n
+}
+
+// StmtAt returns f.Stmts()[i], or nil when i is out of range.
+func (f *Func) StmtAt(i int) *Stmt {
+	if i < 0 {
+		return nil
+	}
+	for _, b := range f.Blocks {
+		if i < len(b.Stmts) {
+			return b.Stmts[i]
+		}
+		i -= len(b.Stmts)
+	}
+	return nil
+}
+
 // ReturnStmts returns all return statements.
 func (f *Func) ReturnStmts() []*Stmt {
 	var out []*Stmt
-	for _, s := range f.Stmts() {
-		if s.Kind == StReturn {
-			out = append(out, s)
+	for _, b := range f.Blocks {
+		for _, s := range b.Stmts {
+			if s.Kind == StReturn {
+				out = append(out, s)
+			}
 		}
 	}
 	return out
@@ -493,9 +519,11 @@ func (p *Program) InterfacesOf(fn *Func) []string {
 func (p *Program) CallersOfAPI(name string) []*Stmt {
 	var out []*Stmt
 	for _, fn := range p.FuncList {
-		for _, s := range fn.Stmts() {
-			if s.IsCallTo(name) {
-				out = append(out, s)
+		for _, b := range fn.Blocks {
+			for _, s := range b.Stmts {
+				if s.IsCallTo(name) {
+					out = append(out, s)
+				}
 			}
 		}
 	}

@@ -278,31 +278,12 @@ func writeHeader(w io.Writer, name, help, typ string) error {
 // cache, solver-memo, path-cache and PDG counters — see VolatileMetric)
 // has its value replaced with 0. Comments, metric names, and bucket labels
 // are preserved, so a redacted export still pins the full metric structure.
+// The PDG ensure/build counters it zeroes also depend on how region groups
+// were arranged over substrates (a function reachable from groups on two
+// shards is built twice), so it is also the metrics-text counterpart of
+// Manifest.RedactSubstrate.
 func RedactTimings(prom string) string {
 	return redactMetrics(prom, VolatileMetric)
-}
-
-// RedactSubstrateTimings is RedactTimings plus the substrate-dependent
-// counters: PDG ensure/build figures depend on how region groups were
-// arranged over substrates (one shared graph, or one private graph per
-// shard worker — a function reachable from groups on two shards is built
-// twice), so comparisons across those arrangements zero them too (they are
-// volatile as well). It is the metrics-text counterpart of
-// Manifest.RedactSubstrate.
-func RedactSubstrateTimings(prom string) string {
-	return redactMetrics(prom, func(name string) bool {
-		return VolatileMetric(name) || SubstrateMetric(name)
-	})
-}
-
-// SubstrateMetric reports whether a metric counts work whose volume
-// depends on how region groups were arranged over analysis substrates.
-func SubstrateMetric(name string) bool {
-	switch name {
-	case "seal_pdg_ensure_calls_total", "seal_pdg_builds_total":
-		return true
-	}
-	return false
 }
 
 // redactMetrics zeroes the value of every sample line whose metric name

@@ -92,11 +92,11 @@ func TestManifestShardsRedaction(t *testing.T) {
 	}
 }
 
-// TestRedactSubstrateTimingsZeroesSubstrateCounters checks the metrics
-// counterpart: PDG arrangement-dependent counters are zeroed (line
-// structure preserved), while arrangement-invariant counters keep their
-// values.
-func TestRedactSubstrateTimingsZeroesSubstrateCounters(t *testing.T) {
+// TestRedactTimingsZeroesSubstrateCounters checks the metrics counterpart
+// of Manifest.RedactSubstrate: PDG arrangement-dependent counters are
+// zeroed (line structure preserved), while arrangement-invariant counters
+// keep their values.
+func TestRedactTimingsZeroesSubstrateCounters(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("seal_pdg_ensure_calls_total", "").Add(9)
 	reg.Counter("seal_pdg_builds_total", "").Add(3)
@@ -105,24 +105,18 @@ func TestRedactSubstrateTimingsZeroesSubstrateCounters(t *testing.T) {
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	prom := sb.String()
-
-	plain := RedactTimings(prom)
-	if !strings.Contains(plain, "seal_pdg_builds_total 0") {
-		t.Fatalf("plain redaction kept a volatile counter:\n%s", plain)
-	}
-	sub := RedactSubstrateTimings(prom)
+	red := RedactTimings(sb.String())
 	for _, want := range []string{"seal_pdg_ensure_calls_total 0", "seal_pdg_builds_total 0", "seal_detect_bugs_total 7"} {
-		if !strings.Contains(sub, want) {
-			t.Fatalf("substrate redaction missing %q:\n%s", want, sub)
+		if !strings.Contains(red, want) {
+			t.Fatalf("redaction missing %q:\n%s", want, red)
 		}
 	}
 	for _, name := range []string{"seal_pdg_ensure_calls_total", "seal_pdg_builds_total"} {
-		if !SubstrateMetric(name) {
-			t.Fatalf("SubstrateMetric(%q) = false", name)
+		if !VolatileMetric(name) {
+			t.Fatalf("VolatileMetric(%q) = false", name)
 		}
 	}
-	if SubstrateMetric("seal_detect_bugs_total") {
-		t.Fatal(`SubstrateMetric("seal_detect_bugs_total") = true`)
+	if VolatileMetric("seal_detect_bugs_total") {
+		t.Fatal(`VolatileMetric("seal_detect_bugs_total") = true`)
 	}
 }

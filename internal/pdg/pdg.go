@@ -296,7 +296,7 @@ func (g *Graph) EnsureBudget(fn *ir.Func, step func(int64) error) error {
 	}
 	cost := int64(1)
 	if !g.Built(fn) {
-		cost += int64(len(fn.Stmts()))
+		cost += int64(fn.NumStmts())
 	}
 	if err := step(cost); err != nil {
 		return err

@@ -72,7 +72,10 @@ func Build(prog *ir.Program) *Index {
 		fns:     make(map[*ir.Func]*FuncIndex, len(prog.FuncList)),
 		callers: make(map[string][]*ir.Func),
 	}
-	callerSeen := make(map[string]map[*ir.Func]bool)
+	// Per-function first sightings, cleared for each function: a callee
+	// name first seen in fn also makes fn one of its callers.
+	calleeSeen := make(map[string]bool)
+	definedSeen := make(map[*ir.Func]bool)
 	for _, fn := range prog.FuncList {
 		fi := &FuncIndex{
 			CallsByCallee: make(map[string][]*ir.Stmt),
@@ -85,42 +88,38 @@ func Build(prog *ir.Program) *Index {
 				fi.ParamDefs = append(fi.ParamDefs, ps)
 			}
 		}
-		calleeSeen := make(map[string]bool)
-		definedSeen := make(map[*ir.Func]bool)
-		for _, s := range fn.Stmts() {
-			switch s.Kind {
-			case ir.StCall:
-				if s.Callee == "" {
-					break
+		clear(calleeSeen)
+		clear(definedSeen)
+		for _, b := range fn.Blocks {
+			for _, s := range b.Stmts {
+				switch s.Kind {
+				case ir.StCall:
+					if s.Callee == "" {
+						break
+					}
+					fi.CallsByCallee[s.Callee] = append(fi.CallsByCallee[s.Callee], s)
+					if !calleeSeen[s.Callee] {
+						calleeSeen[s.Callee] = true
+						fi.CalleeNames = append(fi.CalleeNames, s.Callee)
+						ix.callers[s.Callee] = append(ix.callers[s.Callee], fn)
+					}
+					if callee, ok := prog.Funcs[s.Callee]; ok && !definedSeen[callee] {
+						definedSeen[callee] = true
+						fi.DefinedCallees = append(fi.DefinedCallees, callee)
+					}
+				case ir.StAssign:
+					if lit, ok := s.RHS.(*cir.IntLit); ok {
+						fi.IntLits[lit.Val] = append(fi.IntLits[lit.Val], s)
+					}
+				case ir.StReturn:
+					if lit, ok := s.X.(*cir.IntLit); ok {
+						fi.IntLits[lit.Val] = append(fi.IntLits[lit.Val], s)
+					}
 				}
-				fi.CallsByCallee[s.Callee] = append(fi.CallsByCallee[s.Callee], s)
-				if !calleeSeen[s.Callee] {
-					calleeSeen[s.Callee] = true
-					fi.CalleeNames = append(fi.CalleeNames, s.Callee)
-				}
-				if callee, ok := prog.Funcs[s.Callee]; ok && !definedSeen[callee] {
-					definedSeen[callee] = true
-					fi.DefinedCallees = append(fi.DefinedCallees, callee)
-				}
-				if callerSeen[s.Callee] == nil {
-					callerSeen[s.Callee] = make(map[*ir.Func]bool)
-				}
-				if !callerSeen[s.Callee][fn] {
-					callerSeen[s.Callee][fn] = true
-					ix.callers[s.Callee] = append(ix.callers[s.Callee], fn)
-				}
-			case ir.StAssign:
-				if lit, ok := s.RHS.(*cir.IntLit); ok {
-					fi.IntLits[lit.Val] = append(fi.IntLits[lit.Val], s)
-				}
-			case ir.StReturn:
-				if lit, ok := s.X.(*cir.IntLit); ok {
-					fi.IntLits[lit.Val] = append(fi.IntLits[lit.Val], s)
-				}
-			}
-			for _, u := range dataflow.EffectiveUses(fn, s) {
-				if u.Base.Kind == ir.VarGlobal && !u.HasDeref() {
-					fi.ReadsGlobals[u.Base.Name] = true
+				for _, u := range dataflow.EffectiveUses(fn, s) {
+					if u.Base.Kind == ir.VarGlobal && !u.HasDeref() {
+						fi.ReadsGlobals[u.Base.Name] = true
+					}
 				}
 			}
 		}

@@ -7,6 +7,7 @@
 package solver
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -179,9 +180,12 @@ func AppendString(b []byte, f Formula) []byte {
 // MkAnd builds a conjunction, flattening, deduplicating, and
 // short-circuiting.
 func MkAnd(fs ...Formula) Formula {
-	var ops operands
+	var fbuf [8]Formula
+	var kbuf [8]uint64
+	ops := operands{fs: fbuf[:0], keys: kbuf[:0]}
 	for _, f := range fs {
-		if !ops.pushAnd(f) {
+		var ok bool
+		if ops, ok = ops.pushAnd(f); !ok {
 			return FalseF{}
 		}
 	}
@@ -191,15 +195,18 @@ func MkAnd(fs ...Formula) Formula {
 	case 1:
 		return ops.fs[0]
 	}
-	return And{Fs: ops.fs}
+	return And{Fs: slices.Clone(ops.fs)}
 }
 
 // MkOr builds a disjunction, flattening, deduplicating, and
 // short-circuiting.
 func MkOr(fs ...Formula) Formula {
-	var ops operands
+	var fbuf [8]Formula
+	var kbuf [8]uint64
+	ops := operands{fs: fbuf[:0], keys: kbuf[:0]}
 	for _, f := range fs {
-		if !ops.pushOr(f) {
+		var ok bool
+		if ops, ok = ops.pushOr(f); !ok {
 			return TrueF{}
 		}
 	}
@@ -209,64 +216,69 @@ func MkOr(fs ...Formula) Formula {
 	case 1:
 		return ops.fs[0]
 	}
-	return Or{Fs: ops.fs}
+	return Or{Fs: slices.Clone(ops.fs)}
 }
 
 // operands collects the distinct operands of one And or Or in first-seen
 // order. Duplicates are found by canonKey plus exact structural equality,
 // so operands that differ only in their own operand order both stay.
+// MkAnd and MkOr collect into stack buffers and copy the operands out
+// once, at their final size.
 type operands struct {
 	fs   []Formula
 	keys []uint64
 }
 
 // pushAnd adds f as conjuncts; false means f is false and so is the And.
-func (o *operands) pushAnd(f Formula) bool {
+// The operands pass by value, so stack buffers behind them stay on the
+// stack.
+func (o operands) pushAnd(f Formula) (operands, bool) {
 	switch x := f.(type) {
 	case nil, TrueF:
-		return true
+		return o, true
 	case FalseF:
-		return false
+		return o, false
 	case And:
 		for _, k := range x.Fs {
-			if !o.pushAnd(k) {
-				return false
+			var ok bool
+			if o, ok = o.pushAnd(k); !ok {
+				return o, false
 			}
 		}
-		return true
+		return o, true
 	}
-	o.add(f)
-	return true
+	return o.add(f), true
 }
 
 // pushOr adds f as disjuncts; false means f is true and so is the Or.
-func (o *operands) pushOr(f Formula) bool {
+func (o operands) pushOr(f Formula) (operands, bool) {
 	switch x := f.(type) {
 	case nil, FalseF:
-		return true
+		return o, true
 	case TrueF:
-		return false
+		return o, false
 	case Or:
 		for _, k := range x.Fs {
-			if !o.pushOr(k) {
-				return false
+			var ok bool
+			if o, ok = o.pushOr(k); !ok {
+				return o, false
 			}
 		}
-		return true
+		return o, true
 	}
-	o.add(f)
-	return true
+	return o.add(f), true
 }
 
-func (o *operands) add(f Formula) {
+func (o operands) add(f Formula) operands {
 	key := canonKey(f)
 	for i, k := range o.keys {
 		if k == key && equal(o.fs[i], f) {
-			return
+			return o
 		}
 	}
 	o.fs = append(o.fs, f)
 	o.keys = append(o.keys, key)
+	return o
 }
 
 // MkNot builds a negation, pushing through constants.

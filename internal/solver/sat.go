@@ -1,6 +1,9 @@
 package solver
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // Tally counts the solver work one unit of work asked for: every
 // satisfiability check (Sat and SatBudget, including those made through
@@ -249,65 +252,115 @@ func toDNF(f Formula) ([][]Atom, bool) {
 	return [][]Atom{{}}, true
 }
 
-// linTerm is a linear combination: coeffs over symbol names plus a constant.
+// linTerm is a linear combination: coeffs over symbol names plus a
+// constant. coeffs holds each name at most once, in no particular order,
+// like the map it stands for; it is a window of a linArena, never
+// appended to once built.
 type linTerm struct {
-	coeffs map[string]int64
+	coeffs []symCoef
 	c      int64
+}
+
+// symCoef is one coefficient of a linTerm.
+type symCoef struct {
+	name string
+	k    int64
+}
+
+// linArena backs the coefficient lists of the linTerms one atom needs.
+// They are garbage once the atom is decided, so arenas are pooled: the
+// Simplify calls and feasibility checks a unit makes on one goroutine
+// reuse one arena instead of building a map per term.
+type linArena struct{ buf []symCoef }
+
+var linArenas = sync.Pool{New: func() any { return new(linArena) }}
+
+// alloc returns an empty list with room for n coefficients.
+func (a *linArena) alloc(n int) []symCoef {
+	l := len(a.buf)
+	if cap(a.buf)-l < n {
+		a.buf = make([]symCoef, 0, max(2*cap(a.buf), n, 16))
+		l = 0
+	}
+	a.buf = a.buf[:l+n]
+	return a.buf[l : l : l+n]
+}
+
+// release clears the arena and returns it to the pool.
+func (a *linArena) release() {
+	clear(a.buf)
+	a.buf = a.buf[:0]
+	linArenas.Put(a)
+}
+
+// atomDiff returns A - B of an atom in linear form, the shared first step
+// of Simplify and feasible.
+func atomDiff(at Atom, ar *linArena) linTerm {
+	return addLin(linearize(at.A, ar), linearize(at.B, ar), -1, ar)
 }
 
 // linearize converts a term to linear form; non-linear subterms become
 // opaque symbols so the result is always usable.
-func linearize(t Term) linTerm {
+func linearize(t Term, ar *linArena) linTerm {
 	switch x := t.(type) {
 	case Const:
-		return linTerm{coeffs: map[string]int64{}, c: x.Val}
+		return linTerm{c: x.Val}
 	case Sym:
-		return linTerm{coeffs: map[string]int64{x.Name: 1}}
+		return linTerm{coeffs: append(ar.alloc(1), symCoef{x.Name, 1})}
 	case BinTerm:
-		a := linearize(x.A)
-		b := linearize(x.B)
+		a := linearize(x.A, ar)
+		b := linearize(x.B, ar)
 		switch x.Op {
 		case TAdd:
-			return addLin(a, b, 1)
+			return addLin(a, b, 1, ar)
 		case TSub:
-			return addLin(a, b, -1)
+			return addLin(a, b, -1, ar)
 		case TMul:
 			if len(a.coeffs) == 0 {
-				return scaleLin(b, a.c)
+				return scaleLin(b, a.c, ar)
 			}
 			if len(b.coeffs) == 0 {
-				return scaleLin(a, b.c)
+				return scaleLin(a, b.c, ar)
 			}
 			// Non-linear: opaque.
-			return linTerm{coeffs: map[string]int64{string(x.appendTerm([]byte{'#'})): 1}}
+			return linTerm{coeffs: append(ar.alloc(1), symCoef{string(x.appendTerm([]byte{'#'})), 1})}
 		}
 	}
-	return linTerm{coeffs: map[string]int64{string(t.appendTerm([]byte{'#'})): 1}}
+	return linTerm{coeffs: append(ar.alloc(1), symCoef{string(t.appendTerm([]byte{'#'})), 1})}
 }
 
-func addLin(a, b linTerm, sign int64) linTerm {
-	out := linTerm{coeffs: make(map[string]int64, len(a.coeffs)+len(b.coeffs)), c: a.c + sign*b.c}
-	for k, v := range a.coeffs {
-		out.coeffs[k] = v
-	}
-	for k, v := range b.coeffs {
-		out.coeffs[k] += sign * v
-		if out.coeffs[k] == 0 {
-			delete(out.coeffs, k)
+// addLin returns a + sign*b. As with maps, a coefficient of b that sums
+// to zero drops its name, and a's coefficients carry over as they are.
+func addLin(a, b linTerm, sign int64, ar *linArena) linTerm {
+	out := append(ar.alloc(len(a.coeffs)+len(b.coeffs)), a.coeffs...)
+	for _, bc := range b.coeffs {
+		v := sign * bc.k
+		i := len(out) - 1
+		for i >= 0 && out[i].name != bc.name {
+			i--
+		}
+		switch {
+		case i < 0 && v != 0:
+			out = append(out, symCoef{bc.name, v})
+		case i >= 0:
+			if out[i].k += v; out[i].k == 0 {
+				out[i] = out[len(out)-1]
+				out = out[:len(out)-1]
+			}
 		}
 	}
-	return out
+	return linTerm{coeffs: out, c: a.c + sign*b.c}
 }
 
-func scaleLin(a linTerm, k int64) linTerm {
+func scaleLin(a linTerm, k int64, ar *linArena) linTerm {
 	if k == 0 {
-		return linTerm{coeffs: map[string]int64{}}
+		return linTerm{}
 	}
-	out := linTerm{coeffs: make(map[string]int64, len(a.coeffs)), c: a.c * k}
-	for s, v := range a.coeffs {
-		out.coeffs[s] = v * k
+	out := ar.alloc(len(a.coeffs))
+	for _, sc := range a.coeffs {
+		out = append(out, symCoef{sc.name, sc.k * k})
 	}
-	return out
+	return linTerm{coeffs: out, c: a.c * k}
 }
 
 const inf = int64(1) << 60
@@ -336,8 +389,10 @@ func feasible(conj []Atom) bool {
 		}
 	}
 
+	ar := linArenas.Get().(*linArena)
+	defer ar.release()
 	for _, a := range conj {
-		l := addLin(linearize(a.A), linearize(a.B), -1) // A - B
+		l := atomDiff(a, ar) // A - B
 		// l.coeffs · syms + l.c  (op)  0
 		switch len(l.coeffs) {
 		case 0:
@@ -360,11 +415,7 @@ func feasible(conj []Atom) bool {
 				return false
 			}
 		case 1:
-			var s string
-			var k int64
-			for name, coef := range l.coeffs {
-				s, k = name, coef
-			}
+			s, k := l.coeffs[0].name, l.coeffs[0].k
 			op := a.Op
 			c := l.c
 			if k < 0 {
@@ -407,8 +458,9 @@ func feasible(conj []Atom) bool {
 			// Try the difference form x - y (coefficients +1/-1).
 			var pos, neg string
 			okForm := true
-			for name, coef := range l.coeffs {
-				switch coef {
+			for _, sc := range l.coeffs {
+				name := sc.name
+				switch sc.k {
 				case 1:
 					if pos != "" {
 						okForm = false
@@ -521,8 +573,11 @@ func Simplify(f Formula) Formula {
 	case nil:
 		return TrueF{}
 	case Atom:
-		l := addLin(linearize(x.A), linearize(x.B), -1)
-		if len(l.coeffs) == 0 {
+		ar := linArenas.Get().(*linArena)
+		l := atomDiff(x, ar)
+		constant := len(l.coeffs) == 0
+		ar.release()
+		if constant {
 			ok := false
 			switch x.Op {
 			case OpEq:

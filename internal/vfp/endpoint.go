@@ -6,6 +6,7 @@ package vfp
 
 import (
 	"fmt"
+	"strconv"
 
 	"seal/internal/cir"
 	"seal/internal/ir"
@@ -99,33 +100,40 @@ type Endpoint struct {
 // Key is a version-independent identity for the endpoint (no line numbers,
 // no pointer identity).
 func (e Endpoint) Key() string {
+	var buf [64]byte
+	return string(e.appendKey(buf[:0]))
+}
+
+// appendKey appends Key's bytes to b.
+func (e Endpoint) appendKey(b []byte) []byte {
+	num := func(b []byte, n int64) []byte { return strconv.AppendInt(b, n, 10) }
 	switch e.Kind {
 	case SrcParam:
-		return fmt.Sprintf("param:%s#%d", e.Fn.Name, e.ParamIndex)
+		return num(append(append(append(b, "param:"...), e.Fn.Name...), '#'), int64(e.ParamIndex))
 	case SrcAPIRet:
-		return "apiret:" + e.API
+		return append(append(b, "apiret:"...), e.API...)
 	case SrcGlobal:
-		return "global:" + e.Global
+		return append(append(b, "global:"...), e.Global...)
 	case SrcLiteral:
-		return fmt.Sprintf("lit:%d", e.Lit)
+		return num(append(b, "lit:"...), e.Lit)
 	case SrcUninit:
-		return fmt.Sprintf("uninit:%s.%s", e.Fn.Name, e.Loc.Base.Name)
+		return append(append(append(append(b, "uninit:"...), e.Fn.Name...), '.'), e.Loc.Base.Name...)
 	case SnkAPIArg:
-		return fmt.Sprintf("apiarg:%s#%d", e.API, e.ArgIndex)
+		return num(append(append(append(b, "apiarg:"...), e.API...), '#'), int64(e.ArgIndex))
 	case SnkIfaceRet:
-		return "ifaceret:" + e.Fn.Name
+		return append(append(b, "ifaceret:"...), e.Fn.Name...)
 	case SnkGlobalStore:
-		return "gstore:" + e.Global
+		return append(append(b, "gstore:"...), e.Global...)
 	case SnkDeref:
-		return "deref:" + e.Fn.Name
+		return append(append(b, "deref:"...), e.Fn.Name...)
 	case SnkIndex:
-		return "index:" + e.Fn.Name
+		return append(append(b, "index:"...), e.Fn.Name...)
 	case SnkDiv:
-		return "div:" + e.Fn.Name
+		return append(append(b, "div:"...), e.Fn.Name...)
 	case SnkParamStore:
-		return fmt.Sprintf("pstore:%s#%d", e.Fn.Name, e.ParamIndex)
+		return num(append(append(append(b, "pstore:"...), e.Fn.Name...), '#'), int64(e.ParamIndex))
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // String implements fmt.Stringer.
@@ -197,7 +205,11 @@ func classifyRootless(s *ir.Stmt, loc ir.Loc) (Endpoint, bool) {
 // arriving via useLoc (paper §6.2.2: "sinks are output data or sensitive
 // operations").
 func classifySinks(g *pdg.Graph, s *ir.Stmt, useLoc ir.Loc) []Endpoint {
-	var out []Endpoint
+	return appendSinks(nil, g, s, useLoc)
+}
+
+// appendSinks appends classifySinks(g, s, useLoc) to out.
+func appendSinks(out []Endpoint, g *pdg.Graph, s *ir.Stmt, useLoc ir.Loc) []Endpoint {
 	switch s.Kind {
 	case ir.StCall:
 		if s.Callee != "" && g.Prog.IsAPI(s.Callee) {

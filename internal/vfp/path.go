@@ -1,7 +1,9 @@
 package vfp
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,19 +45,20 @@ func (p *Path) Signature() string {
 	if memo := p.sig.Load(); memo != nil {
 		return *memo
 	}
-	var sb strings.Builder
-	sb.WriteString(p.Source.Key())
-	sb.WriteString(" => ")
-	for _, n := range p.Nodes {
-		sb.WriteString(n.Fn.Name)
-		sb.WriteByte('|')
-		sb.WriteString(NormalizedStmtString(n))
-		sb.WriteString(" -> ")
-	}
-	sb.WriteString(p.Sink.Key())
-	str := sb.String()
+	str := string(p.appendSignature(make([]byte, 0, 256)))
 	p.sig.Store(&str)
 	return str
+}
+
+// appendSignature appends Signature's bytes to b without building the
+// string.
+func (p *Path) appendSignature(b []byte) []byte {
+	b = append(p.Source.appendKey(b), " => "...)
+	for _, n := range p.Nodes {
+		b = append(append(b, n.Fn.Name...), '|')
+		b = append(append(b, NormalizedStmtString(n)...), " -> "...)
+	}
+	return p.Sink.appendKey(b)
 }
 
 // NormalizedStmtString renders a statement with lowering temporaries
@@ -109,16 +112,50 @@ func (p *Path) Contains(stmt *ir.Stmt) bool {
 	return false
 }
 
-// DedupePaths removes signature duplicates, preserving order.
+// DedupePaths removes signature duplicates, preserving order. No
+// signature string is built: each path's signature bytes go into one
+// reused buffer, a 64-bit hash of them picks the earlier path they may
+// equal, and a byte comparison with that path's signature confirms it.
+// The hash covers the signature's bytes, not statement IDs: two distinct
+// statements with one spelling make equal signatures.
 func DedupePaths(paths []*Path) []*Path {
-	seen := make(map[string]bool, len(paths))
 	var out []*Path
+	if len(paths) == 0 {
+		return out
+	}
+	var arr, arr2 [512]byte
+	buf, other := arr[:0], arr2[:0]
+	first := make(map[uint64]int, len(paths)) // hash -> index in out
 	for _, p := range paths {
-		sig := p.Signature()
-		if !seen[sig] {
-			seen[sig] = true
-			out = append(out, p)
+		buf = p.appendSignature(buf[:0])
+		h := maphash.Bytes(sigSeed, buf)
+		if i, ok := first[h]; ok {
+			other = out[i].appendSignature(other[:0])
+			if bytes.Equal(buf, other) {
+				continue
+			}
+			var dup bool
+			if dup, other = sigIn(out, buf, other); dup {
+				continue
+			}
+		} else {
+			first[h] = len(out)
 		}
+		out = append(out, p)
 	}
 	return out
 }
+
+// sigIn reports whether any path of out has signature sig: the fallback
+// for a hash shared by different signatures. It returns scratch, grown.
+func sigIn(out []*Path, sig, scratch []byte) (bool, []byte) {
+	for _, q := range out {
+		scratch = q.appendSignature(scratch[:0])
+		if bytes.Equal(sig, scratch) {
+			return true, scratch
+		}
+	}
+	return false, scratch
+}
+
+var sigSeed = maphash.MakeSeed()

@@ -1,6 +1,8 @@
 package vfp
 
 import (
+	"sync"
+
 	"seal/internal/budget"
 	"seal/internal/ir"
 	"seal/internal/pdg"
@@ -44,12 +46,29 @@ type Slicer struct {
 		budgetHit bool
 	}
 
-	// visited[id] == walk marks statement id as on the current walk's
-	// trail; bumping walk clears every mark at once. A Slicer runs on one
-	// goroutine, so the marks need no locking.
+	// marks are the current enumeration's walk marks, taken from
+	// walkMarksPool by the first walk and returned by finishEnum.
+	marks *walkMarks
+	// trail is the depth-first walks' reused trail buffer, and sinks the
+	// forward walk's reused sink list. Results copy out of both.
+	trail []*ir.Stmt
+	sinks []Endpoint
+}
+
+// walkMarks are the visited marks of slicer walks: visited[id] == walk
+// marks statement id as on the current walk's trail, and bumping walk
+// clears every mark at once. A mark array is as long as the program's
+// statement list, so it is pooled rather than made per Slicer (detection
+// makes one Slicer per region group): each goroutine's enumerations
+// reuse one array, and sync.Pool drops idle arrays at GC, so a resident
+// process does not keep them. Values in the array never exceed walk, so
+// an array left by a longer program can serve a shorter one as is.
+type walkMarks struct {
 	visited []uint32
 	walk    uint32
 }
+
+var walkMarksPool = sync.Pool{New: func() any { return new(walkMarks) }}
 
 // NewSlicer returns a slicer with the default bounds.
 func NewSlicer(g *pdg.Graph) *Slicer {
@@ -115,6 +134,10 @@ func (sl *Slicer) chargePath(nodes int) bool {
 // produced path so downstream consumers can tell "no path" from
 // "enumeration cut short" (Path.Truncated).
 func (sl *Slicer) finishEnum(paths []*Path) []*Path {
+	if sl.marks != nil {
+		walkMarksPool.Put(sl.marks)
+		sl.marks = nil
+	}
 	if !sl.trunc.fired {
 		return paths
 	}
@@ -139,7 +162,7 @@ type segment struct {
 func (sl *Slicer) Collect(criterion *ir.Stmt) []*Path {
 	sl.beginEnum()
 	backs := sl.backward(criterion)
-	fwds := sl.forward(criterion)
+	fwds := sl.forward(criterion, false)
 	var out []*Path
 	for _, b := range backs {
 		for _, f := range fwds {
@@ -174,12 +197,11 @@ func (sl *Slicer) PathsFrom(source *ir.Stmt) []*Path {
 		return nil
 	}
 	var out []*Path
-	for _, f := range sl.forward(source) {
-		nodes := append([]*ir.Stmt{source}, f.nodes...)
-		if !sl.chargePath(len(nodes)) {
+	for _, f := range sl.forward(source, true) {
+		if !sl.chargePath(len(f.nodes)) {
 			break
 		}
-		out = append(out, &Path{Nodes: nodes, Source: ep, Sink: f.ep})
+		out = append(out, &Path{Nodes: f.nodes, Source: ep, Sink: f.ep})
 		if len(out) >= sl.MaxPaths {
 			sl.noteTrunc(budget.ReasonPaths)
 			break
@@ -212,26 +234,38 @@ func (sl *Slicer) rootlessSources(s *ir.Stmt) []Endpoint {
 	return out
 }
 
-// beginWalk clears the visited marks for a new backward or forward walk.
-func (sl *Slicer) beginWalk() {
-	if n := len(sl.G.Prog.AllStmts()); len(sl.visited) != n {
-		sl.visited = make([]uint32, n)
-		sl.walk = 0
+// beginWalk clears the visited marks for a new backward or forward walk
+// and returns the empty trail buffer, with room for MaxDepth statements.
+func (sl *Slicer) beginWalk() []*ir.Stmt {
+	m := sl.marks
+	if m == nil {
+		m = walkMarksPool.Get().(*walkMarks)
+		sl.marks = m
 	}
-	sl.walk++
-	if sl.walk == 0 { // wrapped: old marks could collide
-		clear(sl.visited)
-		sl.walk = 1
+	if n := len(sl.G.Prog.AllStmts()); cap(m.visited) < n {
+		m.visited = make([]uint32, n)
+		m.walk = 0
+	} else {
+		m.visited = m.visited[:n]
 	}
+	m.walk++
+	if m.walk == 0 { // wrapped: old marks could collide
+		clear(m.visited[:cap(m.visited)])
+		m.walk = 1
+	}
+	if cap(sl.trail) < sl.MaxDepth {
+		sl.trail = make([]*ir.Stmt, 0, sl.MaxDepth)
+	}
+	return sl.trail[:0]
 }
 
-func (sl *Slicer) isVisited(s *ir.Stmt) bool { return sl.visited[s.ID] == sl.walk }
+func (sl *Slicer) isVisited(s *ir.Stmt) bool { return sl.marks.visited[s.ID] == sl.marks.walk }
 
 func (sl *Slicer) setVisited(s *ir.Stmt, on bool) {
 	if on {
-		sl.visited[s.ID] = sl.walk
+		sl.marks.visited[s.ID] = sl.marks.walk
 	} else {
-		sl.visited[s.ID] = 0
+		sl.marks.visited[s.ID] = 0
 	}
 }
 
@@ -247,7 +281,7 @@ func (sl *Slicer) backward(criterion *ir.Stmt) []segment {
 		}
 		out = append(out, segment{nodes: nodes, ep: ep})
 	}
-	sl.beginWalk()
+	trail0 := sl.beginWalk()
 	var dfs func(cur *ir.Stmt, cameByParam bool, trail []*ir.Stmt)
 	dfs = func(cur *ir.Stmt, cameByParam bool, trail []*ir.Stmt) {
 		if len(out) >= sl.MaxPaths {
@@ -322,19 +356,32 @@ func (sl *Slicer) backward(criterion *ir.Stmt) []segment {
 		}
 	}
 	sl.setVisited(criterion, true)
-	dfs(criterion, false, nil)
+	dfs(criterion, false, trail0)
 	return out
 }
 
-// forward returns continuations after the criterion: nodes exclude the
-// criterion itself; each ends at a classified sink.
-func (sl *Slicer) forward(criterion *ir.Stmt) []segment {
+// forward returns continuations after the criterion, each ending at a
+// classified sink. Nodes exclude the criterion itself unless withHead is
+// set, in which case every segment starts with it: one copy per sink
+// makes the whole path.
+func (sl *Slicer) forward(criterion *ir.Stmt, withHead bool) []segment {
 	var out []segment
-	sl.beginWalk()
+	trail0 := sl.beginWalk()
+	var head []*ir.Stmt
+	if withHead {
+		head = []*ir.Stmt{criterion}
+	}
+	seg := func(trail []*ir.Stmt) []*ir.Stmt {
+		if len(head)+len(trail) == 0 {
+			return nil
+		}
+		nodes := make([]*ir.Stmt, 0, len(head)+len(trail))
+		return append(append(nodes, head...), trail...)
+	}
 
 	// The criterion itself may be an ultimate use.
 	for _, ep := range sl.criterionSinks(criterion) {
-		out = append(out, segment{nodes: nil, ep: ep})
+		out = append(out, segment{nodes: seg(nil), ep: ep})
 	}
 
 	var dfs func(cur *ir.Stmt, came pdg.Edge, trail []*ir.Stmt)
@@ -351,9 +398,9 @@ func (sl *Slicer) forward(criterion *ir.Stmt) []segment {
 			return
 		}
 		trail = append(trail, cur)
-		for _, ep := range classifySinks(sl.G, cur, came.Loc) {
-			seg := segment{nodes: append([]*ir.Stmt{}, trail...), ep: ep}
-			out = append(out, seg)
+		sl.sinks = appendSinks(sl.sinks[:0], sl.G, cur, came.Loc)
+		for _, ep := range sl.sinks {
+			out = append(out, segment{nodes: seg(trail), ep: ep})
 		}
 		succs := sl.G.SuccEdges(cur)
 		for i := 0; i < succs.Len(); i++ {
@@ -395,7 +442,7 @@ func (sl *Slicer) forward(criterion *ir.Stmt) []segment {
 			continue
 		}
 		sl.setVisited(e.To, true)
-		dfs(e.To, e, nil)
+		dfs(e.To, e, trail0)
 		sl.setVisited(e.To, false)
 	}
 	return out
