@@ -72,7 +72,7 @@ func BenchmarkWarmDetectInputs(b *testing.B) {
 		for k, si := range g {
 			subset[k] = db.Specs[si]
 		}
-		keys = append(keys, detectGroupKey(targetHash, subset[0].Scope(), SpecSetHash(subset), Limits{}))
+		keys = append(keys, detectGroupKey(targetHash, subset[0].Scope(), SpecSetHash(subset), detectConfigPart(Limits{})))
 	}
 	probe := func(i int) {
 		var o detect.Outcome

@@ -36,12 +36,13 @@ func BenchmarkResidentDetect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := r.Detect(context.Background(), specs, DetectRunOptions{}); err != nil {
+	plan := PlanGroups(specs)
+	if _, _, err := r.Detect(context.Background(), plan, DetectRunOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, err := r.Detect(context.Background(), specs, DetectRunOptions{})
+		res, _, err := r.Detect(context.Background(), plan, DetectRunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +68,8 @@ func TestResidentDetectSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Detect(ctx, specs, DetectRunOptions{}); err != nil {
+	plan := PlanGroups(specs)
+	if _, _, err := r.Detect(ctx, plan, DetectRunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +84,7 @@ func TestResidentDetectSpeedup(t *testing.T) {
 		}
 	})
 	resident := medianRunNs(t, runs, func() {
-		res, _, err := r.Detect(ctx, specs, DetectRunOptions{})
+		res, _, err := r.Detect(ctx, plan, DetectRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func TestSpecEditRecomputeSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewResident(target)
-	if _, _, err := r.Detect(ctx, stored, DetectRunOptions{}); err != nil {
+	if _, _, err := r.Detect(ctx, PlanGroups(stored), DetectRunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := specdb.Open(storePath)
@@ -91,7 +91,7 @@ func TestSpecEditRecomputeSpeedup(t *testing.T) {
 	}
 	warm := medianRunNs(t, runs, func() {
 		edit()
-		res, gs, err := r.Detect(ctx, cur, DetectRunOptions{})
+		res, gs, err := r.Detect(ctx, PlanGroups(cur), DetectRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -220,7 +220,7 @@ func BenchmarkDetectScaling(b *testing.B) {
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
 				rs := NewResident(&Target{Prog: r.Prog})
-				res, _, err := rs.Detect(context.Background(), r.Specs, DetectRunOptions{Workers: w})
+				res, _, err := rs.Detect(context.Background(), PlanGroups(r.Specs), DetectRunOptions{Workers: w})
 				if err != nil || len(res.Recs) == 0 {
 					b.Fatalf("no reports (%v)", err)
 				}

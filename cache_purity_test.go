@@ -71,7 +71,7 @@ func editAndRevert(t *testing.T, r *seal.Resident, specs []*seal.Spec) {
 	edited := *specs[0]
 	edited.OriginPatch += "-edited"
 	for _, run := range [][]*seal.Spec{specs, append([]*seal.Spec{&edited}, specs[1:]...)} {
-		if _, _, err := r.Detect(context.Background(), run, seal.DetectRunOptions{}); err != nil {
+		if _, _, err := r.Detect(context.Background(), seal.PlanGroups(run), seal.DetectRunOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestCacheEntriesArePureFunctionsOfKeys(t *testing.T) {
 	}
 	editAndRevert(t, r, specs)
 	dir := t.TempDir()
-	if _, gs, err := r.Detect(ctx, specs, seal.DetectRunOptions{Cache: openCache(t, dir, 0)}); err != nil || gs.Computed != 1 {
+	if _, gs, err := r.Detect(ctx, seal.PlanGroups(specs), seal.DetectRunOptions{Cache: openCache(t, dir, 0)}); err != nil || gs.Computed != 1 {
 		t.Fatalf("reverted run computed %d groups (err %v), want 1", gs.Computed, err)
 	}
 	resident := cacheEntries(t, dir)
@@ -192,11 +192,11 @@ func TestMemoAndDiskReplaysReportAlike(t *testing.T) {
 		t.Fatal(err)
 	}
 	editAndRevert(t, r, specs)
-	if _, gs, err := r.Detect(ctx, specs, seal.DetectRunOptions{}); err != nil || gs.Computed != 1 {
+	if _, gs, err := r.Detect(ctx, seal.PlanGroups(specs), seal.DetectRunOptions{}); err != nil || gs.Computed != 1 {
 		t.Fatalf("reverted run computed %d groups (err %v), want 1", gs.Computed, err)
 	}
 
-	memo, mgs, err := r.Detect(ctx, specs, seal.DetectRunOptions{})
+	memo, mgs, err := r.Detect(ctx, seal.PlanGroups(specs), seal.DetectRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,18 +48,61 @@ type GroupedStats struct {
 }
 
 // detectGroupKey is the TierDetectGroup fingerprint chain: schema version
-// (inside cache.Key) → seal analysis version → config → target sources →
-// the group's scope → the group's own spec subset. Only the last part
-// changes when a spec inside the group is edited.
-func detectGroupKey(targetHash, scope, groupHash string, limits Limits) string {
+// (inside cache.Key) → seal analysis version → config (detectConfigPart)
+// → target sources → the group's scope → the group's own spec subset. Only
+// the last part changes when a spec inside the group is edited.
+func detectGroupKey(targetHash, scope, groupHash, cfg string) string {
 	return cache.Key(
 		"tier:"+cache.TierDetectGroup,
 		"seal:"+Version,
-		detectConfigPart(limits),
+		cfg,
 		"target:"+targetHash,
 		"scope:"+scope,
 		"specs:"+groupHash,
 	)
+}
+
+// GroupPlan is the spec-side half of a detection: a spec list split into
+// its region groups, each group's scope and spec subset, and (on the first
+// run that keys groups) each subset's SpecSetHash. It depends on the spec
+// list alone and is read-only once built, so any number of runs may share
+// one: the CLI builds one per run, a daemon one per published snapshot.
+type GroupPlan struct {
+	groups  [][]int   // each group's global spec indices, in spec order
+	scopes  []string  // each group's detection scope
+	subsets [][]*Spec // each group's specs
+
+	hashOnce sync.Once
+	hashes   []string // SpecSetHash of each subset
+}
+
+// PlanGroups partitions specs into region groups.
+func PlanGroups(specs []*Spec) *GroupPlan {
+	p := &GroupPlan{groups: detect.ScopeGroups(specs)}
+	p.scopes = make([]string, len(p.groups))
+	p.subsets = make([][]*Spec, len(p.groups))
+	all := make([]*Spec, 0, len(specs)) // every subset, back to back
+	for gi, g := range p.groups {
+		at := len(all)
+		for _, si := range g {
+			all = append(all, specs[si])
+		}
+		p.subsets[gi] = all[at:len(all):len(all)]
+		p.scopes[gi] = specs[g[0]].Scope()
+	}
+	return p
+}
+
+// groupHashes returns each group's spec-side key part, hashing the
+// subsets on the first call.
+func (p *GroupPlan) groupHashes() []string {
+	p.hashOnce.Do(func() {
+		p.hashes = make([]string, len(p.subsets))
+		for gi, sub := range p.subsets {
+			p.hashes[gi] = SpecSetHash(sub)
+		}
+	})
+	return p.hashes
 }
 
 // DetectFiles runs a budgeted, fault-isolated detection over an in-memory
@@ -84,18 +127,18 @@ func DetectFiles(ctx context.Context, files map[string]string, specs []*Spec, op
 		}
 		return detect.NewShared(t.Prog), nil
 	}
-	return detectGroups(ctx, targetHash, acquire, specs, opts, nil)
+	return detectGroups(ctx, targetHash, acquire, PlanGroups(specs), opts, nil)
 }
 
-// Detect runs a budgeted, cached detection pinned to this resident
-// substrate (see DetectFiles). Groups resolve from the group memo first, so
-// a repeated request — or a request after a one-spec edit — replays every
-// unchanged group from memory; clean computed groups are written back to
-// the memo and, when configured, the persistent cache. The run's Stats are
-// added to the resident's total (see Stats).
-func (r *Resident) Detect(ctx context.Context, specs []*Spec, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
+// Detect runs a budgeted, cached detection of plan's specs pinned to this
+// resident substrate (see DetectFiles). Groups resolve from the group memo
+// first, so a repeated request — or a request after a one-spec edit —
+// replays every unchanged group from memory; clean computed groups are
+// written back to the memo and, when configured, the persistent cache. The
+// run's Stats are added to the resident's total (see Stats).
+func (r *Resident) Detect(ctx context.Context, plan *GroupPlan, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
 	acquire := func() (*detect.Shared, error) { return r.sh, nil }
-	res, gs, err := detectGroups(ctx, r.TargetHash, acquire, specs, opts, &r.memo)
+	res, gs, err := detectGroups(ctx, r.TargetHash, acquire, plan, opts, &r.memo)
 	if res != nil {
 		r.statsMu.Lock()
 		r.stats = r.stats.Merge(res.Stats)
@@ -106,41 +149,35 @@ func (r *Resident) Detect(ctx context.Context, specs []*Spec, opts DetectRunOpti
 
 // detectGroups is the group scheduler. acquire is called at most once, and
 // only when some group missed; memo may be nil (persistent cache only).
-// Group keys are hashed, and the memo consulted, serially in group order,
-// and only when there is a memo or a cache to consult; the groups the memo
-// missed are then looked up in the persistent cache on a pool of
+// Group keys are composed, and the memo consulted, serially in group
+// order, and only when there is a memo or a cache to consult; the groups
+// the memo missed are then looked up in the persistent cache on a pool of
 // GOMAXPROCS readers. Replayed groups are Findings, so the result's Stats
 // and memo split are the work of the groups computed in this run.
-func detectGroups(ctx context.Context, targetHash string, acquire func() (*detect.Shared, error), specs []*Spec, opts DetectRunOptions, memo *sync.Map) (*DetectResult, GroupedStats, error) {
+func detectGroups(ctx context.Context, targetHash string, acquire func() (*detect.Shared, error), plan *GroupPlan, opts DetectRunOptions, memo *sync.Map) (*DetectResult, GroupedStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	pc := opts.Cache
-	groups := detect.ScopeGroups(specs)
-	gs := GroupedStats{Groups: len(groups)}
-	opts.Obs.SetUnitsTotal(len(groups))
-	scopes := make([]string, len(groups))
-	subsets := make([][]*Spec, len(groups))
-	keys := make([]string, len(groups)) // "" = never cached
-	outs := make([]*detect.Outcome, len(groups))
+	n := len(plan.groups)
+	gs := GroupedStats{Groups: n}
+	opts.Obs.SetUnitsTotal(n)
+	keys := make([]string, n) // "" = never cached
+	outs := make([]*detect.Outcome, n)
 	var probes []int // groups the memo missed, to look up on disk
-	for gi, g := range groups {
-		subset := make([]*Spec, len(g))
-		for k, si := range g {
-			subset[k] = specs[si]
-		}
-		scopes[gi], subsets[gi] = subset[0].Scope(), subset
-		if memo == nil && !pc.Enabled() {
-			continue
-		}
-		keys[gi] = detectGroupKey(targetHash, scopes[gi], SpecSetHash(subset), opts.Limits)
-		if memo != nil {
-			if v, ok := memo.Load(scopes[gi]); ok && v.(memoEntry).key == keys[gi] {
-				outs[gi] = v.(memoEntry).o
+	if memo != nil || pc.Enabled() {
+		hashes := plan.groupHashes()
+		cfg := detectConfigPart(opts.Limits)
+		for gi, scope := range plan.scopes {
+			keys[gi] = detectGroupKey(targetHash, scope, hashes[gi], cfg)
+			if memo != nil {
+				if v, ok := memo.Load(scope); ok && v.(memoEntry).key == keys[gi] {
+					outs[gi] = v.(memoEntry).o
+				}
 			}
-		}
-		if outs[gi] == nil && pc.Enabled() {
-			probes = append(probes, gi)
+			if outs[gi] == nil && pc.Enabled() {
+				probes = append(probes, gi)
+			}
 		}
 	}
 	// Disk probes are file reads and checksums, independent per group, so
@@ -152,7 +189,7 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 			if pc.Get(cache.TierDetectGroup, keys[gi], &o) { // Outcome.UnmarshalBinary
 				outs[gi] = &o
 				if memo != nil {
-					memo.Store(scopes[gi], memoEntry{keys[gi], &o})
+					memo.Store(plan.scopes[gi], memoEntry{keys[gi], &o})
 				}
 			}
 		})
@@ -161,7 +198,7 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 	var missedAt []int
 	for gi, o := range outs {
 		if o == nil {
-			missed, missedAt = append(missed, subsets[gi]), append(missedAt, gi)
+			missed, missedAt = append(missed, plan.subsets[gi]), append(missedAt, gi)
 			continue
 		}
 		gs.Warm++
@@ -195,16 +232,16 @@ func detectGroups(ctx context.Context, targetHash string, acquire func() (*detec
 				continue
 			}
 			if memo != nil {
-				memo.Store(scopes[gi], memoEntry{keys[gi], o.Findings()})
+				memo.Store(plan.scopes[gi], memoEntry{keys[gi], o.Findings()})
 			}
 			pc.Put(cache.TierDetectGroup, keys[gi], o) // Outcome.MarshalBinary encodes o.Findings()
 		}
 	}
 
-	f := detect.NewFold(scopes)
+	f := detect.NewFold(plan.scopes)
 	for gi, o := range outs {
 		if o != nil {
-			f.Add(groups[gi], o)
+			f.Add(plan.groups[gi], o)
 		}
 	}
 	res := f.Result()

@@ -84,7 +84,7 @@ func TestGroupProbesPooled(t *testing.T) {
 	for k, si := range mid {
 		subset[k] = specs[si]
 	}
-	key := detectGroupKey(TargetHash(corpus.Files), subset[0].Scope(), SpecSetHash(subset), Limits{})
+	key := detectGroupKey(TargetHash(corpus.Files), subset[0].Scope(), SpecSetHash(subset), detectConfigPart(Limits{}))
 	entry := filepath.Join(cacheDir, "seal-analysis-cache", "v"+strconv.Itoa(cache.SchemaVersion),
 		cache.TierDetectGroup, key[:2], key+".json")
 	good, err := os.ReadFile(entry)
@@ -147,7 +147,7 @@ func TestGroupProbesPooled(t *testing.T) {
 		specs          []*Spec
 		hits, memoSize int
 	}{{firstHalf, half, half}, {specs, len(groups) - half, len(groups)}, {specs, 0, len(groups)}} {
-		res, gs, err := r.Detect(context.Background(), tc.specs, DetectRunOptions{Workers: 2, Cache: pc.View()})
+		res, gs, err := r.Detect(context.Background(), PlanGroups(tc.specs), DetectRunOptions{Workers: 2, Cache: pc.View()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestResidentMemoRunStartsNoGoroutine(t *testing.T) {
 	}
 	r := NewResident(target)
 	opts := DetectRunOptions{Workers: 1}
-	if _, _, err := r.Detect(context.Background(), inf.DB.Specs, opts); err != nil {
+	if _, _, err := r.Detect(context.Background(), PlanGroups(inf.DB.Specs), opts); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
@@ -200,7 +200,7 @@ func TestResidentMemoRunStartsNoGoroutine(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		_, gs, err := r.Detect(context.Background(), inf.DB.Specs, opts)
+		_, gs, err := r.Detect(context.Background(), PlanGroups(inf.DB.Specs), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

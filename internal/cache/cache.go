@@ -390,14 +390,22 @@ func (c *Cache) Stats() Stats {
 // ("ab","c" ≠ "a","bc"), and SchemaVersion is always the first link of
 // the chain.
 func Key(parts ...string) string {
-	h := sha256.New()
-	w := bufio.NewWriterSize(h, 512)
-	writePart(w, "schema:"+strconv.Itoa(SchemaVersion))
+	var buf [512]byte
+	b := appendPart(buf[:0], schemaPart)
 	for _, p := range parts {
-		writePart(w, p)
+		b = appendPart(b, p)
 	}
-	w.Flush()
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// schemaPart is the first link of every key chain.
+var schemaPart = "schema:" + strconv.Itoa(SchemaVersion)
+
+// appendPart is writePart for a key's in-memory chain.
+func appendPart(b []byte, p string) []byte {
+	b = strconv.AppendInt(b, int64(len(p)), 10)
+	return append(append(b, ':'), p...)
 }
 
 // FileSetHash fingerprints a set of named sources (the "parsed-unit hash"

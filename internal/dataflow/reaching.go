@@ -161,7 +161,9 @@ func EffectiveUses(fn *ir.Func, s *ir.Stmt) []ir.Loc {
 // Definition sets are word bitsets over the function's def indices, with
 // IN/OUT sets indexed by Block.ID.
 func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
-	ff := &FuncFlow{Fn: fn}
+	// Most functions have fewer def-use chains than statements: sized so,
+	// Deps is allocated once for them instead of regrown from empty.
+	ff := &FuncFlow{Fn: fn, Deps: make([]DataDep, 0, fn.NumStmts())}
 
 	// Enumerate all defs, statement by statement in block order: the defs
 	// of the k-th statement are defs[defStart[k]:defStart[k+1]], and the

@@ -57,7 +57,7 @@ func Record(b *Bug) BugRec {
 }
 
 // Records flattens a report list, preserving order. No bugs yield nil,
-// like MergeShardRecs over a bug-free run.
+// like a Fold over a bug-free run.
 func Records(bugs []*Bug) []BugRec {
 	if len(bugs) == 0 {
 		return nil

@@ -51,9 +51,9 @@ func (o *Outcome) Findings() *Outcome {
 }
 
 // Result is the outcome of a whole detection run: the merged outcome of
-// every region group (Bugs with ordinals over the run's spec list, Units
-// sorted by ID, robustness records in group order) plus the rendered-report
-// records and the persistent cache's counters.
+// every region group (Units sorted by ID, robustness records in group
+// order; Bugs is nil, see ShardBugs) plus the rendered-report records and
+// the persistent cache's counters.
 type Result struct {
 	Outcome
 	// Recs is the report-rendering payload: the deduplicated, sorted
@@ -63,6 +63,8 @@ type Result struct {
 	// PCache is the persistent analysis cache's counter snapshot; zero
 	// unless the run was configured with a cache directory.
 	PCache cache.Stats
+
+	parts []foldPart // the folded bugs, by reference (see ShardBugs)
 }
 
 // UnitRec is the serializable per-unit summary of one region group.

@@ -205,8 +205,8 @@ func TestDetectParallelCtxCanceledParent(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled run returned %v", err)
 	}
-	if len(res.Bugs) != 0 {
-		t.Fatalf("pre-canceled run produced %d bugs", len(res.Bugs))
+	if len(res.Recs) != 0 {
+		t.Fatalf("pre-canceled run produced %d bugs", len(res.Recs))
 	}
 }
 

@@ -184,7 +184,7 @@ func RunCase(c *randprog.PatchCase) (*CaseResult, error) {
 	// graph must produce the reference output both times (build-set
 	// independence).
 	res := seal.NewResident(target)
-	par, _, err := res.Detect(ctx, refInfer.DB.Specs, seal.DetectRunOptions{Workers: 4})
+	par, _, err := res.Detect(ctx, seal.PlanGroups(refInfer.DB.Specs), seal.DetectRunOptions{Workers: 4})
 	if err != nil {
 		return nil, fmt.Errorf("seed %d: resident detection: %w", c.Seed, err)
 	}

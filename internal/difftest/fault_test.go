@@ -55,7 +55,7 @@ func TestFaultIsolationAllUnits(t *testing.T) {
 	if !o.Ok() {
 		t.Errorf("all-units fault run:\n%s", o.Report())
 	}
-	if len(o.Result.Bugs) != 0 {
-		t.Errorf("all units quarantined but %d bugs reported", len(o.Result.Bugs))
+	if len(o.Result.Recs) != 0 {
+		t.Errorf("all units quarantined but %d bugs reported", len(o.Result.Recs))
 	}
 }

@@ -156,6 +156,8 @@ func main() {
 		{"bad_path", "POST", "/unknown", "x"},
 		{"bad_json", "POST", "/detect", "{not json"},
 		{"unknown_field", "POST", "/detect", `{"bogus":1}`},
+		{"trailing_value", "POST", "/detect", `{"workers":1} {"bogus":1}`},
+		{"trailing_garbage", "POST", "/detect", `{"workers":1} trailing-garbage`},
 	}
 	for _, s := range serveSeeds {
 		if err := writeEntry(serveDir, s.name, s.method, s.path, s.body); err != nil {

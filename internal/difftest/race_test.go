@@ -41,7 +41,7 @@ func TestSharedProgramConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _, err := seal.NewResident(target).Detect(context.Background(), res.DB.Specs, seal.DetectRunOptions{Workers: 8})
+			got, _, err := seal.NewResident(target).Detect(context.Background(), seal.PlanGroups(res.DB.Specs), seal.DetectRunOptions{Workers: 8})
 			if err != nil || NormalizeRecs(got.Recs) != wantRecs {
 				errs <- "concurrent resident detection diverged from reference"
 			}
@@ -186,7 +186,7 @@ func TestSharedSubstrateConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _, err := r.Detect(context.Background(), res.DB.Specs, seal.DetectRunOptions{Workers: 8})
+			got, _, err := r.Detect(context.Background(), seal.PlanGroups(res.DB.Specs), seal.DetectRunOptions{Workers: 8})
 			if err != nil || NormalizeRecs(got.Recs) != want {
 				errs <- "detection over reused substrate diverged from reference"
 			}

@@ -314,7 +314,7 @@ func (g *Graph) build(fn *ir.Func) {
 	}
 	ff := dataflow.FlowAnalyze(fn, g.PTS)
 	ci := cfg.Analyze(fn)
-	edges, accesses := g.funcEdges(fn, ff)
+	edges, accesses := g.funcEdges(fn)
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -323,7 +323,7 @@ func (g *Graph) build(fn *ir.Func) {
 		g.unrooted[u.Use.ID] = append(g.unrooted[u.Use.ID], u.Loc)
 	}
 	edges = append(edges, g.linkGlobals(accesses)...)
-	g.installEdges(edges)
+	g.installEdges(ff.Deps, edges)
 }
 
 // globalAccess is one read or write of a global (through no deref) by a
@@ -335,16 +335,14 @@ type globalAccess struct {
 	store bool
 }
 
-// funcEdges derives fn's edges that need no other function built: the
-// intra-procedural Ed from its def-use chains, and actual -> formal and
-// return -> receiver edges to defined callees (immutable IR and the eager
-// call graph suffice). It also lists fn's global accesses, which are
-// linked across functions under the lock (linkGlobals).
-func (g *Graph) funcEdges(fn *ir.Func, ff *dataflow.FuncFlow) ([]Edge, []globalAccess) {
-	edges := make([]Edge, 0, len(ff.Deps))
-	for _, d := range ff.Deps {
-		edges = append(edges, Edge{From: d.Def, To: d.Use, Loc: d.Loc, Kind: EdgeIntra})
-	}
+// funcEdges derives fn's inter-procedural edges that need no other
+// function built: actual -> formal and return -> receiver edges to defined
+// callees (immutable IR and the eager call graph suffice). It also lists
+// fn's global accesses, which are linked across functions under the lock
+// (linkGlobals). The intra-procedural Ed are fn's def-use chains, which
+// installEdges reads as they are.
+func (g *Graph) funcEdges(fn *ir.Func) ([]Edge, []globalAccess) {
+	var edges []Edge
 	var accesses []globalAccess
 	for _, b := range fn.Blocks {
 		for _, s := range b.Stmts {
@@ -441,24 +439,30 @@ func (st *state) intern(l ir.Loc) int32 {
 	return id
 }
 
-// installEdges merges new edges into the per-statement adjacency lists.
-// Lists are rebuilt copy-on-write (readers may hold the old slices outside
-// the lock) and kept in a canonical order, so the graph's shape does not
-// depend on the order in which functions were built. Edges that compare
-// equal are identical, so sorting needs no stability. Callers hold g.mu.
-func (g *Graph) installEdges(edges []Edge) {
-	if len(edges) == 0 {
+// installEdges merges new edges — def-use chains as EdgeIntra, then edges
+// — into the per-statement adjacency lists. Lists are rebuilt copy-on-write
+// (readers may hold the old slices outside the lock) and kept in a
+// canonical order, so the graph's shape does not depend on the order in
+// which functions were built. Edges that compare equal are identical, so
+// sorting needs no stability. Callers hold g.mu.
+func (g *Graph) installEdges(deps []dataflow.DataDep, edges []Edge) {
+	if len(deps)+len(edges) == 0 {
 		return
 	}
-	packed := make([]edge, len(edges))
-	for i, e := range edges {
+	packed := make([]edge, 0, len(deps)+len(edges))
+	for _, d := range deps {
+		packed = append(packed, edge{
+			from: int32(d.Def.ID), to: int32(d.Use.ID), loc: g.intern(d.Loc), kind: uint8(EdgeIntra),
+		})
+	}
+	for _, e := range edges {
 		if e.ArgIndex > math.MaxUint16 {
 			panic(fmt.Sprintf("pdg: parameter index %d of %s out of range", e.ArgIndex, e.To.Fn.Name))
 		}
-		packed[i] = edge{
+		packed = append(packed, edge{
 			from: int32(e.From.ID), to: int32(e.To.ID), loc: g.intern(e.Loc),
 			kind: uint8(e.Kind), arg: uint16(e.ArgIndex),
-		}
+		})
 	}
 	bySucc := func(a, b edge) int { return g.compare(a, b) }
 	byPred := func(a, b edge) int {

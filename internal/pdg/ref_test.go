@@ -45,7 +45,10 @@ func (r *refGraph) ensure(fn *ir.Func) {
 		return
 	}
 	r.built[fn] = true
-	edges, accesses := r.g.funcEdges(fn, dataflow.FlowAnalyze(fn, r.g.PTS))
+	edges, accesses := r.g.funcEdges(fn)
+	for _, d := range dataflow.FlowAnalyze(fn, r.g.PTS).Deps {
+		edges = append(edges, Edge{From: d.Def, To: d.Use, Loc: d.Loc, Kind: EdgeIntra})
+	}
 	for _, a := range accesses {
 		if a.store {
 			if refRegister(r.globalStores, a.name, a.stmt) {

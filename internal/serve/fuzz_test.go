@@ -56,6 +56,8 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add("PUT", "/detect", "")
 	f.Add("POST", "/unknown", "x")
 	f.Add("POST", "/detect", `{"bogus":1}`)
+	f.Add("POST", "/detect", `{"workers":1} {"bogus":1}`)
+	f.Add("POST", "/detect", `{"workers":1} trailing-garbage`)
 	f.Add("", "", "{not json")
 	f.Fuzz(func(t *testing.T, method, path, body string) {
 		if len(body) > 64<<10 {

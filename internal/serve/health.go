@@ -20,7 +20,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{OK: true})
+	s.writeJSON(w, http.StatusOK, HealthResponse{OK: true})
 }
 
 // handleReadyz is the readiness probe: a server that answers at all has
@@ -30,7 +30,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.store.Current()
-	writeJSON(w, http.StatusOK, HealthResponse{
+	s.writeJSON(w, http.StatusOK, HealthResponse{
 		OK:         true,
 		Ready:      true,
 		Epoch:      snap.Epoch,

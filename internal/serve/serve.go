@@ -167,30 +167,43 @@ type errorEnvelope struct {
 
 func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string, failures []*seal.FailureRecord) {
 	s.reg.Counter("seal_serve_errors_total", "requests answered with a structured error").Add(1)
-	writeJSON(w, status, errorEnvelope{Error: ErrorBody{
+	s.writeJSON(w, status, errorEnvelope{Error: ErrorBody{
 		Status: status, Code: code, Message: msg, Failures: failures,
 	}})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
+// writeJSON answers status with v's JSON. The body is encoded whole before
+// the header is written, so a value that does not encode (a NaN float, say)
+// answers the structured 500 instead of a status with an empty body. An
+// error envelope always encodes: it holds strings and integers only.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	bd := getBody()
+	defer putBody(bd)
+	if err := bd.value(v); err != nil {
+		s.writeError(w, http.StatusInternalServerError, "internal", "encoding response: "+err.Error(), nil)
+		return
+	}
+	bd.send(w, status)
 }
 
-// decodeJSON decodes a request body. An empty body decodes to the zero
-// request (every field has a serve-side default). Returns (status, code,
-// message) on failure.
+// decodeJSON decodes a request body holding one JSON value, with nothing
+// after it but whitespace. An empty body decodes to the zero request
+// (every field has a serve-side default). Returns (status, code, message)
+// on failure.
 func decodeJSON(r *http.Request, dst any) (int, string, string) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(dst)
+	var tooLarge *http.MaxBytesError
+	if err == nil {
+		_, err = dec.Token() // io.EOF: nothing but whitespace follows
+		if !errors.Is(err, io.EOF) && !errors.As(err, &tooLarge) {
+			err = errors.New("request body continues after its JSON value")
+		}
+	}
 	if err == nil || errors.Is(err, io.EOF) {
 		return 0, "", ""
 	}
-	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		return http.StatusRequestEntityTooLarge, "body-too-large",
 			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)
@@ -354,7 +367,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		Obs:     rec,
 		Cache:   s.cfg.Cache.View(),
 	}
-	res, gs, runErr := snap.Resident.Detect(r.Context(), snap.Specs, runOpts)
+	res, gs, runErr := snap.Resident.Detect(r.Context(), snap.plan(), runOpts)
 	var grouped *seal.GroupedStats
 	if s.specStore != nil {
 		grouped = &gs
@@ -376,7 +389,9 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
 		return
 	}
-	writeJSON(w, http.StatusOK, DetectResponse{
+	bd := getBody()
+	defer putBody(bd)
+	if err := bd.detectResponse(&DetectResponse{
 		Epoch:      snap.Epoch,
 		TargetHash: snap.TargetHash(),
 		SpecsHash:  snap.SpecsHash,
@@ -390,7 +405,11 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		Stats:      res.Stats,
 		Manifest:   art.Manifest,
 		Metrics:    art.Metrics,
-	})
+	}); err != nil {
+		s.writeError(w, http.StatusInternalServerError, "internal", "encoding response: "+err.Error(), nil)
+		return
+	}
+	bd.send(w, http.StatusOK)
 }
 
 // InferRequest uploads a patch corpus for specification inference.
@@ -503,7 +522,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		resp.Epoch = snap.Epoch
 		resp.Published = true
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // EditRequest uploads changed source files and/or deletions.
@@ -543,7 +562,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reg.Counter("seal_serve_publishes_total", "snapshot publications").Add(1)
-	writeJSON(w, http.StatusOK, EditResponse{
+	s.writeJSON(w, http.StatusOK, EditResponse{
 		Epoch:       snap.Epoch,
 		TargetHash:  snap.TargetHash(),
 		Files:       len(snap.Files),
@@ -578,7 +597,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := s.specStore.Stats()
 		ss = &st
 	}
-	writeJSON(w, http.StatusOK, StatsResponse{
+	s.writeJSON(w, http.StatusOK, StatsResponse{
 		Epoch:       snap.Epoch,
 		TargetHash:  snap.TargetHash(),
 		SpecsHash:   snap.SpecsHash,

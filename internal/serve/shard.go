@@ -42,7 +42,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := obs.New()
 	rec.StartRun("shard")
-	res, _, runErr := snap.Resident.Detect(r.Context(), job.Specs.Specs, seal.DetectRunOptions{
+	res, _, runErr := snap.Resident.Detect(r.Context(), seal.PlanGroups(job.Specs.Specs), seal.DetectRunOptions{
 		Workers: workers,
 		Limits:  job.Limits,
 		Obs:     rec,
@@ -57,10 +57,12 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := rec.BuildManifest("shard", workers, nil, 0)
-	writeJSON(w, http.StatusOK, coord.ShardResult{
+	out := res.Outcome
+	out.Bugs = res.ShardBugs()
+	s.writeJSON(w, http.StatusOK, coord.ShardResult{
 		Shard:         job.Shard,
 		TargetHash:    snap.TargetHash(),
-		Outcome:       res.Outcome,
+		Outcome:       out,
 		ManifestUnits: m.Units,
 	})
 }

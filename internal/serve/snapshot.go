@@ -49,6 +49,9 @@ type Snapshot struct {
 	// StoreSeq is the spec-store snapshot sequence this epoch's specs were
 	// read at (0 when the daemon is not backed by a spec store).
 	StoreSeq uint64
+	// groups is Specs' region-group plan, built by the epoch's first
+	// /detect (see plan), never on the publish path.
+	groups *lazyPlan
 
 	// Build accounting (how incremental the build was), surfaced by /edit.
 	ReusedFiles int
@@ -57,6 +60,18 @@ type Snapshot struct {
 
 // TargetHash is the content fingerprint of this snapshot's source tree.
 func (s *Snapshot) TargetHash() string { return s.Resident.TargetHash }
+
+type lazyPlan struct {
+	once sync.Once
+	p    *seal.GroupPlan
+}
+
+// plan is the region-group plan of the snapshot's specs, built once, by
+// the first caller, and shared by every detection of this epoch.
+func (s *Snapshot) plan() *seal.GroupPlan {
+	s.groups.once.Do(func() { s.groups.p = seal.PlanGroups(s.Specs) })
+	return s.groups.p
+}
 
 // hashSource fingerprints one file's bytes.
 func hashSource(src string) string {
@@ -83,6 +98,7 @@ func buildSnapshot(files map[string]string, specs []*seal.Spec, prev *Snapshot) 
 		FileHash: make(map[string]string, len(files)),
 		Parsed:   make(map[string]*cir.File, len(files)),
 		Specs:    specs,
+		groups:   new(lazyPlan),
 	}
 	names := make([]string, 0, len(files))
 	for n := range files {
@@ -127,6 +143,7 @@ func (s *Snapshot) withSpecs(specs []*seal.Spec) *Snapshot {
 	next.Epoch = s.Epoch + 1
 	next.Specs = specs
 	next.SpecsHash = seal.SpecSetHash(specs)
+	next.groups = new(lazyPlan)
 	next.ReusedFiles, next.ParsedFiles = len(s.Files), 0
 	return &next
 }

@@ -80,7 +80,7 @@ func (s *Server) handleSpecsQuery(w http.ResponseWriter, r *http.Request) {
 			matched = append(matched, sp)
 		}
 	}
-	writeJSON(w, http.StatusOK, SpecsResponse{
+	s.writeJSON(w, http.StatusOK, SpecsResponse{
 		Epoch:    snap.Epoch,
 		StoreSeq: snap.StoreSeq,
 		Query:    qs,
@@ -144,7 +144,7 @@ func (s *Server) handleSpecsEdit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reg.Counter("seal_serve_publishes_total", "snapshot publications").Add(1)
-	writeJSON(w, http.StatusOK, SpecsEditResponse{
+	s.writeJSON(w, http.StatusOK, SpecsEditResponse{
 		Epoch:     snap.Epoch,
 		StoreSeq:  snap.StoreSeq,
 		SpecsHash: snap.SpecsHash,

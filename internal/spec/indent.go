@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 
@@ -81,7 +82,7 @@ func (o *object) key(name string) {
 
 func (o *object) str(name, v string) {
 	o.key(name)
-	o.w.b = appendJSONString(o.w.b, v)
+	o.w.b = AppendJSONString(o.w.b, v, true)
 }
 
 // strOmit and intOmit are str and int for omitempty fields.
@@ -235,15 +236,36 @@ func (w *indentWriter) term(t solver.Term, depth int) {
 
 const hexDigits = "0123456789abcdef"
 
-// appendJSONString appends s quoted as encoding/json quotes it with HTML
-// escaping on: <, > and & as \u00XX, invalid UTF-8 as \ufffd, and U+2028
-// and U+2029 escaped.
-func appendJSONString(b []byte, s string) []byte {
+// AppendJSONString appends s quoted as an encoding/json encoder quotes it:
+// invalid UTF-8 as \ufffd, U+2028 and U+2029 escaped, and, when
+// escapeHTML is set (the encoder's default, and json.MarshalIndent's), <,
+// > and & as \u00XX. Runs that need no escaping are skipped eight bytes
+// at a time.
+func AppendJSONString(b []byte, s string, escapeHTML bool) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
+		for i+8 <= len(s) {
+			w := s[i : i+8]
+			x := uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+				uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
+			q, bs := x^'"'*lsb8, x^'\\'*lsb8
+			m := x | (x - ' '*lsb8) | (q-lsb8)&^q | (bs-lsb8)&^bs
+			if escapeHTML {
+				lt, gt, amp := x^'<'*lsb8, x^'>'*lsb8, x^'&'*lsb8
+				m |= (lt-lsb8)&^lt | (gt-lsb8)&^gt | (amp-lsb8)&^amp
+			}
+			if m&msb8 != 0 {
+				i += bits.TrailingZeros64(m&msb8) >> 3 // the first byte needing work
+				break
+			}
+			i += 8
+		}
+		if i == len(s) {
+			break
+		}
 		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			if c >= ' ' && c != '"' && c != '\\' && (!escapeHTML || c != '<' && c != '>' && c != '&') {
 				i++
 				continue
 			}
@@ -283,3 +305,14 @@ func appendJSONString(b []byte, s string) []byte {
 	}
 	return append(append(b, s[start:]...), '"')
 }
+
+// Eight bytes at a time, x holds them little-endian: the top bit of each
+// byte of m flags a byte AppendJSONString cannot copy as is — non-ASCII
+// (x itself), below ' ' (x-' '*lsb8), and '"', '\\' and, with
+// escapeHTML, '<', '>' and '&' ((v-lsb8)&^v flags the zero bytes of
+// v = x^c*lsb8). The lowest flag marks the first such byte exactly: a
+// borrow only spills into bytes above a true match.
+const (
+	lsb8 = 0x0101010101010101
+	msb8 = 0x8080808080808080
+)

@@ -32,7 +32,7 @@ func TestResidentStatsCountsComputedGroups(t *testing.T) {
 	specs := inf.DB.Specs
 
 	// Cold: every group computes, so the total is the run's own figures.
-	res, gs, err := r.Detect(ctx, specs, opts)
+	res, gs, err := r.Detect(ctx, PlanGroups(specs), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestResidentStatsCountsComputedGroups(t *testing.T) {
 	}
 
 	// Identical rerun: every group replays from the memo and adds nothing.
-	if _, gs, err = r.Detect(ctx, specs, opts); err != nil {
+	if _, gs, err = r.Detect(ctx, PlanGroups(specs), opts); err != nil {
 		t.Fatal(err)
 	}
 	if gs.Warm != gs.Groups {
@@ -63,7 +63,7 @@ func TestResidentStatsCountsComputedGroups(t *testing.T) {
 	edited := *specs[0]
 	edited.OriginPatch += "-edited"
 	next := append([]*Spec{&edited}, specs[1:]...)
-	res, gs, err = r.Detect(ctx, next, opts)
+	res, gs, err = r.Detect(ctx, PlanGroups(next), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestResidentStatsCountsComputedGroups(t *testing.T) {
 		}
 	}
 	v, ok := r.memo.Load(edited.Scope())
-	if !ok || v.(memoEntry).key != detectGroupKey(r.TargetHash, edited.Scope(), SpecSetHash(subset), opts.Limits) {
+	if !ok || v.(memoEntry).key != detectGroupKey(r.TargetHash, edited.Scope(), SpecSetHash(subset), detectConfigPart(opts.Limits)) {
 		t.Fatal("recomputed group is not in the memo")
 	}
 	group := res.Stats
@@ -124,7 +124,7 @@ func TestResidentCacheCountsPerRun(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, _, err := r.Detect(context.Background(), specs, DetectRunOptions{Workers: 2, Cache: pc.View()})
+			res, _, err := r.Detect(context.Background(), PlanGroups(specs), DetectRunOptions{Workers: 2, Cache: pc.View()})
 			if err != nil {
 				t.Error(err)
 				return
@@ -140,7 +140,7 @@ func TestResidentCacheCountsPerRun(t *testing.T) {
 			for k, si := range g {
 				subset[k] = specs[si]
 			}
-			key := detectGroupKey(r.TargetHash, subset[0].Scope(), SpecSetHash(subset), Limits{})
+			key := detectGroupKey(r.TargetHash, subset[0].Scope(), SpecSetHash(subset), detectConfigPart(Limits{}))
 			info, err := os.Stat(filepath.Join(dir, "seal-analysis-cache", "v"+strconv.Itoa(cache.SchemaVersion),
 				cache.TierDetectGroup, key[:2], key+".json"))
 			if err != nil {
